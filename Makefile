@@ -61,8 +61,8 @@ parzonebench:
 
 # Assertion-overhead report: per-assertion-kind collection throughput with
 # the engine unarmed vs armed (dead, region, unshared, owned), plus the
-# staleness profiler's Touch cost and Advance pause — each under the dense
-# epoch-stamped side tables and the map[Ref] reference implementation
+# staleness profiler's Touch cost and Advance pause under its dense side
+# table and its map[Ref] reference implementation
 # (see results/assert_overhead.txt).
 assertbench:
 	go test -run '^$$' -bench BenchmarkAssertTrace -benchtime 3000x -benchmem ./internal/harness | tee results/assert_overhead.txt
@@ -94,7 +94,6 @@ difftest:
 	go test -race -run 'TestSweepModesDifferential|TestLazySweep|TestAllocBuffer|TestTelemetry' -v ./internal/core
 	go test -race -run 'TestConcurrentDifferential' -v ./internal/core
 	go test -race -run 'TestParallelZoneDifferential' -v ./internal/core
-	go test -race -run 'TestSideTabDifferential' -v ./internal/core
 	go test -race -run 'TestStalenessSideTabDifferential' -v ./internal/staleness
 
 # Short coverage-guided fuzz runs: the serial/parallel equivalence, the
@@ -109,6 +108,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzConcurrentPacer -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzZoneRemset -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzSideTab -fuzztime 30s ./internal/sidetab
+	go test -run '^$$' -fuzz FuzzOwneeIndex -fuzztime 30s ./internal/sidetab
 
 # Regenerate the paper's figures (text tables on stdout, CSV alongside).
 figures:

@@ -3,7 +3,6 @@ package assertions
 import (
 	"repro/internal/classes"
 	"repro/internal/report"
-	"repro/internal/sidetab"
 	"repro/internal/trace"
 	"repro/internal/vmheap"
 )
@@ -31,90 +30,48 @@ type Cycle struct {
 	e   *Engine
 	seq uint64
 
-	// Per-cycle report deduplication: dense epoch-stamped tables drawn
-	// from the engine pool (tabs), or — in the map-backed reference mode,
-	// and on the pre-collection placeholder cycle — lazily-built maps.
-	// tabs.dead / reportedDead cache the handler's action so the Force
-	// decision is applied consistently to every incoming reference of the
-	// same object; the improper table is shared between the ownership
-	// phase's improper-use reports and the root phase's unowned-ownee
-	// reports, so one object yields at most one ownership warning per
-	// cycle regardless of which phase sees it first.
-	tabs             *cycleTabs
+	// Per-cycle report deduplication, sized by what was reported: the maps
+	// are built on the first violation of their kind and, on the default
+	// cycle, emptied in place by BeginCycle. reportedDead caches the
+	// handler's action so the Force decision is applied consistently to
+	// every incoming reference of the same object; reportedImproper is
+	// shared between the ownership phase's improper-use reports and the root
+	// phase's unowned-ownee reports, so one object yields at most one
+	// ownership warning per cycle regardless of which phase sees it first.
 	reportedDead     map[vmheap.Ref]report.Action
 	reportedShared   map[vmheap.Ref]bool
 	reportedImproper map[vmheap.Ref]bool
 
+	// checks are this cycle's trace callouts, bound once: the tracer is
+	// handed the same method values every collection.
+	checks trace.Checks
+
 	halt *report.Violation
 }
 
-// cycleTabs is one collection's set of dense dedupe tables. Released sets
-// return to the engine pool cleared (an O(1) epoch bump each), so
-// steady-state collections allocate nothing: the pool high-water mark is
-// the maximum number of collections ever simultaneously in flight.
-type cycleTabs struct {
-	dead     *sidetab.Table[report.Action]
-	shared   *sidetab.Bits
-	improper *sidetab.Bits
-}
-
-// acquireTabs pops a cleared table set from the pool, or creates one.
-func (e *Engine) acquireTabs() *cycleTabs {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n := len(e.tabPool); n > 0 {
-		t := e.tabPool[n-1]
-		e.tabPool = e.tabPool[:n-1]
-		return t
-	}
-	t := &cycleTabs{
-		dead:     sidetab.NewTable[report.Action](),
-		shared:   sidetab.NewBits(),
-		improper: sidetab.NewBits(),
-	}
-	e.allTabs = append(e.allTabs, t)
-	return t
-}
-
-// ReleaseCycle returns a cycle's dense tables to the engine pool, cleared.
-// Call after the last read of the cycle's state (Halted is unaffected —
-// the halt verdict lives on the Cycle itself). The whole-heap paths
-// release via BeginCycle; the concurrent zone path releases at the end of
-// ZoneCollection.Finish. Releasing a map-mode or placeholder cycle is a
-// no-op; a second release of the same cycle likewise.
-func (e *Engine) ReleaseCycle(c *Cycle) {
-	if c == nil || c.tabs == nil {
-		return
-	}
-	t := c.tabs
-	c.tabs = nil
-	t.dead.Clear()
-	t.shared.Clear()
-	t.improper.Clear()
-	e.mu.Lock()
-	e.tabPool = append(e.tabPool, t)
-	e.mu.Unlock()
+func (e *Engine) newCycle(seq uint64) *Cycle {
+	c := &Cycle{e: e, seq: seq}
+	c.checks = trace.Checks{Dead: c.onDead, Shared: c.onShared, Unowned: c.onUnowned}
+	return c
 }
 
 // NewCycle creates a fresh cycle for one collection. Safe to call
 // concurrently with other collections.
-func (e *Engine) NewCycle() *Cycle {
-	c := &Cycle{e: e, seq: e.cycle.Add(1)}
-	if !e.mapTables {
-		c.tabs = e.acquireTabs()
-	}
-	return c
-}
+func (e *Engine) NewCycle() *Cycle { return e.newCycle(e.cycle.Add(1)) }
 
 // BeginCycle prepares the engine's default cycle for a collection (the
-// whole-heap path): per-cycle report deduplication is reset and the cycle
-// counter advances. The outgoing cycle's tables return to the pool — its
-// reports are never consulted again (a pending Halt was surfaced by the
-// collection that produced it).
+// whole-heap path): the cycle counter advances, per-cycle report
+// deduplication and any pending Halt are reset (the collection that
+// produced a Halt already surfaced it), and every ownee stamp left by an
+// earlier collection is retired.
 func (e *Engine) BeginCycle() {
-	old := e.defaultCycle
-	e.defaultCycle = e.NewCycle()
-	e.ReleaseCycle(old)
+	c := e.defaultCycle
+	c.seq = e.cycle.Add(1)
+	c.halt = nil
+	clear(c.reportedDead)
+	clear(c.reportedShared)
+	clear(c.reportedImproper)
+	e.ownees.NextEpoch()
 }
 
 // Halted returns the violation for which the handler requested Halt during
@@ -135,26 +92,17 @@ func (c *Cycle) Halted() *report.Violation {
 func (e *Engine) Checks() trace.Checks { return e.ChecksFor(e.defaultCycle) }
 
 // ChecksFor returns the assertion callouts bound to one collection's cycle.
-func (e *Engine) ChecksFor(c *Cycle) trace.Checks {
-	return trace.Checks{
-		Dead:    c.onDead,
-		Shared:  c.onShared,
-		Unowned: c.onUnowned,
-	}
-}
+func (e *Engine) ChecksFor(c *Cycle) trace.Checks { return c.checks }
 
 // OwnershipPhase returns the phase descriptor for the collector, or nil when
-// no ownership assertions are registered.
+// no ownership assertions are registered. The descriptor is the engine's
+// own and is valid for the collection now starting.
 func (e *Engine) OwnershipPhase() *trace.OwnershipPhase {
 	if !e.HasOwnership() {
 		return nil
 	}
-	return &trace.OwnershipPhase{
-		Owners:   e.owners,
-		OwnerOf:  e.ownerOf,
-		IsOwner:  func(r vmheap.Ref) bool { return e.heap.Flags(r, vmheap.FlagOwner) != 0 },
-		Improper: e.defaultCycle.onImproper,
-	}
+	e.phase.Owners = e.owners
+	return &e.phase
 }
 
 // pathElems resolves a raw reference path into class-named elements.
@@ -189,75 +137,16 @@ func (c *Cycle) dispatch(v *report.Violation) report.Action {
 	return act
 }
 
-// deadSeen, recordDead, sharedSeenRecord, improperSeen and recordImproper
-// are the dedupe-table accessors the trace hooks run per encounter: one
-// dense epoch-stamped probe in sidetab mode, the original map operations
-// in the reference mode (and on the pre-collection placeholder cycle,
-// whose tables are nil in both modes).
-
-func (c *Cycle) deadSeen(obj vmheap.Ref) (report.Action, bool) {
-	if c.tabs != nil {
-		return c.tabs.dead.Get(uint32(obj))
-	}
-	act, ok := c.reportedDead[obj]
-	return act, ok
-}
-
-func (c *Cycle) recordDead(obj vmheap.Ref, act report.Action) {
-	if c.tabs != nil {
-		c.tabs.dead.Set(uint32(obj), act)
-		return
-	}
-	if c.reportedDead == nil {
-		c.reportedDead = make(map[vmheap.Ref]report.Action)
-	}
-	c.reportedDead[obj] = act
-}
-
-// sharedSeenRecord marks obj as shared-reported, returning whether it
-// already was.
-func (c *Cycle) sharedSeenRecord(obj vmheap.Ref) bool {
-	if c.tabs != nil {
-		return !c.tabs.shared.Set(uint32(obj))
-	}
-	if c.reportedShared[obj] {
-		return true
-	}
-	if c.reportedShared == nil {
-		c.reportedShared = make(map[vmheap.Ref]bool)
-	}
-	c.reportedShared[obj] = true
-	return false
-}
-
-func (c *Cycle) improperSeen(obj vmheap.Ref) bool {
-	if c.tabs != nil {
-		return c.tabs.improper.Get(uint32(obj))
-	}
-	return c.reportedImproper[obj]
-}
-
-func (c *Cycle) recordImproper(obj vmheap.Ref) {
-	if c.tabs != nil {
-		c.tabs.improper.Set(uint32(obj))
-		return
-	}
-	if c.reportedImproper == nil {
-		c.reportedImproper = make(map[vmheap.Ref]bool)
-	}
-	c.reportedImproper[obj] = true
-}
-
 // onDead handles an encounter of a dead-asserted object during tracing. The
 // handler runs once per object per cycle; its action is cached so Force is
 // applied uniformly to every incoming reference.
 func (c *Cycle) onDead(obj vmheap.Ref, path func() []vmheap.Ref) report.Action {
-	if act, seen := c.deadSeen(obj); seen {
+	if act, seen := c.reportedDead[obj]; seen {
 		return act
 	}
 	e := c.e
 	kind := report.DeadReachable
-	if e.regionHas(obj) {
+	if e.heap.Flags(obj, vmheap.FlagRegion) != 0 {
 		kind = report.RegionSurvivor
 	}
 	v := &report.Violation{
@@ -268,15 +157,22 @@ func (c *Cycle) onDead(obj vmheap.Ref, path func() []vmheap.Ref) report.Action {
 		Path:   e.pathElems(path()),
 	}
 	act := c.dispatch(v)
-	c.recordDead(obj, act)
+	if c.reportedDead == nil {
+		c.reportedDead = make(map[vmheap.Ref]report.Action)
+	}
+	c.reportedDead[obj] = act
 	return act
 }
 
 // onShared handles the second encounter of an unshared-asserted object.
 func (c *Cycle) onShared(obj vmheap.Ref, path func() []vmheap.Ref) {
-	if c.sharedSeenRecord(obj) {
+	if c.reportedShared[obj] {
 		return
 	}
+	if c.reportedShared == nil {
+		c.reportedShared = make(map[vmheap.Ref]bool)
+	}
+	c.reportedShared[obj] = true
 	e := c.e
 	c.dispatch(&report.Violation{
 		Kind:   report.SharedObject,
@@ -287,6 +183,19 @@ func (c *Cycle) onShared(obj vmheap.Ref, path func() []vmheap.Ref) {
 	})
 }
 
+// firstImproper records obj in the ownership-warning table, reporting
+// whether this is its first entry this cycle.
+func (c *Cycle) firstImproper(obj vmheap.Ref) bool {
+	if c.reportedImproper[obj] {
+		return false
+	}
+	if c.reportedImproper == nil {
+		c.reportedImproper = make(map[vmheap.Ref]bool)
+	}
+	c.reportedImproper[obj] = true
+	return true
+}
+
 // onUnowned handles a root-phase visit of an ownee without the owned bit.
 // It shares the improper table with onImproper — whichever phase reports
 // an object first suppresses the other's warning — and records its own
@@ -294,15 +203,14 @@ func (c *Cycle) onShared(obj vmheap.Ref, path func() []vmheap.Ref) {
 // root scan and the ownee-subtree drain both call it) warns exactly once
 // per cycle.
 func (c *Cycle) onUnowned(obj vmheap.Ref, path func() []vmheap.Ref) {
-	if c.improperSeen(obj) {
+	if !c.firstImproper(obj) {
 		// Already reported as improper use during the ownership phase;
 		// a second warning for the same object would be noise.
 		return
 	}
-	c.recordImproper(obj)
 	e := c.e
 	ownerName := "unknown owner"
-	if idx, ok := e.ownerOf(obj); ok {
+	if idx, ok := e.ownees.Get(uint32(obj)); ok {
 		if o := e.owners[idx]; o != vmheap.Nil {
 			ownerName = e.reg.Name(e.heap.ClassID(o))
 		}
@@ -319,10 +227,9 @@ func (c *Cycle) onUnowned(obj vmheap.Ref, path func() []vmheap.Ref) {
 
 // onImproper handles an ownee reached from a different owner's scan.
 func (c *Cycle) onImproper(obj vmheap.Ref, scanningOwner int, path func() []vmheap.Ref) {
-	if c.improperSeen(obj) {
+	if !c.firstImproper(obj) {
 		return
 	}
-	c.recordImproper(obj)
 	e := c.e
 	owner := "unknown owner"
 	if o := e.owners[scanningOwner]; o != vmheap.Nil {
@@ -364,7 +271,6 @@ func (e *Engine) CheckInstanceLimits() {
 // cycle.
 func (e *Engine) CheckInstanceTotals(counts []int64) *report.Violation {
 	c := e.NewCycle()
-	defer e.ReleaseCycle(c) // instance reports never touch the dedupe tables
 	for _, over := range e.reg.CheckTotals(counts) {
 		c.dispatch(&report.Violation{
 			Kind:  report.TooManyInstances,
@@ -400,15 +306,10 @@ func (e *Engine) ReportRetireSurvivor(obj vmheap.Ref) {
 //
 //   - region queues drop dying entries (those objects were born and died
 //     inside the region — the assertion holds for them);
-//   - dying ownees leave the ownee table (the paper: "we must remove each
+//   - dying ownees leave the ownee index (the paper: "we must remove each
 //     unreachable ownee after a GC");
 //   - dying owners vacate their slot, and their surviving ownees' pairs are
 //     dropped (ownership of a collected owner is no longer checkable).
-//
-// regionObjs is not purged here but by FreeHook during the sweep itself:
-// keying the purge on actual reclamation (rather than on a liveness
-// predicate that must agree with the sweep's) is what guarantees a recycled
-// Ref can never inherit a previous object's region standing.
 //
 // The live predicate tells the engine which objects survive the imminent
 // sweep: for a full collection that is the mark bit; for a generational
@@ -416,60 +317,82 @@ func (e *Engine) ReportRetireSurvivor(obj vmheap.Ref) {
 // the zone, or marked". The whole pass runs under e.mu so concurrent zone
 // collections' purges, and mutator-side region recording, serialize
 // against it.
+//
+// The ownee purge walks the index rather than the heap: an entry the
+// ownership phase stamped needs no header read. Stamped implies live under
+// every predicate above, because a stamp is only ever written by a Lookup
+// made since this collection's BeginCycle (BeginCycle and the end of this
+// function both retire all stamps), the only such Lookup is the owner
+// scan's on an ownee it has just reached, and that scan either marks the
+// ownee on the spot (reached from its own owner) or lists it as improper,
+// in which case RunOwnershipPhase marks it before the phase returns.
+// Nothing clears a mark bit before the sweep that follows this function.
+// DebugChecks verifies the implication per entry.
 func (e *Engine) PreSweep(live func(vmheap.Ref) bool) {
-	marked := live
-
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
 	for _, t := range e.threads.All() {
-		t.PurgeRegionQueues(marked)
+		t.PurgeRegionQueues(live)
 	}
 
-	if len(e.ownees) == 0 && len(e.owners) == 0 {
+	if e.ownees.Len() == 0 && len(e.owners) == 0 {
 		return
 	}
 
 	// Vacate dying owners first so their ownees can be dropped in the
 	// same pass.
-	deadOwner := make([]bool, len(e.owners))
-	var dying []vmheap.Ref
+	if cap(e.deadOwner) < len(e.owners) {
+		e.deadOwner = make([]bool, len(e.owners))
+	}
+	deadOwner := e.deadOwner[:len(e.owners)]
+	clear(deadOwner)
+	dying := e.dying[:0]
 	for i, o := range e.owners {
-		if o == vmheap.Nil {
-			continue
-		}
-		if !marked(o) {
+		if o != vmheap.Nil && !live(o) {
 			deadOwner[i] = true
 			dying = append(dying, o)
-			e.delOwnerIdx(o)
+			e.ownerIdx.Delete(uint32(o))
 			// The object is about to be freed; its header dies with it,
 			// so there is no bit to clear.
 			e.owners[i] = vmheap.Nil
 		}
 	}
+	e.dying = dying
 	// An owner is deliberately never marked by its own region's scans (back
 	// edges must not keep a collectable owner alive), so an owner can die
 	// while its region survives on the pre-phase marks. Null the survivors'
 	// references into the dying owners — left in place they would dangle
 	// into freed, recyclable memory.
 	if len(dying) > 0 {
-		e.nullRefsTo(dying, marked)
+		e.nullRefsTo(dying, live)
 	}
 
-	kept := e.ownees[:0]
-	for _, entry := range e.ownees {
+	for i := 0; i < e.ownees.Slots(); {
+		key, owner, stamped := e.ownees.Slot(i)
+		if key == 0 {
+			i++
+			continue
+		}
+		obj := vmheap.Ref(key)
+		if vmheap.DebugChecks && stamped && !live(obj) {
+			panic("assertions: ownee stamped by the ownership phase is not live at PreSweep")
+		}
 		switch {
-		case !marked(entry.obj):
+		case !stamped && !live(obj):
 			// Dying ownee: drop the pair; the header dies with it.
-		case deadOwner[entry.owner]:
+		case deadOwner[owner]:
 			// Surviving ownee of a dead owner: drop the pair and clear
 			// the stale ownee bit so the next trace does not misreport.
-			e.heap.ClearFlags(entry.obj, vmheap.FlagOwnee|vmheap.FlagOwned)
+			e.heap.ClearFlags(obj, vmheap.FlagOwnee|vmheap.FlagOwned)
 		default:
-			kept = append(kept, entry)
+			i++
+			continue
 		}
+		// Deleting may pull a later entry into slot i: look at it again.
+		e.ownees.DeleteSlot(i)
 	}
-	e.ownees = kept
+	e.ownees.NextEpoch()
 }
 
 // nullRefsTo nulls every reference slot of a surviving object that points
@@ -508,37 +431,6 @@ func (e *Engine) nullRefsTo(dying []vmheap.Ref, live func(vmheap.Ref) bool) {
 // SweepFlags returns the header bits the sweep must clear on survivors:
 // the owned bit is recomputed by each cycle's ownership phase.
 func (e *Engine) SweepFlags() uint64 { return vmheap.FlagOwned }
-
-// FreeHook returns the callback the collector passes as SweepOptions.OnFree,
-// or nil when no per-object table has entries (so sweeps of
-// assertion-free heaps pay no per-free call). It purges regionObjs as
-// objects are reclaimed. Purging at reclamation time — instead of with a
-// liveness predicate in PreSweep — closes the stale-entry window: a sweep
-// whose liveness rules differ from the predicate (or a sweep driven without
-// PreSweep at all) would otherwise leave regionObjs entries for freed Refs,
-// and a later allocation recycling such a Ref would be misreported as a
-// RegionSurvivor if it is ever asserted dead.
-func (e *Engine) FreeHook() func(vmheap.Ref, uint64) {
-	if e.regionTab != nil {
-		// Dense mode: the purge locks only the freed ref's zone shard, so
-		// concurrent zone sweeps free without touching the engine guard.
-		if e.regionTab.Len() == 0 {
-			return nil
-		}
-		return func(r vmheap.Ref, _ uint64) { e.regionTab.Unset(uint32(r)) }
-	}
-	e.mu.Lock()
-	n := len(e.regionMap)
-	e.mu.Unlock()
-	if n == 0 {
-		return nil
-	}
-	return func(r vmheap.Ref, _ uint64) {
-		e.mu.Lock()
-		delete(e.regionMap, r)
-		e.mu.Unlock()
-	}
-}
 
 // InstanceLimitFor exposes a class's current limit (tools and tests).
 func (e *Engine) InstanceLimitFor(c *classes.Class) int64 { return c.InstanceLimit() }

@@ -6,14 +6,14 @@
 //
 // The engine's state mirrors the paper's metadata budget: lifetime and
 // sharing assertions live entirely in spare object-header bits; instance
-// limits live in two words on the class; ownership lives in a sorted
-// owner/ownee table searched with binary search.
+// limits live in two words on the class; ownership lives in one hash index
+// sized by the number of ownees (the paper keeps a sorted array; DESIGN.md
+// records why this departs from it).
 package assertions
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -21,6 +21,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/sidetab"
 	"repro/internal/threads"
+	"repro/internal/trace"
 	"repro/internal/vmheap"
 )
 
@@ -37,14 +38,6 @@ type Stats struct {
 	OwneesLive int
 }
 
-// owneeEntry associates one ownee object with the index of its owner in the
-// owners slice. The ownees slice is kept sorted by Ref for binary search,
-// as in the paper.
-type owneeEntry struct {
-	obj   vmheap.Ref
-	owner int32
-}
-
 // Engine holds all assertion state for one runtime.
 type Engine struct {
 	heap    *vmheap.Heap
@@ -54,48 +47,36 @@ type Engine struct {
 
 	cycle atomic.Uint64
 
-	// mu guards the engine's shared, long-lived tables (regionObjs, the
-	// region queues of every thread, ownership, stats) and the handler
-	// chain against concurrent zone collections. It is a near-leaf lock:
-	// acquired after the runtime lock and the zone locks, and nothing is
-	// acquired under it. Per-collection state lives on a Cycle and needs
-	// no lock (see cycle.go).
+	// mu guards the engine's shared, long-lived tables (the region queues
+	// of every thread, ownership, stats) and the handler chain against
+	// concurrent zone collections. It is a near-leaf lock: acquired after
+	// the runtime lock and the zone locks, and nothing is acquired under it.
+	// Per-collection state lives on a Cycle and needs no lock (see cycle.go).
 	mu sync.Mutex
 
 	// defaultCycle is the cycle used by the serialized collection paths
-	// (whole-heap GC, GCZones rotations): BeginCycle resets it, and
+	// (whole-heap GC, GCZones rotations): BeginCycle resets it in place, and
 	// Checks/Halted are bound to it. Concurrent zone collections create
 	// private cycles with NewCycle.
 	defaultCycle *Cycle
 
-	// Region standing — which dead-asserted objects came from an
-	// assert-alldead bracket, so their violations carry the RegionSurvivor
-	// kind; entries are purged as objects are freed. The dense form is a
-	// zone-sharded epoch table (internal/sidetab): the per-free purge and
-	// the per-encounter probe lock only the shard of the ref's own zone,
-	// so concurrent zone collections never contend here (shard locks are
-	// leaves, safe under e.mu). mapTables selects the original map-backed
-	// form, kept as the differential-testing and benchmark baseline; the
-	// map is then guarded by e.mu as before.
-	mapTables bool
-	regionTab *sidetab.ShardedBits // nil when mapTables
-	regionMap map[vmheap.Ref]bool  // nil unless mapTables
-
 	// Ownership tables. owners may contain Nil holes after an owner is
-	// collected; ownerTab (or ownerMap under mapTables) maps live owner
-	// objects to their slot. Guarded by e.mu in both forms — ownership
-	// assertions always escalate to whole-heap collections, so this table
-	// sees no zone concurrency.
+	// collected; ownerIdx maps live owner objects to their slot, and ownees
+	// maps each ownee to its owner's slot. The ownership phase's lookups
+	// stamp the ownee entries they find, which PreSweep reads (see there).
+	// Guarded by e.mu outside collections — ownership assertions always
+	// escalate to whole-heap collections, so these tables see no zone
+	// concurrency.
 	owners   []vmheap.Ref
-	ownerTab *sidetab.Table[int32]
-	ownerMap map[vmheap.Ref]int
-	ownees   []owneeEntry // sorted by obj
+	ownerIdx *sidetab.Index
+	ownees   *sidetab.Index
 
-	// Per-cycle dedupe table pool (see cycle.go): released cycleTabs wait
-	// here, cleared, for the next collection; allTabs tracks every set
-	// ever created for footprint accounting. Both guarded by e.mu.
-	tabPool []*cycleTabs
-	allTabs []*cycleTabs
+	// Per-collection scratch kept across cycles so a collection that
+	// reports nothing allocates nothing: the phase descriptor handed to the
+	// tracer and PreSweep's dying-owner buffers.
+	phase     trace.OwnershipPhase
+	deadOwner []bool
+	dying     []vmheap.Ref
 
 	stats Stats
 }
@@ -104,17 +85,19 @@ type Engine struct {
 // violation handler.
 func New(h *vmheap.Heap, reg *classes.Registry, ts *threads.Set, handler report.Handler) *Engine {
 	e := &Engine{
-		heap:      h,
-		reg:       reg,
-		threads:   ts,
-		handler:   handler,
-		regionTab: sidetab.NewShardedBits(h.ZoneRanges()),
-		ownerTab:  sidetab.NewTable[int32](),
+		heap:     h,
+		reg:      reg,
+		threads:  ts,
+		handler:  handler,
+		ownerIdx: sidetab.NewIndex(),
+		ownees:   sidetab.NewIndex(),
 	}
 	// The initial default cycle exists so pre-collection paths never see a
 	// nil cycle; it must NOT consume a sequence number — the first real
 	// collection's BeginCycle is cycle 1, as reports have always numbered.
-	e.defaultCycle = &Cycle{e: e}
+	e.defaultCycle = e.newCycle(0)
+	e.phase.Ownees = e.ownees
+	e.phase.Improper = e.defaultCycle.onImproper
 	return e
 }
 
@@ -126,108 +109,11 @@ func (e *Engine) SetHandler(h report.Handler) { e.handler = h }
 // recording on the allocation path) against concurrent zone collections.
 func (e *Engine) Guard() *sync.Mutex { return &e.mu }
 
-// SetMapTables switches the engine to the original map-backed side tables
-// (the reference implementation the sidetab differential tests and the
-// assertbench baseline run against). Must be called before any region,
-// ownership, or collection activity; existing dense entries do not
-// migrate.
-func (e *Engine) SetMapTables(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.mapTables = on
-	if on {
-		e.regionTab = nil
-		e.ownerTab = nil
-		e.regionMap = make(map[vmheap.Ref]bool)
-		e.ownerMap = make(map[vmheap.Ref]int)
-	} else {
-		e.regionTab = sidetab.NewShardedBits(e.heap.ZoneRanges())
-		e.ownerTab = sidetab.NewTable[int32]()
-		e.regionMap = nil
-		e.ownerMap = nil
-	}
-}
-
-// regionHas probes region standing. Dense mode locks only the ref's zone
-// shard; map mode takes e.mu (callers never hold it here).
-func (e *Engine) regionHas(r vmheap.Ref) bool {
-	if e.regionTab != nil {
-		return e.regionTab.Get(uint32(r))
-	}
-	e.mu.Lock()
-	ok := e.regionMap[r]
-	e.mu.Unlock()
-	return ok
-}
-
-// regionSet and regionDel mutate region standing; callers hold e.mu in
-// map mode (the dense shard locks are safe under it).
-func (e *Engine) regionSet(r vmheap.Ref) {
-	if e.regionTab != nil {
-		e.regionTab.Set(uint32(r))
-		return
-	}
-	e.regionMap[r] = true
-}
-
-func (e *Engine) regionDel(r vmheap.Ref) {
-	if e.regionTab != nil {
-		e.regionTab.Unset(uint32(r))
-		return
-	}
-	delete(e.regionMap, r)
-}
-
-// ownerIdx looks up an owner's slot; caller holds e.mu.
-func (e *Engine) ownerIdx(r vmheap.Ref) (int, bool) {
-	if e.ownerTab != nil {
-		v, ok := e.ownerTab.Get(uint32(r))
-		return int(v), ok
-	}
-	i, ok := e.ownerMap[r]
-	return i, ok
-}
-
-func (e *Engine) setOwnerIdx(r vmheap.Ref, idx int) {
-	if e.ownerTab != nil {
-		e.ownerTab.Set(uint32(r), int32(idx))
-		return
-	}
-	e.ownerMap[r] = idx
-}
-
-func (e *Engine) delOwnerIdx(r vmheap.Ref) {
-	if e.ownerTab != nil {
-		e.ownerTab.Delete(uint32(r))
-		return
-	}
-	delete(e.ownerMap, r)
-}
-
-// SideTabFootprint sums the dense side tables' materialized chunk bytes
-// and lifetime epoch rollovers — the engine-owned tables plus every
-// per-cycle table set. Zero in map mode. Safe concurrently with
-// collections (the counters are atomic; the table registry is under e.mu).
-func (e *Engine) SideTabFootprint() (chunkBytes, rollovers uint64) {
-	e.mu.Lock()
-	tabs := e.allTabs
-	e.mu.Unlock()
-	add := func(s sidetab.Stats) {
-		chunkBytes += s.ChunkBytes
-		rollovers += s.Rollovers
-	}
-	if e.regionTab != nil {
-		add(e.regionTab.Stats())
-	}
-	if e.ownerTab != nil {
-		add(e.ownerTab.Stats())
-	}
-	for _, t := range tabs {
-		add(t.dead.Stats())
-		add(t.shared.Stats())
-		add(t.improper.Stats())
-	}
-	return chunkBytes, rollovers
+// SideTabFootprint reports the bytes of side structure the engine holds
+// beside the heap: the two ownership indexes. Safe concurrently with
+// collections.
+func (e *Engine) SideTabFootprint() uint64 {
+	return e.ownerIdx.Bytes() + e.ownees.Bytes()
 }
 
 // Stats returns a snapshot of assertion activity.
@@ -235,7 +121,7 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.stats
-	s.OwneesLive = len(e.ownees)
+	s.OwneesLive = e.ownees.Len()
 	return s
 }
 
@@ -313,13 +199,11 @@ func (e *Engine) AssertAllDead(t *threads.Thread) error {
 	e.stats.RegionsEnded++
 	for _, r := range queue {
 		if !e.heap.IsObject(r) {
-			// The region object was reclaimed (or its Ref now points into
-			// a free chunk): it must not retain region standing either.
-			e.regionDel(r)
-			continue
+			continue // reclaimed, or its Ref now points into a free chunk
 		}
-		e.heap.SetFlags(r, vmheap.FlagDead)
-		e.regionSet(r)
+		// Region standing is a header bit beside the dead bit, so it is
+		// freed and recycled with the object and never outlives it.
+		e.heap.SetFlags(r, vmheap.FlagDead|vmheap.FlagRegion)
 		e.stats.DeadAsserts++
 	}
 	return nil
@@ -349,55 +233,32 @@ func (e *Engine) AssertOwnedBy(owner, ownee vmheap.Ref) error {
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	idx, known := e.ownerIdx(owner)
+	idx, known := e.ownerIdx.Get(uint32(owner))
 	if !known {
-		idx = len(e.owners)
-		e.owners = append(e.owners, owner)
-		e.setOwnerIdx(owner, idx)
-		e.heap.SetFlags(owner, vmheap.FlagOwner)
+		idx = int32(len(e.owners))
 	}
-
-	// Sorted insert into the ownee table (the paper's sorted arrays).
-	i := sort.Search(len(e.ownees), func(i int) bool { return e.ownees[i].obj >= ownee })
-	if i < len(e.ownees) && e.ownees[i].obj == ownee {
-		if e.ownees[i].owner == int32(idx) {
+	if got, fresh := e.ownees.Insert(uint32(ownee), idx); !fresh {
+		if got == idx {
 			return nil // duplicate assertion: no-op
 		}
 		return errors.New("assertions: assert-ownedby: ownee already has a different owner")
 	}
-	e.ownees = append(e.ownees, owneeEntry{})
-	copy(e.ownees[i+1:], e.ownees[i:])
-	e.ownees[i] = owneeEntry{obj: ownee, owner: int32(idx)}
+	if !known {
+		e.owners = append(e.owners, owner)
+		e.ownerIdx.Insert(uint32(owner), idx)
+		e.heap.SetFlags(owner, vmheap.FlagOwner)
+	}
 	e.heap.SetFlags(ownee, vmheap.FlagOwnee)
 	e.stats.OwnedByAsserts++
 	return nil
 }
 
-// ownerOf binary-searches the ownee table. This runs once per ownee per
-// trace (the paper's "n log n" cost), so it is hand-rolled rather than
-// paying sort.Search's per-probe closure call.
-func (e *Engine) ownerOf(r vmheap.Ref) (int, bool) {
-	lo, hi := 0, len(e.ownees)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if e.ownees[mid].obj < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(e.ownees) && e.ownees[lo].obj == r {
-		return int(e.ownees[lo].owner), true
-	}
-	return 0, false
-}
-
 // HasOwnership reports whether any owner/ownee pairs are registered; the
 // collector skips the ownership phase entirely when false.
-func (e *Engine) HasOwnership() bool { return len(e.ownees) > 0 }
+func (e *Engine) HasOwnership() bool { return e.ownees.Len() > 0 }
 
 // NumOwners returns the number of owner slots (including holes).
 func (e *Engine) NumOwners() int { return len(e.owners) }
 
 // NumOwnees returns the current ownee-table size.
-func (e *Engine) NumOwnees() int { return len(e.ownees) }
+func (e *Engine) NumOwnees() int { return e.ownees.Len() }

@@ -7,13 +7,14 @@ import (
 	"repro/internal/vmheap"
 )
 
-// Regression: a freed region object's regionObjs entry must not survive the
-// sweep that reclaims it. Before FreeHook, the entry was purged only by
-// PreSweep's liveness predicate; a sweep driven without that exact
-// predicate (the collector contract a new collector or a direct heap sweep
-// can miss) left the entry behind, and an allocation recycling the same Ref
-// inherited region standing: a plain assert-dead on the NEW object was then
-// misreported as an assert-alldead (RegionSurvivor) violation.
+// Regression: a freed region object's region standing must not survive the
+// sweep that reclaims it. When standing lived in a side table keyed by Ref,
+// any sweep that missed the table's purge (a sweep driven without PreSweep,
+// or with a different liveness predicate) left the entry behind, and an
+// allocation recycling the same Ref inherited it: a plain assert-dead on
+// the NEW object was then misreported as an assert-alldead (RegionSurvivor)
+// violation. Standing is now a header bit, freed with the object, so no
+// sweep needs to cooperate.
 func TestRecycledRefDoesNotInheritRegionStanding(t *testing.T) {
 	e := newEnv(t)
 	th := e.ts.New("main")
@@ -27,10 +28,9 @@ func TestRecycledRefDoesNotInheritRegionStanding(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The object is unreachable; sweep reclaims it. The sweep carries the
-	// engine's free hook — the purge path under test — but deliberately no
-	// PreSweep, which on the old code was the only regionObjs purge.
-	e.h.Sweep(vmheap.SweepOptions{OnFree: e.e.FreeHook()})
+	// The object is unreachable; a bare sweep — no PreSweep, no hook —
+	// reclaims it.
+	e.h.Sweep(vmheap.SweepOptions{})
 
 	// The next allocation of the same size recycles the address: the heap
 	// held a single object, so after the sweep its free space starts where
@@ -56,31 +56,6 @@ func TestRecycledRefDoesNotInheritRegionStanding(t *testing.T) {
 	}
 }
 
-// FreeHook must be nil while no region objects are tracked (sweeps of
-// assertion-free heaps pay no per-free callback), and non-nil exactly while
-// entries exist.
-func TestFreeHookPresence(t *testing.T) {
-	e := newEnv(t)
-	if e.e.FreeHook() != nil {
-		t.Error("FreeHook non-nil with no region objects")
-	}
-	th := e.ts.New("main")
-	e.e.StartRegion(th)
-	obj := e.alloc(t)
-	th.RecordRegionAlloc(obj)
-	if err := e.e.AssertAllDead(th); err != nil {
-		t.Fatal(err)
-	}
-	hook := e.e.FreeHook()
-	if hook == nil {
-		t.Fatal("FreeHook nil with a tracked region object")
-	}
-	hook(obj, 0)
-	if e.e.FreeHook() != nil {
-		t.Error("FreeHook non-nil after the last entry was purged")
-	}
-}
-
 // AssertAllDead's skip path for queue entries that no longer name objects
 // must also drop any region standing recorded under that Ref.
 func TestAssertAllDeadSkipPathPurgesStaleEntry(t *testing.T) {
@@ -96,8 +71,7 @@ func TestAssertAllDeadSkipPathPurgesStaleEntry(t *testing.T) {
 	}
 
 	// Second bracket records the same Ref, but by the time assert-alldead
-	// runs the object has been reclaimed (sweep without the free hook
-	// simulates a stale entry surviving from older code paths).
+	// runs the object has been reclaimed.
 	e.e.StartRegion(th)
 	th.RecordRegionAlloc(obj)
 	e.h.Sweep(vmheap.SweepOptions{})

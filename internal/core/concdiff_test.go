@@ -24,12 +24,20 @@ import (
 // and reclaimed by the first post-Close collection, and verdict strings
 // omit the cycle number. Everything that remains — reachability verdicts,
 // sharing verdicts, instance counts, the live set — must match exactly.
+//
+// The leafy arm is the ownership + leaf-heavy variant: most allocations are
+// data arrays — which the pacer's cycles push and pop like any object and
+// the stop-the-world twin's collections keep off the worklist — and the
+// quiescent point also registers ownership pairs, so the final collections
+// run the owner scan over that heap in both worlds.
 func TestConcurrentDifferential(t *testing.T) {
 	for _, kind := range []CollectorKind{MarkSweep, Generational} {
-		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("%v_seed%d", kind, seed), func(t *testing.T) {
-				runConcurrentDifferential(t, kind, seed)
-			})
+		for _, leafy := range []bool{false, true} {
+			for seed := int64(1); seed <= 3; seed++ {
+				t.Run(fmt.Sprintf("%v_leafy%v_seed%d", kind, leafy, seed), func(t *testing.T) {
+					runConcurrentDifferential(t, kind, seed, leafy)
+				})
+			}
 		}
 	}
 }
@@ -153,11 +161,14 @@ func (w *diffWorld) apply(t *testing.T, op diffOp) {
 	}
 }
 
-func runConcurrentDifferential(t *testing.T, kind CollectorKind, seed int64) {
+func runConcurrentDifferential(t *testing.T, kind CollectorKind, seed int64, leafy bool) {
 	rng := rand.New(rand.NewSource(seed))
 	script := make([]diffOp, 2000)
 	for i := range script {
 		script[i] = diffOp{byte(rng.Intn(100)), byte(rng.Intn(256)), byte(rng.Intn(256))}
+		if op := &script[i]; leafy && op.code >= 15 && op.code < 50 {
+			op.code = 50 // a data array where the plain script allocates a node or ref array
+		}
 	}
 	regChoice := make([]int, diffSlots)
 	for s := range regChoice {
@@ -195,6 +206,14 @@ func runConcurrentDifferential(t *testing.T, kind CollectorKind, seed int64) {
 			case 1:
 				if err := w.rt.AssertUnshared(r); err != nil {
 					t.Fatalf("AssertUnshared: %v", err)
+				}
+			case 2:
+				// Owned by the previous slot's object, whatever the script
+				// left there; a rejected pairing is an outcome to compare.
+				if owner := w.fr.Local((s + diffSlots - 1) % diffSlots); leafy && owner != Nil && owner != r {
+					if err := w.rt.AssertOwnedBy(owner, r); err != nil {
+						w.vlog = append(w.vlog, err.Error())
+					}
 				}
 			}
 		}

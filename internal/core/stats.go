@@ -75,7 +75,7 @@ func (rt *Runtime) Stats() Snapshot {
 	}
 	if rt.engine != nil {
 		s.Asserts = rt.engine.Stats()
-		s.GC.SideTabChunkBytes, s.GC.SideTabRollovers = rt.engine.SideTabFootprint()
+		s.GC.SideTabChunkBytes = rt.engine.SideTabFootprint()
 	}
 	if rt.pacer != nil {
 		s.Pacer = rt.pacer.stats

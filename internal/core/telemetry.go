@@ -50,7 +50,7 @@ func (rt *Runtime) Telemetry() *telemetry.Recorder { return rt.tele }
 // histograms. The zero Metrics is returned when telemetry is disabled.
 // Unlike Stats, Metrics does not take the runtime lock: the recorder has
 // its own leaf mutex, so snapshots cannot stall mutators or collections.
-// The side-table footprint gauges are refreshed from the assertion engine
+// The side-structure footprint gauge is refreshed from the assertion engine
 // at snapshot time (the counters are atomic, so this also skips the
 // runtime lock).
 func (rt *Runtime) Metrics() telemetry.Metrics {

@@ -461,12 +461,10 @@ func (z *Zone) Retire() (survivors int, err error) {
 		t.unlockBuf()
 	}
 
-	var onFree func(vmheap.Ref, uint64)
 	if rt.engine != nil {
 		rt.engine.PreSweep(func(r Ref) bool { return !zh.Contains(r) })
-		onFree = rt.engine.FreeHook()
 	}
-	st := zh.ResetZone(onFree)
+	st := zh.ResetZone()
 	rt.remsets.retirePurge(z.idx)
 
 	stats := rt.collector.Stats()

@@ -76,14 +76,11 @@ type Stats struct {
 	// collection (used by the harness for heap-sizing calibration).
 	LastLiveWords uint64
 
-	// Dense side-table footprint (internal/sidetab): bytes of
-	// materialized chunk storage across the assertion engine's tables and
-	// lifetime epoch rollovers (full chunk zeroings forced by a 32-bit
-	// epoch wrap). Snapshotted from the engine when the runtime builds a
-	// stats snapshot; zero in Base mode and in the map-backed
-	// differential mode.
+	// Side-structure footprint: bytes the assertion engine holds beside
+	// the heap (its ownership indexes, internal/sidetab). Snapshotted from
+	// the engine when the runtime builds a stats snapshot; zero in Base
+	// mode.
 	SideTabChunkBytes uint64
-	SideTabRollovers  uint64
 
 	// Parallel-trace totals; all zero when TraceWorkers <= 1.
 	ParallelTraces uint64   // collections whose mark phase ran parallel
@@ -348,8 +345,8 @@ func (c *MarkSweep) incParts() incShared {
 		budget:     c.IncrementalBudget,
 		concurrent: c.ConcurrentPacing,
 		tele:       c.tele,
-		finishSweep: func(clear uint64, onFree func(vmheap.Ref, uint64)) vmheap.SweepStats {
-			return c.heap.Sweep(vmheap.SweepOptions{ClearFlags: clear, OnFree: onFree})
+		finishSweep: func(clear uint64) vmheap.SweepStats {
+			return c.heap.Sweep(vmheap.SweepOptions{ClearFlags: clear})
 		},
 	}
 }
@@ -466,7 +463,6 @@ func (c *MarkSweep) CollectFull() error {
 	c.tracer.Reset()
 
 	var sweepClear uint64
-	var onFree func(vmheap.Ref, uint64)
 	markFull(c.tracer, c.engine, c.roots, c.mode, c.TraceWorkers)
 	if c.mode == Infrastructure {
 		c.engine.CheckInstanceLimits()
@@ -474,11 +470,10 @@ func (c *MarkSweep) CollectFull() error {
 			return c.heap.Flags(r, vmheap.FlagMark) != 0
 		})
 		sweepClear = c.engine.SweepFlags()
-		onFree = c.engine.FreeHook()
 	}
 
 	ts := c.tracer.Stats()
-	sweepOpts := vmheap.SweepOptions{ClearFlags: sweepClear, OnFree: onFree}
+	sweepOpts := vmheap.SweepOptions{ClearFlags: sweepClear}
 	if c.TraceWorkers <= 1 {
 		// A serial stop-the-world trace counted every mark, so a lazy sweep
 		// can skip its census walk entirely (vmheap.SweepOptions.MarkedKnown).
@@ -556,13 +551,11 @@ func (c *MarkSweep) CollectZone(z *vmheap.Heap, slots []uint32, onSlotNulled fun
 	counts := c.reg.TakeCounts()
 
 	var sweepClear uint64
-	var onFree func(vmheap.Ref, uint64)
 	if c.engine != nil {
 		c.engine.PreSweep(func(r vmheap.Ref) bool {
 			return !z.Contains(r) || c.heap.Flags(r, vmheap.FlagMark) != 0
 		})
 		sweepClear = c.engine.SweepFlags()
-		onFree = c.engine.FreeHook()
 	}
 
 	ts := c.tracer.Stats()
@@ -571,7 +564,6 @@ func (c *MarkSweep) CollectZone(z *vmheap.Heap, slots []uint32, onSlotNulled fun
 	sw := c.stats.timedSweep(leftover, func() vmheap.SweepStats {
 		return z.ZoneSweep(vmheap.SweepOptions{
 			ClearFlags:    sweepClear,
-			OnFree:        onFree,
 			MarkedKnown:   true,
 			MarkedObjects: ts.Visited,
 			MarkedWords:   ts.VisitedWords,
@@ -611,7 +603,7 @@ func (c *MarkSweep) CollectZone(z *vmheap.Heap, slots []uint32, onSlotNulled fun
 //	c.FoldZone(out)                 // runtime lock — fold stats
 //
 // BeginZone/Finish touch only zone-local heap state plus the engine's own
-// lock (PreSweep, free hooks), so concurrent calls for different zones are
+// lock (PreSweep), so concurrent calls for different zones are
 // safe. Scan runs under the runtime lock: it snapshots the roots and the
 // pre-resolved remembered-set targets while mutators are excluded, which is
 // what makes the subsequent lock-free drain sound (every reference into the
@@ -699,14 +691,12 @@ func (zc *ZoneCollection) Finish() ZoneOutcome {
 	zc.tracer.ZoneDrain()
 
 	var sweepClear uint64
-	var onFree func(vmheap.Ref, uint64)
 	if c.engine != nil {
 		z := zc.z
 		c.engine.PreSweep(func(r vmheap.Ref) bool {
 			return !z.Contains(r) || c.heap.Flags(r, vmheap.FlagMark) != 0
 		})
 		sweepClear = c.engine.SweepFlags()
-		onFree = c.engine.FreeHook()
 	}
 
 	ts := zc.tracer.Stats()
@@ -716,7 +706,6 @@ func (zc *ZoneCollection) Finish() ZoneOutcome {
 	t0 := time.Now()
 	sw := zc.z.ZoneSweep(vmheap.SweepOptions{
 		ClearFlags:    sweepClear,
-		OnFree:        onFree,
 		MarkedKnown:   true,
 		MarkedObjects: ts.Visited,
 		MarkedWords:   ts.VisitedWords,
@@ -732,13 +721,7 @@ func (zc *ZoneCollection) Finish() ZoneOutcome {
 		Sweep:      sw,
 		Counts:     zc.tracer.LocalCounts(),
 	}
-	if zc.cyc != nil {
-		out.Halt = zc.cyc.Halted()
-		// Last read of the cycle's state: its dedupe tables go back to
-		// the engine pool for the next collection.
-		c.engine.ReleaseCycle(zc.cyc)
-		zc.cyc = nil
-	}
+	out.Halt = zc.cyc.Halted()
 	return out
 }
 

@@ -296,3 +296,73 @@ func traceStatsForTest(v, r, d, s, o, f uint64) (ts trace.Stats) {
 	ts.SharedHits, ts.OwneesChecked, ts.ForcedRefs = s, o, f
 	return
 }
+
+// An ownership-armed collection that finds nothing to report must not
+// allocate: the phase descriptor, the check closures, the ownership queues
+// and PreSweep's owner buffers all persist from the previous cycle.
+func TestArmedCollectionAllocatesNothing(t *testing.T) {
+	const ownees = 1000
+	w := newWorld(t, Infrastructure)
+	c := NewMarkSweep(w.h, w.reg, w.src(), Infrastructure, w.eng)
+	owner, err := w.h.Alloc(vmheap.KindRefArray, classes.RefArrayClassID, ownees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.gl.Add("owner").Set(owner)
+	for i := uint32(0); i < ownees; i++ {
+		e := w.alloc(t)
+		w.h.SetArrayWord(owner, i, uint64(e))
+		if err := w.eng.AssertOwnedBy(owner, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	collect := func() {
+		if err := c.Collect(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	collect() // first cycle sizes the reusable buffers
+	if got := testing.AllocsPerRun(10, collect); got != 0 {
+		t.Errorf("armed collection allocates %v times, want 0", got)
+	}
+	if len(w.rec.Violations) != 0 {
+		t.Errorf("violations = %v, want none", w.rec.Violations)
+	}
+	if got := c.Stats().Trace.OwneesChecked; got != 12*ownees {
+		t.Errorf("OwneesChecked = %d, want %d", got, 12*ownees)
+	}
+}
+
+// A dead-asserted string held through two slots never enters the worklist,
+// yet the engine still reports it once, with the first holder's path, and
+// the trace still counts both encounters.
+func TestDeadLeafReportedOnceWithPath(t *testing.T) {
+	w := newWorld(t, Infrastructure)
+	c := NewMarkSweep(w.h, w.reg, w.src(), Infrastructure, w.eng)
+	a, b := w.alloc(t), w.alloc(t)
+	s, err := w.h.Alloc(vmheap.KindDataArray, classes.DataArrayClassID, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.h.SetRefAt(a, w.next, s)
+	w.h.SetRefAt(b, w.next, s)
+	w.gl.Add("a").Set(a)
+	w.gl.Add("b").Set(b)
+	if err := w.eng.AssertDead(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.rec.Violations) != 1 {
+		t.Fatalf("violations = %d, want 1", len(w.rec.Violations))
+	}
+	v := w.rec.Violations[0]
+	if v.Kind != report.DeadReachable || len(v.Path) != 2 ||
+		v.Path[0].Class != "Node" || v.Path[1] != (report.PathElem{Class: "data[]", Ref: s}) {
+		t.Errorf("violation = %v", v)
+	}
+	if got := c.Stats().Trace.DeadHits; got != 2 {
+		t.Errorf("DeadHits = %d, want 2", got)
+	}
+}

@@ -139,12 +139,11 @@ func (c *Generational) incParts() incShared {
 		budget:     c.IncrementalBudget,
 		concurrent: c.ConcurrentPacing,
 		tele:       c.tele,
-		finishSweep: func(clear uint64, onFree func(vmheap.Ref, uint64)) vmheap.SweepStats {
+		finishSweep: func(clear uint64) vmheap.SweepStats {
 			c.dropRememberedSet()
 			sw := c.heap.Sweep(vmheap.SweepOptions{
 				ClearFlags: clear,
 				SetFlags:   vmheap.FlagMature,
-				OnFree:     onFree,
 			})
 			c.minorsSinceMajor = 0
 			return sw
@@ -251,12 +250,10 @@ func (c *Generational) collectMinor() error {
 
 	// Even though minor collections check nothing, the engine's tables
 	// must not keep references to reclaimed nursery objects.
-	var onFree func(vmheap.Ref, uint64)
 	if c.engine != nil {
 		c.engine.PreSweep(func(r vmheap.Ref) bool {
 			return c.heap.Flags(r, vmheap.FlagMark|vmheap.FlagMature) != 0
 		})
-		onFree = c.engine.FreeHook()
 	}
 
 	c.dropRememberedSet()
@@ -264,7 +261,6 @@ func (c *Generational) collectMinor() error {
 		return c.heap.Sweep(vmheap.SweepOptions{
 			Immature: true,
 			SetFlags: vmheap.FlagMature, // promote survivors in place
-			OnFree:   onFree,
 		})
 	})
 
@@ -301,7 +297,6 @@ func (c *Generational) CollectFull() error {
 
 	sweepSet := vmheap.FlagMature
 	var sweepClear uint64
-	var onFree func(vmheap.Ref, uint64)
 	markFull(c.tracer, c.engine, c.roots, c.mode, c.TraceWorkers)
 	if c.mode == Infrastructure {
 		c.engine.CheckInstanceLimits()
@@ -309,12 +304,11 @@ func (c *Generational) CollectFull() error {
 			return c.heap.Flags(r, vmheap.FlagMark) != 0
 		})
 		sweepClear = c.engine.SweepFlags()
-		onFree = c.engine.FreeHook()
 	}
 
 	c.dropRememberedSet()
 	ts := c.tracer.Stats()
-	sweepOpts := vmheap.SweepOptions{ClearFlags: sweepClear, SetFlags: sweepSet, OnFree: onFree}
+	sweepOpts := vmheap.SweepOptions{ClearFlags: sweepClear, SetFlags: sweepSet}
 	if c.TraceWorkers <= 1 {
 		// Same walkless-census gate as MarkSweep.CollectFull: a serial
 		// full-heap trace counted every mark exactly. Minor collections keep

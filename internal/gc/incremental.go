@@ -53,7 +53,7 @@ type incShared struct {
 	budget      int
 	concurrent  bool
 	tele        *telemetry.Recorder
-	finishSweep func(clear uint64, onFree func(vmheap.Ref, uint64)) vmheap.SweepStats
+	finishSweep func(clear uint64) vmheap.SweepStats
 }
 
 // takePending consumes a stashed completion error.
@@ -169,17 +169,15 @@ func (p incShared) finish() error {
 	}
 
 	var sweepClear uint64
-	var onFree func(vmheap.Ref, uint64)
 	if p.mode == Infrastructure {
 		p.engine.CheckInstanceLimits()
 		p.engine.PreSweep(func(r vmheap.Ref) bool {
 			return p.heap.Flags(r, vmheap.FlagMark) != 0
 		})
 		sweepClear = p.engine.SweepFlags()
-		onFree = p.engine.FreeHook()
 	}
 	sw := p.stats.timedSweep(0, func() vmheap.SweepStats {
-		return p.finishSweep(sweepClear|vmheap.FlagScanned, onFree)
+		return p.finishSweep(sweepClear | vmheap.FlagScanned)
 	})
 	t.EndIncremental()
 	p.st.active = false

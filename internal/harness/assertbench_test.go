@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -10,11 +9,9 @@ import (
 	"repro/internal/staleness"
 )
 
-// tableVariants names the two side-table implementations the assertion
-// engine can run on: the dense epoch-stamped tables (the default) and the
-// original map[Ref] reference implementation (Config.MapSideTables). The
-// overhead benchmarks run every assertion kind under both, so
-// results/assert_overhead.txt carries before/after numbers side by side.
+// tableVariants names the two table implementations the staleness tracker
+// can run on: the dense epoch-stamped tables (the default) and the original
+// map[Ref] reference implementation (staleness.NewMapBacked).
 var tableVariants = []struct {
 	name string
 	maps bool
@@ -29,109 +26,104 @@ var tableVariants = []struct {
 // assertbench records it in results/assert_overhead.txt).
 //
 // Each armed variant roots 400 objects under one assertion kind so every
-// collection drives the corresponding hot path the dense tables serve:
+// collection drives the corresponding hot path:
 //
 //   - dead: 400 dead-asserted reachable objects → 400 DeadReachable
-//     reports per cycle through the per-cycle dead dedupe table;
+//     reports per cycle through the per-cycle dead dedupe map;
 //   - region: the same population allocated inside an assert-alldead
-//     bracket → RegionSurvivor reports through the region membership
-//     probe, plus the free-hook purge path during sweeps;
+//     bracket → RegionSurvivor reports through the region header bit;
 //   - unshared: 400 doubly-referenced unshared-asserted objects →
-//     SharedObject reports through the shared dedupe table;
+//     SharedObject reports through the shared dedupe map;
 //   - owned: 400 ownees visible from a root outside their owner →
-//     UnownedOwnee reports through the owner index and improper table.
+//     UnownedOwnee reports through the ownee index and improper map.
 //
 // Violations are swallowed by a counting handler, so the measured delta
 // against "unarmed" is detection and dedupe cost, not reporting I/O.
 func BenchmarkAssertTrace(b *testing.B) {
 	const armed = 400
 	kinds := []string{"unarmed", "dead", "region", "unshared", "owned"}
-	for _, tv := range tableVariants {
-		for _, kind := range kinds {
-			kind := kind
-			tv := tv
-			b.Run(fmt.Sprintf("%s/%s", kind, tv.name), func(b *testing.B) {
-				var fired int
-				rt := core.New(core.Config{
-					HeapWords:     1 << 18,
-					Mode:          core.Infrastructure,
-					MapSideTables: tv.maps,
-					Handler: report.HandlerFunc(func(*report.Violation) report.Action {
-						fired++
-						return report.Continue
-					}),
-				})
-				bench := jbb.New(rt, jbb.Config{ClearLastOrder: true, ClearOldCompany: true})
-				th := rt.MainThread()
-				for i := 0; i < 20; i++ {
-					bench.RunTransactions(25)
-				}
+	for _, kind := range kinds {
+		kind := kind
+		b.Run(kind, func(b *testing.B) {
+			var fired int
+			rt := core.New(core.Config{
+				HeapWords: 1 << 18,
+				Mode:      core.Infrastructure,
+				Handler: report.HandlerFunc(func(*report.Violation) report.Action {
+					fired++
+					return report.Continue
+				}),
+			})
+			bench := jbb.New(rt, jbb.Config{ClearLastOrder: true, ClearOldCompany: true})
+			th := rt.MainThread()
+			for i := 0; i < 20; i++ {
+				bench.RunTransactions(25)
+			}
 
-				// The armed population: objects rooted through a global
-				// array so they survive (and re-report) every cycle.
-				node := rt.DefineClass("ABNode", core.RefField("next"))
-				pinCount := armed
-				if kind == "unshared" {
-					pinCount = 2 * armed // second slot = second reference
+			// The armed population: objects rooted through a global
+			// array so they survive (and re-report) every cycle.
+			node := rt.DefineClass("ABNode", core.RefField("next"))
+			pinCount := armed
+			if kind == "unshared" {
+				pinCount = 2 * armed // second slot = second reference
+			}
+			pin := rt.AddGlobal("assertbench.pin")
+			arr := th.NewRefArray(pinCount + 1)
+			pin.Set(arr)
+			if kind == "region" {
+				if err := th.StartRegion(); err != nil {
+					b.Fatal(err)
 				}
-				pin := rt.AddGlobal("assertbench.pin")
-				arr := th.NewRefArray(pinCount + 1)
-				pin.Set(arr)
-				if kind == "region" {
-					if err := th.StartRegion(); err != nil {
+			}
+			var owner core.Ref
+			if kind == "owned" {
+				owner = th.New(node)
+				rt.ArrSetRef(arr, pinCount, owner)
+			}
+			for i := 0; i < armed; i++ {
+				r := th.New(node)
+				rt.ArrSetRef(arr, i, r)
+				switch kind {
+				case "dead":
+					if err := rt.AssertDead(r); err != nil {
+						b.Fatal(err)
+					}
+				case "unshared":
+					rt.ArrSetRef(arr, armed+i, r)
+					if err := rt.AssertUnshared(r); err != nil {
+						b.Fatal(err)
+					}
+				case "owned":
+					if err := rt.AssertOwnedBy(owner, r); err != nil {
 						b.Fatal(err)
 					}
 				}
-				var owner core.Ref
-				if kind == "owned" {
-					owner = th.New(node)
-					rt.ArrSetRef(arr, pinCount, owner)
+			}
+			if kind == "region" {
+				if err := th.AssertAllDead(); err != nil {
+					b.Fatal(err)
 				}
-				for i := 0; i < armed; i++ {
-					r := th.New(node)
-					rt.ArrSetRef(arr, i, r)
-					switch kind {
-					case "dead":
-						if err := rt.AssertDead(r); err != nil {
-							b.Fatal(err)
-						}
-					case "unshared":
-						rt.ArrSetRef(arr, armed+i, r)
-						if err := rt.AssertUnshared(r); err != nil {
-							b.Fatal(err)
-						}
-					case "owned":
-						if err := rt.AssertOwnedBy(owner, r); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				if kind == "region" {
-					if err := th.AssertAllDead(); err != nil {
-						b.Fatal(err)
-					}
-				}
+			}
+			if err := rt.GC(); err != nil {
+				b.Fatal(err)
+			}
+			before := rt.Stats().GC.MarkedWords
+			fired = 0
+
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if err := rt.GC(); err != nil {
 					b.Fatal(err)
 				}
-				before := rt.Stats().GC.MarkedWords
-				fired = 0
+			}
+			b.StopTimer()
 
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := rt.GC(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-
-				marked := rt.Stats().GC.MarkedWords - before
-				if secs := b.Elapsed().Seconds(); secs > 0 {
-					b.ReportMetric(float64(marked)/secs/1e6, "Mwords/s")
-				}
-				b.ReportMetric(float64(fired)/float64(b.N), "reports/gc")
-			})
-		}
+			marked := rt.Stats().GC.MarkedWords - before
+			if secs := b.Elapsed().Seconds(); secs > 0 {
+				b.ReportMetric(float64(marked)/secs/1e6, "Mwords/s")
+			}
+			b.ReportMetric(float64(fired)/float64(b.N), "reports/gc")
+		})
 	}
 }
 

@@ -1,14 +1,10 @@
-// Package sidetab provides epoch-stamped, arena-indexed side tables: the
-// dense replacement for `map[vmheap.Ref]T` on the assertion and profiling
-// hot paths.
+// Package sidetab provides side tables keyed by Ref for the profiling and
+// assertion paths that cannot afford a Go map's hash and pointer chase.
 //
-// The paper's cost story depends on assertion checks piggybacking on the
-// trace loop with a tiny metadata budget — header bits, two words per
-// class, one sorted table. A Go map keyed by Ref pays a hash and a pointer
-// chase on exactly the paths the paper keeps lean (the per-encounter
-// dedupe probe, the per-free region purge, the per-access staleness
-// touch). A Ref is already a bounded uint32 word index into the arena, so
-// these tables index directly instead:
+// The epoch-stamped, arena-indexed tables serve heap-wide per-object state
+// (the per-access staleness touch, heapdump remapping, zone-retire
+// dedupe). A Ref is already a bounded uint32 word index into the arena, so
+// they index directly:
 //
 //   - Two-level chunked layout. A directory of fixed-size chunks covers
 //     the slot space; chunks materialize on first write, so sparse use
@@ -20,7 +16,7 @@
 //     epoch increment: O(1), zero allocation, no matter how many entries
 //     were set. When the epoch wraps (once per 2^32-1 clears) every
 //     materialized chunk is zeroed and the epoch restarts at 1 — stamp 0
-//     never matches — which is counted as a rollover in Stats.
+//     never matches.
 //
 //   - Slot = key >> 1. Objects are 2-word aligned (vmheap), so every Ref
 //     is even and half the slot space suffices. Keys must be even; an odd
@@ -29,18 +25,15 @@
 // Bits is the set variant (membership only), Table[V] attaches a typed
 // value per key, and Epoch32 is the persistent profiling variant where the
 // stored uint32 is itself the datum (0 = absent, no cycle epoch —
-// staleness last-access tracking). ShardedBits splits a Bits along the
-// heap's per-zone word ranges with one mutex per shard, so concurrent zone
-// collections touch disjoint shards and never contend on a global lock.
+// staleness last-access tracking).
 //
-// None of the single-shard types is internally synchronized: a table is
-// owned by one collection (cycle tables), one goroutine (profiling), or an
-// outer lock. Chunk and rollover counters are atomic so footprint can be
-// observed concurrently with use.
+// Index (index.go) is the other shape: a hash table sized by the number of
+// entries rather than by the arena, for state that a small fraction of
+// objects carry for a long time (the ownership pairs).
+//
+// None of the types is internally synchronized: a table is owned by one
+// goroutine (profiling) or an outer lock.
 package sidetab
-
-import "sync"
-import "sync/atomic"
 
 const (
 	// chunkShift sizes a chunk at 4096 slots (8192 heap words, 16 KiB of
@@ -51,58 +44,22 @@ const (
 	chunkMask  = chunkSlots - 1
 )
 
-// Stats is a point-in-time footprint snapshot; safe to take concurrently
-// with table use.
-type Stats struct {
-	Chunks     uint64 // materialized chunks
-	ChunkBytes uint64 // bytes of materialized chunk storage
-	Rollovers  uint64 // epoch wraps that forced a full chunk zeroing
-}
-
-// meter holds the atomically-updated footprint counters every variant
-// embeds. Updates happen only on chunk materialization and epoch rollover,
-// so the atomics cost nothing on the per-entry paths.
-type meter struct {
-	chunks     atomic.Uint64
-	chunkBytes atomic.Uint64
-	rollovers  atomic.Uint64
-}
-
-func (m *meter) stats() Stats {
-	return Stats{
-		Chunks:     m.chunks.Load(),
-		ChunkBytes: m.chunkBytes.Load(),
-		Rollovers:  m.rollovers.Load(),
-	}
-}
-
-func (m *meter) addChunk(bytes uint64) {
-	m.chunks.Add(1)
-	m.chunkBytes.Add(bytes)
-}
-
 // ---------------------------------------------------------------------------
 // Bits
 
 // Bits is an epoch-stamped set of even uint32 keys. Clear is O(1).
 // Not internally synchronized.
 type Bits struct {
-	base   uint32 // first slot covered (key>>1); 0 except for zone shards
 	epoch  uint32
 	count  int
 	chunks [][]uint32
-	m      meter
 }
 
-// NewBits creates an empty set covering keys from 0 upward.
+// NewBits creates an empty set.
 func NewBits() *Bits { return &Bits{epoch: 1} }
 
-// newBitsAt creates a set whose slot space starts at baseSlot (zone
-// shards index relative to their zone's low word).
-func newBitsAt(baseSlot uint32) *Bits { return &Bits{base: baseSlot, epoch: 1} }
-
-// chunk returns the chunk holding slot s (relative to base), materializing
-// it and growing the directory as needed.
+// chunk returns the chunk holding slot s, materializing it and growing the
+// directory as needed.
 func (b *Bits) chunk(s uint32) []uint32 {
 	d := s >> chunkShift
 	for int(d) >= len(b.chunks) {
@@ -112,14 +69,13 @@ func (b *Bits) chunk(s uint32) []uint32 {
 	if c == nil {
 		c = make([]uint32, chunkSlots)
 		b.chunks[d] = c
-		b.m.addChunk(chunkSlots * 4)
 	}
 	return c
 }
 
 // Get reports whether key is in the set.
 func (b *Bits) Get(key uint32) bool {
-	s := key>>1 - b.base
+	s := key >> 1
 	d := s >> chunkShift
 	if int(d) >= len(b.chunks) {
 		return false
@@ -130,7 +86,7 @@ func (b *Bits) Get(key uint32) bool {
 
 // Set adds key to the set, reporting whether it was newly added.
 func (b *Bits) Set(key uint32) bool {
-	s := key>>1 - b.base
+	s := key >> 1
 	c := b.chunk(s)
 	i := s & chunkMask
 	if c[i] == b.epoch {
@@ -143,7 +99,7 @@ func (b *Bits) Set(key uint32) bool {
 
 // Unset removes key from the set (stamp 0 matches no epoch).
 func (b *Bits) Unset(key uint32) {
-	s := key>>1 - b.base
+	s := key >> 1
 	d := s >> chunkShift
 	if int(d) >= len(b.chunks) {
 		return
@@ -168,7 +124,6 @@ func (b *Bits) Clear() {
 			}
 		}
 		b.epoch = 1
-		b.m.rollovers.Add(1)
 	}
 }
 
@@ -183,14 +138,11 @@ func (b *Bits) Range(fn func(key uint32)) {
 		}
 		for i, st := range c {
 			if st == b.epoch {
-				fn((b.base + uint32(d)<<chunkShift + uint32(i)) << 1)
+				fn((uint32(d)<<chunkShift + uint32(i)) << 1)
 			}
 		}
 	}
 }
-
-// Stats snapshots the footprint counters.
-func (b *Bits) Stats() Stats { return b.m.stats() }
 
 // ---------------------------------------------------------------------------
 // Table[V]
@@ -199,12 +151,10 @@ func (b *Bits) Stats() Stats { return b.m.stats() }
 // epoch-stamped exactly as in Bits; values of absent entries are garbage
 // and never observable. Not internally synchronized.
 type Table[V any] struct {
-	base   uint32
 	epoch  uint32
 	count  int
 	stamps [][]uint32
 	vals   [][]V
-	m      meter
 }
 
 // NewTable creates an empty table.
@@ -219,31 +169,13 @@ func (t *Table[V]) chunk(s uint32) ([]uint32, []V) {
 	if t.stamps[d] == nil {
 		t.stamps[d] = make([]uint32, chunkSlots)
 		t.vals[d] = make([]V, chunkSlots)
-		var v V
-		t.m.addChunk(chunkSlots * (4 + uint64(sizeofApprox(v))))
 	}
 	return t.stamps[d], t.vals[d]
 }
 
-// sizeofApprox estimates a value footprint for the byte counters without
-// importing unsafe; it is exact for the word-sized and smaller values the
-// runtime stores (actions, indexes, refs).
-func sizeofApprox(v any) int {
-	switch v.(type) {
-	case uint8, int8, bool:
-		return 1
-	case uint16, int16:
-		return 2
-	case uint32, int32, float32:
-		return 4
-	default:
-		return 8
-	}
-}
-
 // Get returns the value for key, if present.
 func (t *Table[V]) Get(key uint32) (V, bool) {
-	s := key>>1 - t.base
+	s := key >> 1
 	d := s >> chunkShift
 	if int(d) >= len(t.stamps) || t.stamps[d] == nil {
 		var zero V
@@ -259,7 +191,7 @@ func (t *Table[V]) Get(key uint32) (V, bool) {
 
 // Set inserts or replaces the value for key.
 func (t *Table[V]) Set(key uint32, v V) {
-	s := key>>1 - t.base
+	s := key >> 1
 	st, vals := t.chunk(s)
 	i := s & chunkMask
 	if st[i] != t.epoch {
@@ -271,7 +203,7 @@ func (t *Table[V]) Set(key uint32, v V) {
 
 // Delete removes key from the table.
 func (t *Table[V]) Delete(key uint32) {
-	s := key>>1 - t.base
+	s := key >> 1
 	d := s >> chunkShift
 	if int(d) >= len(t.stamps) || t.stamps[d] == nil {
 		return
@@ -295,7 +227,6 @@ func (t *Table[V]) Clear() {
 			}
 		}
 		t.epoch = 1
-		t.m.rollovers.Add(1)
 	}
 }
 
@@ -314,15 +245,12 @@ func (t *Table[V]) Range(fn func(key uint32, v V) bool) {
 			if stamp != t.epoch {
 				continue
 			}
-			if !fn((t.base+uint32(d)<<chunkShift+uint32(i))<<1, vals[i]) {
+			if !fn((uint32(d)<<chunkShift+uint32(i))<<1, vals[i]) {
 				return
 			}
 		}
 	}
 }
-
-// Stats snapshots the footprint counters.
-func (t *Table[V]) Stats() Stats { return t.m.stats() }
 
 // ---------------------------------------------------------------------------
 // Epoch32
@@ -333,10 +261,8 @@ func (t *Table[V]) Stats() Stats { return t.m.stats() }
 // entries leave by Delete — which is exactly the lifetime the staleness
 // tracker's last-access table needs. Not internally synchronized.
 type Epoch32 struct {
-	base   uint32
 	count  int
 	chunks [][]uint32
-	m      meter
 }
 
 // NewEpoch32 creates an empty table.
@@ -351,14 +277,13 @@ func (e *Epoch32) chunk(s uint32) []uint32 {
 	if c == nil {
 		c = make([]uint32, chunkSlots)
 		e.chunks[d] = c
-		e.m.addChunk(chunkSlots * 4)
 	}
 	return c
 }
 
 // Get returns the value for key, if present.
 func (e *Epoch32) Get(key uint32) (uint32, bool) {
-	s := key>>1 - e.base
+	s := key >> 1
 	d := s >> chunkShift
 	if int(d) >= len(e.chunks) {
 		return 0, false
@@ -377,8 +302,8 @@ func (e *Epoch32) Set(key uint32, v uint32) {
 	if v == 0 {
 		panic("sidetab: Epoch32.Set with zero value")
 	}
-	c := e.chunk(key>>1 - e.base)
-	i := (key>>1 - e.base) & chunkMask
+	c := e.chunk(key >> 1)
+	i := (key >> 1) & chunkMask
 	if c[i] == 0 {
 		e.count++
 	}
@@ -387,7 +312,7 @@ func (e *Epoch32) Set(key uint32, v uint32) {
 
 // Delete removes key from the table.
 func (e *Epoch32) Delete(key uint32) {
-	s := key>>1 - e.base
+	s := key >> 1
 	d := s >> chunkShift
 	if int(d) >= len(e.chunks) {
 		return
@@ -414,125 +339,9 @@ func (e *Epoch32) Range(fn func(key uint32, v uint32) bool) {
 			if v == 0 {
 				continue
 			}
-			if !fn((e.base+uint32(d)<<chunkShift+uint32(i))<<1, v) {
+			if !fn((uint32(d)<<chunkShift+uint32(i))<<1, v) {
 				return
 			}
 		}
 	}
-}
-
-// Stats snapshots the footprint counters.
-func (e *Epoch32) Stats() Stats { return e.m.stats() }
-
-// ---------------------------------------------------------------------------
-// ShardedBits
-
-// bitsShard is one zone-aligned shard: a Bits over the zone's slot range
-// behind its own mutex.
-type bitsShard struct {
-	mu     sync.Mutex
-	lo, hi uint32 // key (word) range [lo, hi)
-	bits   Bits
-}
-
-// ShardedBits is a Bits split along the heap's per-zone word ranges, one
-// mutex per shard. Concurrent zone collections operate on refs inside
-// their own zone's range, so they lock disjoint shards and their chunk
-// directories never share memory — the zone-sharding contract that keeps
-// the per-free purge off any global lock. Each shard's lock is a leaf:
-// nothing is acquired under it, so it may be taken under any engine or
-// runtime lock.
-type ShardedBits struct {
-	shards []bitsShard
-}
-
-// NewShardedBits creates a sharded set over the given ascending, disjoint
-// half-open key ranges (vmheap.ZoneRanges; a single range for an unzoned
-// arena). Keys outside every range are ignored by Set/Unset and absent for
-// Get.
-func NewShardedBits(ranges [][2]uint32) *ShardedBits {
-	s := &ShardedBits{shards: make([]bitsShard, len(ranges))}
-	for i, r := range ranges {
-		s.shards[i] = bitsShard{lo: r[0], hi: r[1], bits: *newBitsAt(r[0] >> 1)}
-	}
-	return s
-}
-
-func (s *ShardedBits) shardOf(key uint32) *bitsShard {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if key >= sh.lo && key < sh.hi {
-			return sh
-		}
-	}
-	return nil
-}
-
-// Get reports whether key is in the set.
-func (s *ShardedBits) Get(key uint32) bool {
-	sh := s.shardOf(key)
-	if sh == nil {
-		return false
-	}
-	sh.mu.Lock()
-	ok := sh.bits.Get(key)
-	sh.mu.Unlock()
-	return ok
-}
-
-// Set adds key, reporting whether it was newly added.
-func (s *ShardedBits) Set(key uint32) bool {
-	sh := s.shardOf(key)
-	if sh == nil {
-		return false
-	}
-	sh.mu.Lock()
-	fresh := sh.bits.Set(key)
-	sh.mu.Unlock()
-	return fresh
-}
-
-// Unset removes key.
-func (s *ShardedBits) Unset(key uint32) {
-	sh := s.shardOf(key)
-	if sh == nil {
-		return
-	}
-	sh.mu.Lock()
-	sh.bits.Unset(key)
-	sh.mu.Unlock()
-}
-
-// Len sums the shard counts.
-func (s *ShardedBits) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.bits.Len()
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Clear empties every shard (epoch bumps; rollover zeroing as in Bits).
-func (s *ShardedBits) Clear() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.bits.Clear()
-		sh.mu.Unlock()
-	}
-}
-
-// Stats sums the shard footprints.
-func (s *ShardedBits) Stats() Stats {
-	var out Stats
-	for i := range s.shards {
-		st := s.shards[i].bits.Stats() // atomics: no shard lock needed
-		out.Chunks += st.Chunks
-		out.ChunkBytes += st.ChunkBytes
-		out.Rollovers += st.Rollovers
-	}
-	return out
 }

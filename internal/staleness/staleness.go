@@ -69,7 +69,7 @@ func New(threshold uint64) *Tracker {
 }
 
 // NewMapBacked creates a tracker using the original map[Ref]
-// implementation — the reference the sidetab differential tests compare
+// implementation — the reference TestStalenessSideTabDifferential compares
 // against and the assertbench "before" baseline.
 func NewMapBacked(threshold uint64) *Tracker {
 	if threshold == 0 {

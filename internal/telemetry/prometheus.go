@@ -109,12 +109,9 @@ func (m Metrics) WritePrometheus(w io.Writer) error {
 		p.printf("gcassert_violations_by_kind_total{kind=%q} %d\n", escapeLabel(v.Kind), v.Count)
 	}
 
-	p.printf("# HELP gcassert_sidetab_chunk_bytes Dense side-table chunk storage materialized.\n")
+	p.printf("# HELP gcassert_sidetab_chunk_bytes Bytes the assertion engine holds beside the heap.\n")
 	p.printf("# TYPE gcassert_sidetab_chunk_bytes gauge\n")
 	p.printf("gcassert_sidetab_chunk_bytes %d\n", m.SideTabChunkBytes)
-	p.printf("# HELP gcassert_sidetab_rollovers_total Side-table epoch wraps that forced a chunk zeroing.\n")
-	p.printf("# TYPE gcassert_sidetab_rollovers_total counter\n")
-	p.printf("gcassert_sidetab_rollovers_total %d\n", m.SideTabRollovers)
 
 	p.printf("# HELP gcassert_report_write_errors_total Violation/event log writes that failed.\n")
 	p.printf("# TYPE gcassert_report_write_errors_total counter\n")

@@ -202,11 +202,9 @@ type Recorder struct {
 	writeErrs uint64 // report-writer failures (CountWriteError)
 	sinkErrs  uint64
 
-	// Dense side-table footprint gauges (internal/sidetab), refreshed by
-	// the runtime at snapshot time: materialized chunk bytes and lifetime
-	// epoch rollovers across the assertion engine's tables.
+	// Side-structure footprint gauge, refreshed by the runtime at snapshot
+	// time: bytes the assertion engine holds beside the heap.
 	sideTabBytes uint64
-	sideTabRolls uint64
 
 	sink    io.Writer
 	scratch []byte // reusable NDJSON line buffer
@@ -419,17 +417,16 @@ func (r *Recorder) Request(op int, d time.Duration) {
 	r.mu.Unlock()
 }
 
-// SideTab sets the dense side-table footprint gauges: current bytes of
-// materialized chunk storage and lifetime epoch rollovers. Gauges, not
-// ring events — footprint changes on chunk materialization, far below the
-// event cadence, so the runtime refreshes them when a snapshot is taken.
-func (r *Recorder) SideTab(chunkBytes, rollovers uint64) {
+// SideTab sets the side-structure footprint gauge: the bytes the assertion
+// engine currently holds beside the heap. A gauge, not a ring event — the
+// footprint changes when an index grows, far below the event cadence, so
+// the runtime refreshes it when a snapshot is taken.
+func (r *Recorder) SideTab(chunkBytes uint64) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	r.sideTabBytes = chunkBytes
-	r.sideTabRolls = rollovers
 	r.mu.Unlock()
 }
 
@@ -536,11 +533,9 @@ type Metrics struct {
 	Requests     []PhaseSummary `json:"requests,omitempty"`
 	RequestCount uint64         `json:"request_count"`
 
-	// Dense side-table footprint (internal/sidetab): materialized chunk
-	// bytes across the assertion engine's tables (a gauge) and lifetime
-	// epoch rollovers. Zero without assertions or in map-table mode.
+	// Side-structure footprint: bytes the assertion engine holds beside
+	// the heap (a gauge). Zero without ownership assertions.
 	SideTabChunkBytes uint64 `json:"sidetab_chunk_bytes"`
-	SideTabRollovers  uint64 `json:"sidetab_rollovers"`
 
 	ReportWriteErrors uint64 `json:"report_write_errors"`
 	SinkErrors        uint64 `json:"sink_errors"`
@@ -569,7 +564,6 @@ func (r *Recorder) Metrics() Metrics {
 		Violations:        r.violations,
 		RequestCount:      r.requests,
 		SideTabChunkBytes: r.sideTabBytes,
-		SideTabRollovers:  r.sideTabRolls,
 		ReportWriteErrors: r.writeErrs,
 		SinkErrors:        r.sinkErrs,
 	}

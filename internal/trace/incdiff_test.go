@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/report"
+	"repro/internal/vmheap"
 )
 
 const (
@@ -57,6 +58,9 @@ const (
 	incStep
 	incFinishGC
 	numIncOpCodes
+
+	// incAllocLeaf is never drawn; leafy scripts substitute it (below).
+	incAllocLeaf incOpCode = numIncOpCodes
 )
 
 type incOp struct {
@@ -69,7 +73,14 @@ type incOp struct {
 // one. (Inside a block the stop-the-world world must not run a second
 // collection the incremental world would not have.) Both worlds receive the
 // identical op sequence.
-func makeIncScript(seed int64) []incOp {
+//
+// A leafy script is the ownership + leaf-heavy arm: it allocates strings
+// where the plain script allocates Big objects and half its arrays, and
+// asserts ownership where the plain script asserts instance limits, so
+// owner scans, ownee subtrees and barrier scans all run over heaps in which
+// data arrays outnumber everything else — the objects a stop-the-world
+// trace keeps off its worklist and an incremental one does not.
+func makeIncScript(seed int64, leafy bool) []incOp {
 	rng := rand.New(rand.NewSource(seed))
 	ops := make([]incOp, incOps)
 	inBlock := false
@@ -88,6 +99,15 @@ func makeIncScript(seed int64) []incOp {
 			inBlock = false
 		}
 		ops[n] = incOp{code: code, i: rng.Intn(incSlots), j: rng.Intn(incSlots), k: rng.Intn(64)}
+		if !leafy {
+			continue
+		}
+		switch op := &ops[n]; {
+		case code == incAllocBig, code == incAllocArray && op.k%2 == 1:
+			op.code = incAllocLeaf
+		case code == incAssertInstances:
+			op.code = incAssertOwnedBy
+		}
 	}
 	return ops
 }
@@ -193,9 +213,11 @@ func (w *incWorld) apply(t *testing.T, op incOp) string {
 		w.set(op.i, w.record(w.th.NewRefArray(1+op.k%6)))
 	case incAllocBig:
 		w.set(op.i, w.record(w.th.New(w.big)))
+	case incAllocLeaf:
+		w.set(op.i, w.record(w.th.NewString("leaf-heavy"[:op.k%11])))
 	case incWire:
 		src, dst := w.get(op.i), w.get(op.j)
-		if src == core.Nil {
+		if src == core.Nil || w.rt.KindOf(src) == int(vmheap.KindDataArray) {
 			return ""
 		}
 		switch w.rt.ClassOf(src) {
@@ -323,8 +345,8 @@ func compareIncWorlds(t *testing.T, at string, stw, inc *incWorld) {
 // no-ops, so each StartGC..FinishGC block is exactly one full cycle in each
 // world; in the incremental world the mutator ops inside the block race the
 // mark slices and the write barrier.
-func runIncDifferential(t *testing.T, collector core.CollectorKind, seed int64) (incStats core.Snapshot) {
-	script := makeIncScript(seed)
+func runIncDifferential(t *testing.T, collector core.CollectorKind, seed int64, leafy bool) (incStats core.Snapshot) {
+	script := makeIncScript(seed, leafy)
 	stw := newIncWorld(collector, 0)
 	inc := newIncWorld(collector, incBudget)
 
@@ -374,15 +396,16 @@ func runIncDifferential(t *testing.T, collector core.CollectorKind, seed int64) 
 	return inc.rt.Stats()
 }
 
-func testIncDifferential(t *testing.T, collector core.CollectorKind, seeds int64) {
-	var cycles, slices, barriers uint64
+func testIncDifferential(t *testing.T, collector core.CollectorKind, seeds int64, leafy bool) {
+	var cycles, slices, barriers, ownees uint64
 	for seed := int64(0); seed < seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			s := runIncDifferential(t, collector, seed).GC
+			s := runIncDifferential(t, collector, seed, leafy).GC
 			cycles += s.IncrementalCycles
 			slices += s.MarkSlices
 			barriers += s.BarrierScans
+			ownees += s.Trace.OwneesChecked
 		})
 	}
 	// Guard against a vacuous pass: across the seed corpus the incremental
@@ -391,12 +414,20 @@ func testIncDifferential(t *testing.T, collector core.CollectorKind, seeds int64
 	if cycles == 0 || slices == 0 || barriers == 0 {
 		t.Fatalf("vacuous differential: cycles=%d slices=%d barrierScans=%d", cycles, slices, barriers)
 	}
+	if leafy && ownees == 0 {
+		t.Fatal("vacuous differential: the leafy scripts never checked an ownee")
+	}
+	t.Logf("cycles=%d slices=%d barrierScans=%d owneesChecked=%d", cycles, slices, barriers, ownees)
 }
 
 func TestIncrementalDifferentialMarkSweep(t *testing.T) {
-	testIncDifferential(t, core.MarkSweep, 60)
+	testIncDifferential(t, core.MarkSweep, 60, false)
 }
 
 func TestIncrementalDifferentialGenerational(t *testing.T) {
-	testIncDifferential(t, core.Generational, 40)
+	testIncDifferential(t, core.Generational, 40, false)
+}
+
+func TestIncrementalDifferentialLeafyOwnership(t *testing.T) {
+	testIncDifferential(t, core.MarkSweep, 40, true)
 }

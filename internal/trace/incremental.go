@@ -44,9 +44,7 @@ import (
 // BeginIncremental and StartIncremental so its scans are tagged too.
 func (t *Tracer) StartIncremental(src roots.Source) {
 	t.stack = t.stack[:0]
-	src.EachRoot(func(slot *vmheap.Ref) {
-		t.encounter(slot)
-	})
+	src.EachRoot(t.visitRoot)
 }
 
 // BeginIncremental switches the tracer into incremental mode: subsequent

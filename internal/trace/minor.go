@@ -27,11 +27,12 @@ func (t *Tracer) TraceMinor(src roots.Source, remembered []vmheap.Ref) {
 		if c == vmheap.Nil {
 			return
 		}
-		if h.Flags(c, vmheap.FlagMark|vmheap.FlagMature) != 0 {
+		hd := h.Header(c)
+		if hd&(vmheap.FlagMark|vmheap.FlagMature) != 0 {
 			return
 		}
 		h.SetFlags(c, vmheap.FlagMark)
-		t.countVisit(c)
+		t.countVisit(hd)
 		stack = append(stack, uint32(c))
 	}
 

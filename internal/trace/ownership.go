@@ -1,7 +1,7 @@
 package trace
 
 import (
-	"repro/internal/report"
+	"repro/internal/sidetab"
 	"repro/internal/telemetry"
 	"repro/internal/vmheap"
 )
@@ -23,17 +23,15 @@ import (
 // and owner objects are never marked (an owner must stay collectable when
 // no root reaches it).
 type OwnershipPhase struct {
-	// Owners lists the owner objects in scan order. Entries may be Nil
-	// when a pair was purged after its owner died.
+	// Owners lists the owner objects in scan order; an ownee's index value
+	// is its owner's position here. Entries may be Nil when a pair was
+	// purged after its owner died. Every non-Nil entry carries FlagOwner.
 	Owners []vmheap.Ref
 
-	// OwnerOf returns the owner index for an ownee (objects carrying
-	// FlagOwnee). The assertion engine implements this with a binary
-	// search over its sorted ownee table, as in the paper.
-	OwnerOf func(r vmheap.Ref) (int, bool)
-
-	// IsOwner reports whether r is some owner object.
-	IsOwner func(r vmheap.Ref) bool
+	// Ownees maps each ownee (objects carrying FlagOwnee) to its owner's
+	// index in Owners. The owner scan uses the stamping Lookup, so the
+	// engine's pre-sweep purge can tell which ownees this phase reached.
+	Ownees *sidetab.Index
 
 	// Improper is invoked when an owner's scan reaches a different
 	// owner's ownee before any ownee of its own: the owner regions
@@ -49,7 +47,7 @@ type OwnershipPhase struct {
 func (t *Tracer) RunOwnershipPhase(p *OwnershipPhase) {
 	teleStart := t.tele.Begin(telemetry.PhaseOwnership)
 	defer t.tele.End(telemetry.PhaseOwnership, teleStart)
-	var queue, improper []vmheap.Ref
+	t.owned, t.improper = t.owned[:0], t.improper[:0]
 
 	// Phase 1a: truncated scan from each owner.
 	for i, owner := range p.Owners {
@@ -60,9 +58,8 @@ func (t *Tracer) RunOwnershipPhase(p *OwnershipPhase) {
 		// without setting its mark bit: the owner must remain eligible
 		// for collection if no root reaches it (paper: "we avoid marking
 		// the owner object when we do the ownership scan").
-		t.stack = t.stack[:0]
-		t.stack = append(t.stack, uint32(owner))
-		t.drainOwnerScan(i, owner, p, &queue, &improper)
+		t.stack = append(t.stack[:0], uint32(owner))
+		t.drainOwnership(i, owner, p)
 	}
 
 	// Improperly-reached ownees are left unmarked during the owner scans so
@@ -70,28 +67,29 @@ func (t *Tracer) RunOwnershipPhase(p *OwnershipPhase) {
 	// now were never reached by their own owner — mark and queue them, or
 	// the sweep would free reachable objects: their parents were marked by
 	// the owner scans, so the root phase cannot rescan the path to them.
-	for _, c := range improper {
-		if t.heap.Flags(c, vmheap.FlagMark) != 0 {
+	for _, c := range t.improper {
+		hd := t.heap.Header(c)
+		if hd&vmheap.FlagMark != 0 {
 			continue
 		}
-		t.heap.SetFlags(c, vmheap.FlagMark)
-		t.countVisit(c)
-		t.countInstance(c)
-		queue = append(queue, c)
+		t.mark(c, hd)
+		t.owned = append(t.owned, c)
 	}
 
 	// Phase 1b: resume the truncated scans below each owned ownee.
 	t.stack = t.stack[:0]
-	for _, e := range queue {
+	for _, e := range t.owned {
 		t.stack = append(t.stack, uint32(e))
 	}
-	t.drainOwneeSubtrees(p)
+	t.drainOwnership(0, vmheap.Nil, p)
 }
 
-// drainOwnerScan runs the path-tracking DFS with the owner-region
-// truncation rules, scanning on behalf of owner index cur (whose object is
-// curOwner).
-func (t *Tracer) drainOwnerScan(cur int, curOwner vmheap.Ref, p *OwnershipPhase, queue, improper *[]vmheap.Ref) {
+// drainOwnership runs the path-tracking DFS of the ownership phase. With
+// curOwner set it is phase 1a, scanning on behalf of owner index cur under
+// the owner-region truncation rules; with curOwner Nil it is phase 1b,
+// tracing below the queued ownees with ordinary semantics plus the two
+// ownership rules described on OwnershipPhase.
+func (t *Tracer) drainOwnership(cur int, curOwner vmheap.Ref, p *OwnershipPhase) {
 	h := t.heap
 	for len(t.stack) > 0 {
 		e := t.stack[len(t.stack)-1]
@@ -103,7 +101,7 @@ func (t *Tracer) drainOwnerScan(cur int, curOwner vmheap.Ref, p *OwnershipPhase,
 		r := vmheap.Ref(e)
 		if t.incScan && r != curOwner {
 			// Incremental cycle: this scan is the object's only one (the
-			// root phase skips it — it is marked). The seed owner stays
+			// root phase skips it — it is marked). A seed owner stays
 			// untagged: it is left unmarked here, so the root phase scans
 			// it again if it is reachable, and the write barrier must
 			// stand in for that second scan if a mutator write comes
@@ -117,9 +115,7 @@ func (t *Tracer) drainOwnerScan(cur int, curOwner vmheap.Ref, p *OwnershipPhase,
 				c := h.RefAt(r, uint32(off))
 				if c == vmheap.Nil {
 					t.stats.RefsScanned++
-					continue
-				}
-				if t.checkOwnerScan(c, cur, curOwner, p, queue, improper) {
+				} else if t.checkOwnership(c, cur, curOwner, p) {
 					h.SetRefAt(r, uint32(off), vmheap.Nil)
 				}
 			}
@@ -129,47 +125,51 @@ func (t *Tracer) drainOwnerScan(cur int, curOwner vmheap.Ref, p *OwnershipPhase,
 				c := vmheap.Ref(h.ArrayWord(r, i))
 				if c == vmheap.Nil {
 					t.stats.RefsScanned++
-					continue
-				}
-				if t.checkOwnerScan(c, cur, curOwner, p, queue, improper) {
+				} else if t.checkOwnership(c, cur, curOwner, p) {
 					h.SetArrayWord(r, i, 0)
 				}
 			}
-		case vmheap.KindDataArray:
 		}
 	}
 }
 
-// checkOwnerScan is the per-encounter logic of an owner scan. It returns
-// true when the Force action requires the caller to null the reference it
-// followed.
-func (t *Tracer) checkOwnerScan(c vmheap.Ref, cur int, curOwner vmheap.Ref, p *OwnershipPhase, queue, improper *[]vmheap.Ref) bool {
-	h := t.heap
+// checkOwnership is the per-encounter logic of the ownership phase (see
+// drainOwnership for cur and curOwner). It returns true when the Force
+// action requires the caller to null the reference it followed.
+func (t *Tracer) checkOwnership(c vmheap.Ref, cur int, curOwner vmheap.Ref, p *OwnershipPhase) bool {
 	t.stats.RefsScanned++
-	hd := h.Header(c)
-
-	if hd&vmheap.FlagDead != 0 {
-		t.stats.DeadHits++
-		if t.checks.Dead != nil {
-			if t.checks.Dead(c, func() []vmheap.Ref { return t.CurrentPath(c) }) == report.Force {
-				t.stats.ForcedRefs++
-				return true
-			}
+	hd := t.heap.Header(c)
+	if hd&(vmheap.FlagDead|vmheap.FlagMark) != 0 {
+		if force, done := t.seen(c, hd); done {
+			return force
 		}
 	}
 
-	if hd&vmheap.FlagMark != 0 {
-		if hd&vmheap.FlagUnshared != 0 {
-			t.stats.SharedHits++
-			if t.checks.Shared != nil {
-				t.checks.Shared(c, func() []vmheap.Ref { return t.CurrentPath(c) })
+	if curOwner == vmheap.Nil {
+		// Phase 1b. Never mark an owner from an ownee subtree: back edges
+		// into the owning container must not keep a dead owner (and hence
+		// its whole region) alive. A root-reachable owner is marked by the
+		// root scan.
+		if hd&vmheap.FlagOwner != 0 {
+			return false
+		}
+		if hd&vmheap.FlagOwnee != 0 {
+			// Unmarked ownee: every owner scan has completed, so its owner
+			// did not reach it — report now, because the mark set below
+			// would hide it from the root phase's check.
+			t.stats.OwneesChecked++
+			if hd&vmheap.FlagOwned == 0 && t.checks.Unowned != nil {
+				t.checks.Unowned(c, t.pathTo(c))
 			}
 		}
+		t.mark(c, hd)
+		t.push(c, hd)
 		return false
 	}
 
-	// A back edge to the owner being scanned: never mark it here, so that
-	// an owner unreachable from the roots is still collected this cycle.
+	// Phase 1a. A back edge to the owner being scanned: never mark it here,
+	// so that an owner unreachable from the roots is still collected this
+	// cycle.
 	if c == curOwner {
 		return false
 	}
@@ -184,147 +184,32 @@ func (t *Tracer) checkOwnerScan(c vmheap.Ref, cur int, curOwner vmheap.Ref, p *O
 		// the sweep never frees them while this scan's marks hide them
 		// from the root phase.
 		t.stats.OwneesChecked++
-		owner, ok := p.OwnerOf(c)
-		if ok && owner == cur {
-			h.SetFlags(c, vmheap.FlagMark|vmheap.FlagOwned)
-			t.countVisit(c)
-			t.countInstance(c)
-			*queue = append(*queue, c)
+		if owner, ok := p.Ownees.Lookup(uint32(c)); ok && int(owner) == cur {
+			t.heap.SetFlags(c, vmheap.FlagOwned)
+			t.mark(c, hd)
+			t.owned = append(t.owned, c)
 		} else {
 			if p.Improper != nil {
-				p.Improper(c, cur, func() []vmheap.Ref { return t.CurrentPath(c) })
+				p.Improper(c, cur, t.pathTo(c))
 			}
-			*improper = append(*improper, c)
+			t.improper = append(t.improper, c)
 		}
 		return false
 	}
 
-	if p.IsOwner(c) {
-		// Another owner: mark it (it is reachable from the current
-		// owner's region, the paper's documented conservatism) and stop;
-		// its own scan handles its region. Marked and never pushed, its
-		// slots are scanned exactly once — by its own seed iteration — so
-		// under an incremental cycle it is tagged here to keep the write
-		// barrier from scanning it a second time.
-		h.SetFlags(c, vmheap.FlagMark)
+	t.mark(c, hd)
+	if hd&vmheap.FlagOwner != 0 {
+		// Another owner: marked (it is reachable from the current owner's
+		// region, the paper's documented conservatism) and not pushed; its
+		// own scan handles its region. Its slots are therefore scanned
+		// exactly once — by its own seed iteration — so under an
+		// incremental cycle it is tagged here to keep the write barrier
+		// from scanning it a second time.
 		if t.incScan {
-			h.SetFlags(c, vmheap.FlagScanned)
+			t.heap.SetFlags(c, vmheap.FlagScanned)
 		}
-		t.countVisit(c)
-		t.countInstance(c)
 		return false
 	}
-
-	h.SetFlags(c, vmheap.FlagMark)
-	t.countVisit(c)
-	t.countInstance(c)
-	t.stack = append(t.stack, uint32(c))
+	t.push(c, hd)
 	return false
-}
-
-// drainOwneeSubtrees traces below the queued ownees (phase 1b) with
-// ordinary semantics plus the two ownership rules described on
-// OwnershipPhase.
-func (t *Tracer) drainOwneeSubtrees(p *OwnershipPhase) {
-	h := t.heap
-	for len(t.stack) > 0 {
-		e := t.stack[len(t.stack)-1]
-		t.stack = t.stack[:len(t.stack)-1]
-		if e&1 != 0 {
-			continue
-		}
-		t.stack = append(t.stack, e|1)
-		r := vmheap.Ref(e)
-		if t.incScan {
-			// Incremental cycle: everything popped here is marked, so the
-			// root phase never rescans it — this is its only scan.
-			h.SetFlags(r, vmheap.FlagScanned)
-		}
-
-		switch h.KindOf(r) {
-		case vmheap.KindScalar:
-			for _, off := range t.reg.RefOffsets(h.ClassID(r)) {
-				c := h.RefAt(r, uint32(off))
-				if c == vmheap.Nil {
-					t.stats.RefsScanned++
-					continue
-				}
-				if t.checkOwneeSubtree(c, p) {
-					h.SetRefAt(r, uint32(off), vmheap.Nil)
-				}
-			}
-		case vmheap.KindRefArray:
-			n := h.ArrayLen(r)
-			for i := uint32(0); i < n; i++ {
-				c := vmheap.Ref(h.ArrayWord(r, i))
-				if c == vmheap.Nil {
-					t.stats.RefsScanned++
-					continue
-				}
-				if t.checkOwneeSubtree(c, p) {
-					h.SetArrayWord(r, i, 0)
-				}
-			}
-		case vmheap.KindDataArray:
-		}
-	}
-}
-
-// checkOwneeSubtree is the per-encounter logic of phase 1b.
-func (t *Tracer) checkOwneeSubtree(c vmheap.Ref, p *OwnershipPhase) bool {
-	h := t.heap
-	t.stats.RefsScanned++
-	hd := h.Header(c)
-
-	if hd&vmheap.FlagDead != 0 {
-		t.stats.DeadHits++
-		if t.checks.Dead != nil {
-			if t.checks.Dead(c, func() []vmheap.Ref { return t.CurrentPath(c) }) == report.Force {
-				t.stats.ForcedRefs++
-				return true
-			}
-		}
-	}
-
-	if hd&vmheap.FlagMark != 0 {
-		if hd&vmheap.FlagUnshared != 0 {
-			t.stats.SharedHits++
-			if t.checks.Shared != nil {
-				t.checks.Shared(c, func() []vmheap.Ref { return t.CurrentPath(c) })
-			}
-		}
-		return false
-	}
-
-	// Never mark an owner from an ownee subtree: back edges into the
-	// owning container must not keep a dead owner (and hence its whole
-	// region) alive. A root-reachable owner is marked by the root scan.
-	if p.IsOwner(c) {
-		return false
-	}
-
-	if hd&vmheap.FlagOwnee != 0 {
-		// Unmarked ownee: every owner scan has completed, so its owner
-		// did not reach it — report now, because the mark set below
-		// would hide it from the root phase's check.
-		t.stats.OwneesChecked++
-		if hd&vmheap.FlagOwned == 0 && t.checks.Unowned != nil {
-			t.checks.Unowned(c, func() []vmheap.Ref { return t.CurrentPath(c) })
-		}
-	}
-
-	h.SetFlags(c, vmheap.FlagMark)
-	t.countVisit(c)
-	t.countInstance(c)
-	t.stack = append(t.stack, uint32(c))
-	return false
-}
-
-// countInstance records the object for assert-instances if its class is
-// tracked.
-func (t *Tracer) countInstance(c vmheap.Ref) {
-	class := t.heap.ClassID(c)
-	if t.reg.Tracked(class) {
-		t.reg.CountInstance(class)
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/report"
+	"repro/internal/sidetab"
 	"repro/internal/vmheap"
 )
 
@@ -13,34 +14,28 @@ type ownershipFixture struct {
 	improper []vmheap.Ref
 }
 
-func newOwnership(owners []vmheap.Ref, owneeOwner map[vmheap.Ref]int) *ownershipFixture {
+// newOwnership registers the pairs the way Engine.AssertOwnedBy does —
+// FlagOwner on each owner, FlagOwnee on each ownee, the ownee's owner index
+// in the table — which is all the tracer reads.
+func newOwnership(h *vmheap.Heap, owners []vmheap.Ref, owneeOwner map[vmheap.Ref]int) *ownershipFixture {
 	f := &ownershipFixture{}
 	f.phase = &OwnershipPhase{
 		Owners: owners,
-		OwnerOf: func(r vmheap.Ref) (int, bool) {
-			i, ok := owneeOwner[r]
-			return i, ok
-		},
-		IsOwner: func(r vmheap.Ref) bool {
-			for _, o := range owners {
-				if o == r {
-					return true
-				}
-			}
-			return false
-		},
+		Ownees: sidetab.NewIndex(),
 		Improper: func(obj vmheap.Ref, _ int, _ func() []vmheap.Ref) {
 			f.improper = append(f.improper, obj)
 		},
 	}
-	return f
-}
-
-// markOwnees sets FlagOwnee on every key of owneeOwner.
-func markOwnees(h *vmheap.Heap, owneeOwner map[vmheap.Ref]int) {
-	for r := range owneeOwner {
-		h.SetFlags(r, vmheap.FlagOwnee)
+	for _, o := range owners {
+		if o != vmheap.Nil {
+			h.SetFlags(o, vmheap.FlagOwner)
+		}
 	}
+	for r, i := range owneeOwner {
+		h.SetFlags(r, vmheap.FlagOwnee)
+		f.phase.Ownees.Insert(uint32(r), int32(i))
+	}
+	return f
 }
 
 func TestOwnershipMarksOwnedOwnee(t *testing.T) {
@@ -53,8 +48,7 @@ func TestOwnershipMarksOwnedOwnee(t *testing.T) {
 	e.gl.Add("r").Set(owner)
 
 	oo := map[vmheap.Ref]int{ownee: 0}
-	markOwnees(e.h, oo)
-	fx := newOwnership([]vmheap.Ref{owner}, oo)
+	fx := newOwnership(e.h, []vmheap.Ref{owner}, oo)
 
 	tr := e.tracer()
 	tr.RunOwnershipPhase(fx.phase)
@@ -89,8 +83,7 @@ func TestOwnershipDetectsEscapedOwnee(t *testing.T) {
 	e.gl.Add("out").Set(outsider)
 
 	oo := map[vmheap.Ref]int{ownee: 0}
-	markOwnees(e.h, oo)
-	fx := newOwnership([]vmheap.Ref{owner}, oo)
+	fx := newOwnership(e.h, []vmheap.Ref{owner}, oo)
 
 	tr := e.tracer()
 	tr.RunOwnershipPhase(fx.phase)
@@ -122,8 +115,7 @@ func TestOwnershipOwneeSubtreeTraced(t *testing.T) {
 	e.gl.Add("r").Set(owner)
 
 	oo := map[vmheap.Ref]int{ownee: 0}
-	markOwnees(e.h, oo)
-	fx := newOwnership([]vmheap.Ref{owner}, oo)
+	fx := newOwnership(e.h, []vmheap.Ref{owner}, oo)
 
 	tr := e.tracer()
 	tr.RunOwnershipPhase(fx.phase)
@@ -142,8 +134,7 @@ func TestOwnershipBackEdgeDoesNotMarkOwner(t *testing.T) {
 	e.h.SetRefAt(ownee, e.next, owner) // back edge
 
 	oo := map[vmheap.Ref]int{ownee: 0}
-	markOwnees(e.h, oo)
-	fx := newOwnership([]vmheap.Ref{owner}, oo)
+	fx := newOwnership(e.h, []vmheap.Ref{owner}, oo)
 
 	tr := e.tracer()
 	tr.RunOwnershipPhase(fx.phase)
@@ -174,8 +165,7 @@ func TestOwnershipImproperOverlap(t *testing.T) {
 	e.gl.Add("b").Set(ownerB)
 
 	oo := map[vmheap.Ref]int{owneeB: 1}
-	markOwnees(e.h, oo)
-	fx := newOwnership([]vmheap.Ref{ownerA, ownerB}, oo)
+	fx := newOwnership(e.h, []vmheap.Ref{ownerA, ownerB}, oo)
 
 	tr := e.tracer()
 	tr.RunOwnershipPhase(fx.phase)
@@ -199,7 +189,7 @@ func TestOwnershipTruncatesAtOtherOwner(t *testing.T) {
 	e.h.SetRefAt(ownerA, e.next, ownerB)
 	e.h.SetRefAt(ownerB, e.next, x)
 
-	fx := newOwnership([]vmheap.Ref{ownerA, ownerB}, map[vmheap.Ref]int{})
+	fx := newOwnership(e.h, []vmheap.Ref{ownerA, ownerB}, map[vmheap.Ref]int{})
 
 	tr := e.tracer()
 	tr.RunOwnershipPhase(fx.phase)
@@ -213,7 +203,7 @@ func TestOwnershipTruncatesAtOtherOwner(t *testing.T) {
 
 func TestOwnershipNilOwnerSkipped(t *testing.T) {
 	e := newEnv(t, 4096)
-	fx := newOwnership([]vmheap.Ref{vmheap.Nil}, map[vmheap.Ref]int{})
+	fx := newOwnership(e.h, []vmheap.Ref{vmheap.Nil}, map[vmheap.Ref]int{})
 	tr := e.tracer()
 	tr.RunOwnershipPhase(fx.phase) // must not panic
 	if tr.Stats().Visited != 0 {
@@ -244,7 +234,7 @@ func TestOwnershipDeadCheckDuringPhase(t *testing.T) {
 			return report.Continue
 		},
 	})
-	fx := newOwnership([]vmheap.Ref{owner}, map[vmheap.Ref]int{})
+	fx := newOwnership(e.h, []vmheap.Ref{owner}, map[vmheap.Ref]int{})
 	tr.RunOwnershipPhase(fx.phase)
 	if hits != 1 {
 		t.Errorf("dead hits in ownership phase = %d, want 1", hits)
@@ -267,8 +257,7 @@ func TestOwnershipCrossRegionViaOwneeSubtree(t *testing.T) {
 	e.gl.Add("b").Set(ownerB)
 
 	oo := map[vmheap.Ref]int{owneeA: 0, owneeB: 1}
-	markOwnees(e.h, oo)
-	fx := newOwnership([]vmheap.Ref{ownerA, ownerB}, oo)
+	fx := newOwnership(e.h, []vmheap.Ref{ownerA, ownerB}, oo)
 
 	tr := e.tracer()
 	var unowned int
@@ -302,8 +291,7 @@ func TestOwnershipLeakedOwneeFoundInOwneeSubtree(t *testing.T) {
 	e.gl.Add("b").Set(ownerB)
 
 	oo := map[vmheap.Ref]int{owneeA: 0, leaked: 1}
-	markOwnees(e.h, oo)
-	fx := newOwnership([]vmheap.Ref{ownerA, ownerB}, oo)
+	fx := newOwnership(e.h, []vmheap.Ref{ownerA, ownerB}, oo)
 
 	tr := e.tracer()
 	var got []vmheap.Ref
@@ -326,7 +314,7 @@ func TestOwnershipInstanceCountingInPhase(t *testing.T) {
 	e.gl.Add("r").Set(owner)
 
 	tr := e.tracer()
-	fx := newOwnership([]vmheap.Ref{owner}, map[vmheap.Ref]int{})
+	fx := newOwnership(e.h, []vmheap.Ref{owner}, map[vmheap.Ref]int{})
 	tr.RunOwnershipPhase(fx.phase)
 	tr.TraceInfra(e.gl)
 	over := e.reg.CheckLimits()

@@ -70,6 +70,15 @@ type Tracer struct {
 	// open entries bottom-to-top are the current root-to-object path.
 	stack []uint32
 
+	// owned and improper are the ownership phase's queues (ownees tagged
+	// by their own owner's scan; ownees some other owner's scan reached),
+	// kept here so a collection reuses the previous one's storage.
+	owned, improper []vmheap.Ref
+
+	// visitRoot is t.encounter bound once, so handing it to a root source
+	// does not allocate a closure per collection.
+	visitRoot func(slot *vmheap.Ref)
+
 	checks Checks
 	stats  Stats
 	pstats ParallelStats     // last parallel trace (zero when serial)
@@ -122,7 +131,9 @@ type Tracer struct {
 
 // New creates a tracer for the given heap and class registry.
 func New(h *vmheap.Heap, reg *classes.Registry) *Tracer {
-	return &Tracer{heap: h, reg: reg, stack: make([]uint32, 0, 1024)}
+	t := &Tracer{heap: h, reg: reg, stack: make([]uint32, 0, 1024)}
+	t.visitRoot = t.encounter
+	return t
 }
 
 // SetChecks installs the assertion callouts for subsequent Infrastructure
@@ -133,13 +144,80 @@ func (t *Tracer) SetChecks(c Checks) { t.checks = c }
 // phase span per marking pass. nil detaches (the default).
 func (t *Tracer) SetTelemetry(rec *telemetry.Recorder) { t.tele = rec }
 
-// countVisit records one first-visit mark. The size accumulation gives the
-// collector exact live totals at mark termination (VisitedWords), which lets
-// a lazy sweep skip its stats census; the header was touched by the mark
-// itself, so the extra read is cache-hot.
-func (t *Tracer) countVisit(c vmheap.Ref) {
+// mark sets c's mark bit and counts the first visit; hd is c's header as
+// the caller loaded it. The size accumulation gives the collector exact live
+// totals at mark termination (VisitedWords), which lets a lazy sweep skip
+// its stats census.
+func (t *Tracer) mark(c vmheap.Ref, hd uint64) {
+	t.heap.SetFlags(c, vmheap.FlagMark)
+	t.countVisit(hd)
+	if class := vmheap.DecodeClassID(hd); t.reg.Tracked(class) {
+		t.countInstance(class)
+	}
+}
+
+// countVisit records one first-visit mark of an object with header hd.
+func (t *Tracer) countVisit(hd uint64) {
 	t.stats.Visited++
-	t.stats.VisitedWords += uint64(t.heap.SizeWords(c))
+	t.stats.VisitedWords += uint64(vmheap.DecodeSizeWords(hd))
+}
+
+// countInstance records one live instance of a tracked class for
+// assert-instances. A concurrent zone trace tallies locally (see
+// localCounts); everything else feeds the registry's shared counters.
+func (t *Tracer) countInstance(class uint32) {
+	if t.concurrent {
+		if t.localCounts == nil {
+			t.localCounts = make(map[uint32]int64)
+		}
+		t.localCounts[class]++
+	} else {
+		t.reg.CountInstance(class)
+	}
+}
+
+// push puts a newly marked object on the worklist to have its slots
+// scanned. A data array has none — nothing can be reached, and so no
+// reported path can pass, through it, and every check on the array itself
+// ran at the encounter with CurrentPath already ending at it — so it never
+// enters the worklist. The exception is an incremental cycle, where the pop
+// is what tags the object FlagScanned and what the slice budget counts.
+func (t *Tracer) push(c vmheap.Ref, hd uint64) {
+	if vmheap.DecodeKind(hd) == vmheap.KindDataArray && !t.incScan {
+		return
+	}
+	t.stack = append(t.stack, uint32(c))
+}
+
+// seen runs the checks for an encounter of an object c whose header hd has
+// the dead or the mark bit: the dead check on every encounter (the Force
+// action must null every incoming reference, not just the first), and on a
+// second or later encounter the unshared check. done reports that the
+// caller is finished with c — the reference is to be nulled (forceNull), or
+// c was already marked.
+func (t *Tracer) seen(c vmheap.Ref, hd uint64) (forceNull, done bool) {
+	if hd&vmheap.FlagDead != 0 {
+		t.stats.DeadHits++
+		if t.checks.Dead != nil && t.checks.Dead(c, t.pathTo(c)) == report.Force {
+			t.stats.ForcedRefs++
+			return true, true
+		}
+	}
+	if hd&vmheap.FlagMark == 0 {
+		return false, false
+	}
+	if hd&vmheap.FlagUnshared != 0 {
+		t.stats.SharedHits++
+		if t.checks.Shared != nil {
+			t.checks.Shared(c, t.pathTo(c))
+		}
+	}
+	return false, true
+}
+
+// pathTo returns the lazy path argument of a check callout for c.
+func (t *Tracer) pathTo(c vmheap.Ref) func() []vmheap.Ref {
+	return func() []vmheap.Ref { return t.CurrentPath(c) }
 }
 
 // Stats returns the counters accumulated since the last Reset.
@@ -224,11 +302,8 @@ func (t *Tracer) TraceBase(src roots.Source) {
 	stack := t.stack[:0]
 
 	src.EachRoot(func(slot *vmheap.Ref) {
-		r := *slot
-		if t.inZone(r) && h.Flags(r, vmheap.FlagMark) == 0 {
-			h.SetFlags(r, vmheap.FlagMark)
-			t.countVisit(r)
-			stack = append(stack, uint32(r))
+		if t.markBase(*slot) {
+			stack = append(stack, uint32(*slot))
 		}
 	})
 
@@ -241,9 +316,7 @@ func (t *Tracer) TraceBase(src roots.Source) {
 			for _, off := range t.reg.RefOffsets(h.ClassID(r)) {
 				c := h.RefAt(r, uint32(off))
 				t.stats.RefsScanned++
-				if c != vmheap.Nil && t.inZone(c) && h.Flags(c, vmheap.FlagMark) == 0 {
-					h.SetFlags(c, vmheap.FlagMark)
-					t.countVisit(c)
+				if t.markBase(c) {
 					stack = append(stack, uint32(c))
 				}
 			}
@@ -252,17 +325,29 @@ func (t *Tracer) TraceBase(src roots.Source) {
 			for i := uint32(0); i < n; i++ {
 				c := vmheap.Ref(h.ArrayWord(r, i))
 				t.stats.RefsScanned++
-				if c != vmheap.Nil && t.inZone(c) && h.Flags(c, vmheap.FlagMark) == 0 {
-					h.SetFlags(c, vmheap.FlagMark)
-					t.countVisit(c)
+				if t.markBase(c) {
 					stack = append(stack, uint32(c))
 				}
 			}
-		case vmheap.KindDataArray:
-			// No references.
 		}
 	}
 	t.stack = stack
+}
+
+// markBase is the Base loop's per-reference step: it marks and counts c if
+// c is an unmarked object inside the zone gate, and reports whether c must
+// then be scanned — a data array has no slots, so it is not.
+func (t *Tracer) markBase(c vmheap.Ref) bool {
+	if c == vmheap.Nil || !t.inZone(c) {
+		return false
+	}
+	hd := t.heap.Header(c)
+	if hd&vmheap.FlagMark != 0 {
+		return false
+	}
+	t.heap.SetFlags(c, vmheap.FlagMark)
+	t.countVisit(hd)
+	return vmheap.DecodeKind(hd) != vmheap.KindDataArray
 }
 
 // ---------------------------------------------------------------------------
@@ -277,9 +362,7 @@ func (t *Tracer) TraceInfra(src roots.Source) {
 	defer t.tele.End(telemetry.PhaseMark, teleStart)
 	t.stack = t.stack[:0]
 
-	src.EachRoot(func(slot *vmheap.Ref) {
-		t.encounter(slot)
-	})
+	src.EachRoot(t.visitRoot)
 
 	t.drainInfra()
 }
@@ -297,9 +380,7 @@ func (t *Tracer) TraceInfraZone(src roots.Source, slots []uint32, onNull func(sl
 	defer t.tele.End(telemetry.PhaseMark, teleStart)
 	t.stack = t.stack[:0]
 
-	src.EachRoot(func(slot *vmheap.Ref) {
-		t.encounter(slot)
-	})
+	src.EachRoot(t.visitRoot)
 	for _, w := range slots {
 		t.encounterSlot(w, onNull)
 	}
@@ -343,9 +424,7 @@ type SlotTarget struct {
 // only the zone's own lock held, concurrently with mutators and other
 // zones' collections.
 func (t *Tracer) ZoneRootScan(src roots.Source) {
-	src.EachRoot(func(slot *vmheap.Ref) {
-		t.encounter(slot)
-	})
+	src.EachRoot(t.visitRoot)
 }
 
 // ZoneSlotScan encounters each pre-resolved remembered-set target as a
@@ -480,60 +559,25 @@ func (t *Tracer) check(c vmheap.Ref) (forceNull bool) {
 		return false
 	}
 	hd := h.Header(c)
-
-	// Dead check: a single bit test on the already-loaded header word, on
-	// every encounter (the Force action must null every incoming
-	// reference, not just the first).
-	if hd&vmheap.FlagDead != 0 {
-		t.stats.DeadHits++
-		if t.checks.Dead != nil {
-			if t.checks.Dead(c, func() []vmheap.Ref { return t.CurrentPath(c) }) == report.Force {
-				t.stats.ForcedRefs++
-				return true
-			}
+	if hd&(vmheap.FlagDead|vmheap.FlagMark) != 0 {
+		if force, done := t.seen(c, hd); done {
+			return force
 		}
-	}
-
-	if hd&vmheap.FlagMark != 0 {
-		// Second (or later) encounter: the unshared check.
-		if hd&vmheap.FlagUnshared != 0 {
-			t.stats.SharedHits++
-			if t.checks.Shared != nil {
-				t.checks.Shared(c, func() []vmheap.Ref { return t.CurrentPath(c) })
-			}
-		}
-		return false
 	}
 
 	// First visit.
-	h.SetFlags(c, vmheap.FlagMark)
-	t.countVisit(c)
-
-	// Instance counting for assert-instances. A concurrent zone trace
-	// tallies locally (see localCounts); everything else feeds the
-	// registry's shared counters directly.
-	class := h.ClassID(c)
-	if t.reg.Tracked(class) {
-		if t.concurrent {
-			if t.localCounts == nil {
-				t.localCounts = make(map[uint32]int64)
-			}
-			t.localCounts[class]++
-		} else {
-			t.reg.CountInstance(class)
-		}
-	}
+	t.mark(c, hd)
 
 	// Root-phase ownership check: a reachable ownee must carry the owned
 	// bit left by the ownership phase.
 	if hd&vmheap.FlagOwnee != 0 {
 		t.stats.OwneesChecked++
 		if hd&vmheap.FlagOwned == 0 && t.checks.Unowned != nil {
-			t.checks.Unowned(c, func() []vmheap.Ref { return t.CurrentPath(c) })
+			t.checks.Unowned(c, t.pathTo(c))
 		}
 	}
 
-	t.stack = append(t.stack, uint32(c))
+	t.push(c, hd)
 	return false
 }
 
@@ -547,7 +591,11 @@ func (t *Tracer) CurrentPath(obj vmheap.Ref) []vmheap.Ref {
 	if t.barrierSrc != vmheap.Nil {
 		return []vmheap.Ref{t.barrierSrc, obj}
 	}
-	var path []vmheap.Ref
+	n := 1
+	for _, e := range t.stack {
+		n += int(e & 1)
+	}
+	path := make([]vmheap.Ref, 0, n)
 	for _, e := range t.stack {
 		if e&1 != 0 {
 			path = append(path, vmheap.Ref(e&^1))

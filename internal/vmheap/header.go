@@ -66,6 +66,13 @@ const (
 	// The bit is set by the remset barrier and never cleared while the
 	// object lives (purging is idempotent, so staleness is harmless).
 	FlagZoneSrc uint64 = 1 << 12
+
+	// FlagRegion accompanies FlagDead on objects asserted dead by
+	// assert-alldead, so a survivor is reported as a RegionSurvivor. Being
+	// a header bit it is freed with the object: a recycled Ref starts with
+	// a fresh header and cannot inherit region standing. Bits 14 and 15 are
+	// spare.
+	FlagRegion uint64 = 1 << 13
 )
 
 const (

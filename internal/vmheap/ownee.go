@@ -1,8 +1,8 @@
 package vmheap
 
 // FlagOwnee marks objects registered as ownees by assert-ownedby. The trace
-// loop tests this bit before doing the (comparatively expensive) binary
-// search over the ownee tables, so that per-object ownership cost is paid
+// loop tests this bit before doing the (comparatively expensive) lookup
+// in the ownee index, so that per-object ownership cost is paid
 // only for actual ownees — matching the paper's account that each GC checks
 // "15,274 ownee objects", not every object.
 const FlagOwnee uint64 = 1 << 7

@@ -61,18 +61,6 @@ func (h *Heap) Peers() []*Heap { return h.peers }
 // ZoneRange returns the half-open word range [lo, hi) this zone owns.
 func (h *Heap) ZoneRange() (lo, hi uint32) { return h.lo, h.hi }
 
-// ZoneRanges returns every zone's [lo, hi) word range in ascending address
-// order — a single element for an unzoned arena. Together the ranges cover
-// every Ref the arena can produce; side tables (internal/sidetab) shard
-// along them so concurrent zone collections index disjoint chunks.
-func (h *Heap) ZoneRanges() [][2]uint32 {
-	out := make([][2]uint32, len(h.peers))
-	for i, p := range h.peers {
-		out[i] = [2]uint32{p.lo, p.hi}
-	}
-	return out
-}
-
 // ArenaWords returns the arena extent in words including the reserved
 // base: an exclusive upper bound on every Ref (side tables size their slot
 // space by it).
@@ -186,24 +174,18 @@ func (h *Heap) ZoneInfos() []ZoneInfo {
 // freshly initialized state: one free chunk spanning the zone, empty
 // segment table, accounting zeroed, and the sweep epoch bumped (so stale
 // allocation pins into the zone can no longer certify). A pending lazy
-// sweep is completed first so onFree — called for every object the reset
-// reclaims, with its Ref and header — reports the settled live set and no
-// object is reported twice. The zone's free observer is NOT chained here:
-// the caller (core's Zone.Retire) purges the remembered sets wholesale by
-// range, which subsumes the per-object purge. The zone must have no active
-// allocation buffers.
-func (h *Heap) ResetZone(onFree func(Ref, uint64)) SweepStats {
+// sweep is completed first so the freed totals describe the settled live
+// set. The zone's free observer is NOT run here: the caller (core's
+// Zone.Retire) purges the remembered sets wholesale by range, which
+// subsumes the per-object purge. The zone must have no active allocation
+// buffers.
+func (h *Heap) ResetZone() SweepStats {
 	h.AssertNoBuffers("ResetZone")
 	// Epoch first, as in Sweep: an allocation stamped before this point
 	// must never certify as provably live once reclamation begins.
 	h.sweepEpoch.Add(1)
 	h.ensureSwept()
 	var st SweepStats
-	if onFree != nil {
-		h.iterateLocal(func(r Ref, hd uint64) {
-			onFree(r, hd)
-		})
-	}
 	st.FreedObjects = h.liveObjs
 	st.FreedWords = h.liveWords
 	st.FreeChunks = 1
