@@ -86,14 +86,16 @@ slobench:
 # stop-the-world vs incremental cycles (plus the shadow-model oracle), eager
 # vs parallel vs lazy sweep modes under both collectors, direct vs buffered
 # allocation across every collector mode, telemetry on vs off (recording
-# must be pure observation — byte-identical heaps), and stop-the-world vs
+# must be pure observation — byte-identical heaps), stop-the-world vs
 # background-pacer concurrent collection (same final marked set and
-# assertion verdicts).
+# assertion verdicts), and the single-mutator lock-elided regime vs the
+# locked one.
 difftest:
 	go test -race -run 'TestDifferential|TestIncrementalDifferential|TestOracle' -v ./internal/trace
 	go test -race -run 'TestSweepModesDifferential|TestLazySweep|TestAllocBuffer|TestTelemetry' -v ./internal/core
 	go test -race -run 'TestConcurrentDifferential' -v ./internal/core
 	go test -race -run 'TestParallelZoneDifferential' -v ./internal/core
+	go test -race -run 'TestSoloSharedDifferential|TestSoloContract' -v ./internal/core
 	go test -race -run 'TestStalenessSideTabDifferential' -v ./internal/staleness
 
 # Short coverage-guided fuzz runs: the serial/parallel equivalence, the

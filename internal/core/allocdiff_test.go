@@ -20,28 +20,14 @@ import (
 // buildAllocWorld is buildSweepWorld plus an allocation-buffer size and an
 // incremental mark budget.
 func buildAllocWorld(collector CollectorKind, bufWords int, lazy bool, incBudget int) *sweepWorld {
-	rt := New(Config{
+	return newSweepWorld(New(Config{
 		HeapWords:         1 << 13,
 		Mode:              Infrastructure,
 		Collector:         collector,
 		LazySweep:         lazy,
 		IncrementalBudget: incBudget,
 		AllocBuffers:      bufWords,
-	})
-	node := rt.DefineClass("Node", RefField("a"), RefField("b"))
-	leaf := rt.DefineSubclass("Leaf", node)
-	w := &sweepWorld{
-		rt: rt, th: rt.MainThread(), node: node, leaf: leaf,
-		aOff: node.MustFieldIndex("a"), bOff: node.MustFieldIndex("b"),
-	}
-	w.fr = w.th.PushFrame(sweepSlots)
-	if err := rt.AssertInstancesIncludingSubclasses(node, 24); err != nil {
-		panic(err)
-	}
-	if err := rt.AssertInstances(leaf, 6); err != nil {
-		panic(err)
-	}
-	return w
+	}))
 }
 
 // liveShape projects a live set down to its address-independent shape: a

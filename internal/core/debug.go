@@ -50,7 +50,9 @@ func (rt *Runtime) FreeChunks() []vmheap.FreeChunk {
 // SetDebugChecks toggles the heap's free-list integrity verification,
 // which then runs after every sweep pass (serial, parallel merge, lazy
 // completion) and panics on the first violation. Process-wide; the sweep
-// differential and fuzz tests enable it so every sweep self-checks.
+// differential and fuzz tests enable it so every sweep self-checks. A
+// runtime created while it is on also checks the single-mutator contract
+// (Runtime.mutators) until NewThread runs.
 func SetDebugChecks(on bool) { vmheap.DebugChecks = on }
 
 // CheckFreeLists runs the free-list integrity checks once, returning all

@@ -1,0 +1,51 @@
+package core
+
+import "testing"
+
+var benchSinkInt int64
+
+// BenchmarkFieldAccess is the accessor microbenchmark in both locking
+// regimes: solo (one mutator, no lock — what bench/layers.go's isolated
+// runtime measures as core.getref_ns & co.) and shared (NewThread has run,
+// every path locks — what a multi-worker server pays and the only recorded
+// figure for it). Stop-the-world mark-sweep, direct allocation.
+func BenchmarkFieldAccess(b *testing.B) {
+	for _, regime := range []string{"solo", "shared"} {
+		b.Run(regime, func(b *testing.B) {
+			rt := New(Config{HeapWords: 1 << 18})
+			if regime == "shared" {
+				rt.NewThread("second")
+			}
+			node := rt.DefineClass("bench.Node", RefField("next"), DataField("v"))
+			next, v := node.MustFieldIndex("next"), node.MustFieldIndex("v")
+			th := rt.MainThread()
+			f := th.PushFrame(3)
+			f.SetLocal(0, th.New(node))
+			f.SetLocal(1, th.New(node))
+			f.SetLocal(2, th.NewRefArray(1024))
+			x, y, arr := f.Local(0), f.Local(1), f.Local(2)
+			rt.SetRef(x, next, y)
+			for i := 0; i < 1024; i++ {
+				rt.ArrSetRef(arr, i, y)
+			}
+			for _, op := range []struct {
+				name string
+				call func(i int)
+			}{
+				{"GetRef", func(int) { benchSink = rt.GetRef(x, next) }},
+				{"SetRef", func(int) { rt.SetRef(x, next, y) }},
+				{"GetInt", func(int) { benchSinkInt += rt.GetInt(x, v) }},
+				{"ArrGetRef", func(i int) { benchSink = rt.ArrGetRef(arr, i&1023) }},
+				{"ArrSetRef", func(i int) { rt.ArrSetRef(arr, i&1023, y) }},
+				{"Local", func(int) { benchSink = f.Local(1) }},
+				{"NewDirect", func(int) { benchSink = th.New(node) }},
+			} {
+				b.Run(op.name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						op.call(i)
+					}
+				})
+			}
+		})
+	}
+}

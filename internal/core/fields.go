@@ -2,24 +2,28 @@ package core
 
 import "repro/internal/vmheap"
 
-// Field and array accessors. Reference stores go through the collector's
-// write barriers: the generational barrier (a no-op for mark-sweep,
-// remembered-set maintenance for the generational collector), the
+// Field and array accessors. Reference stores go through whichever of the
+// collector's write barriers the runtime was built with (storeRef): the
+// generational barrier (remembered-set maintenance), the
 // snapshot-at-beginning barrier (a no-op unless an incremental collection
 // cycle is active, in which case the first store into a not-yet-scanned
 // object scans its snapshot references before they can be overwritten),
 // and — on a zone-sharded runtime — the cross-zone remembered-set barrier
 // (remset.go), which reads the slot's old value before the store to keep
-// the per-zone sets exact.
+// the per-zone sets exact. A stop-the-world mark-sweep runtime has none, and
+// its reference store is a check and a word store.
 //
-// Locking. On an unzoned runtime every accessor serializes on rt.mu, as
-// always. On a zoned runtime accessors hold zone locks instead (plus rt.mu
-// when whole-heap incremental/pacer cycles require it — Runtime.zonedMu):
+// Locking. Each accessor is one body. While the runtime has a single
+// mutator (Runtime.mutators) it runs with no lock; afterwards it runs under
+// rt.mu — taken inline, because a call there costs these paths 5 % — or, on
+// a zoned runtime and for the contract check, between lockObj and the unlock
+// it returns: zone locks instead (plus rt.mu when whole-heap
+// incremental/pacer cycles require it — Runtime.zonedMu):
 //
-//   - reads and data stores lock the zone of the object touched;
-//   - reference stores lock the zones of the object, the new value, AND the
-//     slot's current value, ascending (the old value is re-read after each
-//     lock acquisition until the set is stable).
+//   - every accessor locks the zone of the object touched;
+//   - a reference store that crosses zones extends that, inside its barrier
+//     (lockRefStore), to the zones of the new value AND the slot's current
+//     value, ascending.
 //
 // Holding the OLD value's zone lock is what makes concurrent zone
 // collection sound: while zone Z is being collected, no mutator can sever
@@ -34,20 +38,20 @@ import "repro/internal/vmheap"
 // once at setup and uses the integer offsets on the hot paths, the way a
 // managed runtime compiles field accesses to fixed offsets.
 
-// zoneLockSet tracks the ascending set of zone locks an accessor holds
-// (at most three: object, old value, new value — duplicates merged).
+// zoneLockSet is the ascending set of zone locks a cross-zone reference
+// store holds (at most three: object, old value, new value — duplicates
+// merged).
 type zoneLockSet struct {
 	idx [3]int
 	n   int
-	mu  bool // rt.mu is held too (Runtime.zonedMu)
 }
 
-// add inserts zone zi keeping idx sorted ascending; reports whether it was
-// absent. Must not be called while the set's locks are held.
-func (s *zoneLockSet) add(zi int) bool {
+// add inserts zone zi keeping idx sorted ascending. Must not be called on a
+// set whose locks are held.
+func (s *zoneLockSet) add(zi int) {
 	for i := 0; i < s.n; i++ {
 		if s.idx[i] == zi {
-			return false
+			return
 		}
 	}
 	s.idx[s.n] = zi
@@ -55,132 +59,141 @@ func (s *zoneLockSet) add(zi int) bool {
 	for i := s.n - 1; i > 0 && s.idx[i] < s.idx[i-1]; i-- {
 		s.idx[i], s.idx[i-1] = s.idx[i-1], s.idx[i]
 	}
-	return true
-}
-
-func (s *zoneLockSet) has(zi int) bool {
-	for i := 0; i < s.n; i++ {
-		if s.idx[i] == zi {
-			return true
-		}
-	}
-	return false
 }
 
 // lockZoneSet acquires the set's zone locks in ascending order, then rt.mu
-// if the configuration requires it.
+// if the configuration requires it — for a one-zone set, what lockZone does.
 func (rt *Runtime) lockZoneSet(s *zoneLockSet) {
 	for i := 0; i < s.n; i++ {
 		rt.zlocks[s.idx[i]].Lock()
 	}
 	if rt.zonedMu {
 		rt.mu.Lock()
-		s.mu = true
 	}
 }
 
-// unlockZoneSet releases everything lockZoneSet acquired.
-func (rt *Runtime) unlockZoneSet(s *zoneLockSet) {
-	if s.mu {
+// unlockZoneSet releases what lockZoneSet acquired, keeping zone keep's
+// lock and rt.mu when keep >= 0.
+func (rt *Runtime) unlockZoneSet(s *zoneLockSet, keep int) {
+	if rt.zonedMu && keep < 0 {
 		rt.mu.Unlock()
-		s.mu = false
 	}
 	for i := s.n - 1; i >= 0; i-- {
-		rt.zlocks[s.idx[i]].Unlock()
+		if s.idx[i] != keep {
+			rt.zlocks[s.idx[i]].Unlock()
+		}
 	}
 }
 
-// lockRefStore acquires the zone locks covering a reference store into
-// obj's slot: obj's zone, val's zone, and the zone of the slot's current
-// value, read by the supplied function. The current value can change while
-// locks are being (re)acquired — another mutator or a force-null may write
-// the slot — so it is re-read after every acquisition until its zone is
-// covered; the set only grows, so the loop terminates. check runs under
-// the first acquisition (it validates obj before the slot is read); a
-// panic from it unwinds through the caller's deferred unlock.
-func (rt *Runtime) lockRefStore(s *zoneLockSet, obj, val Ref, check func(), read func() Ref) Ref {
+// lockRefStore is the zoned store protocol: on entry the caller's lockObj
+// holds obj's zone, which covers a store that stays inside it; on return s
+// also covers the zones of val and of the slot's current value, which is
+// returned. Zone locks are only ever taken in ascending order, so growing
+// the set means dropping it and taking the larger one — and the slot can
+// change while nothing is held (another mutator or a force-null may write
+// it), so it is re-read after every acquisition until its zone is covered.
+// The set only grows, so the loop terminates. The caller releases the
+// additions with unlockZoneSet(s, obj's zone).
+func (rt *Runtime) lockRefStore(s *zoneLockSet, obj, val Ref, slot uint32) Ref {
 	s.add(rt.heap.ZoneIndexOf(obj))
+	want := *s
 	if val != Nil {
-		s.add(rt.heap.ZoneIndexOf(val))
+		want.add(rt.heap.ZoneIndexOf(val))
 	}
-	rt.lockZoneSet(s)
-	check()
 	for {
-		old := read()
-		if old == Nil || s.has(rt.heap.ZoneIndexOf(old)) {
+		old := rt.heap.SlotRefAtomic(slot)
+		if old != Nil {
+			want.add(rt.heap.ZoneIndexOf(old))
+		}
+		if want.n == s.n {
 			return old
 		}
-		zo := rt.heap.ZoneIndexOf(old)
-		rt.unlockZoneSet(s)
-		s.add(zo)
+		rt.unlockZoneSet(s, -1)
+		*s = want
 		rt.lockZoneSet(s)
 	}
 }
 
+// storeRef stores val into the checked reference slot of obj, behind the
+// barriers this runtime's collector needs.
+func (rt *Runtime) storeRef(obj Ref, slot uint32, val Ref) {
+	if rt.plainStores {
+		rt.heap.SetSlotRef(slot, val)
+		return
+	}
+	rt.storeRefBarriered(obj, slot, val)
+}
+
+// storeRefBarriered is a reference store on a generational, incremental or
+// zoned runtime. The zoned protocol comes first because it can drop and
+// retake locks; the barriers and the store must not be separated. With one
+// mutator (checked or not) there is no zone collection to exclude and the
+// protocol is skipped.
+func (rt *Runtime) storeRefBarriered(obj Ref, slot uint32, val Ref) {
+	var old Ref
+	if rt.mutators.Load() == manyMutatorsZoned {
+		var s zoneLockSet
+		old = rt.lockRefStore(&s, obj, val, slot)
+		defer rt.unlockZoneSet(&s, rt.heap.ZoneIndexOf(obj))
+	} else if rt.remsets != nil {
+		old = rt.heap.SlotRefAtomic(slot)
+	}
+	if rt.generational {
+		rt.collector.WriteBarrier(obj)
+	}
+	if rt.incremental {
+		rt.collector.SnapshotBarrier(obj)
+	}
+	if rt.remsets != nil {
+		rt.remsets.recordStore(obj, slot, old, val)
+	}
+	rt.heap.SetSlotRef(slot, val)
+}
+
 // GetRef reads the reference field at word offset off of obj.
 func (rt *Runtime) GetRef(obj Ref, off uint16) Ref {
-	if rt.zlocks != nil {
-		rt.lockObjZone(obj)
-		defer rt.unlockObjZone(obj)
-		rt.checkField(obj, off)
-		return rt.heap.RefAtAtomic(obj, uint32(off))
+	if m := rt.mutators.Load(); m == manyMutators {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+	} else if m != oneMutator {
+		defer rt.lockObj(obj)()
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	rt.checkField(obj, off)
-	return rt.heap.RefAt(obj, uint32(off))
+	return rt.heap.RefAtAtomic(obj, uint32(off))
 }
 
 // SetRef stores a reference into the field at word offset off of obj.
 func (rt *Runtime) SetRef(obj Ref, off uint16, val Ref) {
-	if rt.zlocks != nil {
-		var s zoneLockSet
-		defer func() { rt.unlockZoneSet(&s) }()
-		old := rt.lockRefStore(&s, obj, val,
-			func() { rt.checkField(obj, off) },
-			func() Ref { return rt.heap.RefAtAtomic(obj, uint32(off)) })
-		rt.collector.SnapshotBarrier(obj)
-		rt.remsets.recordStore(obj, rt.heap.FieldSlotIndex(obj, uint32(off)), old, val)
-		rt.heap.SetRefAt(obj, uint32(off), val)
-		return
+	if m := rt.mutators.Load(); m == manyMutators {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+	} else if m != oneMutator {
+		defer rt.lockObj(obj)()
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	rt.checkField(obj, off)
-	rt.collector.WriteBarrier(obj)
-	rt.collector.SnapshotBarrier(obj)
-	if rt.remsets != nil {
-		rt.remsets.recordStore(obj, rt.heap.FieldSlotIndex(obj, uint32(off)),
-			rt.heap.RefAt(obj, uint32(off)), val)
-	}
-	rt.heap.SetRefAt(obj, uint32(off), val)
+	rt.storeRef(obj, rt.heap.FieldSlotIndex(obj, uint32(off)), val)
 }
 
 // GetData reads the raw data field at word offset off of obj.
 func (rt *Runtime) GetData(obj Ref, off uint16) uint64 {
-	if rt.zlocks != nil {
-		rt.lockObjZone(obj)
-		defer rt.unlockObjZone(obj)
-		rt.checkField(obj, off)
-		return rt.heap.Word(obj, uint32(off))
+	if m := rt.mutators.Load(); m == manyMutators {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+	} else if m != oneMutator {
+		defer rt.lockObj(obj)()
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	rt.checkField(obj, off)
 	return rt.heap.Word(obj, uint32(off))
 }
 
 // SetData stores a raw word into the field at word offset off of obj.
 func (rt *Runtime) SetData(obj Ref, off uint16, v uint64) {
-	if rt.zlocks != nil {
-		rt.lockObjZone(obj)
-		defer rt.unlockObjZone(obj)
-		rt.checkField(obj, off)
-		rt.heap.SetWord(obj, uint32(off), v)
-		return
+	if m := rt.mutators.Load(); m == manyMutators {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+	} else if m != oneMutator {
+		defer rt.lockObj(obj)()
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	rt.checkField(obj, off)
 	rt.heap.SetWord(obj, uint32(off), v)
 }
@@ -197,80 +210,59 @@ func (rt *Runtime) SetInt(obj Ref, off uint16, v int64) {
 
 // ArrLen returns the element count of the array at arr.
 func (rt *Runtime) ArrLen(arr Ref) int {
-	if rt.zlocks != nil {
-		rt.lockObjZone(arr)
-		defer rt.unlockObjZone(arr)
-		return int(rt.heap.ArrayLen(arr))
+	if m := rt.mutators.Load(); m == manyMutators {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+	} else if m != oneMutator {
+		defer rt.lockObj(arr)()
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	return int(rt.heap.ArrayLen(arr))
 }
 
 // ArrGetRef reads element i of a reference array.
 func (rt *Runtime) ArrGetRef(arr Ref, i int) Ref {
-	if rt.zlocks != nil {
-		rt.lockObjZone(arr)
-		defer rt.unlockObjZone(arr)
-		rt.checkIndex(arr, i)
-		return Ref(rt.heap.ArrayWordAtomic(arr, uint32(i)))
+	if m := rt.mutators.Load(); m == manyMutators {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+	} else if m != oneMutator {
+		defer rt.lockObj(arr)()
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	rt.checkIndex(arr, i)
-	return Ref(rt.heap.ArrayWord(arr, uint32(i)))
+	return Ref(rt.heap.ArrayWordAtomic(arr, uint32(i)))
 }
 
 // ArrSetRef stores a reference into element i of a reference array.
 func (rt *Runtime) ArrSetRef(arr Ref, i int, val Ref) {
-	if rt.zlocks != nil {
-		var s zoneLockSet
-		defer func() { rt.unlockZoneSet(&s) }()
-		old := rt.lockRefStore(&s, arr, val,
-			func() { rt.checkIndex(arr, i) },
-			func() Ref { return Ref(rt.heap.ArrayWordAtomic(arr, uint32(i))) })
-		rt.collector.SnapshotBarrier(arr)
-		rt.remsets.recordStore(arr, rt.heap.ArraySlotIndex(arr, uint32(i)), old, val)
-		rt.heap.SetArrayWord(arr, uint32(i), uint64(val))
-		return
+	if m := rt.mutators.Load(); m == manyMutators {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+	} else if m != oneMutator {
+		defer rt.lockObj(arr)()
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	rt.checkIndex(arr, i)
-	rt.collector.WriteBarrier(arr)
-	rt.collector.SnapshotBarrier(arr)
-	if rt.remsets != nil {
-		rt.remsets.recordStore(arr, rt.heap.ArraySlotIndex(arr, uint32(i)),
-			Ref(rt.heap.ArrayWord(arr, uint32(i))), val)
-	}
-	rt.heap.SetArrayWord(arr, uint32(i), uint64(val))
+	rt.storeRef(arr, rt.heap.ArraySlotIndex(arr, uint32(i)), val)
 }
 
 // ArrGetData reads element i of a data array.
 func (rt *Runtime) ArrGetData(arr Ref, i int) uint64 {
-	if rt.zlocks != nil {
-		rt.lockObjZone(arr)
-		defer rt.unlockObjZone(arr)
-		rt.checkIndex(arr, i)
-		return rt.heap.ArrayWord(arr, uint32(i))
+	if m := rt.mutators.Load(); m == manyMutators {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+	} else if m != oneMutator {
+		defer rt.lockObj(arr)()
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	rt.checkIndex(arr, i)
 	return rt.heap.ArrayWord(arr, uint32(i))
 }
 
 // ArrSetData stores a word into element i of a data array.
 func (rt *Runtime) ArrSetData(arr Ref, i int, v uint64) {
-	if rt.zlocks != nil {
-		rt.lockObjZone(arr)
-		defer rt.unlockObjZone(arr)
-		rt.checkIndex(arr, i)
-		rt.heap.SetArrayWord(arr, uint32(i), v)
-		return
+	if m := rt.mutators.Load(); m == manyMutators {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+	} else if m != oneMutator {
+		defer rt.lockObj(arr)()
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	rt.checkIndex(arr, i)
 	rt.heap.SetArrayWord(arr, uint32(i), v)
 }
@@ -290,8 +282,9 @@ func (rt *Runtime) checkIndex(arr Ref, i int) {
 // an array's length word, corrupting the heap in a way that only surfaces
 // collections later.
 func (rt *Runtime) checkField(obj Ref, off uint16) {
-	if rt.heap.KindOf(obj) != vmheap.KindScalar || off == 0 ||
-		uint32(off) > rt.reg.ByID(rt.heap.ClassID(obj)).FieldWords {
+	hd := rt.heap.Header(obj)
+	if vmheap.DecodeKind(hd) != vmheap.KindScalar || off == 0 ||
+		uint32(off) > rt.reg.ByID(vmheap.DecodeClassID(hd)).FieldWords {
 		panic(&FieldError{Obj: obj, Off: off})
 	}
 }

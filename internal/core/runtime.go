@@ -196,7 +196,8 @@ type Config struct {
 // (assertions.Engine.Guard), then a remembered-set table lock (remtab.mu).
 // The world lock is all zone locks plus rt.mu; on an unzoned runtime it is
 // rt.mu alone and every path below reduces to the classic single-lock
-// runtime.
+// runtime. Per-access, per-frame and per-allocation paths take none of these
+// while the runtime has one mutator (see mutators).
 //
 // On a zoned runtime, mutator accessors (fields.go, the allocation slow
 // path) hold the zone locks of the objects they touch instead of rt.mu —
@@ -216,6 +217,10 @@ type Runtime struct {
 	// collection — the concurrent phase — and by mutator accessors for the
 	// zones of every object they read or write.
 	zlocks []sync.Mutex
+
+	// unlockMu releases rt.mu, unlockZone[i] what lockZone(i) acquired.
+	unlockMu   func()
+	unlockZone []func()
 
 	// zonedMu: mutator accessors must take rt.mu in addition to zone locks
 	// (zoned runtimes with incremental or pacer cycles; see the type doc).
@@ -270,6 +275,13 @@ type Runtime struct {
 	incremental   bool
 	allThreads    []*Thread
 
+	// The reference-store barriers this collector can ever need, resolved at
+	// New: generational remembered set, snapshot-at-beginning (incremental,
+	// above), cross-zone remembered sets (remsets != nil). plainStores is
+	// "none": a reference store is a check and a word store (storeRef).
+	generational bool
+	plainStores  bool
+
 	// Concurrent mode (Config.ConcurrentGC): pacer is the background
 	// collection scheduler (nil otherwise — the field is immutable after
 	// New, so the nil check needs no lock), and pinned holds the
@@ -285,29 +297,68 @@ type Runtime struct {
 	// contract). The moment a second mutator thread exists the same window
 	// opens without any pacer — one goroutine can drive GC/GCStep/
 	// Zone.Collect to completion inside another's allocate-to-publish
-	// window — so the ring is also live whenever multiMutator is set (see
+	// window — so the ring is also live once mutators leaves oneMutator (see
 	// pinsActive).
 	pacer  *gcPacer
 	pinned pinnedRoots
 	pinsOn bool
 
-	// multiMutator is false until NewThread first runs and true forever
-	// after. While false the runtime has exactly one mutator thread, owned
-	// by the goroutine that created the runtime, so the bump-allocation
-	// fast path elides the buffer spinlock: nothing else can observe the
-	// buffer. NewThread flips the flag (under rt.mu, before the new Thread
-	// is visible), and since Threads are created by their parent goroutine
-	// before being handed to a new one — the managed-language
-	// create-then-start order documented on NewThread — the flip
-	// happens-before any second goroutine touches the runtime.
-	multiMutator atomic.Bool
+	// mutators is the one predicate behind every lock elision: oneMutator
+	// from New until NewThread first runs (never, under ConcurrentGC — the
+	// pacer is a second goroutine), manyMutators[Zoned] forever after.
+	//
+	// The contract while it reads oneMutator: every Runtime, Thread, Frame
+	// and Global method is called from one goroutine at a time. With no
+	// other thread, every other thread is vacuously at a safepoint, so the
+	// paths that lock only to exclude another mutator take no lock: field,
+	// array and string accessors and ClassOf (lockObj), the cross-zone store
+	// protocol (lockRefStore), frames, globals and the allocation slow path
+	// (lockMu, lockZone), and the bump path's spinlock. Checks, barriers and
+	// collections run exactly as if the lock were held. Whole-heap entry
+	// points (lockWorld) and the collector's own goroutines keep their
+	// locks: those synchronise with each other.
+	//
+	// Happens-before: NewThread stores the new value under rt.mu before the
+	// new Thread exists, and a Thread is handed to the goroutine that will
+	// drive it only after its creator made it (create, then start, as
+	// documented on NewThread), so the hand-over orders every pre-flip
+	// unlocked access before every post-flip locked one.
+	//
+	// A runtime built under SetDebugChecks starts at oneMutatorChecked: the
+	// elided paths then TryLock rt.mu and panic with errSoloContract if a
+	// second goroutine is inside. The fast path pays nothing for that — the
+	// same load, compared against the same zero.
+	mutators atomic.Uint32
 }
+
+// Values of Runtime.mutators.
+const (
+	oneMutator        uint32 = iota // no lock on the elided paths
+	oneMutatorChecked               // the same contract, verified by TryLock
+	manyMutators                    // every path locks; accessors lock rt.mu
+	manyMutatorsZoned               // every path locks; accessors lock zones
+)
+
+// share leaves the single-mutator regime for good.
+func (rt *Runtime) share() {
+	if rt.zlocks != nil {
+		rt.mutators.Store(manyMutatorsZoned)
+	} else {
+		rt.mutators.Store(manyMutators)
+	}
+}
+
+// errSoloContract is the panic value of the single-mutator contract check.
+const errSoloContract = "core: concurrent use of a single-mutator runtime (a second goroutine must be given a Thread from NewThread first)"
+
+// solo reports whether the elided paths may skip their locks.
+func (rt *Runtime) solo() bool { return rt.mutators.Load() == oneMutator }
 
 // pinsActive reports whether allocations must be noted in the pin ring:
 // statically (pinsOn — concurrent or zoned runtimes) or dynamically, once
 // a second mutator thread exists and any goroutine can complete a
 // collection while another holds a just-allocated, not-yet-published Ref.
-func (rt *Runtime) pinsActive() bool { return rt.pinsOn || rt.multiMutator.Load() }
+func (rt *Runtime) pinsActive() bool { return rt.pinsOn || rt.mutators.Load() >= manyMutators }
 
 // rootSource returns the aggregated root set (globals plus thread stacks).
 func (rt *Runtime) rootSource() roots.Source { return rt.rootSrc }
@@ -330,21 +381,50 @@ func (rt *Runtime) unlockWorld() {
 	}
 }
 
-// lockObjZone locks the zone containing r (mutator accessor prologue),
-// plus rt.mu when zonedMu requires it. A no-op returning false on an
-// unzoned runtime — the caller then uses plain rt.mu.
-func (rt *Runtime) lockObjZone(r Ref) {
-	rt.zlocks[rt.heap.ZoneIndexOf(r)].Lock()
+// The lock prologues of the paths the single-mutator regime elides. A site
+// reads `if !rt.solo() { defer rt.lockObj(r)() }`: each acquires its locks
+// and returns the function that releases them, built once at New. (The
+// accessors in fields.go take rt.mu inline when it is the whole answer.)
+
+// lockMu acquires rt.mu: a plain Lock once shared, the contract check
+// while checked.
+func (rt *Runtime) lockMu() func() {
+	if rt.mutators.Load() == oneMutatorChecked {
+		rt.assertSolo()
+	} else {
+		rt.mu.Lock()
+	}
+	return rt.unlockMu
+}
+
+// lockObj is the accessor prologue for the object at r: rt.mu on an unzoned
+// runtime (and for the contract check), otherwise the zone containing r plus
+// rt.mu when zonedMu requires it.
+func (rt *Runtime) lockObj(r Ref) func() {
+	if rt.mutators.Load() == manyMutatorsZoned {
+		return rt.lockZone(rt.heap.ZoneIndexOf(r))
+	}
+	return rt.lockMu()
+}
+
+// lockZone is lockObj by zone index, on a zoned runtime.
+func (rt *Runtime) lockZone(zi int) func() {
+	if rt.mutators.Load() == oneMutatorChecked {
+		return rt.lockMu()
+	}
+	rt.zlocks[zi].Lock()
 	if rt.zonedMu {
 		rt.mu.Lock()
 	}
+	return rt.unlockZone[zi]
 }
 
-func (rt *Runtime) unlockObjZone(r Ref) {
-	if rt.zonedMu {
-		rt.mu.Unlock()
+// assertSolo is the contract check (Runtime.mutators): the caller is alone
+// in the runtime exactly when rt.mu is free. On success rt.mu is held.
+func (rt *Runtime) assertSolo() {
+	if !rt.mu.TryLock() {
+		panic(errSoloContract)
 	}
-	rt.zlocks[rt.heap.ZoneIndexOf(r)].Unlock()
 }
 
 // New creates a runtime with the given configuration.
@@ -418,6 +498,7 @@ func New(cfg Config) *Runtime {
 		mode:     cfg.Mode,
 		recorder: &report.Recorder{},
 	}
+	rt.unlockMu = rt.mu.Unlock
 	if cfg.Zones >= 2 {
 		rt.zoneHeaps = vmheap.NewZoned(cfg.HeapWords, cfg.Zones)
 		rt.heap = rt.zoneHeaps[0]
@@ -427,9 +508,17 @@ func New(cfg Config) *Runtime {
 		rt.zoneCollecting = make([]bool, cfg.Zones)
 		rt.zonedMu = cfg.IncrementalBudget > 0 || cfg.ConcurrentGC
 		rt.zoneGCWorkers = cfg.ZoneGCWorkers
+		rt.unlockZone = make([]func(), cfg.Zones)
 		for i, zh := range rt.zoneHeaps {
 			rt.zones[i] = &Zone{rt: rt, idx: i, h: zh}
 			zh.SetFreeObserver(rt.remsets.onFree)
+			zl := &rt.zlocks[i]
+			rt.unlockZone[i] = func() {
+				if rt.zonedMu {
+					rt.mu.Unlock()
+				}
+				zl.Unlock()
+			}
 		}
 	} else {
 		rt.heap = vmheap.New(cfg.HeapWords)
@@ -494,16 +583,20 @@ func New(cfg Config) *Runtime {
 	rt.collector.Stats().RecordPauses = cfg.RecordPauses
 	rt.allocBufWords = uint32(cfg.AllocBuffers)
 	rt.incremental = cfg.IncrementalBudget > 0
+	rt.generational = cfg.Collector == Generational
+	rt.plainStores = !rt.generational && !rt.incremental && rt.remsets == nil
 	rt.pinsOn = cfg.ConcurrentGC
+	if vmheap.DebugChecks {
+		rt.mutators.Store(oneMutatorChecked)
+	}
 
 	rt.main = &Thread{rt: rt, th: rt.threads.New("main"), zheap: rt.heap}
 	rt.allThreads = append(rt.allThreads, rt.main)
 
 	if cfg.ConcurrentGC {
-		// The pacer goroutine is a second accessor of every thread's
-		// allocation buffer and hidden registers, so the single-mutator
-		// lock elision is never sound in this mode.
-		rt.multiMutator.Store(true)
+		// The pacer goroutine is a second accessor of the heap, the roots and
+		// every allocation buffer: the lock elision is never sound here.
+		rt.share()
 		rt.pacer = newPacer(rt, cfg.GCTriggerFraction, cfg.GCAssistSlack)
 		go rt.pacer.run()
 	}
@@ -541,13 +634,9 @@ func (rt *Runtime) DefineSubclass(name string, super *Class, fields ...Field) *C
 
 // ClassOf returns the class of the object at r.
 func (rt *Runtime) ClassOf(r Ref) *Class {
-	if rt.zlocks != nil {
-		rt.lockObjZone(r)
-		defer rt.unlockObjZone(r)
-		return rt.reg.ByID(rt.heap.ClassID(r))
+	if !rt.solo() {
+		defer rt.lockObj(r)()
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
 	return rt.reg.ByID(rt.heap.ClassID(r))
 }
 
@@ -558,13 +647,12 @@ func (rt *Runtime) MainThread() *Thread { return rt.main }
 // language's Thread constructor, it must be called by a goroutine already
 // running mutator code (typically the main one) *before* the new Thread is
 // handed to the goroutine that will drive it — create, then start. The
-// first call permanently switches the allocation fast path from its
-// single-mutator lock-elided form to the spinlock-guarded one (see
-// Runtime.multiMutator).
+// first call permanently switches every per-access, per-frame and
+// per-allocation path from its single-mutator lock-elided form to the locked
+// one (see Runtime.mutators).
 func (rt *Runtime) NewThread(name string) *Thread {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.multiMutator.Store(true)
+	defer rt.lockMu()()
+	rt.share()
 	var th *threads.Thread
 	if rt.engine != nil {
 		// The engine iterates the thread set in PreSweep with only its own
@@ -597,15 +685,17 @@ func (rt *Runtime) AddGlobal(name string) *Global {
 
 // Get returns the reference held by the global.
 func (g *Global) Get() Ref {
-	g.rt.mu.Lock()
-	defer g.rt.mu.Unlock()
+	if !g.rt.solo() {
+		defer g.rt.lockMu()()
+	}
 	return g.g.Get()
 }
 
 // Set stores a reference into the global.
 func (g *Global) Set(r Ref) {
-	g.rt.mu.Lock()
-	defer g.rt.mu.Unlock()
+	if !g.rt.solo() {
+		defer g.rt.lockMu()()
+	}
 	g.g.Set(r)
 }
 

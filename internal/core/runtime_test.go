@@ -456,49 +456,66 @@ func TestStringsSurviveGC(t *testing.T) {
 	}
 }
 
+// TestArrayBoundsCheck: an out-of-bounds array access panics with an
+// IndexError in every locking regime and leaves no lock held.
 func TestArrayBoundsCheck(t *testing.T) {
-	rt := newRT(t, 1<<12)
-	th := rt.MainThread()
-	arr := th.NewRefArray(3)
-	defer func() {
-		if _, ok := recover().(*IndexError); !ok {
-			t.Error("no IndexError on out-of-bounds access")
+	eachRegime(t, func(t *testing.T, rt *Runtime) {
+		th := rt.MainThread()
+		arr := th.NewRefArray(3)
+		data := th.NewDataArray(3)
+		for name, f := range map[string]func(){
+			"ArrGetRef":  func() { rt.ArrGetRef(arr, 3) },
+			"ArrSetRef":  func() { rt.ArrSetRef(arr, -1, arr) },
+			"ArrGetData": func() { rt.ArrGetData(data, 3) },
+			"ArrSetData": func() { rt.ArrSetData(data, 4, 1) },
+		} {
+			func() {
+				defer func() {
+					if _, ok := recover().(*IndexError); !ok {
+						t.Errorf("%s: no IndexError on out-of-bounds access", name)
+					}
+				}()
+				f()
+			}()
+			assertUnlocked(t, rt)
 		}
-	}()
-	rt.ArrGetRef(arr, 3)
+	})
 }
 
 // TestFieldBoundsCheck pins the field accessors' kind/offset guard: a field
 // access routed at an array (which would silently overwrite the length
 // word) or past an instance's last field must panic with a FieldError
-// instead of corrupting the heap.
+// instead of corrupting the heap — in every locking regime, and without
+// leaving a lock behind.
 func TestFieldBoundsCheck(t *testing.T) {
-	rt := newRT(t, 1<<12)
-	node := rt.DefineClass("FNode", RefField("a"), DataField("d"))
-	aOff := node.MustFieldIndex("a")
-	th := rt.MainThread()
-	obj := th.New(node)
-	arr := th.NewRefArray(3)
+	eachRegime(t, func(t *testing.T, rt *Runtime) {
+		node := rt.DefineClass("FNode", RefField("a"), DataField("d"))
+		aOff := node.MustFieldIndex("a")
+		th := rt.MainThread()
+		obj := th.New(node)
+		arr := th.NewRefArray(3)
 
-	wantPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
+		wantPanic := func(name string, f func()) {
 			t.Helper()
-			if _, ok := recover().(*FieldError); !ok {
-				t.Errorf("%s: no FieldError", name)
-			}
-		}()
-		f()
-	}
-	wantPanic("SetRef on array", func() { rt.SetRef(arr, aOff, obj) })
-	wantPanic("GetRef on array", func() { rt.GetRef(arr, aOff) })
-	wantPanic("SetData on array", func() { rt.SetData(arr, aOff, 7) })
-	wantPanic("SetRef at offset 0", func() { rt.SetRef(obj, 0, obj) })
-	wantPanic("SetRef past last field", func() { rt.SetRef(obj, uint16(node.FieldWords)+1, obj) })
+			defer assertUnlocked(t, rt)
+			defer func() {
+				t.Helper()
+				if _, ok := recover().(*FieldError); !ok {
+					t.Errorf("%s: no FieldError", name)
+				}
+			}()
+			f()
+		}
+		wantPanic("SetRef on array", func() { rt.SetRef(arr, aOff, obj) })
+		wantPanic("GetRef on array", func() { rt.GetRef(arr, aOff) })
+		wantPanic("SetData on array", func() { rt.SetData(arr, aOff, 7) })
+		wantPanic("SetRef at offset 0", func() { rt.SetRef(obj, 0, obj) })
+		wantPanic("SetRef past last field", func() { rt.SetRef(obj, uint16(node.FieldWords)+1, obj) })
 
-	// In-bounds accesses still work.
-	rt.SetRef(obj, aOff, obj)
-	if got := rt.GetRef(obj, aOff); got != obj {
-		t.Errorf("GetRef after SetRef = %d, want %d", got, obj)
-	}
+		// In-bounds accesses still work.
+		rt.SetRef(obj, aOff, obj)
+		if got := rt.GetRef(obj, aOff); got != obj {
+			t.Errorf("GetRef after SetRef = %d, want %d", got, obj)
+		}
+	})
 }

@@ -11,12 +11,8 @@ func (t *Thread) NewString(s string) Ref {
 	words := 1 + (len(s)+7)/8
 	arr := t.NewDataArray(words)
 	rt := t.rt
-	if rt.zlocks != nil {
-		rt.lockObjZone(arr)
-		defer rt.unlockObjZone(arr)
-	} else {
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
+	if !rt.solo() {
+		defer rt.lockObj(arr)()
 	}
 	rt.heap.SetArrayWord(arr, 0, uint64(len(s)))
 	for i := 0; i < len(s); i++ {
@@ -30,12 +26,8 @@ func (t *Thread) NewString(s string) Ref {
 
 // StringAt decodes the managed string at r.
 func (rt *Runtime) StringAt(r Ref) string {
-	if rt.zlocks != nil {
-		rt.lockObjZone(r)
-		defer rt.unlockObjZone(r)
-	} else {
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
+	if !rt.solo() {
+		defer rt.lockObj(r)()
 	}
 	n := int(rt.heap.ArrayWord(r, 0))
 	b := make([]byte, n)
@@ -50,12 +42,8 @@ func (rt *Runtime) StringAt(r Ref) string {
 // StringLen returns the byte length of the managed string at r without
 // decoding it.
 func (rt *Runtime) StringLen(r Ref) int {
-	if rt.zlocks != nil {
-		rt.lockObjZone(r)
-		defer rt.unlockObjZone(r)
-	} else {
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
+	if !rt.solo() {
+		defer rt.lockObj(r)()
 	}
 	return int(rt.heap.ArrayWord(r, 0))
 }

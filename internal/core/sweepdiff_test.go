@@ -27,13 +27,17 @@ type sweepWorld struct {
 }
 
 func buildSweepWorld(collector CollectorKind, workers int, lazy bool) *sweepWorld {
-	rt := New(Config{
+	return newSweepWorld(New(Config{
 		HeapWords:    1 << 13,
 		Mode:         Infrastructure,
 		Collector:    collector,
 		SweepWorkers: workers,
 		LazySweep:    lazy,
-	})
+	}))
+}
+
+// newSweepWorld defines the script's classes on rt and roots its frame.
+func newSweepWorld(rt *Runtime) *sweepWorld {
 	node := rt.DefineClass("Node", RefField("a"), RefField("b"))
 	leaf := rt.DefineSubclass("Leaf", node)
 	w := &sweepWorld{

@@ -38,11 +38,8 @@ type Thread struct {
 	// owner's own slow-path refill and region operations run under rt.mu
 	// and need no bufMu: the owning goroutine cannot be in the fast path
 	// and a slow path at once, and every other accessor holds rt.mu.
-	// While the runtime is provably single-mutator (rt.multiMutator still
-	// false — NewThread has never run) even bufMu is elided on the bump
-	// path; the flip in NewThread happens-before any concurrent accessor,
-	// so the pre-flip plain writes are ordered before every post-flip
-	// locked read.
+	// While the runtime is provably single-mutator (Runtime.mutators) even
+	// bufMu is elided on the bump path, by the argument made there.
 	buf        vmheap.AllocBuffer
 	bufMu      atomic.Int32
 	regionFrom uint32
@@ -102,23 +99,26 @@ type Frame struct {
 
 // PushFrame pushes a frame with n local root slots.
 func (t *Thread) PushFrame(n int) *Frame {
-	t.rt.mu.Lock()
-	defer t.rt.mu.Unlock()
+	if !t.rt.solo() {
+		defer t.rt.lockMu()()
+	}
 	return &Frame{rt: t.rt, f: t.th.PushFrame(n)}
 }
 
 // PopFrame pops the thread's current frame.
 func (t *Thread) PopFrame() {
-	t.rt.mu.Lock()
-	defer t.rt.mu.Unlock()
+	if !t.rt.solo() {
+		defer t.rt.lockMu()()
+	}
 	t.th.PopFrame()
-	if t.th.Depth() == 0 {
+	if t.th.Depth() == 0 && t.rt.pinsActive() {
 		// The thread's last frame is gone: no caller remains to receive a
 		// Ref held in a Go variable, so the hidden-register pins covering
 		// this thread's recent unpublished allocations are dead. Dropping
 		// them here keeps pin retention from leaking past a thread's
 		// working life (a quiescent thread's ring would otherwise hold its
-		// last allocations live forever).
+		// last allocations live forever). While pins are inactive nothing
+		// has ever written the ring.
 		t.lockBuf()
 		for i := range t.pins {
 			t.pins[i] = allocPin{}
@@ -129,15 +129,17 @@ func (t *Thread) PopFrame() {
 
 // Local returns the reference in slot i.
 func (f *Frame) Local(i int) Ref {
-	f.rt.mu.Lock()
-	defer f.rt.mu.Unlock()
+	if !f.rt.solo() {
+		defer f.rt.lockMu()()
+	}
 	return f.f.Local(i)
 }
 
 // SetLocal stores a reference in slot i.
 func (f *Frame) SetLocal(i int, r Ref) {
-	f.rt.mu.Lock()
-	defer f.rt.mu.Unlock()
+	if !f.rt.solo() {
+		defer f.rt.lockMu()()
+	}
 	f.f.SetLocal(i, r)
 }
 
@@ -184,12 +186,12 @@ func (t *Thread) NewDataArray(n int) Ref {
 // Thread.buf). Until NewThread creates a second mutator the bump needs no
 // lock at all: the spinlock's CAS+store pair costs more than half of a
 // direct free-list allocation on a contemporary core, so eliding it while
-// provably single-mutator (rt.multiMutator) is what makes the fast path
+// provably single-mutator (Runtime.mutators) is what makes the fast path
 // fast.
 func (t *Thread) alloc(kind vmheap.Kind, classID uint32, n uint32) (Ref, error) {
 	rt := t.rt
 	if rt.allocBufWords > 0 {
-		if !rt.multiMutator.Load() {
+		if rt.solo() {
 			if r, ok := t.buf.Alloc(kind, classID, n); ok {
 				return r, nil
 			}
@@ -217,8 +219,9 @@ func (t *Thread) allocSlow(kind vmheap.Kind, classID uint32, n uint32) (Ref, err
 		return t.allocSlowZoned(kind, classID, n)
 	}
 	rt := t.rt
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
+	if !rt.solo() {
+		defer rt.lockMu()()
+	}
 
 	if rt.pacer != nil {
 		// Surface a HaltError from a background-completed cycle, then run
@@ -299,26 +302,20 @@ func (t *Thread) allocSlow(kind vmheap.Kind, classID uint32, n uint32) (Ref, err
 	return r, nil
 }
 
-// allocSlowZoned is the slow path on a zone-sharded runtime. It runs under
-// the allocating zone's lock (plus rt.mu when whole-heap cycles require it —
-// Runtime.zonedMu), so threads parked in different zones refill and allocate
-// concurrently, and an allocation here never blocks on another zone's
-// in-flight collection. Heap exhaustion is the one escalation point: the
-// zone-level locks are released and the collection (plus the retry) runs
+// allocSlowZoned is the slow path on a zone-sharded runtime. Unless solo it
+// runs under the allocating zone's lock (plus rt.mu when whole-heap cycles
+// require it — Runtime.zonedMu), so threads parked in different zones refill
+// and allocate concurrently, and an allocation here never blocks on another
+// zone's in-flight collection. Heap exhaustion is the one escalation point:
+// the zone-level locks are released and the collection (plus the retry) runs
 // under the world lock.
 func (t *Thread) allocSlowZoned(kind vmheap.Kind, classID uint32, n uint32) (Ref, error) {
 	rt := t.rt
 	zh := t.zheap // owning goroutine; cannot race its own SetZone
 	zi := zh.ZoneID()
-	rt.zlocks[zi].Lock()
-	if rt.zonedMu {
-		rt.mu.Lock()
-	}
-	unlock := func() {
-		if rt.zonedMu {
-			rt.mu.Unlock()
-		}
-		rt.zlocks[zi].Unlock()
+	unlock := func() {}
+	if !rt.solo() {
+		unlock = rt.lockZone(zi)
 	}
 
 	if rt.pacer != nil {

@@ -68,14 +68,20 @@ type SweepOptions struct {
 // On a zoned arena Sweep keeps its whole-heap meaning: every zone is swept
 // in ascending address order and the per-zone statistics are merged. The
 // walkless MarkedKnown arm is disabled in that shape — whole-heap marked
-// totals cannot be attributed to individual zones. ZoneSweep sweeps a
-// single zone.
+// totals cannot be attributed to individual zones — and so is deferral: a
+// whole-heap trace does not root through the remembered sets, so a dead
+// object it leaves unswept in one zone would keep its remembered-set entry
+// (the free observer purges it) while the object the entry names is swept
+// and recycled in another, and that zone's next collection would trace
+// through the entry into recycled memory. ZoneSweep sweeps a single zone,
+// lazily if so configured: a zone trace keeps every entry's target alive.
 func (h *Heap) Sweep(opts SweepOptions) SweepStats {
 	if len(h.peers) > 1 {
 		opts.MarkedKnown = false
 		var total SweepStats
 		for _, p := range h.peers {
 			st := p.ZoneSweep(opts)
+			p.ensureSwept()
 			total.LiveObjects += st.LiveObjects
 			total.LiveWords += st.LiveWords
 			total.FreedObjects += st.FreedObjects
