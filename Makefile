@@ -19,8 +19,12 @@ bench:
 
 # Sweep-mode microbenchmarks: eager vs parallel vs lazy sweep, and the
 # allocator with and without demand sweeping (see results/lazy_sweep.txt).
+# BenchmarkSweep* gets a fixed iteration count: it rebuilds its heap under
+# StopTimer every iteration, and at the default -benchtime go test kills the
+# family at its 11-minute timeout.
 sweepbench:
-	go test -run '^$$' -bench 'BenchmarkSweep|BenchmarkAllocEager|BenchmarkAllocLazy' -benchmem ./internal/vmheap
+	go test -run '^$$' -bench 'BenchmarkSweep' -benchtime 20x -benchmem ./internal/vmheap
+	go test -run '^$$' -bench 'BenchmarkAllocEager|BenchmarkAllocLazy' -benchmem ./internal/vmheap
 
 # Allocation fast-path microbenchmarks: the direct free-list allocator vs
 # bump-pointer buffers across object sizes and buffer sizes, plus the
@@ -48,21 +52,19 @@ zonebench:
 	go run ./cmd/gcbench -fig zones | tee results/zones.txt
 
 # Trace-throughput baseline: marked words/sec on the pseudojbb shape under
-# serial, parallel, and concurrent-zone tracing — the ROADMAP item 4
-# compaction work measures against this (see results/trace_throughput.txt).
+# whole-heap and zone-rotation tracing (see results/trace_throughput.txt).
 tracebench:
 	go test -run '^$$' -bench BenchmarkTraceThroughput -benchmem ./internal/harness | tee results/trace_throughput.txt
 
 # Parallel zone rotation: aggregate GC throughput (marked words/sec) and
-# mutator throughput under the serialized rotation vs concurrent rotations
-# with 1, 2, and 4 zones in flight (see results/parallel_zones.txt).
+# mutator throughput under rotations with 1, 2, and 4 zones in flight (see
+# results/parallel_zones.txt).
 parzonebench:
 	go run ./cmd/gcbench -fig zones -zonegcworkers 4 | tee results/parallel_zones.txt
 
 # Assertion-overhead report: per-assertion-kind collection throughput with
 # the engine unarmed vs armed (dead, region, unshared, owned), plus the
-# staleness profiler's Touch cost and Advance pause under its dense side
-# table and its map[Ref] reference implementation
+# staleness profiler's Touch cost and Advance pause
 # (see results/assert_overhead.txt).
 assertbench:
 	go test -run '^$$' -bench BenchmarkAssertTrace -benchtime 3000x -benchmem ./internal/harness | tee results/assert_overhead.txt
@@ -82,28 +84,25 @@ slobench:
 		-duration 4s -heapwords 65536 -entries 1000 \
 		-slo-rps 500 -slo-p99 50ms | tee results/serving_slo.txt
 
-# Differential tests: serial vs parallel collections on identical scripts,
-# stop-the-world vs incremental cycles (plus the shadow-model oracle), eager
-# vs parallel vs lazy sweep modes under both collectors, direct vs buffered
-# allocation across every collector mode, telemetry on vs off (recording
-# must be pure observation — byte-identical heaps), stop-the-world vs
-# background-pacer concurrent collection (same final marked set and
-# assertion verdicts), and the single-mutator lock-elided regime vs the
-# locked one.
+# Differential tests under the race detector, in one run over internal/:
+# stop-the-world vs stepped and incremental cycles (plus the shadow-model
+# oracle), eager vs parallel vs lazy sweep modes under both collectors, direct
+# vs buffered allocation across every collector mode, telemetry on vs off
+# (recording must be pure observation — byte-identical heaps), stop-the-world
+# vs background-pacer concurrent collection, whole-heap vs zone rotation and
+# rotation width 1 vs 2 vs 4 (same final marked set and assertion verdicts),
+# the single-mutator lock-elided regime vs the locked one, and the staleness
+# side table vs its map model.
 difftest:
-	go test -race -run 'TestDifferential|TestIncrementalDifferential|TestOracle' -v ./internal/trace
-	go test -race -run 'TestSweepModesDifferential|TestLazySweep|TestAllocBuffer|TestTelemetry' -v ./internal/core
-	go test -race -run 'TestConcurrentDifferential' -v ./internal/core
-	go test -race -run 'TestParallelZoneDifferential' -v ./internal/core
-	go test -race -run 'TestSoloSharedDifferential|TestSoloContract' -v ./internal/core
-	go test -race -run 'TestStalenessSideTabDifferential' -v ./internal/staleness
+	go test -race -run 'Differential|TestOracle|TestLazySweep|TestAllocBuffer|TestTelemetry|TestSoloContract' ./internal/...
 
-# Short coverage-guided fuzz runs: the serial/parallel equivalence, the
-# stop-the-world/incremental equivalence, the eager/parallel/lazy sweep
-# equivalence, and the direct/buffered allocation equivalence (go test takes
-# one -fuzz pattern per invocation, so the targets run sequentially).
+# Short coverage-guided fuzz runs: the stop-the-world/incremental
+# equivalence, the eager/parallel/lazy sweep equivalence, the direct/buffered
+# allocation equivalence, the stop-the-world/concurrent-pacer equivalence, the
+# zone remembered-set safety bound, and the side tables against their map
+# models (go test takes one -fuzz pattern per invocation, so the targets run
+# sequentially).
 fuzz:
-	go test -run '^$$' -fuzz FuzzParallelTrace -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzIncrementalBarrier -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzLazySweep -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzAllocBuffer -fuzztime 30s ./internal/core

@@ -5,14 +5,11 @@
 //	gcbench -fig 4     Base/Infrastructure/WithAssertions total time (Figure 4)
 //	gcbench -fig 5     Base/Infrastructure/WithAssertions GC time (Figure 5)
 //	gcbench -fig all   every paper figure
-//	gcbench -fig trace parallel-tracer scaling report (not a paper figure)
 //	gcbench -fig pause incremental pause-distribution report (not a paper figure)
 //	gcbench -fig sweep sweep-mode pause comparison (not a paper figure)
 //	gcbench -fig alloc allocation-throughput comparison (not a paper figure)
 //	gcbench -fig zones zone pause-isolation report (not a paper figure)
 //
-// -workers N runs the paper figures with the parallel tracer (N marking
-// goroutines); the published numbers use the default serial tracer.
 // -incremental N selects the bounded mark budget for -fig pause; the paper
 // figures themselves are always stop-the-world, as published.
 // -concurrent switches -fig pause to the background-pacer report: the same
@@ -32,9 +29,8 @@
 // -zones N shards the heap for -fig zones' sharded variants (the report
 // always includes the unzoned whole-heap baseline and a two-zone row).
 // -zonegcworkers W switches -fig zones to its parallel-rotation arm: the
-// same churn measured under serialized GCZones rotations and under
-// GCZonesConcurrent with up to W zones collected simultaneously,
-// comparing aggregate GC throughput (marked words/sec) at flat mutator
+// same churn measured under GCZonesConcurrent rotations with 1 (GCZones) up
+// to W zones collected simultaneously, comparing aggregate GC throughput (marked words/sec) at flat mutator
 // throughput (make parzonebench records it in results/parallel_zones.txt).
 //
 // Methodology follows the paper: fixed heaps at roughly twice each
@@ -57,7 +53,7 @@ import (
 // figNames is the single source of truth for the accepted -fig values: the
 // usage string, validate's accepted set, and its error message all derive
 // from it (TestFigUsageMatchesValidate keeps them from drifting).
-var figNames = []string{"2", "3", "4", "5", "all", "trace", "pause", "sweep", "alloc", "zones"}
+var figNames = []string{"2", "3", "4", "5", "all", "pause", "sweep", "alloc", "zones"}
 
 // figList renders figNames as an English list ("2, 3, ..., or alloc").
 func figList() string {
@@ -75,7 +71,6 @@ type options struct {
 	trials       int
 	measure      int
 	warmup       int
-	workers      int
 	incremental  int
 	concurrent   bool
 	sweepWorkers int
@@ -101,14 +96,8 @@ func validate(o options) error {
 	if o.warmup < 0 {
 		return fmt.Errorf("-warmup %d: cannot be negative", o.warmup)
 	}
-	if o.workers < 1 {
-		return fmt.Errorf("-workers %d: need at least one trace worker", o.workers)
-	}
 	if o.incremental < 0 {
 		return fmt.Errorf("-incremental %d: mark budget cannot be negative", o.incremental)
-	}
-	if o.incremental > 0 && o.workers > 1 {
-		return fmt.Errorf("-incremental %d with -workers %d: the bounded mark slices are serial; parallel tracing and incremental marking cannot be combined", o.incremental, o.workers)
 	}
 	if o.incremental > 0 && o.fig != "pause" {
 		return fmt.Errorf("-incremental %d with -fig %s: the paper figures are stop-the-world as published; incremental budgets apply only to -fig pause", o.incremental, o.fig)
@@ -119,16 +108,13 @@ func validate(o options) error {
 	if o.concurrent && o.incremental > 0 {
 		return fmt.Errorf("-concurrent with -incremental %d: the pacer budgets its own mark slices against the allocation rate; the two modes cannot be combined", o.incremental)
 	}
-	if o.concurrent && o.workers > 1 {
-		return fmt.Errorf("-concurrent with -workers %d: the pacer's bounded mark slices are serial; parallel tracing and concurrent pacing cannot be combined", o.workers)
-	}
 	if o.sweepWorkers < 0 {
 		return fmt.Errorf("-sweepworkers %d: cannot be negative", o.sweepWorkers)
 	}
 	if o.lazySweep && o.sweepWorkers >= 2 {
 		return fmt.Errorf("-lazysweep with -sweepworkers %d: deferred reclamation is strictly in address order; the two sweep modes cannot be combined", o.sweepWorkers)
 	}
-	if (o.lazySweep || o.sweepWorkers >= 2) && (o.fig == "sweep" || o.fig == "pause" || o.fig == "trace" || o.fig == "alloc" || o.fig == "zones") {
+	if (o.lazySweep || o.sweepWorkers >= 2) && (o.fig == "sweep" || o.fig == "pause" || o.fig == "alloc" || o.fig == "zones") {
 		return fmt.Errorf("-sweepworkers/-lazysweep select a mode for the paper figures; -fig %s configures its own collector modes", o.fig)
 	}
 	if o.allocBuf < 0 {
@@ -137,7 +123,7 @@ func validate(o options) error {
 	if o.allocBuf > 0 && o.allocBuf < vmheap.MinBufferWords {
 		return fmt.Errorf("-allocbuf %d: below the minimum buffer of %d words (use 0 for direct allocation)", o.allocBuf, vmheap.MinBufferWords)
 	}
-	if o.allocBuf > 0 && (o.fig == "sweep" || o.fig == "pause" || o.fig == "trace" || o.fig == "alloc" || o.fig == "zones") {
+	if o.allocBuf > 0 && (o.fig == "sweep" || o.fig == "pause" || o.fig == "alloc" || o.fig == "zones") {
 		return fmt.Errorf("-allocbuf selects a mode for the paper figures; -fig %s configures its own allocation modes", o.fig)
 	}
 	if o.events != "" && (o.fig == "sweep" || o.fig == "pause" || o.fig == "alloc" || o.fig == "zones") {
@@ -151,9 +137,6 @@ func validate(o options) error {
 	}
 	if o.zones != 4 && o.fig != "zones" {
 		return fmt.Errorf("-zones %d with -fig %s: the zone count applies only to -fig zones", o.zones, o.fig)
-	}
-	if o.fig == "zones" && o.workers > 1 {
-		return fmt.Errorf("-workers %d with -fig zones: per-zone collections trace serially; parallel tracing does not apply", o.workers)
 	}
 	if o.zoneGCW < 0 {
 		return fmt.Errorf("-zonegcworkers %d: cannot be negative", o.zoneGCW)
@@ -172,13 +155,12 @@ func main() {
 	trials := flag.Int("trials", harness.DefaultRunConfig.Trials, "trials per configuration")
 	measure := flag.Int("measure", harness.DefaultRunConfig.Measure, "timed iterations per trial")
 	warmup := flag.Int("warmup", harness.DefaultRunConfig.Warmup, "warmup iterations per trial")
-	workers := flag.Int("workers", 1, "mark-phase trace workers (1 = serial, as published)")
 	incremental := flag.Int("incremental", 0, "bounded mark budget for -fig pause (0 = stop-the-world)")
 	concurrent := flag.Bool("concurrent", false, "run -fig pause as the background-pacer report (stop-the-world vs concurrent trigger/slack settings)")
 	sweepWorkers := flag.Int("sweepworkers", 1, "sweep-phase workers for the paper figures (1 = eager serial, as published)")
 	lazySweep := flag.Bool("lazysweep", false, "defer reclamation to allocation time for the paper figures")
 	allocBuf := flag.Int("allocbuf", 0, "per-thread allocation buffer words for the paper figures (0 = direct free-list allocation, as published)")
-	events := flag.String("events", "", "write telemetry NDJSON events from the measured runtimes to this file (paper figures and -fig trace)")
+	events := flag.String("events", "", "write telemetry NDJSON events from the measured runtimes to this file (paper figures only)")
 	zones := flag.Int("zones", 4, "zone count for -fig zones' largest sharded variant")
 	zoneGCW := flag.Int("zonegcworkers", 0, "run -fig zones as the parallel-rotation report, collecting up to this many zones simultaneously (0 = pause-isolation report)")
 	quiet := flag.Bool("q", false, "suppress progress output")
@@ -190,7 +172,6 @@ func main() {
 		trials:       *trials,
 		measure:      *measure,
 		warmup:       *warmup,
-		workers:      *workers,
 		incremental:  *incremental,
 		concurrent:   *concurrent,
 		sweepWorkers: *sweepWorkers,
@@ -207,7 +188,7 @@ func main() {
 
 	rc := harness.RunConfig{
 		Warmup: *warmup, Measure: *measure, Trials: *trials,
-		TraceWorkers: *workers, SweepWorkers: *sweepWorkers, LazySweep: *lazySweep,
+		SweepWorkers: *sweepWorkers, LazySweep: *lazySweep,
 		AllocBufWords: *allocBuf,
 	}
 	if *events != "" {
@@ -228,7 +209,7 @@ func main() {
 	if *fig == "zones" && *zoneGCW > 0 {
 		cfg := harness.DefaultParZoneReport
 		cfg.Zones = *zones
-		cfg.Workers = []int{0}
+		cfg.Workers = nil
 		for w := 1; w < *zoneGCW; w *= 2 {
 			cfg.Workers = append(cfg.Workers, w)
 		}
@@ -282,12 +263,6 @@ func main() {
 		}
 		rows := harness.RunPauseReport(cfg, progress)
 		fmt.Println(harness.FormatPauseReport(rows))
-		return
-	}
-
-	if *fig == "trace" {
-		rows := harness.RunTraceScaling(rc, harness.DefaultTraceScaling, []int{1, 2, 4, 8}, progress)
-		fmt.Println(harness.FormatTraceScaling(rows))
 		return
 	}
 

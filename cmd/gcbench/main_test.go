@@ -13,7 +13,6 @@ func defaults() options {
 		trials:       harness.DefaultRunConfig.Trials,
 		measure:      harness.DefaultRunConfig.Measure,
 		warmup:       harness.DefaultRunConfig.Warmup,
-		workers:      1,
 		sweepWorkers: 1,
 		zones:        4,
 	}
@@ -22,8 +21,7 @@ func defaults() options {
 // TestFigUsageMatchesValidate pins the -fig usage string to validate's
 // accepted set: both derive from figNames, and this test fails if either
 // ever hardcodes its own list again (the usage string once advertised only
-// "2, 3, 4, 5, all, trace, or pause" while validate also took sweep and
-// alloc).
+// "2, 3, 4, 5, all, or pause" while validate also took sweep and alloc).
 func TestFigUsageMatchesValidate(t *testing.T) {
 	usage := figUsage()
 	for _, name := range figNames {
@@ -54,7 +52,6 @@ func TestValidateAccepts(t *testing.T) {
 	cases := []func(*options){
 		func(o *options) {},
 		func(o *options) { o.fig = "2" },
-		func(o *options) { o.fig = "trace"; o.workers = 8 },
 		func(o *options) { o.fig = "pause" },
 		func(o *options) { o.fig = "pause"; o.incremental = 5000 },
 		func(o *options) { o.fig = "pause"; o.concurrent = true },
@@ -66,7 +63,6 @@ func TestValidateAccepts(t *testing.T) {
 		func(o *options) { o.fig = "2"; o.allocBuf = 1024 },
 		func(o *options) { o.fig = "all"; o.allocBuf = 256; o.lazySweep = true },
 		func(o *options) { o.events = "events.ndjson" },
-		func(o *options) { o.fig = "trace"; o.workers = 4; o.events = "ev.ndjson" },
 		func(o *options) { o.fig = "zones" },
 		func(o *options) { o.fig = "zones"; o.zones = 2 },
 		func(o *options) { o.fig = "zones"; o.zones = 8 },
@@ -90,14 +86,11 @@ func TestValidateRejects(t *testing.T) {
 		want string
 	}{
 		{func(o *options) { o.fig = "6" }, "unknown figure"},
+		{func(o *options) { o.fig = "trace" }, "unknown figure"},
 		{func(o *options) { o.trials = 0 }, "-trials"},
 		{func(o *options) { o.measure = 0 }, "-measure"},
 		{func(o *options) { o.warmup = -1 }, "-warmup"},
-		{func(o *options) { o.workers = 0 }, "-workers"},
 		{func(o *options) { o.incremental = -1 }, "cannot be negative"},
-		// Incremental marking is serial by design; combining it with the
-		// parallel tracer must be rejected here, not by a runtime panic.
-		{func(o *options) { o.fig = "pause"; o.incremental = 100; o.workers = 4 }, "cannot be combined"},
 		// The published figures are stop-the-world; a budget on them would
 		// silently measure a different collector than the paper's.
 		{func(o *options) { o.fig = "all"; o.incremental = 100 }, "stop-the-world as published"},
@@ -105,10 +98,9 @@ func TestValidateRejects(t *testing.T) {
 		// The pacer report is -fig pause's concurrent arm; on the paper
 		// figures the flag would silently measure nothing.
 		{func(o *options) { o.fig = "all"; o.concurrent = true }, "applies only to -fig pause"},
-		// The pacer schedules its own slices; an explicit budget or the
-		// parallel tracer would fight it.
+		// The pacer schedules its own slices; an explicit budget would fight
+		// it.
 		{func(o *options) { o.fig = "pause"; o.concurrent = true; o.incremental = 100 }, "cannot be combined"},
-		{func(o *options) { o.fig = "pause"; o.concurrent = true; o.workers = 4 }, "cannot be combined"},
 		{func(o *options) { o.sweepWorkers = -1 }, "-sweepworkers"},
 		// Lazy sweeping reclaims strictly in address order; there is nothing
 		// for sweep workers to fan out over.
@@ -141,9 +133,6 @@ func TestValidateRejects(t *testing.T) {
 		// non-default value would be silently ignored.
 		{func(o *options) { o.fig = "2"; o.zones = 8 }, "applies only to -fig zones"},
 		{func(o *options) { o.fig = "pause"; o.zones = 2 }, "applies only to -fig zones"},
-		// Per-zone collections trace serially; the parallel tracer does not
-		// apply to the zone report.
-		{func(o *options) { o.fig = "zones"; o.workers = 4 }, "trace serially"},
 		// The zone report builds its own runtimes and modes, like the other
 		// side-by-side reports.
 		{func(o *options) { o.fig = "zones"; o.lazySweep = true }, "configures its own"},

@@ -261,8 +261,8 @@ func (e *Engine) CheckInstanceLimits() {
 }
 
 // CheckInstanceTotals judges instance limits against caller-summed counts
-// (in Registry trackedIDs order, as drained by Registry.TakeCounts or
-// folded by Registry.FoldLocalCounts). The zoned runtime uses this after a
+// (in Registry trackedIDs order, as produced by
+// Registry.FoldLocalCounts). The zoned runtime uses this after a
 // full zone rotation: each zone collection counts only its own zone's live
 // instances, so only the sum across every zone is comparable to a
 // whole-heap count. The check runs on its own cycle (the rotation that

@@ -54,10 +54,9 @@ type Engine struct {
 	// Per-collection state lives on a Cycle and needs no lock (see cycle.go).
 	mu sync.Mutex
 
-	// defaultCycle is the cycle used by the serialized collection paths
-	// (whole-heap GC, GCZones rotations): BeginCycle resets it in place, and
-	// Checks/Halted are bound to it. Concurrent zone collections create
-	// private cycles with NewCycle.
+	// defaultCycle is the cycle used by whole-heap collections (and
+	// Zone.Retire): BeginCycle resets it in place, and Checks/Halted are
+	// bound to it. Zone collections create private cycles with NewCycle.
 	defaultCycle *Cycle
 
 	// Ownership tables. owners may contain Nil holes after an owner is

@@ -254,21 +254,15 @@ func (r *Registry) Tracked(id uint32) bool { return r.tracked[id] }
 // CountInstance records one live instance of class id during tracing. The
 // count lands on the tracked class itself or, for subclass-inclusive
 // limits, on the tracking ancestor.
-func (r *Registry) CountInstance(id uint32) { r.CountInstances(id, 1) }
-
-// CountInstances records n live instances of class id at once. The parallel
-// tracer shards counts per worker and merges the shards here at the end of
-// the trace; the routing (exact class vs subclass-inclusive ancestor) is
-// identical to CountInstance.
-func (r *Registry) CountInstances(id uint32, n int64) {
+func (r *Registry) CountInstance(id uint32) {
 	c := r.classes[id]
 	if c.instanceLimit != NoLimit {
-		c.instanceCount += n
+		c.instanceCount++
 		return
 	}
 	for k := c.Super; k != nil; k = k.Super {
 		if k.instanceLimit != NoLimit && k.includeSubclasses {
-			k.instanceCount += n
+			k.instanceCount++
 			return
 		}
 	}
@@ -277,7 +271,7 @@ func (r *Registry) CountInstances(id uint32, n int64) {
 // FoldLocalCounts converts a per-trace tally of raw class IDs to live
 // instance counts into trackedIDs order, routing each class's count to the
 // class that tracks it (itself, or the nearest subclass-inclusive
-// ancestor) exactly as CountInstances would. Concurrent zone traces count
+// ancestor) exactly as CountInstance would. Zone traces count
 // into a private map instead of the shared per-class counters — two
 // overlapping traces bumping c.instanceCount would corrupt both tallies —
 // and fold here after the trace, under the caller's lock.
@@ -328,23 +322,8 @@ func (r *Registry) CheckLimits() []OverLimit {
 // and tools; counts are reset by CheckLimits at the end of each GC).
 func (r *Registry) InstanceCount(c *Class) int64 { return c.instanceCount }
 
-// TakeCounts returns the per-tracked-class counts accumulated since the
-// last reset — indexed in trackedIDs order — and resets them. A zone-scoped
-// trace counts only its own zone's instances, so the zoned runtime drains
-// each zone collection's partial counts through here and sums them across
-// a full rotation before judging limits with CheckTotals.
-func (r *Registry) TakeCounts() []int64 {
-	out := make([]int64, len(r.trackedIDs))
-	for i, id := range r.trackedIDs {
-		c := r.classes[id]
-		out[i] = c.instanceCount
-		c.instanceCount = 0
-	}
-	return out
-}
-
 // CheckTotals compares caller-supplied counts — indexed in trackedIDs
-// order, as produced by TakeCounts — against each tracked class's limit and
+// order, as produced by FoldLocalCounts — against each tracked class's limit and
 // returns any violations. Unlike CheckLimits it touches no running counts.
 // Counts shorter than trackedIDs judge only the classes they cover (limits
 // asserted after the counts were taken have no data yet).

@@ -386,7 +386,7 @@ func (p *gcPacer) dispatchZonesLocked() bool {
 // for the next runtime entry point, like a background whole-heap cycle's.
 func (p *gcPacer) zoneWorker(zi int) {
 	defer p.zoneWG.Done()
-	_, _, err := p.rt.collectZoneConcurrent(zi)
+	err := p.rt.collectZoneOrEscalate(zi)
 	p.rt.mu.Lock()
 	p.zoneDispatched[zi] = false
 	p.zoneInFlight--

@@ -29,7 +29,6 @@ func TestConcurrentConfigValidation(t *testing.T) {
 	mustPanic("slack negative", Config{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true, GCAssistSlack: -1})
 	mustPanic("trigger without concurrent", Config{HeapWords: 1 << 12, Mode: Infrastructure, GCTriggerFraction: 0.5})
 	mustPanic("slack without concurrent", Config{HeapWords: 1 << 12, Mode: Infrastructure, GCAssistSlack: 0.5})
-	mustPanic("parallel trace", Config{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true, TraceWorkers: 4})
 
 	valid := []Config{
 		{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true},

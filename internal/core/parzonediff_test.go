@@ -9,19 +9,18 @@ import (
 
 // TestParallelZoneDifferential drives one deterministic mutator script
 // against three zone-sharded runtimes whose explicit collections differ
-// only in rotation concurrency — PR 7's serialized rotation (GCZones),
-// and concurrent rotations collecting 2 and 4 zones simultaneously
-// (GCZonesConcurrent) — and requires identical observable behavior at the
+// only in rotation width — one zone at a time (GCZones), and 2 and 4 zones
+// collected simultaneously (GCZonesConcurrent) — and requires identical observable behavior at the
 // final quiescent point: the same live objects by script-assigned id and
 // the same assertion verdicts, across all four collector modes and three
 // seeds.
 //
 // The comparison leans on the same precision contract as
 // TestZoneDifferential: the verdict-producing rotation starts from a
-// garbage-free state, where per-zone collection — serialized or
-// concurrent — must be verdict- and free-identical to a whole-heap
-// collection. What this test adds over the serialized differential is the
-// claim that rotation CONCURRENCY is unobservable: however the worker
+// garbage-free state, where per-zone collection at any width must be
+// verdict- and free-identical to a whole-heap collection. What this test
+// adds over that differential is the claim that rotation CONCURRENCY is
+// unobservable: however the worker
 // pool interleaves the four zone collections, each zone's trace sees the
 // same roots (its lock excludes in-zone mutation; remembered-set slots
 // are resolved under it), so the pooled verdicts and the surviving
@@ -53,12 +52,12 @@ func runParallelZoneDifferential(t *testing.T, mode zoneMode, seed int64) {
 	}
 	limit := int64(rng.Intn(4))
 
-	serial := newZoneDiffWorld(mode.cfg(), pzZones, true)
+	width1 := newZoneDiffWorld(mode.cfg(), pzZones, true)
 	conc2 := newZoneDiffWorld(mode.cfg(), pzZones, true)
 	conc2.workers = 2
 	conc4 := newZoneDiffWorld(mode.cfg(), pzZones, true)
 	conc4.workers = 4
-	worlds := []*zoneDiffWorld{serial, conc2, conc4}
+	worlds := []*zoneDiffWorld{width1, conc2, conc4}
 	for _, op := range script {
 		for _, w := range worlds {
 			w.apply(t, op)
@@ -66,7 +65,7 @@ func runParallelZoneDifferential(t *testing.T, mode zoneMode, seed int64) {
 	}
 
 	for _, w := range worlds {
-		// Quiesce exactly as the serialized differential does: stop the
+		// Quiesce exactly as TestZoneDifferential does: stop the
 		// pacer, settle to a garbage-free state, register assertions at
 		// the quiescent point, settle the newly created deaths whole-heap,
 		// then produce verdicts with this world's own rotation flavor.
@@ -102,17 +101,17 @@ func runParallelZoneDifferential(t *testing.T, mode zoneMode, seed int64) {
 		w.collect(t)
 	}
 
-	want := drainSorted(serial.diffWorld)
+	want := drainSorted(width1.diffWorld)
 	for _, w := range worlds[1:] {
 		if got := drainSorted(w.diffWorld); !reflect.DeepEqual(want, got) {
-			t.Fatalf("assertion verdicts differ (workers=%d):\nserialized: %v\nconcurrent: %v",
+			t.Fatalf("assertion verdicts differ (workers=%d):\nwidth 1: %v\ngot:     %v",
 				w.workers, want, got)
 		}
 	}
-	wantLive := serial.liveIDs(t)
+	wantLive := width1.liveIDs(t)
 	for _, w := range worlds[1:] {
 		if got := w.liveIDs(t); !reflect.DeepEqual(wantLive, got) {
-			t.Fatalf("live sets differ (workers=%d):\nserialized: %v\nconcurrent: %v",
+			t.Fatalf("live sets differ (workers=%d):\nwidth 1: %v\ngot:     %v",
 				w.workers, wantLive, got)
 		}
 	}

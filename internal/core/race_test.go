@@ -9,12 +9,10 @@ import (
 
 // TestConcurrentMutatorsUnderGC runs four mutator threads on their own
 // goroutines — allocating, storing, asserting, and opening region brackets —
-// while the main goroutine forces collections with the parallel tracer
-// enabled. Its purpose is to give the race detector (make race / the CI
-// -race job) real concurrency to chew on: multi-goroutine use of
-// threads.Set and roots.Table through the runtime lock, and the parallel
-// trace workers racing over header words, including the fallback re-trace
-// when a mutator's assert-dead object is still rooted.
+// while the main goroutine forces collections. Its purpose is to give the
+// race detector (make race / the CI -race job) real concurrency to chew on:
+// multi-goroutine use of threads.Set and roots.Table through the runtime
+// lock, with violations reported while mutators run.
 func TestConcurrentMutatorsUnderGC(t *testing.T) { concurrentMutatorsUnderGC(t, 0) }
 
 // TestConcurrentMutatorsUnderGCBuffered is the same chase with per-thread
@@ -30,7 +28,7 @@ func concurrentMutatorsUnderGC(t *testing.T, bufWords int) {
 		iters    = 1500
 		locals   = 4
 	)
-	rt := New(Config{HeapWords: 1 << 14, Mode: Infrastructure, TraceWorkers: 4, AllocBuffers: bufWords})
+	rt := New(Config{HeapWords: 1 << 14, Mode: Infrastructure, AllocBuffers: bufWords})
 	node := rt.DefineClass("RNode", RefField("a"), RefField("b"))
 	aOff := node.MustFieldIndex("a")
 	bOff := node.MustFieldIndex("b")
@@ -73,8 +71,7 @@ func concurrentMutatorsUnderGC(t *testing.T, bufWords int) {
 						}
 						// Usually drop the root so the assertion holds;
 						// sometimes keep it rooted to provoke violations
-						// (and with them, the parallel tracer's serial
-						// fallback) under concurrency.
+						// under concurrency.
 						if rng.Intn(4) > 0 {
 							fr.SetLocal(rng.Intn(locals), Nil)
 						}
@@ -110,9 +107,6 @@ func concurrentMutatorsUnderGC(t *testing.T, bufWords int) {
 		case <-done:
 			if errs := rt.VerifyHeap(); len(errs) != 0 {
 				t.Fatalf("heap corrupt after concurrent run: %v", errs[0])
-			}
-			if rt.Stats().GC.ParallelTraces == 0 {
-				t.Fatal("no parallel traces ran")
 			}
 			if bufWords > 0 && rt.Stats().Heap.BufferAllocs == 0 {
 				t.Fatal("no allocation ever went through a buffer")

@@ -51,9 +51,9 @@ import (
 //
 //   - the slot is nulled behind the barrier's back (a Force verdict from
 //     assert-dead nulls referencing slots mid-trace; ownership vacating
-//     nulls slots in PreSweep): validate — run at the start of every
-//     serialized zone collection — and resolve — its concurrent
-//     counterpart — drop any entry whose slot no longer holds a reference
+//     nulls slots in PreSweep): resolve — run at the start of every zone
+//     collection — and validate — its world-locked counterpart, for
+//     Zone.Retire — drop any entry whose slot no longer holds a reference
 //     into the target zone. The zone tracer also reports slots it nulls
 //     itself so they are dropped eagerly.
 type remsets struct {
@@ -254,9 +254,9 @@ func (rs *remsets) onFree(r Ref, hd uint64) {
 
 // validate drops every stale entry from zone target's inbound set: the
 // source must still be an allocated object and the slot must still hold a
-// reference into the target zone. Run before the entries are used as roots
-// (serialized zone collection) or survivor evidence (retire); the caller
-// holds the world lock, so the liveness check cannot race a sweep.
+// reference into the target zone. Run before the entries are used as
+// survivor evidence (retire); the caller holds the world lock, so the
+// liveness check cannot race a sweep.
 func (rs *remsets) validate(target int) {
 	t := &rs.tabs[target]
 	t.mu.Lock()
@@ -273,7 +273,7 @@ func (rs *remsets) validate(target int) {
 	}
 }
 
-// resolve is validate's concurrent-collection counterpart: it prunes zone
+// resolve is validate's zone-collection counterpart: it prunes zone
 // target's set and returns each surviving entry's slot with its target
 // reference, read once here under the table lock. The caller holds the
 // target's zone lock and rt.mu (collection setup), which is weaker than the
@@ -322,9 +322,8 @@ func (rs *remsets) resolve(target int) ([]trace.SlotTarget, func(slot uint32)) {
 	return targets, null
 }
 
-// slots returns zone target's inbound slot words (the serialized zone
-// trace's extra roots). Order is unspecified; collection verdicts do not
-// depend on it.
+// slots returns zone target's inbound slot words (a retire's survivor
+// evidence). Order is unspecified.
 func (rs *remsets) slots(target int) []uint32 {
 	t := &rs.tabs[target]
 	t.mu.Lock()
@@ -332,14 +331,6 @@ func (rs *remsets) slots(target int) []uint32 {
 	out := make([]uint32, 0, t.n)
 	t.each(func(slot uint32, _ Ref) { out = append(out, slot) })
 	return out
-}
-
-// dropSlot removes one entry (the zone tracer nulled its slot mid-trace).
-func (rs *remsets) dropSlot(target int, slot uint32) {
-	t := &rs.tabs[target]
-	t.mu.Lock()
-	t.del(slot)
-	t.mu.Unlock()
 }
 
 // retirePurge clears zone target's inbound set (its targets were just bulk

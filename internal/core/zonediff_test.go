@@ -67,7 +67,7 @@ func zoneDiffModes() []zoneMode {
 // zoneDiffWorld wraps diffWorld with a zone-aware op dispatch: op codes
 // below 8 rebind the mutator thread to a zone (a no-op in the unzoned
 // world), and explicit collections go through GCZones when rotate is set —
-// or through GCZonesConcurrent when workers > 0 (the parallel-rotation
+// or through GCZonesConcurrent when workers > 0 (the rotation-width
 // differential, parzonediff_test.go).
 type zoneDiffWorld struct {
 	*diffWorld
@@ -310,6 +310,39 @@ func TestZoneCycleNeedsWholeHeap(t *testing.T) {
 	}
 	if n0, n1 := len(rt.RemsetEntries(0)), len(rt.RemsetEntries(1)); n0 != 0 || n1 != 0 {
 		t.Fatalf("stale remset entries after whole-heap reclaim: %d,%d", n0, n1)
+	}
+}
+
+// TestZoneRotationEscalatesOnce: ownership is a whole-heap property, so while
+// an ownership assertion is registered a rotation stands every zone down and
+// runs ONE whole-heap collection in their place — at any width, not one per
+// zone.
+func TestZoneRotationEscalatesOnce(t *testing.T) {
+	w := newDiffWorldCfg(Config{HeapWords: 1 << 14, Mode: Infrastructure, Zones: 4})
+	owner, ownee := w.th.New(w.node), w.th.New(w.node)
+	w.fr.SetLocal(0, owner)
+	w.rt.SetRef(owner, w.aOff, ownee)
+	if err := w.rt.AssertOwnedBy(owner, ownee); err != nil {
+		t.Fatal(err)
+	}
+	for _, rotate := range []struct {
+		name string
+		run  func() error
+	}{
+		{"GCZones", w.rt.GCZones},
+		{"GCZonesConcurrent(4)", func() error { return w.rt.GCZonesConcurrent(4) }},
+	} {
+		before := w.rt.Stats().GC
+		if err := rotate.run(); err != nil {
+			t.Fatalf("%s: %v", rotate.name, err)
+		}
+		after := w.rt.Stats().GC
+		if full, zone := after.FullCollections-before.FullCollections, after.ZoneCollections-before.ZoneCollections; full != 1 || zone != 0 {
+			t.Errorf("%s: %d whole-heap and %d zone collections, want 1 and 0", rotate.name, full, zone)
+		}
+	}
+	if vs := w.rt.Violations(); len(vs) != 0 {
+		t.Errorf("violations on a properly owned object: %v", vs)
 	}
 }
 

@@ -24,9 +24,9 @@ import (
 //   - assert-dead / assert-unshared / start-region / assert-alldead verdicts
 //     from a per-zone collection match a whole-heap collection slot for slot
 //     (remset slots reproduce each inbound encounter; see remset.go).
-//   - assert-instances is judged only by GCZones (a full rotation), which
-//     sums each zone's partial live counts before comparing limits; a single
-//     Zone.Collect drains its zone's counts but draws no conclusion.
+//   - assert-instances is judged only by GCZones / GCZonesConcurrent (a full
+//     rotation), which sums each zone's partial live counts before comparing
+//     limits; a single Zone.Collect counts its zone but draws no conclusion.
 //   - assert-ownedby is a whole-heap property (owner regions are traced
 //     from owner roots across zones), so any zone entry point escalates to
 //     a full collection while ownership assertions are registered.
@@ -102,31 +102,6 @@ func (rt *Runtime) prepareZoneOpLocked() error {
 	return nil
 }
 
-// collectZoneLocked runs one serialized zone collection: this zone's
-// buffers retired (other zones' stay live — the pause-isolation property),
-// pins collected, remembered set validated precisely and handed to the
-// collector as extra roots. Caller holds the world lock and has settled
-// pacer/incremental state; GCZones uses it for the serialized-precise
-// rotation. Concurrent entry points use collectZoneConcurrent instead.
-func (rt *Runtime) collectZoneLocked(zi int) ([]int64, error) {
-	zh := rt.zoneHeaps[zi]
-	for _, t := range rt.allThreads {
-		if t.zheap == zh {
-			t.flushBuffer()
-		}
-	}
-	// Pins from every thread: out-of-zone pins are inert to the zone-gated
-	// trace, in-zone pins root unpublished allocations. Threads in other
-	// zones may bump-allocate after this point, but only outside the zone
-	// being collected — this zone's threads lost their buffers above, so
-	// their next allocation blocks on rt.mu until the collection finishes.
-	rt.collectPins()
-	rt.remsets.validate(zi)
-	slots := rt.remsets.slots(zi)
-	ms := rt.collector.(*gc.MarkSweep) // Config.Zones >= 2 forces MarkSweep
-	return ms.CollectZone(zh, slots, func(w uint32) { rt.remsets.dropSlot(zi, w) })
-}
-
 // Collect runs a full mark/sweep of this zone only: the zone's reachable
 // objects (from roots and inbound cross-zone references) are marked, its
 // garbage swept, and every piggybacked assertion over its objects checked —
@@ -137,8 +112,16 @@ func (rt *Runtime) collectZoneLocked(zi int) ([]int64, error) {
 // scan serializes on rt.mu. Escalates to a whole-heap collection while
 // ownership assertions are registered. Returns a *report.HaltError if a
 // violation handler requested Halt.
-func (z *Zone) Collect() error {
-	_, _, err := z.rt.collectZoneConcurrent(z.idx)
+func (z *Zone) Collect() error { return z.rt.collectZoneOrEscalate(z.idx) }
+
+// collectZoneOrEscalate is one zone collection as an entry point of its own
+// (Zone.Collect, the pacer's zone workers): a zone that stands down for
+// ownership is answered with a whole-heap collection.
+func (rt *Runtime) collectZoneOrEscalate(zi int) error {
+	_, escalate, err := rt.collectZoneConcurrent(zi)
+	if escalate {
+		return rt.collectFullEscalated()
+	}
 	return err
 }
 
@@ -157,24 +140,24 @@ func (rt *Runtime) collectFullEscalated() error {
 
 // collectZoneConcurrent runs one zone collection under the per-zone locking
 // protocol. It returns the zone's live instance counts folded into tracked
-// order (nil when the collection escalated), whether it escalated to a
-// whole-heap collection, and the collection's error.
+// order, whether the zone stood down because an ownership assertion is
+// registered (nothing was collected; the caller owes a whole-heap
+// collection), and the collection's error.
 //
 // The claim: lock this zone, then rt.mu. Holding the zone lock FIRST means
-// whole-heap operations (GC, StartGC, Close, GCZones — all of which take
-// every zone lock ascending) simply block until this collection folds; they
-// can never observe a half-collected zone. The zoneGC counter taken under
-// rt.mu exists for the one whole-heap actor that does NOT take zone locks —
-// the pacer and the incremental allocation hooks, which run under rt.mu
-// alone and must neither start whole-heap cycles nor read cross-zone heap
-// aggregates while a zone's sweep is mutating its counters under only its
-// zone lock.
+// whole-heap operations (GC, StartGC, Close — all of which take every zone
+// lock ascending) simply block until this collection folds; they can never
+// observe a half-collected zone. The zoneGC counter taken under rt.mu exists
+// for the one whole-heap actor that does NOT take zone locks — the pacer and
+// the incremental allocation hooks, which run under rt.mu alone and must
+// neither start whole-heap cycles nor read cross-zone heap aggregates while a
+// zone's sweep is mutating its counters under only its zone lock.
 //
 // The phases:
 //
-//	A (rt.mu):  this zone's buffers retired, pins collected, the inbound
-//	            remembered set resolved, roots + inbound slots scanned.
-//	            Mutators everywhere pause only for this scan.
+//	A (rt.mu):  the claim, this zone's buffers retired, pins collected, the
+//	            inbound remembered set resolved, roots + inbound slots
+//	            scanned. Mutators everywhere pause only for this scan.
 //	B (none):   transitive mark (drain) and sweep, holding only this zone's
 //	            lock — the concurrent bulk of the collection. Mutators
 //	            cannot acquire or sever references into this zone (a
@@ -182,7 +165,7 @@ func (rt *Runtime) collectFullEscalated() error {
 //	            and anything reachable from another zone was pre-marked via
 //	            the remembered set in phase A, so the snapshot cannot decay.
 //	C (rt.mu):  stats folded, the claim released.
-func (rt *Runtime) collectZoneConcurrent(zi int) ([]int64, bool, error) {
+func (rt *Runtime) collectZoneConcurrent(zi int) (counts []int64, escalate bool, err error) {
 	zh := rt.zoneHeaps[zi]
 	ms := rt.collector.(*gc.MarkSweep) // Config.Zones >= 2 forces MarkSweep
 	for {
@@ -199,7 +182,7 @@ func (rt *Runtime) collectZoneConcurrent(zi int) ([]int64, bool, error) {
 				// this collection cannot slip in after the decision.
 				rt.mu.Unlock()
 				rt.zlocks[zi].Unlock()
-				return nil, true, rt.collectFullEscalated()
+				return nil, true, nil
 			}
 		}
 		if err := rt.takePacerPending(); err != nil {
@@ -224,18 +207,20 @@ func (rt *Runtime) collectZoneConcurrent(zi int) ([]int64, bool, error) {
 	}
 	rt.zoneGC++
 	rt.zoneCollecting[zi] = true
-	rt.mu.Unlock()
 
-	// Phase A. The zone's threads' buffers are retired before BeginZone —
-	// its tracer reset asserts the zone has none outstanding — and no new
-	// one can be carved while this zone's lock is held.
-	rt.mu.Lock()
+	// Phase A, in the rt.mu section that took the claim. The zone's threads'
+	// buffers are retired before BeginZone — its tracer reset asserts the
+	// zone has none outstanding — and no new one can be carved while this
+	// zone's lock is held. Other zones' buffers stay live: the pause-isolation
+	// property.
 	for _, t := range rt.allThreads {
 		if t.zheap == zh {
 			t.flushBuffer()
 		}
 	}
 	zc := ms.BeginZone(zh)
+	// Pins from every thread: out-of-zone pins are inert to the zone-gated
+	// trace, in-zone pins root unpublished allocations.
 	rt.collectPins()
 	targets, null := rt.remsets.resolve(zi)
 	zc.Scan(targets, null)
@@ -245,7 +230,7 @@ func (rt *Runtime) collectZoneConcurrent(zi int) ([]int64, bool, error) {
 	out := zc.Finish()
 
 	// Phase C.
-	totals := rt.reg.FoldLocalCounts(out.Counts)
+	counts = rt.reg.FoldLocalCounts(out.Counts)
 	rt.mu.Lock()
 	ms.FoldZone(out)
 	rt.zoneGC--
@@ -253,17 +238,24 @@ func (rt *Runtime) collectZoneConcurrent(zi int) ([]int64, bool, error) {
 	rt.mu.Unlock()
 	rt.zlocks[zi].Unlock()
 	if out.Halt != nil {
-		return totals, false, &report.HaltError{Violation: out.Halt}
+		return counts, false, &report.HaltError{Violation: out.Halt}
 	}
-	return totals, false, nil
+	return counts, false, nil
 }
 
-// GCZones collects every zone in turn — each zone-locally, without pausing
-// allocation in the zones not currently being collected — then judges
-// instance limits on the summed per-zone live counts. On an unzoned
-// runtime it is exactly GC(). Escalates to a whole-heap collection while
-// ownership assertions are registered. Returns the first
-// *report.HaltError encountered.
+// GCZones collects every zone in turn: GCZonesConcurrent at width 1.
+func (rt *Runtime) GCZones() error { return rt.GCZonesConcurrent(1) }
+
+// GCZonesConcurrent collects every zone — each zone-locally, without pausing
+// allocation in the zones not currently being collected — with up to workers
+// zones collected simultaneously, each under the per-zone locking protocol
+// (Zone.Collect): while one zone's mark/sweep runs, other workers mark and
+// sweep their zones and mutators keep allocating everywhere but the zones'
+// brief root scans. Instance limits are then judged on the summed per-zone
+// live counts. While ownership assertions are registered every zone stands
+// down and the rotation is ONE whole-heap collection, whose own count check
+// replaces the partial sums. On an unzoned runtime it is exactly GC().
+// Returns the first *report.HaltError encountered.
 //
 // Precision: when the rotation starts with no unreclaimed garbage holding
 // cross-zone references (for example, right after a whole-heap collection
@@ -273,58 +265,12 @@ func (rt *Runtime) collectZoneConcurrent(zi int) ([]int64, bool, error) {
 // traverse. In general, per-zone collection is conservative in the classic
 // regional-collector way: an inbound reference from a not-yet-swept dead
 // source keeps its target alive one extra rotation (the entry is purged
-// when the source's zone sweeps it; garbage chains linking low zones to
-// high zones die within a single rotation because zones are collected in
-// ascending order), and garbage CYCLES spanning zones are reclaimed only
-// by a whole-heap collection. The fuzz suite pins exactly this bound: no
-// live object is ever reclaimed, and no dead object survives a following
-// whole-heap cycle.
-func (rt *Runtime) GCZones() error {
-	rt.lockWorld()
-	defer rt.unlockWorld()
-	if err := rt.prepareZoneOpLocked(); err != nil {
-		return err
-	}
-	if rt.remsets == nil || (rt.engine != nil && rt.engine.HasOwnership()) {
-		rt.flushAllocBuffers()
-		rt.collectPins()
-		return rt.collector.CollectFull()
-	}
-	totals := make([]int64, rt.reg.NumTracked())
-	for zi := range rt.zoneHeaps {
-		counts, err := rt.collectZoneLocked(zi)
-		for i, c := range counts {
-			if i < len(totals) {
-				totals[i] += c
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if rt.engine != nil {
-		if v := rt.engine.CheckInstanceTotals(totals); v != nil {
-			return &report.HaltError{Violation: v}
-		}
-	}
-	return nil
-}
-
-// GCZonesConcurrent is GCZones with up to workers zones collected
-// simultaneously, each under the per-zone locking protocol (Zone.Collect):
-// while one zone's mark/sweep runs, other workers mark and sweep their
-// zones and mutators keep allocating everywhere but the zones' brief root
-// scans. Instance limits are judged on the summed per-zone counts after
-// the rotation, exactly as GCZones does — unless any zone escalated to a
-// whole-heap collection mid-rotation (ownership assertions appeared), whose
-// own whole-heap count check supersedes the partial sums.
-//
-// Precision: each worker resolves its zone's inbound remembered set
-// conservatively (a stale entry whose source died in a not-yet-swept zone
-// still roots its target for one extra rotation), so the rotation's
-// verdicts and frees match GCZones run from the same garbage-free start;
-// see the GCZones comment for the general bound. On an unzoned runtime it
-// is exactly GC().
+// when the source's zone sweeps it; at width 1 garbage chains linking low
+// zones to high zones die within a single rotation because zones are
+// collected in ascending order), and garbage CYCLES spanning zones are
+// reclaimed only by a whole-heap collection. The fuzz suite pins exactly
+// this bound: no live object is ever reclaimed, and no dead object survives
+// a following whole-heap cycle.
 func (rt *Runtime) GCZonesConcurrent(workers int) error {
 	if rt.zones == nil {
 		return rt.GC()
@@ -336,10 +282,10 @@ func (rt *Runtime) GCZonesConcurrent(workers int) error {
 		workers = len(rt.zones)
 	}
 	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		firstErr  error
-		escalated bool
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		firstErr error
+		escalate bool
 	)
 	totals := make([]int64, rt.reg.NumTracked())
 	work := make(chan int)
@@ -350,9 +296,7 @@ func (rt *Runtime) GCZonesConcurrent(workers int) error {
 			for zi := range work {
 				counts, esc, err := rt.collectZoneConcurrent(zi)
 				mu.Lock()
-				if esc {
-					escalated = true
-				}
+				escalate = escalate || esc
 				for i, c := range counts {
 					if i < len(totals) {
 						totals[i] += c
@@ -373,7 +317,10 @@ func (rt *Runtime) GCZonesConcurrent(workers int) error {
 	if firstErr != nil {
 		return firstErr
 	}
-	if rt.engine != nil && !escalated {
+	if escalate {
+		return rt.collectFullEscalated()
+	}
+	if rt.engine != nil {
 		if v := rt.engine.CheckInstanceTotals(totals); v != nil {
 			return &report.HaltError{Violation: v}
 		}

@@ -54,7 +54,7 @@ type Stats struct {
 	Collections      uint64 // all collections
 	FullCollections  uint64 // full-heap (major) collections
 	MinorCollections uint64
-	// ZoneCollections counts single-zone collections (CollectZone);
+	// ZoneCollections counts single-zone collections (BeginZone … FoldZone);
 	// ZoneRetires counts Zone.Retire bulk frees. Both stay zero on an
 	// unzoned runtime.
 	ZoneCollections uint64
@@ -81,12 +81,6 @@ type Stats struct {
 	// the engine when the runtime builds a stats snapshot; zero in Base
 	// mode.
 	SideTabChunkBytes uint64
-
-	// Parallel-trace totals; all zero when TraceWorkers <= 1.
-	ParallelTraces uint64   // collections whose mark phase ran parallel
-	TraceFallbacks uint64   // parallel traces that re-ran serially to report
-	WorkerScans    []uint64 // cumulative objects scanned, by worker index
-	WorkerSteals   []uint64 // cumulative successful steals, by worker index
 
 	// Incremental-mode totals; all zero when IncrementalBudget == 0.
 	IncrementalCycles uint64 // full cycles completed incrementally
@@ -152,9 +146,10 @@ func (s *Stats) timedSweep(extra time.Duration, f func() vmheap.SweepStats) vmhe
 	return sw
 }
 
-// addIncrementalWork attributes one incremental STW interval to the cycle
-// totals and the pause accounting.
-func (s *Stats) addIncrementalWork(d time.Duration) {
+// addFullWork attributes one stop-the-world interval of a full cycle — the
+// whole collection, or one incremental pause of it — to the cycle totals and
+// the pause accounting.
+func (s *Stats) addFullWork(d time.Duration) {
 	s.GCTime += d
 	s.FullGCTime += d
 	s.addPause(d)
@@ -169,26 +164,6 @@ func (s *Stats) addTrace(t trace.Stats) {
 	s.Trace.SharedHits += t.SharedHits
 	s.Trace.OwneesChecked += t.OwneesChecked
 	s.Trace.ForcedRefs += t.ForcedRefs
-}
-
-// addParallel folds one collection's parallel-trace counters into the
-// totals; a no-op for serial traces.
-func (s *Stats) addParallel(ps trace.ParallelStats) {
-	if ps.Workers == 0 {
-		return
-	}
-	s.ParallelTraces++
-	if ps.Fallback {
-		s.TraceFallbacks++
-	}
-	for len(s.WorkerScans) < ps.Workers {
-		s.WorkerScans = append(s.WorkerScans, 0)
-		s.WorkerSteals = append(s.WorkerSteals, 0)
-	}
-	for i, w := range ps.PerWorker {
-		s.WorkerScans[i] += w.Scans
-		s.WorkerSteals[i] += w.Steals
-	}
 }
 
 // Collector is the interface the runtime drives. Collect performs whatever
@@ -253,351 +228,57 @@ type Collector interface {
 	CycleMarked() uint64
 }
 
-// MarkSweep is the full-heap mark-sweep collector the paper evaluates.
+// MarkSweep is the full-heap mark-sweep collector the paper evaluates. Its
+// full collections are the embedded cycle with the heap's plain sweep; what it
+// adds is single-zone collection of a zone-sharded heap.
 type MarkSweep struct {
-	heap   *vmheap.Heap
-	tracer *trace.Tracer
-	engine *assertions.Engine // nil in Base mode
-	roots  roots.Source
-	reg    *classes.Registry
-	mode   Mode
-	stats  Stats
+	fullCycle
+	reg *classes.Registry
 
-	// TraceWorkers selects the mark phase: <= 1 runs the serial tracers
-	// (the paper's configuration, and the default); >= 2 runs the parallel
-	// work-stealing trace with that many workers. Collections that need an
-	// ownership pre-phase always trace serially — the owner/ownee scan
-	// order is part of the assertion semantics.
-	TraceWorkers int
-
-	// IncrementalBudget > 0 enables incremental full collections: marking
-	// proceeds in slices of that many objects interleaved with mutator
-	// work, behind a snapshot-at-beginning write barrier. 0 (the default)
-	// keeps the paper's stop-the-world collections. Mutually exclusive
-	// with TraceWorkers >= 2 (enforced by core.New).
-	IncrementalBudget int
-
-	// ConcurrentPacing hands cycle scheduling to core's background pacer:
-	// DidAllocate stops starting cycles or levying the allocation tax (the
-	// pacer triggers on heap growth and taxes via assists), and DidRefill
-	// becomes a no-op. Requires IncrementalBudget > 0.
-	ConcurrentPacing bool
-
-	inc incCycle
-
-	// prepareRoots, when non-nil, runs before every whole-heap root scan
-	// and completion sweep (see Collector.SetPrepareRoots).
-	prepareRoots func()
-
-	// Concurrent zone collection keeps one private tracer per zone so two
-	// zones can mark simultaneously. zmu guards only this lazily-built map
-	// (a leaf lock held for map access alone, never across a trace).
+	// Zone collection keeps one private tracer per zone so two zones can mark
+	// simultaneously. zmu guards only this lazily-built map (a leaf lock held
+	// for map access alone, never across a trace).
 	zmu         sync.Mutex
 	zoneTracers map[*vmheap.Heap]*trace.Tracer
-
-	// tele, when non-nil, receives cycle/pause events (the tracer and heap
-	// carry their own references for the phase spans).
-	tele *telemetry.Recorder
 }
 
 // NewMarkSweep creates the collector. engine must be nil exactly when mode
 // is Base.
 func NewMarkSweep(h *vmheap.Heap, reg *classes.Registry, src roots.Source, mode Mode, engine *assertions.Engine) *MarkSweep {
-	if (mode == Base) != (engine == nil) {
-		panic("gc: engine presence must match mode")
-	}
-	return &MarkSweep{
-		heap:   h,
-		tracer: trace.New(h, reg),
-		engine: engine,
-		roots:  src,
-		reg:    reg,
-		mode:   mode,
-	}
+	c := &MarkSweep{fullCycle: newFullCycle(h, trace.New(h, reg), src, mode, engine), reg: reg}
+	c.sweep = h.Sweep
+	return c
 }
 
 // Name implements Collector.
 func (c *MarkSweep) Name() string { return "MarkSweep" }
 
-// Stats implements Collector.
-func (c *MarkSweep) Stats() *Stats { return &c.stats }
-
-// SetTelemetry implements Collector.
-func (c *MarkSweep) SetTelemetry(rec *telemetry.Recorder) {
-	c.tele = rec
-	c.tracer.SetTelemetry(rec)
-}
-
 // WriteBarrier is a no-op for a non-generational collector.
 func (c *MarkSweep) WriteBarrier(vmheap.Ref) {}
-
-// incParts assembles the shared incremental driver over this collector.
-func (c *MarkSweep) incParts() incShared {
-	return incShared{
-		prepare:    c.prepareRoots,
-		heap:       c.heap,
-		tracer:     c.tracer,
-		engine:     c.engine,
-		roots:      c.roots,
-		mode:       c.mode,
-		stats:      &c.stats,
-		st:         &c.inc,
-		budget:     c.IncrementalBudget,
-		concurrent: c.ConcurrentPacing,
-		tele:       c.tele,
-		finishSweep: func(clear uint64) vmheap.SweepStats {
-			return c.heap.Sweep(vmheap.SweepOptions{ClearFlags: clear})
-		},
-	}
-}
-
-// SetPrepareRoots implements Collector.
-func (c *MarkSweep) SetPrepareRoots(fn func()) { c.prepareRoots = fn }
-
-// prep runs the prepareRoots hook if one is installed.
-func (c *MarkSweep) prep() {
-	if c.prepareRoots != nil {
-		c.prepareRoots()
-	}
-}
-
-// StartFull implements Collector: begin an incremental cycle, or run a
-// stop-the-world full collection when incremental mode is off.
-func (c *MarkSweep) StartFull() error {
-	if c.IncrementalBudget <= 0 {
-		return c.CollectFull()
-	}
-	p := c.incParts()
-	if err := p.takePending(); err != nil {
-		return err
-	}
-	p.start()
-	return nil
-}
-
-// StepFull implements Collector: one bounded mark slice.
-func (c *MarkSweep) StepFull() (bool, error) { return c.incParts().step() }
-
-// FinishFull implements Collector: complete any in-flight cycle.
-func (c *MarkSweep) FinishFull() error { return c.incParts().finish() }
-
-// IncrementalActive implements Collector.
-func (c *MarkSweep) IncrementalActive() bool { return c.inc.active }
-
-// SnapshotBarrier implements Collector: the snapshot-at-beginning barrier.
-func (c *MarkSweep) SnapshotBarrier(obj vmheap.Ref) {
-	if !c.inc.active {
-		return
-	}
-	c.incParts().snapshotBarrier(obj)
-}
-
-// DidAllocate implements Collector: incremental trigger, allocate-black,
-// and the allocation-tax slice.
-func (c *MarkSweep) DidAllocate(r vmheap.Ref) {
-	if c.IncrementalBudget <= 0 {
-		return
-	}
-	c.incParts().didAllocate(r)
-}
-
-// DidRefill implements Collector: the per-buffer-refill incremental
-// trigger check.
-func (c *MarkSweep) DidRefill() {
-	if c.IncrementalBudget <= 0 {
-		return
-	}
-	c.incParts().didRefill()
-}
-
-// StepMark implements Collector: one mark slice without cycle completion.
-func (c *MarkSweep) StepMark() bool { return c.incParts().stepMark() }
-
-// CycleMarked implements Collector.
-func (c *MarkSweep) CycleMarked() uint64 { return c.tracer.Stats().Visited }
 
 // Collect implements Collector: every MarkSweep collection is full-heap.
 func (c *MarkSweep) Collect() error { return c.CollectFull() }
 
-// markFull runs the mark phase of a full collection: parallel when the
-// collector asks for workers, serial otherwise. Ownership assertions force
-// the serial path — the owner/ownee pre-phase scan order is part of the
-// assertion semantics and does not parallelize.
-func markFull(t *trace.Tracer, eng *assertions.Engine, src roots.Source, mode Mode, workers int) {
-	if mode == Infrastructure {
-		eng.BeginCycle()
-		t.SetChecks(eng.Checks())
-		ph := eng.OwnershipPhase()
-		if ph == nil && workers > 1 {
-			t.TraceInfraParallel(src, workers)
-			return
-		}
-		if ph != nil {
-			t.RunOwnershipPhase(ph)
-		}
-		t.TraceInfra(src)
-		return
-	}
-	if workers > 1 {
-		t.TraceBaseParallel(src, workers)
-		return
-	}
-	t.TraceBase(src)
-}
-
-// CollectFull performs one full collection. An in-flight incremental cycle
-// is driven to completion instead — its snapshot is already taken, and
-// completing it is a full collection with all checks.
-func (c *MarkSweep) CollectFull() error {
-	if c.inc.active || c.inc.pending != nil {
-		return c.incParts().finish()
-	}
-	c.heap.AssertNoBuffers("full collection")
-	c.prep() // root scan and sweep share this pause; one gather covers both
-	c.tele.CycleBegin()
-	start := time.Now()
-	// A lazy sweep still pending from the previous cycle must finish before
-	// this trace: its unswept ranges carry stale mark bits and uninstalled
-	// free runs. The leftover reclamation is charged to this pause.
-	leftover := c.stats.timedPhase(c.heap.CompleteSweep)
-	c.tracer.Reset()
-
-	var sweepClear uint64
-	markFull(c.tracer, c.engine, c.roots, c.mode, c.TraceWorkers)
-	if c.mode == Infrastructure {
-		c.engine.CheckInstanceLimits()
-		c.engine.PreSweep(func(r vmheap.Ref) bool {
-			return c.heap.Flags(r, vmheap.FlagMark) != 0
-		})
-		sweepClear = c.engine.SweepFlags()
-	}
-
-	ts := c.tracer.Stats()
-	sweepOpts := vmheap.SweepOptions{ClearFlags: sweepClear}
-	if c.TraceWorkers <= 1 {
-		// A serial stop-the-world trace counted every mark, so a lazy sweep
-		// can skip its census walk entirely (vmheap.SweepOptions.MarkedKnown).
-		// The parallel trace's counts are exact too, but the serial gate keeps
-		// the walkless path's correctness argument local to one trace loop.
-		sweepOpts.MarkedKnown = true
-		sweepOpts.MarkedObjects = ts.Visited
-		sweepOpts.MarkedWords = ts.VisitedWords
-	}
-	sw := c.stats.timedSweep(leftover, func() vmheap.SweepStats {
-		return c.heap.Sweep(sweepOpts)
-	})
-
-	elapsed := time.Since(start)
-	c.tele.Pause(elapsed)
-	c.stats.Collections++
-	c.stats.FullCollections++
-	c.stats.GCTime += elapsed
-	c.stats.FullGCTime += elapsed
-	c.stats.addPause(elapsed)
-	c.stats.MarkedObjects += ts.Visited
-	c.stats.FreedObjects += sw.FreedObjects
-	c.stats.FreedWords += sw.FreedWords
-	c.stats.LastLiveWords = sw.LiveWords
-	c.stats.addTrace(ts)
-	c.stats.addParallel(c.tracer.ParallelStats())
-
-	if c.mode == Infrastructure {
-		if v := c.engine.Halted(); v != nil {
-			return &report.HaltError{Violation: v}
-		}
-	}
-	return nil
-}
-
-// CollectZone performs one collection of a single zone of a zone-sharded
-// heap. The zone's roots are the runtime root set (references into other
-// zones are inert to the zone-gated trace) plus the caller-supplied
-// remembered-set slots: absolute arena word addresses in OTHER zones known
-// to hold references into z. The trace treats each such slot exactly like a
-// root slot — it is path-tracked, null-forced for assert-dead Force
-// verdicts (onSlotNulled reports any slot the trace nulled so the caller
-// can drop its remembered-set entry), and counts as one encounter for the
-// unshared check, which is what makes per-zone verdicts match a whole-heap
-// collection's slot for slot.
-//
-// Only z is swept; other zones' allocation buffers stay live, which is the
-// zone isolation property (no cross-zone pause). The zone trace is always
-// serial, and always runs the infrastructure loop when an engine is present
-// (ownership assertions do not reach here: the runtime escalates to a full
-// collection while any ownership assertion is registered).
-//
-// CollectZone returns this zone's partial instance counts, drained from the
-// registry in trackedIDs order; the runtime sums them across a full zone
-// rotation and judges limits with Engine.CheckInstanceTotals, since a
-// single zone's count says nothing about the whole-heap total.
-func (c *MarkSweep) CollectZone(z *vmheap.Heap, slots []uint32, onSlotNulled func(uint32)) ([]int64, error) {
-	if c.inc.active || c.inc.pending != nil {
-		if err := c.incParts().finish(); err != nil {
-			return nil, err
-		}
-	}
-	c.tele.CycleBegin()
-	start := time.Now()
-	// Pending lazy sweeps must settle in this zone only; other zones keep
-	// their pending state (and their mutators keep allocating).
-	leftover := c.stats.timedPhase(z.ZoneCompleteSweep)
-	c.tracer.ResetZone(z)
-
-	if c.engine != nil {
-		c.engine.BeginCycle()
-		c.tracer.SetChecks(c.engine.Checks())
-	}
-	c.tracer.TraceInfraZone(c.roots, slots, onSlotNulled)
-	counts := c.reg.TakeCounts()
-
-	var sweepClear uint64
-	if c.engine != nil {
-		c.engine.PreSweep(func(r vmheap.Ref) bool {
-			return !z.Contains(r) || c.heap.Flags(r, vmheap.FlagMark) != 0
-		})
-		sweepClear = c.engine.SweepFlags()
-	}
-
-	ts := c.tracer.Stats()
-	// The zone trace is serial and zone-gated, so its visit counts are the
-	// zone's exact live census: the walkless lazy-sweep arm stays available.
-	sw := c.stats.timedSweep(leftover, func() vmheap.SweepStats {
-		return z.ZoneSweep(vmheap.SweepOptions{
-			ClearFlags:    sweepClear,
-			MarkedKnown:   true,
-			MarkedObjects: ts.Visited,
-			MarkedWords:   ts.VisitedWords,
-		})
-	})
-
-	elapsed := time.Since(start)
-	c.tele.Pause(elapsed)
-	c.stats.Collections++
-	c.stats.ZoneCollections++
-	c.stats.GCTime += elapsed
-	c.stats.addPause(elapsed)
-	c.stats.MarkedObjects += ts.Visited
-	c.stats.FreedObjects += sw.FreedObjects
-	c.stats.FreedWords += sw.FreedWords
-	c.stats.addTrace(ts)
-
-	if c.engine != nil {
-		if v := c.engine.Halted(); v != nil {
-			return counts, &report.HaltError{Violation: v}
-		}
-	}
-	return counts, nil
-}
-
 // ---------------------------------------------------------------------------
-// Concurrent zone collection (phased)
+// Zone collection
 //
-// The serialized CollectZone above runs whole collections back to back under
-// the runtime lock. The phased API below splits one zone collection into the
-// three pieces the runtime's per-zone locking needs so that several zones can
-// be collected simultaneously, overlapped with mutators in third zones:
+// One collection of a single zone of a zone-sharded heap. The zone's roots
+// are the runtime root set (references into other zones are inert to the
+// zone-gated trace) plus the zone's inbound remembered-set slots, which the
+// runtime resolves to their targets: each is a field of an object in ANOTHER
+// zone that points into z, and the trace treats it exactly like a root slot —
+// path-tracked, reported to the runtime for nulling on an assert-dead Force
+// verdict, and one encounter for the unshared check, which is what makes
+// per-zone verdicts match a whole-heap collection's slot for slot. Only z is
+// swept; other zones' allocation buffers stay live. Ownership assertions do
+// not reach here: the runtime escalates to a full collection while any is
+// registered.
 //
-//	zc := c.BeginZone(z)            // zone lock only
+// The collection comes in the three pieces the runtime's per-zone locking
+// needs so that several zones can be collected simultaneously, overlapped
+// with mutators in third zones:
+//
+//	zc := c.BeginZone(z)            // zone lock + runtime lock
 //	zc.Scan(targets, null)          // zone lock + runtime lock (the pause)
 //	out := zc.Finish()              // zone lock only — drain and sweep
 //	c.FoldZone(out)                 // runtime lock — fold stats
@@ -610,7 +291,7 @@ func (c *MarkSweep) CollectZone(z *vmheap.Heap, slots []uint32, onSlotNulled fun
 // zone a mutator could later hand over is already grey or protected by the
 // zone lock). FoldZone serializes the stats merge.
 
-// ZoneOutcome carries one concurrent zone collection's results from the
+// ZoneOutcome carries one zone collection's results from the
 // drain/sweep phase (zone lock only) to FoldZone (runtime lock).
 type ZoneOutcome struct {
 	Elapsed    time.Duration
@@ -626,7 +307,7 @@ type ZoneOutcome struct {
 	Halt *report.Violation
 }
 
-// ZoneCollection is one in-flight concurrent zone collection.
+// ZoneCollection is one in-flight zone collection.
 type ZoneCollection struct {
 	c        *MarkSweep
 	z        *vmheap.Heap
@@ -652,11 +333,11 @@ func (c *MarkSweep) zoneTracer(z *vmheap.Heap) *trace.Tracer {
 	return t
 }
 
-// BeginZone starts a concurrent collection of z. The caller holds z's zone
-// lock (not the runtime lock) and guarantees no incremental or pacer cycle is
-// active — the runtime's zone-collection ticket (see core) excludes them.
+// BeginZone starts a collection of z. The caller holds z's zone lock and
+// guarantees no incremental or pacer cycle is active — the runtime's
+// zone-collection ticket (see core) excludes them.
 func (c *MarkSweep) BeginZone(z *vmheap.Heap) *ZoneCollection {
-	if c.inc.active || c.inc.pending != nil {
+	if c.active || c.pending != nil {
 		panic("gc: BeginZone with an incremental cycle in flight")
 	}
 	c.tele.CycleBegin()
@@ -665,7 +346,7 @@ func (c *MarkSweep) BeginZone(z *vmheap.Heap) *ZoneCollection {
 	// reused; zone-local, so the zone lock suffices.
 	zc.leftover = c.stats.timedPhase(z.ZoneCompleteSweep)
 	zc.tracer = c.zoneTracer(z)
-	zc.tracer.ResetZoneConcurrent(z)
+	zc.tracer.ResetZone(z)
 	return zc
 }
 
@@ -725,7 +406,7 @@ func (zc *ZoneCollection) Finish() ZoneOutcome {
 	return out
 }
 
-// FoldZone merges one concurrent zone collection's outcome into the
+// FoldZone merges one zone collection's outcome into the
 // collector statistics. The caller holds the runtime lock. The Elapsed
 // interval is charged as a pause: it is a zone-local stoppage — that zone's
 // mutators stall for the duration — even though the world keeps running.

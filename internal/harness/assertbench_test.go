@@ -9,17 +9,6 @@ import (
 	"repro/internal/staleness"
 )
 
-// tableVariants names the two table implementations the staleness tracker
-// can run on: the dense epoch-stamped tables (the default) and the original
-// map[Ref] reference implementation (staleness.NewMapBacked).
-var tableVariants = []struct {
-	name string
-	maps bool
-}{
-	{"sidetab", false},
-	{"map", true},
-}
-
 // BenchmarkAssertTrace measures per-assertion-kind collection overhead on
 // the pseudojbb shape: trace words per second with the engine unarmed
 // versus armed with a persistent population of each assertion kind (make
@@ -145,44 +134,27 @@ func newStalenessWorld(b *testing.B) (*core.Runtime, []core.Ref) {
 }
 
 // BenchmarkStalenessTouch measures the profiler's per-access cost: one
-// Touch on a live-object working set, dense side table versus map.
+// Touch on a live-object working set.
 func BenchmarkStalenessTouch(b *testing.B) {
-	for _, tv := range tableVariants {
-		tv := tv
-		b.Run(tv.name, func(b *testing.B) {
-			_, refs := newStalenessWorld(b)
-			tr := staleness.New(3)
-			if tv.maps {
-				tr = staleness.NewMapBacked(3)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr.Touch(refs[i%len(refs)])
-			}
-		})
+	_, refs := newStalenessWorld(b)
+	tr := staleness.New(3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Touch(refs[i%len(refs)])
 	}
 }
 
 // BenchmarkStalenessAdvance measures the post-collection aging pause: one
-// Advance over the pseudojbb live set. The dense form reuses one scratch
-// table per call; the map form rebuilds a live map every time.
+// Advance over the pseudojbb live set.
 func BenchmarkStalenessAdvance(b *testing.B) {
-	for _, tv := range tableVariants {
-		tv := tv
-		b.Run(tv.name, func(b *testing.B) {
-			rt, refs := newStalenessWorld(b)
-			tr := staleness.New(3)
-			if tv.maps {
-				tr = staleness.NewMapBacked(3)
-			}
-			for _, r := range refs {
-				tr.Touch(r)
-			}
-			tr.Advance(rt)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr.Advance(rt)
-			}
-		})
+	rt, refs := newStalenessWorld(b)
+	tr := staleness.New(3)
+	for _, r := range refs {
+		tr.Touch(r)
+	}
+	tr.Advance(rt)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Advance(rt)
 	}
 }

@@ -19,10 +19,6 @@ type RunConfig struct {
 	// Trials is the number of independent repetitions (fresh runtime
 	// each); the paper uses twenty.
 	Trials int
-	// TraceWorkers is passed through to core.Config: 0 or 1 keeps the
-	// serial tracers the published figures use; >= 2 runs the parallel
-	// mark phase.
-	TraceWorkers int
 	// SweepWorkers and LazySweep are passed through to core.Config and
 	// select the sweep mode; the defaults keep the eager serial sweep the
 	// published figures use.
@@ -90,7 +86,6 @@ func runTrial(s Subject, rc RunConfig) trial {
 		HeapWords:    s.HeapWords,
 		Mode:         s.Mode,
 		Collector:    s.Collector,
-		TraceWorkers: rc.TraceWorkers,
 		SweepWorkers: rc.SweepWorkers,
 		LazySweep:    rc.LazySweep,
 		AllocBuffers: rc.AllocBufWords,

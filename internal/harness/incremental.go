@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"time"
@@ -16,6 +17,60 @@ import (
 // number the bounded slices are meant to shrink. The published figures stay
 // stop-the-world; this report is the observability surface for the
 // incremental mode.
+
+// TraceScalingConfig shapes the synthetic heap.
+type TraceScalingConfig struct {
+	HeapWords int
+	Nodes     int
+	Roots     int
+	Seed      int64
+}
+
+// DefaultTraceScaling is sized so a full collection takes long enough to
+// time stably but the whole report still finishes in seconds.
+var DefaultTraceScaling = TraceScalingConfig{
+	HeapWords: 1 << 21,
+	Nodes:     100_000,
+	Roots:     64,
+	Seed:      1,
+}
+
+// BuildScalingGraph fills rt with a pseudo-random graph: all nodes are held
+// by a rooted spine array (breadth for the root scan) and additionally
+// wired into random ternary tangles (depth and sharing for the mark loop).
+// It returns the spine array and the node class so callers can mutate the
+// graph mid-cycle.
+func BuildScalingGraph(rt *core.Runtime, cfg TraceScalingConfig) (core.Ref, *core.Class) {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	node := rt.DefineClass("SNode",
+		core.RefField("l"), core.RefField("r"), core.RefField("x"),
+		core.DataField("d"))
+	lOff := node.MustFieldIndex("l")
+	rOff := node.MustFieldIndex("r")
+	xOff := node.MustFieldIndex("x")
+
+	th := rt.MainThread()
+	spine := rt.AddGlobal("spine")
+	arr := th.NewRefArray(cfg.Nodes)
+	spine.Set(arr)
+	refs := make([]core.Ref, cfg.Nodes)
+	for i := range refs {
+		refs[i] = th.New(node)
+		rt.ArrSetRef(arr, i, refs[i])
+	}
+	for i, r := range refs {
+		rt.SetRef(r, lOff, refs[rng.Intn(cfg.Nodes)])
+		rt.SetRef(r, rOff, refs[rng.Intn(cfg.Nodes)])
+		if i%3 == 0 {
+			rt.SetRef(r, xOff, refs[rng.Intn(cfg.Nodes)])
+		}
+	}
+	// A few extra globals rooted mid-graph.
+	for g := 0; g < cfg.Roots; g++ {
+		rt.AddGlobal(fmt.Sprintf("r%d", g)).Set(refs[rng.Intn(cfg.Nodes)])
+	}
+	return arr, node
+}
 
 // PauseReportConfig shapes one pause measurement.
 type PauseReportConfig struct {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -12,11 +13,10 @@ import (
 // Parallel-rotation throughput report (gcbench -fig zones -zonegcworkers N,
 // make parzonebench): the same per-zone allocation churn run by one
 // mutator thread per zone while a driver performs whole-heap rotations on
-// a fixed cadence — serialized (GCZones, PR 7's arm) in the baseline, and
-// with 1, 2, ... N zones collected simultaneously (GCZonesConcurrent) in
-// the parallel arms. The cadence keeps reclamation volume per heap word
-// identical across arms (back-to-back rotation would instead measure
-// driver/mutator starvation). The figure is aggregate GC throughput:
+// a fixed cadence with 1, 2, ... N zones collected simultaneously
+// (GCZonesConcurrent; width 1 is GCZones). The cadence keeps reclamation
+// volume per heap word identical across arms (back-to-back rotation would
+// instead measure driver/mutator starvation). The figure is aggregate GC throughput:
 // marked words per second of driver wall time spent inside rotations,
 // which the concurrent claim protocol is meant to scale — while one
 // zone's mark/sweep runs, other workers mark and sweep theirs, and
@@ -52,8 +52,7 @@ type ParZoneConfig struct {
 	// DriverInterval paces the rotations, exactly as the pause-isolation
 	// report paces its collections.
 	DriverInterval time.Duration
-	// Workers lists the arms: 0 is the serialized GCZones rotation; w >= 1
-	// rotates with GCZonesConcurrent(w).
+	// Workers lists the arms: each rotates with GCZonesConcurrent(w).
 	Workers []int
 }
 
@@ -68,7 +67,7 @@ var DefaultParZoneReport = ParZoneConfig{
 	Locals:         8,
 	Seed:           1,
 	DriverInterval: 200 * time.Microsecond,
-	Workers:        []int{0, 1, 2, 4},
+	Workers:        []int{1, 2, 4},
 }
 
 // ParZoneRow is the measurement for one arm.
@@ -100,10 +99,7 @@ type ParZoneRow struct {
 func RunParZoneReport(cfg ParZoneConfig, progress func(string)) []ParZoneRow {
 	rows := make([]ParZoneRow, 0, len(cfg.Workers))
 	for _, w := range cfg.Workers {
-		name := "serialized"
-		if w > 0 {
-			name = fmt.Sprintf("conc-%d", w)
-		}
+		name := fmt.Sprintf("conc-%d", w)
 		if progress != nil {
 			progress(fmt.Sprintf("parallel zones, %s", name))
 		}
@@ -194,13 +190,7 @@ func runParZoneArm(cfg ParZoneConfig, name string, workers int) ParZoneRow {
 			return row
 		default:
 			t0 := time.Now()
-			var err error
-			if workers > 0 {
-				err = rt.GCZonesConcurrent(workers)
-			} else {
-				err = rt.GCZones()
-			}
-			if err != nil {
+			if err := rt.GCZonesConcurrent(workers); err != nil {
 				panic(err)
 			}
 			gcWall += time.Since(t0)
@@ -211,11 +201,11 @@ func runParZoneArm(cfg ParZoneConfig, name string, workers int) ParZoneRow {
 }
 
 // FormatParZoneReport renders the rows. Both throughput columns are
-// normalized to the first row (conventionally the serialized rotation).
+// normalized to the first row (conventionally width 1).
 func FormatParZoneReport(rows []ParZoneRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Parallel zone rotation: aggregate GC throughput vs rotation concurrency (driver rotates on a fixed cadence)\n")
-	fmt.Fprintf(&b, "(first row = serialized GCZones rotation; conc-N = GCZonesConcurrent with N zones in flight;\n")
+	fmt.Fprintf(&b, "(conc-N = GCZonesConcurrent with N zones in flight, conc-1 = GCZones; GOMAXPROCS %d;\n", runtime.GOMAXPROCS(0))
 	fmt.Fprintf(&b, " wall-Mw/s = marked words over driver-observed rotation wall; cpu-Mw/s = over collector-attributed GC time)\n")
 	fmt.Fprintf(&b, "%-11s %9s %8s %9s %9s %10s %10s %10s %10s %8s\n",
 		"arm", "ops/ms", "rel-mut", "rotations", "zonegcs",

@@ -173,6 +173,6 @@ func FormatSweepReport(cfg SweepReportConfig, rows []SweepRow) string {
 			r.Mode, r.Collections, ms(r.P50), ms(r.P95), p99, ms(r.Max),
 			shrink, ms(r.FullP99), ms(r.Deferred), r.DemandSegments, ms(r.GCTime))
 	}
-	fmt.Fprintf(&b, "\nColumns p50..max are the sweep phase of each collection pause; full-p99\nis the whole pause. lazy: defer-ms is reclamation moved out of the pauses\nand paid during mutator allocation; with a serial trace the pause keeps\nonly O(1) bookkeeping (the trace supplies exact live totals), otherwise a\nheader-only census. Leftover undemanded ranges charge the next pause.\n")
+	fmt.Fprintf(&b, "\nColumns p50..max are the sweep phase of each collection pause; full-p99\nis the whole pause. lazy: defer-ms is reclamation moved out of the pauses\nand paid during mutator allocation; after a stop-the-world trace the pause\nkeeps only O(1) bookkeeping (the trace supplies exact live totals), after an\nincremental one a header-only census. Leftover undemanded ranges charge the next pause.\n")
 	return b.String()
 }

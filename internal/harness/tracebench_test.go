@@ -9,15 +9,13 @@ import (
 
 // BenchmarkTraceThroughput measures aggregate marking throughput —
 // marked words per second of collection wall time — on the pseudojbb
-// shape under the three tracing regimes (make tracebench records it in
+// shape under the two tracing regimes (make tracebench records it in
 // results/trace_throughput.txt):
 //
 //   - serial: one whole-heap stop-the-world trace (the published mode);
-//   - parallel-N: the work-stealing parallel tracer, N mark workers on
-//     the same whole-heap collection;
-//   - zones-rotate / zones-conc-N: the heap sharded into four zones and
-//     collected by rotation — serialized (GCZones), or with N zone
-//     collections simultaneously in flight (GCZonesConcurrent).
+//   - zones-conc-N: the heap sharded into four zones and collected by
+//     rotation with N zone collections simultaneously in flight
+//     (GCZonesConcurrent; N = 1 is GCZones).
 //
 // The live graph is one pseudojbb company whose transaction churn is
 // spread across the zones in the sharded variants (the mutator thread is
@@ -28,41 +26,33 @@ import (
 // Mwords/s metric is the ROADMAP item 4 baseline: marked volume over
 // collection wall time.
 //
-// Single-core caveat: with GOMAXPROCS=1 the parallel and concurrent-zone
-// variants time-share one CPU, so Mwords/s records their coordination
-// overhead relative to serial, not scaling; the scaling curves need real
-// cores.
+// Single-core caveat: with GOMAXPROCS=1 the concurrent-zone variants
+// time-share one CPU, so Mwords/s records their coordination overhead
+// relative to serial, not scaling; the scaling curves need real cores.
 func BenchmarkTraceThroughput(b *testing.B) {
 	const zones = 4
 	variants := []struct {
-		name    string
-		workers int // TraceWorkers for the whole-heap variants
-		zoned   bool
-		conc    int // GCZonesConcurrent worker count; 0 = serialized GCZones
+		name string
+		conc int // GCZonesConcurrent worker count; 0 = unzoned, GC
 	}{
-		{name: "serial", workers: 1},
-		{name: "parallel-2", workers: 2},
-		{name: "parallel-4", workers: 4},
-		{name: "zones-rotate", workers: 1, zoned: true},
-		{name: "zones-conc-2", workers: 1, zoned: true, conc: 2},
-		{name: "zones-conc-4", workers: 1, zoned: true, conc: 4},
+		{name: "serial"},
+		{name: "zones-conc-1", conc: 1},
+		{name: "zones-conc-2", conc: 2},
+		{name: "zones-conc-4", conc: 4},
 	}
 	for _, v := range variants {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
-			cfg := core.Config{
-				HeapWords:    1 << 18,
-				Mode:         core.Infrastructure,
-				TraceWorkers: v.workers,
-			}
-			if v.zoned {
+			cfg := core.Config{HeapWords: 1 << 18, Mode: core.Infrastructure}
+			zoned := v.conc > 0
+			if zoned {
 				cfg.Zones = zones
 			}
 			rt := core.New(cfg)
 			bench := jbb.New(rt, jbb.Config{ClearLastOrder: true, ClearOldCompany: true})
 			th := rt.MainThread()
 			for i := 0; i < 40; i++ {
-				if v.zoned {
+				if zoned {
 					th.SetZone(rt.Zone(i % zones))
 				}
 				bench.RunTransactions(25)
@@ -75,12 +65,9 @@ func BenchmarkTraceThroughput(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var err error
-				switch {
-				case v.conc > 0:
+				if zoned {
 					err = rt.GCZonesConcurrent(v.conc)
-				case v.zoned:
-					err = rt.GCZones()
-				default:
+				} else {
 					err = rt.GC()
 				}
 				if err != nil {

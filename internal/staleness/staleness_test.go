@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -227,8 +228,65 @@ func TestAdvanceSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// tracker is what the differential drives: the Tracker, and the map model
+// it is checked against.
+type tracker interface {
+	Touch(core.Ref)
+	Advance(*core.Runtime)
+	Stale(*core.Runtime) []StaleObject
+	Tracked() int
+}
+
+// mapTracker is the reference model of the Tracker: last[r] is the epoch of
+// r's most recent access, or of its first sighting by Advance for an object
+// never touched.
+type mapTracker struct {
+	threshold, epoch uint64
+	last             map[core.Ref]uint64
+}
+
+func (m *mapTracker) Touch(r core.Ref) {
+	if r != core.Nil {
+		m.last[r] = m.epoch
+	}
+}
+
+func (m *mapTracker) Advance(rt *core.Runtime) {
+	m.epoch++
+	live := map[core.Ref]bool{}
+	rt.Objects(func(r core.Ref) { live[r] = true })
+	for r := range m.last {
+		if !live[r] {
+			delete(m.last, r)
+		}
+	}
+	for r := range live {
+		if _, ok := m.last[r]; !ok {
+			m.last[r] = m.epoch
+		}
+	}
+}
+
+func (m *mapTracker) Stale(rt *core.Runtime) []StaleObject {
+	var out []StaleObject
+	for r, last := range m.last {
+		if idle := m.epoch - last; idle >= m.threshold {
+			out = append(out, StaleObject{Ref: r, Class: rt.ClassOf(r).Name, IdleEpochs: idle})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].IdleEpochs != out[j].IdleEpochs {
+			return out[i].IdleEpochs > out[j].IdleEpochs
+		}
+		return out[i].Ref < out[j].Ref
+	})
+	return out
+}
+
+func (m *mapTracker) Tracked() int { return len(m.last) }
+
 // TestStalenessSideTabDifferential runs one deterministic access script
-// against two trackers — dense side tables and the map-backed reference —
+// against two trackers — dense side tables and the map model above —
 // over identically-driven runtimes across the four collector modes and
 // three seeds, and requires identical suspect lists (refs, classes, idle
 // epochs, order) and table sizes after every Advance.
@@ -273,10 +331,10 @@ type stalenessWorld struct {
 	entry *core.Class
 	arr   core.Ref
 	objs  []core.Ref
-	tr    *Tracker
+	tr    tracker
 }
 
-func newStalenessWorld(t *testing.T, cfg core.Config, tr *Tracker) *stalenessWorld {
+func newStalenessWorld(t *testing.T, cfg core.Config, tr tracker) *stalenessWorld {
 	t.Helper()
 	rt := core.New(cfg)
 	w := &stalenessWorld{rt: rt, th: rt.MainThread(), tr: tr}
@@ -288,7 +346,7 @@ func newStalenessWorld(t *testing.T, cfg core.Config, tr *Tracker) *stalenessWor
 
 func runStalenessDifferential(t *testing.T, cfg func() core.Config, seed int64) {
 	dense := newStalenessWorld(t, cfg(), New(2))
-	ref := newStalenessWorld(t, cfg(), NewMapBacked(2))
+	ref := newStalenessWorld(t, cfg(), &mapTracker{threshold: 2, last: map[core.Ref]uint64{}})
 	worlds := []*stalenessWorld{dense, ref}
 
 	rng := rand.New(rand.NewSource(seed))

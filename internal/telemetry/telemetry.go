@@ -42,10 +42,9 @@ import (
 type Phase uint8
 
 const (
-	// PhaseMark is a serial stop-the-world mark (Base or Infrastructure).
+	// PhaseMark is a stop-the-world mark (Base or Infrastructure), or the
+	// drain of a zone collection.
 	PhaseMark Phase = iota
-	// PhaseMarkParallel is a work-stealing parallel mark.
-	PhaseMarkParallel
 	// PhaseOwnership is the owner-first pre-phase of assert-ownedby.
 	PhaseOwnership
 	// PhaseMinorMark is a generational minor (nursery) trace.
@@ -72,7 +71,7 @@ const (
 
 // phaseNames are the wire and metric names; indexes match the constants.
 var phaseNames = [numPhases]string{
-	"mark", "mark_parallel", "ownership", "minor_mark",
+	"mark", "ownership", "minor_mark",
 	"sweep", "lazy_segment", "inc_roots", "inc_slice", "inc_barrier", "inc_finish",
 	"assist",
 }

@@ -1,13 +1,16 @@
 package trace_test
 
-// Differential testing of the parallel tracer: the same scripted random
-// mutation-and-assertion workload is run against two runtimes that differ
-// only in TraceWorkers, and every observable end state must match exactly —
-// the live set, the rebuilt free lists, the violation multiset, and the
-// trace counters. The script is generated up front from the seed so both
-// runtimes receive byte-identical operations; any divergence the parallel
-// trace introduces (an object missed, marked twice, counted twice, a check
-// lost in a race) then shows up as a concrete state difference.
+// Differential testing of the two routes to a full collection: the same
+// scripted random mutation-and-assertion workload is run against two runtimes
+// that differ only in how each forced collection is driven — one GC call, or
+// StartGC, GCStep until done, FinishGC under a small mark budget with no
+// mutator operation in between — and every observable end state must match
+// exactly: the live set, the rebuilt free lists, the violation multiset with
+// its paths, and the trace counters. The script is generated up front from
+// the seed so both runtimes receive byte-identical operations. Where
+// incdiff_test.go lets the mutator race the slices and so compares by script
+// identity, here nothing interleaves, and the stepped cycle must be the
+// stop-the-world one address for address.
 //
 // This lives in package trace_test and drives the full runtime stack (core
 // -> gc -> trace -> vmheap) rather than the tracer alone, so the comparison
@@ -25,13 +28,12 @@ import (
 )
 
 const (
-	diffHeapWords = 4096
+	diffHeapWords = 1 << 14 // large enough that the low-space trigger never starts a cycle
 	diffGlobals   = 8
 	diffLocals    = 8
 	diffSlots     = diffGlobals + diffLocals
 	diffOps       = 400
 	diffSeeds     = 20
-	diffWorkers   = 4
 )
 
 // diffOp is one scripted operation. All randomness is resolved when the
@@ -85,12 +87,14 @@ type diffWorld struct {
 	regionDepth int
 }
 
-func newDiffWorld(collector core.CollectorKind, workers int) *diffWorld {
+// newDiffWorld builds a runtime whose forced collections are stop-the-world
+// (budget 0) or stepped in slices of budget objects.
+func newDiffWorld(collector core.CollectorKind, budget int) *diffWorld {
 	rt := core.New(core.Config{
-		HeapWords:    diffHeapWords,
-		Collector:    collector,
-		Mode:         core.Infrastructure,
-		TraceWorkers: workers,
+		HeapWords:         diffHeapWords,
+		Collector:         collector,
+		Mode:              core.Infrastructure,
+		IncrementalBudget: budget,
 	})
 	w := &diffWorld{rt: rt, th: rt.MainThread()}
 	w.node = rt.DefineClass("Node",
@@ -178,9 +182,7 @@ func (w *diffWorld) apply(t *testing.T, op diffOp) {
 			w.regionDepth--
 		}
 	case opGC:
-		if err := w.rt.GC(); err != nil {
-			t.Fatalf("GC: %v", err)
-		}
+		w.fullGC(t)
 	case opCollect:
 		if err := w.rt.Collect(); err != nil {
 			t.Fatalf("Collect: %v", err)
@@ -194,10 +196,26 @@ func (w *diffWorld) apply(t *testing.T, op diffOp) {
 	}
 }
 
+// fullGC forces one full collection: a stop-the-world GC, or on a runtime
+// with a mark budget the same cycle started, stepped to the end and finished.
+func (w *diffWorld) fullGC(t *testing.T) {
+	if err := w.rt.StartGC(); err != nil {
+		t.Fatalf("StartGC: %v", err)
+	}
+	for done := false; !done; {
+		var err error
+		if done, err = w.rt.GCStep(); err != nil {
+			t.Fatalf("GCStep: %v", err)
+		}
+	}
+	if err := w.rt.FinishGC(); err != nil {
+		t.Fatalf("FinishGC: %v", err)
+	}
+}
+
 // renderViolations flattens violations into sortable strings for an
 // order-insensitive multiset comparison. Everything observable is included
-// — kind, cycle, object, class, counts and the full path — so the
-// comparison also pins down the fallback re-trace's path reporting.
+// — kind, cycle, object, class, counts and the full path.
 func renderViolations(vs []*report.Violation) []string {
 	out := make([]string, len(vs))
 	for i, v := range vs {
@@ -213,56 +231,50 @@ func renderViolations(vs []*report.Violation) []string {
 }
 
 // compareWorlds requires the two runtimes to be observably identical.
-func compareWorlds(t *testing.T, at string, serial, parallel *diffWorld) {
+func compareWorlds(t *testing.T, at string, stw, stepped *diffWorld) {
 	t.Helper()
-	if a, b := serial.rt.LiveSet(), parallel.rt.LiveSet(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("%s: live sets differ:\nserial:   %v\nparallel: %v", at, a, b)
+	if a, b := stw.rt.LiveSet(), stepped.rt.LiveSet(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: live sets differ:\nstw:     %v\nstepped: %v", at, a, b)
 	}
-	if a, b := serial.rt.FreeChunks(), parallel.rt.FreeChunks(); !reflect.DeepEqual(a, b) {
-		t.Fatalf("%s: free lists differ:\nserial:   %v\nparallel: %v", at, a, b)
+	if a, b := stw.rt.FreeChunks(), stepped.rt.FreeChunks(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: free lists differ:\nstw:     %v\nstepped: %v", at, a, b)
 	}
-	if a, b := renderViolations(serial.rt.Violations()), renderViolations(parallel.rt.Violations()); !reflect.DeepEqual(a, b) {
-		t.Fatalf("%s: violation multisets differ:\nserial:   %v\nparallel: %v", at, a, b)
+	if a, b := renderViolations(stw.rt.Violations()), renderViolations(stepped.rt.Violations()); !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: violation multisets differ:\nstw:     %v\nstepped: %v", at, a, b)
 	}
 }
 
 func runDifferential(t *testing.T, collector core.CollectorKind, seed int64) {
 	script := makeScript(seed)
-	serial := newDiffWorld(collector, 1)
-	parallel := newDiffWorld(collector, diffWorkers)
+	stw := newDiffWorld(collector, 0)
+	stepped := newDiffWorld(collector, incBudget)
 
 	for n, op := range script {
-		serial.apply(t, op)
-		parallel.apply(t, op)
+		stw.apply(t, op)
+		stepped.apply(t, op)
 		if op.code == opGC || op.code == opCollect {
-			compareWorlds(t, fmt.Sprintf("op %d (seed %d)", n, seed), serial, parallel)
+			compareWorlds(t, fmt.Sprintf("op %d (seed %d)", n, seed), stw, stepped)
 		}
 	}
-	if err := serial.rt.GC(); err != nil {
-		t.Fatalf("final GC (serial): %v", err)
-	}
-	if err := parallel.rt.GC(); err != nil {
-		t.Fatalf("final GC (parallel): %v", err)
-	}
-	compareWorlds(t, fmt.Sprintf("end (seed %d)", seed), serial, parallel)
+	stw.fullGC(t)
+	stepped.fullGC(t)
+	compareWorlds(t, fmt.Sprintf("end (seed %d)", seed), stw, stepped)
 
-	// The trace counters must agree too: the parallel tracer mirrors the
-	// serial loop's counting exactly (on fallback, because the serial
-	// re-trace recounts from scratch; on the clean path, because per-slot
-	// and per-visit accounting matches).
-	sg, pg := serial.rt.Stats().GC, parallel.rt.Stats().GC
+	// The trace counters must agree too: the stepped cycle processes exactly
+	// the edges the stop-the-world trace does.
+	sg, pg := stw.rt.Stats().GC, stepped.rt.Stats().GC
 	if sg.Trace != pg.Trace {
-		t.Fatalf("seed %d: trace counters differ:\nserial:   %+v\nparallel: %+v", seed, sg.Trace, pg.Trace)
+		t.Fatalf("seed %d: trace counters differ:\nstw:     %+v\nstepped: %+v", seed, sg.Trace, pg.Trace)
 	}
 	if sg.Collections != pg.Collections || sg.MarkedObjects != pg.MarkedObjects ||
 		sg.FreedObjects != pg.FreedObjects || sg.FreedWords != pg.FreedWords {
-		t.Fatalf("seed %d: collection totals differ:\nserial:   %+v\nparallel: %+v", seed, sg, pg)
+		t.Fatalf("seed %d: collection totals differ:\nstw:     %+v\nstepped: %+v", seed, sg, pg)
 	}
 
-	// Guard against a vacuous pass: the parallel runtime must actually have
-	// run parallel mark phases.
-	if pg.ParallelTraces == 0 {
-		t.Fatalf("seed %d: parallel runtime never ran a parallel trace", seed)
+	// Guard against a vacuous pass: every forced collection of the stepped
+	// runtime must have been an incremental cycle, and none of the other's.
+	if sg.IncrementalCycles != 0 || pg.IncrementalCycles == 0 || pg.MarkSlices == 0 {
+		t.Fatalf("seed %d: incremental cycles stw=%d stepped=%d (slices %d)", seed, sg.IncrementalCycles, pg.IncrementalCycles, pg.MarkSlices)
 	}
 }
 

@@ -81,7 +81,6 @@ type Tracer struct {
 
 	checks Checks
 	stats  Stats
-	pstats ParallelStats     // last parallel trace (zero when serial)
 	halt   *report.Violation // set when a handler requested Halt
 
 	// incScan is true while an incremental cycle is marking: scans set the
@@ -104,28 +103,26 @@ type Tracer struct {
 	// per whole rotation of zone collections, matching the whole-heap
 	// trace's per-cycle deduplication. zhi == 0 (the Reset state) disarms
 	// the gate.
-	zlo, zhi uint32
-
-	// concurrent is true for a zone trace that overlaps mutators and
-	// other zone collections (armed by ResetZoneConcurrent). Reference
-	// slots are then read — and Force-nulled — through the atomic heap
+	//
+	// A zone trace overlaps mutators and other zones' collections, so it
+	// reads — and Force-nulls — reference slots through the atomic heap
 	// accessors: an in-zone slot this trace scans can simultaneously be
 	// Force-nulled by another zone's trace (the slot is a remembered-set
-	// entry of that zone), and every mutator slot load is likewise
-	// atomic on zoned runtimes. Headers stay plain: the zone gate means
-	// only this trace touches this zone's headers.
-	concurrent bool
+	// entry of that zone), and every mutator slot load is likewise atomic
+	// on zoned runtimes. Headers stay plain: the zone gate means only this
+	// trace touches this zone's headers.
+	zlo, zhi uint32
 
-	// localCounts accumulates assert-instances tallies for a concurrent
-	// zone trace. Overlapping traces bumping the registry's shared
-	// per-class counters would corrupt both tallies, so each concurrent
-	// trace counts privately; the collector folds the map through
-	// Registry.FoldLocalCounts after the trace.
+	// localCounts accumulates assert-instances tallies for a zone trace.
+	// Overlapping traces bumping the registry's shared per-class counters
+	// would corrupt both tallies, so each zone trace counts privately; the
+	// runtime folds the map through Registry.FoldLocalCounts after the
+	// trace.
 	localCounts map[uint32]int64
 
 	// tele, when non-nil, receives a span per marking pass (mark,
-	// mark_parallel, ownership, minor_mark). Nil — the default — costs one
-	// branch per pass, nothing per object.
+	// ownership, minor_mark). Nil — the default — costs one branch per
+	// pass, nothing per object.
 	tele *telemetry.Recorder
 }
 
@@ -163,10 +160,10 @@ func (t *Tracer) countVisit(hd uint64) {
 }
 
 // countInstance records one live instance of a tracked class for
-// assert-instances. A concurrent zone trace tallies locally (see
-// localCounts); everything else feeds the registry's shared counters.
+// assert-instances. A zone trace tallies locally (see localCounts);
+// everything else feeds the registry's shared counters.
 func (t *Tracer) countInstance(class uint32) {
-	if t.concurrent {
+	if t.zoned() {
 		if t.localCounts == nil {
 			t.localCounts = make(map[uint32]int64)
 		}
@@ -228,21 +225,13 @@ func (t *Tracer) Stats() Stats { return t.stats }
 func (t *Tracer) Halted() *report.Violation { return t.halt }
 
 // Reset clears per-collection state (stats, halt request). Every
-// collection resets the tracer before marking, so this is also the
-// chokepoint asserting that no allocation buffer is outstanding: a trace
+// whole-heap collection resets the tracer before marking, so this is also
+// the chokepoint asserting that no allocation buffer is outstanding: a trace
 // over a heap with an active buffer would push refs whose eventual sweep
 // cannot parse the buffer's unwritten tail.
 func (t *Tracer) Reset() {
 	t.heap.AssertNoBuffersAll("trace")
-	t.stats = Stats{}
-	t.pstats = ParallelStats{}
-	t.halt = nil
-	t.stack = t.stack[:0]
-	t.incScan = false
-	t.barrierSrc = vmheap.Nil
-	t.zlo, t.zhi = 0, 0
-	t.concurrent = false
-	t.localCounts = nil
+	t.reset()
 }
 
 // ResetZone prepares the tracer for a zone-scoped collection: the same
@@ -251,35 +240,32 @@ func (t *Tracer) Reset() {
 // the collection), and the zone gate is armed over z's range.
 func (t *Tracer) ResetZone(z *vmheap.Heap) {
 	z.AssertNoBuffers("trace")
+	t.reset()
+	t.zlo, t.zhi = z.ZoneRange()
+}
+
+// reset clears the per-collection state and disarms the zone gate.
+func (t *Tracer) reset() {
 	t.stats = Stats{}
-	t.pstats = ParallelStats{}
 	t.halt = nil
 	t.stack = t.stack[:0]
 	t.incScan = false
 	t.barrierSrc = vmheap.Nil
-	t.zlo, t.zhi = z.ZoneRange()
-	t.concurrent = false
+	t.zlo, t.zhi = 0, 0
 	t.localCounts = nil
 }
 
-// ResetZoneConcurrent is ResetZone for a collection that will overlap
-// mutators and other zone collections: slot access turns atomic and
-// instance counting goes to the trace-local tally (see the concurrent and
-// localCounts fields).
-func (t *Tracer) ResetZoneConcurrent(z *vmheap.Heap) {
-	t.ResetZone(z)
-	t.concurrent = true
-}
-
-// LocalCounts returns the per-class live-instance tally of the last
-// concurrent zone trace (nil when nothing was tracked, or after a
-// non-concurrent reset).
+// LocalCounts returns the per-class live-instance tally of the last zone
+// trace (nil when nothing was tracked, or after a whole-heap Reset).
 func (t *Tracer) LocalCounts() map[uint32]int64 { return t.localCounts }
+
+// zoned reports whether this is a zone-scoped trace (the gate is armed).
+func (t *Tracer) zoned() bool { return t.zhi != 0 }
 
 // inZone reports whether the trace may dereference c: always true with the
 // gate disarmed, else only for refs inside the zone bounds.
 func (t *Tracer) inZone(c vmheap.Ref) bool {
-	return t.zhi == 0 || (uint32(c) >= t.zlo && uint32(c) < t.zhi)
+	return !t.zoned() || (uint32(c) >= t.zlo && uint32(c) < t.zhi)
 }
 
 // RequestHalt records a halt-requesting violation; the collector finishes
@@ -367,44 +353,7 @@ func (t *Tracer) TraceInfra(src roots.Source) {
 	t.drainInfra()
 }
 
-// TraceInfraZone is the zone-scoped Infrastructure trace: roots come from
-// src (the zone gate armed by ResetZone filters out-of-zone entries) plus
-// the zone's inbound cross-zone remembered-set slots, given as absolute
-// arena word indices. Each slot is a field of a live object in another
-// zone whose value points into this zone, so its target is treated exactly
-// like a root — including the Force action, which nulls the heap word
-// through the slot and reports it to onNull so the caller can drop the
-// remembered-set entry.
-func (t *Tracer) TraceInfraZone(src roots.Source, slots []uint32, onNull func(slot uint32)) {
-	teleStart := t.tele.Begin(telemetry.PhaseMark)
-	defer t.tele.End(telemetry.PhaseMark, teleStart)
-	t.stack = t.stack[:0]
-
-	src.EachRoot(t.visitRoot)
-	for _, w := range slots {
-		t.encounterSlot(w, onNull)
-	}
-
-	t.drainInfra()
-}
-
-// encounterSlot processes one remembered-set slot (an absolute arena word
-// index) as a root.
-func (t *Tracer) encounterSlot(w uint32, onNull func(uint32)) {
-	c := t.heap.SlotRef(w)
-	if c == vmheap.Nil {
-		return
-	}
-	if t.check(c) {
-		t.heap.SetSlotRef(w, vmheap.Nil)
-		if onNull != nil {
-			onNull(w)
-		}
-	}
-}
-
-// SlotTarget is one pre-resolved remembered-set slot for a concurrent zone
-// trace: the arena word index and the in-zone value it held when the
+// SlotTarget is one pre-resolved remembered-set slot for a zone trace: the arena word index and the in-zone value it held when the
 // collection's setup validated the remembered set. The value is resolved
 // at setup — under the remembered set's lock, while the slot's source
 // object is provably unfreed — rather than re-read at encounter time,
@@ -415,9 +364,10 @@ type SlotTarget struct {
 	Target vmheap.Ref
 }
 
-// ZoneRootScan, ZoneSlotScan and ZoneDrain split TraceInfraZone into the
-// phases of a concurrent zone collection. The caller runs ZoneRootScan
-// under the runtime lock (root slots belong to frames and globals that
+// ZoneRootScan, ZoneSlotScan and ZoneDrain are the phases of a zone
+// collection's Infrastructure trace; the zone gate armed by ResetZone filters
+// out-of-zone references throughout. The caller runs ZoneRootScan under the
+// runtime lock (root slots belong to frames and globals that
 // mutators update under it) and ZoneSlotScan with the pre-resolved
 // targets; both only seed the worklist and run the per-encounter checks on
 // the roots themselves. ZoneDrain then does the bulk of the marking with
@@ -428,7 +378,8 @@ func (t *Tracer) ZoneRootScan(src roots.Source) {
 }
 
 // ZoneSlotScan encounters each pre-resolved remembered-set target as a
-// root. A Force verdict calls null(slot) instead of writing the heap word
+// root: each is the value of a field of a live object in another zone that
+// points into this zone. A Force verdict calls null(slot) instead of writing the heap word
 // directly: only the remembered set's owner can tell whether the slot's
 // memory is still valid (its source object may have been freed by a
 // concurrent collection of another zone), so the null — and the matching
@@ -488,13 +439,13 @@ func (t *Tracer) scanObject(r vmheap.Ref) {
 	}
 }
 
-// encounterField processes the reference in field word off of obj. A
-// concurrent zone trace loads and Force-nulls the slot atomically: the
+// encounterField processes the reference in field word off of obj. A zone
+// trace loads and Force-nulls the slot atomically: the
 // slot may simultaneously be Force-nulled by another zone's trace holding
 // it as a remembered-set entry.
 func (t *Tracer) encounterField(obj vmheap.Ref, off uint32) {
 	var c vmheap.Ref
-	if t.concurrent {
+	if t.zoned() {
 		c = t.heap.RefAtAtomic(obj, off)
 	} else {
 		c = t.heap.RefAt(obj, off)
@@ -504,7 +455,7 @@ func (t *Tracer) encounterField(obj vmheap.Ref, off uint32) {
 		return
 	}
 	if t.check(c) {
-		if t.concurrent {
+		if t.zoned() {
 			t.heap.SetRefAtAtomic(obj, off, vmheap.Nil)
 		} else {
 			t.heap.SetRefAt(obj, off, vmheap.Nil)
@@ -515,7 +466,7 @@ func (t *Tracer) encounterField(obj vmheap.Ref, off uint32) {
 // encounterArraySlot processes array element i of obj.
 func (t *Tracer) encounterArraySlot(obj vmheap.Ref, i uint32) {
 	var c vmheap.Ref
-	if t.concurrent {
+	if t.zoned() {
 		c = vmheap.Ref(t.heap.ArrayWordAtomic(obj, i))
 	} else {
 		c = vmheap.Ref(t.heap.ArrayWord(obj, i))
@@ -525,7 +476,7 @@ func (t *Tracer) encounterArraySlot(obj vmheap.Ref, i uint32) {
 		return
 	}
 	if t.check(c) {
-		if t.concurrent {
+		if t.zoned() {
 			t.heap.SetArrayWordAtomic(obj, i, 0)
 		} else {
 			t.heap.SetArrayWord(obj, i, 0)

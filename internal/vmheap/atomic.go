@@ -2,39 +2,6 @@ package vmheap
 
 import "sync/atomic"
 
-// Atomic header access for the parallel tracer. During a parallel mark
-// phase, multiple workers race to claim objects by setting FlagMark with a
-// compare-and-swap on the header word; exactly one worker wins each object
-// and scans it. Every header read that can run concurrently with such a
-// claim must go through these atomic accessors — the rest of the object
-// (fields, array length and elements) is never written during a trace, so
-// plain reads remain safe there.
-
-// HeaderAtomic returns the header word of the object at r with an atomic
-// load, for use while a parallel trace may be claiming headers.
-func (h *Heap) HeaderAtomic(r Ref) uint64 {
-	return atomic.LoadUint64(&h.words[r])
-}
-
-// TryClaim atomically sets the given flag bits on the header of r. It
-// returns the header value observed before the claim and whether this call
-// transitioned the flag from clear to set. The false return is the CAS
-// loser path: some earlier claim (this trace's, or a pre-set bit) already
-// holds the flag — the parallel tracer uses it to detect re-encounters of
-// unshared-asserted objects.
-func (h *Heap) TryClaim(r Ref, flag uint64) (won bool, header uint64) {
-	addr := &h.words[r]
-	for {
-		old := atomic.LoadUint64(addr)
-		if old&flag == flag {
-			return false, old
-		}
-		if atomic.CompareAndSwapUint64(addr, old, old|flag) {
-			return true, old
-		}
-	}
-}
-
 // Atomic reference-slot access for concurrent zone collection. While zone
 // collections overlap with mutators in other zones, a slot word can be
 // read by one zone's tracer (an in-zone field scan), written by another
@@ -76,8 +43,8 @@ func (h *Heap) SetSlotRefAtomic(i uint32, v Ref) {
 	atomic.StoreUint64(&h.words[i], uint64(v))
 }
 
-// DecodeKind extracts the object kind from a header word previously read
-// with HeaderAtomic or TryClaim, so workers need not re-read the header.
+// DecodeKind extracts the object kind from a header word the caller already
+// loaded.
 func DecodeKind(header uint64) Kind { return headerKind(header) }
 
 // DecodeClassID extracts the class identifier from a header word.
