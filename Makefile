@@ -17,7 +17,7 @@ race:
 bench:
 	go test -bench . -benchmem ./...
 
-# Sweep-mode microbenchmarks: eager vs parallel vs lazy sweep, and the
+# Sweep-mode microbenchmarks: eager vs lazy sweep, and the
 # allocator with and without demand sweeping (see results/lazy_sweep.txt).
 # BenchmarkSweep* gets a fixed iteration count: it rebuilds its heap under
 # StopTimer every iteration, and at the default -benchtime go test kills the
@@ -86,7 +86,7 @@ slobench:
 
 # Differential tests under the race detector, in one run over internal/:
 # stop-the-world vs stepped and incremental cycles (plus the shadow-model
-# oracle), eager vs parallel vs lazy sweep modes under both collectors, direct
+# oracle), eager vs lazy sweep modes under both collectors, direct
 # vs buffered allocation across every collector mode, telemetry on vs off
 # (recording must be pure observation — byte-identical heaps), stop-the-world
 # vs background-pacer concurrent collection, whole-heap vs zone rotation and
@@ -97,7 +97,7 @@ difftest:
 	go test -race -run 'Differential|TestOracle|TestLazySweep|TestAllocBuffer|TestTelemetry|TestSoloContract' ./internal/...
 
 # Short coverage-guided fuzz runs: the stop-the-world/incremental
-# equivalence, the eager/parallel/lazy sweep equivalence, the direct/buffered
+# equivalence, the eager/lazy sweep equivalence, the direct/buffered
 # allocation equivalence, the stop-the-world/concurrent-pacer equivalence, the
 # zone remembered-set safety bound, and the side tables against their map
 # models (go test takes one -fuzz pattern per invocation, so the targets run

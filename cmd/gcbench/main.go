@@ -16,9 +16,9 @@
 // churn workload under the stop-the-world collector and under the
 // concurrent pacer at several trigger/slack settings, comparing
 // mutator-visible latency tails and throughput.
-// -sweepworkers N and -lazysweep select the sweep mode for the paper
-// figures (the published numbers use the default eager serial sweep); -fig
-// sweep instead measures every mode side by side and ignores both flags.
+// -lazysweep selects the lazy sweep for the paper figures (the published
+// numbers use the default eager sweep); -fig sweep instead measures both
+// modes side by side and rejects the flag.
 // -allocbuf N runs the paper figures with per-thread bump allocation
 // buffers of N words (the published numbers use the default direct
 // free-list allocation); -fig alloc instead measures the direct allocator
@@ -67,18 +67,17 @@ func figUsage() string { return "figure to regenerate: " + figList() }
 // options collects the flag values so validation is testable apart from
 // flag parsing and execution.
 type options struct {
-	fig          string
-	trials       int
-	measure      int
-	warmup       int
-	incremental  int
-	concurrent   bool
-	sweepWorkers int
-	lazySweep    bool
-	allocBuf     int
-	events       string
-	zones        int
-	zoneGCW      int
+	fig         string
+	trials      int
+	measure     int
+	warmup      int
+	incremental int
+	concurrent  bool
+	lazySweep   bool
+	allocBuf    int
+	events      string
+	zones       int
+	zoneGCW     int
 }
 
 // validate rejects option combinations that would otherwise fail deep
@@ -108,14 +107,8 @@ func validate(o options) error {
 	if o.concurrent && o.incremental > 0 {
 		return fmt.Errorf("-concurrent with -incremental %d: the pacer budgets its own mark slices against the allocation rate; the two modes cannot be combined", o.incremental)
 	}
-	if o.sweepWorkers < 0 {
-		return fmt.Errorf("-sweepworkers %d: cannot be negative", o.sweepWorkers)
-	}
-	if o.lazySweep && o.sweepWorkers >= 2 {
-		return fmt.Errorf("-lazysweep with -sweepworkers %d: deferred reclamation is strictly in address order; the two sweep modes cannot be combined", o.sweepWorkers)
-	}
-	if (o.lazySweep || o.sweepWorkers >= 2) && (o.fig == "sweep" || o.fig == "pause" || o.fig == "alloc" || o.fig == "zones") {
-		return fmt.Errorf("-sweepworkers/-lazysweep select a mode for the paper figures; -fig %s configures its own collector modes", o.fig)
+	if o.lazySweep && (o.fig == "sweep" || o.fig == "pause" || o.fig == "alloc" || o.fig == "zones") {
+		return fmt.Errorf("-lazysweep selects a mode for the paper figures; -fig %s configures its own collector modes", o.fig)
 	}
 	if o.allocBuf < 0 {
 		return fmt.Errorf("-allocbuf %d: cannot be negative", o.allocBuf)
@@ -157,7 +150,6 @@ func main() {
 	warmup := flag.Int("warmup", harness.DefaultRunConfig.Warmup, "warmup iterations per trial")
 	incremental := flag.Int("incremental", 0, "bounded mark budget for -fig pause (0 = stop-the-world)")
 	concurrent := flag.Bool("concurrent", false, "run -fig pause as the background-pacer report (stop-the-world vs concurrent trigger/slack settings)")
-	sweepWorkers := flag.Int("sweepworkers", 1, "sweep-phase workers for the paper figures (1 = eager serial, as published)")
 	lazySweep := flag.Bool("lazysweep", false, "defer reclamation to allocation time for the paper figures")
 	allocBuf := flag.Int("allocbuf", 0, "per-thread allocation buffer words for the paper figures (0 = direct free-list allocation, as published)")
 	events := flag.String("events", "", "write telemetry NDJSON events from the measured runtimes to this file (paper figures only)")
@@ -168,18 +160,17 @@ func main() {
 	flag.Parse()
 
 	opts := options{
-		fig:          *fig,
-		trials:       *trials,
-		measure:      *measure,
-		warmup:       *warmup,
-		incremental:  *incremental,
-		concurrent:   *concurrent,
-		sweepWorkers: *sweepWorkers,
-		lazySweep:    *lazySweep,
-		allocBuf:     *allocBuf,
-		events:       *events,
-		zones:        *zones,
-		zoneGCW:      *zoneGCW,
+		fig:         *fig,
+		trials:      *trials,
+		measure:     *measure,
+		warmup:      *warmup,
+		incremental: *incremental,
+		concurrent:  *concurrent,
+		lazySweep:   *lazySweep,
+		allocBuf:    *allocBuf,
+		events:      *events,
+		zones:       *zones,
+		zoneGCW:     *zoneGCW,
 	}
 	if err := validate(opts); err != nil {
 		fmt.Fprintf(os.Stderr, "gcbench: %v\n", err)
@@ -188,7 +179,7 @@ func main() {
 
 	rc := harness.RunConfig{
 		Warmup: *warmup, Measure: *measure, Trials: *trials,
-		SweepWorkers: *sweepWorkers, LazySweep: *lazySweep,
+		LazySweep:     *lazySweep,
 		AllocBufWords: *allocBuf,
 	}
 	if *events != "" {

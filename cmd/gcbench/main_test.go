@@ -9,12 +9,11 @@ import (
 
 func defaults() options {
 	return options{
-		fig:          "all",
-		trials:       harness.DefaultRunConfig.Trials,
-		measure:      harness.DefaultRunConfig.Measure,
-		warmup:       harness.DefaultRunConfig.Warmup,
-		sweepWorkers: 1,
-		zones:        4,
+		fig:     "all",
+		trials:  harness.DefaultRunConfig.Trials,
+		measure: harness.DefaultRunConfig.Measure,
+		warmup:  harness.DefaultRunConfig.Warmup,
+		zones:   4,
 	}
 }
 
@@ -57,7 +56,6 @@ func TestValidateAccepts(t *testing.T) {
 		func(o *options) { o.fig = "pause"; o.concurrent = true },
 		func(o *options) { o.warmup = 0 },
 		func(o *options) { o.fig = "sweep" },
-		func(o *options) { o.fig = "2"; o.sweepWorkers = 4 },
 		func(o *options) { o.fig = "3"; o.lazySweep = true },
 		func(o *options) { o.fig = "alloc" },
 		func(o *options) { o.fig = "2"; o.allocBuf = 1024 },
@@ -101,14 +99,10 @@ func TestValidateRejects(t *testing.T) {
 		// The pacer schedules its own slices; an explicit budget would fight
 		// it.
 		{func(o *options) { o.fig = "pause"; o.concurrent = true; o.incremental = 100 }, "cannot be combined"},
-		{func(o *options) { o.sweepWorkers = -1 }, "-sweepworkers"},
-		// Lazy sweeping reclaims strictly in address order; there is nothing
-		// for sweep workers to fan out over.
-		{func(o *options) { o.lazySweep = true; o.sweepWorkers = 4 }, "cannot be combined"},
 		// The side-by-side reports pick their own modes; a stray mode flag
 		// would otherwise be silently ignored.
 		{func(o *options) { o.fig = "sweep"; o.lazySweep = true }, "configures its own"},
-		{func(o *options) { o.fig = "pause"; o.sweepWorkers = 2 }, "configures its own"},
+		{func(o *options) { o.fig = "pause"; o.lazySweep = true }, "configures its own"},
 		{func(o *options) { o.allocBuf = -1 }, "-allocbuf"},
 		// Below vmheap.MinBufferWords would panic in core.New mid-run.
 		{func(o *options) { o.fig = "2"; o.allocBuf = 32 }, "below the minimum"},
@@ -136,7 +130,6 @@ func TestValidateRejects(t *testing.T) {
 		// The zone report builds its own runtimes and modes, like the other
 		// side-by-side reports.
 		{func(o *options) { o.fig = "zones"; o.lazySweep = true }, "configures its own"},
-		{func(o *options) { o.fig = "zones"; o.sweepWorkers = 2 }, "configures its own"},
 		{func(o *options) { o.fig = "zones"; o.allocBuf = 512 }, "configures its own"},
 		{func(o *options) { o.fig = "zones"; o.events = "ev.ndjson" }, "configures its own"},
 		{func(o *options) { o.fig = "zones"; o.zoneGCW = -1 }, "cannot be negative"},

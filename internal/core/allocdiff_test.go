@@ -233,7 +233,7 @@ func TestAllocBufferStatsFolding(t *testing.T) {
 // direct world) and never carves a buffer.
 func TestAllocBufferDisabledBehavior(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	implicit := buildSweepWorld(MarkSweep, 0, false) // no AllocBuffers field at all
+	implicit := buildSweepWorld(MarkSweep, false) // no AllocBuffers field at all
 	explicit := buildAllocWorld(MarkSweep, 0, false, 0)
 
 	for round := 0; round < 3; round++ {

@@ -2,8 +2,8 @@ package core
 
 import "repro/internal/vmheap"
 
-// Debug introspection used by the differential tests (serial vs parallel
-// collections must leave behind identical heaps) and available to tools.
+// Debug introspection used by the differential tests (two collector modes
+// must leave behind identical heaps) and available to tools.
 
 // LiveObject describes one allocated object in a LiveSet dump.
 type LiveObject struct {
@@ -48,8 +48,8 @@ func (rt *Runtime) FreeChunks() []vmheap.FreeChunk {
 }
 
 // SetDebugChecks toggles the heap's free-list integrity verification,
-// which then runs after every sweep pass (serial, parallel merge, lazy
-// completion) and panics on the first violation. Process-wide; the sweep
+// which then runs after every sweep pass (eager, lazy completion) and
+// panics on the first violation. Process-wide; the sweep
 // differential and fuzz tests enable it so every sweep self-checks. A
 // runtime created while it is on also checks the single-mutator contract
 // (Runtime.mutators) until NewThread runs.

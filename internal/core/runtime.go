@@ -129,25 +129,15 @@ type Config struct {
 	// mutator completes the cycle instead. 0 defaults to 0.5; must be
 	// positive. Requires ConcurrentGC.
 	GCAssistSlack float64
-	// SweepWorkers sets the sweep-phase worker count. 0 or 1 keeps the
-	// eager serial sweep (the paper's configuration; all published figures
-	// use it, and it is byte-identical to the pre-segmentation code);
-	// >= 2 sweeps the heap's parse ranges with that many goroutines,
-	// merged to the exact heap state the serial sweep produces.
-	SweepWorkers int
 	// LazySweep defers reclamation: a collection ends after the mark phase
 	// plus a header-only census, and each heap segment is actually swept —
 	// assertion-engine bookkeeping included — the first time the allocator
 	// needs a chunk from it, so the post-mark pause drops to near zero.
 	// Statistics, violations, and (once the deferred sweep completes) the
-	// heap itself are identical to the eager mode. Mutually exclusive with
-	// SweepWorkers >= 2 (deferred reclamation is strictly in address
-	// order; there is nothing to fan out).
+	// heap itself are identical to the eager sweep (the default, the
+	// paper's configuration; all published figures use it), which is the
+	// same walk run at once over the whole heap.
 	LazySweep bool
-	// RecordPauses appends every stop-the-world pause to gc.Stats.PauseLog
-	// so reports can compute per-pause percentiles (gcbench -fig sweep).
-	// Off by default: the published figures never allocate the log.
-	RecordPauses bool
 	// AllocBuffers > 0 enables the bump-pointer allocation fast path: each
 	// thread allocates from a private buffer of that many words carved off
 	// the free lists in one piece, and the per-allocation bookkeeping
@@ -445,12 +435,6 @@ func New(cfg Config) *Runtime {
 	if cfg.IncrementalBudget > 0 && cfg.Mode != Infrastructure {
 		panic("core: IncrementalBudget requires Infrastructure mode")
 	}
-	if cfg.SweepWorkers < 0 {
-		panic("core: SweepWorkers must not be negative")
-	}
-	if cfg.LazySweep && cfg.SweepWorkers >= 2 {
-		panic("core: LazySweep excludes SweepWorkers >= 2 (deferred reclamation is strictly in address order)")
-	}
 	if cfg.AllocBuffers < 0 {
 		panic("core: AllocBuffers must not be negative")
 	}
@@ -559,7 +543,7 @@ func New(cfg Config) *Runtime {
 		panic(fmt.Sprintf("core: unknown collector kind %d", cfg.Collector))
 	}
 	for _, p := range rt.heap.Peers() {
-		p.SetSweepMode(cfg.SweepWorkers, cfg.LazySweep)
+		p.SetLazySweep(cfg.LazySweep)
 		p.SetTelemetry(rt.tele)
 	}
 	rt.collector.SetTelemetry(rt.tele)
@@ -567,7 +551,6 @@ func New(cfg Config) *Runtime {
 	// taken during an incremental cycle are re-certified before its
 	// completion sweep (collectPins is a no-op until pins are active).
 	rt.collector.SetPrepareRoots(rt.collectPins)
-	rt.collector.Stats().RecordPauses = cfg.RecordPauses
 	rt.allocBufWords = uint32(cfg.AllocBuffers)
 	rt.incremental = cfg.IncrementalBudget > 0
 	rt.generational = cfg.Collector == Generational

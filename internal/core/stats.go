@@ -27,8 +27,8 @@ type Snapshot struct {
 	GC   gc.Stats
 	// Asserts is zero in Base mode.
 	Asserts assertions.Stats
-	// Sweep counts lazy/parallel sweep activity; all zero under the
-	// default eager serial sweep.
+	// Sweep counts lazy sweep activity over every zone; all zero under the
+	// default eager sweep.
 	Sweep vmheap.SweepModeStats
 	// Pacer counts concurrent-collection activity; all zero without
 	// Config.ConcurrentGC.

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// Differential tests for the sweep modes: the parallel and lazy sweeps must
-// be observationally identical to the eager serial sweep — same live sets,
+// Differential tests for the sweep modes: the lazy sweep must be
+// observationally identical to the eager sweep — same live sets,
 // same free lists, same violation multisets for all five assertion kinds —
 // under both collectors. Observation itself (LiveSet / FreeChunks) completes
 // a pending lazy sweep, so comparing after every collection also locks the
@@ -26,13 +26,12 @@ type sweepWorld struct {
 	regionDepth int
 }
 
-func buildSweepWorld(collector CollectorKind, workers int, lazy bool) *sweepWorld {
+func buildSweepWorld(collector CollectorKind, lazy bool) *sweepWorld {
 	return newSweepWorld(New(Config{
-		HeapWords:    1 << 13,
-		Mode:         Infrastructure,
-		Collector:    collector,
-		SweepWorkers: workers,
-		LazySweep:    lazy,
+		HeapWords: 1 << 13,
+		Mode:      Infrastructure,
+		Collector: collector,
+		LazySweep: lazy,
 	}))
 }
 
@@ -153,58 +152,45 @@ func TestSweepModesDifferential(t *testing.T) {
 	defer SetDebugChecks(false)
 
 	for _, collector := range []CollectorKind{MarkSweep, Generational} {
-		for _, cfg := range []struct {
-			name    string
-			workers int
-			lazy    bool
-		}{
-			{"parallel-3", 3, false},
-			{"lazy", 0, true},
-		} {
-			t.Run(fmt.Sprintf("%s/%s", collector, cfg.name), func(t *testing.T) {
-				for seed := int64(1); seed <= 3; seed++ {
-					rng := rand.New(rand.NewSource(seed))
-					eager := buildSweepWorld(collector, 0, false)
-					other := buildSweepWorld(collector, cfg.workers, cfg.lazy)
+		t.Run(fmt.Sprintf("%s/lazy", collector), func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				eager := buildSweepWorld(collector, false)
+				lazy := buildSweepWorld(collector, true)
 
-					for round := 0; round < 6; round++ {
-						for step := 0; step < 80; step++ {
-							code, i, k := byte(rng.Intn(9)), byte(rng.Intn(256)), byte(rng.Intn(256))
-							eager.apply(code, i, k)
-							other.apply(code, i, k)
-						}
-						if collector == Generational && round%2 == 1 {
-							// Policy-driven collection: a minor for the
-							// generational collector (Immature lazy sweep).
-							if err := eager.rt.Collect(); err != nil {
-								t.Fatalf("seed %d round %d: Collect (eager): %v", seed, round, err)
-							}
-							if err := other.rt.Collect(); err != nil {
-								t.Fatalf("seed %d round %d: Collect (%s): %v", seed, round, cfg.name, err)
-							}
-						}
-						if err := eager.rt.GC(); err != nil {
-							t.Fatalf("seed %d round %d: GC (eager): %v", seed, round, err)
-						}
-						if err := other.rt.GC(); err != nil {
-							t.Fatalf("seed %d round %d: GC (%s): %v", seed, round, cfg.name, err)
-						}
-						compareSweepWorlds(t, fmt.Sprintf("seed %d round %d", seed, round), eager, other)
+				for round := 0; round < 6; round++ {
+					for step := 0; step < 80; step++ {
+						code, i, k := byte(rng.Intn(9)), byte(rng.Intn(256)), byte(rng.Intn(256))
+						eager.apply(code, i, k)
+						lazy.apply(code, i, k)
 					}
-
-					if errs := other.rt.VerifyHeap(); len(errs) > 0 {
-						t.Fatalf("seed %d: %s heap corrupt: %v", seed, cfg.name, errs[0])
+					if collector == Generational && round%2 == 1 {
+						// Policy-driven collection: a minor for the
+						// generational collector (Immature lazy sweep).
+						if err := eager.rt.Collect(); err != nil {
+							t.Fatalf("seed %d round %d: Collect (eager): %v", seed, round, err)
+						}
+						if err := lazy.rt.Collect(); err != nil {
+							t.Fatalf("seed %d round %d: Collect (lazy): %v", seed, round, err)
+						}
 					}
-					st := other.rt.Stats()
-					if cfg.lazy && st.Sweep.LazySweeps == 0 {
-						t.Errorf("seed %d: no sweep actually ran lazy", seed)
+					if err := eager.rt.GC(); err != nil {
+						t.Fatalf("seed %d round %d: GC (eager): %v", seed, round, err)
 					}
-					if !cfg.lazy && st.Sweep.ParallelSweeps == 0 {
-						t.Errorf("seed %d: no sweep actually ran parallel", seed)
+					if err := lazy.rt.GC(); err != nil {
+						t.Fatalf("seed %d round %d: GC (lazy): %v", seed, round, err)
 					}
+					compareSweepWorlds(t, fmt.Sprintf("seed %d round %d", seed, round), eager, lazy)
 				}
-			})
-		}
+
+				if errs := lazy.rt.VerifyHeap(); len(errs) > 0 {
+					t.Fatalf("seed %d: lazy heap corrupt: %v", seed, errs[0])
+				}
+				if lazy.rt.Stats().Sweep.LazySweeps == 0 {
+					t.Errorf("seed %d: no sweep actually ran lazy", seed)
+				}
+			}
+		})
 	}
 }
 
@@ -217,8 +203,8 @@ func TestLazySweepUnobservedShape(t *testing.T) {
 	for _, collector := range []CollectorKind{MarkSweep, Generational} {
 		t.Run(collector.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
-			eager := buildSweepWorld(collector, 0, false)
-			lazy := buildSweepWorld(collector, 0, true)
+			eager := buildSweepWorld(collector, false)
+			lazy := buildSweepWorld(collector, true)
 
 			for round := 0; round < 8; round++ {
 				for step := 0; step < 80; step++ {

@@ -5,9 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzLazySweep drives one byte-coded mutator script against three runtimes
-// differing only in sweep mode — eager serial, parallel-3, lazy — and
-// requires identical observable state after every collection: live set, free
+// FuzzLazySweep drives one byte-coded mutator script against two runtimes
+// differing only in sweep mode — eager and lazy — and requires identical observable state after every collection: live set, free
 // lists, and violation multiset. The first byte selects the collector, so
 // the corpus explores both the mark-sweep and the generational (minor +
 // major, promotion-in-place) sweep paths. Comparing after each GC observes
@@ -32,10 +31,9 @@ func FuzzLazySweep(f *testing.F) {
 		if data[0]%2 == 1 {
 			collector = Generational
 		}
-		eager := buildSweepWorld(collector, 0, false)
-		parallel := buildSweepWorld(collector, 3, false)
-		lazy := buildSweepWorld(collector, 0, true)
-		worlds := []*sweepWorld{eager, parallel, lazy}
+		eager := buildSweepWorld(collector, false)
+		lazy := buildSweepWorld(collector, true)
+		worlds := []*sweepWorld{eager, lazy}
 
 		const maxOps = 300
 		ops := 0
@@ -53,8 +51,7 @@ func FuzzLazySweep(f *testing.F) {
 						t.Fatalf("op %d: GC: %v", ops, err)
 					}
 				}
-				compareSweepWorlds(t, "mid-script (parallel)", eager, parallel)
-				compareSweepWorlds(t, "mid-script (lazy)", eager, lazy)
+				compareSweepWorlds(t, "mid-script", eager, lazy)
 				continue
 			}
 			for _, w := range worlds {
@@ -67,8 +64,7 @@ func FuzzLazySweep(f *testing.F) {
 				t.Fatalf("final GC: %v", err)
 			}
 		}
-		compareSweepWorlds(t, "final (parallel)", eager, parallel)
-		compareSweepWorlds(t, "final (lazy)", eager, lazy)
+		compareSweepWorlds(t, "final", eager, lazy)
 		for _, w := range worlds {
 			if errs := w.rt.VerifyHeap(); len(errs) > 0 {
 				t.Fatalf("heap corrupt: %v", errs[0])

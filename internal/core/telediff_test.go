@@ -49,8 +49,6 @@ func buildTeleWorld(cfg Config, sink *bytes.Buffer) *sweepWorld {
 func stripTimes(s Snapshot) Snapshot {
 	s.GC.GCTime, s.GC.FullGCTime = 0, 0
 	s.GC.PauseTime, s.GC.MaxPause = 0, 0
-	s.GC.PauseLog, s.GC.SweepPauseLog = nil, nil
-	s.Sweep.DeferredSweepTime = 0
 	return s
 }
 
@@ -87,7 +85,7 @@ func TestTelemetryDifferential(t *testing.T) {
 		{"marksweep/lazy", Config{LazySweep: true}},
 		{"marksweep/buffered", Config{AllocBuffers: 256}},
 		{"generational", Config{Collector: Generational}},
-		{"generational/parsweep", Config{Collector: Generational, SweepWorkers: 2}},
+		{"generational/lazy", Config{Collector: Generational, LazySweep: true}},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {

@@ -51,7 +51,6 @@ func zoneDiffModes() []zoneMode {
 	}
 	return []zoneMode{
 		{"serial", base},
-		{"parsweep", func() Config { c := base(); c.SweepWorkers = 4; return c }},
 		{"lazysweep", func() Config { c := base(); c.LazySweep = true; return c }},
 		{"concurrent", func() Config {
 			c := base()

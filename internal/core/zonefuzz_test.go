@@ -150,12 +150,9 @@ func zoneRemsetScript(t *testing.T, data []byte) {
 			return report.Continue // retire survivors are expected, not errors
 		}),
 	}
-	switch data[0] % 3 {
-	case 1:
-		cfg.SweepWorkers = 2
-	case 2:
-		cfg.LazySweep = true
-	}
+	// One value in three, as when the third was the parallel sweep, so the
+	// committed corpus keeps running the mode it was found under.
+	cfg.LazySweep = data[0]%3 == 2
 	rt := New(cfg)
 	th := rt.MainThread()
 	node := rt.DefineClass("FZNode", RefField("a"), RefField("b"))

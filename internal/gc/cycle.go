@@ -171,7 +171,7 @@ func (c *fullCycle) CollectFull() error {
 	// A lazy sweep still pending from the previous cycle must finish before
 	// this trace: its unswept ranges carry stale mark bits and uninstalled
 	// free runs. The leftover reclamation is charged to this pause.
-	leftover := c.stats.timedPhase(c.heap.CompleteSweep)
+	c.heap.CompleteSweep()
 	t := c.tracer
 	t.Reset()
 	if c.mode == Infrastructure {
@@ -185,13 +185,11 @@ func (c *fullCycle) CollectFull() error {
 	// A stop-the-world trace counted every mark, so a lazy sweep can skip its
 	// census walk entirely (vmheap.SweepOptions.MarkedKnown).
 	ts := t.Stats()
-	sw := c.stats.timedSweep(leftover, func() vmheap.SweepStats {
-		return c.sweep(vmheap.SweepOptions{
-			ClearFlags:    clear,
-			MarkedKnown:   true,
-			MarkedObjects: ts.Visited,
-			MarkedWords:   ts.VisitedWords,
-		})
+	sw := c.sweep(vmheap.SweepOptions{
+		ClearFlags:    clear,
+		MarkedKnown:   true,
+		MarkedObjects: ts.Visited,
+		MarkedWords:   ts.VisitedWords,
 	})
 
 	elapsed := time.Since(start)
@@ -305,9 +303,7 @@ func (c *fullCycle) FinishFull() error {
 	c.prep()
 
 	clear := c.preSweep()
-	sw := c.stats.timedSweep(0, func() vmheap.SweepStats {
-		return c.sweep(vmheap.SweepOptions{ClearFlags: clear | vmheap.FlagScanned})
-	})
+	sw := c.sweep(vmheap.SweepOptions{ClearFlags: clear | vmheap.FlagScanned})
 	t.EndIncremental()
 	c.active = false
 

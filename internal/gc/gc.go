@@ -94,19 +94,10 @@ type Stats struct {
 	// and may raise MaxPause. All collector work happens inside pauses
 	// (incremental, not concurrent), so PauseTime always equals GCTime;
 	// the incremental win shows up in MaxPause, which is bounded by the
-	// largest single interval rather than the full cycle.
+	// largest single interval rather than the full cycle. Distributions per
+	// pause and per phase are telemetry's (Recorder.Pause, Recorder.End).
 	PauseTime time.Duration
 	MaxPause  time.Duration
-
-	// RecordPauses, when set before the first collection (core.Config
-	// plumbs it through), appends every pause to PauseLog and the sweep
-	// phase of every collection — the post-mark pause portion, which the
-	// lazy and parallel sweep modes exist to shrink — to SweepPauseLog, so
-	// reports can compute per-pause percentiles (gcbench -fig sweep). Off
-	// by default: the published figures never allocate the logs.
-	RecordPauses  bool
-	PauseLog      []time.Duration
-	SweepPauseLog []time.Duration
 }
 
 // addPause records one stop-the-world interval.
@@ -115,35 +106,6 @@ func (s *Stats) addPause(d time.Duration) {
 	if d > s.MaxPause {
 		s.MaxPause = d
 	}
-	if s.RecordPauses {
-		s.PauseLog = append(s.PauseLog, d)
-	}
-}
-
-// timedPhase measures f when pause recording is on (zero otherwise).
-func (s *Stats) timedPhase(f func()) time.Duration {
-	if !s.RecordPauses {
-		f()
-		return 0
-	}
-	t0 := time.Now()
-	f()
-	return time.Since(t0)
-}
-
-// timedSweep runs one sweep phase, logging its duration as this collection's
-// post-mark sweep pause when pause recording is on. extra is reclamation
-// already performed inside this pause and charged to it (a lazy sweep left
-// pending by the previous cycle completes at pause start), so the log never
-// flatters the lazy mode.
-func (s *Stats) timedSweep(extra time.Duration, f func() vmheap.SweepStats) vmheap.SweepStats {
-	if !s.RecordPauses {
-		return f()
-	}
-	t0 := time.Now()
-	sw := f()
-	s.SweepPauseLog = append(s.SweepPauseLog, extra+time.Since(t0))
-	return sw
 }
 
 // addFullWork attributes one stop-the-world interval of a full cycle — the
@@ -294,10 +256,9 @@ func (c *MarkSweep) Collect() error { return c.CollectFull() }
 // ZoneOutcome carries one zone collection's results from the
 // drain/sweep phase (zone lock only) to FoldZone (runtime lock).
 type ZoneOutcome struct {
-	Elapsed    time.Duration
-	SweepPause time.Duration // leftover lazy sweep + this sweep, for SweepPauseLog
-	Trace      trace.Stats
-	Sweep      vmheap.SweepStats
+	Elapsed time.Duration
+	Trace   trace.Stats
+	Sweep   vmheap.SweepStats
 	// Counts holds the tracer-local instance census for this zone, keyed by
 	// class ID (nil when nothing was counted). The runtime sums counts
 	// across a rotation and judges limits with Engine.CheckInstanceTotals.
@@ -309,12 +270,11 @@ type ZoneOutcome struct {
 
 // ZoneCollection is one in-flight zone collection.
 type ZoneCollection struct {
-	c        *MarkSweep
-	z        *vmheap.Heap
-	tracer   *trace.Tracer
-	cyc      *assertions.Cycle
-	start    time.Time
-	leftover time.Duration
+	c      *MarkSweep
+	z      *vmheap.Heap
+	tracer *trace.Tracer
+	cyc    *assertions.Cycle
+	start  time.Time
 }
 
 // zoneTracer returns the zone's private tracer, creating it on first use.
@@ -344,7 +304,7 @@ func (c *MarkSweep) BeginZone(z *vmheap.Heap) *ZoneCollection {
 	zc := &ZoneCollection{c: c, z: z, start: time.Now()}
 	// Pending lazy sweep must settle in this zone before its mark bits are
 	// reused; zone-local, so the zone lock suffices.
-	zc.leftover = c.stats.timedPhase(z.ZoneCompleteSweep)
+	z.ZoneCompleteSweep()
 	zc.tracer = c.zoneTracer(z)
 	zc.tracer.ResetZone(z)
 	return zc
@@ -384,23 +344,20 @@ func (zc *ZoneCollection) Finish() ZoneOutcome {
 	// Only this zone's tracer marks this zone's objects (other concurrent
 	// tracers are gated out), so its visit counts are the zone's exact live
 	// census and the walkless lazy-sweep arm stays available.
-	t0 := time.Now()
 	sw := zc.z.ZoneSweep(vmheap.SweepOptions{
 		ClearFlags:    sweepClear,
 		MarkedKnown:   true,
 		MarkedObjects: ts.Visited,
 		MarkedWords:   ts.VisitedWords,
 	})
-	sweepPause := zc.leftover + time.Since(t0)
 
 	elapsed := time.Since(zc.start)
 	c.tele.Pause(elapsed)
 	out := ZoneOutcome{
-		Elapsed:    elapsed,
-		SweepPause: sweepPause,
-		Trace:      ts,
-		Sweep:      sw,
-		Counts:     zc.tracer.LocalCounts(),
+		Elapsed: elapsed,
+		Trace:   ts,
+		Sweep:   sw,
+		Counts:  zc.tracer.LocalCounts(),
 	}
 	out.Halt = zc.cyc.Halted()
 	return out
@@ -415,9 +372,6 @@ func (c *MarkSweep) FoldZone(o ZoneOutcome) {
 	c.stats.ZoneCollections++
 	c.stats.GCTime += o.Elapsed
 	c.stats.addPause(o.Elapsed)
-	if c.stats.RecordPauses {
-		c.stats.SweepPauseLog = append(c.stats.SweepPauseLog, o.SweepPause)
-	}
 	c.stats.MarkedObjects += o.Trace.Visited
 	c.stats.FreedObjects += o.Sweep.FreedObjects
 	c.stats.FreedWords += o.Sweep.FreedWords

@@ -121,7 +121,7 @@ func (c *Generational) collectMinor() error {
 	c.tele.CycleBegin()
 	start := time.Now()
 	// Finish any lazily pending sweep before tracing (stale mark bits).
-	leftover := c.stats.timedPhase(c.heap.CompleteSweep)
+	c.heap.CompleteSweep()
 	c.tracer.Reset()
 	c.tracer.TraceMinor(c.roots, c.remembered)
 
@@ -134,11 +134,9 @@ func (c *Generational) collectMinor() error {
 	}
 
 	c.dropRememberedSet()
-	sw := c.stats.timedSweep(leftover, func() vmheap.SweepStats {
-		return c.heap.Sweep(vmheap.SweepOptions{
-			Immature: true,
-			SetFlags: vmheap.FlagMature, // promote survivors in place
-		})
+	sw := c.heap.Sweep(vmheap.SweepOptions{
+		Immature: true,
+		SetFlags: vmheap.FlagMature, // promote survivors in place
 	})
 
 	elapsed := time.Since(start)

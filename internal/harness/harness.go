@@ -19,11 +19,9 @@ type RunConfig struct {
 	// Trials is the number of independent repetitions (fresh runtime
 	// each); the paper uses twenty.
 	Trials int
-	// SweepWorkers and LazySweep are passed through to core.Config and
-	// select the sweep mode; the defaults keep the eager serial sweep the
-	// published figures use.
-	SweepWorkers int
-	LazySweep    bool
+	// LazySweep is passed through to core.Config; the default keeps the
+	// eager sweep the published figures use.
+	LazySweep bool
 	// AllocBufWords is passed through to core.Config.AllocBuffers: 0
 	// keeps the direct free-list allocation the published figures use;
 	// > 0 enables per-thread bump allocation buffers of that many words.
@@ -86,7 +84,6 @@ func runTrial(s Subject, rc RunConfig) trial {
 		HeapWords:    s.HeapWords,
 		Mode:         s.Mode,
 		Collector:    s.Collector,
-		SweepWorkers: rc.SweepWorkers,
 		LazySweep:    rc.LazySweep,
 		AllocBuffers: rc.AllocBufWords,
 	}

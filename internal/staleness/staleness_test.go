@@ -298,9 +298,6 @@ func TestStalenessSideTabDifferential(t *testing.T) {
 		{"serial", func() core.Config {
 			return core.Config{HeapWords: 1 << 14, Mode: core.Infrastructure}
 		}},
-		{"parsweep", func() core.Config {
-			return core.Config{HeapWords: 1 << 14, Mode: core.Infrastructure, SweepWorkers: 4}
-		}},
 		{"lazysweep", func() core.Config {
 			return core.Config{HeapWords: 1 << 14, Mode: core.Infrastructure, LazySweep: true}
 		}},

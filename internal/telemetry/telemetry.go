@@ -49,7 +49,7 @@ const (
 	PhaseOwnership
 	// PhaseMinorMark is a generational minor (nursery) trace.
 	PhaseMinorMark
-	// PhaseSweep is one sweep pass (eager, parallel, or the lazy census).
+	// PhaseSweep is one sweep pass (eager, or the lazy census/arm).
 	PhaseSweep
 	// PhaseLazySegment is one deferred segment sweep performed on
 	// allocation demand under the lazy sweep mode.

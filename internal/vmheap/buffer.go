@@ -197,8 +197,15 @@ func (h *Heap) ActiveBuffers() int { return h.activeBuffers }
 
 // BufferStats returns the number of buffers ever carved and the number of
 // allocations retired through buffers (excluding any still batched in an
-// active buffer). Both stay zero when the fast path is never used.
-func (h *Heap) BufferStats() (carves, allocs uint64) { return h.bufCarves, h.bufAllocs }
+// active buffer), summed over every zone. Both stay zero when the fast path
+// is never used.
+func (h *Heap) BufferStats() (carves, allocs uint64) {
+	for _, p := range h.peers {
+		carves += p.bufCarves
+		allocs += p.bufAllocs
+	}
+	return carves, allocs
+}
 
 // AssertNoBuffers panics if any allocation buffer is outstanding. Sweeps,
 // heap walks, and the collectors call it at entry: a buffer's unwritten

@@ -3,7 +3,8 @@ package vmheap
 import "fmt"
 
 // DebugChecks enables free-list integrity verification after every sweep
-// pass (serial, parallel merge, and lazy completion). Off by default — the
+// pass (eager, and lazy completion), and has a completed lazy sweep check the
+// totals it reclaimed against the ones it reported. Off by default — the
 // check walks every free list, which would distort the pause measurements
 // the sweep modes exist to improve. Tests flip it through the runtime's
 // debug toggle (core.SetDebugChecks); it is a plain bool because the heap
@@ -54,7 +55,11 @@ func (h *Heap) CheckFreeLists() []error {
 				errs = append(errs, fmt.Errorf("vmheap: %s: chunk %d of %d words overruns the zone", binName, r, size))
 				return
 			}
-			if got := binIndex(size); got != bin {
+			got := binFor(size)
+			if got < 0 {
+				got = numExactBins
+			}
+			if got != bin {
 				errs = append(errs, fmt.Errorf("vmheap: %s: chunk %d of %d words belongs in bin %d", binName, r, size, got))
 			}
 		}

@@ -42,7 +42,7 @@ func (h *Heap) FreeChunkCount() int {
 // FreeChunks returns every free-list chunk in the EachFreeChunk order. Two
 // heaps that went through identical allocation and collection histories
 // return identical slices, which the differential tests use to compare
-// serial, parallel, and (completed) lazy collections. A pending lazy sweep
+// eager and (completed) lazy collections. A pending lazy sweep
 // is completed first so the observation is exact.
 func (h *Heap) FreeChunks() []FreeChunk {
 	h.ensureSwept()

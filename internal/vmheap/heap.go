@@ -78,16 +78,15 @@ type Heap struct {
 	// Sweep segmentation (segment.go). segBounds is the parse-range table
 	// recorded by the last sweep: segBounds[i] is the first chunk header at
 	// or above the nominal base i*segWords, and the final entry is the
-	// arena end. segScratch double-buffers the rebuild. sweepWorkers and
-	// lazySweep select the mode (SetSweepMode); lazy holds the deferred
-	// state of a pending lazy sweep.
-	segWords     uint32
-	segBounds    []Ref
-	segScratch   []Ref
-	sweepWorkers int
-	lazySweep    bool
-	lazy         lazyState
-	sweepStats   SweepModeStats
+	// arena end. segScratch double-buffers the rebuild. lazySweep selects
+	// the mode (SetLazySweep); lazy holds the deferred state of a pending
+	// lazy sweep.
+	segWords   uint32
+	segBounds  []Ref
+	segScratch []Ref
+	lazySweep  bool
+	lazy       lazyState
+	sweepStats SweepModeStats
 
 	// tele, when non-nil, receives sweep-phase spans, deferred-segment
 	// spans, and buffer carve/retire events (core wires it from
@@ -288,7 +287,7 @@ func (h *Heap) IsObject(r Ref) bool {
 	}
 	z := h.ZoneOf(r)
 	if z.lazy.pending && r >= z.segBounds[z.lazy.next] {
-		return z.pendingLive(z.words[r])
+		return z.lazy.walk.opts.keeps(z.words[r])
 	}
 	return true
 }

@@ -7,27 +7,19 @@ package vmheap
 // the heap has actually been in. Between sweeps chunk boundaries only
 // subdivide — Alloc splits chunks, never merges them — so a recorded
 // boundary stays a valid header until the next sweep coalesces across it.
-// That invariant is what lets later sweeps start parsing mid-heap:
+// That invariant is what lets the lazy sweep start parsing mid-heap: the
+// collection-time pause shrinks to a census (a header-only walk that
+// computes exact sweep statistics and a fresh table) and the real
+// reclamation happens one range at a time, on demand, when the allocator
+// runs out of swept chunks.
 //
-//   - parallel sweep: workers claim whole ranges from the previous sweep's
-//     table and parse them independently; boundary-crossing free runs are
-//     stitched by a serial merge.
-//   - lazy sweep: the collection-time pause shrinks to a census (a
-//     header-only walk that computes exact sweep statistics and a fresh
-//     table) and the real reclamation happens one range at a time, on
-//     demand, when the allocator runs out of swept chunks.
-//
-// Lazy ranges are swept in strictly ascending address order with the open
-// free run carried across range boundaries, so a completed lazy sweep
-// coalesces — and installs free chunks — exactly like the eager serial
-// sweep. The parallel merge reconstructs the same property from per-range
-// pieces; see sweepParallel.
+// Lazy ranges are swept in strictly ascending address order by the eager
+// sweep's own walk (Heap.reclaim), its open free run carried across range
+// boundaries, so a completed lazy sweep coalesces — and installs free
+// chunks — exactly like the eager sweep.
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -53,51 +45,34 @@ func segmentWordsFor(capWords int) uint32 {
 	return align2(uint32(seg))
 }
 
-// segState is one entry of the lazy sweep's per-segment state machine.
-type segState uint8
-
-const (
-	segUnswept segState = iota
-	segSwept
-)
-
 // lazyState is the deferred portion of a lazy sweep between the census and
 // the final on-demand range sweep.
 type lazyState struct {
 	pending bool
-	opts    SweepOptions
 	// next indexes the first unswept parse range; everything below it has
 	// been reclaimed. Ranges are swept strictly in ascending order.
 	next int
-	// runStart/runLen carry the open free run across range boundaries so
-	// deferred sweeping coalesces exactly like the eager linear walk.
-	runStart uint32
-	runLen   uint32
-	state    []segState
-	// rec re-records the parse-range table as ranges are reclaimed: the
-	// census table holds pre-sweep boundaries, which go stale wherever the
-	// deferred pass merges a free run across them.
-	rec boundsRec
+	// walk is the reclamation walk suspended at segBounds[next]. Its
+	// recorder re-records the parse-range table as ranges are reclaimed:
+	// the census table holds pre-sweep boundaries, which go stale wherever
+	// the deferred pass merges a free run across them.
+	walk sweepWalk
+	// reported is what the census (or the walkless arm) told the collector;
+	// under DebugChecks the completed walk's own totals must equal it.
+	reported SweepStats
 }
 
-// SweepModeStats counts activity specific to the non-default sweep modes.
-// All fields stay zero under the eager serial default.
+// SweepModeStats counts lazy-sweep activity. All fields stay zero under the
+// eager default.
 type SweepModeStats struct {
-	// ParallelSweeps counts sweep passes that fanned out to workers (a
-	// parallel-mode sweep over a single-range table degenerates to the
-	// serial walk and is not counted).
-	ParallelSweeps uint64
 	// LazySweeps counts sweep passes deferred by lazy mode (census only).
 	LazySweeps uint64
 	// DemandSegments counts parse ranges swept on demand by the allocator;
 	// CompletionSegments counts ranges swept by CompleteSweep (forced
-	// before a new trace or by heap introspection).
+	// before a new trace or by heap introspection). Their durations are
+	// telemetry's PhaseLazySegment spans.
 	DemandSegments     uint64
 	CompletionSegments uint64
-	// DeferredSweepTime is the total wall time spent in deferred range
-	// sweeps — reclamation work that the eager sweep would have done
-	// inside the collection pause.
-	DeferredSweepTime time.Duration
 }
 
 // initSegments sizes the parse-range table for a fresh zone: one range
@@ -115,31 +90,31 @@ func (h *Heap) initSegments() {
 	for i := 1; i <= n; i++ {
 		h.segBounds[i] = end
 	}
-	h.lazy.state = make([]segState, n)
 }
 
 // numSegments returns the number of parse ranges in the table.
 func (h *Heap) numSegments() int { return len(h.segBounds) - 1 }
 
-// SetSweepMode selects the reclamation strategy for subsequent sweeps:
-// workers >= 2 sweeps parse ranges in parallel; lazy defers reclamation to
-// segment-at-a-time on-demand sweeps. The two are mutually exclusive (a
-// deferred sweep reclaims strictly in address order; there is nothing to
-// fan out). The default (workers <= 1, lazy false) is the eager serial
-// sweep the published figures use.
-func (h *Heap) SetSweepMode(workers int, lazy bool) {
-	if workers >= 2 && lazy {
-		panic("vmheap: lazy sweep excludes parallel sweep workers")
-	}
+// SetLazySweep selects whether subsequent sweeps of this zone defer
+// reclamation to range-at-a-time on-demand sweeps. The default, off, is the
+// eager sweep the published figures use.
+func (h *Heap) SetLazySweep(on bool) {
 	if h.lazy.pending {
-		panic("vmheap: SetSweepMode during a pending lazy sweep")
+		panic("vmheap: SetLazySweep during a pending lazy sweep")
 	}
-	h.sweepWorkers = workers
-	h.lazySweep = lazy
+	h.lazySweep = on
 }
 
-// SweepModeStats returns the lazy/parallel sweep counters.
-func (h *Heap) SweepModeStats() SweepModeStats { return h.sweepStats }
+// SweepModeStats returns the lazy sweep counters, summed over every zone.
+func (h *Heap) SweepModeStats() SweepModeStats {
+	var s SweepModeStats
+	for _, p := range h.peers {
+		s.LazySweeps += p.sweepStats.LazySweeps
+		s.DemandSegments += p.sweepStats.DemandSegments
+		s.CompletionSegments += p.sweepStats.CompletionSegments
+	}
+	return s
+}
 
 // SweepPending reports whether a lazy sweep has unswept ranges outstanding
 // in any zone of the arena.
@@ -192,23 +167,14 @@ func (h *Heap) ensureSwept() {
 // reachable only through it would be wrongly reclaimed by the next minor
 // collection.
 func (h *Heap) PendingPromotion(r Ref) bool {
-	if !h.lazy.pending || h.lazy.opts.SetFlags&FlagMature == 0 || r == Nil {
+	if !h.lazy.pending || h.lazy.walk.opts.SetFlags&FlagMature == 0 || r == Nil {
 		return false
 	}
 	if r < h.segBounds[h.lazy.next] {
 		return false // already swept; the header speaks for itself
 	}
 	hd := h.words[r]
-	if hd&FlagFree != 0 {
-		return false
-	}
-	return hd&FlagMark != 0 || (h.lazy.opts.Immature && hd&FlagMature != 0)
-}
-
-// pendingLive reports whether the pending sweep will keep the chunk whose
-// header is hd. Valid only while a lazy sweep is pending.
-func (h *Heap) pendingLive(hd uint64) bool {
-	return hd&FlagMark != 0 || (h.lazy.opts.Immature && hd&FlagMature != 0)
+	return hd&FlagFree == 0 && h.lazy.walk.opts.keeps(hd)
 }
 
 // --- parse-range boundary recording ------------------------------------
@@ -219,15 +185,14 @@ func (h *Heap) pendingLive(hd uint64) bool {
 // zone's start and is zero for an unzoned heap). Entries the walk never
 // reaches stay unassigned for the caller to fill.
 type boundsRec struct {
-	out  []Ref
+	out  []Ref // the table being recorded; its last entry is the zone end
 	segW uint32
 	base uint32 // zone anchor: lo - heapBase (0 when unzoned)
 	next int    // next range index to assign
-	lim  int    // first range index not owned by this recorder
 }
 
 func (b *boundsRec) note(addr uint32) {
-	for b.next < b.lim && b.base+uint32(b.next)*b.segW <= addr {
+	for b.next < len(b.out)-1 && b.base+uint32(b.next)*b.segW <= addr {
 		b.out[b.next] = Ref(addr)
 		b.next++
 	}
@@ -235,7 +200,7 @@ func (b *boundsRec) note(addr uint32) {
 
 // beginBounds starts a full-zone recording into the scratch table.
 func (h *Heap) beginBounds() boundsRec {
-	return boundsRec{out: h.segScratch, segW: h.segWords, base: h.lo - heapBase, lim: h.numSegments()}
+	return boundsRec{out: h.segScratch, segW: h.segWords, base: h.lo - heapBase}
 }
 
 // finishBounds completes a full-zone recording — ranges past the last noted
@@ -276,7 +241,7 @@ func (h *Heap) sweepCensus(opts SweepOptions) SweepStats {
 				st.FreeChunks++
 				inRun = true
 			}
-		case hd&FlagMark != 0 || (opts.Immature && hd&FlagMature != 0):
+		case opts.keeps(hd):
 			st.LiveObjects++
 			st.LiveWords += uint64(size)
 			inRun = false
@@ -291,23 +256,22 @@ func (h *Heap) sweepCensus(opts SweepOptions) SweepStats {
 		addr += size
 	}
 	h.finishBounds(&rec)
+	return h.armLazy(opts, st)
+}
 
+// armLazy is the tail the census and the walkless arm share: the free lists
+// empty, the accounting takes the reported verdict, and the deferred walk is
+// armed at the zone's first range. The walk records the post-sweep boundaries
+// into the scratch buffer; the published table keeps describing the pre-sweep
+// parse until every range is reclaimed.
+func (h *Heap) armLazy(opts SweepOptions, st SweepStats) SweepStats {
 	h.resetFreeLists()
-	h.liveObjs = st.LiveObjects
-	h.liveWords = st.LiveWords
-	h.freeWords = h.capLocal() - st.LiveWords
-
-	h.lazy.pending = true
-	h.lazy.opts = opts
-	h.lazy.next = 0
-	h.lazy.runStart, h.lazy.runLen = 0, 0
-	for i := range h.lazy.state {
-		h.lazy.state[i] = segUnswept
+	h.settle(st)
+	h.lazy = lazyState{
+		pending:  true,
+		walk:     sweepWalk{opts: opts, rec: h.beginBounds()},
+		reported: st,
 	}
-	// The deferred pass records the post-sweep boundaries into the (now
-	// free) other buffer; the table just published above keeps describing
-	// the pre-sweep parse until every range is reclaimed.
-	h.lazy.rec = h.beginBounds()
 	h.sweepStats.LazySweeps++
 	return st
 }
@@ -327,424 +291,53 @@ func (h *Heap) sweepArm(opts SweepOptions) SweepStats {
 		panic(fmt.Sprintf("vmheap: marked totals exceed heap accounting (%d/%d objects, %d/%d words)",
 			opts.MarkedObjects, h.liveObjs, opts.MarkedWords, h.liveWords))
 	}
-	st := SweepStats{
+	return h.armLazy(opts, SweepStats{
 		LiveObjects:  opts.MarkedObjects,
 		LiveWords:    opts.MarkedWords,
 		FreedObjects: h.liveObjs - opts.MarkedObjects,
 		FreedWords:   h.liveWords - opts.MarkedWords,
-	}
-
-	h.resetFreeLists()
-	h.liveObjs = st.LiveObjects
-	h.liveWords = st.LiveWords
-	h.freeWords = h.capLocal() - st.LiveWords
-
-	h.lazy.pending = true
-	h.lazy.opts = opts
-	h.lazy.next = 0
-	h.lazy.runStart, h.lazy.runLen = 0, 0
-	for i := range h.lazy.state {
-		h.lazy.state[i] = segUnswept
-	}
-	h.lazy.rec = h.beginBounds()
-	h.sweepStats.LazySweeps++
-	return st
+	})
 }
 
 // sweepSegment reclaims the next unswept parse range of a pending lazy
-// sweep: hooks run, survivor headers are rewritten, and free chunks are
-// installed exactly as the eager sweep would have, because ranges are swept
-// in ascending order with the open free run carried across boundaries.
+// sweep: the eager sweep's walk, resumed where the previous range left it.
 // It reports false when no sweep is pending.
 func (h *Heap) sweepSegment(demand bool) bool {
 	if !h.lazy.pending {
 		return false
 	}
-	t0 := time.Now()
+	start := h.tele.Begin(telemetry.PhaseLazySegment)
 	k := h.lazy.next
-	start := uint32(h.segBounds[k])
-	end := uint32(h.segBounds[k+1])
-	opts := h.lazy.opts
-	runStart, runLen := h.lazy.runStart, h.lazy.runLen
-
-	flush := func() {
-		if runLen == 0 {
-			return
-		}
-		h.lazy.rec.note(runStart)
-		h.installChunk(Ref(runStart), runLen)
-		runStart, runLen = 0, 0
-	}
-
-	addr := start
-	for addr < end {
-		hd := h.words[addr]
-		size := headerSize(hd)
-		if size == 0 || addr+size > end {
-			panic(fmt.Sprintf("vmheap: corrupt header at %d during deferred sweep: %#x", addr, hd))
-		}
-		switch {
-		case hd&FlagFree != 0:
-			if runLen == 0 {
-				runStart = addr
-			}
-			runLen += size
-
-		case hd&FlagMark != 0 || (opts.Immature && hd&FlagMature != 0):
-			if opts.OnLive != nil {
-				opts.OnLive(Ref(addr), hd)
-			}
-			h.words[addr] = (hd &^ (FlagMark | opts.ClearFlags)) | opts.SetFlags
-			flush()
-			h.lazy.rec.note(addr)
-
-		default:
-			if opts.OnFree != nil {
-				opts.OnFree(Ref(addr), hd)
-			}
-			if runLen == 0 {
-				runStart = addr
-			}
-			runLen += size
-		}
-		addr += size
-	}
-
-	h.lazy.runStart, h.lazy.runLen = runStart, runLen
-	h.lazy.state[k] = segSwept
+	h.reclaim(&h.lazy.walk, uint32(h.segBounds[k]), uint32(h.segBounds[k+1]))
 	h.lazy.next = k + 1
 	if h.lazy.next >= h.numSegments() {
 		// Last range: close the carried run, publish the post-sweep
 		// boundary table, and retire the state machine.
-		if runLen != 0 {
-			h.lazy.rec.note(runStart)
-			h.installChunk(Ref(runStart), runLen)
+		h.finishReclaim(&h.lazy.walk)
+		if DebugChecks {
+			h.checkLazyTotals()
 		}
-		h.lazy.pending = false
-		h.lazy.opts = SweepOptions{}
-		h.lazy.runStart, h.lazy.runLen = 0, 0
-		h.finishBounds(&h.lazy.rec)
-		h.lazy.rec = boundsRec{}
-		h.debugCheck()
+		h.lazy = lazyState{}
 	}
 	if demand {
 		h.sweepStats.DemandSegments++
 	} else {
 		h.sweepStats.CompletionSegments++
 	}
-	elapsed := time.Since(t0)
-	h.sweepStats.DeferredSweepTime += elapsed
-	h.tele.Span(telemetry.PhaseLazySegment, elapsed)
+	h.tele.End(telemetry.PhaseLazySegment, start)
 	return true
 }
 
-// --- parallel sweep ------------------------------------------------------
-
-// freeRun is a maximal run of free words.
-type freeRun struct {
-	start uint32
-	words uint32
-}
-
-// hookEvent is a deferred OnFree/OnLive call recorded by a worker; the
-// merge replays events in ascending address order, matching the serial
-// sweep's call order exactly.
-type hookEvent struct {
-	ref  Ref
-	hd   uint64
-	live bool
-}
-
-// rangeResult is one worker's output for one parse range. Free runs that
-// touch the range boundary are not installed by the worker — they may
-// coalesce with a neighbor — and are stitched by the serial merge.
-type rangeResult struct {
-	// Per-bin local lists of interior chunks (index numExactBins = large
-	// list). Installed in ascending address order via push-front, so each
-	// list is descending by address, like the serial sweep's bins.
-	binHead [numExactBins + 1]Ref
-	binTail [numExactBins + 1]Ref
-	chunks  uint64 // interior chunks installed locally
-
-	live, liveWords   uint64
-	freed, freedWords uint64
-
-	head     freeRun // run starting exactly at the range start (len 0 = none)
-	tail     freeRun // run ending exactly at the range end (disjoint from head)
-	fullFree bool    // head covers the entire range
-	events   []hookEvent
-}
-
-// binIndex maps a chunk size to its bin, with the large list at index
-// numExactBins.
-func binIndex(size uint32) int {
-	if b := binFor(size); b >= 0 {
-		return b
+// checkLazyTotals panics unless the completed deferred walk counted what
+// the collection-time half reported to the collector. The walkless arm
+// reports no FreeChunks (sweepArm), so that figure is held to the census
+// only.
+func (h *Heap) checkLazyTotals() {
+	got, want := h.lazy.walk.st, h.lazy.reported
+	if h.lazy.walk.opts.walkless() {
+		got.FreeChunks = want.FreeChunks
 	}
-	return numExactBins
-}
-
-// sweepRange parses [start,end) — both are chunk boundaries from the
-// previous sweep's table — rewriting survivor headers and collecting free
-// chunks into res. Writes stay inside the range, so ranges can be swept
-// concurrently.
-func (h *Heap) sweepRange(res *rangeResult, start, end uint32, opts SweepOptions, rec *boundsRec) {
-	wantEvents := opts.OnFree != nil || opts.OnLive != nil
-	runStart, runLen := uint32(0), uint32(0)
-
-	flush := func() {
-		if runLen == 0 {
-			return
-		}
-		if runStart == start {
-			res.head = freeRun{runStart, runLen}
-		} else {
-			rec.note(runStart)
-			h.words[runStart] = makeHeader(KindScalar, 0, runLen) | FlagFree
-			b := binIndex(runLen)
-			h.words[runStart+freeNextSlot] = uint64(res.binHead[b])
-			res.binHead[b] = Ref(runStart)
-			if res.binTail[b] == Nil {
-				res.binTail[b] = Ref(runStart)
-			}
-			res.chunks++
-		}
-		runStart, runLen = 0, 0
+	if got != want {
+		panic(fmt.Sprintf("vmheap: lazy sweep reclaimed %+v after reporting %+v", got, want))
 	}
-
-	addr := start
-	for addr < end {
-		hd := h.words[addr]
-		size := headerSize(hd)
-		if size == 0 || addr+size > end {
-			panic(fmt.Sprintf("vmheap: corrupt header at %d during parallel sweep: %#x", addr, hd))
-		}
-		switch {
-		case hd&FlagFree != 0:
-			if runLen == 0 {
-				runStart = addr
-			}
-			runLen += size
-
-		case hd&FlagMark != 0 || (opts.Immature && hd&FlagMature != 0):
-			if wantEvents && opts.OnLive != nil {
-				res.events = append(res.events, hookEvent{Ref(addr), hd, true})
-			}
-			h.words[addr] = (hd &^ (FlagMark | opts.ClearFlags)) | opts.SetFlags
-			res.live++
-			res.liveWords += uint64(size)
-			flush()
-			rec.note(addr)
-
-		default:
-			if wantEvents && opts.OnFree != nil {
-				res.events = append(res.events, hookEvent{Ref(addr), hd, false})
-			}
-			if runLen == 0 {
-				runStart = addr
-			}
-			runLen += size
-			res.freed++
-			res.freedWords += uint64(size)
-		}
-		addr += size
-	}
-	if runLen != 0 {
-		if runStart == start {
-			res.head = freeRun{runStart, runLen}
-			res.fullFree = true
-		} else {
-			res.tail = freeRun{runStart, runLen}
-		}
-	}
-}
-
-// workerBoundsRec scopes a recorder to the range [start,end): it may assign
-// exactly the table entries whose nominal base falls inside the range.
-func (h *Heap) workerBoundsRec(start, end uint32) boundsRec {
-	segW := h.segWords
-	base := h.lo - heapBase
-	first := int((start - base + segW - 1) / segW)
-	lim := int((end - base + segW - 1) / segW)
-	return boundsRec{out: h.segScratch, segW: segW, base: base, next: first, lim: lim}
-}
-
-// sweepParallel fans the sweep out over the parse ranges recorded by the
-// previous sweep and merges the per-range results into the very heap state
-// the serial sweep would have produced: identical headers, identical free
-// lists (same bins, same order, same next links), identical statistics, and
-// hooks replayed in the serial call order. The differential tests rely on
-// this byte-for-byte equivalence. The first sweep after New has a
-// single-range table and degenerates to the serial walk.
-func (h *Heap) sweepParallel(opts SweepOptions) SweepStats {
-	type span struct{ start, end uint32 }
-	spans := make([]span, 0, h.numSegments())
-	for i := 0; i < h.numSegments(); i++ {
-		if h.segBounds[i] < h.segBounds[i+1] {
-			spans = append(spans, span{uint32(h.segBounds[i]), uint32(h.segBounds[i+1])})
-		}
-	}
-	nw := h.sweepWorkers
-	if nw > len(spans) {
-		nw = len(spans)
-	}
-	if nw <= 1 {
-		return h.sweepSerial(opts)
-	}
-	h.sweepStats.ParallelSweeps++
-	h.resetFreeLists()
-	for i := range h.segScratch {
-		h.segScratch[i] = 0
-	}
-
-	results := make([]rangeResult, len(spans))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(spans) {
-					return
-				}
-				rec := h.workerBoundsRec(spans[i].start, spans[i].end)
-				h.sweepRange(&results[i], spans[i].start, spans[i].end, opts, &rec)
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Replay deferred hooks in ascending address order — ranges ascend and
-	// each worker recorded its events in walk order, so this is exactly the
-	// serial sweep's call sequence.
-	if opts.OnFree != nil || opts.OnLive != nil {
-		for i := range results {
-			for _, ev := range results[i].events {
-				if ev.live {
-					if opts.OnLive != nil {
-						opts.OnLive(ev.ref, ev.hd)
-					}
-				} else if opts.OnFree != nil {
-					opts.OnFree(ev.ref, ev.hd)
-				}
-			}
-		}
-	}
-
-	// Stitch boundary-touching free runs across ranges (ascending). A tail
-	// run always ends exactly at the next range's start, so adjacency is
-	// implied by the open run being non-empty.
-	var st SweepStats
-	runs := make([]freeRun, 0, len(spans))
-	var open freeRun
-	for i := range results {
-		res := &results[i]
-		st.LiveObjects += res.live
-		st.LiveWords += res.liveWords
-		st.FreedObjects += res.freed
-		st.FreedWords += res.freedWords
-		st.FreeChunks += res.chunks
-		if res.fullFree {
-			if open.words != 0 {
-				open.words += res.head.words
-			} else {
-				open = res.head
-			}
-			continue
-		}
-		if res.head.words != 0 {
-			if open.words != 0 {
-				open.words += res.head.words
-				runs = append(runs, open)
-				open = freeRun{}
-			} else {
-				runs = append(runs, res.head)
-			}
-		} else if open.words != 0 {
-			runs = append(runs, open)
-			open = freeRun{}
-		}
-		if res.tail.words != 0 {
-			open = res.tail
-		}
-	}
-	if open.words != 0 {
-		runs = append(runs, open)
-	}
-	st.FreeChunks += uint64(len(runs))
-
-	// Rebuild the global free lists by appending chunks in descending
-	// address order: the serial sweep's ascending push-front produces
-	// descending lists, so appending descending yields identical lists —
-	// same heads, same next links, same Nil terminator on the lowest chunk.
-	var accHead, accTail [numExactBins + 1]Ref
-	appendChunk := func(addr Ref, size uint32) {
-		b := binIndex(size)
-		h.words[uint32(addr)+freeNextSlot] = uint64(Nil)
-		if accTail[b] == Nil {
-			accHead[b] = addr
-		} else {
-			h.words[uint32(accTail[b])+freeNextSlot] = uint64(addr)
-		}
-		accTail[b] = addr
-	}
-	ri := len(runs) - 1
-	for i := len(results) - 1; i >= 0; i-- {
-		res := &results[i]
-		if res.tail.words != 0 && ri >= 0 && runs[ri].start == res.tail.start {
-			h.words[runs[ri].start] = makeHeader(KindScalar, 0, runs[ri].words) | FlagFree
-			appendChunk(Ref(runs[ri].start), runs[ri].words)
-			ri--
-		}
-		for b := 0; b <= numExactBins; b++ {
-			if head := res.binHead[b]; head != Nil {
-				if accTail[b] == Nil {
-					accHead[b] = head
-				} else {
-					h.words[uint32(accTail[b])+freeNextSlot] = uint64(head)
-				}
-				accTail[b] = res.binTail[b]
-			}
-		}
-		if (res.head.words != 0 || res.fullFree) && ri >= 0 && runs[ri].start == spans[i].start {
-			h.words[runs[ri].start] = makeHeader(KindScalar, 0, runs[ri].words) | FlagFree
-			appendChunk(Ref(runs[ri].start), runs[ri].words)
-			ri--
-		}
-	}
-	if ri != -1 {
-		panic("vmheap: parallel sweep merge failed to place every stitched free run")
-	}
-	h.binOcc = 0
-	for b := 0; b < numExactBins; b++ {
-		h.bins[b] = accHead[b]
-		if accHead[b] != Nil {
-			h.binOcc |= 1 << uint(b)
-		}
-	}
-	h.largeBin = accHead[numExactBins]
-
-	// Ranges the workers recorded no header in (they were interior to a
-	// stitched run) inherit the next range's first header; the zone end
-	// backstops the tail. The first chunk of a swept zone is always at its
-	// lo boundary.
-	carry := Ref(h.hi)
-	for s := h.numSegments() - 1; s >= 0; s-- {
-		if h.segScratch[s] == 0 {
-			h.segScratch[s] = carry
-		} else {
-			carry = h.segScratch[s]
-		}
-	}
-	h.segScratch[0] = Ref(h.lo)
-	h.segScratch[h.numSegments()] = Ref(h.hi)
-	h.segBounds, h.segScratch = h.segScratch, h.segBounds
-
-	h.liveObjs = st.LiveObjects
-	h.liveWords = st.LiveWords
-	h.freeWords = h.capLocal() - st.LiveWords
-	h.debugCheck()
-	return st
 }

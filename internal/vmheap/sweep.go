@@ -42,23 +42,32 @@ type SweepOptions struct {
 	// product derives from the totals, and the previous sweep's parse-range
 	// table is still valid for the deferred reclamation (allocation only
 	// subdivides chunks between sweeps) — making the post-mark pause
-	// O(1). Ignored by the eager and parallel sweeps, which compute the
-	// same statistics from their own heap walk, and by Immature sweeps
-	// (a minor trace does not visit mature survivors, so the totals do
-	// not describe the post-sweep live set).
+	// O(1). Ignored by the eager sweep, which computes the same statistics
+	// from its own heap walk, and by Immature sweeps (a minor trace does not
+	// visit mature survivors, so the totals do not describe the post-sweep
+	// live set).
 	MarkedKnown   bool
 	MarkedObjects uint64
 	MarkedWords   uint64
 }
 
-// Sweep performs the sweep phase of a mark-sweep collection. Under the
-// default mode it walks the heap linearly, reclaims every unmarked object,
-// coalesces adjacent free chunks, rebuilds the free lists from scratch, and
-// clears the mark bit on survivors. SetSweepMode selects two alternatives:
-// a parallel sweep over the parse ranges recorded by the previous pass, and
-// a lazy sweep that runs only a census here and defers reclamation to
-// on-demand per-range sweeps (segment.go). All three modes return identical
-// statistics and — once a lazy sweep completes — leave identical heaps.
+// walkless reports whether a lazy sweep under these options can arm without
+// its census walk (see MarkedKnown).
+func (o *SweepOptions) walkless() bool { return o.MarkedKnown && !o.Immature }
+
+// keeps reports whether a sweep under these options keeps the allocated
+// chunk whose header is hd.
+func (o *SweepOptions) keeps(hd uint64) bool {
+	return hd&FlagMark != 0 || (o.Immature && hd&FlagMature != 0)
+}
+
+// Sweep performs the sweep phase of a mark-sweep collection: it walks the
+// heap linearly, reclaims every unmarked object, coalesces adjacent free
+// chunks, rebuilds the free lists from scratch, and clears the mark bit on
+// survivors. Under SetLazySweep it runs only a census here and defers that
+// same walk to on-demand per-range sweeps (segment.go). Both modes return
+// identical statistics and — once a lazy sweep completes — leave identical
+// heaps.
 //
 // Sweep assumes a trace has just run: surviving objects have FlagMark set.
 // A pending lazy sweep must be completed (CompleteSweep) before the trace,
@@ -113,44 +122,60 @@ func (h *Heap) ZoneSweep(opts SweepOptions) SweepStats {
 	start := h.tele.Begin(telemetry.PhaseSweep)
 	var st SweepStats
 	switch {
-	case h.lazySweep:
-		if opts.MarkedKnown && !opts.Immature {
-			st = h.sweepArm(opts)
-		} else {
-			st = h.sweepCensus(opts)
-		}
-	case h.sweepWorkers >= 2:
-		st = h.sweepParallel(opts)
+	case !h.lazySweep:
+		st = h.sweepEager(opts)
+	case opts.walkless():
+		st = h.sweepArm(opts)
 	default:
-		st = h.sweepSerial(opts)
+		st = h.sweepCensus(opts)
 	}
 	h.tele.End(telemetry.PhaseSweep, start)
 	return st
 }
 
-// sweepSerial is the eager linear sweep (the published configuration, and
-// the body every other mode is defined against).
-func (h *Heap) sweepSerial(opts SweepOptions) SweepStats {
-	var st SweepStats
+// sweepEager is the lazy sweep's deferred walk run at once over the whole
+// zone (the published configuration).
+func (h *Heap) sweepEager(opts SweepOptions) SweepStats {
+	w := sweepWalk{opts: opts, rec: h.beginBounds()}
 	h.resetFreeLists()
-	rec := h.beginBounds()
+	h.reclaim(&w, h.lo, h.hi)
+	h.finishReclaim(&w)
+	h.settle(w.st)
+	return w.st
+}
 
-	addr := h.lo
-	end := h.hi
-	runStart := uint32(0) // start of the current run of free words; 0 = none
-	runLen := uint32(0)
+// settle sets the zone's occupancy accounting to a sweep's verdict.
+func (h *Heap) settle(st SweepStats) {
+	h.liveObjs = st.LiveObjects
+	h.liveWords = st.LiveWords
+	h.freeWords = h.capLocal() - st.LiveWords
+}
 
-	flush := func() {
-		if runLen == 0 {
-			return
-		}
-		rec.note(runStart)
-		h.installChunk(Ref(runStart), runLen)
-		st.FreeChunks++
-		runStart, runLen = 0, 0
-	}
+// sweepWalk is the state the reclamation walk carries from one address range
+// to the next: an eager sweep keeps it on the stack for its single range, a
+// lazy sweep in lazyState between deferred ranges.
+type sweepWalk struct {
+	opts SweepOptions
+	// runStart/runLen are the open run of free words (runLen 0 = none). A
+	// run is installed only when a survivor closes it, so it coalesces
+	// across range boundaries.
+	runStart, runLen uint32
+	rec              boundsRec
+	st               SweepStats
+}
 
-	for addr < end {
+// reclaim is the sweep: the one walk that rewrites headers. Over [start,end)
+// — chunk boundaries both, everything below start already walked — it
+// absorbs existing free chunks into the open run, keeps survivors (OnLive,
+// mark and ClearFlags cleared, SetFlags set), reclaims garbage (OnFree) into
+// the open run, installs each run a survivor closes, and notes every
+// installed chunk and survivor as a parse-range boundary.
+func (h *Heap) reclaim(w *sweepWalk, start, end uint32) {
+	opts := w.opts
+	unmark := FlagMark | opts.ClearFlags
+	runStart, runLen := w.runStart, w.runLen
+	st := w.st
+	for addr := start; addr < end; {
 		hd := h.words[addr]
 		size := headerSize(hd)
 		if size == 0 || addr+size > end {
@@ -158,25 +183,27 @@ func (h *Heap) sweepSerial(opts SweepOptions) SweepStats {
 		}
 		switch {
 		case hd&FlagFree != 0:
-			// Existing free chunk: absorb into the current run.
 			if runLen == 0 {
 				runStart = addr
 			}
 			runLen += size
 
-		case hd&FlagMark != 0 || (opts.Immature && hd&FlagMature != 0):
-			// Survivor.
+		case opts.keeps(hd):
 			if opts.OnLive != nil {
 				opts.OnLive(Ref(addr), hd)
 			}
-			h.words[addr] = (hd &^ (FlagMark | opts.ClearFlags)) | opts.SetFlags
+			h.words[addr] = (hd &^ unmark) | opts.SetFlags
 			st.LiveObjects++
 			st.LiveWords += uint64(size)
-			flush()
-			rec.note(addr)
+			if runLen != 0 {
+				w.rec.note(runStart)
+				h.installChunk(Ref(runStart), runLen)
+				st.FreeChunks++
+				runLen = 0
+			}
+			w.rec.note(addr)
 
 		default:
-			// Garbage: reclaim.
 			if opts.OnFree != nil {
 				opts.OnFree(Ref(addr), hd)
 			}
@@ -189,14 +216,21 @@ func (h *Heap) sweepSerial(opts SweepOptions) SweepStats {
 		}
 		addr += size
 	}
-	flush()
-	h.finishBounds(&rec)
+	w.runStart, w.runLen = runStart, runLen
+	w.st = st
+}
 
-	h.liveObjs = st.LiveObjects
-	h.liveWords = st.LiveWords
-	h.freeWords = h.capLocal() - st.LiveWords
+// finishReclaim ends a walk that has reached the zone's end: the open run is
+// installed and the parse-range table the walk recorded is published.
+func (h *Heap) finishReclaim(w *sweepWalk) {
+	if w.runLen != 0 {
+		w.rec.note(w.runStart)
+		h.installChunk(Ref(w.runStart), w.runLen)
+		w.st.FreeChunks++
+		w.runLen = 0
+	}
+	h.finishBounds(&w.rec)
 	h.debugCheck()
-	return st
 }
 
 // ClearMarks clears the mark bit (and any extra bits in mask) on every

@@ -34,9 +34,9 @@ func fillBenchHeap(b *testing.B, h *Heap, rng *rand.Rand) {
 	})
 }
 
-func benchmarkSweep(b *testing.B, workers int, lazy bool) {
+func benchmarkSweep(b *testing.B, lazy bool) {
 	h := New(benchHeapWords)
-	h.SetSweepMode(workers, lazy)
+	h.SetLazySweep(lazy)
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -48,17 +48,14 @@ func benchmarkSweep(b *testing.B, workers int, lazy bool) {
 	}
 }
 
-func BenchmarkSweepEager(b *testing.B)     { benchmarkSweep(b, 0, false) }
-func BenchmarkSweepParallel2(b *testing.B) { benchmarkSweep(b, 2, false) }
-func BenchmarkSweepParallel4(b *testing.B) { benchmarkSweep(b, 4, false) }
-func BenchmarkSweepParallel8(b *testing.B) { benchmarkSweep(b, 8, false) }
+func BenchmarkSweepEager(b *testing.B) { benchmarkSweep(b, false) }
 
 // BenchmarkSweepLazyCensus measures only the collection-pause portion of a
 // lazy sweep (the header census); reclamation is then paid off-timer. This is
 // the pause the mode exists to shrink.
 func BenchmarkSweepLazyCensus(b *testing.B) {
 	h := New(benchHeapWords)
-	h.SetSweepMode(0, true)
+	h.SetLazySweep(true)
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -77,7 +74,7 @@ func BenchmarkSweepLazyCensus(b *testing.B) {
 // pause-time portion skips even the census walk and is O(1).
 func BenchmarkSweepLazyArm(b *testing.B) {
 	h := New(benchHeapWords)
-	h.SetSweepMode(0, true)
+	h.SetLazySweep(true)
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -100,14 +97,14 @@ func BenchmarkSweepLazyArm(b *testing.B) {
 
 // BenchmarkSweepLazyTotal measures census plus full deferred reclamation —
 // the end-to-end cost, for comparison against the eager walk.
-func BenchmarkSweepLazyTotal(b *testing.B) { benchmarkSweep(b, 0, true) }
+func BenchmarkSweepLazyTotal(b *testing.B) { benchmarkSweep(b, true) }
 
 // BenchmarkAllocEager / BenchmarkAllocLazyDemand measure the allocator with
 // free lists already populated (eager) versus self-serving from a pending
 // sweep (lazy demand), isolating the per-allocation cost of demand sweeping.
 func benchmarkAllocAfterSweep(b *testing.B, lazy bool) {
 	h := New(benchHeapWords)
-	h.SetSweepMode(0, lazy)
+	h.SetLazySweep(lazy)
 	fillBenchHeap(b, h, rand.New(rand.NewSource(1)))
 	h.Sweep(SweepOptions{})
 	b.ResetTimer()

@@ -8,7 +8,7 @@ import "fmt"
 // globally addressable — a Ref is still an absolute arena index, and every
 // peer's accessors work on any zone's objects — so cross-zone references
 // are ordinary stores, but allocation, sweeping, and bulk retirement are
-// zone-local: one zone can run a full sweep (serial, parallel, or lazy)
+// zone-local: one zone can run a full sweep (eager or lazy)
 // while the other zones' allocation buffers stay active, which is the
 // pause-isolation property the zoned runtime is built on.
 
