@@ -37,10 +37,14 @@ allocbench:
 telemetrybench:
 	go test -run '^$$' -bench BenchmarkTelemetry -benchmem .
 
-# Concurrent pacing report: the stop-the-world collector vs the background
-# pacer at several trigger/slack settings, comparing mutator-visible latency
-# tails and throughput (see results/concurrent_pacing.txt).
+# Pause reports, each stamped with the core count: the per-pause distribution
+# of hand-driven incremental cycles across mark budgets against the
+# stop-the-world baseline (results/incremental_pause.txt), and the
+# stop-the-world collector vs the scheduler with its background goroutine at
+# several trigger/slack settings, comparing mutator-visible latency tails and
+# throughput (results/concurrent_pacing.txt).
 pausebench:
+	go run ./cmd/gcbench -fig pause | tee results/incremental_pause.txt
 	go run ./cmd/gcbench -fig pause -concurrent | tee results/concurrent_pacing.txt
 
 # Zone pause-isolation report: per-allocation mutator latency and the
@@ -85,8 +89,8 @@ slobench:
 		-slo-rps 500 -slo-p99 50ms | tee results/serving_slo.txt
 
 # Differential tests under the race detector, in one run over internal/:
-# stop-the-world vs stepped and incremental cycles (plus the shadow-model
-# oracle), eager vs lazy sweep modes under both collectors, direct
+# stop-the-world vs incremental cycles, hand-stepped and scheduler-driven
+# (plus the shadow-model oracle), eager vs lazy sweep modes under both collectors, direct
 # vs buffered allocation across every collector mode, telemetry on vs off
 # (recording must be pure observation — byte-identical heaps), stop-the-world
 # vs background-pacer concurrent collection, whole-heap vs zone rotation and
@@ -96,8 +100,8 @@ slobench:
 difftest:
 	go test -race -run 'Differential|TestOracle|TestLazySweep|TestAllocBuffer|TestTelemetry|TestSoloContract' ./internal/...
 
-# Short coverage-guided fuzz runs: the stop-the-world/incremental
-# equivalence, the eager/lazy sweep equivalence, the direct/buffered
+# Short coverage-guided fuzz runs: stop-the-world against scheduler-driven
+# incremental cycles, the eager/lazy sweep equivalence, the direct/buffered
 # allocation equivalence, the stop-the-world/concurrent-pacer equivalence, the
 # zone remembered-set safety bound, and the side tables against their map
 # models (go test takes one -fuzz pattern per invocation, so the targets run

@@ -141,9 +141,10 @@ func TestAllocBufferDifferential(t *testing.T) {
 }
 
 // TestAllocBufferIncrementalDifferential drives incremental cycles at fixed
-// script offsets in both worlds. While a cycle is active the buffered world
-// must fall back to the direct path (allocate-black plus the mark tax), so
-// the two worlds pace their marking identically.
+// script offsets in both worlds, with the scheduler opening and assisting
+// others in between. While a cycle is open the direct world blackens each
+// object and the buffered world carves born-black buffers; both must leave
+// the same heap.
 func TestAllocBufferIncrementalDifferential(t *testing.T) {
 	SetDebugChecks(true)
 	defer SetDebugChecks(false)
@@ -151,6 +152,7 @@ func TestAllocBufferIncrementalDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	direct := buildAllocWorld(MarkSweep, 0, false, 8)
 	buffered := buildAllocWorld(MarkSweep, 256, false, 8)
+	bornBlack := 0 // buffers carved inside an open cycle
 
 	for round := 0; round < 6; round++ {
 		for step := 0; step < 40; step++ {
@@ -169,7 +171,11 @@ func TestAllocBufferIncrementalDifferential(t *testing.T) {
 		for step := 0; step < 20; step++ {
 			code, i, k := byte(rng.Intn(9)), byte(rng.Intn(256)), byte(rng.Intn(256))
 			direct.apply(code, i, k)
+			carves := buffered.rt.Stats().Heap.BufferCarves
 			buffered.apply(code, i, k)
+			if buffered.rt.GCActive() && buffered.rt.Stats().Heap.BufferCarves > carves {
+				bornBlack++
+			}
 			if step%4 == 3 {
 				if _, err := direct.rt.GCStep(); err != nil {
 					t.Fatalf("round %d: GCStep (direct): %v", round, err)
@@ -192,6 +198,9 @@ func TestAllocBufferIncrementalDifferential(t *testing.T) {
 	}
 	if n := buffered.rt.Stats().Heap.BufferAllocs; n == 0 {
 		t.Fatal("buffered world never used the bump fast path between cycles")
+	}
+	if bornBlack == 0 {
+		t.Fatal("buffered world never carved a buffer inside an open cycle")
 	}
 }
 

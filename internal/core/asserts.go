@@ -7,34 +7,21 @@ import "errors"
 // infrastructure).
 var ErrAssertionsDisabled = errors.New("core: assertions require Infrastructure mode")
 
-// finishCycleForRegistration completes any active incremental collection
-// cycle before an assertion is registered. Registration is a
-// snapshot-boundary operation: it flips header bits, instance limits, or
-// region queues that an in-flight trace has partially observed, so the
-// in-flight cycle — whose snapshot predates the registration — is checked
-// and swept first, exactly as a stop-the-world collection completes before
-// the program can register anything new. A *report.HaltError from that
-// completion is returned and the registration does not happen; the caller
-// observes the halt just as it would from the collection call itself.
+// Registration is a snapshot-boundary operation: it flips header bits,
+// instance limits, or region queues that an in-flight trace has partially
+// observed. Every registering entry point therefore completes an open cycle
+// first (settleCycleLocked) — its snapshot predates the registration, so it is
+// checked and swept exactly as a stop-the-world collection completes before
+// the program can register anything new, and the new assertion is judged at
+// the next collection. A *report.HaltError from that completion is returned
+// and the registration does not happen; the caller observes the halt just as
+// it would from the collection call itself.
 //
 // Registrations hold the WORLD lock on a zoned runtime, not just rt.mu:
 // they flip header bits and engine tables that an in-flight concurrent zone
 // collection reads mid-trace, so they wait for every zone's collection to
 // fold first. (StartRegion is the exception — it only pushes a region
 // queue, which the engine guard covers.)
-func (rt *Runtime) finishCycleForRegistration() error {
-	// A pacer-started cycle is completed through the pacer so its growth
-	// ledger, cycle count, and retrigger baseline stay truthful (the pacer
-	// retires the born-black buffers before the sweep itself).
-	if rt.pacer != nil {
-		return rt.settlePacerCycleLocked()
-	}
-	if !rt.collector.IncrementalActive() {
-		return nil
-	}
-	rt.flushAllocBuffers()
-	return rt.collector.FinishFull()
-}
 
 // AssertDead asserts that obj will be reclaimed by the next full
 // collection: if the collector finds it reachable, a DeadReachable
@@ -45,7 +32,7 @@ func (rt *Runtime) AssertDead(obj Ref) error {
 	if rt.engine == nil {
 		return ErrAssertionsDisabled
 	}
-	if err := rt.finishCycleForRegistration(); err != nil {
+	if err := rt.settleCycleLocked(); err != nil {
 		return err
 	}
 	return rt.engine.AssertDead(obj)
@@ -60,7 +47,7 @@ func (rt *Runtime) AssertUnshared(obj Ref) error {
 	if rt.engine == nil {
 		return ErrAssertionsDisabled
 	}
-	if err := rt.finishCycleForRegistration(); err != nil {
+	if err := rt.settleCycleLocked(); err != nil {
 		return err
 	}
 	return rt.engine.AssertUnshared(obj)
@@ -75,7 +62,7 @@ func (rt *Runtime) AssertInstances(c *Class, limit int64) error {
 	if rt.engine == nil {
 		return ErrAssertionsDisabled
 	}
-	if err := rt.finishCycleForRegistration(); err != nil {
+	if err := rt.settleCycleLocked(); err != nil {
 		return err
 	}
 	return rt.engine.AssertInstances(c, limit, false)
@@ -89,7 +76,7 @@ func (rt *Runtime) AssertInstancesIncludingSubclasses(c *Class, limit int64) err
 	if rt.engine == nil {
 		return ErrAssertionsDisabled
 	}
-	if err := rt.finishCycleForRegistration(); err != nil {
+	if err := rt.settleCycleLocked(); err != nil {
 		return err
 	}
 	return rt.engine.AssertInstances(c, limit, true)
@@ -105,7 +92,7 @@ func (rt *Runtime) AssertOwnedBy(owner, ownee Ref) error {
 	if rt.engine == nil {
 		return ErrAssertionsDisabled
 	}
-	if err := rt.finishCycleForRegistration(); err != nil {
+	if err := rt.settleCycleLocked(); err != nil {
 		return err
 	}
 	return rt.engine.AssertOwnedBy(owner, ownee)
@@ -139,7 +126,7 @@ func (t *Thread) AssertAllDead() error {
 	if t.rt.engine == nil {
 		return ErrAssertionsDisabled
 	}
-	if err := t.rt.finishCycleForRegistration(); err != nil {
+	if err := t.rt.settleCycleLocked(); err != nil {
 		return err
 	}
 	// Buffered mode: the closing bracket's batched allocations must be in

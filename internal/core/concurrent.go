@@ -7,30 +7,46 @@ import (
 	"repro/internal/vmheap"
 )
 
-// Background concurrent collection (Config.ConcurrentGC).
+// Cycle scheduling (Config.IncrementalBudget > 0).
 //
-// The pacer is a goroutine that watches heap occupancy and drives the
-// incremental collector (StartFull / StepMark / FinishFull) in bounded
-// slices under rt.mu, so a mutator only ever waits out one slice, never a
-// full cycle. Scheduling splits three ways:
+// The pacer decides when an incremental full collection opens, advances and
+// completes, and is the only owner of "a cycle is open": every transition of
+// the collector's cycle (StartFull / StepMark / FinishFull) goes through
+// openLocked / stepLocked / finishLocked here, so the growth ledger, the
+// cycle count and the retrigger baseline cannot drift from the collector's
+// state (pacer.active == collector.IncrementalActive(), checked under
+// SetDebugChecks). Every transition runs under rt.mu, or with no lock at all
+// while the runtime has one mutator. Who asks for one:
 //
-//   - Trigger: a cycle starts when used words cross GCTriggerFraction of
+//   - Trigger: a cycle opens when used words cross GCTriggerFraction of
 //     capacity and the heap has meaningfully grown since the previous
-//     cycle (re-collecting a heap that is large but idle would spin).
-//
-//   - Background slices: the pacer marks in IncrementalBudget-sized
-//     slices, taking and releasing rt.mu around each so mutators
-//     interleave freely.
+//     cycle (re-collecting a heap that is large but idle would spin). The
+//     check runs in the allocation slow path — the path that causes the
+//     growth.
 //
 //   - Assists: a mutator entering the allocation slow path while a cycle
-//     is active pays mark work proportional to the heap growth its
-//     allocation causes — the allocation tax of the non-concurrent
-//     incremental mode, levied per buffer refill instead of per object.
-//     When growth would exceed the hard cap (trigger × slack × capacity,
-//     Config.GCAssistSlack) the assist completes the cycle instead, so
-//     mid-cycle heap growth is bounded by construction: the check and the
-//     allocation happen under one rt.mu hold, making the bound exact even
-//     with many mutator threads.
+//     is open pays mark work proportional to the heap growth its
+//     allocation causes. When growth would exceed the hard cap (trigger ×
+//     slack × capacity, Config.GCAssistSlack) the assist completes the
+//     cycle instead, so mid-cycle heap growth is bounded by construction:
+//     the check and the allocation happen under one rt.mu hold, making the
+//     bound exact even with many mutator threads.
+//
+//   - Forced transitions: StartGC, GCStep and FinishGC open, advance and
+//     complete a cycle by hand, and every operation that needs the heap
+//     between cycles — GC, Collect, assertion registration, zone
+//     collection and retirement, heap exhaustion, Close — completes an
+//     open one first (settleCycleLocked).
+//
+//   - Config.ConcurrentGC adds a background goroutine that polls the
+//     trigger and marks in IncrementalBudget-sized slices, taking and
+//     releasing rt.mu around each so a mutator only ever waits out one
+//     slice, never a cycle. It also makes the runtime shared from the start
+//     (rt.share) and the pin ring live (pinsOn); nothing else differs.
+//
+// A HaltError from a cycle that completed inside an assist or on the
+// goroutine has no caller to return to; it is stashed in pending and the
+// next allocation slow path or explicit entry point returns it.
 //
 // Allocation-publication soundness. A concurrent cycle can begin between
 // an allocation returning and the mutator publishing the new Ref into a
@@ -58,11 +74,11 @@ const (
 	// defaultConcurrentBudget is the mark-slice size (objects) when
 	// ConcurrentGC is on and Config.IncrementalBudget is 0.
 	defaultConcurrentBudget = 512
-	// pacerPollInterval bounds how stale the trigger check can go when no
-	// allocation wakes the pacer.
+	// pacerPollInterval bounds how stale the background trigger check can go
+	// when no allocation wakes the goroutine.
 	pacerPollInterval = 500 * time.Microsecond
 	// backgroundSlicesPerDrive bounds the slices one wakeup runs, each
-	// under its own rt.mu hold, before the pacer re-blocks.
+	// under its own rt.mu hold, before the goroutine re-blocks.
 	backgroundSlicesPerDrive = 8
 	// maxAssistSlices bounds the mark slices one assist runs, so an
 	// allocation's worst case is a handful of bounded slices, not a drain.
@@ -85,7 +101,7 @@ type allocPin struct {
 
 // pinnedRoots is the root source holding the pins collectPins gathered;
 // it is the third member of the runtime's root Multi and is empty unless
-// the pacer is running.
+// pins are active.
 type pinnedRoots struct {
 	refs []vmheap.Ref
 }
@@ -139,11 +155,11 @@ func (t *Thread) notePin(r Ref) {
 	t.pinPos = (t.pinPos + 1) % threadPinSlots
 }
 
-// PacerStats counts concurrent-pacer activity (Snapshot.Pacer). All zero
-// unless Config.ConcurrentGC is set.
+// PacerStats counts cycle-scheduler activity (Snapshot.Pacer). All zero
+// unless Config.IncrementalBudget > 0.
 type PacerStats struct {
 	Triggers            uint64 // cycles started by the trigger check
-	Cycles              uint64 // cycles completed under pacer control
+	Cycles              uint64 // cycles completed
 	Assists             uint64 // allocation slow paths that paid mark work
 	AssistSlices        uint64 // mark slices run inside assists
 	BackgroundSlices    uint64 // mark slices run by the pacer goroutine
@@ -154,23 +170,24 @@ type PacerStats struct {
 	ZoneCycles          uint64 // pacer-launched zone collections completed
 }
 
-// gcPacer is the background collection scheduler. The channels are fixed
-// at construction; everything else is guarded by rt.mu.
+// gcPacer is the cycle scheduler. The channels are fixed at construction;
+// everything else is guarded by rt.mu (or the single-mutator contract).
 type gcPacer struct {
 	rt           *Runtime
 	triggerWords uint64 // used-words threshold that starts a cycle
 	capWords     uint64 // mid-cycle growth hard cap
 
+	// The background goroutine's channels (startBackground); nil without it.
 	quit chan struct{} // closed by Close to stop run
 	wake chan struct{} // buffered(1); nudged by the allocation slow path
 	done chan struct{} // closed when run exits
 
 	// Guarded by rt.mu.
-	active    bool   // a pacer-started cycle is in flight
+	active    bool   // a cycle is open
 	startFree uint64 // FreeWords at cycle start (buffers flushed, so exact)
 	startWork uint64 // LiveObjects at cycle start: the assist work estimate
 	floorFree uint64 // FreeWords after the last cycle (retrigger baseline)
-	pending   error  // HaltError from a background/assist-completed cycle
+	pending   error  // HaltError from a cycle that completed with no caller
 	closed    bool
 	stats     PacerStats
 
@@ -200,9 +217,6 @@ func newPacer(rt *Runtime, trigger, slack float64) *gcPacer {
 		rt:           rt,
 		triggerWords: uint64(trigger * capacity),
 		capWords:     uint64(trigger * slack * capacity),
-		quit:         make(chan struct{}),
-		wake:         make(chan struct{}, 1),
-		done:         make(chan struct{}),
 	}
 	// Floor the cap so tiny heaps still make forward progress between
 	// forced finishes (a cap below one carve would finish a cycle on
@@ -217,6 +231,15 @@ func newPacer(rt *Runtime, trigger, slack float64) *gcPacer {
 		p.zoneAlloc = make([]uint64, len(rt.zoneHeaps))
 	}
 	return p
+}
+
+// startBackground starts the pacer goroutine (Config.ConcurrentGC); Close
+// stops it.
+func (p *gcPacer) startBackground() {
+	p.quit = make(chan struct{})
+	p.wake = make(chan struct{}, 1)
+	p.done = make(chan struct{})
+	go p.run()
 }
 
 // run is the pacer goroutine: wake on an allocation nudge or the poll
@@ -245,19 +268,12 @@ func (p *gcPacer) drive() {
 			p.rt.mu.Unlock()
 			return
 		}
-		var progress bool
-		if !p.active {
-			progress = p.startLocked()
-			if !progress {
-				progress = p.dispatchZonesLocked()
-			}
-		} else {
-			done := p.rt.collector.StepMark()
+		progress := true
+		if p.active {
+			p.stepLocked()
 			p.stats.BackgroundSlices++
-			if done {
-				p.finishLocked()
-			}
-			progress = true
+		} else {
+			progress = p.triggerLocked() || p.dispatchZonesLocked()
 		}
 		p.rt.mu.Unlock()
 		if !progress {
@@ -266,8 +282,9 @@ func (p *gcPacer) drive() {
 	}
 }
 
-// maybeWake nudges the pacer without blocking; the allocation slow path
-// calls it so a burst is noticed before the next poll tick.
+// maybeWake nudges the pacer goroutine without blocking; the allocation slow
+// path calls it so a burst is noticed before the next poll tick. Without the
+// goroutine the channel is nil and the send is never ready.
 func (p *gcPacer) maybeWake() {
 	select {
 	case p.wake <- struct{}{}:
@@ -284,9 +301,10 @@ func (p *gcPacer) minRetrigger() uint64 {
 	return 64
 }
 
-// startLocked fires the trigger check and begins a cycle when it passes.
-// Reports whether a cycle was started. Caller holds rt.mu.
-func (p *gcPacer) startLocked() bool {
+// triggerLocked is the trigger check: it opens a cycle when occupancy has
+// crossed the threshold and grown since the last cycle, and reports whether
+// it did. The one place that decides a cycle is due. Caller holds rt.mu.
+func (p *gcPacer) triggerLocked() bool {
 	if p.active || p.pending != nil {
 		return false
 	}
@@ -307,26 +325,43 @@ func (p *gcPacer) startLocked() bool {
 		// the program's steady state, and re-collecting it would spin.
 		return false
 	}
-	// Flush strictly before collecting pins: retiring every buffer closes
-	// the bump path (the next allocation needs rt.mu), so no thread can
-	// slip a new unpinned allocation in between the pin read and the root
-	// scan. The reverse order has exactly that window.
 	p.rt.flushAllocBuffers()
 	used = h.CapacityWords() - h.FreeWords()
 	if used < p.triggerWords {
 		return false // retired buffer tails brought occupancy back under
 	}
-	p.rt.collectPins()
 	p.rt.tele.Trigger(used, p.triggerWords)
 	p.stats.Triggers++
-	if err := p.rt.collector.StartFull(); err != nil {
-		p.pending = err
-		return false
-	}
-	p.active = true
-	p.startFree = h.FreeWords()
-	p.startWork = h.LiveObjects()
+	p.openLocked()
 	return true
+}
+
+// openLocked opens a cycle (a no-op if one is open) and starts its growth
+// ledger. Buffers are retired strictly before the collector's prepare-roots
+// hook gathers the pins: retiring every buffer closes the bump path (the next
+// allocation needs rt.mu), so no thread can slip a new unpinned allocation in
+// between the pin read and the root scan. The reverse order has exactly that
+// window. Caller holds rt.mu.
+func (p *gcPacer) openLocked() {
+	if p.active {
+		return
+	}
+	p.rt.flushAllocBuffers()
+	p.rt.collector.StartFull()
+	p.active = true
+	p.startFree = p.rt.heap.FreeWords()
+	p.startWork = p.rt.heap.LiveObjects()
+}
+
+// stepLocked advances the open cycle by one bounded mark slice, completing it
+// when the worklist drains, and reports whether it completed. Caller holds
+// rt.mu with a cycle open.
+func (p *gcPacer) stepLocked() bool {
+	done := p.rt.collector.StepMark()
+	if done {
+		p.finishLocked()
+	}
+	return done
 }
 
 // zoneMinRetrigger is the slow-path allocation volume a zone must have
@@ -413,11 +448,11 @@ func (p *gcPacer) growthLocked() uint64 {
 	return g
 }
 
-// finishLocked completes the in-flight cycle: growth is recorded before
-// the sweep resets it, buffers are retired (the sweep parses the arena),
-// and a HaltError is stashed for the next runtime entry point — the
-// background goroutine and the allocation that hit the growth cap have no
-// caller to return it to. Caller holds rt.mu.
+// finishLocked completes the open cycle: growth is recorded before the
+// sweep resets it, buffers are retired (the sweep parses the arena), and a
+// HaltError is stashed in pending — the background goroutine and the
+// allocation that hit the growth cap have no caller to return it to, and a
+// forced finish takes it straight back out. Caller holds rt.mu.
 func (p *gcPacer) finishLocked() {
 	p.growthLocked()
 	p.rt.flushAllocBuffers()
@@ -430,10 +465,8 @@ func (p *gcPacer) finishLocked() {
 }
 
 // allocPacingLocked is the allocation slow path's pacing hook: account the
-// allocation to its zone's rate ledger, start a cycle if the trigger has
-// been crossed (the background goroutine may not win rt.mu against a tight
-// allocation loop, so the trigger must also fire from the path that causes
-// the growth), then pay the assist tax. zi is the allocating zone (0 on an
+// allocation to its zone's rate ledger, open a cycle if the trigger has
+// been crossed, then pay the assist tax. zi is the allocating zone (0 on an
 // unzoned runtime). A no-op after Close: the quiesced runtime schedules no
 // new cycles. Caller holds rt.mu.
 func (p *gcPacer) allocPacingLocked(zi int, need uint64) {
@@ -451,7 +484,7 @@ func (p *gcPacer) allocPacingLocked(zi int, need uint64) {
 		return
 	}
 	if !p.active {
-		p.startLocked()
+		p.triggerLocked()
 	}
 	p.assistLocked(need)
 }
@@ -484,11 +517,7 @@ func (p *gcPacer) assistLocked(need uint64) {
 	var slices uint64
 	for slices < maxAssistSlices {
 		slices++
-		if p.rt.collector.StepMark() {
-			p.finishLocked()
-			break
-		}
-		if p.rt.collector.CycleMarked() >= required {
+		if p.stepLocked() || p.rt.collector.CycleMarked() >= required {
 			break
 		}
 	}
@@ -497,81 +526,76 @@ func (p *gcPacer) assistLocked(need uint64) {
 	p.rt.tele.Assist(time.Since(begin), slices)
 }
 
-// takePacerPending consumes a stashed background HaltError. Caller holds
-// rt.mu; a no-op returning nil without the pacer.
+// cycleOpen reports whether an incremental cycle is in flight — never, on a
+// stop-the-world runtime. Caller holds rt.mu.
+func (rt *Runtime) cycleOpen() bool {
+	p := rt.pacer
+	if p == nil {
+		return false
+	}
+	if vmheap.DebugChecks && p.active != rt.collector.IncrementalActive() {
+		panic("core: the pacer and the collector disagree on whether a cycle is open")
+	}
+	return p.active
+}
+
+// takePacerPending consumes the stashed HaltError. Caller holds rt.mu; a
+// no-op returning nil on a stop-the-world runtime.
 func (rt *Runtime) takePacerPending() error {
-	if rt.pacer == nil {
+	p := rt.pacer
+	if p == nil {
 		return nil
 	}
-	err := rt.pacer.pending
-	rt.pacer.pending = nil
+	err := p.pending
+	p.pending = nil
 	return err
 }
 
-// settlePacerCycleLocked completes any pacer-started cycle through the
-// pacer before an explicit collection entry point takes over, and surfaces
-// any stashed background error. Finishing through the pacer (rather than
-// letting the entry point's FinishFull/CollectFull complete the cycle
-// behind its back) keeps the growth ledger, the cycle count, and the
-// retrigger baseline truthful — and leaves the entry point a quiet heap on
-// which to run its own collection with a fresh snapshot. Caller holds
-// rt.mu; a no-op without the pacer.
-func (rt *Runtime) settlePacerCycleLocked() error {
-	if rt.pacer != nil && rt.pacer.active {
+// settleCycleLocked completes an open cycle and surfaces the stashed
+// HaltError, its own or an earlier one: what every operation that needs the
+// heap between cycles does first. Caller holds the world lock (the completion
+// sweep parses the whole arena); a no-op on a stop-the-world runtime.
+func (rt *Runtime) settleCycleLocked() error {
+	if rt.cycleOpen() {
 		rt.pacer.finishLocked()
 	}
 	return rt.takePacerPending()
 }
 
-// Close stops the background pacer goroutine, completes any in-flight
-// cycle, and returns its result (including a HaltError stashed from an
-// earlier background-completed cycle). Mutator threads must have
-// quiesced: Close drops the hidden-register pins, after which the runtime
-// behaves exactly like its non-concurrent equivalent — explicit GC calls,
-// stats, and assertion checks all remain usable. Safe to call more than
-// once; a no-op returning nil when ConcurrentGC was never configured.
+// Close stops the scheduler: the background goroutine exits, any open cycle
+// is completed and its result returned (including a HaltError stashed from
+// an earlier cycle), and no further cycle is triggered. Mutator threads must
+// have quiesced: Close drops the hidden-register pins, after which the
+// runtime behaves exactly like its stop-the-world equivalent — explicit GC
+// calls, stats, and assertion checks all remain usable. Safe to call more
+// than once; a no-op returning nil on a stop-the-world runtime.
 func (rt *Runtime) Close() error {
-	rt.mu.Lock()
 	p := rt.pacer
 	if p == nil {
-		rt.mu.Unlock()
 		return nil
 	}
+	rt.mu.Lock()
 	already := p.closed
 	p.closed = true
 	rt.mu.Unlock()
-	if !already {
-		close(p.quit)
+	if p.quit != nil {
+		if !already {
+			close(p.quit)
+		}
+		<-p.done
+		// In-flight zone-collection workers finish on their own (closed only
+		// stops NEW dispatches); wait with no locks held — they need the zone
+		// locks and rt.mu to fold.
+		p.zoneWG.Wait()
 	}
-	<-p.done
-	// In-flight zone-collection workers finish on their own (closed only
-	// stops NEW dispatches); wait with no locks held — they need the zone
-	// locks and rt.mu to fold.
-	p.zoneWG.Wait()
 
-	if rt.zlocks != nil {
-		rt.lockWorld()
-		defer rt.unlockWorld()
-	} else {
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
-	}
+	rt.lockWorld()
+	defer rt.unlockWorld()
 	for _, t := range rt.allThreads {
 		t.lockBuf()
 		t.pins = [threadPinSlots]allocPin{}
 		t.unlockBuf()
 	}
 	rt.pinned.refs = rt.pinned.refs[:0]
-	if p.active {
-		// Complete the in-flight cycle through the pacer so the final
-		// cycle is counted and its growth recorded.
-		p.finishLocked()
-		return rt.takePacerPending()
-	}
-	rt.flushAllocBuffers()
-	err := rt.collector.FinishFull()
-	if perr := rt.takePacerPending(); err == nil {
-		err = perr
-	}
-	return err
+	return rt.settleCycleLocked()
 }

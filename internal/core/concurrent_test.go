@@ -2,9 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/gc"
 	"repro/internal/report"
 	"repro/internal/telemetry"
 )
@@ -27,6 +30,7 @@ func TestConcurrentConfigValidation(t *testing.T) {
 	mustPanic("trigger at one", Config{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true, GCTriggerFraction: 1})
 	mustPanic("trigger negative", Config{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true, GCTriggerFraction: -0.25})
 	mustPanic("slack negative", Config{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true, GCAssistSlack: -1})
+	// The geometry belongs to the scheduler: stop-the-world has none to size.
 	mustPanic("trigger without concurrent", Config{HeapWords: 1 << 12, Mode: Infrastructure, GCTriggerFraction: 0.5})
 	mustPanic("slack without concurrent", Config{HeapWords: 1 << 12, Mode: Infrastructure, GCAssistSlack: 0.5})
 
@@ -34,6 +38,7 @@ func TestConcurrentConfigValidation(t *testing.T) {
 		{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true},
 		{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true, GCTriggerFraction: 0.9, GCAssistSlack: 2},
 		{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true, Collector: Generational, AllocBuffers: 128},
+		{HeapWords: 1 << 12, Mode: Infrastructure, IncrementalBudget: 4, GCTriggerFraction: 0.9, GCAssistSlack: 2},
 	}
 	for _, cfg := range valid {
 		rt := New(cfg)
@@ -71,25 +76,27 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // TestPacerSizing checks the trigger/cap arithmetic newPacer derives from
-// the heap capacity, including the small-heap floor on the growth cap.
+// the heap capacity, including the small-heap floor on the growth cap, with
+// and without the background goroutine.
 func TestPacerSizing(t *testing.T) {
-	rt := New(Config{HeapWords: 1 << 14, Mode: Infrastructure, ConcurrentGC: true,
-		GCTriggerFraction: 0.25, GCAssistSlack: 0.5})
-	defer rt.Close()
-	capacity := float64(rt.heap.CapacityWords())
-	if want := uint64(0.25 * capacity); rt.pacer.triggerWords != want {
-		t.Errorf("triggerWords = %d, want %d", rt.pacer.triggerWords, want)
-	}
-	if want := uint64(0.25 * 0.5 * capacity); rt.pacer.capWords != want {
-		t.Errorf("capWords = %d, want %d", rt.pacer.capWords, want)
-	}
-	if got := rt.Stats().Pacer.GrowthCapWords; got != rt.pacer.capWords {
-		t.Errorf("GrowthCapWords = %d, want %d", got, rt.pacer.capWords)
+	for _, concurrent := range []bool{false, true} {
+		rt := New(Config{HeapWords: 1 << 14, Mode: Infrastructure, IncrementalBudget: 8, ConcurrentGC: concurrent,
+			GCTriggerFraction: 0.25, GCAssistSlack: 0.5})
+		defer rt.Close()
+		capacity := float64(rt.heap.CapacityWords())
+		if want := uint64(0.25 * capacity); rt.pacer.triggerWords != want {
+			t.Errorf("triggerWords = %d, want %d", rt.pacer.triggerWords, want)
+		}
+		if want := uint64(0.25 * 0.5 * capacity); rt.pacer.capWords != want {
+			t.Errorf("capWords = %d, want %d", rt.pacer.capWords, want)
+		}
+		if got := rt.Stats().Pacer.GrowthCapWords; got != rt.pacer.capWords {
+			t.Errorf("GrowthCapWords = %d, want %d", got, rt.pacer.capWords)
+		}
 	}
 
 	// Zero fractions select the documented defaults.
-	rt2 := New(Config{HeapWords: 1 << 14, Mode: Infrastructure, ConcurrentGC: true})
-	defer rt2.Close()
+	rt2 := New(Config{HeapWords: 1 << 14, Mode: Infrastructure, IncrementalBudget: 8})
 	if want := uint64(defaultGCTrigger * float64(rt2.heap.CapacityWords())); rt2.pacer.triggerWords != want {
 		t.Errorf("default triggerWords = %d, want %d", rt2.pacer.triggerWords, want)
 	}
@@ -99,191 +106,200 @@ func TestPacerSizing(t *testing.T) {
 
 	// A tiny heap floors the cap so forced finishes stay occasional rather
 	// than per-allocation.
-	rt3 := New(Config{HeapWords: 256, Mode: Infrastructure, ConcurrentGC: true,
+	rt3 := New(Config{HeapWords: 256, Mode: Infrastructure, IncrementalBudget: 8,
 		GCTriggerFraction: 0.1, GCAssistSlack: 0.1})
-	defer rt3.Close()
 	if want := uint64(4 * carveSlackWords); rt3.pacer.capWords != want {
 		t.Errorf("floored capWords = %d, want %d", rt3.pacer.capWords, want)
 	}
 }
 
-// fillPublished grows the live heap past words by publishing data arrays
-// into a ref-array spine rooted in fr's slot.
-func fillPublished(t *testing.T, rt *Runtime, th *Thread, fr *Frame, slot int, words uint64) {
-	t.Helper()
-	const spineLen = 192
-	spine := th.NewRefArray(spineLen)
-	fr.SetLocal(slot, spine)
-	for i := 0; ; i++ {
-		rt.mu.Lock()
-		used := rt.heap.CapacityWords() - rt.heap.FreeWords()
-		rt.mu.Unlock()
-		if used >= words {
-			return
-		}
-		if i >= spineLen {
-			t.Fatalf("spine exhausted at %d used words, want %d", used, words)
-		}
-		rt.ArrSetRef(spine, i, th.NewDataArray(30))
+// TestIncrementalOnlyStartsNoGoroutine: IncrementalBudget alone gets the
+// scheduler without its goroutine, and the runtime stays in the lock-free
+// single-mutator regime until NewThread — ConcurrentGC is what adds the
+// goroutine, the shared regime and the pin ring.
+func TestIncrementalOnlyStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rt := New(Config{HeapWords: 1 << 12, Mode: Infrastructure, IncrementalBudget: 8})
+	if rt.pacer == nil || rt.pacer.quit != nil {
+		t.Fatalf("pacer = %+v, want a scheduler with no background channels", rt.pacer)
 	}
-}
-
-// TestPacerStateTransitions drives every pacer transition by hand —
-// idle→triggered→marking→finished, the no-retrigger guard, and the
-// growth-based retrigger — through the same locked entry points the
-// background goroutine uses, with the collector's own cycle state as the
-// oracle at each step. Close is called first so the background goroutine
-// cannot race the hand-driven schedule.
-func TestPacerStateTransitions(t *testing.T) {
-	rt := New(Config{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true,
-		GCTriggerFraction: 0.5, GCAssistSlack: 0.5, IncrementalBudget: 64})
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("New started %d goroutine(s)", got-before)
+	}
+	if !rt.solo() || rt.pinsActive() {
+		t.Fatalf("solo = %v, pinsActive = %v; want the single-mutator regime with pins off", rt.solo(), rt.pinsActive())
+	}
+	th := rt.MainThread()
+	for i := 0; i < 2000; i++ { // enough churn to run scheduled cycles
+		th.NewDataArray(8)
+	}
+	if s := rt.Stats().Pacer; s.Cycles == 0 || s.BackgroundSlices != 0 {
+		t.Fatalf("pacer stats %+v: want cycles completed by assists alone", s)
+	}
+	if !rt.solo() {
+		t.Fatal("scheduled cycles left the single-mutator regime")
+	}
 	if err := rt.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	p := rt.pacer
-	th := rt.MainThread()
-	fr := th.PushFrame(2)
-	locked := func(fn func()) {
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
-		fn()
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("goroutines %d -> %d across New/Close", before, got)
 	}
+	rt.NewThread("second")
+	if rt.solo() {
+		t.Fatal("NewThread did not leave the single-mutator regime")
+	}
+}
+
+// pacerFix is a goroutine-less scheduler runtime with a chain class: a long
+// chain of small objects makes a cycle's work estimate dwarf the slice
+// budget, and — because the tracer can only discover one chain link per
+// scanned object — marking progress per slice stays near the budget, so no
+// single assist can complete the cycle.
+type pacerFix struct {
+	rt      *Runtime
+	p       *gcPacer
+	th      *Thread
+	fr      *Frame
+	node    *Class
+	nextOff uint16
+}
+
+func newPacerFix(heapWords int) *pacerFix {
+	rt := New(Config{HeapWords: heapWords, Mode: Infrastructure, IncrementalBudget: 8,
+		GCTriggerFraction: 0.5, GCAssistSlack: 0.5})
+	f := &pacerFix{rt: rt, p: rt.pacer, th: rt.MainThread()}
+	f.fr = f.th.PushFrame(1)
+	f.node = rt.DefineClass("ANode", RefField("next"))
+	f.nextOff = f.node.MustFieldIndex("next")
+	return f
+}
+
+// grow prepends one node to the rooted chain.
+func (f *pacerFix) grow() {
+	n := f.th.New(f.node)
+	f.rt.SetRef(n, f.nextOff, f.fr.Local(0))
+	f.fr.SetLocal(0, n)
+}
+
+// checkOwner holds the pacer to the collector's own cycle state.
+func (f *pacerFix) checkOwner(t *testing.T) {
+	t.Helper()
+	if f.p.active != f.rt.collector.IncrementalActive() {
+		t.Fatalf("pacer.active = %v but collector.IncrementalActive() = %v", f.p.active, f.rt.collector.IncrementalActive())
+	}
+}
+
+// TestPacerStateTransitions walks every scheduler transition on a runtime
+// with no goroutine — idle→triggered→marking→finished, the no-retrigger
+// guard, and the growth-based retrigger — by allocating and by the forced
+// entry points, with the collector's own cycle state as the oracle at each
+// step.
+func TestPacerStateTransitions(t *testing.T) {
+	f := newPacerFix(1 << 13)
+	p, rt := f.p, f.rt
+	used := func() uint64 { return rt.heap.CapacityWords() - rt.heap.FreeWords() }
 
 	// Idle and under threshold: the trigger must not fire.
-	locked(func() {
-		if p.startLocked() {
-			t.Error("trigger fired on a near-empty heap")
-		}
-	})
-	if p.stats.Triggers != 0 {
-		t.Fatalf("Triggers = %d before any trigger", p.stats.Triggers)
+	if p.triggerLocked() {
+		t.Fatal("trigger fired on a near-empty heap")
 	}
 
-	// Cross the threshold with live, published data; the trigger fires,
-	// exactly once, and marking proceeds in slices to the finish arm.
-	fillPublished(t, rt, th, fr, 0, p.triggerWords+64)
-	locked(func() {
-		if !p.startLocked() {
-			t.Fatal("trigger did not fire above threshold")
+	// Cross the threshold with live, published data. The check runs before
+	// each allocation, so the trigger fires at the first allocation that
+	// finds the heap at the threshold — exactly once.
+	for p.stats.Triggers == 0 {
+		before := used()
+		f.grow()
+		if fired := p.stats.Triggers == 1; fired != (before >= p.triggerWords) {
+			t.Fatalf("trigger fired = %v with %d words used, threshold %d", fired, before, p.triggerWords)
 		}
-		if !p.active {
-			t.Fatal("pacer not active after trigger")
+	}
+	f.checkOwner(t)
+	if !p.active {
+		t.Fatal("pacer not active after trigger")
+	}
+	if p.triggerLocked() {
+		t.Fatal("started a second cycle while one is active")
+	}
+	for slices := 0; ; slices++ {
+		done, err := rt.GCStep()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if p.stats.Triggers != 1 {
-			t.Fatalf("Triggers = %d after one trigger", p.stats.Triggers)
+		f.checkOwner(t)
+		if done {
+			break
 		}
-		if !rt.collector.IncrementalActive() {
-			t.Fatal("collector has no cycle in flight after trigger")
+		if slices > 10000 {
+			t.Fatal("mark phase never drained")
 		}
-		if p.startLocked() {
-			t.Fatal("started a second cycle while one is active")
-		}
-		slices := 0
-		for !rt.collector.StepMark() {
-			if slices++; slices > 10000 {
-				t.Fatal("mark phase never drained")
-			}
-		}
-		p.finishLocked()
-		if p.active {
-			t.Fatal("pacer still active after finish")
-		}
-		if p.stats.Cycles != 1 {
-			t.Fatalf("Cycles = %d after one finish", p.stats.Cycles)
-		}
-		if rt.collector.IncrementalActive() {
-			t.Fatal("collector cycle survived finish")
-		}
-		if p.floorFree == 0 {
-			t.Fatal("finish did not record the retrigger baseline")
-		}
-	})
+	}
+	if p.active || p.stats.Cycles != 1 || p.stats.Triggers != 1 {
+		t.Fatalf("after one cycle: active=%v stats=%+v", p.active, p.stats)
+	}
+	if p.floorFree == 0 {
+		t.Fatal("finish did not record the retrigger baseline")
+	}
 
-	// Everything filled is still live, so occupancy remains over the
+	// Everything allocated is still live, so occupancy remains over the
 	// threshold — but the heap has not grown since the cycle, and
-	// re-collecting a large idle heap would spin.
-	locked(func() {
-		if p.startLocked() {
-			t.Error("retriggered with no heap growth since the last cycle")
-		}
-	})
-	if p.stats.Triggers != 1 {
-		t.Fatalf("Triggers = %d after guarded retrigger", p.stats.Triggers)
+	// re-collecting a large idle heap would spin. The trigger refires once
+	// the heap has grown past the retrigger floor, and not before.
+	if p.triggerLocked() {
+		t.Fatal("retriggered with no heap growth since the last cycle")
 	}
-
-	// Grow the live heap past the retrigger floor: the trigger fires again
-	// and the second cycle completes.
-	grow := int(p.minRetrigger()/21) + 2
-	spine := th.NewRefArray(grow)
-	fr.SetLocal(1, spine)
-	for j := 0; j < grow; j++ {
-		rt.ArrSetRef(spine, j, th.NewDataArray(20))
+	for p.stats.Triggers == 1 {
+		grown := p.floorFree - rt.heap.FreeWords()
+		f.grow()
+		if fired := p.stats.Triggers == 2; fired != (grown >= p.minRetrigger()) {
+			t.Fatalf("retrigger fired = %v after %d words of growth, floor %d", fired, grown, p.minRetrigger())
+		}
 	}
-	locked(func() {
-		if !p.startLocked() {
-			t.Fatal("trigger did not refire after heap growth")
-		}
-		for !rt.collector.StepMark() {
-		}
-		p.finishLocked()
-		if p.stats.Triggers != 2 || p.stats.Cycles != 2 {
-			t.Fatalf("Triggers/Cycles = %d/%d, want 2/2", p.stats.Triggers, p.stats.Cycles)
-		}
-	})
+	f.checkOwner(t)
+	if err := rt.FinishGC(); err != nil {
+		t.Fatal(err)
+	}
+	f.checkOwner(t)
+	if p.stats.Triggers != 2 || p.stats.Cycles != 2 {
+		t.Fatalf("Triggers/Cycles = %d/%d, want 2/2", p.stats.Triggers, p.stats.Cycles)
+	}
 	if errs := rt.VerifyHeap(); len(errs) != 0 {
 		t.Fatalf("heap corrupt: %v", errs[0])
 	}
 }
 
-// TestPacerAssistSchedule checks the proportional assist tax with the
-// background goroutine stopped: a mutator behind schedule pays bounded
-// mark slices (never more than maxAssistSlices), an over-schedule mutator
-// pays nothing, and an inactive pacer taxes nothing.
+// TestPacerAssistSchedule checks the proportional assist tax on a cycle
+// opened by hand: a mutator behind schedule pays bounded mark slices (never
+// more than maxAssistSlices), an over-schedule mutator pays nothing, and an
+// idle scheduler taxes nothing.
 func TestPacerAssistSchedule(t *testing.T) {
-	rt := New(Config{HeapWords: 1 << 13, Mode: Infrastructure, ConcurrentGC: true,
-		GCTriggerFraction: 0.5, GCAssistSlack: 0.5, IncrementalBudget: 8})
-	if err := rt.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	f := newPacerFix(1 << 13)
+	p, rt := f.p, f.rt
+	for i := 0; i < 1024; i++ { // 3 072 words: under the 4 096-word threshold
+		f.grow()
 	}
-	p := rt.pacer
-	th := rt.MainThread()
-	fr := th.PushFrame(2)
-	node := rt.DefineClass("ANode", RefField("next"))
-
-	// A long chain of small objects makes the cycle's work estimate dwarf
-	// the 8-object slice budget, and — because the tracer can only discover
-	// one chain link per scanned object — marking progress per slice stays
-	// near the budget, so one assist cannot catch up on the schedule.
-	nextOff := node.MustFieldIndex("next")
-	head := Nil
-	for i := 0; i < 1024; i++ {
-		n := th.New(node)
-		rt.SetRef(n, nextOff, head)
-		head = n
-		fr.SetLocal(0, head)
+	if p.stats.Triggers != 0 {
+		t.Fatal("test geometry broken: the chain crossed the trigger")
 	}
-	fillPublished(t, rt, th, fr, 1, p.triggerWords+64)
 
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-
-	// No active cycle: the tax is a no-op.
+	// No open cycle: the tax is a no-op.
 	p.assistLocked(64)
 	if p.stats.Assists != 0 {
 		t.Fatalf("assist ran with no cycle active")
 	}
 
-	if !p.startLocked() {
-		t.Fatal("trigger did not fire")
+	if err := rt.StartGC(); err != nil {
+		t.Fatal(err)
 	}
+	f.checkOwner(t)
 	if p.startWork == 0 {
 		t.Fatal("cycle recorded no work estimate")
 	}
 	need := p.capWords / 2
 	required := uint64(float64(p.startWork) * float64(need) / float64(p.capWords))
-	// The fill spine is the one fan-out object (~70 children marked in one
-	// pop); everything else is chain, so one assist advances marking by at
-	// most ~4 slices x budget + one spine burst, far short of required.
+	// One assist advances marking by at most 4 slices x budget, far short
+	// of required.
 	if required <= 200 {
 		t.Fatalf("test geometry broken: required %d within one assist", required)
 	}
@@ -311,11 +327,11 @@ func TestPacerAssistSchedule(t *testing.T) {
 		t.Fatalf("Assists = %d after second behind-schedule assist", p.stats.Assists)
 	}
 
-	// Drain the trace; once marking is ahead of the schedule the tax stops
-	// charging slices.
+	// Step the trace by hand; once marking is ahead of the schedule the tax
+	// stops charging slices.
 	for rt.collector.CycleMarked() < required {
-		if rt.collector.StepMark() {
-			break
+		if done, err := rt.GCStep(); done || err != nil {
+			t.Fatalf("GCStep = (%v, %v) before marking reached the schedule", done, err)
 		}
 	}
 	assists := p.stats.Assists
@@ -328,9 +344,10 @@ func TestPacerAssistSchedule(t *testing.T) {
 		t.Fatalf("ahead-of-schedule assist was counted (%d -> %d)", assists, p.stats.Assists)
 	}
 
-	for !rt.collector.StepMark() {
+	if err := rt.FinishGC(); err != nil {
+		t.Fatal(err)
 	}
-	p.finishLocked()
+	f.checkOwner(t)
 	if p.stats.Cycles != 1 || p.active {
 		t.Fatalf("cycle did not finish cleanly: cycles=%d active=%v", p.stats.Cycles, p.active)
 	}
@@ -340,30 +357,90 @@ func TestPacerAssistSchedule(t *testing.T) {
 // the cap completes the cycle instead of marking — the transition that
 // makes the growth bound exact.
 func TestPacerHardCapForcesFinish(t *testing.T) {
-	rt := New(Config{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true,
-		GCTriggerFraction: 0.5, GCAssistSlack: 0.5, IncrementalBudget: 8})
-	if err := rt.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	f := newPacerFix(1 << 12)
+	p, rt := f.p, f.rt
+	for i := 0; i < 256; i++ {
+		f.grow()
 	}
-	p := rt.pacer
-	th := rt.MainThread()
-	fr := th.PushFrame(1)
-	fillPublished(t, rt, th, fr, 0, p.triggerWords+64)
-
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if !p.startLocked() {
-		t.Fatal("trigger did not fire")
+	if err := rt.StartGC(); err != nil {
+		t.Fatal(err)
 	}
 	p.assistLocked(p.capWords)
 	if p.stats.ForcedFinishes != 1 {
 		t.Fatalf("ForcedFinishes = %d, want 1", p.stats.ForcedFinishes)
 	}
-	if p.active || rt.collector.IncrementalActive() {
+	f.checkOwner(t)
+	if p.active {
 		t.Fatal("cycle survived a forced finish")
 	}
 	if p.stats.Cycles != 1 {
 		t.Fatalf("Cycles = %d after forced finish", p.stats.Cycles)
+	}
+}
+
+// TestSchedulerDeterministic: without its goroutine the scheduler is a pure
+// function of the mutator's script — the same seeded allocate/store/GCStep
+// script run twice yields identical PacerStats, collector statistics (clock
+// readings aside) and live set, to the address. That is what lets the
+// incremental differentials, the oracle and FuzzIncrementalBarrier cover
+// scheduler-opened cycles and born-black carves reproducibly.
+func TestSchedulerDeterministic(t *testing.T) {
+	run := func(buf int) (PacerStats, gc.Stats, []LiveObject) {
+		rt := New(Config{HeapWords: 1 << 13, Mode: Infrastructure, IncrementalBudget: 2, AllocBuffers: buf})
+		th := rt.MainThread()
+		const slots = 16
+		fr := th.PushFrame(slots)
+		node := rt.DefineClass("DNode", RefField("a"), RefField("b"))
+		aOff := node.MustFieldIndex("a")
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 6000; i++ {
+			switch rng.Intn(10) {
+			case 0, 1, 2, 3:
+				n := th.New(node)
+				rt.SetRef(n, aOff, fr.Local(rng.Intn(slots))) // chains keep cycles open across allocations
+				fr.SetLocal(rng.Intn(slots), n)
+			case 4, 5:
+				fr.SetLocal(rng.Intn(slots), th.NewRefArray(1+rng.Intn(16)))
+			case 6:
+				fr.SetLocal(rng.Intn(slots), th.NewDataArray(1+rng.Intn(32)))
+			case 7:
+				src, dst := fr.Local(rng.Intn(slots)), fr.Local(rng.Intn(slots))
+				if src != Nil && rt.ClassOf(src) == node {
+					rt.SetRef(src, aOff, dst)
+				}
+			case 8:
+				fr.SetLocal(rng.Intn(slots), Nil)
+			case 9:
+				if _, err := rt.GCStep(); err != nil {
+					t.Fatalf("GCStep: %v", err)
+				}
+			}
+		}
+		if err := rt.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		s := rt.Stats()
+		s.GC.GCTime, s.GC.FullGCTime, s.GC.PauseTime, s.GC.MaxPause = 0, 0, 0, 0
+		if s.Pacer.Cycles == 0 || s.Pacer.Assists == 0 || s.GC.BarrierScans == 0 {
+			t.Fatalf("vacuous: pacer %+v, %d barrier scans", s.Pacer, s.GC.BarrierScans)
+		}
+		if buf > 0 && s.Heap.BufferCarves == 0 {
+			t.Fatal("vacuous: the buffered run carved nothing")
+		}
+		return s.Pacer, s.GC, rt.LiveSet()
+	}
+	for _, buf := range []int{0, 128} {
+		p1, g1, l1 := run(buf)
+		p2, g2, l2 := run(buf)
+		if p1 != p2 {
+			t.Errorf("AllocBuffers %d: PacerStats differ:\n%+v\n%+v", buf, p1, p2)
+		}
+		if !reflect.DeepEqual(g1, g2) {
+			t.Errorf("AllocBuffers %d: gc.Stats differ:\n%+v\n%+v", buf, g1, g2)
+		}
+		if !reflect.DeepEqual(l1, l2) {
+			t.Errorf("AllocBuffers %d: live sets differ (%d vs %d objects)", buf, len(l1), len(l2))
+		}
 	}
 }
 

@@ -141,7 +141,7 @@ func (rt *Runtime) storeRefBarriered(obj Ref, slot uint32, val Ref) {
 	if rt.generational {
 		rt.collector.WriteBarrier(obj)
 	}
-	if rt.incremental {
+	if rt.pacer != nil {
 		rt.collector.SnapshotBarrier(obj)
 	}
 	if rt.remsets != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -12,8 +13,9 @@ import (
 // Tests for incremental collection cycles (Config.IncrementalBudget > 0):
 // the assertion matrix (every assertion kind under every cycle schedule,
 // including mutations racing the mark slices), the pause-accounting
-// invariants across serial/parallel/incremental configurations, the config
-// validation, and the allocation-triggered cycle path.
+// invariants across serial/incremental configurations, the config
+// validation, registration as a forced completion, and the
+// allocation-triggered cycle path.
 
 // incFix is one runtime under a chosen schedule, with a small class and a
 // few global roots to build scenarios in.
@@ -26,7 +28,12 @@ type incFix struct {
 }
 
 func newIncFix(budget int) *incFix {
-	rt := New(Config{HeapWords: 1 << 12, Mode: Infrastructure, IncrementalBudget: budget})
+	return newIncFixOn(Config{HeapWords: 1 << 12, IncrementalBudget: budget})
+}
+
+func newIncFixOn(cfg Config) *incFix {
+	cfg.Mode = Infrastructure
+	rt := New(cfg)
 	f := &incFix{rt: rt, th: rt.MainThread()}
 	f.node = rt.DefineClass("Node", RefField("a"), RefField("b"))
 	f.aOff = f.node.MustFieldIndex("a")
@@ -227,7 +234,7 @@ func TestIncrementalAssertionMatrix(t *testing.T) {
 			for i := 0; f.rt.GCActive(); i++ {
 				f.th.New(f.node)
 				if i > 10000 {
-					t.Fatal("allocation tax never completed the cycle")
+					t.Fatal("assists never completed the cycle")
 				}
 			}
 			if err := f.rt.FinishGC(); err != nil { // surfaces a stashed halt, if any
@@ -388,52 +395,157 @@ func TestIncrementalAPIOnStopTheWorld(t *testing.T) {
 	}
 }
 
-// TestIncrementalRegistrationForcesCompletion: registering an assertion
-// while a cycle is in flight completes the cycle first — registration is a
-// snapshot-boundary operation.
-func TestIncrementalRegistrationForcesCompletion(t *testing.T) {
-	f := newIncFix(1)
-	o := f.th.New(f.node)
-	f.g[0].Set(o)
-	dead := f.th.New(f.node)
-	f.g[1].Set(dead)
-	if err := f.rt.AssertDead(dead); err != nil {
-		t.Fatal(err)
+// TestRegistrationForcesCompletion: registering an assertion while a cycle is
+// open completes the cycle first — registration is a snapshot-boundary
+// operation — whoever opened the cycle, and with or without the scheduler's
+// goroutine. The open cycle's snapshot holds a pre-registered assert-dead
+// violation; after the registering call the cycle is closed and counted, that
+// violation and no other has been reported, and the new assertion's verdict
+// arrives at the next collection exactly as on a stop-the-world runtime
+// running the same script.
+func TestRegistrationForcesCompletion(t *testing.T) {
+	// The script. A chain long enough that no cycle over it completes by
+	// assists alone hangs off g[0]; dead (g[1]) and x (g[2]) both point at
+	// shared. grows < 0 grows the chain until the scheduler opens a cycle;
+	// otherwise the cycle is opened by hand after that many links. Returns
+	// the links grown and the violations before and after the final GC.
+	run := func(t *testing.T, cfg Config, grows int, register func(f *incFix, dead, x, shared Ref) error) (int, []string, []string) {
+		cfg.HeapWords = 1 << 13
+		f := newIncFixOn(cfg)
+		rt := f.rt
+		dead, x, shared := f.th.New(f.node), f.th.New(f.node), f.th.New(f.node)
+		f.g[1].Set(dead)
+		f.g[2].Set(x)
+		rt.SetRef(dead, f.aOff, shared)
+		rt.SetRef(x, f.aOff, shared)
+		if err := rt.AssertDead(dead); err != nil {
+			t.Fatal(err)
+		}
+		grow := func() {
+			n := f.th.New(f.node)
+			rt.SetRef(n, f.aOff, f.g[0].Get())
+			f.g[0].Set(n)
+		}
+		if grows < 0 {
+			for grows = 0; !rt.GCActive() && rt.Stats().GC.IncrementalCycles == 0; grows++ {
+				if grows > 1<<13 {
+					t.Fatal("the scheduler never opened a cycle")
+				}
+				grow()
+			}
+		} else {
+			for i := 0; i < grows; i++ {
+				grow()
+			}
+			if err := rt.StartGC(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cfg.IncrementalBudget > 0 && !cfg.ConcurrentGC && !rt.GCActive() {
+			t.Fatal("vacuous: no cycle open at the registration") // the goroutine may win this race
+		}
+		if err := register(f, dead, x, shared); err != nil {
+			t.Fatal(err)
+		}
+		if rt.GCActive() {
+			t.Fatal("registration did not complete the open cycle")
+		}
+		if got := rt.Stats().GC.IncrementalCycles; cfg.IncrementalBudget > 0 && got != 1 {
+			t.Fatalf("IncrementalCycles = %d after the registration, want the snapshot's cycle counted once", got)
+		}
+		before := renderKinds(rt)
+		if err := rt.GC(); err != nil {
+			t.Fatal(err)
+		}
+		after := renderKinds(rt)
+		if err := rt.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return grows, before, after
 	}
-	if err := f.rt.StartGC(); err != nil {
-		t.Fatal(err)
+
+	kinds := []struct {
+		name, verdict string
+		register      func(f *incFix, dead, x, shared Ref) error
+	}{
+		{"AssertDead", "assert-dead", func(f *incFix, _, x, _ Ref) error { return f.rt.AssertDead(x) }},
+		{"AssertUnshared", "assert-unshared", func(f *incFix, _, _, shared Ref) error { return f.rt.AssertUnshared(shared) }},
+		{"AssertInstances", "assert-instances", func(f *incFix, _, _, _ Ref) error { return f.rt.AssertInstances(f.node, 1) }},
+		{"AssertOwnedBy", "assert-ownedby", func(f *incFix, dead, x, _ Ref) error { return f.rt.AssertOwnedBy(dead, x) }},
+		{"AssertAllDead", "assert-alldead", func(f *incFix, _, _, _ Ref) error {
+			// StartRegion does not force; the bracket's one object is born
+			// black inside the open cycle.
+			if err := f.th.StartRegion(); err != nil {
+				return err
+			}
+			f.g[3].Set(f.th.New(f.node))
+			return f.th.AssertAllDead()
+		}},
 	}
-	if !f.rt.GCActive() {
-		t.Fatal("no active cycle after StartGC")
+	count := func(vs []string, prefix string) (n int) {
+		for _, v := range vs {
+			if strings.HasPrefix(v, prefix) {
+				n++
+			}
+		}
+		return n
 	}
-	if err := f.rt.AssertUnshared(o); err != nil {
-		t.Fatal(err)
-	}
-	if f.rt.GCActive() {
-		t.Fatal("registration did not complete the in-flight cycle")
-	}
-	if got := renderKinds(f.rt); strings.Join(got, ",") != "assert-dead 0/0" {
-		t.Fatalf("forced completion reported %v, want the dead violation", got)
+	for _, cfg := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"incremental", Config{IncrementalBudget: 4}},
+		{"concurrent", Config{IncrementalBudget: 4, ConcurrentGC: true}},
+	} {
+		for _, opener := range []struct {
+			name  string
+			grows int
+		}{{"StartGC", 600}, {"scheduler", -1}} {
+			for _, k := range kinds {
+				t.Run(cfg.name+"/"+opener.name+"/"+k.name, func(t *testing.T) {
+					grows, before, after := run(t, cfg.cfg, opener.grows, k.register)
+					if strings.Join(before, ",") != "assert-dead 0/0" {
+						t.Fatalf("the forced completion reported %v, want the snapshot's one dead violation", before)
+					}
+					if count(after, k.verdict) <= count(before, k.verdict) {
+						t.Fatalf("the next collection reported %v: no %s verdict", after, k.verdict)
+					}
+					_, stwBefore, stwAfter := run(t, Config{}, grows, k.register)
+					if !reflect.DeepEqual(before, stwBefore) || !reflect.DeepEqual(after, stwAfter) {
+						t.Fatalf("verdicts differ from stop-the-world:\n got %v then %v\nwant %v then %v", before, after, stwBefore, stwAfter)
+					}
+				})
+			}
+		}
 	}
 }
 
-// TestIncrementalAllocationTrigger: with no explicit GC calls at all, low
-// free space starts a cycle and the per-allocation tax completes it.
+// TestIncrementalAllocationTrigger: with no explicit GC calls at all, the
+// scheduler's one trigger rule opens a cycle when occupancy reaches the
+// threshold — never below it — and the assists of the allocations that
+// follow complete it.
 func TestIncrementalAllocationTrigger(t *testing.T) {
 	rt := New(Config{HeapWords: 1 << 10, Mode: Infrastructure, IncrementalBudget: 8})
 	node := rt.DefineClass("Node", RefField("a"), RefField("b"))
 	th := rt.MainThread()
 	for i := 0; i < 400; i++ {
+		used, triggers := rt.heap.CapacityWords()-rt.heap.FreeWords(), rt.pacer.stats.Triggers
 		th.New(node) // unrooted: pure garbage
+		if rt.pacer.stats.Triggers > triggers && used < rt.pacer.triggerWords {
+			t.Fatalf("allocation %d opened a cycle at %d words used, threshold %d", i, used, rt.pacer.triggerWords)
+		}
 	}
-	s := rt.Stats().GC
-	if s.IncrementalCycles == 0 {
-		t.Fatalf("allocation pressure never triggered an incremental cycle: %+v", s)
+	s := rt.Stats()
+	if s.Pacer.Triggers == 0 || s.Pacer.Cycles == 0 {
+		t.Fatalf("allocation pressure never ran a scheduled cycle: %+v", s.Pacer)
 	}
-	if s.MarkSlices == 0 {
-		t.Fatalf("no tax slices ran: %+v", s)
+	if s.Pacer.Assists == 0 || s.GC.MarkSlices == 0 {
+		t.Fatalf("no assist marked: %+v, %d mark slices", s.Pacer, s.GC.MarkSlices)
 	}
-	if errs := rt.VerifyHeap(); len(errs) > 0 && rt.GCActive() {
+	if s.GC.IncrementalCycles != s.Pacer.Cycles {
+		t.Fatalf("collector completed %d incremental cycles, the scheduler %d", s.GC.IncrementalCycles, s.Pacer.Cycles)
+	}
+	if errs := rt.VerifyHeap(); len(errs) > 0 {
 		t.Fatalf("heap corrupt: %v", errs)
 	}
 }

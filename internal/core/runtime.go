@@ -99,35 +99,35 @@ type Config struct {
 	// must free to avoid escalating to a major collection. 0 keeps the
 	// default; a negative value disables escalation.
 	GenMinorFloor float64
-	// IncrementalBudget > 0 enables incremental full collections: the mark
-	// phase runs in slices of that many objects interleaved with mutator
-	// work (StartGC / GCStep / FinishGC, plus a per-allocation tax), behind
-	// a snapshot-at-beginning write barrier, so assertion checks observe
-	// the heap as it was when the cycle began. 0 (the default) keeps the
-	// paper's stop-the-world collections — all published figures use it.
-	// Requires Infrastructure mode.
+	// IncrementalBudget > 0 enables incremental full collections behind a
+	// snapshot-at-beginning write barrier, so assertion checks observe the
+	// heap as it was when the cycle began. The runtime's cycle scheduler
+	// (concurrent.go) opens a cycle when heap occupancy crosses
+	// GCTriggerFraction, the allocation slow path pays for marking in
+	// bounded assists of IncrementalBudget-object slices, and mid-cycle heap
+	// growth is hard-capped at GCTriggerFraction × GCAssistSlack × capacity;
+	// StartGC / GCStep / FinishGC force the same transitions by hand. 0 (the
+	// default) keeps the paper's stop-the-world collections — all published
+	// figures use it. Requires Infrastructure mode.
 	IncrementalBudget int
-	// ConcurrentGC runs collection on a background pacer goroutine
-	// (concurrent.go): a cycle is triggered when heap occupancy crosses
-	// GCTriggerFraction, marking proceeds in IncrementalBudget-sized
-	// slices interleaved with mutator work, and mutators that outrun the
-	// tracer pay bounded assists at their next allocation slow path
-	// instead of stalling for a full collection. Mid-cycle heap growth is
-	// hard-capped at GCTriggerFraction × GCAssistSlack × capacity.
-	// Requires Infrastructure mode; an IncrementalBudget of 0 defaults to
-	// 512. The runtime owns a goroutine while this is set — call
-	// Runtime.Close (after mutators quiesce) to stop it and surface any
-	// background HaltError. Off by default: all published figures use the
-	// paper's synchronous collections.
+	// ConcurrentGC adds a background goroutine to that scheduler: it polls
+	// the trigger and marks in slices between the mutators' operations, so
+	// assists are only what a mutator that outruns it pays. The runtime then
+	// counts as shared from the start (no lock elision) and keeps the
+	// allocation pin ring live. An IncrementalBudget of 0 defaults to 512.
+	// The runtime owns a goroutine while this is set — call Runtime.Close
+	// (after mutators quiesce) to stop it and surface any HaltError a cycle
+	// completed with no caller. Off by default: all published figures use
+	// the paper's synchronous collections.
 	ConcurrentGC bool
-	// GCTriggerFraction is the used-words fraction of heap capacity that
-	// triggers a concurrent cycle. 0 defaults to 0.5; must be in (0, 1).
-	// Requires ConcurrentGC.
+	// GCTriggerFraction is the used-words fraction of heap capacity at which
+	// the scheduler opens a cycle. 0 defaults to 0.5; must be in (0, 1).
+	// Requires IncrementalBudget > 0 or ConcurrentGC.
 	GCTriggerFraction float64
 	// GCAssistSlack caps mid-cycle heap growth at this fraction of the
 	// trigger threshold; when growth would exceed the cap, the allocating
 	// mutator completes the cycle instead. 0 defaults to 0.5; must be
-	// positive. Requires ConcurrentGC.
+	// positive. Requires IncrementalBudget > 0 or ConcurrentGC.
 	GCAssistSlack float64
 	// LazySweep defers reclamation: a collection ends after the mark phase
 	// plus a header-only census, and each heap segment is actually swept —
@@ -141,9 +141,9 @@ type Config struct {
 	// AllocBuffers > 0 enables the bump-pointer allocation fast path: each
 	// thread allocates from a private buffer of that many words carved off
 	// the free lists in one piece, and the per-allocation bookkeeping
-	// (stats, region-queue recording, the incremental trigger check) is
-	// batched per buffer and flushed when the buffer is retired — at
-	// refill, before every collection, and before any heap walk. Assertion
+	// (stats, region-queue recording) is batched per buffer and flushed when
+	// the buffer is retired — at refill, before every collection, and before
+	// any heap walk. Assertion
 	// results are identical to the direct path; only object addresses
 	// differ. While the runtime has a single mutator thread the bump path
 	// runs without any lock; the first NewThread call switches it to a
@@ -251,28 +251,28 @@ type Runtime struct {
 	retireSeen *sidetab.Bits
 
 	// Allocation-buffer mode (Config.AllocBuffers). allocBufWords is the
-	// per-thread buffer size in words (0 = direct allocation); incremental
-	// records whether the collector runs incremental cycles (which disable
-	// the bump fast path while active); allThreads lists every Thread so
-	// flushAllocBuffers can retire all outstanding buffers.
+	// per-thread buffer size in words (0 = direct allocation); allThreads
+	// lists every Thread so flushAllocBuffers can retire all outstanding
+	// buffers.
 	allocBufWords uint32
-	incremental   bool
 	allThreads    []*Thread
 
 	// The reference-store barriers this collector can ever need, resolved at
-	// New: generational remembered set, snapshot-at-beginning (incremental,
-	// above), cross-zone remembered sets (remsets != nil). plainStores is
-	// "none": a reference store is a check and a word store (storeRef).
+	// New: generational remembered set, snapshot-at-beginning (pacer != nil),
+	// cross-zone remembered sets (remsets != nil). plainStores is "none": a
+	// reference store is a check and a word store (storeRef).
 	generational bool
 	plainStores  bool
 
-	// Concurrent mode (Config.ConcurrentGC): pacer is the background
-	// collection scheduler (nil otherwise — the field is immutable after
-	// New, so the nil check needs no lock), and pinned holds the
+	// pacer is the cycle scheduler of a runtime with incremental full
+	// collections (Config.IncrementalBudget > 0; concurrent.go) and the sole
+	// owner of "a cycle is open"; nil on a stop-the-world runtime — the field
+	// is immutable after New, so the nil check needs no lock. pinned holds the
 	// hidden-register roots collectPins gathers before each root scan.
 	// pinsOn (immutable after New) statically activates the pin ring when
-	// the background pacer exists: its goroutine can complete a cycle — or
-	// dispatch a concurrent zone collection — at any moment, including
+	// the pacer has its background goroutine (Config.ConcurrentGC): the
+	// goroutine can complete a cycle — or dispatch a concurrent zone
+	// collection — at any moment, including
 	// between a mutator's allocation and the store publishing it. Every
 	// other collection is driven by some mutator goroutine, so on a
 	// single-thread runtime the ring stays off and reclamation stays
@@ -391,9 +391,9 @@ func (rt *Runtime) lockObj(r Ref) func() {
 	return rt.lockMu()
 }
 
-// lockZone is lockObj by zone index, on a zoned runtime.
+// lockZone is lockObj by zone index (0 on an unzoned runtime).
 func (rt *Runtime) lockZone(zi int) func() {
-	if rt.mutators.Load() == oneMutatorChecked {
+	if rt.mutators.Load() != manyMutatorsZoned {
 		return rt.lockMu()
 	}
 	rt.zlocks[zi].Lock()
@@ -420,20 +420,22 @@ func New(cfg Config) *Runtime {
 		if cfg.Mode != Infrastructure {
 			panic("core: ConcurrentGC requires Infrastructure mode")
 		}
+		if cfg.IncrementalBudget == 0 {
+			cfg.IncrementalBudget = defaultConcurrentBudget
+		}
+	}
+	if cfg.IncrementalBudget > 0 {
+		if cfg.Mode != Infrastructure {
+			panic("core: IncrementalBudget requires Infrastructure mode")
+		}
 		if cfg.GCTriggerFraction < 0 || cfg.GCTriggerFraction >= 1 {
 			panic("core: GCTriggerFraction must be in (0, 1)")
 		}
 		if cfg.GCAssistSlack < 0 {
 			panic("core: GCAssistSlack must be positive")
 		}
-		if cfg.IncrementalBudget == 0 {
-			cfg.IncrementalBudget = defaultConcurrentBudget
-		}
 	} else if cfg.GCTriggerFraction != 0 || cfg.GCAssistSlack != 0 {
-		panic("core: GCTriggerFraction and GCAssistSlack require ConcurrentGC")
-	}
-	if cfg.IncrementalBudget > 0 && cfg.Mode != Infrastructure {
-		panic("core: IncrementalBudget requires Infrastructure mode")
+		panic("core: GCTriggerFraction and GCAssistSlack require IncrementalBudget or ConcurrentGC")
 	}
 	if cfg.AllocBuffers < 0 {
 		panic("core: AllocBuffers must not be negative")
@@ -526,12 +528,10 @@ func New(cfg Config) *Runtime {
 	case MarkSweep:
 		ms := gc.NewMarkSweep(rt.heap, rt.reg, src, cfg.Mode, rt.engine)
 		ms.IncrementalBudget = cfg.IncrementalBudget
-		ms.ConcurrentPacing = cfg.ConcurrentGC
 		rt.collector = ms
 	case Generational:
 		g := gc.NewGenerational(rt.heap, rt.reg, src, cfg.Mode, rt.engine)
 		g.IncrementalBudget = cfg.IncrementalBudget
-		g.ConcurrentPacing = cfg.ConcurrentGC
 		if cfg.GenMajorEvery > 0 {
 			g.MajorEvery = cfg.GenMajorEvery
 		}
@@ -552,9 +552,8 @@ func New(cfg Config) *Runtime {
 	// completion sweep (collectPins is a no-op until pins are active).
 	rt.collector.SetPrepareRoots(rt.collectPins)
 	rt.allocBufWords = uint32(cfg.AllocBuffers)
-	rt.incremental = cfg.IncrementalBudget > 0
 	rt.generational = cfg.Collector == Generational
-	rt.plainStores = !rt.generational && !rt.incremental && rt.remsets == nil
+	rt.plainStores = !rt.generational && cfg.IncrementalBudget == 0 && rt.remsets == nil
 	rt.pinsOn = cfg.ConcurrentGC
 	if vmheap.DebugChecks {
 		rt.mutators.Store(oneMutatorChecked)
@@ -563,12 +562,14 @@ func New(cfg Config) *Runtime {
 	rt.main = &Thread{rt: rt, th: rt.threads.New("main"), zheap: rt.heap}
 	rt.allThreads = append(rt.allThreads, rt.main)
 
+	if cfg.IncrementalBudget > 0 {
+		rt.pacer = newPacer(rt, cfg.GCTriggerFraction, cfg.GCAssistSlack)
+	}
 	if cfg.ConcurrentGC {
 		// The pacer goroutine is a second accessor of the heap, the roots and
 		// every allocation buffer: the lock elision is never sound here.
 		rt.share()
-		rt.pacer = newPacer(rt, cfg.GCTriggerFraction, cfg.GCAssistSlack)
-		go rt.pacer.run()
+		rt.pacer.startBackground()
 	}
 	return rt
 }
@@ -669,19 +670,26 @@ func (g *Global) Set(r Ref) {
 	g.g.Set(r)
 }
 
+// collectLocked is every explicit collection entry point: complete an open
+// cycle through the scheduler (its snapshot predates the call, so it cannot
+// stand in for the collection being asked for), retire every buffer — after
+// which no thread can add an unpinned allocation before the collector's
+// prepare-roots hook gathers the pins and scans — and run the collection.
+// Caller holds the world lock.
+func (rt *Runtime) collectLocked(collect func() error) error {
+	if err := rt.settleCycleLocked(); err != nil {
+		return err
+	}
+	rt.flushAllocBuffers()
+	return collect()
+}
+
 // GC forces a full-heap collection (the kind that checks assertions). It
 // returns a *report.HaltError if a violation handler requested Halt.
 func (rt *Runtime) GC() error {
 	rt.lockWorld()
 	defer rt.unlockWorld()
-	if err := rt.settlePacerCycleLocked(); err != nil {
-		return err
-	}
-	// Flush before collecting pins (see startLocked): once every buffer is
-	// retired no thread can add an unpinned allocation before the root scan.
-	rt.flushAllocBuffers()
-	rt.collectPins()
-	return rt.collector.CollectFull()
+	return rt.collectLocked(rt.collector.CollectFull)
 }
 
 // Collect runs one collection under the collector's own policy (for the
@@ -690,72 +698,61 @@ func (rt *Runtime) GC() error {
 func (rt *Runtime) Collect() error {
 	rt.lockWorld()
 	defer rt.unlockWorld()
-	if err := rt.settlePacerCycleLocked(); err != nil {
-		return err
-	}
-	// Flush before collecting pins (see startLocked): once every buffer is
-	// retired no thread can add an unpinned allocation before the root scan.
-	rt.flushAllocBuffers()
-	rt.collectPins()
-	return rt.collector.Collect()
+	return rt.collectLocked(rt.collector.Collect)
 }
 
-// StartGC begins an incremental full collection: the snapshot root scan
-// (and any ownership pre-phase) runs in one pause, and marking then
-// proceeds in bounded slices — one per allocation as a tax, plus any GCStep
-// calls — until FinishGC (or any forced full collection) completes the
-// cycle. With IncrementalBudget == 0 it is equivalent to GC: one
-// stop-the-world full collection. A no-op if a cycle is already active.
+// StartGC opens an incremental full collection by hand: the snapshot root
+// scan (and any ownership pre-phase) runs in one pause, and marking then
+// proceeds in bounded slices — assists from the allocation slow path, the
+// background goroutine under ConcurrentGC, plus any GCStep calls — until
+// FinishGC (or any forced collection) completes the cycle. With
+// IncrementalBudget == 0 it is GC: one stop-the-world full collection. A
+// no-op if a cycle is already open.
 func (rt *Runtime) StartGC() error {
+	if rt.pacer == nil {
+		return rt.GC()
+	}
 	rt.lockWorld()
 	defer rt.unlockWorld()
-	if err := rt.settlePacerCycleLocked(); err != nil {
+	if err := rt.takePacerPending(); err != nil {
 		return err
 	}
-	// Flush before collecting pins (see startLocked): once every buffer is
-	// retired no thread can add an unpinned allocation before the root scan.
-	rt.flushAllocBuffers()
-	rt.collectPins()
-	return rt.collector.StartFull()
+	rt.pacer.openLocked()
+	return nil
 }
 
-// GCStep runs one bounded mark slice of an active incremental cycle,
+// GCStep runs one bounded mark slice of an open incremental cycle,
 // completing the cycle (sweep and all end-of-cycle checks included) when
-// marking finishes. It reports whether the cycle is complete; with no
-// active cycle it reports true immediately.
+// marking finishes. It reports whether the cycle is complete; with no open
+// cycle it reports true immediately.
 func (rt *Runtime) GCStep() (done bool, err error) {
 	rt.lockWorld()
 	defer rt.unlockWorld()
-	// A step that drains the worklist sweeps; under the pacer that must go
-	// through its ledger, so settle the whole cycle instead of stepping it
-	// behind the pacer's back.
-	if err := rt.settlePacerCycleLocked(); err != nil {
-		return true, err
+	if rt.cycleOpen() && !rt.pacer.stepLocked() {
+		return false, nil
 	}
-	rt.flushAllocBuffers()
-	return rt.collector.StepFull()
+	return true, rt.takePacerPending()
 }
 
-// FinishGC drives any active incremental cycle to completion and returns
-// its result (a *report.HaltError if a violation handler requested Halt —
-// including one stashed from a cycle that completed inside the allocation
-// tax). A no-op returning nil when no cycle is active and nothing is
-// stashed.
+// FinishGC drives any open incremental cycle to completion and returns its
+// result (a *report.HaltError if a violation handler requested Halt —
+// including one stashed from a cycle that completed with no caller to
+// receive it). With no cycle open and nothing stashed it returns nil. Like
+// every explicit collection entry point it leaves no allocation buffer
+// outstanding.
 func (rt *Runtime) FinishGC() error {
 	rt.lockWorld()
 	defer rt.unlockWorld()
-	if err := rt.settlePacerCycleLocked(); err != nil {
-		return err
-	}
+	err := rt.settleCycleLocked()
 	rt.flushAllocBuffers()
-	return rt.collector.FinishFull()
+	return err
 }
 
 // GCActive reports whether an incremental collection cycle is in flight.
 func (rt *Runtime) GCActive() bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.collector.IncrementalActive()
+	return rt.cycleOpen()
 }
 
 // CompleteSweep drives any pending lazy sweep to completion (a no-op under

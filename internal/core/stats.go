@@ -30,8 +30,8 @@ type Snapshot struct {
 	// Sweep counts lazy sweep activity over every zone; all zero under the
 	// default eager sweep.
 	Sweep vmheap.SweepModeStats
-	// Pacer counts concurrent-collection activity; all zero without
-	// Config.ConcurrentGC.
+	// Pacer counts cycle-scheduler activity; all zero without
+	// Config.IncrementalBudget.
 	Pacer PacerStats
 	// Zones summarizes per-zone occupancy (nil unless Config.Zones >= 2).
 	Zones []vmheap.ZoneInfo

@@ -181,13 +181,12 @@ func (t *Thread) NewDataArray(n int) Ref {
 // alloc dispatches an allocation. With buffers enabled
 // (Config.AllocBuffers — immutable after New, so the read needs no lock)
 // the common case is a bounds check, a header store, and a cursor bump —
-// stats, region recording, and the incremental trigger check are batched
-// in the buffer and settled when it is retired (see the locking comment on
-// Thread.buf). Until NewThread creates a second mutator the bump needs no
-// lock at all: the spinlock's CAS+store pair costs more than half of a
-// direct free-list allocation on a contemporary core, so eliding it while
-// provably single-mutator (Runtime.mutators) is what makes the fast path
-// fast.
+// stats and region recording are batched in the buffer and settled when it is
+// retired (see the locking comment on Thread.buf). Until NewThread creates a
+// second mutator the bump needs no lock at all: the spinlock's CAS+store pair
+// costs more than half of a direct free-list allocation on a contemporary
+// core, so eliding it while provably single-mutator (Runtime.mutators) is
+// what makes the fast path fast.
 func (t *Thread) alloc(kind vmheap.Kind, classID uint32, n uint32) (Ref, error) {
 	rt := t.rt
 	if rt.allocBufWords > 0 {
@@ -210,59 +209,108 @@ func (t *Thread) alloc(kind vmheap.Kind, classID uint32, n uint32) (Ref, error) 
 	return t.allocSlow(kind, classID, n)
 }
 
-// allocSlow is allocation off the bump path: refill the buffer if buffers
-// are enabled, else (or when refill declines) allocate from the free
-// lists, collecting (then collecting fully) on exhaustion; record the
-// object in any active region bracket on this thread.
+// allocSlow is allocation off the bump path, and the scheduler's hook point:
+// run the pacing hook, refill the buffer if buffers are enabled, else (or when
+// refill declines) allocate from the free lists, collecting on exhaustion;
+// record the object in any active region bracket on this thread. Unless solo
+// it runs under rt.mu, or on a zone-sharded runtime under the allocating
+// zone's lock (plus rt.mu when whole-heap cycles require it — Runtime.zonedMu),
+// so threads parked in different zones refill and allocate concurrently and
+// an allocation never blocks on another zone's in-flight collection.
 func (t *Thread) allocSlow(kind vmheap.Kind, classID uint32, n uint32) (Ref, error) {
-	if t.rt.zlocks != nil {
-		return t.allocSlowZoned(kind, classID, n)
-	}
 	rt := t.rt
+	zh := t.zheap // owning goroutine; cannot race its own SetZone
+	zi := zh.ZoneID()
+	unlock := noUnlock
 	if !rt.solo() {
-		defer rt.lockMu()()
+		unlock = rt.lockZone(zi)
 	}
 
-	if rt.pacer != nil {
-		// Surface a HaltError from a background-completed cycle, then run
-		// the pacing hook — trigger check plus assist tax — for the words
-		// this allocation is about to consume (the object, plus a buffer
-		// carve if one will happen).
+	if p := rt.pacer; p != nil {
+		// Surface a HaltError from a cycle that completed with no caller, then
+		// run the pacing hook — trigger check plus assist tax — for the words
+		// this allocation is about to consume (the object, plus a buffer carve
+		// if one will happen) — and nudge the goroutine while the lock is
+		// still held: it queues on rt.mu behind this allocation instead of
+		// taking the lock out from under the mutator's next operation.
 		if err := rt.takePacerPending(); err != nil {
+			unlock()
 			return Nil, err
 		}
-		rt.pacer.allocPacingLocked(0, uint64(vmheap.ObjectWords(kind, n))+uint64(rt.allocBufWords))
-		defer rt.pacer.maybeWake()
+		p.allocPacingLocked(zi, uint64(vmheap.ObjectWords(kind, n))+uint64(rt.allocBufWords))
+		p.maybeWake()
 	}
 
 	if rt.allocBufWords > 0 {
 		if r, ok := t.refillAlloc(kind, classID, n); ok {
+			unlock()
 			return r, nil
 		}
-		// Fall through to the direct path: incremental cycle active,
-		// object larger than a buffer, an argument the buffer declined to
-		// validate, or the free lists cannot supply even a minimal buffer
-		// (a collection may be needed).
+		// Fall through to the direct path: object larger than a buffer, an
+		// argument the buffer declined to validate, or the free lists cannot
+		// supply even a minimal buffer (a collection may be needed).
 	}
 
-	r, err := t.zheap.Alloc(kind, classID, n)
-	if err == vmheap.ErrHeapExhausted && rt.allocBufWords > 0 {
+	r, err := zh.Alloc(kind, classID, n)
+	switch {
+	case err == vmheap.ErrHeapExhausted:
+		// Collecting — even flushing other threads' buffers — needs the whole
+		// heap quiescent. rt.mu is that on an unzoned runtime; a zoned one
+		// trades its zone-level locks for the world lock, which also drains
+		// any in-flight concurrent zone collections (they hold their zone
+		// locks until they fold their results).
+		if rt.zlocks != nil {
+			unlock()
+			rt.lockWorld()
+			unlock = rt.unlockWorld
+		}
+		r, err = t.allocExhausted(kind, classID, n)
+	case err != nil:
+		err = rt.outOfMemory(n) // an argument the heap declined
+	}
+	if err != nil {
+		unlock()
+		return Nil, err
+	}
+
+	t.recordSlowAlloc(r)
+	if rt.pacer != nil {
+		rt.collector.DidAllocate(r) // born black if a cycle is open
+	}
+	unlock()
+	return r, nil
+}
+
+// noUnlock releases what the single-mutator regime did not lock.
+func noUnlock() {}
+
+// allocExhausted is the allocation slow path's exhaustion ladder: retire
+// every buffer, collect, collect fully, retrying the allocation after each.
+// Caller holds the world lock (or is solo).
+func (t *Thread) allocExhausted(kind vmheap.Kind, classID uint32, n uint32) (Ref, error) {
+	rt := t.rt
+	r, err := Nil, vmheap.ErrHeapExhausted
+	if rt.allocBufWords > 0 {
 		// Other threads' buffer tails may hold the needed words; retire
 		// every buffer before paying for a collection.
 		rt.flushAllocBuffers()
 		r, err = t.zheap.Alloc(kind, classID, n)
 	}
 	if err == vmheap.ErrHeapExhausted {
-		// The collection about to run scans roots; other threads may hold
-		// unpublished allocations (concurrent.go).
-		rt.collectPins()
-		if cerr := rt.collector.Collect(); cerr != nil {
+		var cerr error
+		if rt.cycleOpen() {
+			cerr = rt.settleCycleLocked() // completing it is this rung's collection
+		} else {
+			cerr = rt.collector.Collect()
+		}
+		if cerr != nil {
 			return Nil, cerr
 		}
 		r, err = t.zheap.Alloc(kind, classID, n)
 		if err == vmheap.ErrHeapExhausted {
-			// A generational minor collection may not have freed
-			// enough; fall back to a full collection.
+			// A generational minor collection, or a cycle whose snapshot
+			// predates the garbage, may not have freed enough; fall back
+			// to a full collection.
 			if cerr := rt.collector.CollectFull(); cerr != nil {
 				return Nil, cerr
 			}
@@ -270,153 +318,42 @@ func (t *Thread) allocSlow(kind vmheap.Kind, classID uint32, n uint32) (Ref, err
 		}
 	}
 	if err != nil {
-		return Nil, &OutOfMemoryError{
-			RequestWords: n,
-			LiveWords:    rt.heap.LiveWords(),
-			HeapWords:    rt.heap.CapacityWords(),
-		}
+		return Nil, rt.outOfMemory(n)
 	}
-
-	// The paper: "Every allocation checks the flag to determine if it
-	// occurred within a region, and if it is, the allocated object is
-	// added to the queue."
-	if t.th.InRegion() {
-		t.th.RecordRegionAlloc(r)
-	}
-	t.th.CountAlloc()
-
-	if rt.pinsActive() {
-		t.notePin(r)
-	}
-
-	// Incremental mode (a no-op otherwise): start a cycle when free space
-	// runs low, allocate black during an active cycle, and pay one mark
-	// slice as an allocation tax. A tax slice can complete the cycle and
-	// sweep, so any outstanding buffers must be retired first. Under the
-	// pacer the hook only blackens (cycle scheduling and the tax are the
-	// pacer's), so no retirement is needed.
-	if rt.incremental && rt.pacer == nil {
-		rt.flushAllocBuffers()
-	}
-	rt.collector.DidAllocate(r)
 	return r, nil
 }
 
-// allocSlowZoned is the slow path on a zone-sharded runtime. Unless solo it
-// runs under the allocating zone's lock (plus rt.mu when whole-heap cycles
-// require it — Runtime.zonedMu), so threads parked in different zones refill
-// and allocate concurrently, and an allocation here never blocks on another
-// zone's in-flight collection. Heap exhaustion is the one escalation point:
-// the zone-level locks are released and the collection (plus the retry) runs
-// under the world lock.
-func (t *Thread) allocSlowZoned(kind vmheap.Kind, classID uint32, n uint32) (Ref, error) {
-	rt := t.rt
-	zh := t.zheap // owning goroutine; cannot race its own SetZone
-	zi := zh.ZoneID()
-	unlock := func() {}
-	if !rt.solo() {
-		unlock = rt.lockZone(zi)
+// outOfMemory builds the error of an allocation no collection could satisfy.
+func (rt *Runtime) outOfMemory(n uint32) error {
+	return &OutOfMemoryError{
+		RequestWords: n,
+		LiveWords:    rt.heap.LiveWords(),
+		HeapWords:    rt.heap.CapacityWords(),
 	}
-
-	if rt.pacer != nil {
-		// zonedMu is always true under the pacer, so rt.mu is held here.
-		if err := rt.takePacerPending(); err != nil {
-			unlock()
-			return Nil, err
-		}
-		rt.pacer.allocPacingLocked(zi, uint64(vmheap.ObjectWords(kind, n))+uint64(rt.allocBufWords))
-		defer rt.pacer.maybeWake()
-	}
-
-	if rt.allocBufWords > 0 {
-		if r, ok := t.refillAlloc(kind, classID, n); ok {
-			unlock()
-			return r, nil
-		}
-	}
-
-	r, err := zh.Alloc(kind, classID, n)
-	if err == vmheap.ErrHeapExhausted {
-		// The zone is full. Collecting — even flushing other zones' buffers —
-		// needs the whole heap quiescent, so trade the zone-level locks for
-		// the world lock (all zone locks ascending, then rt.mu) and retry
-		// there. This also drains any in-flight concurrent zone collections:
-		// they hold their zone locks until they fold their results.
-		unlock()
-		rt.lockWorld()
-		if rt.allocBufWords > 0 {
-			rt.flushAllocBuffers()
-			r, err = zh.Alloc(kind, classID, n)
-		}
-		if err == vmheap.ErrHeapExhausted {
-			rt.collectPins()
-			if cerr := rt.collector.Collect(); cerr != nil {
-				rt.unlockWorld()
-				return Nil, cerr
-			}
-			r, err = zh.Alloc(kind, classID, n)
-			if err == vmheap.ErrHeapExhausted {
-				if cerr := rt.collector.CollectFull(); cerr != nil {
-					rt.unlockWorld()
-					return Nil, cerr
-				}
-				r, err = zh.Alloc(kind, classID, n)
-			}
-		}
-		if err != nil {
-			oom := &OutOfMemoryError{
-				RequestWords: n,
-				LiveWords:    rt.heap.LiveWords(),
-				HeapWords:    rt.heap.CapacityWords(),
-			}
-			rt.unlockWorld()
-			return Nil, oom
-		}
-		t.recordSlowAlloc(r)
-		if rt.incremental && rt.pacer == nil {
-			rt.flushAllocBuffers()
-		}
-		rt.collector.DidAllocate(r)
-		rt.unlockWorld()
-		return r, nil
-	}
-	if err != nil {
-		// Non-exhaustion failure (argument the heap declined); report it the
-		// way the unzoned path does.
-		oom := &OutOfMemoryError{
-			RequestWords: n,
-			LiveWords:    rt.heap.LiveWords(),
-			HeapWords:    rt.heap.CapacityWords(),
-		}
-		unlock()
-		return Nil, oom
-	}
-
-	t.recordSlowAlloc(r)
-	// The incremental hooks touch whole-heap collector state and read
-	// cross-zone aggregates; they require rt.mu (held — incremental implies
-	// zonedMu) and must stand down while a concurrent zone collection is
-	// mutating its zone's counters under only its zone lock. Skipping is
-	// sound: the hooks only trigger or advance cycles, and the next slow
-	// allocation after the zone collections fold re-runs them.
-	if rt.incremental && rt.pacer == nil && rt.zoneGC == 0 {
-		rt.flushAllocBuffers()
-		rt.collector.DidAllocate(r)
-	} else if rt.incremental && rt.pacer != nil {
-		rt.collector.DidAllocate(r)
-	}
-	unlock()
-	return r, nil
 }
 
-// recordSlowAlloc is the bookkeeping shared by the zoned slow-path exits:
-// region recording (under the engine guard — a concurrent zone collection's
-// PreSweep walks region queues under it), the thread's allocation count
-// (under the buffer spinlock — the stats fold reads it there), and the pin
-// ring. Caller holds at least t's zone lock, plus rt.mu in zonedMu
-// configurations (the pacer, hence notePin, implies zonedMu).
+// recordSlowAlloc is the bookkeeping of a slow-path allocation: region
+// recording, the thread's allocation count, and the pin ring. On an unzoned
+// runtime rt.mu (or the solo contract) covers all three. On a zoned one the
+// caller may hold only t's zone lock, so the region queue is written under the
+// engine guard (a concurrent zone collection's PreSweep walks region queues
+// under it) and the count and ring under the buffer spinlock (the stats fold
+// and collectPins read them there).
 func (t *Thread) recordSlowAlloc(r Ref) {
 	rt := t.rt
+	if rt.zlocks == nil {
+		// The paper: "Every allocation checks the flag to determine if it
+		// occurred within a region, and if it is, the allocated object is
+		// added to the queue."
+		if t.th.InRegion() {
+			t.th.RecordRegionAlloc(r)
+		}
+		t.th.CountAlloc()
+		if rt.pinsActive() {
+			t.notePin(r)
+		}
+		return
+	}
 	if rt.engine != nil {
 		g := rt.engine.Guard()
 		g.Lock()
@@ -428,18 +365,16 @@ func (t *Thread) recordSlowAlloc(r Ref) {
 	t.lockBuf()
 	t.th.CountAlloc()
 	if rt.pinsActive() {
-		t.notePin(r) // under bufMu: collectPins may run without this
-		// goroutine holding rt.mu in serial zoned mode
+		t.notePin(r)
 	}
 	t.unlockBuf()
 }
 
 // refillAlloc retires the thread's exhausted buffer, carves a fresh one,
 // and satisfies the allocation from it. ok=false sends the caller to the
-// direct path: for objects too large for a buffer, while an incremental
-// cycle is active (allocate-black and the mark tax are per-object), or
-// when the free lists cannot supply even a minimal buffer. Caller holds
-// rt.mu (unzoned), or the thread's zone lock plus rt.mu if zonedMu (zoned).
+// direct path: for objects too large for a buffer, or when the free lists
+// cannot supply even a minimal buffer. Caller holds rt.mu (unzoned), or the
+// thread's zone lock plus rt.mu if zonedMu (zoned).
 func (t *Thread) refillAlloc(kind vmheap.Kind, classID uint32, n uint32) (Ref, bool) {
 	rt := t.rt
 	need := vmheap.ObjectWords(kind, n)
@@ -451,31 +386,10 @@ func (t *Thread) refillAlloc(kind vmheap.Kind, classID uint32, n uint32) (Ref, b
 		return Nil, false
 	}
 	t.flushBuffer()
-	if rt.incremental && rt.pacer == nil {
-		// The refill is the batched equivalent of the direct path's
-		// per-allocation trigger check. Starting a cycle requires every
-		// buffer retired (the cycle ends in a heap parse), and while one
-		// is active allocation stays on the direct path. Under the pacer
-		// neither applies: triggering is the pacer's growth check, and
-		// mid-cycle carves proceed (born black, below).
-		if rt.collector.IncrementalActive() {
-			return Nil, false
-		}
-		if rt.zoneGC == 0 {
-			// The trigger check reads whole-heap aggregates and retires
-			// every thread's buffer; both need the heap quiescent at the
-			// zone level (zoneGC is 0 forever on an unzoned runtime).
-			rt.flushAllocBuffers()
-			rt.collector.DidRefill()
-			if rt.collector.IncrementalActive() {
-				return Nil, false
-			}
-		}
-	}
 	if !t.zheap.CarveBuffer(&t.buf, need, rt.allocBufWords) {
 		return Nil, false
 	}
-	if rt.pacer != nil && rt.collector.IncrementalActive() {
+	if rt.cycleOpen() {
 		// Mid-cycle carve: every object bump-allocated from this buffer
 		// is born black (no snapshot reference can reach it, and its
 		// slots hold nothing to scan), keeping the fast path one header

@@ -84,24 +84,6 @@ func (t *Thread) ZoneIndex() int { // reads t.zheap: owner goroutine or rt.mu
 	return t.zheap.ZoneID()
 }
 
-// prepareZoneOpLocked settles collection machinery that spans zones before
-// a zone-local operation: a pacer-owned cycle and any in-flight incremental
-// cycle are completed (both are whole-heap by construction — their snapshot
-// predates the zone operation). Caller holds the world lock on a zoned
-// runtime (FinishFull parses the whole arena), rt.mu otherwise.
-func (rt *Runtime) prepareZoneOpLocked() error {
-	if err := rt.settlePacerCycleLocked(); err != nil {
-		return err
-	}
-	if rt.collector.IncrementalActive() {
-		rt.flushAllocBuffers()
-		if err := rt.collector.FinishFull(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Collect runs a full mark/sweep of this zone only: the zone's reachable
 // objects (from roots and inbound cross-zone references) are marked, its
 // garbage swept, and every piggybacked assertion over its objects checked —
@@ -120,22 +102,9 @@ func (z *Zone) Collect() error { return z.rt.collectZoneOrEscalate(z.idx) }
 func (rt *Runtime) collectZoneOrEscalate(zi int) error {
 	_, escalate, err := rt.collectZoneConcurrent(zi)
 	if escalate {
-		return rt.collectFullEscalated()
+		return rt.GC()
 	}
 	return err
-}
-
-// collectFullEscalated is the whole-heap fallback for zone entry points
-// that cannot run zone-locally (ownership assertions registered).
-func (rt *Runtime) collectFullEscalated() error {
-	rt.lockWorld()
-	defer rt.unlockWorld()
-	if err := rt.prepareZoneOpLocked(); err != nil {
-		return err
-	}
-	rt.flushAllocBuffers()
-	rt.collectPins()
-	return rt.collector.CollectFull()
 }
 
 // collectZoneConcurrent runs one zone collection under the per-zone locking
@@ -148,10 +117,10 @@ func (rt *Runtime) collectFullEscalated() error {
 // whole-heap operations (GC, StartGC, Close — all of which take every zone
 // lock ascending) simply block until this collection folds; they can never
 // observe a half-collected zone. The zoneGC counter taken under rt.mu exists
-// for the one whole-heap actor that does NOT take zone locks — the pacer and
-// the incremental allocation hooks, which run under rt.mu alone and must
-// neither start whole-heap cycles nor read cross-zone heap aggregates while a
-// zone's sweep is mutating its counters under only its zone lock.
+// for the one whole-heap actor that does NOT take zone locks — the pacer's
+// trigger and assist, which run under rt.mu alone and must neither open a
+// whole-heap cycle nor read cross-zone heap aggregates while a zone's sweep
+// is mutating its counters under only its zone lock.
 //
 // The phases:
 //
@@ -190,7 +159,7 @@ func (rt *Runtime) collectZoneConcurrent(zi int) (counts []int64, escalate bool,
 			rt.zlocks[zi].Unlock()
 			return nil, false, err
 		}
-		if !rt.collector.IncrementalActive() && (rt.pacer == nil || !rt.pacer.active) {
+		if !rt.cycleOpen() {
 			break
 		}
 		// A whole-heap cycle is in flight; its snapshot spans every zone, so
@@ -199,7 +168,7 @@ func (rt *Runtime) collectZoneConcurrent(zi int) (counts []int64, escalate bool,
 		rt.mu.Unlock()
 		rt.zlocks[zi].Unlock()
 		rt.lockWorld()
-		err := rt.prepareZoneOpLocked()
+		err := rt.settleCycleLocked()
 		rt.unlockWorld()
 		if err != nil {
 			return nil, false, err
@@ -318,7 +287,7 @@ func (rt *Runtime) GCZonesConcurrent(workers int) error {
 		return firstErr
 	}
 	if escalate {
-		return rt.collectFullEscalated()
+		return rt.GC()
 	}
 	if rt.engine != nil {
 		if v := rt.engine.CheckInstanceTotals(totals); v != nil {
@@ -345,7 +314,8 @@ func (z *Zone) Retire() (survivors int, err error) {
 	rt := z.rt
 	rt.lockWorld()
 	defer rt.unlockWorld()
-	if err := rt.prepareZoneOpLocked(); err != nil {
+	// A whole-heap cycle's snapshot predates the retire; complete it first.
+	if err := rt.settleCycleLocked(); err != nil {
 		return 0, err
 	}
 	zh := z.h

@@ -29,29 +29,21 @@ type fullCycle struct {
 	mode   Mode
 	stats  Stats
 
-	// IncrementalBudget > 0 enables incremental full collections: marking
-	// proceeds in slices of that many objects interleaved with mutator work,
-	// behind a snapshot-at-beginning write barrier. 0 (the default) keeps the
-	// paper's stop-the-world collections.
+	// IncrementalBudget is the mark-slice size, in objects, of an incremental
+	// full collection (StartFull / StepMark / FinishFull). 0 (the default)
+	// means the runtime only ever calls CollectFull: the paper's
+	// stop-the-world collections.
 	IncrementalBudget int
-
-	// ConcurrentPacing hands cycle scheduling to core's background pacer:
-	// DidAllocate stops starting cycles or levying the allocation tax (the
-	// pacer triggers on heap growth and taxes via assists), and DidRefill
-	// becomes a no-op. Requires IncrementalBudget > 0.
-	ConcurrentPacing bool
 
 	// sweep reclaims the heap at the end of a full cycle: the heap's own
 	// Sweep for MarkSweep; for Generational, the sweep that also promotes
 	// every survivor and drops the remembered set.
 	sweep func(vmheap.SweepOptions) vmheap.SweepStats
 
-	// active reports an incremental cycle in flight.
+	// active reports an incremental cycle in flight. When one opens, advances
+	// and completes is the runtime's decision (core's pacer); the cycle only
+	// carries out the transitions.
 	active bool
-	// pending holds a HaltError from a cycle that completed inside the
-	// allocation tax, where no caller could receive it; the next collector
-	// entry point surfaces it.
-	pending error
 
 	// prepareRoots, when non-nil, runs before every whole-heap root scan and
 	// completion sweep (see Collector.SetPrepareRoots).
@@ -61,11 +53,6 @@ type fullCycle struct {
 	// carry their own references for the phase spans).
 	tele *telemetry.Recorder
 }
-
-// incTriggerFraction: an allocation that leaves less than this fraction of
-// the heap free starts an incremental cycle, so collection work is paid as
-// an allocation tax before the heap exhausts and forces a long pause.
-const incTriggerFraction = 0.25
 
 // newFullCycle builds the shared cycle state; the embedding collector
 // installs sweep. engine must be nil exactly when mode is Base.
@@ -150,19 +137,11 @@ func (c *fullCycle) halted() error {
 	return nil
 }
 
-// takePending consumes a stashed completion error.
-func (c *fullCycle) takePending() error {
-	err := c.pending
-	c.pending = nil
-	return err
-}
-
-// CollectFull performs one stop-the-world full collection. An in-flight
-// incremental cycle is driven to completion instead — its snapshot is
-// already taken, and completing it is a full collection with all checks.
+// CollectFull performs one stop-the-world full collection. The caller has
+// completed any in-flight incremental cycle first.
 func (c *fullCycle) CollectFull() error {
-	if c.active || c.pending != nil {
-		return c.FinishFull()
+	if c.active {
+		panic("gc: CollectFull with an incremental cycle in flight")
 	}
 	c.heap.AssertNoBuffers("full collection")
 	c.prep() // root scan and sweep share this pause; one gather covers both
@@ -199,23 +178,11 @@ func (c *fullCycle) CollectFull() error {
 	return c.halted()
 }
 
-// StartFull implements Collector: begin an incremental cycle, or run a
-// stop-the-world full collection when incremental mode is off.
-func (c *fullCycle) StartFull() error {
-	if c.IncrementalBudget <= 0 {
-		return c.CollectFull()
-	}
-	if err := c.takePending(); err != nil {
-		return err
-	}
-	c.start()
-	return nil
-}
-
-// start begins a cycle: one pause covering the tracer reset, the assertion
-// cycle setup, any ownership pre-phase, and the snapshot root scan. A no-op
-// when a cycle is already active.
-func (c *fullCycle) start() {
+// StartFull implements Collector: begin an incremental cycle — one pause
+// covering the tracer reset, the assertion cycle setup, any ownership
+// pre-phase, and the snapshot root scan. A no-op when a cycle is already
+// active.
+func (c *fullCycle) StartFull() {
 	if c.active {
 		return
 	}
@@ -252,19 +219,6 @@ func (c *fullCycle) endSlice(ph telemetry.Phase, begin time.Time) {
 	c.stats.addFullWork(d)
 }
 
-// StepFull implements Collector: one bounded mark slice, completing the
-// cycle when the worklist drains. With no cycle active it reports done
-// immediately (surfacing any stashed error first).
-func (c *fullCycle) StepFull() (bool, error) {
-	if err := c.takePending(); err != nil {
-		return true, err
-	}
-	if c.StepMark() {
-		return true, c.FinishFull()
-	}
-	return false, nil
-}
-
 // StepMark implements Collector: one bounded mark slice without completing
 // the cycle when the worklist drains — it reports the drain and leaves
 // completion to the caller, which must first retire every allocation buffer
@@ -286,9 +240,6 @@ func (c *fullCycle) StepMark() bool {
 // be popped from the worklist), instance-limit checks, table purges, and the
 // sweep.
 func (c *fullCycle) FinishFull() error {
-	if err := c.takePending(); err != nil {
-		return err
-	}
 	if !c.active {
 		return nil
 	}
@@ -330,52 +281,11 @@ func (c *fullCycle) SnapshotBarrier(obj vmheap.Ref) {
 	c.endSlice(telemetry.PhaseIncBarrier, begin)
 }
 
-// lowOnSpace is the incremental trigger: less than incTriggerFraction of
-// the heap is free.
-func (c *fullCycle) lowOnSpace() bool {
-	return float64(c.heap.FreeWords()) < incTriggerFraction*float64(c.heap.CapacityWords())
-}
-
-// DidAllocate implements Collector, the per-allocation hook: start a cycle
-// when free space runs low, mark the fresh object black (no snapshot
-// reference can reach it, and its slots hold nothing to scan), and pay one
-// mark slice as an allocation tax. A HaltError from a tax-completed cycle is
-// stashed for the next entry point — the allocation itself already
-// succeeded.
+// DidAllocate implements Collector: an object allocated directly from the
+// free lists while a cycle is in flight is born black — no snapshot reference
+// can reach it, and its slots hold nothing to scan.
 func (c *fullCycle) DidAllocate(r vmheap.Ref) {
-	if c.IncrementalBudget <= 0 {
-		return
+	if c.active {
+		c.heap.SetFlags(r, vmheap.FlagMark|vmheap.FlagScanned)
 	}
-	if c.ConcurrentPacing {
-		// The background pacer owns cycle starts and the allocation tax
-		// (levied as assists at buffer-refill boundaries); this hook only
-		// keeps mid-cycle direct allocations black.
-		if c.active {
-			c.heap.SetFlags(r, vmheap.FlagMark|vmheap.FlagScanned)
-		}
-		return
-	}
-	if !c.active {
-		if !c.lowOnSpace() {
-			return
-		}
-		c.start()
-	}
-	c.heap.SetFlags(r, vmheap.FlagMark|vmheap.FlagScanned)
-	if _, err := c.StepFull(); err != nil {
-		c.pending = err
-	}
-}
-
-// DidRefill implements Collector, the buffer-refill trigger: the batched
-// equivalent of DidAllocate's free-space check, paid once per allocation
-// buffer instead of once per object. There is no object to blacken and no
-// tax slice here — while a cycle is active the runtime routes allocation to
-// the direct path, whose DidAllocate pays both. Under ConcurrentPacing the
-// trigger belongs to the pacer's heap-growth check.
-func (c *fullCycle) DidRefill() {
-	if c.IncrementalBudget <= 0 || c.ConcurrentPacing || c.active || !c.lowOnSpace() {
-		return
-	}
-	c.start()
 }

@@ -153,36 +153,28 @@ type Collector interface {
 	// invalidates their stamps. Nil (the default) disables the hook.
 	SetPrepareRoots(fn func())
 
-	// Incremental driving (no-ops unless the collector was configured with
-	// an IncrementalBudget > 0). StartFull begins an incremental full
-	// collection — snapshot root scan in one pause — falling back to a
-	// stop-the-world CollectFull when incremental mode is off. StepFull
-	// runs one bounded mark slice and completes the cycle (sweep included)
-	// when the worklist drains, reporting completion. FinishFull drives
-	// any in-flight cycle to completion. IncrementalActive reports an
-	// in-flight cycle. SnapshotBarrier must be called before every
-	// reference store (the snapshot-at-beginning barrier); DidAllocate
-	// after every successful allocation (trigger check, allocate-black,
-	// allocation-tax slice).
-	StartFull() error
-	StepFull() (done bool, err error)
+	// An incremental full collection (IncrementalBudget > 0) is three
+	// transitions the runtime's scheduler drives; the collector never decides
+	// when one happens. StartFull opens a cycle: the snapshot root scan, in
+	// one pause. StepMark advances it by one bounded mark slice. FinishFull
+	// completes it (terminal drain, end-of-cycle checks, sweep; a no-op with
+	// no cycle open) and returns a *report.HaltError if a handler asked for
+	// one. IncrementalActive reports an open cycle. While one is open,
+	// SnapshotBarrier must be called before every reference store (the
+	// snapshot-at-beginning barrier) and DidAllocate after every allocation
+	// taken directly from the free lists (allocate-black). Collect and
+	// CollectFull must not be called with a cycle open.
+	StartFull()
 	FinishFull() error
 	IncrementalActive() bool
 	SnapshotBarrier(obj vmheap.Ref)
 	DidAllocate(r vmheap.Ref)
-	// DidRefill is the allocation-buffer analog of DidAllocate's trigger
-	// check, called once per buffer refill instead of once per object:
-	// it may start an incremental cycle when free space runs low. The
-	// caller must have retired every allocation buffer first. A no-op
-	// unless incremental mode is configured.
-	DidRefill()
 
 	// StepMark runs one bounded mark slice of an in-flight cycle WITHOUT
-	// finishing it when the worklist drains — it only reports the drain.
-	// The concurrent pacer uses this to separate mark progress (safe from
-	// its own slice loop) from cycle completion (which sweeps, and so must
-	// happen at a point where every allocation buffer has been retired).
-	// With no cycle active it reports true.
+	// finishing it when the worklist drains — it only reports the drain:
+	// mark progress is safe at any point, while completion sweeps and so
+	// needs every allocation buffer retired first. With no cycle active it
+	// reports true.
 	StepMark() bool
 	// CycleMarked returns the number of objects marked so far by the
 	// current (or, after it finishes, most recent) trace. The pacer's
@@ -297,7 +289,7 @@ func (c *MarkSweep) zoneTracer(z *vmheap.Heap) *trace.Tracer {
 // guarantees no incremental or pacer cycle is active — the runtime's
 // zone-collection ticket (see core) excludes them.
 func (c *MarkSweep) BeginZone(z *vmheap.Heap) *ZoneCollection {
-	if c.active || c.pending != nil {
+	if c.active {
 		panic("gc: BeginZone with an incremental cycle in flight")
 	}
 	c.tele.CycleBegin()

@@ -92,12 +92,11 @@ func (c *Generational) majorSweep(o vmheap.SweepOptions) vmheap.SweepStats {
 }
 
 // Collect implements Collector: minor by default, escalating to major per
-// policy. While a major incremental cycle is in flight the policy is
-// overridden: the cycle is completed instead (a minor sweep would recycle
-// addresses the snapshot still references).
+// policy. Never with a major incremental cycle in flight: a minor sweep would
+// recycle addresses the snapshot still references.
 func (c *Generational) Collect() error {
-	if c.active || c.pending != nil {
-		return c.FinishFull()
+	if c.active {
+		panic("gc: Collect with an incremental cycle in flight")
 	}
 	if c.minorsSinceMajor >= c.MajorEvery {
 		return c.CollectFull()

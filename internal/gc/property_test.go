@@ -156,8 +156,8 @@ func TestPropertyHeapVerifiesAfterCollection(t *testing.T) {
 // TestFullCycleBothCollectorsBothRoutes: the two collectors run one cycle
 // type. The same random graph, with assert-dead, assert-unshared and
 // ownership assertions armed on it, is collected by MarkSweep and by
-// Generational, each through CollectFull and through StartFull, StepFull
-// until done, FinishFull; all four runs must leave the same survivors, report
+// Generational, each through CollectFull and through StartFull, StepMark
+// until drained, FinishFull; all four runs must leave the same survivors, report
 // the same violations and count the same cycle, apart from IncrementalCycles
 // between the routes. Generational starts each run mid-policy — a remembered
 // set in use, minors counted — and must end it with every survivor mature,
@@ -202,13 +202,10 @@ func TestFullCycleBothCollectorsBothRoutes(t *testing.T) {
 		var err error
 		if stepped {
 			cyc.IncrementalBudget = 3
-			err = c.StartFull()
-			for done := false; err == nil && !done; {
-				done, err = c.StepFull()
+			c.StartFull()
+			for !c.StepMark() {
 			}
-			if err == nil {
-				err = c.FinishFull()
-			}
+			err = c.FinishFull()
 		} else {
 			err = c.CollectFull()
 		}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -187,7 +188,8 @@ func (s *splitMix) next() uint64 {
 // first row (conventionally the stop-the-world baseline).
 func FormatConcurrentPacing(rows []ConcurrentRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Concurrent pacing: per-operation latency and throughput (first row = baseline)\n")
+	fmt.Fprintf(&b, "Concurrent pacing: per-operation latency and throughput (first row = baseline; nproc %d, GOMAXPROCS %d)\n",
+		runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	fmt.Fprintf(&b, "%-14s %9s %8s %9s %9s %9s %9s %7s %8s %7s %7s\n",
 		"config", "ops/ms", "rel", "p50-us", "p95-us", "p99-us", "max-ms",
 		"cycles", "assists", "forced", "growth")

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -210,7 +211,8 @@ func RunPauseReport(cfg PauseReportConfig, progress func(string)) []PauseRow {
 // baseline).
 func FormatPauseReport(rows []PauseRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Incremental pause distribution (budget 0 = stop-the-world baseline)\n")
+	fmt.Fprintf(&b, "Incremental pause distribution (budget 0 = stop-the-world baseline; nproc %d, GOMAXPROCS %d)\n",
+		runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	fmt.Fprintf(&b, "%-10s %8s %10s %10s %10s %10s %8s %11s %12s\n",
 		"budget", "pauses", "p50-ms", "p95-ms", "p99-ms", "max-ms", "shrink", "slices/gc", "barriers/gc")
 	var base float64

@@ -18,7 +18,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/sidetab"
 )
 
 // magic and version identify the snapshot format.
@@ -311,12 +310,9 @@ func Read(r io.Reader, heapWords int) (*core.Runtime, error) {
 	pinArr := th.NewRefArray(int(numObjects))
 	pin.Set(pinArr)
 
-	// Old-ref → new-ref remapping in a dense side table: snapshot refs are
-	// arena word indexes, so direct indexing beats a map even for the
-	// load path, and the lazy chunks track the snapshot's address range.
-	// Valid refs are always even (2-word alignment) — mapRef rejects odd
-	// or oversized values before they could alias a neighboring slot.
-	remap := sidetab.NewTable[core.Ref]()
+	// Old-ref → new-ref remapping. Valid refs are always even (2-word
+	// alignment).
+	remap := make(map[core.Ref]core.Ref, len(objects))
 	for i, o := range objects {
 		if uint32(o.oldRef)&1 != 0 {
 			return nil, fmt.Errorf("heapdump: corrupt snapshot ref %d (odd)", o.oldRef)
@@ -333,17 +329,17 @@ func Read(r io.Reader, heapWords int) (*core.Runtime, error) {
 			return nil, fmt.Errorf("heapdump: unknown kind %d", o.kind)
 		}
 		rt.ArrSetRef(pinArr, i, newRef)
-		remap.Set(uint32(o.oldRef), newRef)
+		remap[o.oldRef] = newRef
 	}
 
 	mapRef := func(old uint64) (core.Ref, error) {
 		if old == 0 {
 			return core.Nil, nil
 		}
-		if old > uint64(^uint32(0)) || old&1 != 0 {
+		if old > uint64(^uint32(0)) {
 			return core.Nil, fmt.Errorf("heapdump: dangling snapshot ref %d", old)
 		}
-		n, ok := remap.Get(uint32(old))
+		n, ok := remap[core.Ref(old)]
 		if !ok {
 			return core.Nil, fmt.Errorf("heapdump: dangling snapshot ref %d", old)
 		}
@@ -351,7 +347,7 @@ func Read(r io.Reader, heapWords int) (*core.Runtime, error) {
 	}
 
 	for _, o := range objects {
-		newRef, _ := remap.Get(uint32(o.oldRef))
+		newRef := remap[o.oldRef]
 		switch o.kind {
 		case kindScalar:
 			isRef := map[uint16]bool{}

@@ -2,8 +2,7 @@
 // assertion paths that cannot afford a Go map's hash and pointer chase.
 //
 // The epoch-stamped, arena-indexed tables serve heap-wide per-object state
-// (the per-access staleness touch, heapdump remapping, zone-retire
-// dedupe). A Ref is already a bounded uint32 word index into the arena, so
+// (the per-access staleness touch, zone-retire dedupe). A Ref is already a bounded uint32 word index into the arena, so
 // they index directly:
 //
 //   - Two-level chunked layout. A directory of fixed-size chunks covers
@@ -22,10 +21,9 @@
 //     is even and half the slot space suffices. Keys must be even; an odd
 //     key would alias its even neighbor.
 //
-// Bits is the set variant (membership only), Table[V] attaches a typed
-// value per key, and Epoch32 is the persistent profiling variant where the
-// stored uint32 is itself the datum (0 = absent, no cycle epoch —
-// staleness last-access tracking).
+// Bits is the set variant (membership only) and Epoch32 is the persistent
+// profiling variant where the stored uint32 is itself the datum (0 = absent,
+// no cycle epoch — staleness last-access tracking).
 //
 // Index (index.go) is the other shape: a hash table sized by the number of
 // entries rather than by the arena, for state that a small fraction of
@@ -139,114 +137,6 @@ func (b *Bits) Range(fn func(key uint32)) {
 		for i, st := range c {
 			if st == b.epoch {
 				fn((uint32(d)<<chunkShift + uint32(i)) << 1)
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Table[V]
-
-// Table attaches a value of type V to each present key. Presence is
-// epoch-stamped exactly as in Bits; values of absent entries are garbage
-// and never observable. Not internally synchronized.
-type Table[V any] struct {
-	epoch  uint32
-	count  int
-	stamps [][]uint32
-	vals   [][]V
-}
-
-// NewTable creates an empty table.
-func NewTable[V any]() *Table[V] { return &Table[V]{epoch: 1} }
-
-func (t *Table[V]) chunk(s uint32) ([]uint32, []V) {
-	d := s >> chunkShift
-	for int(d) >= len(t.stamps) {
-		t.stamps = append(t.stamps, nil)
-		t.vals = append(t.vals, nil)
-	}
-	if t.stamps[d] == nil {
-		t.stamps[d] = make([]uint32, chunkSlots)
-		t.vals[d] = make([]V, chunkSlots)
-	}
-	return t.stamps[d], t.vals[d]
-}
-
-// Get returns the value for key, if present.
-func (t *Table[V]) Get(key uint32) (V, bool) {
-	s := key >> 1
-	d := s >> chunkShift
-	if int(d) >= len(t.stamps) || t.stamps[d] == nil {
-		var zero V
-		return zero, false
-	}
-	i := s & chunkMask
-	if t.stamps[d][i] != t.epoch {
-		var zero V
-		return zero, false
-	}
-	return t.vals[d][i], true
-}
-
-// Set inserts or replaces the value for key.
-func (t *Table[V]) Set(key uint32, v V) {
-	s := key >> 1
-	st, vals := t.chunk(s)
-	i := s & chunkMask
-	if st[i] != t.epoch {
-		st[i] = t.epoch
-		t.count++
-	}
-	vals[i] = v
-}
-
-// Delete removes key from the table.
-func (t *Table[V]) Delete(key uint32) {
-	s := key >> 1
-	d := s >> chunkShift
-	if int(d) >= len(t.stamps) || t.stamps[d] == nil {
-		return
-	}
-	i := s & chunkMask
-	if t.stamps[d][i] == t.epoch {
-		t.stamps[d][i] = 0
-		t.count--
-	}
-}
-
-// Clear empties the table: O(1) epoch bump, chunk zeroing only on the
-// 32-bit wrap.
-func (t *Table[V]) Clear() {
-	t.count = 0
-	t.epoch++
-	if t.epoch == 0 {
-		for _, c := range t.stamps {
-			if c != nil {
-				clear(c)
-			}
-		}
-		t.epoch = 1
-	}
-}
-
-// Len returns the number of present keys.
-func (t *Table[V]) Len() int { return t.count }
-
-// Range calls fn for each present key in ascending order; fn returning
-// false stops the walk. Deleting the current key inside fn is allowed.
-func (t *Table[V]) Range(fn func(key uint32, v V) bool) {
-	for d, st := range t.stamps {
-		if st == nil {
-			continue
-		}
-		vals := t.vals[d]
-		for i, stamp := range st {
-			if stamp != t.epoch {
-				continue
-			}
-			if !fn((uint32(d)<<chunkShift+uint32(i))<<1, vals[i]) {
-				return
 			}
 		}
 	}

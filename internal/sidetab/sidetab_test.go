@@ -98,52 +98,6 @@ func TestBitsEpochRollover(t *testing.T) {
 	}
 }
 
-func TestTableBasics(t *testing.T) {
-	tab := NewTable[int32]()
-	if _, ok := tab.Get(4); ok {
-		t.Fatalf("empty table has key")
-	}
-	tab.Set(4, 7)
-	tab.Set(4, 9) // replace
-	tab.Set(chunkSlots*2+4, 11)
-	if v, ok := tab.Get(4); !ok || v != 9 {
-		t.Fatalf("Get(4) = %d,%v want 9,true", v, ok)
-	}
-	if tab.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tab.Len())
-	}
-	tab.Delete(4)
-	if _, ok := tab.Get(4); ok || tab.Len() != 1 {
-		t.Fatalf("Delete(4) left the entry")
-	}
-	tab.Clear()
-	if tab.Len() != 0 {
-		t.Fatalf("Len after Clear = %d", tab.Len())
-	}
-	if _, ok := tab.Get(chunkSlots*2 + 4); ok {
-		t.Fatalf("entry survived Clear")
-	}
-}
-
-func TestTableRangeDeleteDuringWalk(t *testing.T) {
-	tab := NewTable[uint32]()
-	for k := uint32(0); k < 64; k += 2 {
-		tab.Set(k, k+1)
-	}
-	tab.Range(func(k, v uint32) bool {
-		if v != k+1 {
-			t.Fatalf("value mismatch at %d: %d", k, v)
-		}
-		if k%4 == 0 {
-			tab.Delete(k)
-		}
-		return true
-	})
-	if tab.Len() != 16 {
-		t.Fatalf("Len after walk-delete = %d, want 16", tab.Len())
-	}
-}
-
 func TestEpoch32(t *testing.T) {
 	e := NewEpoch32()
 	if _, ok := e.Get(2); ok {

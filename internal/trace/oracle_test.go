@@ -12,8 +12,8 @@ package trace_test
 // not exceed their limits, region allocations must all have died.
 //
 // The runtime, by contrast, detects the same violations spread across
-// bounded mark slices, snapshot-at-beginning barrier scans, allocation-tax
-// slices, and forced completions — none of which the model knows anything
+// bounded mark slices, snapshot-at-beginning barrier scans, allocation
+// assists, and forced completions — none of which the model knows anything
 // about. The test asserts that the two produce identical violation
 // multisets on every script: the incremental machinery is only correct if
 // it is observationally equivalent to atomic snapshot evaluation.
