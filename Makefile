@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench sweepbench allocbench telemetrybench pausebench zonebench tracebench parzonebench assertbench slobench difftest fuzz figures casestudies verify
+.PHONY: all build test race bench sweepbench allocbench telemetrybench pausebench tracebench assertbench slobench difftest fuzz figures casestudies verify
 
 all: build test
 
@@ -47,24 +47,10 @@ pausebench:
 	go run ./cmd/gcbench -fig pause | tee results/incremental_pause.txt
 	go run ./cmd/gcbench -fig pause -concurrent | tee results/concurrent_pacing.txt
 
-# Zone pause-isolation report: per-allocation mutator latency and the
-# telemetry pause histogram while a driver collects continuously — the whole
-# heap in the baseline, one zone at a time in the sharded variants. Shows
-# collecting one zone does not pause allocation in the others (see
-# results/zones.txt).
-zonebench:
-	go run ./cmd/gcbench -fig zones | tee results/zones.txt
-
-# Trace-throughput baseline: marked words/sec on the pseudojbb shape under
-# whole-heap and zone-rotation tracing (see results/trace_throughput.txt).
+# Trace-throughput baseline: marked words/sec of the whole-heap trace on
+# the pseudojbb shape (see results/trace_throughput.txt).
 tracebench:
 	go test -run '^$$' -bench BenchmarkTraceThroughput -benchmem ./internal/harness | tee results/trace_throughput.txt
-
-# Parallel zone rotation: aggregate GC throughput (marked words/sec) and
-# mutator throughput under rotations with 1, 2, and 4 zones in flight (see
-# results/parallel_zones.txt).
-parzonebench:
-	go run ./cmd/gcbench -fig zones -zonegcworkers 4 | tee results/parallel_zones.txt
 
 # Assertion-overhead report: per-assertion-kind collection throughput with
 # the engine unarmed vs armed (dead, region, unshared, owned), plus the
@@ -80,9 +66,7 @@ assertbench:
 # NDJSON stream — the same file `gcmon -follow` reads live. The heap is
 # sized so collections actually fire under the load and land in the tails.
 # The gate requires aggregate p99 at the -slo-rps rate within the -slo-p99
-# budget (see results/serving_slo.txt). The zoned config needs a heap at
-# least 4x this (the database initializes into one zone):
-#   go run ./cmd/minidbd -selfdrive -gc zones -heapwords 262144 ...
+# budget (see results/serving_slo.txt).
 slobench:
 	go run ./cmd/minidbd -selfdrive -gc stw,concurrent -rates 500,1000 \
 		-duration 4s -heapwords 65536 -entries 1000 \
@@ -90,28 +74,25 @@ slobench:
 
 # Differential tests under the race detector, in one run over internal/:
 # stop-the-world vs incremental cycles, hand-stepped and scheduler-driven
-# (plus the shadow-model oracle), eager vs lazy sweep modes under both collectors, direct
-# vs buffered allocation across every collector mode, telemetry on vs off
-# (recording must be pure observation — byte-identical heaps), stop-the-world
-# vs background-pacer concurrent collection, whole-heap vs zone rotation and
-# rotation width 1 vs 2 vs 4 (same final marked set and assertion verdicts),
-# the single-mutator lock-elided regime vs the locked one, and the staleness
+# (plus the shadow-model oracle), eager vs lazy sweep modes under both
+# collectors, direct vs buffered allocation across every collector mode,
+# telemetry on vs off (recording must be pure observation — byte-identical
+# heaps), stop-the-world vs background-pacer concurrent collection, the
+# single-mutator lock-elided regime vs the locked one, and the staleness
 # side table vs its map model.
 difftest:
 	go test -race -run 'Differential|TestOracle|TestLazySweep|TestAllocBuffer|TestTelemetry|TestSoloContract' ./internal/...
 
 # Short coverage-guided fuzz runs: stop-the-world against scheduler-driven
 # incremental cycles, the eager/lazy sweep equivalence, the direct/buffered
-# allocation equivalence, the stop-the-world/concurrent-pacer equivalence, the
-# zone remembered-set safety bound, and the side tables against their map
-# models (go test takes one -fuzz pattern per invocation, so the targets run
-# sequentially).
+# allocation equivalence, the stop-the-world/concurrent-pacer equivalence,
+# and the side tables against their map models (go test takes one -fuzz
+# pattern per invocation, so the targets run sequentially).
 fuzz:
 	go test -run '^$$' -fuzz FuzzIncrementalBarrier -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzLazySweep -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzAllocBuffer -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzConcurrentPacer -fuzztime 30s ./internal/core
-	go test -run '^$$' -fuzz FuzzZoneRemset -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzSideTab -fuzztime 30s ./internal/sidetab
 	go test -run '^$$' -fuzz FuzzOwneeIndex -fuzztime 30s ./internal/sidetab
 

@@ -8,7 +8,6 @@
 //	gcbench -fig pause incremental pause-distribution report (not a paper figure)
 //	gcbench -fig sweep sweep-mode pause comparison (not a paper figure)
 //	gcbench -fig alloc allocation-throughput comparison (not a paper figure)
-//	gcbench -fig zones zone pause-isolation report (not a paper figure)
 //
 // -incremental N selects the bounded mark budget for -fig pause; the paper
 // figures themselves are always stop-the-world, as published.
@@ -26,12 +25,6 @@
 // -events FILE enables telemetry on every measured runtime and streams its
 // NDJSON event log there (cmd/gcmon summarizes it); the published numbers
 // run with telemetry disabled.
-// -zones N shards the heap for -fig zones' sharded variants (the report
-// always includes the unzoned whole-heap baseline and a two-zone row).
-// -zonegcworkers W switches -fig zones to its parallel-rotation arm: the
-// same churn measured under GCZonesConcurrent rotations with 1 (GCZones) up
-// to W zones collected simultaneously, comparing aggregate GC throughput (marked words/sec) at flat mutator
-// throughput (make parzonebench records it in results/parallel_zones.txt).
 //
 // Methodology follows the paper: fixed heaps at roughly twice each
 // benchmark's minimum live size, warmup iterations discarded, repeated
@@ -53,7 +46,7 @@ import (
 // figNames is the single source of truth for the accepted -fig values: the
 // usage string, validate's accepted set, and its error message all derive
 // from it (TestFigUsageMatchesValidate keeps them from drifting).
-var figNames = []string{"2", "3", "4", "5", "all", "pause", "sweep", "alloc", "zones"}
+var figNames = []string{"2", "3", "4", "5", "all", "pause", "sweep", "alloc"}
 
 // figList renders figNames as an English list ("2, 3, ..., or alloc").
 func figList() string {
@@ -76,8 +69,6 @@ type options struct {
 	lazySweep   bool
 	allocBuf    int
 	events      string
-	zones       int
-	zoneGCW     int
 }
 
 // validate rejects option combinations that would otherwise fail deep
@@ -107,7 +98,7 @@ func validate(o options) error {
 	if o.concurrent && o.incremental > 0 {
 		return fmt.Errorf("-concurrent with -incremental %d: the pacer budgets its own mark slices against the allocation rate; the two modes cannot be combined", o.incremental)
 	}
-	if o.lazySweep && (o.fig == "sweep" || o.fig == "pause" || o.fig == "alloc" || o.fig == "zones") {
+	if o.lazySweep && (o.fig == "sweep" || o.fig == "pause" || o.fig == "alloc") {
 		return fmt.Errorf("-lazysweep selects a mode for the paper figures; -fig %s configures its own collector modes", o.fig)
 	}
 	if o.allocBuf < 0 {
@@ -116,29 +107,11 @@ func validate(o options) error {
 	if o.allocBuf > 0 && o.allocBuf < vmheap.MinBufferWords {
 		return fmt.Errorf("-allocbuf %d: below the minimum buffer of %d words (use 0 for direct allocation)", o.allocBuf, vmheap.MinBufferWords)
 	}
-	if o.allocBuf > 0 && (o.fig == "sweep" || o.fig == "pause" || o.fig == "alloc" || o.fig == "zones") {
+	if o.allocBuf > 0 && (o.fig == "sweep" || o.fig == "pause" || o.fig == "alloc") {
 		return fmt.Errorf("-allocbuf selects a mode for the paper figures; -fig %s configures its own allocation modes", o.fig)
 	}
-	if o.events != "" && (o.fig == "sweep" || o.fig == "pause" || o.fig == "alloc" || o.fig == "zones") {
+	if o.events != "" && (o.fig == "sweep" || o.fig == "pause" || o.fig == "alloc") {
 		return fmt.Errorf("-events streams telemetry from the paper-figure runs; -fig %s configures its own runtimes", o.fig)
-	}
-	if o.zones < 2 {
-		return fmt.Errorf("-zones %d: sharding needs at least two zones", o.zones)
-	}
-	if maxZones := harness.DefaultZoneReport.HeapWords / vmheap.MinZoneWords; o.zones > maxZones {
-		return fmt.Errorf("-zones %d: the %d-word report heap cannot give each zone the minimum %d words (max %d zones)", o.zones, harness.DefaultZoneReport.HeapWords, vmheap.MinZoneWords, maxZones)
-	}
-	if o.zones != 4 && o.fig != "zones" {
-		return fmt.Errorf("-zones %d with -fig %s: the zone count applies only to -fig zones", o.zones, o.fig)
-	}
-	if o.zoneGCW < 0 {
-		return fmt.Errorf("-zonegcworkers %d: cannot be negative", o.zoneGCW)
-	}
-	if o.zoneGCW > 0 && o.fig != "zones" {
-		return fmt.Errorf("-zonegcworkers %d with -fig %s: concurrent rotation is -fig zones' parallel arm; it needs -zones", o.zoneGCW, o.fig)
-	}
-	if o.zoneGCW > o.zones {
-		return fmt.Errorf("-zonegcworkers %d exceeds -zones %d: cannot collect more zones simultaneously than exist", o.zoneGCW, o.zones)
 	}
 	return nil
 }
@@ -153,8 +126,6 @@ func main() {
 	lazySweep := flag.Bool("lazysweep", false, "defer reclamation to allocation time for the paper figures")
 	allocBuf := flag.Int("allocbuf", 0, "per-thread allocation buffer words for the paper figures (0 = direct free-list allocation, as published)")
 	events := flag.String("events", "", "write telemetry NDJSON events from the measured runtimes to this file (paper figures only)")
-	zones := flag.Int("zones", 4, "zone count for -fig zones' largest sharded variant")
-	zoneGCW := flag.Int("zonegcworkers", 0, "run -fig zones as the parallel-rotation report, collecting up to this many zones simultaneously (0 = pause-isolation report)")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	csvPath := flag.String("csv", "", "also write raw measurements to this CSV file")
 	flag.Parse()
@@ -169,8 +140,6 @@ func main() {
 		lazySweep:   *lazySweep,
 		allocBuf:    *allocBuf,
 		events:      *events,
-		zones:       *zones,
-		zoneGCW:     *zoneGCW,
 	}
 	if err := validate(opts); err != nil {
 		fmt.Fprintf(os.Stderr, "gcbench: %v\n", err)
@@ -195,36 +164,6 @@ func main() {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "measuring %s...\n", name)
 		}
-	}
-
-	if *fig == "zones" && *zoneGCW > 0 {
-		cfg := harness.DefaultParZoneReport
-		cfg.Zones = *zones
-		cfg.Workers = nil
-		for w := 1; w < *zoneGCW; w *= 2 {
-			cfg.Workers = append(cfg.Workers, w)
-		}
-		cfg.Workers = append(cfg.Workers, *zoneGCW)
-		rows := harness.RunParZoneReport(cfg, progress)
-		fmt.Println(harness.FormatParZoneReport(rows))
-		return
-	}
-
-	if *fig == "zones" {
-		cfg := harness.DefaultZoneReport
-		if *zones != 4 {
-			cfg.Variants = []harness.ZoneVariant{
-				{Name: "unzoned", Zones: 0},
-				{Name: "zones-2", Zones: 2},
-			}
-			if *zones != 2 {
-				cfg.Variants = append(cfg.Variants,
-					harness.ZoneVariant{Name: fmt.Sprintf("zones-%d", *zones), Zones: *zones})
-			}
-		}
-		rows := harness.RunZoneReport(cfg, progress)
-		fmt.Println(harness.FormatZoneReport(rows))
-		return
 	}
 
 	if *fig == "alloc" {

@@ -13,7 +13,6 @@ func defaults() options {
 		trials:  harness.DefaultRunConfig.Trials,
 		measure: harness.DefaultRunConfig.Measure,
 		warmup:  harness.DefaultRunConfig.Warmup,
-		zones:   4,
 	}
 }
 
@@ -61,13 +60,6 @@ func TestValidateAccepts(t *testing.T) {
 		func(o *options) { o.fig = "2"; o.allocBuf = 1024 },
 		func(o *options) { o.fig = "all"; o.allocBuf = 256; o.lazySweep = true },
 		func(o *options) { o.events = "events.ndjson" },
-		func(o *options) { o.fig = "zones" },
-		func(o *options) { o.fig = "zones"; o.zones = 2 },
-		func(o *options) { o.fig = "zones"; o.zones = 8 },
-		func(o *options) { o.fig = "zones"; o.zoneGCW = 1 },
-		func(o *options) { o.fig = "zones"; o.zoneGCW = 4 },
-		func(o *options) { o.fig = "zones"; o.zones = 8; o.zoneGCW = 8 },
-		func(o *options) { o.fig = "zones"; o.zones = 2; o.zoneGCW = 2 },
 	}
 	for i, mut := range cases {
 		o := defaults()
@@ -115,32 +107,6 @@ func TestValidateRejects(t *testing.T) {
 		{func(o *options) { o.fig = "pause"; o.events = "ev.ndjson" }, "configures its own"},
 		{func(o *options) { o.fig = "sweep"; o.events = "ev.ndjson" }, "configures its own"},
 		{func(o *options) { o.fig = "alloc"; o.events = "ev.ndjson" }, "configures its own"},
-		// A zone count of 0, 1, or below would panic in vmheap.NewZoned (or
-		// silently mean "no sharding"); reject it at the flag boundary.
-		{func(o *options) { o.fig = "zones"; o.zones = 0 }, "at least two zones"},
-		{func(o *options) { o.fig = "zones"; o.zones = 1 }, "at least two zones"},
-		{func(o *options) { o.fig = "zones"; o.zones = -3 }, "at least two zones"},
-		// More zones than the report heap can give the minimum extent would
-		// panic when the sharded runtime is built.
-		{func(o *options) { o.fig = "zones"; o.zones = 1 << 20 }, "max"},
-		// The zone count shapes only the zone report; on any other figure a
-		// non-default value would be silently ignored.
-		{func(o *options) { o.fig = "2"; o.zones = 8 }, "applies only to -fig zones"},
-		{func(o *options) { o.fig = "pause"; o.zones = 2 }, "applies only to -fig zones"},
-		// The zone report builds its own runtimes and modes, like the other
-		// side-by-side reports.
-		{func(o *options) { o.fig = "zones"; o.lazySweep = true }, "configures its own"},
-		{func(o *options) { o.fig = "zones"; o.allocBuf = 512 }, "configures its own"},
-		{func(o *options) { o.fig = "zones"; o.events = "ev.ndjson" }, "configures its own"},
-		{func(o *options) { o.fig = "zones"; o.zoneGCW = -1 }, "cannot be negative"},
-		// Concurrent rotation is the zone report's parallel arm; on any
-		// other figure the worker count would be silently ignored.
-		{func(o *options) { o.fig = "all"; o.zoneGCW = 2 }, "needs -zones"},
-		{func(o *options) { o.fig = "pause"; o.zoneGCW = 4 }, "needs -zones"},
-		// More workers than zones cannot all be in flight; reject rather
-		// than silently capping inside GCZonesConcurrent.
-		{func(o *options) { o.fig = "zones"; o.zoneGCW = 8 }, "exceeds -zones"},
-		{func(o *options) { o.fig = "zones"; o.zones = 2; o.zoneGCW = 3 }, "exceeds -zones"},
 	}
 	for i, c := range cases {
 		o := defaults()

@@ -43,14 +43,14 @@ func TestValidateAccepts(t *testing.T) {
 	leakDemo.assert = true
 	advisory := goodDrive()
 	advisory.gateAdvisory = true
-	zones := goodDrive()
-	zones.gc = "zones"
-	zones.sloRPS = 100
+	lazy := goodDrive()
+	lazy.gc = "lazysweep"
+	lazy.sloRPS = 100
 	direct := goodServe()
 	direct.allocBuf = 0
 
 	for i, o := range []options{
-		goodServe(), goodDrive(), withEvents, leakDemo, advisory, zones, direct,
+		goodServe(), goodDrive(), withEvents, leakDemo, advisory, lazy, direct,
 	} {
 		if err := validate(o); err != nil {
 			t.Errorf("case %d: validate(%+v) = %v, want nil", i, o, err)
@@ -126,8 +126,8 @@ func TestParseRates(t *testing.T) {
 }
 
 func TestParseCollectors(t *testing.T) {
-	names, err := parseCollectors("stw, zones")
-	if err != nil || len(names) != 2 || names[1] != "zones" {
+	names, err := parseCollectors("stw, lazysweep")
+	if err != nil || len(names) != 2 || names[1] != "lazysweep" {
 		t.Errorf("parseCollectors = %v, %v", names, err)
 	}
 }

@@ -9,90 +9,26 @@ import (
 
 // This file contains the collector-facing side of the engine: the hooks
 // wired into the trace loops and the begin/end-of-cycle table maintenance.
-//
-// Cycle state is split out of the engine so collections can overlap: each
-// concurrent zone collection owns a private Cycle (report deduplication,
-// the cached Force decisions, and the Halt verdict are all per-collection),
-// while the engine's long-lived tables (region objects, ownership, stats,
-// the handler chain) are shared and guarded by e.mu. A Cycle is touched
-// only by the goroutine driving its collection, so its maps need no lock;
-// dispatch and every read of a shared table take e.mu internally. e.mu is
-// ordered after the runtime lock and the zone locks and before nothing —
-// no lock is ever acquired under it (the handler chain runs under it, so
-// handlers must not re-enter the runtime; that was already the contract
-// when they ran under the runtime lock).
 
-// Cycle is the per-collection assertion state: one is live for each
-// collection in flight. The whole-heap collectors use the engine's default
-// cycle (BeginCycle/Checks/Halted); concurrent zone collections create
-// their own with NewCycle/ChecksFor.
-type Cycle struct {
-	e   *Engine
-	seq uint64
-
-	// Per-cycle report deduplication, sized by what was reported: the maps
-	// are built on the first violation of their kind and, on the default
-	// cycle, emptied in place by BeginCycle. reportedDead caches the
-	// handler's action so the Force decision is applied consistently to
-	// every incoming reference of the same object; reportedImproper is
-	// shared between the ownership phase's improper-use reports and the root
-	// phase's unowned-ownee reports, so one object yields at most one
-	// ownership warning per cycle regardless of which phase sees it first.
-	reportedDead     map[vmheap.Ref]report.Action
-	reportedShared   map[vmheap.Ref]bool
-	reportedImproper map[vmheap.Ref]bool
-
-	// checks are this cycle's trace callouts, bound once: the tracer is
-	// handed the same method values every collection.
-	checks trace.Checks
-
-	halt *report.Violation
-}
-
-func (e *Engine) newCycle(seq uint64) *Cycle {
-	c := &Cycle{e: e, seq: seq}
-	c.checks = trace.Checks{Dead: c.onDead, Shared: c.onShared, Unowned: c.onUnowned}
-	return c
-}
-
-// NewCycle creates a fresh cycle for one collection. Safe to call
-// concurrently with other collections.
-func (e *Engine) NewCycle() *Cycle { return e.newCycle(e.cycle.Add(1)) }
-
-// BeginCycle prepares the engine's default cycle for a collection (the
-// whole-heap path): the cycle counter advances, per-cycle report
-// deduplication and any pending Halt are reset (the collection that
-// produced a Halt already surfaced it), and every ownee stamp left by an
-// earlier collection is retired.
+// BeginCycle prepares the engine for a collection: the cycle counter
+// advances, per-cycle report deduplication and any pending Halt are reset
+// (the collection that produced a Halt already surfaced it), and every ownee
+// stamp left by an earlier collection is retired.
 func (e *Engine) BeginCycle() {
-	c := e.defaultCycle
-	c.seq = e.cycle.Add(1)
-	c.halt = nil
-	clear(c.reportedDead)
-	clear(c.reportedShared)
-	clear(c.reportedImproper)
+	e.cycle++
+	e.halt = nil
+	clear(e.reportedDead)
+	clear(e.reportedShared)
+	clear(e.reportedImproper)
 	e.ownees.NextEpoch()
 }
 
 // Halted returns the violation for which the handler requested Halt during
-// the engine's default cycle, or nil.
-func (e *Engine) Halted() *report.Violation { return e.defaultCycle.Halted() }
+// the current cycle, or nil.
+func (e *Engine) Halted() *report.Violation { return e.halt }
 
-// Halted returns the violation for which the handler requested Halt during
-// this cycle, or nil.
-func (c *Cycle) Halted() *report.Violation {
-	if c == nil {
-		return nil
-	}
-	return c.halt
-}
-
-// Checks returns the assertion callouts for the Infrastructure trace loop,
-// bound to the engine's default cycle.
-func (e *Engine) Checks() trace.Checks { return e.ChecksFor(e.defaultCycle) }
-
-// ChecksFor returns the assertion callouts bound to one collection's cycle.
-func (e *Engine) ChecksFor(c *Cycle) trace.Checks { return c.checks }
+// Checks returns the assertion callouts for the Infrastructure trace loop.
+func (e *Engine) Checks() trace.Checks { return e.checks }
 
 // OwnershipPhase returns the phase descriptor for the collector, or nil when
 // no ownership assertions are registered. The descriptor is the engine's
@@ -115,22 +51,18 @@ func (e *Engine) pathElems(path []vmheap.Ref) []report.PathElem {
 }
 
 // dispatch routes a violation to the handler and folds the returned action:
-// Halt is recorded on the cycle for the collector to surface after the
-// collection completes (the heap must reach a consistent state first), and
-// the effective action for the tracer is returned. The stats bump and the
-// handler call run under e.mu; the halt stash is cycle-private.
-func (c *Cycle) dispatch(v *report.Violation) report.Action {
-	e := c.e
-	e.mu.Lock()
+// Halt is recorded for the collector to surface after the collection
+// completes (the heap must reach a consistent state first), and the
+// effective action for the tracer is returned.
+func (e *Engine) dispatch(v *report.Violation) report.Action {
 	e.stats.Violations++
 	act := report.Continue
 	if e.handler != nil {
 		act = e.handler.HandleViolation(v)
 	}
-	e.mu.Unlock()
 	if act == report.Halt {
-		if c.halt == nil {
-			c.halt = v
+		if e.halt == nil {
+			e.halt = v
 		}
 		return report.Continue
 	}
@@ -140,43 +72,41 @@ func (c *Cycle) dispatch(v *report.Violation) report.Action {
 // onDead handles an encounter of a dead-asserted object during tracing. The
 // handler runs once per object per cycle; its action is cached so Force is
 // applied uniformly to every incoming reference.
-func (c *Cycle) onDead(obj vmheap.Ref, path func() []vmheap.Ref) report.Action {
-	if act, seen := c.reportedDead[obj]; seen {
+func (e *Engine) onDead(obj vmheap.Ref, path func() []vmheap.Ref) report.Action {
+	if act, seen := e.reportedDead[obj]; seen {
 		return act
 	}
-	e := c.e
 	kind := report.DeadReachable
 	if e.heap.Flags(obj, vmheap.FlagRegion) != 0 {
 		kind = report.RegionSurvivor
 	}
 	v := &report.Violation{
 		Kind:   kind,
-		Cycle:  c.seq,
+		Cycle:  e.cycle,
 		Object: obj,
 		Class:  e.reg.Name(e.heap.ClassID(obj)),
 		Path:   e.pathElems(path()),
 	}
-	act := c.dispatch(v)
-	if c.reportedDead == nil {
-		c.reportedDead = make(map[vmheap.Ref]report.Action)
+	act := e.dispatch(v)
+	if e.reportedDead == nil {
+		e.reportedDead = make(map[vmheap.Ref]report.Action)
 	}
-	c.reportedDead[obj] = act
+	e.reportedDead[obj] = act
 	return act
 }
 
 // onShared handles the second encounter of an unshared-asserted object.
-func (c *Cycle) onShared(obj vmheap.Ref, path func() []vmheap.Ref) {
-	if c.reportedShared[obj] {
+func (e *Engine) onShared(obj vmheap.Ref, path func() []vmheap.Ref) {
+	if e.reportedShared[obj] {
 		return
 	}
-	if c.reportedShared == nil {
-		c.reportedShared = make(map[vmheap.Ref]bool)
+	if e.reportedShared == nil {
+		e.reportedShared = make(map[vmheap.Ref]bool)
 	}
-	c.reportedShared[obj] = true
-	e := c.e
-	c.dispatch(&report.Violation{
+	e.reportedShared[obj] = true
+	e.dispatch(&report.Violation{
 		Kind:   report.SharedObject,
-		Cycle:  c.seq,
+		Cycle:  e.cycle,
 		Object: obj,
 		Class:  e.reg.Name(e.heap.ClassID(obj)),
 		Path:   e.pathElems(path()),
@@ -185,14 +115,14 @@ func (c *Cycle) onShared(obj vmheap.Ref, path func() []vmheap.Ref) {
 
 // firstImproper records obj in the ownership-warning table, reporting
 // whether this is its first entry this cycle.
-func (c *Cycle) firstImproper(obj vmheap.Ref) bool {
-	if c.reportedImproper[obj] {
+func (e *Engine) firstImproper(obj vmheap.Ref) bool {
+	if e.reportedImproper[obj] {
 		return false
 	}
-	if c.reportedImproper == nil {
-		c.reportedImproper = make(map[vmheap.Ref]bool)
+	if e.reportedImproper == nil {
+		e.reportedImproper = make(map[vmheap.Ref]bool)
 	}
-	c.reportedImproper[obj] = true
+	e.reportedImproper[obj] = true
 	return true
 }
 
@@ -202,22 +132,21 @@ func (c *Cycle) firstImproper(obj vmheap.Ref) bool {
 // report, so an ownee reaching this hook through more than one phase (the
 // root scan and the ownee-subtree drain both call it) warns exactly once
 // per cycle.
-func (c *Cycle) onUnowned(obj vmheap.Ref, path func() []vmheap.Ref) {
-	if !c.firstImproper(obj) {
+func (e *Engine) onUnowned(obj vmheap.Ref, path func() []vmheap.Ref) {
+	if !e.firstImproper(obj) {
 		// Already reported as improper use during the ownership phase;
 		// a second warning for the same object would be noise.
 		return
 	}
-	e := c.e
 	ownerName := "unknown owner"
 	if idx, ok := e.ownees.Get(uint32(obj)); ok {
 		if o := e.owners[idx]; o != vmheap.Nil {
 			ownerName = e.reg.Name(e.heap.ClassID(o))
 		}
 	}
-	c.dispatch(&report.Violation{
+	e.dispatch(&report.Violation{
 		Kind:   report.UnownedOwnee,
-		Cycle:  c.seq,
+		Cycle:  e.cycle,
 		Object: obj,
 		Class:  e.reg.Name(e.heap.ClassID(obj)),
 		Path:   e.pathElems(path()),
@@ -226,18 +155,17 @@ func (c *Cycle) onUnowned(obj vmheap.Ref, path func() []vmheap.Ref) {
 }
 
 // onImproper handles an ownee reached from a different owner's scan.
-func (c *Cycle) onImproper(obj vmheap.Ref, scanningOwner int, path func() []vmheap.Ref) {
-	if !c.firstImproper(obj) {
+func (e *Engine) onImproper(obj vmheap.Ref, scanningOwner int, path func() []vmheap.Ref) {
+	if !e.firstImproper(obj) {
 		return
 	}
-	e := c.e
 	owner := "unknown owner"
 	if o := e.owners[scanningOwner]; o != vmheap.Nil {
 		owner = e.reg.Name(e.heap.ClassID(o))
 	}
-	c.dispatch(&report.Violation{
+	e.dispatch(&report.Violation{
 		Kind:   report.ImproperOwnership,
-		Cycle:  c.seq,
+		Cycle:  e.cycle,
 		Object: obj,
 		Class:  e.reg.Name(e.heap.ClassID(obj)),
 		Path:   e.pathElems(path()),
@@ -250,53 +178,14 @@ func (c *Cycle) onImproper(obj vmheap.Ref, scanningOwner int, path func() []vmhe
 // (the paper's Section 2.7 limitation for assert-instances).
 func (e *Engine) CheckInstanceLimits() {
 	for _, over := range e.reg.CheckLimits() {
-		e.defaultCycle.dispatch(&report.Violation{
+		e.dispatch(&report.Violation{
 			Kind:  report.TooManyInstances,
-			Cycle: e.defaultCycle.seq,
+			Cycle: e.cycle,
 			Class: over.Class.Name,
 			Count: over.Count,
 			Limit: over.Limit,
 		})
 	}
-}
-
-// CheckInstanceTotals judges instance limits against caller-summed counts
-// (in Registry trackedIDs order, as produced by
-// Registry.FoldLocalCounts). The zoned runtime uses this after a
-// full zone rotation: each zone collection counts only its own zone's live
-// instances, so only the sum across every zone is comparable to a
-// whole-heap count. The check runs on its own cycle (the rotation that
-// produced the counts may have spanned several per-zone cycles), so a
-// handler-requested Halt is returned rather than stashed on the default
-// cycle.
-func (e *Engine) CheckInstanceTotals(counts []int64) *report.Violation {
-	c := e.NewCycle()
-	for _, over := range e.reg.CheckTotals(counts) {
-		c.dispatch(&report.Violation{
-			Kind:  report.TooManyInstances,
-			Cycle: c.seq,
-			Class: over.Class.Name,
-			Count: over.Count,
-			Limit: over.Limit,
-		})
-	}
-	return c.halt
-}
-
-// ReportRetireSurvivor reports one object that survived a Zone.Retire: the
-// zone was declared dead wholesale, but an out-of-zone reference or root
-// still reaches this object. Retire is the bulk form of assert-alldead over
-// a zone's allocations, so survivors carry the RegionSurvivor kind; no
-// trace ran, so the path holds only the object itself. The caller brackets
-// the whole retire in one BeginCycle and reports each survivor once.
-func (e *Engine) ReportRetireSurvivor(obj vmheap.Ref) {
-	e.defaultCycle.dispatch(&report.Violation{
-		Kind:   report.RegionSurvivor,
-		Cycle:  e.defaultCycle.seq,
-		Object: obj,
-		Class:  e.reg.Name(e.heap.ClassID(obj)),
-		Path:   e.pathElems([]vmheap.Ref{obj}),
-	})
 }
 
 // PreSweep runs after the mark phase and before the sweep, while unmarked
@@ -313,10 +202,7 @@ func (e *Engine) ReportRetireSurvivor(obj vmheap.Ref) {
 //
 // The live predicate tells the engine which objects survive the imminent
 // sweep: for a full collection that is the mark bit; for a generational
-// minor collection, mark bit or maturity; for a zone collection, "outside
-// the zone, or marked". The whole pass runs under e.mu so concurrent zone
-// collections' purges, and mutator-side region recording, serialize
-// against it.
+// minor collection, mark bit or maturity.
 //
 // The ownee purge walks the index rather than the heap: an entry the
 // ownership phase stamped needs no header read. Stamped implies live under
@@ -329,9 +215,6 @@ func (e *Engine) ReportRetireSurvivor(obj vmheap.Ref) {
 // Nothing clears a mark bit before the sweep that follows this function.
 // DebugChecks verifies the implication per entry.
 func (e *Engine) PreSweep(live func(vmheap.Ref) bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-
 	for _, t := range e.threads.All() {
 		t.PurgeRegionQueues(live)
 	}

@@ -14,8 +14,6 @@ package assertions
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/classes"
 	"repro/internal/report"
@@ -38,34 +36,38 @@ type Stats struct {
 	OwneesLive int
 }
 
-// Engine holds all assertion state for one runtime.
+// Engine holds all assertion state for one runtime. It has no lock of its
+// own: every method except SideTabFootprint is called under the runtime lock
+// (or its single-mutator contract), the violation handler included — so
+// handlers must not re-enter the runtime.
 type Engine struct {
 	heap    *vmheap.Heap
 	reg     *classes.Registry
 	threads *threads.Set
 	handler report.Handler
 
-	cycle atomic.Uint64
+	// Per-collection state (cycle.go), reset by BeginCycle: the cycle's
+	// sequence number, report deduplication sized by what was reported, and
+	// the Halt verdict. reportedDead caches the handler's action so the
+	// Force decision is applied consistently to every incoming reference of
+	// the same object; reportedImproper is shared between the ownership
+	// phase's improper-use reports and the root phase's unowned-ownee
+	// reports, so one object yields at most one ownership warning per cycle
+	// regardless of which phase sees it first.
+	cycle            uint64
+	reportedDead     map[vmheap.Ref]report.Action
+	reportedShared   map[vmheap.Ref]bool
+	reportedImproper map[vmheap.Ref]bool
+	halt             *report.Violation
 
-	// mu guards the engine's shared, long-lived tables (the region queues
-	// of every thread, ownership, stats) and the handler chain against
-	// concurrent zone collections. It is a near-leaf lock: acquired after
-	// the runtime lock and the zone locks, and nothing is acquired under it.
-	// Per-collection state lives on a Cycle and needs no lock (see cycle.go).
-	mu sync.Mutex
-
-	// defaultCycle is the cycle used by whole-heap collections (and
-	// Zone.Retire): BeginCycle resets it in place, and Checks/Halted are
-	// bound to it. Zone collections create private cycles with NewCycle.
-	defaultCycle *Cycle
+	// checks are the trace callouts, bound once: the tracer is handed the
+	// same method values every collection.
+	checks trace.Checks
 
 	// Ownership tables. owners may contain Nil holes after an owner is
 	// collected; ownerIdx maps live owner objects to their slot, and ownees
 	// maps each ownee to its owner's slot. The ownership phase's lookups
 	// stamp the ownee entries they find, which PreSweep reads (see there).
-	// Guarded by e.mu outside collections — ownership assertions always
-	// escalate to whole-heap collections, so these tables see no zone
-	// concurrency.
 	owners   []vmheap.Ref
 	ownerIdx *sidetab.Index
 	ownees   *sidetab.Index
@@ -91,34 +93,26 @@ func New(h *vmheap.Heap, reg *classes.Registry, ts *threads.Set, handler report.
 		ownerIdx: sidetab.NewIndex(),
 		ownees:   sidetab.NewIndex(),
 	}
-	// The initial default cycle exists so pre-collection paths never see a
-	// nil cycle; it must NOT consume a sequence number — the first real
-	// collection's BeginCycle is cycle 1, as reports have always numbered.
-	e.defaultCycle = e.newCycle(0)
+	e.checks = trace.Checks{Dead: e.onDead, Shared: e.onShared, Unowned: e.onUnowned}
 	e.phase.Ownees = e.ownees
-	e.phase.Improper = e.defaultCycle.onImproper
+	e.phase.Improper = e.onImproper
 	return e
 }
 
 // SetHandler replaces the violation handler.
 func (e *Engine) SetHandler(h report.Handler) { e.handler = h }
 
-// Guard exposes the engine's table lock so the runtime can serialize its
-// own touches of engine-shared state (thread creation, region-queue
-// recording on the allocation path) against concurrent zone collections.
-func (e *Engine) Guard() *sync.Mutex { return &e.mu }
-
 // SideTabFootprint reports the bytes of side structure the engine holds
-// beside the heap: the two ownership indexes. Safe concurrently with
-// collections.
+// beside the heap: the two ownership indexes. The one engine method that may
+// be called without the runtime lock (Runtime.Metrics scrapes it while
+// mutators and collections run): each index keeps its byte count in an
+// atomic.
 func (e *Engine) SideTabFootprint() uint64 {
 	return e.ownerIdx.Bytes() + e.ownees.Bytes()
 }
 
 // Stats returns a snapshot of assertion activity.
 func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	s := e.stats
 	s.OwneesLive = e.ownees.Len()
 	return s
@@ -144,9 +138,7 @@ func (e *Engine) AssertDead(r vmheap.Ref) error {
 		return err
 	}
 	e.heap.SetFlags(r, vmheap.FlagDead)
-	e.mu.Lock()
 	e.stats.DeadAsserts++
-	e.mu.Unlock()
 	return nil
 }
 
@@ -157,9 +149,7 @@ func (e *Engine) AssertUnshared(r vmheap.Ref) error {
 		return err
 	}
 	e.heap.SetFlags(r, vmheap.FlagUnshared)
-	e.mu.Lock()
 	e.stats.UnsharedAsserts++
-	e.mu.Unlock()
 	return nil
 }
 
@@ -169,18 +159,14 @@ func (e *Engine) AssertInstances(c *classes.Class, limit int64, includeSubclasse
 		return fmt.Errorf("assertions: assert-instances: negative limit %d", limit)
 	}
 	e.reg.SetInstanceLimit(c, limit, includeSubclasses)
-	e.mu.Lock()
 	e.stats.InstanceAsserts++
-	e.mu.Unlock()
 	return nil
 }
 
 // StartRegion implements start-region() on the given thread.
 func (e *Engine) StartRegion(t *threads.Thread) {
-	e.mu.Lock()
 	t.StartRegion()
 	e.stats.RegionsStarted++
-	e.mu.Unlock()
 }
 
 // AssertAllDead implements assert-alldead(): every object allocated in the
@@ -189,8 +175,6 @@ func (e *Engine) StartRegion(t *threads.Thread) {
 // the queue that died during an intervening GC were purged by the collector
 // and are correctly absent.
 func (e *Engine) AssertAllDead(t *threads.Thread) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	queue, err := t.EndRegion()
 	if err != nil {
 		return err
@@ -230,8 +214,6 @@ func (e *Engine) AssertOwnedBy(owner, ownee vmheap.Ref) error {
 		return errors.New("assertions: assert-ownedby: ownee is already an owner")
 	}
 
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	idx, known := e.ownerIdx.Get(uint32(owner))
 	if !known {
 		idx = int32(len(e.owners))

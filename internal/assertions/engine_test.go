@@ -161,7 +161,7 @@ func TestDispatchHaltDeferred(t *testing.T) {
 		return report.Halt
 	}))
 	e.e.BeginCycle()
-	act := e.e.defaultCycle.onDead(e.alloc(t), func() []vmheap.Ref { return nil })
+	act := e.e.onDead(e.alloc(t), func() []vmheap.Ref { return nil })
 	if act != report.Continue {
 		t.Errorf("halt leaked to tracer: %v", act)
 	}
@@ -184,8 +184,8 @@ func TestOnDeadActionCachedPerObject(t *testing.T) {
 	e.e.BeginCycle()
 	obj := e.alloc(t)
 	path := func() []vmheap.Ref { return []vmheap.Ref{obj} }
-	a1 := e.e.defaultCycle.onDead(obj, path)
-	a2 := e.e.defaultCycle.onDead(obj, path)
+	a1 := e.e.onDead(obj, path)
+	a2 := e.e.onDead(obj, path)
 	if calls != 1 {
 		t.Errorf("handler called %d times, want 1", calls)
 	}
@@ -194,7 +194,7 @@ func TestOnDeadActionCachedPerObject(t *testing.T) {
 	}
 	// A new cycle consults the handler again.
 	e.e.BeginCycle()
-	e.e.defaultCycle.onDead(obj, path)
+	e.e.onDead(obj, path)
 	if calls != 2 {
 		t.Errorf("handler calls after new cycle = %d, want 2", calls)
 	}
@@ -213,7 +213,7 @@ func TestRegionViolationKind(t *testing.T) {
 		t.Error("region object not marked dead")
 	}
 	e.e.BeginCycle()
-	e.e.defaultCycle.onDead(obj, func() []vmheap.Ref { return []vmheap.Ref{obj} })
+	e.e.onDead(obj, func() []vmheap.Ref { return []vmheap.Ref{obj} })
 	vs := e.rec.ByKind(report.RegionSurvivor)
 	if len(vs) != 1 {
 		t.Fatalf("RegionSurvivor violations = %d", len(vs))
@@ -301,13 +301,13 @@ func TestOnSharedDedupePerCycle(t *testing.T) {
 	obj := e.alloc(t)
 	path := func() []vmheap.Ref { return []vmheap.Ref{obj} }
 	e.e.BeginCycle()
-	e.e.defaultCycle.onShared(obj, path)
-	e.e.defaultCycle.onShared(obj, path) // third encounter: same cycle, no re-report
+	e.e.onShared(obj, path)
+	e.e.onShared(obj, path) // third encounter: same cycle, no re-report
 	if got := len(e.rec.ByKind(report.SharedObject)); got != 1 {
 		t.Errorf("shared reports = %d, want 1", got)
 	}
 	e.e.BeginCycle()
-	e.e.defaultCycle.onShared(obj, path)
+	e.e.onShared(obj, path)
 	if got := len(e.rec.ByKind(report.SharedObject)); got != 2 {
 		t.Errorf("shared reports after new cycle = %d, want 2", got)
 	}
@@ -321,7 +321,7 @@ func TestOnUnownedNamesOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.e.BeginCycle()
-	e.e.defaultCycle.onUnowned(ownee, func() []vmheap.Ref { return []vmheap.Ref{ownee} })
+	e.e.onUnowned(ownee, func() []vmheap.Ref { return []vmheap.Ref{ownee} })
 	vs := e.rec.ByKind(report.UnownedOwnee)
 	if len(vs) != 1 {
 		t.Fatalf("unowned reports = %d", len(vs))
@@ -338,9 +338,9 @@ func TestOnImproperSuppressesUnowned(t *testing.T) {
 	e.e.AssertOwnedBy(owner, ownee)
 	e.e.BeginCycle()
 	path := func() []vmheap.Ref { return []vmheap.Ref{ownee} }
-	e.e.defaultCycle.onImproper(ownee, 0, path)
-	e.e.defaultCycle.onImproper(ownee, 0, path) // deduped
-	e.e.defaultCycle.onUnowned(ownee, path)     // suppressed after improper
+	e.e.onImproper(ownee, 0, path)
+	e.e.onImproper(ownee, 0, path) // deduped
+	e.e.onUnowned(ownee, path)     // suppressed after improper
 	if got := len(e.rec.ByKind(report.ImproperOwnership)); got != 1 {
 		t.Errorf("improper reports = %d, want 1", got)
 	}
@@ -372,19 +372,19 @@ func TestOnUnownedDedupePerCycle(t *testing.T) {
 	}
 	path := func() []vmheap.Ref { return []vmheap.Ref{ownee} }
 	e.e.BeginCycle()
-	e.e.defaultCycle.onUnowned(ownee, path)
-	e.e.defaultCycle.onUnowned(ownee, path) // same cycle: no re-report
+	e.e.onUnowned(ownee, path)
+	e.e.onUnowned(ownee, path) // same cycle: no re-report
 	if got := len(e.rec.ByKind(report.UnownedOwnee)); got != 1 {
 		t.Errorf("unowned reports = %d, want 1", got)
 	}
 	// An unowned report also suppresses a later improper one —
 	// the two phases share a dedupe domain.
-	e.e.defaultCycle.onImproper(ownee, 0, path)
+	e.e.onImproper(ownee, 0, path)
 	if got := len(e.rec.ByKind(report.ImproperOwnership)); got != 0 {
 		t.Errorf("improper after unowned = %d, want 0", got)
 	}
 	e.e.BeginCycle()
-	e.e.defaultCycle.onUnowned(ownee, path)
+	e.e.onUnowned(ownee, path)
 	if got := len(e.rec.ByKind(report.UnownedOwnee)); got != 2 {
 		t.Errorf("unowned after new cycle = %d, want 2", got)
 	}

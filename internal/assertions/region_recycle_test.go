@@ -47,7 +47,7 @@ func TestRecycledRefDoesNotInheritRegionStanding(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.e.BeginCycle()
-	e.e.defaultCycle.onDead(fresh, func() []vmheap.Ref { return []vmheap.Ref{fresh} })
+	e.e.onDead(fresh, func() []vmheap.Ref { return []vmheap.Ref{fresh} })
 	if vs := e.rec.ByKind(report.RegionSurvivor); len(vs) != 0 {
 		t.Fatalf("recycled Ref misreported as RegionSurvivor: %v", vs[0])
 	}
@@ -87,7 +87,7 @@ func TestAssertAllDeadSkipPathPurgesStaleEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.e.BeginCycle()
-	e.e.defaultCycle.onDead(fresh, func() []vmheap.Ref { return []vmheap.Ref{fresh} })
+	e.e.onDead(fresh, func() []vmheap.Ref { return []vmheap.Ref{fresh} })
 	if vs := e.rec.ByKind(report.RegionSurvivor); len(vs) != 0 {
 		t.Fatalf("stale entry survived the skip path: %v", vs[0])
 	}

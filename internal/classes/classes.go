@@ -268,35 +268,6 @@ func (r *Registry) CountInstance(id uint32) {
 	}
 }
 
-// FoldLocalCounts converts a per-trace tally of raw class IDs to live
-// instance counts into trackedIDs order, routing each class's count to the
-// class that tracks it (itself, or the nearest subclass-inclusive
-// ancestor) exactly as CountInstance would. Zone traces count
-// into a private map instead of the shared per-class counters — two
-// overlapping traces bumping c.instanceCount would corrupt both tallies —
-// and fold here after the trace, under the caller's lock.
-func (r *Registry) FoldLocalCounts(m map[uint32]int64) []int64 {
-	out := make([]int64, len(r.trackedIDs))
-	slot := make(map[uint32]int, len(r.trackedIDs))
-	for i, id := range r.trackedIDs {
-		slot[id] = i
-	}
-	for id, n := range m {
-		c := r.classes[id]
-		if c.instanceLimit != NoLimit {
-			out[slot[c.ID]] += n
-			continue
-		}
-		for k := c.Super; k != nil; k = k.Super {
-			if k.instanceLimit != NoLimit && k.includeSubclasses {
-				out[slot[k.ID]] += n
-				break
-			}
-		}
-	}
-	return out
-}
-
 // OverLimit is one instance-limit violation found at the end of a GC.
 type OverLimit struct {
 	Class *Class
@@ -321,25 +292,3 @@ func (r *Registry) CheckLimits() []OverLimit {
 // InstanceCount returns the running count for a class (primarily for tests
 // and tools; counts are reset by CheckLimits at the end of each GC).
 func (r *Registry) InstanceCount(c *Class) int64 { return c.instanceCount }
-
-// CheckTotals compares caller-supplied counts — indexed in trackedIDs
-// order, as produced by FoldLocalCounts — against each tracked class's limit and
-// returns any violations. Unlike CheckLimits it touches no running counts.
-// Counts shorter than trackedIDs judge only the classes they cover (limits
-// asserted after the counts were taken have no data yet).
-func (r *Registry) CheckTotals(counts []int64) []OverLimit {
-	var over []OverLimit
-	for i, id := range r.trackedIDs {
-		if i >= len(counts) {
-			break
-		}
-		c := r.classes[id]
-		if counts[i] > c.instanceLimit {
-			over = append(over, OverLimit{Class: c, Count: counts[i], Limit: c.instanceLimit})
-		}
-	}
-	return over
-}
-
-// NumTracked returns the number of classes with instance limits.
-func (r *Registry) NumTracked() int { return len(r.trackedIDs) }

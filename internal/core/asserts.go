@@ -16,19 +16,13 @@ var ErrAssertionsDisabled = errors.New("core: assertions require Infrastructure 
 // the next collection. A *report.HaltError from that completion is returned
 // and the registration does not happen; the caller observes the halt just as
 // it would from the collection call itself.
-//
-// Registrations hold the WORLD lock on a zoned runtime, not just rt.mu:
-// they flip header bits and engine tables that an in-flight concurrent zone
-// collection reads mid-trace, so they wait for every zone's collection to
-// fold first. (StartRegion is the exception — it only pushes a region
-// queue, which the engine guard covers.)
 
 // AssertDead asserts that obj will be reclaimed by the next full
 // collection: if the collector finds it reachable, a DeadReachable
 // violation with the complete heap path is reported.
 func (rt *Runtime) AssertDead(obj Ref) error {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if rt.engine == nil {
 		return ErrAssertionsDisabled
 	}
@@ -42,8 +36,8 @@ func (rt *Runtime) AssertDead(obj Ref) error {
 // trace encounters it twice, a SharedObject violation is reported with the
 // second path.
 func (rt *Runtime) AssertUnshared(obj Ref) error {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if rt.engine == nil {
 		return ErrAssertionsDisabled
 	}
@@ -57,8 +51,8 @@ func (rt *Runtime) AssertUnshared(obj Ref) error {
 // each full collection. Passing 0 asserts that no instances exist at GC
 // time. The limit counts exact types, as in the paper.
 func (rt *Runtime) AssertInstances(c *Class, limit int64) error {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if rt.engine == nil {
 		return ErrAssertionsDisabled
 	}
@@ -71,8 +65,8 @@ func (rt *Runtime) AssertInstances(c *Class, limit int64) error {
 // AssertInstancesIncludingSubclasses is AssertInstances with the count
 // widened to all subclasses of c (an extension beyond the paper).
 func (rt *Runtime) AssertInstancesIncludingSubclasses(c *Class, limit int64) error {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if rt.engine == nil {
 		return ErrAssertionsDisabled
 	}
@@ -87,8 +81,8 @@ func (rt *Runtime) AssertInstancesIncludingSubclasses(c *Class, limit int64) err
 // through owner. Owner regions must be disjoint (see the paper's Section
 // 2.5.2); structurally conflicting registrations are rejected.
 func (rt *Runtime) AssertOwnedBy(owner, ownee Ref) error {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if rt.engine == nil {
 		return ErrAssertionsDisabled
 	}
@@ -121,8 +115,8 @@ func (t *Thread) StartRegion() error {
 // object allocated within it dead: any of them still reachable at the next
 // full collection is reported as a RegionSurvivor violation.
 func (t *Thread) AssertAllDead() error {
-	t.rt.lockWorld()
-	defer t.rt.unlockWorld()
+	t.rt.mu.Lock()
+	defer t.rt.mu.Unlock()
 	if t.rt.engine == nil {
 		return ErrAssertionsDisabled
 	}

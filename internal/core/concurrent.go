@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/vmheap"
@@ -34,9 +33,8 @@ import (
 //
 //   - Forced transitions: StartGC, GCStep and FinishGC open, advance and
 //     complete a cycle by hand, and every operation that needs the heap
-//     between cycles — GC, Collect, assertion registration, zone
-//     collection and retirement, heap exhaustion, Close — completes an
-//     open one first (settleCycleLocked).
+//     between cycles — GC, Collect, assertion registration, heap
+//     exhaustion, Close — completes an open one first (settleCycleLocked).
 //
 //   - Config.ConcurrentGC adds a background goroutine that polls the
 //     trigger and marks in IncrementalBudget-sized slices, taking and
@@ -131,13 +129,10 @@ func (rt *Runtime) collectPins() {
 			if s.ref == Nil {
 				continue
 			}
-			// Fresh stamp: no sweep of the ref's zone since the
-			// allocation, so the Ref is provably still an object (zones
-			// have independent sweep epochs; certification must use the
-			// epoch of the zone the object lives in). Already pinned: the
-			// previous cycle's trace kept it alive through every sweep
-			// since.
-			if s.pinned || s.epoch == rt.heap.ZoneOf(s.ref).SweepEpoch() {
+			// Fresh stamp: no sweep since the allocation, so the Ref is
+			// provably still an object. Already pinned: the previous
+			// cycle's trace kept it alive through every sweep since.
+			if s.pinned || s.epoch == rt.heap.SweepEpoch() {
 				s.pinned = true
 				rt.pinned.refs = append(rt.pinned.refs, s.ref)
 			}
@@ -147,11 +142,10 @@ func (rt *Runtime) collectPins() {
 }
 
 // notePin records r in this thread's hidden-register ring, stamped with
-// the allocating zone's sweep epoch (r always comes from t.zheap). Caller
-// holds bufMu (bump path) or rt.mu (slow path); collectPins reads under
-// both.
+// the heap's sweep epoch. Caller holds bufMu (bump path) or rt.mu (slow
+// path); collectPins reads under both.
 func (t *Thread) notePin(r Ref) {
-	t.pins[t.pinPos] = allocPin{ref: r, epoch: t.zheap.SweepEpoch()}
+	t.pins[t.pinPos] = allocPin{ref: r, epoch: t.rt.heap.SweepEpoch()}
 	t.pinPos = (t.pinPos + 1) % threadPinSlots
 }
 
@@ -166,8 +160,6 @@ type PacerStats struct {
 	ForcedFinishes      uint64 // assists that hit the growth cap and completed the cycle
 	MaxCycleGrowthWords uint64 // largest heap growth observed during any cycle
 	GrowthCapWords      uint64 // the cap MaxCycleGrowthWords never exceeds
-	ZoneTriggers        uint64 // zone collections launched by the per-zone trigger
-	ZoneCycles          uint64 // pacer-launched zone collections completed
 }
 
 // gcPacer is the cycle scheduler. The channels are fixed at construction;
@@ -190,17 +182,6 @@ type gcPacer struct {
 	pending   error  // HaltError from a cycle that completed with no caller
 	closed    bool
 	stats     PacerStats
-
-	// Zone-aware pacing (Config.ZoneGCWorkers > 0): up to zoneWorkers
-	// concurrent zone collections run on worker goroutines, triggered per
-	// zone by that zone's occupancy plus the words its allocation slow path
-	// has consumed since its last collection (zoneAlloc — the per-zone
-	// allocation-rate ledger). All guarded by rt.mu except zoneWG.
-	zoneWorkers    int
-	zoneDispatched []bool   // worker launched for this zone, not yet retired
-	zoneAlloc      []uint64 // slow-path words allocated since the zone's last cycle
-	zoneInFlight   int
-	zoneWG         sync.WaitGroup
 }
 
 // newPacer sizes the trigger and growth cap from the heap capacity.
@@ -225,11 +206,6 @@ func newPacer(rt *Runtime, trigger, slack float64) *gcPacer {
 		p.capWords = 4 * carveSlackWords
 	}
 	p.stats.GrowthCapWords = p.capWords
-	if rt.zoneGCWorkers > 0 {
-		p.zoneWorkers = rt.zoneGCWorkers
-		p.zoneDispatched = make([]bool, len(rt.zoneHeaps))
-		p.zoneAlloc = make([]uint64, len(rt.zoneHeaps))
-	}
 	return p
 }
 
@@ -273,7 +249,7 @@ func (p *gcPacer) drive() {
 			p.stepLocked()
 			p.stats.BackgroundSlices++
 		} else {
-			progress = p.triggerLocked() || p.dispatchZonesLocked()
+			progress = p.triggerLocked()
 		}
 		p.rt.mu.Unlock()
 		if !progress {
@@ -306,13 +282,6 @@ func (p *gcPacer) minRetrigger() uint64 {
 // it did. The one place that decides a cycle is due. Caller holds rt.mu.
 func (p *gcPacer) triggerLocked() bool {
 	if p.active || p.pending != nil {
-		return false
-	}
-	if p.rt.zoneGC > 0 || p.zoneInFlight > 0 {
-		// A concurrent zone collection is (or is about to be) mutating its
-		// zone's counters under only its zone lock: the aggregate reads
-		// below would race, and a whole-heap cycle would stall against the
-		// zone locks anyway. The zone cycles are the pacing for now.
 		return false
 	}
 	h := p.rt.heap
@@ -364,75 +333,6 @@ func (p *gcPacer) stepLocked() bool {
 	return done
 }
 
-// zoneMinRetrigger is the slow-path allocation volume a zone must have
-// consumed since its last collection before its trigger may fire again —
-// the per-zone analog of minRetrigger, scaled to the zone's share of the
-// heap.
-func (p *gcPacer) zoneMinRetrigger() uint64 {
-	if m := p.minRetrigger() / uint64(len(p.rt.zoneHeaps)); m > 64 {
-		return m
-	}
-	return 64
-}
-
-// dispatchZonesLocked scans per-zone occupancy and launches concurrent zone
-// collections on worker goroutines, up to zoneWorkers simultaneously. A
-// zone triggers when its used words cross its share of the whole-heap
-// trigger threshold AND its allocation slow path has consumed enough words
-// since its last collection (an occupied-but-idle zone would otherwise be
-// re-collected every poll). Reports whether a worker was launched. Caller
-// holds rt.mu with no whole-heap cycle active.
-func (p *gcPacer) dispatchZonesLocked() bool {
-	if p.zoneWorkers == 0 || p.closed || p.active || p.pending != nil {
-		return false
-	}
-	launched := false
-	for zi := range p.rt.zoneHeaps {
-		if p.zoneInFlight >= p.zoneWorkers {
-			break
-		}
-		if p.zoneDispatched[zi] || p.rt.zoneCollecting[zi] {
-			continue
-		}
-		if p.zoneAlloc[zi] < p.zoneMinRetrigger() {
-			continue
-		}
-		// ZoneInfoAt touches only zone zi's counters; zi is neither
-		// collecting nor dispatched, so nothing mutates them concurrently.
-		info := p.rt.heap.ZoneInfoAt(zi)
-		zcap := uint64(info.Hi - info.Lo)
-		trig := uint64(float64(zcap) / float64(p.rt.heap.CapacityWords()) * float64(p.triggerWords))
-		if zcap-info.FreeWords < trig {
-			continue
-		}
-		p.zoneDispatched[zi] = true
-		p.zoneInFlight++
-		p.stats.ZoneTriggers++
-		p.rt.tele.Trigger(zcap-info.FreeWords, trig)
-		p.zoneWG.Add(1)
-		go p.zoneWorker(zi)
-		launched = true
-	}
-	return launched
-}
-
-// zoneWorker runs one pacer-launched concurrent zone collection and retires
-// its dispatch slot. A collection error (HaltError) is stashed in pending
-// for the next runtime entry point, like a background whole-heap cycle's.
-func (p *gcPacer) zoneWorker(zi int) {
-	defer p.zoneWG.Done()
-	err := p.rt.collectZoneOrEscalate(zi)
-	p.rt.mu.Lock()
-	p.zoneDispatched[zi] = false
-	p.zoneInFlight--
-	p.zoneAlloc[zi] = 0
-	p.stats.ZoneCycles++
-	if err != nil && p.pending == nil {
-		p.pending = err
-	}
-	p.rt.mu.Unlock()
-}
-
 // growthLocked measures heap growth since the cycle started (active
 // buffers count in full from their carve, which only overstates) and
 // records the running maximum. Caller holds rt.mu with a cycle active.
@@ -464,23 +364,12 @@ func (p *gcPacer) finishLocked() {
 	p.stats.Cycles++
 }
 
-// allocPacingLocked is the allocation slow path's pacing hook: account the
-// allocation to its zone's rate ledger, open a cycle if the trigger has
-// been crossed, then pay the assist tax. zi is the allocating zone (0 on an
-// unzoned runtime). A no-op after Close: the quiesced runtime schedules no
-// new cycles. Caller holds rt.mu.
-func (p *gcPacer) allocPacingLocked(zi int, need uint64) {
+// allocPacingLocked is the allocation slow path's pacing hook: open a cycle
+// if the trigger has been crossed, then pay the assist tax for the need words
+// the allocation is about to consume. A no-op after Close: the quiesced
+// runtime schedules no new cycles. Caller holds rt.mu.
+func (p *gcPacer) allocPacingLocked(need uint64) {
 	if p.closed {
-		return
-	}
-	if p.zoneWorkers > 0 {
-		p.zoneAlloc[zi] += need
-	}
-	if p.rt.zoneGC > 0 {
-		// An in-flight zone collection owns its zone's counters; the
-		// whole-heap trigger and the assist both read cross-zone aggregates,
-		// so they stand down until the zone cycles fold (the zone
-		// collections themselves are the reclamation meanwhile).
 		return
 	}
 	if !p.active {
@@ -553,8 +442,8 @@ func (rt *Runtime) takePacerPending() error {
 
 // settleCycleLocked completes an open cycle and surfaces the stashed
 // HaltError, its own or an earlier one: what every operation that needs the
-// heap between cycles does first. Caller holds the world lock (the completion
-// sweep parses the whole arena); a no-op on a stop-the-world runtime.
+// heap between cycles does first. Caller holds rt.mu; a no-op on a
+// stop-the-world runtime.
 func (rt *Runtime) settleCycleLocked() error {
 	if rt.cycleOpen() {
 		rt.pacer.finishLocked()
@@ -583,14 +472,10 @@ func (rt *Runtime) Close() error {
 			close(p.quit)
 		}
 		<-p.done
-		// In-flight zone-collection workers finish on their own (closed only
-		// stops NEW dispatches); wait with no locks held — they need the zone
-		// locks and rt.mu to fold.
-		p.zoneWG.Wait()
 	}
 
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	for _, t := range rt.allThreads {
 		t.lockBuf()
 		t.pins = [threadPinSlots]allocPin{}

@@ -14,8 +14,8 @@ type LiveObject struct {
 
 // LiveSet returns every allocated object in ascending address order.
 func (rt *Runtime) LiveSet() []LiveObject {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	rt.flushAllocBuffers()
 	var out []LiveObject
 	rt.heap.Iterate(func(r vmheap.Ref, hd uint64) {
@@ -32,8 +32,8 @@ func (rt *Runtime) LiveSet() []LiveObject {
 // vmheap's Flag constants). Tool-grade: tests use it to observe assertion
 // bits (dead, unshared, ownee) and collection bits (mark, scanned) directly.
 func (rt *Runtime) HeaderFlags(r Ref) uint64 {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	return rt.heap.Flags(r, ^uint64(0))
 }
 
@@ -41,8 +41,8 @@ func (rt *Runtime) HeaderFlags(r Ref) uint64 {
 // deterministic bin order. A pending lazy sweep is completed first so the
 // observation reflects the settled heap.
 func (rt *Runtime) FreeChunks() []vmheap.FreeChunk {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	rt.flushAllocBuffers()
 	return rt.heap.FreeChunks()
 }
@@ -59,7 +59,7 @@ func SetDebugChecks(on bool) { vmheap.DebugChecks = on }
 // violations found (nil for healthy lists) regardless of the SetDebugChecks
 // toggle.
 func (rt *Runtime) CheckFreeLists() []error {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	return rt.heap.CheckFreeLists()
 }

@@ -22,8 +22,8 @@ import (
 // violation path). The probe runs a full marking pass immediately — the
 // QVM-style cost the paper's deferred assertions avoid.
 func (rt *Runtime) ProbeReachable(obj Ref) (bool, []PathStep) {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	rt.flushAllocBuffers()
 	if !rt.heap.IsObject(obj) {
 		return false, nil
@@ -84,8 +84,8 @@ func (rt *Runtime) ProbeWillBeReclaimed(obj Ref) bool {
 // ProbeInstanceCount counts the currently reachable instances of c with an
 // immediate marking pass.
 func (rt *Runtime) ProbeInstanceCount(c *Class) int {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	rt.flushAllocBuffers()
 
 	tr := trace.New(rt.heap, rt.reg)

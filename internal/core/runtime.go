@@ -10,7 +10,6 @@ import (
 	"repro/internal/gc"
 	"repro/internal/report"
 	"repro/internal/roots"
-	"repro/internal/sidetab"
 	"repro/internal/telemetry"
 	"repro/internal/threads"
 	"repro/internal/vmheap"
@@ -75,16 +74,6 @@ type Config struct {
 	// HeapWords is the fixed heap capacity in 64-bit words. The paper
 	// sizes heaps at twice the minimum live size of each benchmark.
 	HeapWords int
-	// Zones >= 2 shards the heap into that many contiguous zones, each
-	// with private free lists and sweep state. Threads allocate from their
-	// current zone (Thread.SetZone); cross-zone reference stores maintain
-	// per-zone remembered sets; and each zone can be collected or retired
-	// independently (Zone.Collect, Zone.Retire, Runtime.GCZones) without
-	// pausing allocation in the others. 0 or 1 (the default — all
-	// published figures use it) keeps the single whole-heap arena.
-	// Requires the MarkSweep collector (the generational collector's
-	// nursery policy is whole-heap).
-	Zones int
 	// Collector selects the algorithm (default MarkSweep).
 	Collector CollectorKind
 	// Mode selects Base or Infrastructure (default Infrastructure).
@@ -152,17 +141,6 @@ type Config struct {
 	// all published figures use it) or at least vmheap.MinBufferWords, and
 	// smaller than the heap.
 	AllocBuffers int
-	// ZoneGCWorkers > 0 lets the concurrent pacer (Config.ConcurrentGC)
-	// collect individual zones in the background: when a zone's occupancy
-	// crosses the trigger fraction of its capacity and the zone has grown
-	// since it was last collected, a worker collects just that zone — with
-	// only that zone's lock held, so mutators in other zones (and up to
-	// ZoneGCWorkers-1 other zone collections) proceed concurrently. The
-	// whole-heap trigger remains as a backstop for cross-zone garbage.
-	// Requires Zones >= 2 and ZoneGCWorkers <= Zones; 0 (the default) keeps
-	// pacing whole-heap. Explicit GCZonesConcurrent rotations choose their
-	// worker count per call and do not require this field.
-	ZoneGCWorkers int
 	// Telemetry, when non-nil, attaches an event recorder to the runtime:
 	// the collector, tracer, sweeper, and allocator emit phase spans,
 	// pauses, buffer carve/retire events, and assertion violations into a
@@ -175,54 +153,17 @@ type Config struct {
 
 // Runtime is a managed heap plus its collector and assertion engine.
 //
-// Lock order (outermost first): zone locks in ascending index order, then
-// rt.mu, then a thread's buffer spinlock (bufMu), then the engine guard
-// (assertions.Engine.Guard), then a remembered-set table lock (remtab.mu).
-// The world lock is all zone locks plus rt.mu; on an unzoned runtime it is
-// rt.mu alone and every path below reduces to the classic single-lock
-// runtime. Per-access, per-frame and per-allocation paths take none of these
-// while the runtime has one mutator (see mutators).
-//
-// On a zoned runtime, mutator accessors (fields.go, the allocation slow
-// path) hold the zone locks of the objects they touch instead of rt.mu —
-// that is what lets a zone collection run concurrently with mutators in
-// other zones — plus rt.mu when the runtime also runs whole-heap
-// incremental or pacer cycles (zonedMu), whose collector state and barriers
-// are rt.mu-guarded. Whole-heap operations (GC, heap walks, assertion
-// registration, class definition) take the world lock: with mutators no
-// longer serialized by rt.mu, only holding every zone lock excludes them
-// all. Root structures (globals, frames, pins) stay under rt.mu — a zone
-// collection's root scan runs in its rt.mu-held setup phase.
+// Lock order (outermost first): rt.mu, then a thread's buffer spinlock
+// (bufMu), then the telemetry recorder's leaf mutex. rt.mu guards the heap,
+// the roots, the collector, the assertion engine and the pacer; every
+// collection, heap walk and registration runs under it. Per-access, per-frame
+// and per-allocation paths take it only once the runtime has more than one
+// mutator (see mutators).
 type Runtime struct {
 	mu sync.Mutex
 
-	// zlocks has one mutex per zone (nil on an unzoned runtime). A zone's
-	// lock is held, without rt.mu, for the drain and sweep of that zone's
-	// collection — the concurrent phase — and by mutator accessors for the
-	// zones of every object they read or write.
-	zlocks []sync.Mutex
-
-	// unlockMu releases rt.mu, unlockZone[i] what lockZone(i) acquired.
-	unlockMu   func()
-	unlockZone []func()
-
-	// zonedMu: mutator accessors must take rt.mu in addition to zone locks
-	// (zoned runtimes with incremental or pacer cycles; see the type doc).
-	zonedMu bool
-
-	// zoneGC counts in-flight concurrent zone collections and
-	// zoneCollecting flags each zone's. Guarded by rt.mu. While zoneGC > 0
-	// the pacer starts no whole-heap cycle and reads no cross-zone heap
-	// aggregate (an in-flight zone sweep mutates its zone's counters with
-	// only the zone lock held); whole-heap entry points need no check —
-	// they hold the world lock, which blocks on each collection's zone
-	// lock.
-	zoneGC         int
-	zoneCollecting []bool
-
-	// zoneGCWorkers caps the pacer's simultaneous zone collections
-	// (Config.ZoneGCWorkers; immutable after New).
-	zoneGCWorkers int
+	// unlockMu is rt.mu.Unlock, bound once so lockMu allocates no closure.
+	unlockMu func()
 
 	heap      *vmheap.Heap
 	reg       *classes.Registry
@@ -238,18 +179,6 @@ type Runtime struct {
 	tele     *telemetry.Recorder // nil unless Config.Telemetry was set
 	main     *Thread
 
-	// Zone sharding (Config.Zones >= 2; all nil/empty otherwise except
-	// zoneHeaps… see zones.go and remset.go). heap aliases zoneHeaps[0]
-	// when zoned: every whole-heap vmheap operation aggregates over peers.
-	zoneHeaps []*vmheap.Heap
-	zones     []*Zone
-	remsets   *remsets
-
-	// retireSeen is the reusable survivor-dedupe scratch table for
-	// Zone.Retire (created on first retire, cleared by epoch bump per
-	// retire; guarded by the world lock).
-	retireSeen *sidetab.Bits
-
 	// Allocation-buffer mode (Config.AllocBuffers). allocBufWords is the
 	// per-thread buffer size in words (0 = direct allocation); allThreads
 	// lists every Thread so flushAllocBuffers can retire all outstanding
@@ -258,9 +187,9 @@ type Runtime struct {
 	allThreads    []*Thread
 
 	// The reference-store barriers this collector can ever need, resolved at
-	// New: generational remembered set, snapshot-at-beginning (pacer != nil),
-	// cross-zone remembered sets (remsets != nil). plainStores is "none": a
-	// reference store is a check and a word store (storeRef).
+	// New: generational remembered set, snapshot-at-beginning (pacer != nil).
+	// plainStores is "neither": a reference store is a check and a word store
+	// (storeRef).
 	generational bool
 	plainStores  bool
 
@@ -271,36 +200,34 @@ type Runtime struct {
 	// hidden-register roots collectPins gathers before each root scan.
 	// pinsOn (immutable after New) statically activates the pin ring when
 	// the pacer has its background goroutine (Config.ConcurrentGC): the
-	// goroutine can complete a cycle — or dispatch a concurrent zone
-	// collection — at any moment, including
-	// between a mutator's allocation and the store publishing it. Every
-	// other collection is driven by some mutator goroutine, so on a
-	// single-thread runtime the ring stays off and reclamation stays
-	// precise (an explicit GC between an allocation and its publishing
-	// store discards the allocation — the documented root-it-first
-	// contract). The moment a second mutator thread exists the same window
-	// opens without any pacer — one goroutine can drive GC/GCStep/
-	// Zone.Collect to completion inside another's allocate-to-publish
-	// window — so the ring is also live once mutators leaves oneMutator (see
-	// pinsActive).
+	// goroutine can complete a cycle at any moment, including between a
+	// mutator's allocation and the store publishing it. Every other
+	// collection is driven by some mutator goroutine, so on a single-thread
+	// runtime the ring stays off and reclamation stays precise (an explicit
+	// GC between an allocation and its publishing store discards the
+	// allocation — the documented root-it-first contract). The moment a
+	// second mutator thread exists the same window opens without any pacer —
+	// one goroutine can drive GC/GCStep to completion inside another's
+	// allocate-to-publish window — so the ring is also live once mutators
+	// leaves oneMutator (see pinsActive).
 	pacer  *gcPacer
 	pinned pinnedRoots
 	pinsOn bool
 
 	// mutators is the one predicate behind every lock elision: oneMutator
 	// from New until NewThread first runs (never, under ConcurrentGC — the
-	// pacer is a second goroutine), manyMutators[Zoned] forever after.
+	// pacer is a second goroutine), manyMutators forever after.
 	//
 	// The contract while it reads oneMutator: every Runtime, Thread, Frame
 	// and Global method is called from one goroutine at a time. With no
 	// other thread, every other thread is vacuously at a safepoint, so the
 	// paths that lock only to exclude another mutator take no lock: field,
-	// array and string accessors and ClassOf (lockObj), the cross-zone store
-	// protocol (lockRefStore), frames, globals and the allocation slow path
-	// (lockMu, lockZone), and the bump path's spinlock. Checks, barriers and
-	// collections run exactly as if the lock were held. Whole-heap entry
-	// points (lockWorld) and the collector's own goroutines keep their
-	// locks: those synchronise with each other.
+	// array and string accessors and ClassOf, frames, globals and the
+	// allocation slow path (lockMu), and the bump path's spinlock. Checks,
+	// barriers and collections run exactly as if the lock were held.
+	// Whole-heap entry points (GC, Stats, assertion registration, heap walks)
+	// and the pacer goroutine keep taking rt.mu: those synchronise with each
+	// other.
 	//
 	// Happens-before: NewThread stores the new value under rt.mu before the
 	// new Thread exists, and a Thread is handed to the goroutine that will
@@ -319,18 +246,11 @@ type Runtime struct {
 const (
 	oneMutator        uint32 = iota // no lock on the elided paths
 	oneMutatorChecked               // the same contract, verified by TryLock
-	manyMutators                    // every path locks; accessors lock rt.mu
-	manyMutatorsZoned               // every path locks; accessors lock zones
+	manyMutators                    // every path locks rt.mu
 )
 
 // share leaves the single-mutator regime for good.
-func (rt *Runtime) share() {
-	if rt.zlocks != nil {
-		rt.mutators.Store(manyMutatorsZoned)
-	} else {
-		rt.mutators.Store(manyMutators)
-	}
-}
+func (rt *Runtime) share() { rt.mutators.Store(manyMutators) }
 
 // errSoloContract is the panic value of the single-mutator contract check.
 const errSoloContract = "core: concurrent use of a single-mutator runtime (a second goroutine must be given a Thread from NewThread first)"
@@ -339,39 +259,19 @@ const errSoloContract = "core: concurrent use of a single-mutator runtime (a sec
 func (rt *Runtime) solo() bool { return rt.mutators.Load() == oneMutator }
 
 // pinsActive reports whether allocations must be noted in the pin ring:
-// statically (pinsOn — concurrent or zoned runtimes) or dynamically, once
-// a second mutator thread exists and any goroutine can complete a
-// collection while another holds a just-allocated, not-yet-published Ref.
-func (rt *Runtime) pinsActive() bool { return rt.pinsOn || rt.mutators.Load() >= manyMutators }
+// statically (pinsOn — the pacer goroutine) or dynamically, once a second
+// mutator thread exists and any goroutine can complete a collection while
+// another holds a just-allocated, not-yet-published Ref.
+func (rt *Runtime) pinsActive() bool { return rt.pinsOn || rt.mutators.Load() == manyMutators }
 
 // rootSource returns the aggregated root set (globals plus thread stacks).
 func (rt *Runtime) rootSource() roots.Source { return rt.rootSrc }
 
-// lockWorld acquires every zone lock in ascending order, then rt.mu:
-// exclusive access to the entire runtime. On an unzoned runtime it is
-// exactly rt.mu.
-func (rt *Runtime) lockWorld() {
-	for i := range rt.zlocks {
-		rt.zlocks[i].Lock()
-	}
-	rt.mu.Lock()
-}
-
-// unlockWorld releases the world lock.
-func (rt *Runtime) unlockWorld() {
-	rt.mu.Unlock()
-	for i := range rt.zlocks {
-		rt.zlocks[i].Unlock()
-	}
-}
-
-// The lock prologues of the paths the single-mutator regime elides. A site
-// reads `if !rt.solo() { defer rt.lockObj(r)() }`: each acquires its locks
-// and returns the function that releases them, built once at New. (The
-// accessors in fields.go take rt.mu inline when it is the whole answer.)
-
-// lockMu acquires rt.mu: a plain Lock once shared, the contract check
-// while checked.
+// lockMu is the lock prologue of the paths the single-mutator regime elides —
+// a site reads `if !rt.solo() { defer rt.lockMu()() }`: a plain Lock once
+// shared, the contract check while checked. It returns the unlock, built once
+// at New. (The accessors in fields.go take rt.mu inline when it is the whole
+// answer.)
 func (rt *Runtime) lockMu() func() {
 	if rt.mutators.Load() == oneMutatorChecked {
 		rt.assertSolo()
@@ -379,28 +279,6 @@ func (rt *Runtime) lockMu() func() {
 		rt.mu.Lock()
 	}
 	return rt.unlockMu
-}
-
-// lockObj is the accessor prologue for the object at r: rt.mu on an unzoned
-// runtime (and for the contract check), otherwise the zone containing r plus
-// rt.mu when zonedMu requires it.
-func (rt *Runtime) lockObj(r Ref) func() {
-	if rt.mutators.Load() == manyMutatorsZoned {
-		return rt.lockZone(rt.heap.ZoneIndexOf(r))
-	}
-	return rt.lockMu()
-}
-
-// lockZone is lockObj by zone index (0 on an unzoned runtime).
-func (rt *Runtime) lockZone(zi int) func() {
-	if rt.mutators.Load() != manyMutatorsZoned {
-		return rt.lockMu()
-	}
-	rt.zlocks[zi].Lock()
-	if rt.zonedMu {
-		rt.mu.Lock()
-	}
-	return rt.unlockZone[zi]
 }
 
 // assertSolo is the contract check (Runtime.mutators): the caller is alone
@@ -446,26 +324,6 @@ func New(cfg Config) *Runtime {
 	if cfg.AllocBuffers >= cfg.HeapWords {
 		panic(fmt.Sprintf("core: AllocBuffers %d must be smaller than the heap (%d words)", cfg.AllocBuffers, cfg.HeapWords))
 	}
-	if cfg.Zones < 0 {
-		panic("core: Zones must not be negative")
-	}
-	if cfg.Zones >= 2 && cfg.Collector != MarkSweep {
-		panic("core: Zones requires the MarkSweep collector (the generational nursery policy is whole-heap)")
-	}
-	if cfg.ZoneGCWorkers < 0 {
-		panic("core: ZoneGCWorkers must not be negative")
-	}
-	if cfg.ZoneGCWorkers > 0 {
-		if cfg.Zones < 2 {
-			panic("core: ZoneGCWorkers requires Zones >= 2")
-		}
-		if cfg.ZoneGCWorkers > cfg.Zones {
-			panic(fmt.Sprintf("core: ZoneGCWorkers %d exceeds Zones %d", cfg.ZoneGCWorkers, cfg.Zones))
-		}
-		if !cfg.ConcurrentGC {
-			panic("core: ZoneGCWorkers requires ConcurrentGC (it sizes the pacer's zone-collection workers)")
-		}
-	}
 	rt := &Runtime{
 		reg:      classes.NewRegistry(),
 		threads:  threads.NewSet(),
@@ -474,31 +332,7 @@ func New(cfg Config) *Runtime {
 		recorder: &report.Recorder{},
 	}
 	rt.unlockMu = rt.mu.Unlock
-	if cfg.Zones >= 2 {
-		rt.zoneHeaps = vmheap.NewZoned(cfg.HeapWords, cfg.Zones)
-		rt.heap = rt.zoneHeaps[0]
-		rt.remsets = newRemsets(rt.heap)
-		rt.zones = make([]*Zone, cfg.Zones)
-		rt.zlocks = make([]sync.Mutex, cfg.Zones)
-		rt.zoneCollecting = make([]bool, cfg.Zones)
-		rt.zonedMu = cfg.IncrementalBudget > 0 || cfg.ConcurrentGC
-		rt.zoneGCWorkers = cfg.ZoneGCWorkers
-		rt.unlockZone = make([]func(), cfg.Zones)
-		for i, zh := range rt.zoneHeaps {
-			rt.zones[i] = &Zone{rt: rt, idx: i, h: zh}
-			zh.SetFreeObserver(rt.remsets.onFree)
-			zl := &rt.zlocks[i]
-			rt.unlockZone[i] = func() {
-				if rt.zonedMu {
-					rt.mu.Unlock()
-				}
-				zl.Unlock()
-			}
-		}
-	} else {
-		rt.heap = vmheap.New(cfg.HeapWords)
-		rt.zoneHeaps = []*vmheap.Heap{rt.heap}
-	}
+	rt.heap = vmheap.New(cfg.HeapWords)
 	rt.rootSrc = roots.Multi{rt.globals, rt.threads, &rt.pinned}
 	src := rt.rootSrc
 
@@ -542,10 +376,8 @@ func New(cfg Config) *Runtime {
 	default:
 		panic(fmt.Sprintf("core: unknown collector kind %d", cfg.Collector))
 	}
-	for _, p := range rt.heap.Peers() {
-		p.SetLazySweep(cfg.LazySweep)
-		p.SetTelemetry(rt.tele)
-	}
+	rt.heap.SetLazySweep(cfg.LazySweep)
+	rt.heap.SetTelemetry(rt.tele)
 	rt.collector.SetTelemetry(rt.tele)
 	// Hidden-register pins become roots at every root scan, and pin stamps
 	// taken during an incremental cycle are re-certified before its
@@ -553,13 +385,13 @@ func New(cfg Config) *Runtime {
 	rt.collector.SetPrepareRoots(rt.collectPins)
 	rt.allocBufWords = uint32(cfg.AllocBuffers)
 	rt.generational = cfg.Collector == Generational
-	rt.plainStores = !rt.generational && cfg.IncrementalBudget == 0 && rt.remsets == nil
+	rt.plainStores = !rt.generational && cfg.IncrementalBudget == 0
 	rt.pinsOn = cfg.ConcurrentGC
 	if vmheap.DebugChecks {
 		rt.mutators.Store(oneMutatorChecked)
 	}
 
-	rt.main = &Thread{rt: rt, th: rt.threads.New("main"), zheap: rt.heap}
+	rt.main = &Thread{rt: rt, th: rt.threads.New("main")}
 	rt.allThreads = append(rt.allThreads, rt.main)
 
 	if cfg.IncrementalBudget > 0 {
@@ -587,26 +419,25 @@ func (rt *Runtime) flushAllocBuffers() {
 	}
 }
 
-// DefineClass registers a new class with the given fields. World lock: the
-// registry is read lock-free by in-flight concurrent zone traces.
+// DefineClass registers a new class with the given fields.
 func (rt *Runtime) DefineClass(name string, fields ...Field) *Class {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	return rt.reg.MustDefine(name, nil, fields...)
 }
 
 // DefineSubclass registers a class extending super; inherited fields keep
 // their offsets.
 func (rt *Runtime) DefineSubclass(name string, super *Class, fields ...Field) *Class {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	return rt.reg.MustDefine(name, super, fields...)
 }
 
 // ClassOf returns the class of the object at r.
 func (rt *Runtime) ClassOf(r Ref) *Class {
 	if !rt.solo() {
-		defer rt.lockObj(r)()
+		defer rt.lockMu()()
 	}
 	return rt.reg.ByID(rt.heap.ClassID(r))
 }
@@ -624,19 +455,7 @@ func (rt *Runtime) MainThread() *Thread { return rt.main }
 func (rt *Runtime) NewThread(name string) *Thread {
 	defer rt.lockMu()()
 	rt.share()
-	var th *threads.Thread
-	if rt.engine != nil {
-		// The engine iterates the thread set in PreSweep with only its own
-		// guard held (concurrent zone collections run it without rt.mu), so
-		// the append must serialize on that guard too.
-		g := rt.engine.Guard()
-		g.Lock()
-		th = rt.threads.New(name)
-		g.Unlock()
-	} else {
-		th = rt.threads.New(name)
-	}
-	t := &Thread{rt: rt, th: th, zheap: rt.heap}
+	t := &Thread{rt: rt, th: rt.threads.New(name)}
 	rt.allThreads = append(rt.allThreads, t)
 	return t
 }
@@ -675,7 +494,7 @@ func (g *Global) Set(r Ref) {
 // stand in for the collection being asked for), retire every buffer — after
 // which no thread can add an unpinned allocation before the collector's
 // prepare-roots hook gathers the pins and scans — and run the collection.
-// Caller holds the world lock.
+// Caller holds rt.mu.
 func (rt *Runtime) collectLocked(collect func() error) error {
 	if err := rt.settleCycleLocked(); err != nil {
 		return err
@@ -687,8 +506,8 @@ func (rt *Runtime) collectLocked(collect func() error) error {
 // GC forces a full-heap collection (the kind that checks assertions). It
 // returns a *report.HaltError if a violation handler requested Halt.
 func (rt *Runtime) GC() error {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	return rt.collectLocked(rt.collector.CollectFull)
 }
 
@@ -696,8 +515,8 @@ func (rt *Runtime) GC() error {
 // generational collector this may be a minor collection, which checks no
 // assertions).
 func (rt *Runtime) Collect() error {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	return rt.collectLocked(rt.collector.Collect)
 }
 
@@ -712,8 +531,8 @@ func (rt *Runtime) StartGC() error {
 	if rt.pacer == nil {
 		return rt.GC()
 	}
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if err := rt.takePacerPending(); err != nil {
 		return err
 	}
@@ -726,8 +545,8 @@ func (rt *Runtime) StartGC() error {
 // marking finishes. It reports whether the cycle is complete; with no open
 // cycle it reports true immediately.
 func (rt *Runtime) GCStep() (done bool, err error) {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if rt.cycleOpen() && !rt.pacer.stepLocked() {
 		return false, nil
 	}
@@ -741,8 +560,8 @@ func (rt *Runtime) GCStep() (done bool, err error) {
 // every explicit collection entry point it leaves no allocation buffer
 // outstanding.
 func (rt *Runtime) FinishGC() error {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	err := rt.settleCycleLocked()
 	rt.flushAllocBuffers()
 	return err
@@ -760,23 +579,23 @@ func (rt *Runtime) GCActive() bool {
 // hook calls, free-list installs — runs exactly as the allocator would have
 // triggered it, just all at once.
 func (rt *Runtime) CompleteSweep() {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	rt.heap.CompleteSweep()
 }
 
 // SweepPending reports whether a lazy sweep has unswept segments
 // outstanding.
 func (rt *Runtime) SweepPending() bool {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	return rt.heap.SweepPending()
 }
 
 // Violations returns the assertion violations recorded so far.
 func (rt *Runtime) Violations() []*report.Violation {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	out := make([]*report.Violation, len(rt.recorder.Violations))
 	copy(out, rt.recorder.Violations)
 	return out
@@ -784,8 +603,8 @@ func (rt *Runtime) Violations() []*report.Violation {
 
 // ResetViolations clears the recorded violations.
 func (rt *Runtime) ResetViolations() {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	rt.recorder.Reset()
 }
 

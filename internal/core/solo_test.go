@@ -16,24 +16,18 @@ import (
 // relies on must be checkable.
 
 // soloConfigs is the differential's matrix: MarkSweep/Generational ×
-// stop-the-world/incremental × unzoned/2-zone × direct/buffered (zones
-// require MarkSweep). The heap is small enough that allocation triggers
-// collections of its own between the forced ones.
+// stop-the-world/incremental × direct/buffered. The heap is small enough that
+// allocation triggers collections of its own between the forced ones.
 func soloConfigs() map[string]Config {
 	out := make(map[string]Config)
 	for _, collector := range []CollectorKind{MarkSweep, Generational} {
 		for _, budget := range []int{0, 32} {
-			for _, zones := range []int{0, 2} {
-				if zones > 0 && collector != MarkSweep {
-					continue
+			for _, buf := range []int{0, 64} {
+				cfg := Config{
+					HeapWords: 1 << 10, Mode: Infrastructure, Collector: collector,
+					IncrementalBudget: budget, AllocBuffers: buf,
 				}
-				for _, buf := range []int{0, 64} {
-					cfg := Config{
-						HeapWords: 1 << 10, Mode: Infrastructure, Collector: collector,
-						IncrementalBudget: budget, Zones: zones, AllocBuffers: buf,
-					}
-					out[fmt.Sprintf("%s/inc%d/zones%d/buf%d", collector, budget, zones, buf)] = cfg
-				}
+				out[fmt.Sprintf("%s/inc%d/buf%d", collector, budget, buf)] = cfg
 			}
 		}
 	}
@@ -59,8 +53,6 @@ func buildSoloWorld(cfg Config, shared bool) *sweepWorld {
 // frees and turn assert-dead verdicts into root-path false positives.
 func (w *sweepWorld) soloStep(code, i, k byte) {
 	switch {
-	case code == 9 && w.rt.zones != nil: // rebind the mutator to a zone
-		w.th.SetZone(w.rt.Zone(int(k) % len(w.rt.zones)))
 	case code == 10: // data store and load through a fresh data array
 		arr := w.th.NewDataArray(1 + int(k)%4)
 		w.rt.ArrSetData(arr, 0, uint64(k))
@@ -90,7 +82,7 @@ func (w *sweepWorld) soloStep(code, i, k byte) {
 
 // TestSoloSharedDifferential runs one seeded mutator script — allocation,
 // reference, data and array stores, frames, strings, regions, every
-// assertion kind, forced, incremental, per-zone and allocation-triggered
+// assertion kind, forced, incremental and allocation-triggered
 // collections — on a solo runtime and on one where NewThread was called
 // first. Same script, same collection points, so everything must match to
 // the address: live sets, violations with their paths, heap and collector
@@ -134,8 +126,6 @@ func TestSoloSharedDifferential(t *testing.T) {
 							if err == nil {
 								err = w.rt.FinishGC()
 							}
-						case cfg.Zones > 0 && round%2 == 1:
-							err = w.rt.GCZones()
 						case cfg.Collector == Generational && round%2 == 1:
 							err = w.rt.Collect()
 						}
@@ -197,7 +187,6 @@ func TestSoloFlipMidScript(t *testing.T) {
 		{HeapWords: 1 << 12, Mode: Infrastructure},
 		{HeapWords: 1 << 12, Mode: Infrastructure, AllocBuffers: 64},
 		{HeapWords: 1 << 12, Mode: Infrastructure, Collector: Generational, IncrementalBudget: 32},
-		{HeapWords: 1 << 13, Mode: Infrastructure, Zones: 2},
 	} {
 		rt := New(cfg)
 		node := rt.DefineClass("FlipNode", RefField("next"), DataField("v"))
@@ -241,9 +230,6 @@ func TestSoloFlipMidScript(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if cfg.Zones > 0 {
-				second.SetZone(rt.Zone(1))
-			}
 			for i := 0; i < 200; i++ {
 				listMu.Lock()
 				push(second, 100)
@@ -297,27 +283,20 @@ func eachRegime(t *testing.T, f func(t *testing.T, rt *Runtime)) {
 		rt.NewThread("second")
 		f(t, rt)
 	})
-	t.Run("shared-zoned", func(t *testing.T) {
-		rt := New(Config{HeapWords: 1 << 12, Mode: Infrastructure, Zones: 2, IncrementalBudget: 32})
+	t.Run("shared-incremental", func(t *testing.T) {
+		rt := New(Config{HeapWords: 1 << 12, Mode: Infrastructure, IncrementalBudget: 32})
 		rt.NewThread("second")
 		f(t, rt)
 	})
 }
 
-// assertUnlocked fails if a panicking accessor left rt.mu or a zone lock
-// held.
+// assertUnlocked fails if a panicking accessor left rt.mu held.
 func assertUnlocked(t *testing.T, rt *Runtime) {
 	t.Helper()
 	if !rt.mu.TryLock() {
 		t.Fatal("rt.mu is still held")
 	}
 	rt.mu.Unlock()
-	for i := range rt.zlocks {
-		if !rt.zlocks[i].TryLock() {
-			t.Fatalf("zone lock %d is still held", i)
-		}
-		rt.zlocks[i].Unlock()
-	}
 }
 
 // TestSoloContract: with SetDebugChecks on, a second goroutine inside a

@@ -27,21 +27,19 @@ type Snapshot struct {
 	GC   gc.Stats
 	// Asserts is zero in Base mode.
 	Asserts assertions.Stats
-	// Sweep counts lazy sweep activity over every zone; all zero under the
-	// default eager sweep.
+	// Sweep counts lazy sweep activity; all zero under the default eager
+	// sweep.
 	Sweep vmheap.SweepModeStats
 	// Pacer counts cycle-scheduler activity; all zero without
 	// Config.IncrementalBudget.
 	Pacer PacerStats
-	// Zones summarizes per-zone occupancy (nil unless Config.Zones >= 2).
-	Zones []vmheap.ZoneInfo
 }
 
 // Stats returns a consistent snapshot of heap, collector and assertion
 // statistics.
 func (rt *Runtime) Stats() Snapshot {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	s := Snapshot{
 		Heap: HeapStats{
 			CapacityWords: rt.heap.CapacityWords(),
@@ -80,9 +78,6 @@ func (rt *Runtime) Stats() Snapshot {
 	if rt.pacer != nil {
 		s.Pacer = rt.pacer.stats
 	}
-	if rt.heap.Zoned() {
-		s.Zones = rt.heap.ZoneInfos()
-	}
 	return s
 }
 
@@ -90,8 +85,8 @@ func (rt *Runtime) Stats() Snapshot {
 // built-in array pseudo-classes, in definition order (IDs are dense and
 // equal the slice index). Intended for tools such as heap snapshots.
 func (rt *Runtime) Classes() []*Class {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	out := make([]*Class, rt.reg.NumClasses())
 	for i := range out {
 		out[i] = rt.reg.ByID(uint32(i))
@@ -101,24 +96,24 @@ func (rt *Runtime) Classes() []*Class {
 
 // EachGlobal reports every global root slot (name and current reference).
 func (rt *Runtime) EachGlobal(fn func(name string, r Ref)) {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	rt.globals.Each(fn)
 }
 
 // KindOf reports the layout kind of the object at r: 0 scalar, 1 reference
 // array, 2 data array (tool-grade accessor for snapshot/census code).
 func (rt *Runtime) KindOf(r Ref) int {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	return int(rt.heap.KindOf(r))
 }
 
 // Objects walks every allocated object, reporting its Ref. Like
 // EachObject, this is a tool-grade full heap walk.
 func (rt *Runtime) Objects(fn func(r Ref)) {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	rt.flushAllocBuffers()
 	rt.heap.Iterate(func(r Ref, _ uint64) { fn(r) })
 }
@@ -126,8 +121,8 @@ func (rt *Runtime) Objects(fn func(r Ref)) {
 // SizeOf returns the total size in words (header included) of the object
 // at r.
 func (rt *Runtime) SizeOf(r Ref) int {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	return int(rt.heap.SizeWords(r))
 }
 
@@ -135,8 +130,8 @@ func (rt *Runtime) SizeOf(r Ref) int {
 // objects) or elements (reference arrays). Intended for tools (heap
 // visualization, censuses), not hot paths.
 func (rt *Runtime) OutEdges(obj Ref) []Ref {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if !rt.heap.IsObject(obj) {
 		return nil
 	}
@@ -163,8 +158,8 @@ func (rt *Runtime) OutEdges(obj Ref) []Ref {
 // must be called between collections, not during one. Expensive; intended
 // for tests and debugging tools.
 func (rt *Runtime) VerifyHeap() []error {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	rt.flushAllocBuffers()
 	return rt.heap.Verify(rt.reg)
 }
@@ -174,8 +169,8 @@ func (rt *Runtime) VerifyHeap() []error {
 // tools wanting a live census run GC first. Intended for tools, not hot
 // paths.
 func (rt *Runtime) EachObject(fn func(class string, sizeWords uint32)) {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	rt.flushAllocBuffers()
 	rt.heap.Iterate(func(r Ref, _ uint64) {
 		fn(rt.reg.Name(rt.heap.ClassID(r)), rt.heap.SizeWords(r))
@@ -187,8 +182,8 @@ func (rt *Runtime) EachObject(fn func(class string, sizeWords uint32)) {
 // wanting live counts run GC first. Intended for tools and tests, not hot
 // paths (it is a full heap walk).
 func (rt *Runtime) AllocatedInstanceCount(c *Class) int {
-	rt.lockWorld()
-	defer rt.unlockWorld()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	rt.flushAllocBuffers()
 	n := 0
 	rt.heap.Iterate(func(r Ref, _ uint64) {

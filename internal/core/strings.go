@@ -12,7 +12,7 @@ func (t *Thread) NewString(s string) Ref {
 	arr := t.NewDataArray(words)
 	rt := t.rt
 	if !rt.solo() {
-		defer rt.lockObj(arr)()
+		defer rt.lockMu()()
 	}
 	rt.heap.SetArrayWord(arr, 0, uint64(len(s)))
 	for i := 0; i < len(s); i++ {
@@ -27,7 +27,7 @@ func (t *Thread) NewString(s string) Ref {
 // StringAt decodes the managed string at r.
 func (rt *Runtime) StringAt(r Ref) string {
 	if !rt.solo() {
-		defer rt.lockObj(r)()
+		defer rt.lockMu()()
 	}
 	n := int(rt.heap.ArrayWord(r, 0))
 	b := make([]byte, n)
@@ -43,7 +43,7 @@ func (rt *Runtime) StringAt(r Ref) string {
 // decoding it.
 func (rt *Runtime) StringLen(r Ref) int {
 	if !rt.solo() {
-		defer rt.lockObj(r)()
+		defer rt.lockMu()()
 	}
 	return int(rt.heap.ArrayWord(r, 0))
 }

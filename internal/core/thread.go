@@ -48,17 +48,10 @@ type Thread struct {
 	// allocations, stamped with the sweep epoch they were born in, so a
 	// concurrently starting cycle can root them before the mutator has
 	// published them. Written under bufMu (bump path) or rt.mu (slow
-	// path); collectPins reads under both. Unused unless ConcurrentGC.
+	// path); collectPins reads under both. Unused until pins are active
+	// (Runtime.pinsActive).
 	pins   [threadPinSlots]allocPin
 	pinPos uint8
-
-	// zheap is the heap zone this thread allocates from: rt.heap (zone 0)
-	// at creation, redirected by SetZone. On an unzoned runtime it is
-	// always rt.heap. Written only by the owning goroutine (SetZone, under
-	// rt.mu, after retiring the buffer) and read lock-free on the
-	// allocation fast path — the owner cannot be mid-bump and in SetZone
-	// at once; all other readers hold rt.mu.
-	zheap *vmheap.Heap
 }
 
 // lockBuf claims the buffer spinlock. Hold times are a handful of
@@ -213,17 +206,11 @@ func (t *Thread) alloc(kind vmheap.Kind, classID uint32, n uint32) (Ref, error) 
 // run the pacing hook, refill the buffer if buffers are enabled, else (or when
 // refill declines) allocate from the free lists, collecting on exhaustion;
 // record the object in any active region bracket on this thread. Unless solo
-// it runs under rt.mu, or on a zone-sharded runtime under the allocating
-// zone's lock (plus rt.mu when whole-heap cycles require it — Runtime.zonedMu),
-// so threads parked in different zones refill and allocate concurrently and
-// an allocation never blocks on another zone's in-flight collection.
+// it runs under rt.mu.
 func (t *Thread) allocSlow(kind vmheap.Kind, classID uint32, n uint32) (Ref, error) {
 	rt := t.rt
-	zh := t.zheap // owning goroutine; cannot race its own SetZone
-	zi := zh.ZoneID()
-	unlock := noUnlock
 	if !rt.solo() {
-		unlock = rt.lockZone(zi)
+		defer rt.lockMu()()
 	}
 
 	if p := rt.pacer; p != nil {
@@ -234,16 +221,14 @@ func (t *Thread) allocSlow(kind vmheap.Kind, classID uint32, n uint32) (Ref, err
 		// still held: it queues on rt.mu behind this allocation instead of
 		// taking the lock out from under the mutator's next operation.
 		if err := rt.takePacerPending(); err != nil {
-			unlock()
 			return Nil, err
 		}
-		p.allocPacingLocked(zi, uint64(vmheap.ObjectWords(kind, n))+uint64(rt.allocBufWords))
+		p.allocPacingLocked(uint64(vmheap.ObjectWords(kind, n)) + uint64(rt.allocBufWords))
 		p.maybeWake()
 	}
 
 	if rt.allocBufWords > 0 {
 		if r, ok := t.refillAlloc(kind, classID, n); ok {
-			unlock()
 			return r, nil
 		}
 		// Fall through to the direct path: object larger than a buffer, an
@@ -251,42 +236,36 @@ func (t *Thread) allocSlow(kind vmheap.Kind, classID uint32, n uint32) (Ref, err
 		// supply even a minimal buffer (a collection may be needed).
 	}
 
-	r, err := zh.Alloc(kind, classID, n)
+	r, err := rt.heap.Alloc(kind, classID, n)
 	switch {
 	case err == vmheap.ErrHeapExhausted:
-		// Collecting — even flushing other threads' buffers — needs the whole
-		// heap quiescent. rt.mu is that on an unzoned runtime; a zoned one
-		// trades its zone-level locks for the world lock, which also drains
-		// any in-flight concurrent zone collections (they hold their zone
-		// locks until they fold their results).
-		if rt.zlocks != nil {
-			unlock()
-			rt.lockWorld()
-			unlock = rt.unlockWorld
-		}
 		r, err = t.allocExhausted(kind, classID, n)
 	case err != nil:
 		err = rt.outOfMemory(n) // an argument the heap declined
 	}
 	if err != nil {
-		unlock()
 		return Nil, err
 	}
 
-	t.recordSlowAlloc(r)
+	// The paper: "Every allocation checks the flag to determine if it
+	// occurred within a region, and if it is, the allocated object is
+	// added to the queue."
+	if t.th.InRegion() {
+		t.th.RecordRegionAlloc(r)
+	}
+	t.th.CountAlloc()
+	if rt.pinsActive() {
+		t.notePin(r)
+	}
 	if rt.pacer != nil {
 		rt.collector.DidAllocate(r) // born black if a cycle is open
 	}
-	unlock()
 	return r, nil
 }
 
-// noUnlock releases what the single-mutator regime did not lock.
-func noUnlock() {}
-
 // allocExhausted is the allocation slow path's exhaustion ladder: retire
 // every buffer, collect, collect fully, retrying the allocation after each.
-// Caller holds the world lock (or is solo).
+// Caller holds rt.mu (or is solo).
 func (t *Thread) allocExhausted(kind vmheap.Kind, classID uint32, n uint32) (Ref, error) {
 	rt := t.rt
 	r, err := Nil, vmheap.ErrHeapExhausted
@@ -294,7 +273,7 @@ func (t *Thread) allocExhausted(kind vmheap.Kind, classID uint32, n uint32) (Ref
 		// Other threads' buffer tails may hold the needed words; retire
 		// every buffer before paying for a collection.
 		rt.flushAllocBuffers()
-		r, err = t.zheap.Alloc(kind, classID, n)
+		r, err = rt.heap.Alloc(kind, classID, n)
 	}
 	if err == vmheap.ErrHeapExhausted {
 		var cerr error
@@ -306,7 +285,7 @@ func (t *Thread) allocExhausted(kind vmheap.Kind, classID uint32, n uint32) (Ref
 		if cerr != nil {
 			return Nil, cerr
 		}
-		r, err = t.zheap.Alloc(kind, classID, n)
+		r, err = rt.heap.Alloc(kind, classID, n)
 		if err == vmheap.ErrHeapExhausted {
 			// A generational minor collection, or a cycle whose snapshot
 			// predates the garbage, may not have freed enough; fall back
@@ -314,7 +293,7 @@ func (t *Thread) allocExhausted(kind vmheap.Kind, classID uint32, n uint32) (Ref
 			if cerr := rt.collector.CollectFull(); cerr != nil {
 				return Nil, cerr
 			}
-			r, err = t.zheap.Alloc(kind, classID, n)
+			r, err = rt.heap.Alloc(kind, classID, n)
 		}
 	}
 	if err != nil {
@@ -332,49 +311,10 @@ func (rt *Runtime) outOfMemory(n uint32) error {
 	}
 }
 
-// recordSlowAlloc is the bookkeeping of a slow-path allocation: region
-// recording, the thread's allocation count, and the pin ring. On an unzoned
-// runtime rt.mu (or the solo contract) covers all three. On a zoned one the
-// caller may hold only t's zone lock, so the region queue is written under the
-// engine guard (a concurrent zone collection's PreSweep walks region queues
-// under it) and the count and ring under the buffer spinlock (the stats fold
-// and collectPins read them there).
-func (t *Thread) recordSlowAlloc(r Ref) {
-	rt := t.rt
-	if rt.zlocks == nil {
-		// The paper: "Every allocation checks the flag to determine if it
-		// occurred within a region, and if it is, the allocated object is
-		// added to the queue."
-		if t.th.InRegion() {
-			t.th.RecordRegionAlloc(r)
-		}
-		t.th.CountAlloc()
-		if rt.pinsActive() {
-			t.notePin(r)
-		}
-		return
-	}
-	if rt.engine != nil {
-		g := rt.engine.Guard()
-		g.Lock()
-		if t.th.InRegion() {
-			t.th.RecordRegionAlloc(r)
-		}
-		g.Unlock()
-	}
-	t.lockBuf()
-	t.th.CountAlloc()
-	if rt.pinsActive() {
-		t.notePin(r)
-	}
-	t.unlockBuf()
-}
-
 // refillAlloc retires the thread's exhausted buffer, carves a fresh one,
 // and satisfies the allocation from it. ok=false sends the caller to the
 // direct path: for objects too large for a buffer, or when the free lists
-// cannot supply even a minimal buffer. Caller holds rt.mu (unzoned), or the
-// thread's zone lock plus rt.mu if zonedMu (zoned).
+// cannot supply even a minimal buffer. Caller holds rt.mu (or is solo).
 func (t *Thread) refillAlloc(kind vmheap.Kind, classID uint32, n uint32) (Ref, bool) {
 	rt := t.rt
 	need := vmheap.ObjectWords(kind, n)
@@ -386,7 +326,7 @@ func (t *Thread) refillAlloc(kind vmheap.Kind, classID uint32, n uint32) (Ref, b
 		return Nil, false
 	}
 	t.flushBuffer()
-	if !t.zheap.CarveBuffer(&t.buf, need, rt.allocBufWords) {
+	if !rt.heap.CarveBuffer(&t.buf, need, rt.allocBufWords) {
 		return Nil, false
 	}
 	if rt.cycleOpen() {
@@ -434,25 +374,12 @@ func (t *Thread) flushBuffer() {
 // objects to its innermost region queue, in allocation order. Called at
 // buffer retirement and at region-bracket boundaries (StartRegion records
 // into the enclosing bracket before the new one opens; AssertAllDead
-// records before the bracket closes). The queue append runs under the
-// engine guard: a concurrent zone collection's PreSweep walks every
-// thread's region queues under it. Without an engine there are no regions
-// (StartRegion refuses in Base mode), so InRegion is always false.
+// records before the bracket closes). Caller holds rt.mu (or is solo).
 func (t *Thread) flushRegionRecords() {
-	if !t.buf.Active() {
-		return
-	}
-	eng := t.rt.engine
-	if eng == nil {
-		return
-	}
-	g := eng.Guard()
-	g.Lock()
-	if t.th.InRegion() {
+	if t.buf.Active() && t.th.InRegion() {
 		t.buf.EachObjectFrom(t.regionFrom, t.th.RecordRegionAlloc)
 		t.regionFrom = t.buf.Pos()
 	}
-	g.Unlock()
 }
 
 // Allocs returns the number of allocations this thread performed,

@@ -18,7 +18,7 @@ import (
 // slices interleaved with mutator work, and a completion pause (terminal
 // drain, instance-limit checks, sweep). The snapshot-at-beginning write
 // barrier (trace.Tracer.SnapshotObject, called via SnapshotBarrier from every
-// reference store) keeps the checks observing the snapshot heap; DESIGN.md §8
+// reference store) keeps the checks observing the snapshot heap; DESIGN.md §7
 // gives the soundness argument per assertion kind. The one step a collector
 // supplies is the completion sweep.
 type fullCycle struct {

@@ -29,20 +29,13 @@ import (
 var servingCollectors = map[string]func(*core.Config){
 	// stw: the paper's stop-the-world mark-sweep baseline.
 	"stw": func(cfg *core.Config) {},
-	// concurrent: the background pacer with mutator assists (DESIGN §12).
+	// concurrent: the background pacer with mutator assists (DESIGN §11).
 	"concurrent": func(cfg *core.Config) {
 		cfg.ConcurrentGC = true
 	},
-	// lazysweep: stop-the-world mark with demand-driven sweeping (DESIGN §9).
+	// lazysweep: stop-the-world mark with demand-driven sweeping (DESIGN §8).
 	"lazysweep": func(cfg *core.Config) {
 		cfg.LazySweep = true
-	},
-	// zones: four heap zones with two background zone-collection workers
-	// (DESIGN §13-14); server workers park round-robin across zones.
-	"zones": func(cfg *core.Config) {
-		cfg.Zones = 4
-		cfg.ConcurrentGC = true
-		cfg.ZoneGCWorkers = 2
 	},
 }
 
@@ -213,10 +206,9 @@ func RunServingSweep(cfg ServingConfig, transport Transport) (ServingReport, err
 }
 
 // newServingCellServer builds a cell's runtime and server, converting the
-// runtime's init-time panics (a config the heap cannot hold — e.g. the
-// zoned split leaving the database's zone too small for the initial load)
-// into errors, so one infeasible cell fails its sweep legibly instead of
-// crashing the process.
+// runtime's init-time panics (a config the heap cannot hold) into errors, so
+// one infeasible cell fails its sweep legibly instead of crashing the
+// process.
 func newServingCellServer(coreCfg core.Config, cfg ServingConfig) (rt *core.Runtime, srv *minidb.Server, err error) {
 	defer func() {
 		if r := recover(); r != nil {

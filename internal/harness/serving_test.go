@@ -131,7 +131,7 @@ func TestServingSweepTransportInjection(t *testing.T) {
 
 // TestServingCollectorRegistry pins the sweepable config names.
 func TestServingCollectorRegistry(t *testing.T) {
-	for _, name := range []string{"stw", "concurrent", "lazysweep", "zones"} {
+	for _, name := range []string{"stw", "concurrent", "lazysweep"} {
 		if !KnownServingCollector(name) {
 			t.Errorf("collector %q unknown", name)
 		}

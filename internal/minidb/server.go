@@ -3,11 +3,14 @@ package minidb
 import (
 	"errors"
 	"fmt"
+	"os"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/report"
 )
 
 // Server promotes the minidb workload into a serving system: a fixed pool
@@ -194,7 +197,6 @@ func NewServer(rt *core.Runtime, cfg ServerConfig) *Server {
 		s.opCodes[op] = rec.RequestOp(op.String())
 	}
 
-	zones := rt.Zones()
 	for i := 0; i < cfg.Workers; i++ {
 		// Create-then-start: the thread and its session list are built on
 		// this goroutine per the NewThread contract, then handed to the
@@ -204,13 +206,9 @@ func NewServer(rt *core.Runtime, cfg ServerConfig) *Server {
 			sessions: rt.AddGlobal(fmt.Sprintf("minidb.sessions.%d", i)),
 		}
 		w.sessions.Set(s.db.kit.NewList(rt.MainThread()))
-		var zone *core.Zone
-		if len(zones) > 0 {
-			zone = zones[i%len(zones)]
-		}
 		s.workers = append(s.workers, w)
 		s.wg.Add(1)
-		go s.run(w, zone)
+		go s.run(w)
 	}
 	return s
 }
@@ -222,14 +220,8 @@ func (s *Server) Database() *Database { return s.db }
 func (s *Server) Runtime() *core.Runtime { return s.rt }
 
 // run is one worker's serve loop.
-func (s *Server) run(w *worker, zone *core.Zone) {
+func (s *Server) run(w *worker) {
 	defer s.wg.Done()
-	if zone != nil {
-		// SetZone must run on the thread's own goroutine; on a zoned
-		// runtime the workers spread round-robin so per-zone collections
-		// overlap disjoint traffic.
-		w.th.SetZone(zone)
-	}
 	for req := range s.reqs {
 		req.reply <- s.serve(w, req)
 	}
@@ -246,15 +238,26 @@ func (s *Server) withDB(fn func()) {
 	fn()
 }
 
-// serve executes one request on w, converting runtime panics
-// (OutOfMemoryError, HaltError) into request errors so one doomed request
-// cannot take the pool down.
+// serve executes one request on w, converting panics into request errors so
+// one doomed request cannot take the pool down. The runtime's declared panics
+// (out of memory, a Halt verdict, a bounds or field check) become the plain
+// error; anything else is a bug — possibly raised in a locked region of the
+// runtime — so its stack goes into the error and to stderr.
 func (s *Server) serve(w *worker, req request) (res result) {
 	defer func() {
-		if r := recover(); r != nil {
-			s.failed.Add(1)
-			res = result{err: fmt.Errorf("minidb: %s failed: %v", req.op, r)}
+		r := recover()
+		if r == nil {
+			return
 		}
+		s.failed.Add(1)
+		msg := fmt.Sprintf("minidb: %s failed: %v", req.op, r)
+		switch r.(type) {
+		case *core.OutOfMemoryError, *report.HaltError, *core.IndexError, *core.FieldError:
+		default:
+			msg += "\n" + string(debug.Stack())
+			fmt.Fprintln(os.Stderr, msg)
+		}
+		res = result{err: errors.New(msg)}
 	}()
 	switch req.op {
 	case OpFind:

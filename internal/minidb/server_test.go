@@ -186,6 +186,9 @@ func TestServerSurvivesOOMUnderLock(t *testing.T) {
 	for i := 0; i < 5000 && !oomed; i++ {
 		if _, err := srv.Do(OpAdd, 0); err != nil {
 			oomed = true
+			if strings.Contains(err.Error(), "goroutine ") {
+				t.Errorf("a declared runtime panic carries a stack: %v", err)
+			}
 		}
 	}
 	if !oomed {
@@ -200,6 +203,36 @@ func TestServerSurvivesOOMUnderLock(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Failed == 0 {
 		t.Errorf("failed = 0, want the OOM'd requests counted (stats %+v)", st)
+	}
+}
+
+// TestServerReportsUnexpectedPanic: a panic that is not one of the runtime's
+// declared ones — here a nil dereference inside a locked database op — comes
+// back as a request error carrying the stack, so it names where it was
+// raised; the database lock is released and the pool serves the next request.
+func TestServerReportsUnexpectedPanic(t *testing.T) {
+	_, srv := testServer(t, ServerConfig{Workers: 1}, core.Config{})
+	// The worker reads w.th only inside serve, after receiving the request
+	// this goroutine sends next.
+	srv.workers[0].th = nil
+	_, err := srv.Do(OpAdd, 0)
+	if err == nil {
+		t.Fatal("add on a nil thread succeeded")
+	}
+	for _, want := range []string{"minidb: add failed", "nil pointer dereference", "(*Database).AddOn"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error does not mention %q:\n%v", want, err)
+		}
+	}
+	if !srv.mu.TryLock() {
+		t.Fatal("the database lock is still held after the recovered panic")
+	}
+	srv.mu.Unlock()
+	if resp, err := srv.Do(OpFind, 5); err != nil || !resp.Found {
+		t.Errorf("find after the panic = %+v, %v; want found", resp, err)
+	}
+	if st := srv.Stats(); st.Failed != 1 {
+		t.Errorf("failed = %d, want 1", st.Failed)
 	}
 }
 

@@ -2,8 +2,8 @@
 // assertion paths that cannot afford a Go map's hash and pointer chase.
 //
 // The epoch-stamped, arena-indexed tables serve heap-wide per-object state
-// (the per-access staleness touch, zone-retire dedupe). A Ref is already a bounded uint32 word index into the arena, so
-// they index directly:
+// (the per-access staleness touch). A Ref is already a bounded uint32 word
+// index into the arena, so they index directly:
 //
 //   - Two-level chunked layout. A directory of fixed-size chunks covers
 //     the slot space; chunks materialize on first write, so sparse use

@@ -42,8 +42,7 @@ import (
 type Phase uint8
 
 const (
-	// PhaseMark is a stop-the-world mark (Base or Infrastructure), or the
-	// drain of a zone collection.
+	// PhaseMark is a stop-the-world mark (Base or Infrastructure).
 	PhaseMark Phase = iota
 	// PhaseOwnership is the owner-first pre-phase of assert-ownedby.
 	PhaseOwnership

@@ -7,7 +7,7 @@ package trace_test
 // must match exactly: which script objects are alive after each cycle, the
 // violation multiset each cycle reports, and the cumulative trace counters.
 //
-// The design argument this checks (DESIGN.md §8) is that under the
+// The design argument this checks (DESIGN.md §7) is that under the
 // snapshot-at-beginning barrier every reachable object's reference slots
 // are processed exactly once while they still hold their snapshot values,
 // so each assertion check fires exactly as often as in a stop-the-world
@@ -15,7 +15,7 @@ package trace_test
 // identity, not by heap address: the two worlds sweep at different script
 // positions, so their free lists — and hence the addresses of later
 // allocations — legitimately diverge. Violation paths are likewise excluded
-// (slice-time paths are snapshot-relative, see DESIGN.md §8); everything
+// (slice-time paths are snapshot-relative, see DESIGN.md §7); everything
 // else, including per-cycle violation counts and the exact check counters,
 // must be identical.
 
@@ -161,7 +161,7 @@ func newIncWorld(collector core.CollectorKind, budget int) *incWorld {
 		// The generational escalation policy keys off freed-word counts,
 		// whose timing differs between the worlds; pin the policy to
 		// explicit ops only. Scripts run no minor collections at all (see
-		// DESIGN.md §8 on the promotion-timing caveat).
+		// DESIGN.md §7 on the promotion-timing caveat).
 		GenMinorFloor: -1,
 		GenMajorEvery: 1 << 30,
 	})
@@ -307,7 +307,7 @@ func (w *incWorld) liveIDs(t *testing.T) []string {
 // drainViolations returns and clears the violation transcript (rendered at
 // report time by the world's handler, identifying objects by script id).
 // Paths are deliberately excluded: slice-time paths are snapshot-relative
-// (DESIGN.md §8). The kind, cycle, object identity, class, counts, and
+// (DESIGN.md §7). The kind, cycle, object identity, class, counts, and
 // owner must all match.
 func (w *incWorld) drainViolations(t *testing.T) []string {
 	t.Helper()

@@ -7,7 +7,7 @@ import (
 
 // Incremental marking: the Infrastructure trace split into bounded slices
 // that interleave with mutator work, under a snapshot-at-beginning (SAB)
-// discipline. The soundness and exactness argument lives in DESIGN.md §8;
+// discipline. The soundness and exactness argument lives in DESIGN.md §7;
 // the shape is:
 //
 //   - At cycle start the root set is scanned atomically (StartIncremental),

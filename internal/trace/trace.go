@@ -96,30 +96,6 @@ type Tracer struct {
 	// the object).
 	barrierSrc vmheap.Ref
 
-	// zlo/zhi bound a zone-scoped trace (ResetZone): references outside
-	// [zlo, zhi) are completely inert — counted as scanned but never
-	// dereferenced, checked, marked, or pushed — so a zone trace touches
-	// no header outside its zone and each object is checked exactly once
-	// per whole rotation of zone collections, matching the whole-heap
-	// trace's per-cycle deduplication. zhi == 0 (the Reset state) disarms
-	// the gate.
-	//
-	// A zone trace overlaps mutators and other zones' collections, so it
-	// reads — and Force-nulls — reference slots through the atomic heap
-	// accessors: an in-zone slot this trace scans can simultaneously be
-	// Force-nulled by another zone's trace (the slot is a remembered-set
-	// entry of that zone), and every mutator slot load is likewise atomic
-	// on zoned runtimes. Headers stay plain: the zone gate means only this
-	// trace touches this zone's headers.
-	zlo, zhi uint32
-
-	// localCounts accumulates assert-instances tallies for a zone trace.
-	// Overlapping traces bumping the registry's shared per-class counters
-	// would corrupt both tallies, so each zone trace counts privately; the
-	// runtime folds the map through Registry.FoldLocalCounts after the
-	// trace.
-	localCounts map[uint32]int64
-
 	// tele, when non-nil, receives a span per marking pass (mark,
 	// ownership, minor_mark). Nil — the default — costs one branch per
 	// pass, nothing per object.
@@ -149,7 +125,7 @@ func (t *Tracer) mark(c vmheap.Ref, hd uint64) {
 	t.heap.SetFlags(c, vmheap.FlagMark)
 	t.countVisit(hd)
 	if class := vmheap.DecodeClassID(hd); t.reg.Tracked(class) {
-		t.countInstance(class)
+		t.reg.CountInstance(class)
 	}
 }
 
@@ -157,20 +133,6 @@ func (t *Tracer) mark(c vmheap.Ref, hd uint64) {
 func (t *Tracer) countVisit(hd uint64) {
 	t.stats.Visited++
 	t.stats.VisitedWords += uint64(vmheap.DecodeSizeWords(hd))
-}
-
-// countInstance records one live instance of a tracked class for
-// assert-instances. A zone trace tallies locally (see localCounts);
-// everything else feeds the registry's shared counters.
-func (t *Tracer) countInstance(class uint32) {
-	if t.zoned() {
-		if t.localCounts == nil {
-			t.localCounts = make(map[uint32]int64)
-		}
-		t.localCounts[class]++
-	} else {
-		t.reg.CountInstance(class)
-	}
 }
 
 // push puts a newly marked object on the worklist to have its slots
@@ -224,48 +186,18 @@ func (t *Tracer) Stats() Stats { return t.stats }
 // the last trace, or nil.
 func (t *Tracer) Halted() *report.Violation { return t.halt }
 
-// Reset clears per-collection state (stats, halt request). Every
-// whole-heap collection resets the tracer before marking, so this is also
-// the chokepoint asserting that no allocation buffer is outstanding: a trace
-// over a heap with an active buffer would push refs whose eventual sweep
-// cannot parse the buffer's unwritten tail.
+// Reset clears per-collection state (stats, halt request). Every collection
+// resets the tracer before marking, so this is also the chokepoint asserting
+// that no allocation buffer is outstanding: a trace over a heap with an
+// active buffer would push refs whose eventual sweep cannot parse the
+// buffer's unwritten tail.
 func (t *Tracer) Reset() {
-	t.heap.AssertNoBuffersAll("trace")
-	t.reset()
-}
-
-// ResetZone prepares the tracer for a zone-scoped collection: the same
-// per-collection state clearing as Reset, but only the zone's own
-// allocation buffers must be retired (peers keep bump-allocating through
-// the collection), and the zone gate is armed over z's range.
-func (t *Tracer) ResetZone(z *vmheap.Heap) {
-	z.AssertNoBuffers("trace")
-	t.reset()
-	t.zlo, t.zhi = z.ZoneRange()
-}
-
-// reset clears the per-collection state and disarms the zone gate.
-func (t *Tracer) reset() {
+	t.heap.AssertNoBuffers("trace")
 	t.stats = Stats{}
 	t.halt = nil
 	t.stack = t.stack[:0]
 	t.incScan = false
 	t.barrierSrc = vmheap.Nil
-	t.zlo, t.zhi = 0, 0
-	t.localCounts = nil
-}
-
-// LocalCounts returns the per-class live-instance tally of the last zone
-// trace (nil when nothing was tracked, or after a whole-heap Reset).
-func (t *Tracer) LocalCounts() map[uint32]int64 { return t.localCounts }
-
-// zoned reports whether this is a zone-scoped trace (the gate is armed).
-func (t *Tracer) zoned() bool { return t.zhi != 0 }
-
-// inZone reports whether the trace may dereference c: always true with the
-// gate disarmed, else only for refs inside the zone bounds.
-func (t *Tracer) inZone(c vmheap.Ref) bool {
-	return !t.zoned() || (uint32(c) >= t.zlo && uint32(c) < t.zhi)
 }
 
 // RequestHalt records a halt-requesting violation; the collector finishes
@@ -321,10 +253,10 @@ func (t *Tracer) TraceBase(src roots.Source) {
 }
 
 // markBase is the Base loop's per-reference step: it marks and counts c if
-// c is an unmarked object inside the zone gate, and reports whether c must
-// then be scanned — a data array has no slots, so it is not.
+// c is an unmarked object, and reports whether c must then be scanned — a
+// data array has no slots, so it is not.
 func (t *Tracer) markBase(c vmheap.Ref) bool {
-	if c == vmheap.Nil || !t.inZone(c) {
+	if c == vmheap.Nil {
 		return false
 	}
 	hd := t.heap.Header(c)
@@ -350,57 +282,6 @@ func (t *Tracer) TraceInfra(src roots.Source) {
 
 	src.EachRoot(t.visitRoot)
 
-	t.drainInfra()
-}
-
-// SlotTarget is one pre-resolved remembered-set slot for a zone trace: the arena word index and the in-zone value it held when the
-// collection's setup validated the remembered set. The value is resolved
-// at setup — under the remembered set's lock, while the slot's source
-// object is provably unfreed — rather than re-read at encounter time,
-// because by then a concurrent collection of the source's zone may have
-// freed the source and recycled the slot's memory.
-type SlotTarget struct {
-	Slot   uint32
-	Target vmheap.Ref
-}
-
-// ZoneRootScan, ZoneSlotScan and ZoneDrain are the phases of a zone
-// collection's Infrastructure trace; the zone gate armed by ResetZone filters
-// out-of-zone references throughout. The caller runs ZoneRootScan under the
-// runtime lock (root slots belong to frames and globals that
-// mutators update under it) and ZoneSlotScan with the pre-resolved
-// targets; both only seed the worklist and run the per-encounter checks on
-// the roots themselves. ZoneDrain then does the bulk of the marking with
-// only the zone's own lock held, concurrently with mutators and other
-// zones' collections.
-func (t *Tracer) ZoneRootScan(src roots.Source) {
-	src.EachRoot(t.visitRoot)
-}
-
-// ZoneSlotScan encounters each pre-resolved remembered-set target as a
-// root: each is the value of a field of a live object in another zone that
-// points into this zone. A Force verdict calls null(slot) instead of writing the heap word
-// directly: only the remembered set's owner can tell whether the slot's
-// memory is still valid (its source object may have been freed by a
-// concurrent collection of another zone), so the null — and the matching
-// entry drop — happen under its lock in the callback.
-func (t *Tracer) ZoneSlotScan(targets []SlotTarget, null func(slot uint32)) {
-	for _, st := range targets {
-		if st.Target == vmheap.Nil {
-			continue
-		}
-		if t.check(st.Target) && null != nil {
-			null(st.Slot)
-		}
-	}
-}
-
-// ZoneDrain runs the path-tracking DFS over the seeded worklist. This is
-// the concurrent bulk of a zone collection; one telemetry mark span covers
-// it (the root and slot scans are part of the collection's setup pause).
-func (t *Tracer) ZoneDrain() {
-	teleStart := t.tele.Begin(telemetry.PhaseMark)
-	defer t.tele.End(telemetry.PhaseMark, teleStart)
 	t.drainInfra()
 }
 
@@ -439,48 +320,27 @@ func (t *Tracer) scanObject(r vmheap.Ref) {
 	}
 }
 
-// encounterField processes the reference in field word off of obj. A zone
-// trace loads and Force-nulls the slot atomically: the
-// slot may simultaneously be Force-nulled by another zone's trace holding
-// it as a remembered-set entry.
+// encounterField processes the reference in field word off of obj.
 func (t *Tracer) encounterField(obj vmheap.Ref, off uint32) {
-	var c vmheap.Ref
-	if t.zoned() {
-		c = t.heap.RefAtAtomic(obj, off)
-	} else {
-		c = t.heap.RefAt(obj, off)
-	}
+	c := t.heap.RefAt(obj, off)
 	if c == vmheap.Nil {
 		t.stats.RefsScanned++
 		return
 	}
 	if t.check(c) {
-		if t.zoned() {
-			t.heap.SetRefAtAtomic(obj, off, vmheap.Nil)
-		} else {
-			t.heap.SetRefAt(obj, off, vmheap.Nil)
-		}
+		t.heap.SetRefAt(obj, off, vmheap.Nil)
 	}
 }
 
 // encounterArraySlot processes array element i of obj.
 func (t *Tracer) encounterArraySlot(obj vmheap.Ref, i uint32) {
-	var c vmheap.Ref
-	if t.zoned() {
-		c = vmheap.Ref(t.heap.ArrayWordAtomic(obj, i))
-	} else {
-		c = vmheap.Ref(t.heap.ArrayWord(obj, i))
-	}
+	c := vmheap.Ref(t.heap.ArrayWord(obj, i))
 	if c == vmheap.Nil {
 		t.stats.RefsScanned++
 		return
 	}
 	if t.check(c) {
-		if t.zoned() {
-			t.heap.SetArrayWordAtomic(obj, i, 0)
-		} else {
-			t.heap.SetArrayWord(obj, i, 0)
-		}
+		t.heap.SetArrayWord(obj, i, 0)
 	}
 }
 
@@ -501,14 +361,6 @@ func (t *Tracer) encounter(slot *vmheap.Ref) {
 func (t *Tracer) check(c vmheap.Ref) (forceNull bool) {
 	h := t.heap
 	t.stats.RefsScanned++
-	// Zone gate, before the header read: an out-of-zone reference is
-	// completely inert to a zone-scoped trace. Its object belongs to
-	// another zone's collections; reading (or worse, flagging) its header
-	// here would race with that zone's concurrent bump allocation and
-	// double-check objects across a rotation of zone collections.
-	if t.zhi != 0 && (uint32(c) < t.zlo || uint32(c) >= t.zhi) {
-		return false
-	}
 	hd := h.Header(c)
 	if hd&(vmheap.FlagDead|vmheap.FlagMark) != 0 {
 		if force, done := t.seen(c, hd); done {

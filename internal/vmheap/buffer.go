@@ -163,7 +163,7 @@ func (b *AllocBuffer) Retire() {
 	h.tele.Retire(used, uint64(b.end-b.pos))
 	if tail := b.end - b.pos; tail > 0 {
 		size := tail
-		if next := b.end; next < h.hi {
+		if next := b.end; next < h.end() {
 			if hd := h.words[next]; hd&FlagFree != 0 {
 				nsz := headerSize(hd)
 				h.unlinkChunk(Ref(next), nsz)
@@ -197,15 +197,8 @@ func (h *Heap) ActiveBuffers() int { return h.activeBuffers }
 
 // BufferStats returns the number of buffers ever carved and the number of
 // allocations retired through buffers (excluding any still batched in an
-// active buffer), summed over every zone. Both stay zero when the fast path
-// is never used.
-func (h *Heap) BufferStats() (carves, allocs uint64) {
-	for _, p := range h.peers {
-		carves += p.bufCarves
-		allocs += p.bufAllocs
-	}
-	return carves, allocs
-}
+// active buffer). Both stay zero when the fast path is never used.
+func (h *Heap) BufferStats() (carves, allocs uint64) { return h.bufCarves, h.bufAllocs }
 
 // AssertNoBuffers panics if any allocation buffer is outstanding. Sweeps,
 // heap walks, and the collectors call it at entry: a buffer's unwritten

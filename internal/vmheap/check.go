@@ -37,8 +37,8 @@ func (h *Heap) CheckFreeLists() []error {
 				errs = append(errs, fmt.Errorf("vmheap: %s: free list cycle", binName))
 				return
 			}
-			if r%2 != 0 || uint32(r) < h.lo || uint32(r) >= h.hi {
-				errs = append(errs, fmt.Errorf("vmheap: %s: unaligned or out-of-zone chunk %d", binName, r))
+			if r%2 != 0 || uint32(r) < heapBase || uint32(r) >= h.end() {
+				errs = append(errs, fmt.Errorf("vmheap: %s: unaligned or out-of-arena chunk %d", binName, r))
 				return
 			}
 			hd := h.words[r]
@@ -51,8 +51,8 @@ func (h *Heap) CheckFreeLists() []error {
 				errs = append(errs, fmt.Errorf("vmheap: %s: chunk %d has bad size %d", binName, r, size))
 				return
 			}
-			if uint32(r)+size > h.hi {
-				errs = append(errs, fmt.Errorf("vmheap: %s: chunk %d of %d words overruns the zone", binName, r, size))
+			if uint32(r)+size > h.end() {
+				errs = append(errs, fmt.Errorf("vmheap: %s: chunk %d of %d words overruns the arena", binName, r, size))
 				return
 			}
 			got := binFor(size)

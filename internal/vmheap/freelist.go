@@ -45,7 +45,7 @@ func (h *Heap) FreeChunkCount() int {
 // eager and (completed) lazy collections. A pending lazy sweep
 // is completed first so the observation is exact.
 func (h *Heap) FreeChunks() []FreeChunk {
-	h.ensureSwept()
+	h.CompleteSweep()
 	out := make([]FreeChunk, 0, h.FreeChunkCount())
 	h.EachFreeChunk(func(c FreeChunk) bool {
 		out = append(out, c)

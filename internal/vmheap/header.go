@@ -58,20 +58,11 @@ const (
 	// FlagOwner (ownee.go).
 	FlagScanned uint64 = 1 << 11
 
-	// FlagZoneSrc marks an object that has (or once had) a reference field
-	// pointing into another zone, i.e. it appears as the source of at least
-	// one cross-zone remembered-set entry. The free observer installed by
-	// the zoned runtime uses it to skip remset purging for the overwhelming
-	// majority of freed objects that never stored a cross-zone reference.
-	// The bit is set by the remset barrier and never cleared while the
-	// object lives (purging is idempotent, so staleness is harmless).
-	FlagZoneSrc uint64 = 1 << 12
-
 	// FlagRegion accompanies FlagDead on objects asserted dead by
 	// assert-alldead, so a survivor is reported as a RegionSurvivor. Being
 	// a header bit it is freed with the object: a recycled Ref starts with
-	// a fresh header and cannot inherit region standing. Bits 14 and 15 are
-	// spare.
+	// a fresh header and cannot inherit region standing. Bits 12, 14 and 15
+	// are spare.
 	FlagRegion uint64 = 1 << 13
 )
 
@@ -105,6 +96,16 @@ func headerClass(h uint64) uint32 { return uint32(h >> classShift & classMask) }
 
 // headerSize extracts the object size in words from a header word.
 func headerSize(h uint64) uint32 { return uint32(h >> sizeShift & sizeMask) }
+
+// DecodeKind extracts the object kind from a header word the caller already
+// loaded.
+func DecodeKind(header uint64) Kind { return headerKind(header) }
+
+// DecodeClassID extracts the class identifier from a header word.
+func DecodeClassID(header uint64) uint32 { return headerClass(header) }
+
+// DecodeSizeWords extracts the object size in words from a header word.
+func DecodeSizeWords(header uint64) uint32 { return headerSize(header) }
 
 // align2 rounds n up to the next multiple of two.
 func align2(n uint32) uint32 { return (n + 1) &^ 1 }

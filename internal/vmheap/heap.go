@@ -26,28 +26,6 @@ var ErrHeapExhausted = errors.New("vmheap: heap exhausted")
 type Heap struct {
 	words []uint64
 
-	// Zone extent. A Heap manages the half-open word range [lo, hi) of the
-	// arena. An unzoned heap (New) covers the whole arena: lo = heapBase,
-	// hi = len(words). A zoned arena (NewZoned) is a set of peer Heaps that
-	// share one words slice, each owning a disjoint contiguous range with
-	// its own free lists, segment table, sweep state, and accounting; word
-	// accessors remain arena-global on every peer (any zone's objects can
-	// be read and written through any peer), while allocation and sweeping
-	// stay strictly inside [lo, hi).
-	lo, hi uint32
-	zoneID int
-	// peers lists every zone of the arena in ascending address order,
-	// including this one. For an unzoned heap it is the one-element slice
-	// {h}; whole-heap operations (Iterate, Verify, Sweep, CompleteSweep)
-	// always loop over peers so they behave identically in both shapes.
-	peers []*Heap
-
-	// freeObs, when non-nil, observes every object reclaimed by a sweep or
-	// deferred segment sweep of this zone, after the caller's own OnFree
-	// hook. The zoned runtime installs a remembered-set purger here (gated
-	// on FlagZoneSrc). Nil — the default — costs nothing.
-	freeObs func(Ref, uint64)
-
 	// Segregated free lists. bins[i] heads a list of chunks of exactly
 	// (i+1)*2 words for i < numExactBins; the final largeBin list holds
 	// everything bigger, unsorted. A free chunk stores FlagFree plus its
@@ -120,19 +98,10 @@ func New(capWords int) *Heap {
 		panic(fmt.Sprintf("vmheap: capacity %d below minimum %d", capWords, MinHeapWords))
 	}
 	cap := uint32(capWords) &^ 1
-	h := newZone(make([]uint64, cap), heapBase, cap, 0)
-	h.peers = []*Heap{h}
-	return h
-}
-
-// newZone initializes one zone Heap over words covering [lo, hi): one free
-// chunk spanning the zone, fresh free lists, and a single-range segment
-// table. The caller links peers afterwards.
-func newZone(words []uint64, lo, hi uint32, id int) *Heap {
-	h := &Heap{words: words, lo: lo, hi: hi, zoneID: id}
+	h := &Heap{words: make([]uint64, cap)}
 	h.resetFreeLists()
-	h.installChunk(Ref(lo), hi-lo)
-	h.freeWords = uint64(hi - lo)
+	h.installChunk(heapBase, cap-heapBase)
+	h.freeWords = h.CapacityWords()
 	h.initSegments()
 	return h
 }
@@ -142,86 +111,27 @@ func newZone(words []uint64, lo, hi uint32, id int) *Heap {
 // nil detaches (the default).
 func (h *Heap) SetTelemetry(rec *telemetry.Recorder) { h.tele = rec }
 
-// capLocal is this zone's allocatable extent in words.
-func (h *Heap) capLocal() uint64 { return uint64(h.hi - h.lo) }
+// end is the arena's exclusive upper bound: one past the last word.
+func (h *Heap) end() uint32 { return uint32(len(h.words)) }
 
-// CapacityWords returns the total number of allocatable words in the arena,
-// summed over every zone.
-func (h *Heap) CapacityWords() uint64 {
-	if len(h.peers) == 1 {
-		return h.capLocal()
-	}
-	var n uint64
-	for _, p := range h.peers {
-		n += p.capLocal()
-	}
-	return n
-}
+// CapacityWords returns the number of allocatable words in the arena.
+func (h *Heap) CapacityWords() uint64 { return uint64(h.end() - heapBase) }
 
-// LiveWords returns the number of words currently occupied by objects,
-// summed over every zone.
-func (h *Heap) LiveWords() uint64 {
-	if len(h.peers) == 1 {
-		return h.liveWords
-	}
-	var n uint64
-	for _, p := range h.peers {
-		n += p.liveWords
-	}
-	return n
-}
+// LiveWords returns the number of words currently occupied by objects.
+func (h *Heap) LiveWords() uint64 { return h.liveWords }
 
-// FreeWords returns the number of words currently on free lists, summed
-// over every zone.
-func (h *Heap) FreeWords() uint64 {
-	if len(h.peers) == 1 {
-		return h.freeWords
-	}
-	var n uint64
-	for _, p := range h.peers {
-		n += p.freeWords
-	}
-	return n
-}
+// FreeWords returns the number of words currently on free lists.
+func (h *Heap) FreeWords() uint64 { return h.freeWords }
 
-// LiveObjects returns the number of objects currently allocated, summed
-// over every zone.
-func (h *Heap) LiveObjects() uint64 {
-	if len(h.peers) == 1 {
-		return h.liveObjs
-	}
-	var n uint64
-	for _, p := range h.peers {
-		n += p.liveObjs
-	}
-	return n
-}
+// LiveObjects returns the number of objects currently allocated.
+func (h *Heap) LiveObjects() uint64 { return h.liveObjs }
 
-// TotalAllocs returns the number of successful allocations over the arena's
-// lifetime, summed over every zone.
-func (h *Heap) TotalAllocs() uint64 {
-	if len(h.peers) == 1 {
-		return h.allocCount
-	}
-	var n uint64
-	for _, p := range h.peers {
-		n += p.allocCount
-	}
-	return n
-}
+// TotalAllocs returns the number of successful allocations over the heap's
+// lifetime.
+func (h *Heap) TotalAllocs() uint64 { return h.allocCount }
 
-// TotalAllocWords returns the total number of words ever allocated, summed
-// over every zone.
-func (h *Heap) TotalAllocWords() uint64 {
-	if len(h.peers) == 1 {
-		return h.allocWords
-	}
-	var n uint64
-	for _, p := range h.peers {
-		n += p.allocWords
-	}
-	return n
-}
+// TotalAllocWords returns the total number of words ever allocated.
+func (h *Heap) TotalAllocWords() uint64 { return h.allocWords }
 
 // Header returns the raw header word of the object at r.
 func (h *Heap) Header(r Ref) uint64 { return h.words[r] }
@@ -275,6 +185,21 @@ func (h *Heap) SetArrayWord(r Ref, i uint32, v uint64) {
 	h.words[uint32(r)+arrayHeaderWords+i] = v
 }
 
+// Reference stores address their slot by absolute arena word index, so a
+// scalar field and an array element share one store path.
+
+// FieldSlotIndex returns the arena word index of scalar field off of obj.
+func (h *Heap) FieldSlotIndex(obj Ref, off uint32) uint32 { return uint32(obj) + off }
+
+// ArraySlotIndex returns the arena word index of element i of the reference
+// array at arr.
+func (h *Heap) ArraySlotIndex(arr Ref, i uint32) uint32 {
+	return uint32(arr) + arrayHeaderWords + i
+}
+
+// SetSlotRef stores a reference into arena word i.
+func (h *Heap) SetSlotRef(i uint32, v Ref) { h.words[i] = uint64(v) }
+
 // IsObject reports whether r refers to an allocated object (as opposed to
 // null or a free chunk). It assumes r is either Nil or a Ref previously
 // returned by Alloc whose object may since have been swept. While a lazy
@@ -285,9 +210,8 @@ func (h *Heap) IsObject(r Ref) bool {
 	if r == Nil || h.words[r]&FlagFree != 0 {
 		return false
 	}
-	z := h.ZoneOf(r)
-	if z.lazy.pending && r >= z.segBounds[z.lazy.next] {
-		return z.lazy.walk.opts.keeps(z.words[r])
+	if h.lazy.pending && r >= h.segBounds[h.lazy.next] {
+		return h.lazy.walk.opts.keeps(h.words[r])
 	}
 	return true
 }
@@ -300,21 +224,12 @@ func (h *Heap) valid(r Ref) bool {
 // Iterate walks every allocated object in address order and calls fn with
 // its Ref and header. Free chunks are skipped. fn must not allocate. A
 // pending lazy sweep is completed first so the walk sees only objects that
-// survive it. On a zoned arena the walk covers every zone in ascending
-// address order.
+// survive it.
 func (h *Heap) Iterate(fn func(r Ref, header uint64)) {
-	h.AssertNoBuffersAll("Iterate")
-	for _, p := range h.peers {
-		p.ensureSwept()
-		p.iterateLocal(fn)
-	}
-}
-
-// iterateLocal walks this zone's own range only.
-func (h *Heap) iterateLocal(fn func(r Ref, header uint64)) {
-	addr := h.lo
-	end := h.hi
-	for addr < end {
+	h.AssertNoBuffers("Iterate")
+	h.CompleteSweep()
+	end := h.end()
+	for addr := uint32(heapBase); addr < end; {
 		hd := h.words[addr]
 		size := headerSize(hd)
 		if size == 0 {

@@ -75,18 +75,15 @@ type SweepModeStats struct {
 	CompletionSegments uint64
 }
 
-// initSegments sizes the parse-range table for a fresh zone: one range
-// covering the zone's whole extent (the initial single free chunk).
-// Nominal range bases are offset by the zone's start so that an unzoned
-// heap (lo = heapBase) produces exactly the historical table.
+// initSegments sizes the parse-range table for a fresh heap: one range
+// covering the whole arena (the initial single free chunk).
 func (h *Heap) initSegments() {
-	h.segWords = segmentWordsFor(int(h.hi-h.lo) + heapBase)
-	base := h.lo - heapBase
-	n := (int(h.hi-base) + int(h.segWords) - 1) / int(h.segWords)
+	h.segWords = segmentWordsFor(len(h.words))
+	n := (len(h.words) + int(h.segWords) - 1) / int(h.segWords)
 	h.segBounds = make([]Ref, n+1)
 	h.segScratch = make([]Ref, n+1)
-	end := Ref(h.hi)
-	h.segBounds[0] = Ref(h.lo)
+	end := Ref(h.end())
+	h.segBounds[0] = heapBase
 	for i := 1; i <= n; i++ {
 		h.segBounds[i] = end
 	}
@@ -95,7 +92,7 @@ func (h *Heap) initSegments() {
 // numSegments returns the number of parse ranges in the table.
 func (h *Heap) numSegments() int { return len(h.segBounds) - 1 }
 
-// SetLazySweep selects whether subsequent sweeps of this zone defer
+// SetLazySweep selects whether subsequent sweeps defer
 // reclamation to range-at-a-time on-demand sweeps. The default, off, is the
 // eager sweep the published figures use.
 func (h *Heap) SetLazySweep(on bool) {
@@ -105,27 +102,11 @@ func (h *Heap) SetLazySweep(on bool) {
 	h.lazySweep = on
 }
 
-// SweepModeStats returns the lazy sweep counters, summed over every zone.
-func (h *Heap) SweepModeStats() SweepModeStats {
-	var s SweepModeStats
-	for _, p := range h.peers {
-		s.LazySweeps += p.sweepStats.LazySweeps
-		s.DemandSegments += p.sweepStats.DemandSegments
-		s.CompletionSegments += p.sweepStats.CompletionSegments
-	}
-	return s
-}
+// SweepModeStats returns the lazy sweep counters.
+func (h *Heap) SweepModeStats() SweepModeStats { return h.sweepStats }
 
-// SweepPending reports whether a lazy sweep has unswept ranges outstanding
-// in any zone of the arena.
-func (h *Heap) SweepPending() bool {
-	for _, p := range h.peers {
-		if p.lazy.pending {
-			return true
-		}
-	}
-	return false
-}
+// SweepPending reports whether a lazy sweep has unswept ranges outstanding.
+func (h *Heap) SweepPending() bool { return h.lazy.pending }
 
 // SegmentStates reports the lazy state machine: total parse ranges and how
 // many of them the pending sweep has reclaimed. With no sweep pending,
@@ -138,23 +119,11 @@ func (h *Heap) SegmentStates() (swept, total int) {
 	return h.lazy.next, total
 }
 
-// CompleteSweep drives every zone's pending lazy sweep to completion. The
-// collectors call it before every trace — stale mark bits on not-yet-swept
-// survivors would corrupt the next mark phase — and the introspection entry
-// points (Iterate, Verify, FreeChunks) call it so observations are exact.
-// ZoneCompleteSweep completes only this zone's pending sweep (used by zone
-// collections, which must not disturb peers).
+// CompleteSweep drives a pending lazy sweep to completion. The collectors
+// call it before every trace — stale mark bits on not-yet-swept survivors
+// would corrupt the next mark phase — and the introspection entry points
+// (Iterate, Verify, FreeChunks) call it so observations are exact.
 func (h *Heap) CompleteSweep() {
-	for _, p := range h.peers {
-		p.ensureSwept()
-	}
-}
-
-// ZoneCompleteSweep drives this zone's pending lazy sweep (if any) to
-// completion without touching peers.
-func (h *Heap) ZoneCompleteSweep() { h.ensureSwept() }
-
-func (h *Heap) ensureSwept() {
 	for h.lazy.pending {
 		h.sweepSegment(false)
 	}
@@ -179,34 +148,32 @@ func (h *Heap) PendingPromotion(r Ref) bool {
 
 // --- parse-range boundary recording ------------------------------------
 
-// boundsRec assigns parse-range starts while a sweep walks the zone in
+// boundsRec assigns parse-range starts while a sweep walks the arena in
 // ascending address order: range i begins at the first noted header at or
-// above the nominal base base+i*segWords (base anchors the table to the
-// zone's start and is zero for an unzoned heap). Entries the walk never
-// reaches stay unassigned for the caller to fill.
+// above the nominal base i*segWords. Entries the walk never reaches stay
+// unassigned for the caller to fill.
 type boundsRec struct {
-	out  []Ref // the table being recorded; its last entry is the zone end
+	out  []Ref // the table being recorded; its last entry is the arena end
 	segW uint32
-	base uint32 // zone anchor: lo - heapBase (0 when unzoned)
-	next int    // next range index to assign
+	next int // next range index to assign
 }
 
 func (b *boundsRec) note(addr uint32) {
-	for b.next < len(b.out)-1 && b.base+uint32(b.next)*b.segW <= addr {
+	for b.next < len(b.out)-1 && uint32(b.next)*b.segW <= addr {
 		b.out[b.next] = Ref(addr)
 		b.next++
 	}
 }
 
-// beginBounds starts a full-zone recording into the scratch table.
+// beginBounds starts a full-heap recording into the scratch table.
 func (h *Heap) beginBounds() boundsRec {
-	return boundsRec{out: h.segScratch, segW: h.segWords, base: h.lo - heapBase}
+	return boundsRec{out: h.segScratch, segW: h.segWords}
 }
 
-// finishBounds completes a full-zone recording — ranges past the last noted
+// finishBounds completes a full-heap recording — ranges past the last noted
 // header are empty — and publishes the scratch table.
 func (h *Heap) finishBounds(rec *boundsRec) {
-	end := Ref(h.hi)
+	end := Ref(h.end())
 	for i := rec.next; i <= h.numSegments(); i++ {
 		h.segScratch[i] = end
 	}
@@ -225,8 +192,8 @@ func (h *Heap) finishBounds(rec *boundsRec) {
 func (h *Heap) sweepCensus(opts SweepOptions) SweepStats {
 	var st SweepStats
 	rec := h.beginBounds()
-	addr := h.lo
-	end := h.hi
+	addr := uint32(heapBase)
+	end := h.end()
 	inRun := false
 	for addr < end {
 		hd := h.words[addr]
@@ -261,7 +228,7 @@ func (h *Heap) sweepCensus(opts SweepOptions) SweepStats {
 
 // armLazy is the tail the census and the walkless arm share: the free lists
 // empty, the accounting takes the reported verdict, and the deferred walk is
-// armed at the zone's first range. The walk records the post-sweep boundaries
+// armed at the arena's first range. The walk records the post-sweep boundaries
 // into the scratch buffer; the published table keeps describing the pre-sweep
 // parse until every range is reclaimed.
 func (h *Heap) armLazy(opts SweepOptions, st SweepStats) SweepStats {

@@ -12,11 +12,8 @@ import (
 // cloneHeap deep-copies a heap so two sweep modes can run over bit-identical
 // starting states.
 func cloneHeap(h *Heap) *Heap {
-	c := &Heap{
+	return &Heap{
 		words:      append([]uint64(nil), h.words...),
-		lo:         h.lo,
-		hi:         h.hi,
-		zoneID:     h.zoneID,
 		bins:       h.bins,
 		largeBin:   h.largeBin,
 		liveWords:  h.liveWords,
@@ -29,8 +26,6 @@ func cloneHeap(h *Heap) *Heap {
 		segScratch: append([]Ref(nil), h.segScratch...),
 		lazySweep:  h.lazySweep,
 	}
-	c.peers = []*Heap{c}
-	return c
 }
 
 // buildMixedHeap fills a fresh heap with a pseudo-random object population
@@ -140,7 +135,7 @@ func runSweepCycles(t *testing.T, label string, a, b *Heap, n int) {
 		// Identical mark patterns need identical object sets: a and b are
 		// byte-identical at this point, so walking a is enough.
 		objs := liveRefs(a)
-		b.ensureSwept()
+		b.CompleteSweep()
 		markEvery(a, objs, 2+cycle, cycle%2)
 		markEvery(b, objs, 2+cycle, cycle%2)
 
@@ -149,7 +144,7 @@ func runSweepCycles(t *testing.T, label string, a, b *Heap, n int) {
 		freeB, liveB := hookRecorder(&logB)
 		stA := a.Sweep(SweepOptions{OnFree: freeA, OnLive: liveA})
 		stB := b.Sweep(SweepOptions{OnFree: freeB, OnLive: liveB})
-		b.ensureSwept()
+		b.CompleteSweep()
 
 		if stA != stB {
 			t.Fatalf("%s cycle %d: stats diverge: %+v vs %+v", label, cycle, stA, stB)
@@ -379,7 +374,7 @@ func TestBoundsArePartitionHeaders(t *testing.T) {
 				objs := liveRefs(h)
 				markEvery(h, objs, 2, 0)
 				h.Sweep(SweepOptions{})
-				h.ensureSwept()
+				h.CompleteSweep()
 
 				starts := make(map[Ref]bool)
 				for _, s := range parseChunks(t, h) {
@@ -466,7 +461,7 @@ func TestLazySweepWalklessArm(t *testing.T) {
 
 	for cycle := 0; cycle < 4; cycle++ {
 		objs := liveRefs(a)
-		b.ensureSwept()
+		b.CompleteSweep()
 		markEvery(a, objs, 2+cycle, cycle%2)
 		markEvery(b, objs, 2+cycle, cycle%2)
 
@@ -493,7 +488,7 @@ func TestLazySweepWalklessArm(t *testing.T) {
 		if stA != stB {
 			t.Fatalf("cycle %d: stats diverge: %+v vs %+v", cycle, stA, stB)
 		}
-		b.ensureSwept()
+		b.CompleteSweep()
 		if !reflect.DeepEqual(logA, logB) {
 			t.Fatalf("cycle %d: hook sequences diverge (%d vs %d calls)", cycle, len(logA), len(logB))
 		}
@@ -565,7 +560,7 @@ func eagerSweepDigest(t *testing.T, seed int64) uint64 {
 
 // TestEagerSweepGolden pins the eager sweep to the heap image, free lists,
 // parse-range table, statistics and hook order its own loop (sweepSerial)
-// produced before it became the lazy walk over the whole zone: the digests
+// produced before it became the lazy walk over the whole heap: the digests
 // were taken from this function run at commit a3b6253.
 func TestEagerSweepGolden(t *testing.T) {
 	for _, tc := range []struct {

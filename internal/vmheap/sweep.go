@@ -73,42 +73,7 @@ func (o *SweepOptions) keeps(hd uint64) bool {
 // A pending lazy sweep must be completed (CompleteSweep) before the trace,
 // not merely before Sweep — tracing over stale mark bits is heap
 // corruption — so Sweep panics if one is still outstanding.
-//
-// On a zoned arena Sweep keeps its whole-heap meaning: every zone is swept
-// in ascending address order and the per-zone statistics are merged. The
-// walkless MarkedKnown arm is disabled in that shape — whole-heap marked
-// totals cannot be attributed to individual zones — and so is deferral: a
-// whole-heap trace does not root through the remembered sets, so a dead
-// object it leaves unswept in one zone would keep its remembered-set entry
-// (the free observer purges it) while the object the entry names is swept
-// and recycled in another, and that zone's next collection would trace
-// through the entry into recycled memory. ZoneSweep sweeps a single zone,
-// lazily if so configured: a zone trace keeps every entry's target alive.
 func (h *Heap) Sweep(opts SweepOptions) SweepStats {
-	if len(h.peers) > 1 {
-		opts.MarkedKnown = false
-		var total SweepStats
-		for _, p := range h.peers {
-			st := p.ZoneSweep(opts)
-			p.ensureSwept()
-			total.LiveObjects += st.LiveObjects
-			total.LiveWords += st.LiveWords
-			total.FreedObjects += st.FreedObjects
-			total.FreedWords += st.FreedWords
-			total.FreeChunks += st.FreeChunks
-		}
-		return total
-	}
-	return h.ZoneSweep(opts)
-}
-
-// ZoneSweep performs the sweep phase over this zone only: reclamation,
-// coalescing, free-list rebuild, and boundary recording all stay inside
-// [lo, hi). Only this zone's allocation buffers must be retired — peers'
-// buffers may stay active, which is what keeps their mutators allocating
-// through a zone collection. For an unzoned heap ZoneSweep is Sweep.
-func (h *Heap) ZoneSweep(opts SweepOptions) SweepStats {
-	opts.OnFree = h.chainFreeObserver(opts.OnFree)
 	h.AssertNoBuffers("Sweep")
 	// Bumped before any reclamation so an allocation stamped with the old
 	// epoch is never mistaken for one this pass provably left alive.
@@ -134,21 +99,21 @@ func (h *Heap) ZoneSweep(opts SweepOptions) SweepStats {
 }
 
 // sweepEager is the lazy sweep's deferred walk run at once over the whole
-// zone (the published configuration).
+// heap (the published configuration).
 func (h *Heap) sweepEager(opts SweepOptions) SweepStats {
 	w := sweepWalk{opts: opts, rec: h.beginBounds()}
 	h.resetFreeLists()
-	h.reclaim(&w, h.lo, h.hi)
+	h.reclaim(&w, heapBase, h.end())
 	h.finishReclaim(&w)
 	h.settle(w.st)
 	return w.st
 }
 
-// settle sets the zone's occupancy accounting to a sweep's verdict.
+// settle sets the heap's occupancy accounting to a sweep's verdict.
 func (h *Heap) settle(st SweepStats) {
 	h.liveObjs = st.LiveObjects
 	h.liveWords = st.LiveWords
-	h.freeWords = h.capLocal() - st.LiveWords
+	h.freeWords = h.CapacityWords() - st.LiveWords
 }
 
 // sweepWalk is the state the reclamation walk carries from one address range
@@ -220,7 +185,7 @@ func (h *Heap) reclaim(w *sweepWalk, start, end uint32) {
 	w.st = st
 }
 
-// finishReclaim ends a walk that has reached the zone's end: the open run is
+// finishReclaim ends a walk that has reached the arena's end: the open run is
 // installed and the parse-range table the walk recorded is published.
 func (h *Heap) finishReclaim(w *sweepWalk) {
 	if w.runLen != 0 {

@@ -38,22 +38,18 @@ type RefFieldsOf interface {
 // sweep is completed first: the invariants above describe a settled heap
 // (a half-swept one legitimately carries stale marks and uncoalesced runs).
 func (h *Heap) Verify(layout RefFieldsOf) []error {
-	h.AssertNoBuffersAll("Verify")
+	h.AssertNoBuffers("Verify")
 	var errs []error
 	fail := func(addr Ref, format string, args ...any) {
 		errs = append(errs, &VerifyError{Addr: addr, Msg: fmt.Sprintf(format, args...)})
 	}
 
-	// Pass 1, per zone: parse the zone, collecting object starts and
-	// checking its local accounting and free-list coverage. Zone boundaries
-	// legitimately break free-run adjacency (each zone coalesces only
-	// within itself), which per-zone parsing models exactly.
+	// Pass 1: parse the arena, collecting object starts and checking the
+	// accounting and free-list coverage.
+	h.CompleteSweep()
 	starts := make(map[Ref]bool)
-	for _, p := range h.peers {
-		p.ensureSwept()
-		if !p.verifyParseZone(starts, fail) {
-			return errs // cannot continue parsing
-		}
+	if !h.verifyParse(starts, fail) {
+		return errs // cannot continue parsing
 	}
 
 	// Pass 2: every reference lands on an object header.
@@ -97,14 +93,14 @@ func (h *Heap) Verify(layout RefFieldsOf) []error {
 	return errs
 }
 
-// verifyParseZone is Verify's pass 1 for a single zone: it parses [lo, hi),
-// adds object starts to starts, and checks this zone's accounting and
-// free-list coverage. It returns false when the parse cannot continue.
-func (h *Heap) verifyParseZone(starts map[Ref]bool, fail func(Ref, string, ...any)) bool {
+// verifyParse is Verify's pass 1: it parses the arena, adds object starts to
+// starts, and checks the accounting and free-list coverage. It returns false
+// when the parse cannot continue.
+func (h *Heap) verifyParse(starts map[Ref]bool, fail func(Ref, string, ...any)) bool {
 	var freeWalk, liveWalk uint64
 	var liveObjs uint64
-	addr := h.lo
-	end := h.hi
+	addr := uint32(heapBase)
+	end := h.end()
 	prevFree := false
 	for addr < end {
 		hd := h.words[addr]
@@ -117,7 +113,7 @@ func (h *Heap) verifyParseZone(starts map[Ref]bool, fail func(Ref, string, ...an
 			fail(Ref(addr), "odd chunk size %d", size)
 		}
 		if addr+size > end {
-			fail(Ref(addr), "chunk of %d words overruns the zone", size)
+			fail(Ref(addr), "chunk of %d words overruns the arena", size)
 			return false
 		}
 		if hd&FlagFree != 0 {
