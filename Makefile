@@ -78,16 +78,21 @@ slobench:
 # collectors, direct vs buffered allocation across every collector mode,
 # telemetry on vs off (recording must be pure observation — byte-identical
 # heaps), stop-the-world vs background-pacer concurrent collection, the
-# single-mutator lock-elided regime vs the locked one, and the staleness
-# side table vs its map model.
+# single-mutator lock-elided regime vs the locked one, the staleness
+# side table vs its map model, and the ArrayList over the range accessors vs a
+# Go-slice model in the solo, shared, generational and open-cycle regimes
+# (TestListModel), beside the range accessors' own contract and barrier tests.
 difftest:
-	go test -race -run 'Differential|TestOracle|TestLazySweep|TestAllocBuffer|TestTelemetry|TestSoloContract' ./internal/...
+	go test -race -run 'Differential|TestOracle|TestLazySweep|TestAllocBuffer|TestTelemetry|TestSoloContract|TestListModel|TestRangeAccessors|TestArrCopyRefs' ./internal/...
 
 # Short coverage-guided fuzz runs: stop-the-world against scheduler-driven
 # incremental cycles, the eager/lazy sweep equivalence, the direct/buffered
 # allocation equivalence, the stop-the-world/concurrent-pacer equivalence,
 # and the side tables against their map models (go test takes one -fuzz
-# pattern per invocation, so the targets run sequentially).
+# pattern per invocation, so the targets run sequentially). The alphabets of
+# FuzzIncrementalBarrier and FuzzConcurrentPacer include ArrCopyRefs range
+# moves within and between reference arrays; the latter also draws the
+# collector (mark-sweep or generational) from its input.
 fuzz:
 	go test -run '^$$' -fuzz FuzzIncrementalBarrier -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzLazySweep -fuzztime 30s ./internal/core

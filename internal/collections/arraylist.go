@@ -5,6 +5,12 @@ import "repro/internal/core"
 // initialListCap is the backing-array capacity of a fresh ArrayList.
 const initialListCap = 8
 
+// listBlock is how many elements a scan (ListEach, ListIndexOf) reads from
+// the backing array per core.ArrReadRefs call: one lock hold and one bounds
+// check per block instead of per element, in a buffer small enough to live on
+// the scanning goroutine's stack.
+const listBlock = 64
+
 // NewList allocates an empty ArrayList on th.
 func (k *Kit) NewList(th *core.Thread) core.Ref {
 	f := th.PushFrame(1)
@@ -49,9 +55,7 @@ func (k *Kit) ListAdd(th *core.Thread, list core.Ref, val core.Ref) {
 		f.SetLocal(1, val)
 		bigger := th.NewRefArray(size * 2)
 		data = rt.GetRef(list, k.listData) // re-read: GC cannot move, but be explicit
-		for i := 0; i < size; i++ {
-			rt.ArrSetRef(bigger, i, rt.ArrGetRef(data, i))
-		}
+		rt.ArrCopyRefs(bigger, 0, data, 0, size)
 		rt.SetRef(list, k.listData, bigger)
 		data = bigger
 		th.PopFrame()
@@ -68,9 +72,7 @@ func (k *Kit) ListRemoveAt(list core.Ref, i int) core.Ref {
 	size := int(rt.GetInt(list, k.listSize))
 	data := rt.GetRef(list, k.listData)
 	out := rt.ArrGetRef(data, i)
-	for j := i; j < size-1; j++ {
-		rt.ArrSetRef(data, j, rt.ArrGetRef(data, j+1))
-	}
+	rt.ArrCopyRefs(data, i, data, i+1, size-1-i)
 	rt.ArrSetRef(data, size-1, core.Nil)
 	rt.SetInt(list, k.listSize, int64(size-1))
 	return out
@@ -92,21 +94,39 @@ func (k *Kit) ListIndexOf(list core.Ref, val core.Ref) int {
 	rt := k.rt
 	size := int(rt.GetInt(list, k.listSize))
 	data := rt.GetRef(list, k.listData)
-	for i := 0; i < size; i++ {
-		if rt.ArrGetRef(data, i) == val {
-			return i
+	var buf [listBlock]core.Ref
+	for from := 0; from < size; from += listBlock {
+		n := rt.ArrReadRefs(data, from, buf[:min(listBlock, size-from)])
+		for j, e := range buf[:n] {
+			if e == val {
+				return from + j
+			}
 		}
 	}
 	return -1
 }
 
 // ListEach calls fn for each element in order.
+//
+// fn must not structurally modify the list it is iterating — no ListAdd,
+// ListRemoveAt or ListClear on it — and ListEach does not detect it if fn
+// does: the element count and backing array are read once, before the first
+// call. Elements are read listBlock at a time, each block before its first
+// callback runs, so a ListSet by fn on an element further along the same
+// block is not seen by this iteration. fn may allocate, collect and modify
+// other lists freely: a buffered element is an unrooted Go local, as every
+// ArrGetRef result is, but it is also still an element of the list, and
+// objects do not move.
 func (k *Kit) ListEach(list core.Ref, fn func(i int, val core.Ref)) {
 	rt := k.rt
 	size := int(rt.GetInt(list, k.listSize))
 	data := rt.GetRef(list, k.listData)
-	for i := 0; i < size; i++ {
-		fn(i, rt.ArrGetRef(data, i))
+	var buf [listBlock]core.Ref
+	for from := 0; from < size; from += listBlock {
+		n := rt.ArrReadRefs(data, from, buf[:min(listBlock, size-from)])
+		for j, e := range buf[:n] {
+			fn(from+j, e)
+		}
 	}
 }
 

@@ -8,22 +8,32 @@ import (
 )
 
 // FuzzConcurrentPacer drives one byte-coded mutator script — randomized
-// allocation bursts, wiring, explicit collections mid-flight, stats polls —
-// against a stop-the-world runtime and a concurrent runtime whose pacer
-// geometry (trigger fraction, assist slack, allocation-buffer size) is
-// also drawn from the input, then requires identical observable state at
+// allocation bursts, wiring, range moves, explicit collections mid-flight,
+// stats polls — against a stop-the-world runtime and a concurrent runtime
+// whose pacer geometry (trigger fraction, assist slack, allocation-buffer
+// size) is also drawn from the input, as is the collector both run
+// (mark-sweep or generational), then requires identical observable state at
 // the final quiescent point: the same live objects by script id and the
 // same assertion verdicts, plus a clean heap and the growth-cap invariant.
 // The corpus explores trigger/assist/retire interleavings — a burst landing
 // mid-cycle, a buffer retired by an explicit GC between two assists — that
 // the deterministic state-transition tests cannot reach.
 func FuzzConcurrentPacer(f *testing.F) {
-	// data[0..2] select trigger/slack/buffer; 2 bytes per op follow.
+	// data[0..2] select trigger/slack/buffer (and data[2]/3 the collector);
+	// 2 bytes per op follow.
 	f.Add([]byte{0, 0, 0, 0, 0, 4, 9, 1, 2, 5, 0})
 	f.Add([]byte{1, 1, 1, 4, 15, 4, 15, 0, 1, 2, 3, 6, 0, 3, 1})
 	f.Add([]byte{2, 2, 2, 0, 0, 1, 5, 2, 1, 4, 11, 5, 0, 4, 7, 0, 2})
 	f.Add([]byte{3, 0, 2, 1, 3, 1, 5, 2, 4, 7, 0, 4, 12, 6, 0, 2, 2, 3, 0})
 	f.Add([]byte{0, 2, 1, 4, 15, 4, 15, 4, 15, 5, 0, 4, 15, 4, 15, 7, 0, 0, 3})
+	// Generational (data[2] = 3): an array (slot 0) is promoted by a full
+	// collection; a node (slot 2) goes into a young array (slot 1), whose
+	// elements are then copied into the mature one; both young slots are
+	// cleared and the collector's own policy runs a minor collection. The
+	// node's only reference is the copied one, so the move must have
+	// remembered the mature array (a node freed here leaves a dangling
+	// element for VerifyHeap, in both worlds).
+	f.Add([]byte{0, 0, 3, 1, 8, 5, 0, 1, 9, 0, 2, 2, 17, 8, 8, 3, 1, 3, 2, 6, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
@@ -32,14 +42,16 @@ func FuzzConcurrentPacer(f *testing.F) {
 		triggers := []float64{0.3, 0.4, 0.5, 0.6}
 		slacks := []float64{0.25, 0.5, 1.0}
 		bufs := []int{0, 128, 256}
+		kinds := []CollectorKind{MarkSweep, Generational}
 		trigger := triggers[int(data[0])%len(triggers)]
 		slack := slacks[int(data[1])%len(slacks)]
 		buf := bufs[int(data[2])%len(bufs)]
+		kind := kinds[int(data[2])/len(bufs)%len(kinds)]
 		script := data[3:]
 		const maxOps = 250
 
 		build := func(concurrent bool) *diffWorld {
-			cfg := Config{HeapWords: 1 << 13, Mode: Infrastructure}
+			cfg := Config{HeapWords: 1 << 13, Mode: Infrastructure, Collector: kind}
 			if concurrent {
 				cfg.ConcurrentGC = true
 				cfg.GCTriggerFraction = trigger
@@ -50,7 +62,7 @@ func FuzzConcurrentPacer(f *testing.F) {
 		}
 		apply := func(w *diffWorld, code, k byte) {
 			slot := int(k) % diffSlots
-			switch code % 8 {
+			switch code % 9 {
 			case 0: // alloc node into slot
 				w.fr.SetLocal(slot, w.record(w.th.New(w.node)))
 			case 1: // alloc ref array into slot
@@ -90,6 +102,17 @@ func FuzzConcurrentPacer(f *testing.F) {
 			case 7: // stats/metrics poll (no heap effect; races the pacer)
 				_ = w.rt.Stats()
 				_ = w.rt.Metrics()
+			case 8: // copy a range within or between ref arrays: slot k/8 -> slot k
+				dst, src := w.fr.Local(slot), w.fr.Local(int(k/8)%diffSlots)
+				if dst == Nil || src == Nil || w.rt.KindOf(dst) != int(vmheap.KindRefArray) ||
+					w.rt.KindOf(src) != int(vmheap.KindRefArray) {
+					return
+				}
+				// k's top two bits offset each side by 0 or 1 (arrays have
+				// at least one element): a shift in either direction when
+				// both slots name one array. The longest move that fits.
+				di, si := int(k>>6)&1, int(k>>7)
+				w.rt.ArrCopyRefs(dst, di, src, si, min(w.rt.ArrLen(dst)-di, w.rt.ArrLen(src)-si))
 			}
 		}
 

@@ -8,7 +8,10 @@ var benchSinkInt int64
 // regimes: solo (one mutator, no lock — what bench/layers.go's isolated
 // runtime measures as core.getref_ns & co.) and shared (NewThread has run,
 // every path locks — what a multi-worker server pays and the only recorded
-// figure for it). Stop-the-world mark-sweep, direct allocation.
+// figure for it). Stop-the-world mark-sweep, direct allocation. Each range
+// accessor (ArrCopyRefs, ArrReadRefs) runs beside the per-element loop it
+// replaced in internal/collections (*Loop): one op is the whole move or
+// block, so ns/op divides by the element count in the name.
 func BenchmarkFieldAccess(b *testing.B) {
 	for _, regime := range []string{"solo", "shared"} {
 		b.Run(regime, func(b *testing.B) {
@@ -28,6 +31,12 @@ func BenchmarkFieldAccess(b *testing.B) {
 			for i := 0; i < 1024; i++ {
 				rt.ArrSetRef(arr, i, y)
 			}
+			var buf [64]Ref
+			shiftLoop := func(n int) {
+				for j := 0; j < n; j++ {
+					rt.ArrSetRef(arr, j, rt.ArrGetRef(arr, j+1))
+				}
+			}
 			for _, op := range []struct {
 				name string
 				call func(i int)
@@ -37,6 +46,16 @@ func BenchmarkFieldAccess(b *testing.B) {
 				{"GetInt", func(int) { benchSinkInt += rt.GetInt(x, v) }},
 				{"ArrGetRef", func(i int) { benchSink = rt.ArrGetRef(arr, i&1023) }},
 				{"ArrSetRef", func(i int) { rt.ArrSetRef(arr, i&1023, y) }},
+				{"ArrCopyRefs/8", func(int) { rt.ArrCopyRefs(arr, 0, arr, 1, 8) }},
+				{"ArrCopyLoop/8", func(int) { shiftLoop(8) }},
+				{"ArrCopyRefs/512", func(int) { rt.ArrCopyRefs(arr, 0, arr, 1, 512) }},
+				{"ArrCopyLoop/512", func(int) { shiftLoop(512) }},
+				{"ArrReadRefs/64", func(i int) { benchSinkInt += int64(rt.ArrReadRefs(arr, i&511, buf[:])) }},
+				{"ArrReadLoop/64", func(i int) {
+					for j := range buf {
+						buf[j] = rt.ArrGetRef(arr, i&511+j)
+					}
+				}},
 				{"Local", func(int) { benchSink = f.Local(1) }},
 				{"NewDirect", func(int) { benchSink = th.New(node) }},
 			} {

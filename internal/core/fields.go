@@ -24,23 +24,23 @@ import "repro/internal/vmheap"
 // storeRef stores val into the checked reference slot of obj, behind the
 // barriers this runtime's collector needs.
 func (rt *Runtime) storeRef(obj Ref, slot uint32, val Ref) {
-	if rt.plainStores {
-		rt.heap.SetSlotRef(slot, val)
-		return
+	if !rt.plainStores {
+		rt.writeBarriers(obj)
 	}
-	rt.storeRefBarriered(obj, slot, val)
+	rt.heap.SetSlotRef(slot, val)
 }
 
-// storeRefBarriered is a reference store on a generational or incremental
-// runtime.
-func (rt *Runtime) storeRefBarriered(obj Ref, slot uint32, val Ref) {
+// writeBarriers runs the collector's barriers ahead of reference stores into
+// obj. Both are object-granular — the first store into obj remembers it or
+// scans its snapshot slots, whichever slot it hits — so one call covers any
+// number of stores into obj made under the same lock hold.
+func (rt *Runtime) writeBarriers(obj Ref) {
 	if rt.generational {
 		rt.collector.WriteBarrier(obj)
 	}
 	if rt.pacer != nil {
 		rt.collector.SnapshotBarrier(obj)
 	}
-	rt.heap.SetSlotRef(slot, val)
 }
 
 // GetRef reads the reference field at word offset off of obj.
@@ -160,6 +160,73 @@ func (rt *Runtime) ArrSetData(arr Ref, i int, v uint64) {
 	rt.heap.SetArrayWord(arr, uint32(i), v)
 }
 
+// Range accessors: a block of reference elements moved or read under one
+// lock hold, one bounds check per range and one barrier per destination
+// array, where the per-element accessors pay all three per element (what
+// System.arraycopy is to a Java loop of array stores).
+
+// ArrCopyRefs moves n elements from index si of the reference array src to
+// index di of the reference array dst, as memmove does: src and dst may be
+// one array and the ranges may overlap in either direction. It panics before
+// the first element moves — with a FieldError unless both operands are
+// reference arrays, with an IndexError when n is negative or either range
+// runs past its array's end. n == 0 stores nothing and runs no barrier.
+func (rt *Runtime) ArrCopyRefs(dst Ref, di int, src Ref, si int, n int) {
+	if m := rt.mutators.Load(); m == manyMutators {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+	} else if m != oneMutator {
+		defer rt.lockMu()()
+	}
+	rt.checkRefRange(dst, di, n)
+	rt.checkRefRange(src, si, n)
+	if n == 0 {
+		return
+	}
+	// src is only read, so its snapshot values stay in place for the marker;
+	// dst's are scanned here, once, before any is overwritten.
+	rt.writeBarriers(dst)
+	rt.heap.CopyArrayWords(dst, uint32(di), src, uint32(si), uint32(n))
+}
+
+// ArrReadRefs copies elements of the reference array arr, from index from
+// on, into buf, and returns how many it copied: len(buf) or the rest of the
+// array, whichever is shorter. It panics with a FieldError unless arr is a
+// reference array and with an IndexError unless 0 <= from <= ArrLen(arr).
+// The copied references are Go locals the collector does not see, exactly
+// like an ArrGetRef result.
+func (rt *Runtime) ArrReadRefs(arr Ref, from int, buf []Ref) int {
+	if m := rt.mutators.Load(); m == manyMutators {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+	} else if m != oneMutator {
+		defer rt.lockMu()()
+	}
+	rt.checkRefRange(arr, from, 0)
+	n := min(len(buf), int(rt.heap.ArrayLen(arr))-from)
+	for j := range buf[:n] {
+		buf[j] = Ref(rt.heap.ArrayWord(arr, uint32(from+j)))
+	}
+	return n
+}
+
+// checkRefRange panics unless arr is a reference array (FieldError: a Nil,
+// scalar or data-array operand — word 0 of the arena reads as a scalar
+// header) and elements [i, i+n) lie inside it (IndexError, reporting the
+// bound that does not: i, else the range's end).
+func (rt *Runtime) checkRefRange(arr Ref, i, n int) {
+	if rt.heap.KindOf(arr) != vmheap.KindRefArray {
+		panic(&FieldError{Obj: arr})
+	}
+	size := int(rt.heap.ArrayLen(arr))
+	if i < 0 || i > size {
+		panic(&IndexError{Index: i, Len: size})
+	}
+	if n < 0 || n > size-i {
+		panic(&IndexError{Index: i + n, Len: size})
+	}
+}
+
 // checkIndex panics with an IndexError on out-of-bounds array access — the
 // managed runtime's bounds check.
 func (rt *Runtime) checkIndex(arr Ref, i int) {
@@ -193,7 +260,8 @@ func (e *IndexError) Error() string {
 }
 
 // FieldError is the panic value for a field access on a non-instance object
-// or at an offset outside the instance's fields.
+// or at an offset outside the instance's fields, and for a range access
+// (ArrCopyRefs, ArrReadRefs; Off is 0) on anything but a reference array.
 type FieldError struct {
 	Obj Ref
 	Off uint16
@@ -201,5 +269,5 @@ type FieldError struct {
 
 // Error implements the error interface.
 func (e *FieldError) Error() string {
-	return "core: field access outside an instance's fields"
+	return "core: access outside an instance's fields or through a reference of the wrong kind"
 }

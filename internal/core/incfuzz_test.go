@@ -31,6 +31,16 @@ func FuzzIncrementalBarrier(f *testing.F) {
 	f.Add([]byte{2, 6, 0, 0, 0, 0, 0, 7, 0, 0, 8, 0, 0, 9, 0, 0, 10, 0, 0})
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 11, 0, 1, 8, 0, 0, 3, 1, 0, 10, 0, 0})
 	f.Add([]byte{3, 0, 0, 0, 5, 0, 0, 2, 0, 0, 8, 0, 0, 12, 0, 0, 10, 0, 0})
+	// A range move inside an open cycle: a 3-element array (slot 0) whose
+	// element 0 is a node (slot 1) asserted dead and held nowhere else; the
+	// cycle opens, elements 1..2 are shifted over element 0 before any slice
+	// has reached the array, and the cycle completes. The stop-the-world
+	// twin collected at the open and reported the node; the snapshot barrier
+	// on the move must make the incremental cycle report and keep it too.
+	f.Add([]byte{0, 1, 0, 2, 0, 1, 0, 2, 0, 9, 4, 1, 0, 3, 1, 0, 8, 0, 0, 13, 8, 0, 10, 0, 0})
+	// The same between two arrays: an empty one (slot 2) copied over it,
+	// after the cycle's first one-object slice.
+	f.Add([]byte{0, 1, 0, 2, 1, 2, 2, 0, 1, 0, 2, 0, 9, 4, 1, 0, 3, 1, 0, 8, 0, 0, 9, 0, 0, 13, 2, 0, 10, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
@@ -39,6 +49,7 @@ func FuzzIncrementalBarrier(f *testing.F) {
 		const (
 			slots  = 8
 			maxOps = 300
+			numOps = 14 // the op alphabet below
 		)
 		budget := 1 + int(data[0])%4
 		script := data[1:]
@@ -96,7 +107,7 @@ func FuzzIncrementalBarrier(f *testing.F) {
 		}
 		apply := func(w *world, code, i, k byte) {
 			slot := int(i) % slots
-			switch code % 13 {
+			switch code % numOps {
 			case 0: // alloc node into slot
 				w.fr.SetLocal(slot, record(w, w.th.New(w.node)))
 			case 1: // alloc ref array into slot
@@ -158,6 +169,16 @@ func FuzzIncrementalBarrier(f *testing.F) {
 				}
 			case 12: // assert-instances on Node
 				_ = w.rt.AssertInstances(w.node, int64(k%6))
+			case 13: // copy a range within or between ref arrays: slot i -> slot k
+				src, dst := w.fr.Local(slot), w.fr.Local(int(k)%slots)
+				if src == Nil || dst == Nil || w.rt.ClassOf(src) == w.node || w.rt.ClassOf(dst) == w.node {
+					return
+				}
+				// Offsets from the bits the slot choice leaves; the longest
+				// move that fits, shortened by i's top two bits.
+				si, di := int(i>>3)%w.rt.ArrLen(src), int(k>>3)%w.rt.ArrLen(dst)
+				n := min(w.rt.ArrLen(src)-si, w.rt.ArrLen(dst)-di)
+				w.rt.ArrCopyRefs(dst, di, src, si, n-int(i>>6)%n)
 			}
 		}
 		drain := func(w *world) []string {
@@ -199,19 +220,19 @@ func FuzzIncrementalBarrier(f *testing.F) {
 		for n := 0; n+3 <= len(script) && ops < maxOps; n += 3 {
 			code, i, k := script[n], script[n+1], script[n+2]
 			switch {
-			case code%13 == 8 && inBlock:
+			case code%numOps == 8 && inBlock:
 				code = 9
-			case code%13 == 10 && !inBlock:
+			case code%numOps == 10 && !inBlock:
 				code = 9
-			case code%13 == 8:
+			case code%numOps == 8:
 				inBlock = true
-			case code%13 == 10:
+			case code%numOps == 10:
 				inBlock = false
 			}
 			apply(stw, code, i, k)
 			apply(inc, code, i, k)
 			ops++
-			if code%13 == 10 {
+			if code%numOps == 10 {
 				compare(ops, stw, inc)
 			}
 		}

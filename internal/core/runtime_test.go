@@ -445,6 +445,37 @@ func TestStringRoundtrip(t *testing.T) {
 	}
 }
 
+// TestNewStringPayloadWords pins the payload layout NewString packs — the
+// length word, then the bytes eight per word, low byte first, the last word
+// zero-padded — for every length around one and two words and for bytes with
+// the high bit set.
+func TestNewStringPayloadWords(t *testing.T) {
+	eachRegime(t, func(t *testing.T, rt *Runtime) {
+		th := rt.MainThread()
+		for n := 0; n <= 17; n++ {
+			b := make([]byte, n)
+			want := make([]uint64, 1+(n+7)/8)
+			want[0] = uint64(n)
+			for i := range b {
+				b[i] = byte(0xf1 + 7*i)
+				want[1+i/8] |= uint64(b[i]) << (8 * uint(i%8))
+			}
+			r := th.NewString(string(b))
+			if got := rt.ArrLen(r); got != len(want) {
+				t.Fatalf("length %d: %d payload words, want %d", n, got, len(want))
+			}
+			for w := range want {
+				if got := rt.ArrGetData(r, w); got != want[w] {
+					t.Errorf("length %d: word %d = %#x, want %#x", n, w, got, want[w])
+				}
+			}
+			if got := rt.StringAt(r); got != string(b) {
+				t.Errorf("length %d: StringAt = %q, want %q", n, got, b)
+			}
+		}
+	})
+}
+
 func TestStringsSurviveGC(t *testing.T) {
 	rt := newRT(t, 1<<13)
 	th := rt.MainThread()

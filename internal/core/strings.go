@@ -15,11 +15,15 @@ func (t *Thread) NewString(s string) Ref {
 		defer rt.lockMu()()
 	}
 	rt.heap.SetArrayWord(arr, 0, uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		w := uint32(1 + i/8)
-		shift := uint(i%8) * 8
-		old := rt.heap.ArrayWord(arr, w)
-		rt.heap.SetArrayWord(arr, w, old|uint64(s[i])<<shift)
+	// Eight bytes are packed in a local and stored once per payload word.
+	for w := uint32(1); len(s) > 0; w++ {
+		chunk := s[:min(8, len(s))]
+		s = s[len(chunk):]
+		var word uint64
+		for j := 0; j < len(chunk); j++ {
+			word |= uint64(chunk[j]) << (8 * uint(j))
+		}
+		rt.heap.SetArrayWord(arr, w, word)
 	}
 	return arr
 }

@@ -227,6 +227,65 @@ func TestTelemetryIncrementalPhases(t *testing.T) {
 	}
 }
 
+// TestTelemetryBarrierSpans: the snapshot barrier records one inc_barrier
+// span, and counts one BarrierScans, per store that scans — the first store
+// into each not-yet-scanned object of an open cycle — and nothing for a store
+// into a scanned object, a range move into one, or any store outside a cycle.
+func TestTelemetryBarrierSpans(t *testing.T) {
+	rt := New(Config{
+		HeapWords:         1 << 13,
+		Mode:              Infrastructure,
+		IncrementalBudget: 1,
+		Telemetry:         &telemetry.Config{},
+	})
+	node := rt.DefineClass("Node", RefField("next"))
+	next := node.MustFieldIndex("next")
+	th := rt.MainThread()
+	f := th.PushFrame(3)
+	f.SetLocal(0, th.New(node))
+	f.SetLocal(1, th.New(node))
+	f.SetLocal(2, th.NewRefArray(4))
+	a, b, arr := f.Local(0), f.Local(1), f.Local(2)
+	spans := func() uint64 {
+		for _, p := range rt.Metrics().Phases {
+			if p.Phase == "inc_barrier" {
+				return p.Count
+			}
+		}
+		return 0
+	}
+	check := func(when string, want uint64) {
+		t.Helper()
+		if s := rt.Stats().GC; s.BarrierScans != want || spans() != want {
+			t.Errorf("%s: %d barrier scans, %d inc_barrier spans, want %d of each", when, s.BarrierScans, spans(), want)
+		}
+	}
+
+	rt.SetRef(a, next, b)
+	rt.ArrCopyRefs(arr, 0, arr, 1, 3)
+	check("outside a cycle", 0)
+	if err := rt.StartGC(); err != nil {
+		t.Fatal(err)
+	}
+	rt.SetRef(a, next, Nil)
+	check("first store into a", 1)
+	rt.SetRef(a, next, b)
+	rt.SetRef(a, next, Nil)
+	check("later stores into a", 1)
+	rt.ArrSetRef(arr, 0, a)
+	check("first store into arr", 2)
+	rt.ArrCopyRefs(arr, 1, arr, 0, 3)
+	check("a move into the scanned arr", 2)
+	if err := rt.FinishGC(); err != nil {
+		t.Fatal(err)
+	}
+	rt.SetRef(b, next, a)
+	check("after the cycle", 2)
+	if got, want := rt.Stats().GC.BarrierRefs, uint64(1+4); got != want {
+		t.Errorf("BarrierRefs = %d, want %d (a's field and arr's four elements)", got, want)
+	}
+}
+
 func TestTelemetryGenerationalMinor(t *testing.T) {
 	rt := New(Config{
 		HeapWords: 1 << 13,

@@ -266,16 +266,15 @@ func (c *fullCycle) FinishFull() error {
 
 // SnapshotBarrier implements Collector: the snapshot-at-beginning barrier
 // scans obj's snapshot references on its first mutator write during an
-// active cycle (a no-op otherwise, and for objects already scanned).
+// active cycle (a no-op otherwise, and for objects already scanned). The
+// tests SnapshotObject would fail on come first, so that only a store that
+// scans reads the clock: most stores of an open cycle hit a scanned object.
 func (c *fullCycle) SnapshotBarrier(obj vmheap.Ref) {
-	if !c.active {
+	if !c.active || obj == vmheap.Nil || c.heap.Flags(obj, vmheap.FlagScanned) != 0 {
 		return
 	}
 	begin := time.Now()
-	refs, scanned := c.tracer.SnapshotObject(obj)
-	if !scanned {
-		return
-	}
+	refs, _ := c.tracer.SnapshotObject(obj)
 	c.stats.BarrierScans++
 	c.stats.BarrierRefs += refs
 	c.endSlice(telemetry.PhaseIncBarrier, begin)

@@ -236,6 +236,47 @@ func TestServerReportsUnexpectedPanic(t *testing.T) {
 	}
 }
 
+// TestServerReportsRangeCheck: a refused range move (core.ArrCopyRefs inside
+// ListRemoveAt, here because the entry list's backing array was swapped for
+// one an element short) is one of the runtime's declared panics: the request
+// fails with the plain error and no stack, nothing was moved, the database
+// lock is free and the pool serves on.
+func TestServerReportsRangeCheck(t *testing.T) {
+	rt, srv := testServer(t, ServerConfig{Workers: 1, DB: Config{Entries: 20}}, core.Config{})
+	entries := rt.GetRef(srv.db.db.Get(), srv.db.dEntries)
+	dataOff := rt.ClassOf(entries).MustFieldIndex("data")
+	full := rt.GetRef(entries, dataOff)
+	short := rt.MainThread().NewRefArray(19)
+	rt.ArrCopyRefs(short, 0, full, 0, 19)
+	rt.SetRef(entries, dataOff, short)
+	// Removing the last entry shifts nothing: skip such a draw.
+	for {
+		saved := srv.db.rng
+		if srv.db.rand(20) != 19 {
+			srv.db.rng = saved
+			break
+		}
+	}
+
+	_, err := srv.Do(OpRemove, 0)
+	if err == nil || !strings.Contains(err.Error(), (&core.IndexError{}).Error()) || strings.Contains(err.Error(), "goroutine ") {
+		t.Fatalf("remove over the short array = %v, want the plain IndexError text", err)
+	}
+	for i := 0; i < 19; i++ {
+		if rt.ArrGetRef(short, i) != rt.ArrGetRef(full, i) {
+			t.Fatalf("element %d moved before the range check refused", i)
+		}
+	}
+	if !srv.mu.TryLock() {
+		t.Fatal("the database lock is still held after the recovered panic")
+	}
+	srv.mu.Unlock()
+	rt.SetRef(entries, dataOff, full)
+	if resp, err := srv.Do(OpRemove, 0); err != nil || resp.Len != 19 {
+		t.Errorf("remove after the repair = %+v, %v; want 19 entries left", resp, err)
+	}
+}
+
 // TestServerClose pins the shutdown contract.
 func TestServerClose(t *testing.T) {
 	rt := core.New(core.Config{HeapWords: 1 << 16, Mode: core.Infrastructure})

@@ -185,6 +185,15 @@ func (h *Heap) SetArrayWord(r Ref, i uint32, v uint64) {
 	h.words[uint32(r)+arrayHeaderWords+i] = v
 }
 
+// CopyArrayWords moves n element words from index si of the array at src to
+// index di of the array at dst, as memmove does: the two ranges may overlap
+// within one array in either direction. The caller has checked both ranges
+// against the arrays' lengths.
+func (h *Heap) CopyArrayWords(dst Ref, di uint32, src Ref, si uint32, n uint32) {
+	d, s := h.ArraySlotIndex(dst, di), h.ArraySlotIndex(src, si)
+	copy(h.words[d:d+n], h.words[s:s+n])
+}
+
 // Reference stores address their slot by absolute arena word index, so a
 // scalar field and an array element share one store path.
 

@@ -103,6 +103,50 @@ func TestAllocArrays(t *testing.T) {
 	}
 }
 
+// TestCopyArrayWords: the range copy moves element words only — headers,
+// length words and the neighbouring object stay put — and is a memmove when
+// both ranges lie in one array.
+func TestCopyArrayWords(t *testing.T) {
+	h := New(1024)
+	a, _ := h.Alloc(KindRefArray, 2, 6)
+	b, _ := h.Alloc(KindRefArray, 2, 6)
+	fill := func() {
+		for i := uint32(0); i < 6; i++ {
+			h.SetArrayWord(a, i, uint64(10+i))
+			h.SetArrayWord(b, i, uint64(20+i))
+		}
+	}
+	elems := func(r Ref) (out [6]uint64) {
+		for i := range out {
+			out[i] = h.ArrayWord(r, uint32(i))
+		}
+		return out
+	}
+	headers := [4]uint64{h.Header(a), uint64(h.ArrayLen(a)), h.Header(b), uint64(h.ArrayLen(b))}
+	for _, c := range []struct {
+		dst          Ref
+		di           uint32
+		src          Ref
+		si, n        uint32
+		wantA, wantB [6]uint64
+	}{
+		{dst: b, di: 0, src: a, si: 0, n: 6, wantA: [6]uint64{10, 11, 12, 13, 14, 15}, wantB: [6]uint64{10, 11, 12, 13, 14, 15}},
+		{dst: b, di: 4, src: a, si: 1, n: 2, wantA: [6]uint64{10, 11, 12, 13, 14, 15}, wantB: [6]uint64{20, 21, 22, 23, 11, 12}},
+		{dst: a, di: 0, src: a, si: 1, n: 5, wantA: [6]uint64{11, 12, 13, 14, 15, 15}, wantB: [6]uint64{20, 21, 22, 23, 24, 25}},
+		{dst: a, di: 1, src: a, si: 0, n: 5, wantA: [6]uint64{10, 10, 11, 12, 13, 14}, wantB: [6]uint64{20, 21, 22, 23, 24, 25}},
+		{dst: a, di: 6, src: b, si: 6, n: 0, wantA: [6]uint64{10, 11, 12, 13, 14, 15}, wantB: [6]uint64{20, 21, 22, 23, 24, 25}},
+	} {
+		fill()
+		h.CopyArrayWords(c.dst, c.di, c.src, c.si, c.n)
+		if gotA, gotB := elems(a), elems(b); gotA != c.wantA || gotB != c.wantB {
+			t.Errorf("copy %+v: a = %v, b = %v", c, gotA, gotB)
+		}
+		if got := [4]uint64{h.Header(a), uint64(h.ArrayLen(a)), h.Header(b), uint64(h.ArrayLen(b))}; got != headers {
+			t.Errorf("copy %+v: a header or length word changed", c)
+		}
+	}
+}
+
 func TestAllocExhaustion(t *testing.T) {
 	h := New(MinHeapWords)
 	var refs []Ref
