@@ -18,8 +18,7 @@ func defaults() options {
 
 // TestFigUsageMatchesValidate pins the -fig usage string to validate's
 // accepted set: both derive from figNames, and this test fails if either
-// ever hardcodes its own list again (the usage string once advertised only
-// "2, 3, 4, 5, all, or pause" while validate also took sweep and alloc).
+// ever hardcodes its own list again.
 func TestFigUsageMatchesValidate(t *testing.T) {
 	usage := figUsage()
 	for _, name := range figNames {
@@ -50,15 +49,7 @@ func TestValidateAccepts(t *testing.T) {
 	cases := []func(*options){
 		func(o *options) {},
 		func(o *options) { o.fig = "2" },
-		func(o *options) { o.fig = "pause" },
-		func(o *options) { o.fig = "pause"; o.incremental = 5000 },
-		func(o *options) { o.fig = "pause"; o.concurrent = true },
 		func(o *options) { o.warmup = 0 },
-		func(o *options) { o.fig = "sweep" },
-		func(o *options) { o.fig = "3"; o.lazySweep = true },
-		func(o *options) { o.fig = "alloc" },
-		func(o *options) { o.fig = "2"; o.allocBuf = 1024 },
-		func(o *options) { o.fig = "all"; o.allocBuf = 256; o.lazySweep = true },
 		func(o *options) { o.events = "events.ndjson" },
 	}
 	for i, mut := range cases {
@@ -80,33 +71,6 @@ func TestValidateRejects(t *testing.T) {
 		{func(o *options) { o.trials = 0 }, "-trials"},
 		{func(o *options) { o.measure = 0 }, "-measure"},
 		{func(o *options) { o.warmup = -1 }, "-warmup"},
-		{func(o *options) { o.incremental = -1 }, "cannot be negative"},
-		// The published figures are stop-the-world; a budget on them would
-		// silently measure a different collector than the paper's.
-		{func(o *options) { o.fig = "all"; o.incremental = 100 }, "stop-the-world as published"},
-		{func(o *options) { o.fig = "3"; o.incremental = 100 }, "stop-the-world as published"},
-		// The pacer report is -fig pause's concurrent arm; on the paper
-		// figures the flag would silently measure nothing.
-		{func(o *options) { o.fig = "all"; o.concurrent = true }, "applies only to -fig pause"},
-		// The pacer schedules its own slices; an explicit budget would fight
-		// it.
-		{func(o *options) { o.fig = "pause"; o.concurrent = true; o.incremental = 100 }, "cannot be combined"},
-		// The side-by-side reports pick their own modes; a stray mode flag
-		// would otherwise be silently ignored.
-		{func(o *options) { o.fig = "sweep"; o.lazySweep = true }, "configures its own"},
-		{func(o *options) { o.fig = "pause"; o.lazySweep = true }, "configures its own"},
-		{func(o *options) { o.allocBuf = -1 }, "-allocbuf"},
-		// Below vmheap.MinBufferWords would panic in core.New mid-run.
-		{func(o *options) { o.fig = "2"; o.allocBuf = 32 }, "below the minimum"},
-		// -fig alloc measures direct against its own buffer-size ladder; a
-		// stray -allocbuf would be silently ignored.
-		{func(o *options) { o.fig = "alloc"; o.allocBuf = 512 }, "configures its own"},
-		{func(o *options) { o.fig = "sweep"; o.allocBuf = 512 }, "configures its own"},
-		// The side-by-side reports build their own runtimes; an -events file
-		// would be created and then silently stay empty.
-		{func(o *options) { o.fig = "pause"; o.events = "ev.ndjson" }, "configures its own"},
-		{func(o *options) { o.fig = "sweep"; o.events = "ev.ndjson" }, "configures its own"},
-		{func(o *options) { o.fig = "alloc"; o.events = "ev.ndjson" }, "configures its own"},
 	}
 	for i, c := range cases {
 		o := defaults()

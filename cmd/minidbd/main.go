@@ -14,16 +14,15 @@
 // -assert the expired sessions are asserted dead), /metrics (Prometheus
 // text), /stats (counter snapshot), /healthz.
 //
-// Selfdrive mode runs the sustained-load SLO sweep against this same
-// server stack through a loopback HTTP transport — the full network path —
-// one fresh runtime per (collector, rate) cell:
+// Selfdrive mode runs the sustained-load sweep against this same server
+// stack through a loopback HTTP transport — the full network path — one
+// fresh runtime per (collector, rate) cell:
 //
 //	minidbd -selfdrive -gc stw,concurrent -rates 200,500 -duration 2s
 //
 // It prints the latency-vs-throughput report (p50/p95/p99 per cell from
-// the offline summary of each cell's event stream) and applies the SLO
-// gate: aggregate request p99 at -slo-rps must be within -slo-p99. A gate
-// miss exits 1 unless -gate-advisory.
+// the offline summary of each cell's event stream); a cell that cannot be
+// set up or measured exits 1.
 package main
 
 import (
@@ -59,14 +58,11 @@ type options struct {
 	assert    bool
 	events    string
 
-	selfdrive    bool
-	eventDir     string
-	rates        string
-	duration     time.Duration
-	inflight     int
-	sloRPS       int
-	sloP99       time.Duration
-	gateAdvisory bool
+	selfdrive bool
+	eventDir  string
+	rates     string
+	duration  time.Duration
+	inflight  int
 }
 
 // parseRates decodes the -rates comma list.
@@ -138,6 +134,9 @@ func validate(o options) error {
 	if o.allocBuf > 0 && o.allocBuf < vmheap.MinBufferWords {
 		return fmt.Errorf("-allocbuf %d: below the minimum buffer of %d words (use 0 for direct allocation)", o.allocBuf, vmheap.MinBufferWords)
 	}
+	if o.allocBuf >= o.heapWords {
+		return fmt.Errorf("-allocbuf %d: must be smaller than -heapwords %d", o.allocBuf, o.heapWords)
+	}
 	// -assert with -leakcache is deliberately allowed in serve mode:
 	// serving with the defect armed is how the demo shows gcmon catching
 	// it live.
@@ -154,33 +153,10 @@ func validate(o options) error {
 		if o.inflight < 1 {
 			return fmt.Errorf("-inflight %d: need at least one outstanding request", o.inflight)
 		}
-		if o.sloRPS < 1 {
-			return fmt.Errorf("-slo-rps %d: the gate rate must be positive", o.sloRPS)
-		}
-		if rates, _ := parseRates(o.rates); !contains(rates, o.sloRPS) {
-			return fmt.Errorf("-slo-rps %d is not among the swept -rates %s: the gate would have nothing to measure", o.sloRPS, o.rates)
-		}
-		if o.sloP99 <= 0 {
-			return fmt.Errorf("-slo-p99 %v: the latency budget must be positive", o.sloP99)
-		}
-	} else {
-		if o.gateAdvisory {
-			return fmt.Errorf("-gate-advisory without -selfdrive: the gate only runs in selfdrive mode")
-		}
-		if o.eventDir != "" {
-			return fmt.Errorf("-eventdir without -selfdrive: serve mode streams one file via -events")
-		}
+	} else if o.eventDir != "" {
+		return fmt.Errorf("-eventdir without -selfdrive: serve mode streams one file via -events")
 	}
 	return nil
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 func main() {
@@ -194,14 +170,11 @@ func main() {
 	assert := flag.Bool("assert", false, "arm the paper's assertions: ownership on add, assert-dead on remove and session expiry")
 	events := flag.String("events", "", "stream telemetry NDJSON here (gcmon -follow summarizes it live)")
 
-	selfdrive := flag.Bool("selfdrive", false, "run the SLO sweep against a loopback HTTP server instead of serving")
+	selfdrive := flag.Bool("selfdrive", false, "run the serving sweep against a loopback HTTP server instead of serving")
 	eventDir := flag.String("eventdir", "", "selfdrive: directory for the per-cell serving_*.ndjson streams (default: a temp dir)")
 	rates := flag.String("rates", "200,500", "selfdrive: comma list of open-loop request rates (rps)")
 	duration := flag.Duration("duration", 2*time.Second, "selfdrive: measured window per cell")
 	inflight := flag.Int("inflight", 256, "selfdrive: max outstanding requests before the generator counts drops")
-	sloRPS := flag.Int("slo-rps", 200, "selfdrive: gate rate — must be one of -rates")
-	sloP99 := flag.Duration("slo-p99", 50*time.Millisecond, "selfdrive: aggregate request p99 budget at -slo-rps")
-	gateAdvisory := flag.Bool("gate-advisory", false, "selfdrive: report the gate verdict but always exit 0")
 	flag.Parse()
 
 	opts := options{
@@ -209,8 +182,7 @@ func main() {
 		workers: *workers, allocBuf: *allocBuf, gc: *gc,
 		leakCache: *leakCache, assert: *assert, events: *events,
 		selfdrive: *selfdrive, eventDir: *eventDir, rates: *rates, duration: *duration,
-		inflight: *inflight, sloRPS: *sloRPS, sloP99: *sloP99,
-		gateAdvisory: *gateAdvisory,
+		inflight: *inflight,
 	}
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "minidbd: unexpected arguments %q\n", flag.Args())
@@ -230,21 +202,21 @@ func main() {
 	}
 }
 
-// serverConfig builds the minidb server config shared by both modes.
-func serverConfig(o options) minidb.ServerConfig {
-	return minidb.ServerConfig{
-		Workers:            o.workers,
-		AssertDeadSessions: o.assert,
-		DB: minidb.Config{
-			Entries:            o.entries,
-			AssertOwnership:    o.assert,
-			AssertDeadOnRemove: o.assert,
-			LeakCache:          o.leakCache,
-		},
+// servingConfig builds the runtime-and-server shape shared by both modes.
+func servingConfig(o options) harness.ServingConfig {
+	return harness.ServingConfig{
+		HeapWords:     o.heapWords,
+		Workers:       o.workers,
+		AllocBufWords: o.allocBuf,
+		Entries:       o.entries,
+		LeakCache:     o.leakCache,
+		Assert:        o.assert,
 	}
 }
 
-// runServe is the long-running server mode.
+// runServe is the long-running server mode. It builds its runtime and server
+// the way a sweep cell does (harness.NewServingServer), so a heap too small
+// for the database is an error, not a panic.
 func runServe(o options) error {
 	coreCfg := core.Config{
 		HeapWords:    o.heapWords,
@@ -263,8 +235,13 @@ func runServe(o options) error {
 		coreCfg.Telemetry = &telemetry.Config{}
 	}
 	harness.ApplyServingCollector(o.gc, &coreCfg)
-	rt := core.New(coreCfg)
-	srv := minidb.NewServer(rt, serverConfig(o))
+	rt, srv, err := harness.NewServingServer(coreCfg, servingConfig(o))
+	if err != nil {
+		if sink != nil {
+			sink.Close()
+		}
+		return err
+	}
 
 	httpSrv := &http.Server{Addr: o.addr, Handler: newMux(rt, srv)}
 	errc := make(chan error, 1)
@@ -372,51 +349,29 @@ func loopbackTransport(timeout time.Duration) harness.Transport {
 	}
 }
 
-// requestTimeout picks the loopback client timeout: comfortably above both
-// the SLO budget and the worst legitimate queueing delay (a request sent at
-// the start of a cell can wait out most of its window under overload), so
-// only a genuinely stuck server trips it.
+// requestTimeout picks the loopback client timeout: comfortably above the
+// worst legitimate queueing delay (a request sent at the start of a cell can
+// wait out most of its window under overload), so only a genuinely stuck
+// server trips it.
 func requestTimeout(o options) time.Duration {
-	t := 20 * o.sloP99
-	if t < 2*time.Second {
-		t = 2 * time.Second
-	}
-	return o.duration + t
+	return o.duration + 2*time.Second
 }
 
-// runSelfdrive runs the sweep and gate; returns the process exit code.
+// runSelfdrive runs the sweep; returns the process exit code.
 func runSelfdrive(o options) int {
-	collectors, _ := parseCollectors(o.gc)
-	rates, _ := parseRates(o.rates)
-	cfg := harness.ServingConfig{
-		HeapWords:     o.heapWords,
-		Workers:       o.workers,
-		AllocBufWords: o.allocBuf,
-		Entries:       o.entries,
-		LeakCache:     o.leakCache,
-		Assert:        o.assert,
-		Collectors:    collectors,
-		Rates:         rates,
-		Duration:      o.duration,
-		MaxInflight:   o.inflight,
-		EventDir:      o.eventDir,
-	}
+	cfg := servingConfig(o)
+	cfg.Collectors, _ = parseCollectors(o.gc)
+	cfg.Rates, _ = parseRates(o.rates)
+	cfg.Duration = o.duration
+	cfg.MaxInflight = o.inflight
+	cfg.EventDir = o.eventDir
 	fmt.Fprintf(os.Stderr, "minidbd: sweeping %d collector configs x %d rates, %v per cell over loopback HTTP\n",
-		len(collectors), len(rates), o.duration)
+		len(cfg.Collectors), len(cfg.Rates), o.duration)
 	report, err := harness.RunServingSweep(cfg, loopbackTransport(requestTimeout(o)))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "minidbd: sweep: %v\n", err)
 		return 1
 	}
-	gates, ok := harness.EvaluateServingGate(report, o.sloRPS, o.sloP99)
-	fmt.Print(harness.FormatServingReport(report, gates))
-	if !ok {
-		if o.gateAdvisory {
-			fmt.Fprintln(os.Stderr, "minidbd: SLO gate missed (advisory)")
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "minidbd: SLO gate missed")
-		return 1
-	}
+	fmt.Print(harness.FormatServingReport(report))
 	return 0
 }

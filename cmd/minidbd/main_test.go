@@ -30,8 +30,6 @@ func goodDrive() options {
 	o.rates = "100,200"
 	o.duration = time.Second
 	o.inflight = 64
-	o.sloRPS = 200
-	o.sloP99 = 50 * time.Millisecond
 	return o
 }
 
@@ -41,16 +39,13 @@ func TestValidateAccepts(t *testing.T) {
 	leakDemo := goodServe()
 	leakDemo.leakCache = true
 	leakDemo.assert = true
-	advisory := goodDrive()
-	advisory.gateAdvisory = true
 	lazy := goodDrive()
 	lazy.gc = "lazysweep"
-	lazy.sloRPS = 100
 	direct := goodServe()
 	direct.allocBuf = 0
 
 	for i, o := range []options{
-		goodServe(), goodDrive(), withEvents, leakDemo, advisory, lazy, direct,
+		goodServe(), goodDrive(), withEvents, leakDemo, lazy, direct,
 	} {
 		if err := validate(o); err != nil {
 			t.Errorf("case %d: validate(%+v) = %v, want nil", i, o, err)
@@ -73,7 +68,8 @@ func TestValidateRejects(t *testing.T) {
 		{"no workers", func(o *options) { o.workers = 0 }, "-workers"},
 		{"negative allocbuf", func(o *options) { o.allocBuf = -1 }, "-allocbuf"},
 		{"sub-minimum allocbuf", func(o *options) { o.allocBuf = 8 }, "minimum buffer"},
-		{"gate flag without selfdrive", func(o *options) { o.gateAdvisory = true }, "-gate-advisory"},
+		// core.New would panic: a buffer must be smaller than the heap.
+		{"allocbuf not below heap", func(o *options) { o.heapWords = 1024 }, "smaller than -heapwords"},
 		{"eventdir without selfdrive", func(o *options) { o.eventDir = "d" }, "-eventdir"},
 	}
 	for _, c := range cases {
@@ -100,9 +96,6 @@ func TestValidateRejects(t *testing.T) {
 		{"empty rates", func(o *options) { o.rates = "," }, "no rates"},
 		{"zero duration", func(o *options) { o.duration = 0 }, "-duration"},
 		{"no inflight", func(o *options) { o.inflight = 0 }, "-inflight"},
-		{"zero gate rate", func(o *options) { o.sloRPS = 0 }, "-slo-rps"},
-		{"unswept gate rate", func(o *options) { o.sloRPS = 999 }, "not among the swept"},
-		{"zero budget", func(o *options) { o.sloP99 = 0 }, "-slo-p99"},
 	}
 	for _, c := range driveCases {
 		o := goodDrive()
@@ -115,6 +108,24 @@ func TestValidateRejects(t *testing.T) {
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: validate = %q, want it to contain %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestServeSmallHeapIsAnError: a heap that passes validation but cannot hold
+// the database fails serve mode with an error (exit 1), not a runtime panic,
+// because serve mode builds its server the way a sweep cell does.
+func TestServeSmallHeapIsAnError(t *testing.T) {
+	o := goodServe()
+	o.addr = "127.0.0.1:0"
+	o.heapWords = 4096
+	o.allocBuf = 0
+	o.entries = 5000
+	if err := validate(o); err != nil {
+		t.Fatalf("validate = %v, want the options accepted", err)
+	}
+	err := runServe(o)
+	if err == nil || !strings.Contains(err.Error(), "cell setup (heap 4096 words)") {
+		t.Fatalf("runServe = %v, want a cell setup error", err)
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // (lock, fast path or free-list, bookkeeping) with and without allocation
 // buffers. Every object is garbage the moment it is allocated — the loop
 // measures allocation cost alone, not rooting. Complements the
-// vmheap-level matrix in internal/vmheap/allocbench_test.go, which
-// isolates the heap layer.
+// vmheap-level matrix (BenchmarkAllocDirect/BenchmarkAllocBuffered in
+// internal/vmheap), which isolates the heap layer.
 var benchSink Ref
 
 func benchmarkCoreAlloc(b *testing.B, bufWords int) {

@@ -87,8 +87,8 @@ func newDiffWorld(concurrent bool, kind CollectorKind) *diffWorld {
 	cfg := Config{HeapWords: 1 << 13, Mode: Infrastructure, Collector: kind}
 	if concurrent {
 		cfg.ConcurrentGC = true
-		cfg.GCTriggerFraction = 0.4
-		cfg.GCAssistSlack = 0.5
+		cfg.gcTrigger = 0.4
+		cfg.assistSlack = 0.5
 		cfg.AllocBuffers = 128
 	}
 	return newDiffWorldCfg(cfg)

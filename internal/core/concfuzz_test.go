@@ -54,8 +54,8 @@ func FuzzConcurrentPacer(f *testing.F) {
 			cfg := Config{HeapWords: 1 << 13, Mode: Infrastructure, Collector: kind}
 			if concurrent {
 				cfg.ConcurrentGC = true
-				cfg.GCTriggerFraction = trigger
-				cfg.GCAssistSlack = slack
+				cfg.gcTrigger = trigger
+				cfg.assistSlack = slack
 				cfg.AllocBuffers = buf
 			}
 			return newDiffWorldCfg(cfg)

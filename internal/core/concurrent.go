@@ -17,8 +17,8 @@ import (
 // SetDebugChecks). Every transition runs under rt.mu, or with no lock at all
 // while the runtime has one mutator. Who asks for one:
 //
-//   - Trigger: a cycle opens when used words cross GCTriggerFraction of
-//     capacity and the heap has meaningfully grown since the previous
+//   - Trigger: a cycle opens when used words cross defaultGCTrigger (half)
+//     of capacity and the heap has meaningfully grown since the previous
 //     cycle (re-collecting a heap that is large but idle would spin). The
 //     check runs in the allocation slow path — the path that causes the
 //     growth.
@@ -26,7 +26,7 @@ import (
 //   - Assists: a mutator entering the allocation slow path while a cycle
 //     is open pays mark work proportional to the heap growth its
 //     allocation causes. When growth would exceed the hard cap (trigger ×
-//     slack × capacity, Config.GCAssistSlack) the assist completes the
+//     slack × capacity, defaultAssistSlack) the assist completes the
 //     cycle instead, so mid-cycle heap growth is bounded by construction:
 //     the check and the allocation happen under one rt.mu hold, making the
 //     bound exact even with many mutator threads.
@@ -64,10 +64,10 @@ import (
 
 const (
 	// defaultGCTrigger: a cycle starts when used words exceed this
-	// fraction of heap capacity (Config.GCTriggerFraction overrides).
+	// fraction of heap capacity.
 	defaultGCTrigger = 0.5
 	// defaultAssistSlack: mid-cycle heap growth is capped at this fraction
-	// of the trigger threshold (Config.GCAssistSlack overrides).
+	// of the trigger threshold.
 	defaultAssistSlack = 0.5
 	// defaultConcurrentBudget is the mark-slice size (objects) when
 	// ConcurrentGC is on and Config.IncrementalBudget is 0.
@@ -185,7 +185,7 @@ type gcPacer struct {
 }
 
 // newPacer sizes the trigger and growth cap from the heap capacity.
-// trigger/slack of 0 take the defaults (Config validation bounds the rest).
+// trigger/slack of 0 take the defaults; only tests pass anything else.
 func newPacer(rt *Runtime, trigger, slack float64) *gcPacer {
 	if trigger == 0 {
 		trigger = defaultGCTrigger

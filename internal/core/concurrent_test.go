@@ -27,18 +27,12 @@ func TestConcurrentConfigValidation(t *testing.T) {
 		})
 	}
 	mustPanic("base mode", Config{HeapWords: 1 << 12, Mode: Base, ConcurrentGC: true})
-	mustPanic("trigger at one", Config{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true, GCTriggerFraction: 1})
-	mustPanic("trigger negative", Config{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true, GCTriggerFraction: -0.25})
-	mustPanic("slack negative", Config{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true, GCAssistSlack: -1})
-	// The geometry belongs to the scheduler: stop-the-world has none to size.
-	mustPanic("trigger without concurrent", Config{HeapWords: 1 << 12, Mode: Infrastructure, GCTriggerFraction: 0.5})
-	mustPanic("slack without concurrent", Config{HeapWords: 1 << 12, Mode: Infrastructure, GCAssistSlack: 0.5})
 
 	valid := []Config{
 		{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true},
-		{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true, GCTriggerFraction: 0.9, GCAssistSlack: 2},
+		{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true, gcTrigger: 0.9, assistSlack: 2},
 		{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true, Collector: Generational, AllocBuffers: 128},
-		{HeapWords: 1 << 12, Mode: Infrastructure, IncrementalBudget: 4, GCTriggerFraction: 0.9, GCAssistSlack: 2},
+		{HeapWords: 1 << 12, Mode: Infrastructure, IncrementalBudget: 4, gcTrigger: 0.9, assistSlack: 2},
 	}
 	for _, cfg := range valid {
 		rt := New(cfg)
@@ -81,7 +75,7 @@ func TestCloseIdempotent(t *testing.T) {
 func TestPacerSizing(t *testing.T) {
 	for _, concurrent := range []bool{false, true} {
 		rt := New(Config{HeapWords: 1 << 14, Mode: Infrastructure, IncrementalBudget: 8, ConcurrentGC: concurrent,
-			GCTriggerFraction: 0.25, GCAssistSlack: 0.5})
+			gcTrigger: 0.25, assistSlack: 0.5})
 		defer rt.Close()
 		capacity := float64(rt.heap.CapacityWords())
 		if want := uint64(0.25 * capacity); rt.pacer.triggerWords != want {
@@ -107,7 +101,7 @@ func TestPacerSizing(t *testing.T) {
 	// A tiny heap floors the cap so forced finishes stay occasional rather
 	// than per-allocation.
 	rt3 := New(Config{HeapWords: 256, Mode: Infrastructure, IncrementalBudget: 8,
-		GCTriggerFraction: 0.1, GCAssistSlack: 0.1})
+		gcTrigger: 0.1, assistSlack: 0.1})
 	if want := uint64(4 * carveSlackWords); rt3.pacer.capWords != want {
 		t.Errorf("floored capWords = %d, want %d", rt3.pacer.capWords, want)
 	}
@@ -167,7 +161,7 @@ type pacerFix struct {
 
 func newPacerFix(heapWords int) *pacerFix {
 	rt := New(Config{HeapWords: heapWords, Mode: Infrastructure, IncrementalBudget: 8,
-		GCTriggerFraction: 0.5, GCAssistSlack: 0.5})
+		gcTrigger: 0.5, assistSlack: 0.5})
 	f := &pacerFix{rt: rt, p: rt.pacer, th: rt.MainThread()}
 	f.fr = f.th.PushFrame(1)
 	f.node = rt.DefineClass("ANode", RefField("next"))
@@ -522,7 +516,7 @@ func TestAssistGrowthCapInvariant(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := New(Config{HeapWords: 1 << 13, Mode: Infrastructure, Collector: tc.collector,
-				ConcurrentGC: true, GCTriggerFraction: tc.trigger, GCAssistSlack: tc.slack,
+				ConcurrentGC: true, gcTrigger: tc.trigger, assistSlack: tc.slack,
 				AllocBuffers: tc.buf})
 			th := rt.MainThread()
 			fr := th.PushFrame(4)

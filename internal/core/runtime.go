@@ -91,11 +91,11 @@ type Config struct {
 	// IncrementalBudget > 0 enables incremental full collections behind a
 	// snapshot-at-beginning write barrier, so assertion checks observe the
 	// heap as it was when the cycle began. The runtime's cycle scheduler
-	// (concurrent.go) opens a cycle when heap occupancy crosses
-	// GCTriggerFraction, the allocation slow path pays for marking in
-	// bounded assists of IncrementalBudget-object slices, and mid-cycle heap
-	// growth is hard-capped at GCTriggerFraction × GCAssistSlack × capacity;
-	// StartGC / GCStep / FinishGC force the same transitions by hand. 0 (the
+	// (concurrent.go) opens a cycle when heap occupancy crosses half the
+	// capacity, the allocation slow path pays for marking in bounded assists
+	// of IncrementalBudget-object slices, and mid-cycle heap growth is
+	// hard-capped at a quarter of the capacity; StartGC / GCStep / FinishGC
+	// force the same transitions by hand. 0 (the
 	// default) keeps the paper's stop-the-world collections — all published
 	// figures use it. Requires Infrastructure mode.
 	IncrementalBudget int
@@ -109,15 +109,6 @@ type Config struct {
 	// completed with no caller. Off by default: all published figures use
 	// the paper's synchronous collections.
 	ConcurrentGC bool
-	// GCTriggerFraction is the used-words fraction of heap capacity at which
-	// the scheduler opens a cycle. 0 defaults to 0.5; must be in (0, 1).
-	// Requires IncrementalBudget > 0 or ConcurrentGC.
-	GCTriggerFraction float64
-	// GCAssistSlack caps mid-cycle heap growth at this fraction of the
-	// trigger threshold; when growth would exceed the cap, the allocating
-	// mutator completes the cycle instead. 0 defaults to 0.5; must be
-	// positive. Requires IncrementalBudget > 0 or ConcurrentGC.
-	GCAssistSlack float64
 	// LazySweep defers reclamation: a collection ends after the mark phase
 	// plus a header-only census, and each heap segment is actually swept —
 	// assertion-engine bookkeeping included — the first time the allocator
@@ -149,6 +140,13 @@ type Config struct {
 	// the published configuration — compiles every emit point down to one
 	// predictable nil-check branch.
 	Telemetry *telemetry.Config
+
+	// gcTrigger and assistSlack override the scheduler's geometry (the
+	// used-words fraction that opens a cycle, and the mid-cycle growth cap
+	// as a fraction of the trigger threshold); 0 keeps the defaults. Only
+	// this package's tests set them, to cover geometries other than the
+	// default.
+	gcTrigger, assistSlack float64
 }
 
 // Runtime is a managed heap plus its collector and assertion engine.
@@ -302,18 +300,8 @@ func New(cfg Config) *Runtime {
 			cfg.IncrementalBudget = defaultConcurrentBudget
 		}
 	}
-	if cfg.IncrementalBudget > 0 {
-		if cfg.Mode != Infrastructure {
-			panic("core: IncrementalBudget requires Infrastructure mode")
-		}
-		if cfg.GCTriggerFraction < 0 || cfg.GCTriggerFraction >= 1 {
-			panic("core: GCTriggerFraction must be in (0, 1)")
-		}
-		if cfg.GCAssistSlack < 0 {
-			panic("core: GCAssistSlack must be positive")
-		}
-	} else if cfg.GCTriggerFraction != 0 || cfg.GCAssistSlack != 0 {
-		panic("core: GCTriggerFraction and GCAssistSlack require IncrementalBudget or ConcurrentGC")
+	if cfg.IncrementalBudget > 0 && cfg.Mode != Infrastructure {
+		panic("core: IncrementalBudget requires Infrastructure mode")
 	}
 	if cfg.AllocBuffers < 0 {
 		panic("core: AllocBuffers must not be negative")
@@ -395,7 +383,7 @@ func New(cfg Config) *Runtime {
 	rt.allThreads = append(rt.allThreads, rt.main)
 
 	if cfg.IncrementalBudget > 0 {
-		rt.pacer = newPacer(rt, cfg.GCTriggerFraction, cfg.GCAssistSlack)
+		rt.pacer = newPacer(rt, cfg.gcTrigger, cfg.assistSlack)
 	}
 	if cfg.ConcurrentGC {
 		// The pacer goroutine is a second accessor of the heap, the roots and

@@ -11,8 +11,8 @@ import (
 
 // BenchmarkAssertTrace measures per-assertion-kind collection overhead on
 // the pseudojbb shape: trace words per second with the engine unarmed
-// versus armed with a persistent population of each assertion kind (make
-// assertbench records it in results/assert_overhead.txt).
+// versus armed with a persistent population of each assertion kind (bench/
+// records the armed cycle as gc.armed_cycle_us).
 //
 // Each armed variant roots 400 objects under one assertion kind so every
 // collection drives the corresponding hot path:
@@ -56,7 +56,7 @@ func BenchmarkAssertTrace(b *testing.B) {
 			if kind == "unshared" {
 				pinCount = 2 * armed // second slot = second reference
 			}
-			pin := rt.AddGlobal("assertbench.pin")
+			pin := rt.AddGlobal("asserttrace.pin")
 			arr := th.NewRefArray(pinCount + 1)
 			pin.Set(arr)
 			if kind == "region" {

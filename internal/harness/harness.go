@@ -19,13 +19,6 @@ type RunConfig struct {
 	// Trials is the number of independent repetitions (fresh runtime
 	// each); the paper uses twenty.
 	Trials int
-	// LazySweep is passed through to core.Config; the default keeps the
-	// eager sweep the published figures use.
-	LazySweep bool
-	// AllocBufWords is passed through to core.Config.AllocBuffers: 0
-	// keeps the direct free-list allocation the published figures use;
-	// > 0 enables per-thread bump allocation buffers of that many words.
-	AllocBufWords int
 	// EventSink, when non-nil, enables telemetry on every measured runtime
 	// and streams its NDJSON events here (gcbench -events). nil — the
 	// default — measures with telemetry fully disabled, as published.
@@ -81,11 +74,9 @@ type trial struct {
 func runTrial(s Subject, rc RunConfig) trial {
 	runtime.GC()
 	cfg := core.Config{
-		HeapWords:    s.HeapWords,
-		Mode:         s.Mode,
-		Collector:    s.Collector,
-		LazySweep:    rc.LazySweep,
-		AllocBuffers: rc.AllocBufWords,
+		HeapWords: s.HeapWords,
+		Mode:      s.Mode,
+		Collector: s.Collector,
 	}
 	if rc.EventSink != nil {
 		cfg.Telemetry = &telemetry.Config{Sink: rc.EventSink}

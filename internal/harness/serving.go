@@ -153,25 +153,10 @@ type ServingCell struct {
 	EventsPath string
 }
 
-// P99 returns the cell's aggregate request p99.
-func (c ServingCell) P99() time.Duration {
-	return time.Duration(c.Summary.AllRequest.P99Nanos)
-}
-
 // ServingReport is a completed sweep.
 type ServingReport struct {
 	Config ServingConfig
 	Cells  []ServingCell
-}
-
-// Cell returns the (collector, rps) cell, if measured.
-func (r ServingReport) Cell(collector string, rps int) (ServingCell, bool) {
-	for _, c := range r.Cells {
-		if c.Collector == collector && c.TargetRPS == rps {
-			return c, true
-		}
-	}
-	return ServingCell{}, false
 }
 
 // RunServingSweep measures every (collector, rate) cell with a fresh
@@ -180,7 +165,7 @@ func RunServingSweep(cfg ServingConfig, transport Transport) (ServingReport, err
 	cfg = cfg.withDefaults()
 	dir := cfg.EventDir
 	if dir == "" {
-		d, err := os.MkdirTemp("", "serving-slo-")
+		d, err := os.MkdirTemp("", "serving-")
 		if err != nil {
 			return ServingReport{}, err
 		}
@@ -205,11 +190,11 @@ func RunServingSweep(cfg ServingConfig, transport Transport) (ServingReport, err
 	return report, nil
 }
 
-// newServingCellServer builds a cell's runtime and server, converting the
-// runtime's init-time panics (a config the heap cannot hold) into errors, so
-// one infeasible cell fails its sweep legibly instead of crashing the
-// process.
-func newServingCellServer(coreCfg core.Config, cfg ServingConfig) (rt *core.Runtime, srv *minidb.Server, err error) {
+// NewServingServer builds a runtime and a minidb server on it — one sweep
+// cell's, or cmd/minidbd's serve mode — converting the runtime's init-time
+// panics (a config the heap cannot hold) into errors, so an infeasible
+// config fails legibly instead of crashing the process.
+func NewServingServer(coreCfg core.Config, cfg ServingConfig) (rt *core.Runtime, srv *minidb.Server, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if rt != nil {
@@ -254,7 +239,7 @@ func runServingCell(cfg ServingConfig, collector string, rate int, dir string, t
 		Telemetry:    &telemetry.Config{Sink: sink},
 	}
 	servingCollectors[collector](&coreCfg)
-	rt, srv, err := newServingCellServer(coreCfg, cfg)
+	rt, srv, err := NewServingServer(coreCfg, cfg)
 	if err != nil {
 		sink.Close()
 		return cell, err
@@ -371,43 +356,11 @@ func driveOpenLoop(cell *ServingCell, do DoFunc, rate int, window time.Duration,
 	cell.AchievedRPS = float64(cell.Completed) / elapsed.Seconds()
 }
 
-// GateResult is one collector's SLO verdict at the gate rate.
-type GateResult struct {
-	Collector string
-	RPS       int
-	P99       time.Duration
-	Budget    time.Duration
-	Measured  bool // false when the sweep has no cell at the gate rate
-	Pass      bool
-}
-
-// EvaluateServingGate applies the SLO — aggregate request p99 at the gate
-// rate must be within budget — to every collector in the report. ok is
-// false if any measured collector misses the budget or the gate rate was
-// never measured.
-func EvaluateServingGate(r ServingReport, rps int, budget time.Duration) (results []GateResult, ok bool) {
-	ok = true
-	for _, collector := range r.Config.Collectors {
-		res := GateResult{Collector: collector, RPS: rps, Budget: budget}
-		if cell, found := r.Cell(collector, rps); found {
-			res.Measured = true
-			res.P99 = cell.P99()
-			res.Pass = res.P99 <= budget
-		}
-		if !res.Pass {
-			ok = false
-		}
-		results = append(results, res)
-	}
-	return results, ok
-}
-
-// FormatServingReport renders the sweep as the serving_slo.txt report: one
-// block per cell (throughput line plus the full gcmon-style summary of its
-// stream), then the gate verdicts.
-func FormatServingReport(r ServingReport, gates []GateResult) string {
+// FormatServingReport renders the sweep: one block per cell (throughput line
+// plus the full gcmon-style summary of its stream).
+func FormatServingReport(r ServingReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "serving SLO sweep: minidb server, open-loop, %d workers, %d-word buffers, %v per cell\n",
+	fmt.Fprintf(&b, "serving sweep: minidb server, open-loop, %d workers, %d-word buffers, %v per cell\n",
 		r.Config.Workers, r.Config.AllocBufWords, r.Config.Duration)
 	fmt.Fprintf(&b, "collectors: %s   rates: %v rps   leakcache=%v assert=%v\n",
 		strings.Join(r.Config.Collectors, ", "), r.Config.Rates, r.Config.LeakCache, r.Config.Assert)
@@ -417,19 +370,6 @@ func FormatServingReport(r ServingReport, gates []GateResult) string {
 			c.Sent, c.Completed, c.Errors, c.Dropped, c.AchievedRPS)
 		b.WriteString(c.Summary.Format())
 		fmt.Fprintf(&b, "events: %s\n", c.EventsPath)
-	}
-	if len(gates) > 0 {
-		fmt.Fprintf(&b, "\nSLO gate: aggregate request p99 at %d rps within %v\n", gates[0].RPS, gates[0].Budget)
-		for _, g := range gates {
-			verdict := "PASS"
-			switch {
-			case !g.Measured:
-				verdict = "NOT MEASURED"
-			case !g.Pass:
-				verdict = "FAIL"
-			}
-			fmt.Fprintf(&b, "  %-12s p99=%-10v %s\n", g.Collector, g.P99, verdict)
-		}
 	}
 	return b.String()
 }

@@ -30,8 +30,8 @@ func tinySweep(t *testing.T, transport Transport) ServingReport {
 }
 
 // TestServingSweepSmoke runs the in-process sweep and checks every cell
-// measured real traffic, the offline summary agrees with the driver's
-// counters, and the gate evaluates both ways.
+// measured real traffic and the offline summary agrees with the driver's
+// counters.
 func TestServingSweepSmoke(t *testing.T) {
 	report := tinySweep(t, nil)
 	if len(report.Cells) != 4 {
@@ -51,39 +51,18 @@ func TestServingSweepSmoke(t *testing.T) {
 			t.Errorf("cell %s@%d: summary counted %d request spans, driver completed %d",
 				c.Collector, c.TargetRPS, c.Summary.AllRequest.Count, c.Completed)
 		}
-		if c.P99() <= 0 {
-			t.Errorf("cell %s@%d: p99 = %v", c.Collector, c.TargetRPS, c.P99())
+		if c.Summary.AllRequest.P99Nanos == 0 {
+			t.Errorf("cell %s@%d: request p99 is zero", c.Collector, c.TargetRPS)
 		}
 		if _, err := os.Stat(c.EventsPath); err != nil {
 			t.Errorf("cell %s@%d: events file missing: %v", c.Collector, c.TargetRPS, err)
 		}
 	}
-	if _, found := report.Cell("concurrent", 200); !found {
-		t.Error("Cell lookup failed for a measured cell")
-	}
 
-	// A generous budget passes every collector; a sub-nanosecond one fails.
-	if results, ok := EvaluateServingGate(report, 200, time.Hour); !ok {
-		t.Errorf("gate with 1h budget failed: %+v", results)
-	}
-	results, ok := EvaluateServingGate(report, 200, time.Nanosecond)
-	if ok {
-		t.Error("gate with 1ns budget passed")
-	}
-	for _, g := range results {
-		if !g.Measured {
-			t.Errorf("gate result %+v not measured at a swept rate", g)
-		}
-	}
-	// An unswept rate is a gate failure, not a silent pass.
-	if _, ok := EvaluateServingGate(report, 999, time.Hour); ok {
-		t.Error("gate at unswept rate passed")
-	}
-
-	text := FormatServingReport(report, results)
+	text := FormatServingReport(report)
 	for _, want := range []string{
 		"config=stw target=100 rps", "config=concurrent target=200 rps",
-		"request", "p99", "SLO gate", "FAIL",
+		"request", "p99",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("report missing %q:\n%s", want, text)

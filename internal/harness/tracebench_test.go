@@ -9,8 +9,8 @@ import (
 
 // BenchmarkTraceThroughput measures marking throughput — marked words per
 // second of collection wall time — of one whole-heap stop-the-world trace on
-// the pseudojbb shape (make tracebench records it in
-// results/trace_throughput.txt). The build is outside the timed region; each
+// the pseudojbb shape (bench/'s per-workload counterpart is
+// gc.mark_mwords_per_s). The build is outside the timed region; each
 // iteration re-collects the same quiescent live graph, so ns/op is pure
 // collection cost.
 func BenchmarkTraceThroughput(b *testing.B) {

@@ -287,9 +287,12 @@ func (m *mapTracker) Tracked() int { return len(m.last) }
 
 // TestStalenessSideTabDifferential runs one deterministic access script
 // against two trackers — dense side tables and the map model above —
-// over identically-driven runtimes across the four collector modes and
-// three seeds, and requires identical suspect lists (refs, classes, idle
-// epochs, order) and table sizes after every Advance.
+// over identically-driven runtimes across three collector modes and three
+// seeds, and requires identical suspect lists (refs, classes, idle epochs,
+// order) and table sizes after every Advance. The script's heap never
+// reaches the scheduler's trigger, so the concurrent arm opens a cycle by
+// hand after every comparison: the script then runs with a cycle open that
+// the pacer goroutine and assists advance and the next GC completes.
 func TestStalenessSideTabDifferential(t *testing.T) {
 	modes := []struct {
 		name string
@@ -304,8 +307,7 @@ func TestStalenessSideTabDifferential(t *testing.T) {
 		{"concurrent", func() core.Config {
 			return core.Config{
 				HeapWords: 1 << 14, Mode: core.Infrastructure,
-				ConcurrentGC: true, GCTriggerFraction: 0.4, GCAssistSlack: 0.5,
-				AllocBuffers: 128,
+				ConcurrentGC: true, AllocBuffers: 128,
 			}
 		}},
 	}
@@ -345,6 +347,7 @@ func runStalenessDifferential(t *testing.T, cfg func() core.Config, seed int64) 
 	dense := newStalenessWorld(t, cfg(), New(2))
 	ref := newStalenessWorld(t, cfg(), &mapTracker{threshold: 2, last: map[core.Ref]uint64{}})
 	worlds := []*stalenessWorld{dense, ref}
+	concurrent := cfg().ConcurrentGC
 
 	rng := rand.New(rand.NewSource(seed))
 	for step := 0; step < 400; step++ {
@@ -372,6 +375,20 @@ func runStalenessDifferential(t *testing.T, cfg func() core.Config, seed int64) 
 		}
 		if op >= 90 {
 			compareStaleness(t, step, dense, ref)
+			if concurrent {
+				for _, w := range worlds {
+					if err := w.rt.StartGC(); err != nil {
+						t.Fatalf("StartGC: %v", err)
+					}
+				}
+			}
+		}
+	}
+	if concurrent {
+		for _, w := range worlds {
+			if p := w.rt.Stats().Pacer; p.Cycles == 0 {
+				t.Fatalf("concurrent world completed no pacer cycle: %+v", p)
+			}
 		}
 	}
 	// Final settle: both worlds quiesce, advance past threshold, compare.

@@ -3,8 +3,8 @@ package repro
 // Telemetry overhead benchmark: pseudojbb (the paper's heaviest workload)
 // in the Infrastructure configuration with telemetry disabled, ring-only,
 // and streaming NDJSON to a discarded sink. The published figures run with
-// telemetry off; results/telemetry.txt records the measured enabled
-// overhead (the budget is <3%).
+// telemetry off; bench/ records the enabled overhead per workload as
+// telemetry.overhead_frac.
 //
 //	go test -run '^$' -bench BenchmarkTelemetry -benchmem .
 
