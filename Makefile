@@ -19,28 +19,26 @@ bench:
 
 # Differential tests under the race detector, in one run over internal/:
 # stop-the-world vs incremental cycles, hand-stepped and scheduler-driven
-# (plus the shadow-model oracle), eager vs lazy sweep modes under both
-# collectors, direct vs buffered allocation across every collector mode,
-# telemetry on vs off (recording must be pure observation — byte-identical
-# heaps), stop-the-world vs background-pacer concurrent collection, the
-# single-mutator lock-elided regime vs the locked one, the staleness
-# side table vs its map model, and the ArrayList over the range accessors vs a
+# (plus the shadow-model oracle), direct vs buffered allocation across every
+# collector mode, telemetry on vs off (recording must be pure observation —
+# byte-identical heaps), stop-the-world vs background-pacer concurrent
+# collection, the single-mutator lock-elided regime vs the locked one, the
+# staleness side table vs its map model, and the ArrayList over the range accessors vs a
 # Go-slice model in the solo, shared, generational and open-cycle regimes
 # (TestListModel), beside the range accessors' own contract and barrier tests.
 difftest:
-	go test -race -run 'Differential|TestOracle|TestLazySweep|TestAllocBuffer|TestTelemetry|TestSoloContract|TestListModel|TestRangeAccessors|TestArrCopyRefs' ./internal/...
+	go test -race -run 'Differential|TestOracle|TestAllocBuffer|TestTelemetry|TestSoloContract|TestListModel|TestRangeAccessors|TestArrCopyRefs' ./internal/...
 
 # Short coverage-guided fuzz runs: stop-the-world against scheduler-driven
-# incremental cycles, the eager/lazy sweep equivalence, the direct/buffered
-# allocation equivalence, the stop-the-world/concurrent-pacer equivalence,
-# and the side tables against their map models (go test takes one -fuzz
+# incremental cycles, the direct/buffered allocation equivalence, the
+# stop-the-world/concurrent-pacer equivalence, and the side tables against
+# their map models (go test takes one -fuzz
 # pattern per invocation, so the targets run sequentially). The alphabets of
 # FuzzIncrementalBarrier and FuzzConcurrentPacer include ArrCopyRefs range
 # moves within and between reference arrays; the latter also draws the
 # collector (mark-sweep or generational) from its input.
 fuzz:
 	go test -run '^$$' -fuzz FuzzIncrementalBarrier -fuzztime 30s ./internal/core
-	go test -run '^$$' -fuzz FuzzLazySweep -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzAllocBuffer -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzConcurrentPacer -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzSideTab -fuzztime 30s ./internal/sidetab

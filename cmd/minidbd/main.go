@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -249,26 +250,46 @@ func runServe(o options) error {
 	fmt.Fprintf(os.Stderr, "minidbd: serving on %s (gc=%s workers=%d heap=%d words)\n",
 		o.addr, o.gc, o.workers, o.heapWords)
 
+	// stop closes what the HTTP server ran on, each after everything that
+	// uses it (the minidb server, the runtime, the event sink the runtime's
+	// telemetry writes into), and returns the first error.
+	stop := func(err error) error {
+		srv.Close()
+		if cerr := rt.Close(); err == nil {
+			err = cerr
+		}
+		if sink != nil {
+			if cerr := sink.Close(); err == nil {
+				err = cerr
+			}
+		}
+		return err
+	}
+
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
 	select {
 	case err := <-errc:
-		srv.Close()
-		rt.Close()
-		return err
+		return stop(err)
 	case s := <-sigc:
 		fmt.Fprintf(os.Stderr, "minidbd: %v, shutting down\n", s)
 	}
-	httpSrv.Close()
-	srv.Close()
-	if err := rt.Close(); err != nil {
-		return err
+	// Shutdown stops accepting and waits for in-flight handlers, so none
+	// emits request telemetry after the sink closes. A handler still inside
+	// srv.Do at the deadline has its connection cut.
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	err = httpSrv.Shutdown(ctx)
+	if err != nil {
+		httpSrv.Close()
 	}
-	if sink != nil {
-		return sink.Close()
-	}
-	return nil
+	return stop(err)
 }
+
+// shutdownGrace bounds how long serve mode waits for in-flight requests
+// after SIGINT/SIGTERM.
+const shutdownGrace = 5 * time.Second
 
 // newMux wires the request endpoints plus metrics/health/stats.
 func newMux(rt *core.Runtime, srv *minidb.Server) *http.ServeMux {

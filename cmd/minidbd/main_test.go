@@ -2,8 +2,11 @@ package main
 
 import (
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -39,13 +42,13 @@ func TestValidateAccepts(t *testing.T) {
 	leakDemo := goodServe()
 	leakDemo.leakCache = true
 	leakDemo.assert = true
-	lazy := goodDrive()
-	lazy.gc = "lazysweep"
+	concurrent := goodDrive()
+	concurrent.gc = "concurrent"
 	direct := goodServe()
 	direct.allocBuf = 0
 
 	for i, o := range []options{
-		goodServe(), goodDrive(), withEvents, leakDemo, lazy, direct,
+		goodServe(), goodDrive(), withEvents, leakDemo, concurrent, direct,
 	} {
 		if err := validate(o); err != nil {
 			t.Errorf("case %d: validate(%+v) = %v, want nil", i, o, err)
@@ -137,10 +140,59 @@ func TestParseRates(t *testing.T) {
 }
 
 func TestParseCollectors(t *testing.T) {
-	names, err := parseCollectors("stw, lazysweep")
-	if err != nil || len(names) != 2 || names[1] != "lazysweep" {
+	names, err := parseCollectors("stw, concurrent")
+	if err != nil || len(names) != 2 || names[1] != "concurrent" {
 		t.Errorf("parseCollectors = %v, %v", names, err)
 	}
+	// A name outside the registry is rejected, and the error names the
+	// configs that exist.
+	_, err = parseCollectors("lazysweep")
+	if err == nil || !strings.Contains(err.Error(), `unknown collector config "lazysweep" (want concurrent, stw)`) {
+		t.Errorf("parseCollectors(lazysweep) = %v, want an unknown-config error naming concurrent, stw", err)
+	}
+}
+
+// TestServeListenErrorClosesEvents: serve mode on an address already in use
+// returns the listen error, and closes the -events file on that path too.
+func TestServeListenErrorClosesEvents(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	o := goodServe()
+	o.addr = ln.Addr().String()
+	o.heapWords = 1 << 16
+	o.allocBuf = 0
+	o.events = filepath.Join(t.TempDir(), "ev.ndjson")
+	if err := validate(o); err != nil {
+		t.Fatalf("validate = %v, want the options accepted", err)
+	}
+	err = runServe(o)
+	if err == nil || !strings.Contains(err.Error(), "address already in use") {
+		t.Fatalf("runServe = %v, want the listen error", err)
+	}
+	if openFiles(t, o.events) != 0 {
+		t.Errorf("%s still open after runServe returned", o.events)
+	}
+}
+
+// openFiles counts this process's file descriptors open on path. It skips
+// the test where /proc/self/fd does not exist.
+func openFiles(t *testing.T, path string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open files: %v", err)
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == path {
+			n++
+		}
+	}
+	return n
 }
 
 // get fetches a path from the test server and returns the body.

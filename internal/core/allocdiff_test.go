@@ -17,14 +17,148 @@ import (
 // violations by their formatted text (class names and paths, never
 // addresses), and the heap accounting by totals.
 
+// sweepWorld is one runtime driven by a byte-coded mutator script (apply)
+// that allocates, wires and clears references and makes all five kinds of
+// assertion. The differential tests run the same script against worlds that
+// differ in one knob and compare what the collector leaves behind.
+const sweepSlots = 8
+
+type sweepWorld struct {
+	rt          *Runtime
+	th          *Thread
+	fr          *Frame
+	node, leaf  *Class
+	aOff, bOff  uint16
+	regionDepth int
+}
+
+// buildSweepWorld is the script's world on a small Infrastructure heap.
+func buildSweepWorld(collector CollectorKind) *sweepWorld {
+	return newSweepWorld(New(Config{
+		HeapWords: 1 << 13,
+		Mode:      Infrastructure,
+		Collector: collector,
+	}))
+}
+
+// newSweepWorld defines the script's classes on rt and roots its frame.
+func newSweepWorld(rt *Runtime) *sweepWorld {
+	node := rt.DefineClass("Node", RefField("a"), RefField("b"))
+	leaf := rt.DefineSubclass("Leaf", node)
+	w := &sweepWorld{
+		rt: rt, th: rt.MainThread(), node: node, leaf: leaf,
+		aOff: node.MustFieldIndex("a"), bOff: node.MustFieldIndex("b"),
+	}
+	w.fr = w.th.PushFrame(sweepSlots)
+	// Instance-count limits tight enough that the scripts actually trip
+	// them, so InstanceCount violations are part of every comparison.
+	if err := rt.AssertInstancesIncludingSubclasses(node, 24); err != nil {
+		panic(err)
+	}
+	if err := rt.AssertInstances(leaf, 6); err != nil {
+		panic(err)
+	}
+	return w
+}
+
+// isNodeLike reports whether r is a Node or Leaf (has the a/b ref fields).
+func (w *sweepWorld) isNodeLike(r Ref) bool {
+	c := w.rt.ClassOf(r)
+	return c == w.node || c == w.leaf
+}
+
+// apply runs one script op. The op stream must be identical across the
+// worlds being compared; collections are driven by the caller so every world
+// collects at the same points.
+func (w *sweepWorld) apply(code, i, k byte) {
+	slot := int(i) % sweepSlots
+	switch code % 9 {
+	case 0: // alloc node into slot
+		w.fr.SetLocal(slot, w.th.New(w.node))
+	case 1: // alloc leaf (subclass) into slot
+		w.fr.SetLocal(slot, w.th.New(w.leaf))
+	case 2: // alloc ref array into slot
+		w.fr.SetLocal(slot, w.th.NewRefArray(1+int(k)%6))
+	case 3: // wire slot -> slot
+		src := w.fr.Local(slot)
+		dst := w.fr.Local(int(k) % sweepSlots)
+		if src == Nil {
+			return
+		}
+		if w.isNodeLike(src) {
+			off := w.aOff
+			if k%2 == 1 {
+				off = w.bOff
+			}
+			w.rt.SetRef(src, off, dst)
+		} else if n := w.rt.ArrLen(src); n > 0 {
+			w.rt.ArrSetRef(src, int(k)%n, dst)
+		}
+	case 4: // clear slot
+		w.fr.SetLocal(slot, Nil)
+	case 5: // assert-dead
+		if r := w.fr.Local(slot); r != Nil {
+			_ = w.rt.AssertDead(r)
+		}
+	case 6: // assert-unshared
+		if r := w.fr.Local(slot); r != Nil {
+			_ = w.rt.AssertUnshared(r)
+		}
+	case 7: // region bracket: open, or close asserting all dead
+		if w.regionDepth < 2 && k%2 == 0 {
+			if w.th.StartRegion() == nil {
+				w.regionDepth++
+			}
+		} else if w.regionDepth > 0 {
+			if err := w.th.AssertAllDead(); err == nil {
+				w.regionDepth--
+			}
+		}
+	case 8: // assert-owned-by between two slots
+		owner := w.fr.Local(slot)
+		ownee := w.fr.Local(int(k) % sweepSlots)
+		if owner != Nil && ownee != Nil && owner != ownee &&
+			w.isNodeLike(owner) && w.isNodeLike(ownee) {
+			_ = w.rt.AssertOwnedBy(owner, ownee)
+		}
+	}
+}
+
+// renderViolations formats the recorded violations as a sorted multiset.
+func renderViolations(rt *Runtime) []string {
+	var out []string
+	for _, v := range rt.Violations() {
+		out = append(out, v.Format())
+	}
+	sort.Strings(out)
+	return out
+}
+
+// compareSweepWorlds requires address-exact identical state: live sets,
+// free lists and violation multisets.
+func compareSweepWorlds(t *testing.T, label string, base, other *sweepWorld) {
+	t.Helper()
+	if a, b := base.rt.LiveSet(), other.rt.LiveSet(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: live sets differ (%d vs %d objects)", label, len(a), len(b))
+	}
+	if a, b := base.rt.FreeChunks(), other.rt.FreeChunks(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: free lists differ: %v vs %v", label, a, b)
+	}
+	if a, b := renderViolations(base.rt), renderViolations(other.rt); !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: violations differ:\n  base:  %v\n  other: %v", label, a, b)
+	}
+	if errs := other.rt.CheckFreeLists(); len(errs) > 0 {
+		t.Fatalf("%s: free lists corrupt: %v", label, errs[0])
+	}
+}
+
 // buildAllocWorld is buildSweepWorld plus an allocation-buffer size and an
 // incremental mark budget.
-func buildAllocWorld(collector CollectorKind, bufWords int, lazy bool, incBudget int) *sweepWorld {
+func buildAllocWorld(collector CollectorKind, bufWords int, incBudget int) *sweepWorld {
 	return newSweepWorld(New(Config{
 		HeapWords:         1 << 13,
 		Mode:              Infrastructure,
 		Collector:         collector,
-		LazySweep:         lazy,
 		IncrementalBudget: incBudget,
 		AllocBuffers:      bufWords,
 	}))
@@ -81,62 +215,56 @@ func compareAllocWorlds(t *testing.T, label string, direct, buffered *sweepWorld
 }
 
 // TestAllocBufferDifferential runs identical scripts against a direct and a
-// buffered world under both stop-the-world collectors, with the eager and
-// the lazy sweep. All five assertion kinds are in the op mix, so the batched
-// bookkeeping (alloc counters, region recording) is exercised on every path.
+// buffered world under both stop-the-world collectors. All five assertion
+// kinds are in the op mix, so the batched bookkeeping (alloc counters, region
+// recording) is exercised on every path.
 func TestAllocBufferDifferential(t *testing.T) {
 	SetDebugChecks(true)
 	defer SetDebugChecks(false)
 
 	for _, collector := range []CollectorKind{MarkSweep, Generational} {
-		for _, lazy := range []bool{false, true} {
-			name := fmt.Sprintf("%s/eager", collector)
-			if lazy {
-				name = fmt.Sprintf("%s/lazy", collector)
-			}
-			t.Run(name, func(t *testing.T) {
-				for seed := int64(1); seed <= 3; seed++ {
-					rng := rand.New(rand.NewSource(seed))
-					direct := buildAllocWorld(collector, 0, lazy, 0)
-					buffered := buildAllocWorld(collector, 256, lazy, 0)
+		t.Run(fmt.Sprintf("%s/eager", collector), func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				direct := buildAllocWorld(collector, 0, 0)
+				buffered := buildAllocWorld(collector, 256, 0)
 
-					for round := 0; round < 6; round++ {
-						for step := 0; step < 80; step++ {
-							code, i, k := byte(rng.Intn(9)), byte(rng.Intn(256)), byte(rng.Intn(256))
-							direct.apply(code, i, k)
-							buffered.apply(code, i, k)
-						}
-						if collector == Generational && round%2 == 1 {
-							if err := direct.rt.Collect(); err != nil {
-								t.Fatalf("seed %d round %d: Collect (direct): %v", seed, round, err)
-							}
-							if err := buffered.rt.Collect(); err != nil {
-								t.Fatalf("seed %d round %d: Collect (buffered): %v", seed, round, err)
-							}
-						}
-						if err := direct.rt.GC(); err != nil {
-							t.Fatalf("seed %d round %d: GC (direct): %v", seed, round, err)
-						}
-						if err := buffered.rt.GC(); err != nil {
-							t.Fatalf("seed %d round %d: GC (buffered): %v", seed, round, err)
-						}
-						compareAllocWorlds(t, fmt.Sprintf("seed %d round %d", seed, round), direct, buffered)
+				for round := 0; round < 6; round++ {
+					for step := 0; step < 80; step++ {
+						code, i, k := byte(rng.Intn(9)), byte(rng.Intn(256)), byte(rng.Intn(256))
+						direct.apply(code, i, k)
+						buffered.apply(code, i, k)
 					}
-
-					if errs := buffered.rt.VerifyHeap(); len(errs) > 0 {
-						t.Fatalf("seed %d: buffered heap corrupt: %v", seed, errs[0])
+					if collector == Generational && round%2 == 1 {
+						if err := direct.rt.Collect(); err != nil {
+							t.Fatalf("seed %d round %d: Collect (direct): %v", seed, round, err)
+						}
+						if err := buffered.rt.Collect(); err != nil {
+							t.Fatalf("seed %d round %d: Collect (buffered): %v", seed, round, err)
+						}
 					}
-					// The comparison is vacuous unless the fast path actually
-					// served allocations.
-					if n := buffered.rt.Stats().Heap.BufferAllocs; n == 0 {
-						t.Fatalf("seed %d: buffered world never used the bump fast path", seed)
+					if err := direct.rt.GC(); err != nil {
+						t.Fatalf("seed %d round %d: GC (direct): %v", seed, round, err)
 					}
-					if n := direct.rt.Stats().Heap.BufferCarves; n != 0 {
-						t.Fatalf("seed %d: direct world carved %d buffers", seed, n)
+					if err := buffered.rt.GC(); err != nil {
+						t.Fatalf("seed %d round %d: GC (buffered): %v", seed, round, err)
 					}
+					compareAllocWorlds(t, fmt.Sprintf("seed %d round %d", seed, round), direct, buffered)
 				}
-			})
-		}
+
+				if errs := buffered.rt.VerifyHeap(); len(errs) > 0 {
+					t.Fatalf("seed %d: buffered heap corrupt: %v", seed, errs[0])
+				}
+				// The comparison is vacuous unless the fast path actually
+				// served allocations.
+				if n := buffered.rt.Stats().Heap.BufferAllocs; n == 0 {
+					t.Fatalf("seed %d: buffered world never used the bump fast path", seed)
+				}
+				if n := direct.rt.Stats().Heap.BufferCarves; n != 0 {
+					t.Fatalf("seed %d: direct world carved %d buffers", seed, n)
+				}
+			}
+		})
 	}
 }
 
@@ -150,8 +278,8 @@ func TestAllocBufferIncrementalDifferential(t *testing.T) {
 	defer SetDebugChecks(false)
 
 	rng := rand.New(rand.NewSource(5))
-	direct := buildAllocWorld(MarkSweep, 0, false, 8)
-	buffered := buildAllocWorld(MarkSweep, 256, false, 8)
+	direct := buildAllocWorld(MarkSweep, 0, 8)
+	buffered := buildAllocWorld(MarkSweep, 256, 8)
 	bornBlack := 0 // buffers carved inside an open cycle
 
 	for round := 0; round < 6; round++ {
@@ -209,8 +337,8 @@ func TestAllocBufferIncrementalDifferential(t *testing.T) {
 // comparing against a direct world after the same allocations and checking
 // the capacity invariant. The observation must not flush the buffer.
 func TestAllocBufferStatsFolding(t *testing.T) {
-	direct := buildAllocWorld(MarkSweep, 0, false, 0)
-	buffered := buildAllocWorld(MarkSweep, 256, false, 0)
+	direct := buildAllocWorld(MarkSweep, 0, 0)
+	buffered := buildAllocWorld(MarkSweep, 256, 0)
 
 	for i := 0; i < 40; i++ {
 		direct.apply(0, byte(i), 0)
@@ -242,8 +370,8 @@ func TestAllocBufferStatsFolding(t *testing.T) {
 // direct world) and never carves a buffer.
 func TestAllocBufferDisabledBehavior(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	implicit := buildSweepWorld(MarkSweep, false) // no AllocBuffers field at all
-	explicit := buildAllocWorld(MarkSweep, 0, false, 0)
+	implicit := buildSweepWorld(MarkSweep) // no AllocBuffers field at all
+	explicit := buildAllocWorld(MarkSweep, 0, 0)
 
 	for round := 0; round < 3; round++ {
 		for step := 0; step < 80; step++ {

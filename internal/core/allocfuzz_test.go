@@ -31,8 +31,8 @@ func FuzzAllocBuffer(f *testing.F) {
 		// Buffer sizes around the minimum stress refill churn; larger ones
 		// stress tail retirement.
 		bufWords := []int{64, 256, 1024}[int(data[1])%3]
-		direct := buildAllocWorld(collector, 0, false, 0)
-		buffered := buildAllocWorld(collector, bufWords, false, 0)
+		direct := buildAllocWorld(collector, 0, 0)
+		buffered := buildAllocWorld(collector, bufWords, 0)
 
 		const maxOps = 300
 		ops := 0

@@ -38,8 +38,7 @@ func (rt *Runtime) HeaderFlags(r Ref) uint64 {
 }
 
 // FreeChunks returns the heap's free-list contents in the allocator's
-// deterministic bin order. A pending lazy sweep is completed first so the
-// observation reflects the settled heap.
+// deterministic bin order.
 func (rt *Runtime) FreeChunks() []vmheap.FreeChunk {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -48,11 +47,10 @@ func (rt *Runtime) FreeChunks() []vmheap.FreeChunk {
 }
 
 // SetDebugChecks toggles the heap's free-list integrity verification,
-// which then runs after every sweep pass (eager, lazy completion) and
-// panics on the first violation. Process-wide; the sweep
-// differential and fuzz tests enable it so every sweep self-checks. A
-// runtime created while it is on also checks the single-mutator contract
-// (Runtime.mutators) until NewThread runs.
+// which then runs after every sweep pass and panics on the first
+// violation. Process-wide; the differential and fuzz tests enable it so
+// every sweep self-checks. A runtime created while it is on also checks the
+// single-mutator contract (Runtime.mutators) until NewThread runs.
 func SetDebugChecks(on bool) { vmheap.DebugChecks = on }
 
 // CheckFreeLists runs the free-list integrity checks once, returning all

@@ -109,15 +109,6 @@ type Config struct {
 	// completed with no caller. Off by default: all published figures use
 	// the paper's synchronous collections.
 	ConcurrentGC bool
-	// LazySweep defers reclamation: a collection ends after the mark phase
-	// plus a header-only census, and each heap segment is actually swept —
-	// assertion-engine bookkeeping included — the first time the allocator
-	// needs a chunk from it, so the post-mark pause drops to near zero.
-	// Statistics, violations, and (once the deferred sweep completes) the
-	// heap itself are identical to the eager sweep (the default, the
-	// paper's configuration; all published figures use it), which is the
-	// same walk run at once over the whole heap.
-	LazySweep bool
 	// AllocBuffers > 0 enables the bump-pointer allocation fast path: each
 	// thread allocates from a private buffer of that many words carved off
 	// the free lists in one piece, and the per-allocation bookkeeping
@@ -364,7 +355,6 @@ func New(cfg Config) *Runtime {
 	default:
 		panic(fmt.Sprintf("core: unknown collector kind %d", cfg.Collector))
 	}
-	rt.heap.SetLazySweep(cfg.LazySweep)
 	rt.heap.SetTelemetry(rt.tele)
 	rt.collector.SetTelemetry(rt.tele)
 	// Hidden-register pins become roots at every root scan, and pin stamps
@@ -560,24 +550,6 @@ func (rt *Runtime) GCActive() bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.cycleOpen()
-}
-
-// CompleteSweep drives any pending lazy sweep to completion (a no-op under
-// the eager modes, or when nothing is pending). The deferred bookkeeping —
-// hook calls, free-list installs — runs exactly as the allocator would have
-// triggered it, just all at once.
-func (rt *Runtime) CompleteSweep() {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.heap.CompleteSweep()
-}
-
-// SweepPending reports whether a lazy sweep has unswept segments
-// outstanding.
-func (rt *Runtime) SweepPending() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.heap.SweepPending()
 }
 
 // Violations returns the assertion violations recorded so far.

@@ -27,9 +27,6 @@ type Snapshot struct {
 	GC   gc.Stats
 	// Asserts is zero in Base mode.
 	Asserts assertions.Stats
-	// Sweep counts lazy sweep activity; all zero under the default eager
-	// sweep.
-	Sweep vmheap.SweepModeStats
 	// Pacer counts cycle-scheduler activity; all zero without
 	// Config.IncrementalBudget.
 	Pacer PacerStats
@@ -49,8 +46,7 @@ func (rt *Runtime) Stats() Snapshot {
 			TotalAllocs:   rt.heap.TotalAllocs(),
 			TotalWords:    rt.heap.TotalAllocWords(),
 		},
-		GC:    *rt.collector.Stats(),
-		Sweep: rt.heap.SweepModeStats(),
+		GC: *rt.collector.Stats(),
 	}
 	s.Heap.BufferCarves, s.Heap.BufferAllocs = rt.heap.BufferStats()
 	// Fold in allocations still batched in active allocation buffers so

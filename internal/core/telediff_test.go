@@ -26,21 +26,7 @@ func buildTeleWorld(cfg Config, sink *bytes.Buffer) *sweepWorld {
 	if sink != nil {
 		cfg.Telemetry = &telemetry.Config{Sink: sink}
 	}
-	rt := New(cfg)
-	node := rt.DefineClass("Node", RefField("a"), RefField("b"))
-	leaf := rt.DefineSubclass("Leaf", node)
-	w := &sweepWorld{
-		rt: rt, th: rt.MainThread(), node: node, leaf: leaf,
-		aOff: node.MustFieldIndex("a"), bOff: node.MustFieldIndex("b"),
-	}
-	w.fr = w.th.PushFrame(sweepSlots)
-	if err := rt.AssertInstancesIncludingSubclasses(node, 24); err != nil {
-		panic(err)
-	}
-	if err := rt.AssertInstances(leaf, 6); err != nil {
-		panic(err)
-	}
-	return w
+	return newSweepWorld(New(cfg))
 }
 
 // stripTimes zeroes the wall-clock fields of a snapshot. Durations
@@ -70,7 +56,7 @@ func compareTeleWorlds(t *testing.T, label string, silent, traced *sweepWorld) {
 }
 
 // TestTelemetryDifferential runs identical scripts through a silent and a
-// recording world across the collector/sweep/alloc configurations that host
+// recording world across the collector/alloc/incremental configurations that host
 // emit points, checking byte-identical outcomes and a well-formed event
 // stream on the recording side.
 func TestTelemetryDifferential(t *testing.T) {
@@ -82,10 +68,10 @@ func TestTelemetryDifferential(t *testing.T) {
 		cfg  Config
 	}{
 		{"marksweep", Config{}},
-		{"marksweep/lazy", Config{LazySweep: true}},
 		{"marksweep/buffered", Config{AllocBuffers: 256}},
+		{"marksweep/incremental", Config{IncrementalBudget: 8}},
 		{"generational", Config{Collector: Generational}},
-		{"generational/lazy", Config{Collector: Generational, LazySweep: true}},
+		{"generational/buffered", Config{Collector: Generational, AllocBuffers: 256}},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {

@@ -135,40 +135,40 @@ func TestTelemetryBufferCarveRetire(t *testing.T) {
 	}
 }
 
-// TestTelemetryLazySegmentsMatchStats: Stats and the telemetry stream count
-// the same deferred range sweeps, and a fully buffered run reports every
-// allocation as a buffer allocation.
-func TestTelemetryLazySegmentsMatchStats(t *testing.T) {
+// TestTelemetrySweepsMatchStats: Stats and the telemetry stream count the
+// same sweep passes, and a fully buffered run reports every allocation as a
+// buffer allocation.
+func TestTelemetrySweepsMatchStats(t *testing.T) {
 	rt := New(Config{
 		HeapWords: 1 << 14, Mode: Infrastructure,
-		LazySweep: true, AllocBuffers: 64, Telemetry: &telemetry.Config{},
+		AllocBuffers: 64, Telemetry: &telemetry.Config{},
 	})
 	node := rt.DefineClass("Node", RefField("a"))
 	th := rt.MainThread()
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 2000; i++ {
-			th.New(node) // garbage, so the deferred sweep has work
+			th.New(node) // garbage, so the sweep has work
 		}
 		if err := rt.GC(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 2000; i++ {
-		th.New(node) // the allocator sweeps pending ranges on demand
+		th.New(node)
 	}
 
 	st, m := rt.Stats(), rt.Metrics()
-	if st.Sweep.LazySweeps != 2 || st.Sweep.DemandSegments == 0 {
-		t.Fatalf("the script no longer defers sweeps and sweeps on demand: %+v", st.Sweep)
+	if st.GC.Collections < 2 || st.GC.FreedObjects == 0 {
+		t.Fatalf("the script no longer collects garbage: %+v", st.GC)
 	}
-	var segments uint64
+	var sweeps uint64
 	for _, p := range m.Phases {
-		if p.Phase == telemetry.PhaseLazySegment.String() {
-			segments = p.Count
+		if p.Phase == telemetry.PhaseSweep.String() {
+			sweeps = p.Count
 		}
 	}
-	if got := st.Sweep.DemandSegments + st.Sweep.CompletionSegments; got != segments {
-		t.Errorf("Stats().Sweep counts %d deferred range sweeps, telemetry recorded %d", got, segments)
+	if sweeps != st.GC.Collections {
+		t.Errorf("Stats().GC counts %d collections, telemetry recorded %d sweeps", st.GC.Collections, sweeps)
 	}
 	if st.Heap.BufferAllocs != st.Heap.TotalAllocs {
 		t.Errorf("Stats().Heap.BufferAllocs = %d of %d allocations, all of them buffered", st.Heap.BufferAllocs, st.Heap.TotalAllocs)

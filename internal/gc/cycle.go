@@ -147,10 +147,6 @@ func (c *fullCycle) CollectFull() error {
 	c.prep() // root scan and sweep share this pause; one gather covers both
 	c.tele.CycleBegin()
 	start := time.Now()
-	// A lazy sweep still pending from the previous cycle must finish before
-	// this trace: its unswept ranges carry stale mark bits and uninstalled
-	// free runs. The leftover reclamation is charged to this pause.
-	c.heap.CompleteSweep()
 	t := c.tracer
 	t.Reset()
 	if c.mode == Infrastructure {
@@ -160,21 +156,12 @@ func (c *fullCycle) CollectFull() error {
 		t.TraceBase(c.roots)
 	}
 	clear := c.preSweep()
-
-	// A stop-the-world trace counted every mark, so a lazy sweep can skip its
-	// census walk entirely (vmheap.SweepOptions.MarkedKnown).
-	ts := t.Stats()
-	sw := c.sweep(vmheap.SweepOptions{
-		ClearFlags:    clear,
-		MarkedKnown:   true,
-		MarkedObjects: ts.Visited,
-		MarkedWords:   ts.VisitedWords,
-	})
+	sw := c.sweep(vmheap.SweepOptions{ClearFlags: clear})
 
 	elapsed := time.Since(start)
 	c.tele.Pause(elapsed)
 	c.stats.addFullWork(elapsed)
-	c.foldFull(ts, sw)
+	c.foldFull(t.Stats(), sw)
 	return c.halted()
 }
 
@@ -196,9 +183,6 @@ func (c *fullCycle) StartFull() {
 	c.prep()
 	c.tele.CycleBegin()
 	begin := time.Now()
-	// A lazy sweep pending from the previous cycle must finish before the
-	// snapshot is taken: its unswept ranges carry stale mark bits.
-	c.heap.CompleteSweep()
 	t := c.tracer
 	t.Reset()
 	t.BeginIncremental()

@@ -60,20 +60,12 @@ func (c *Generational) Name() string { return "Generational" }
 // WriteBarrier records a mature object into the remembered set the first
 // time a reference is stored into it. Object-granularity remembering is
 // conservative (the object may point only at mature children) but sound.
-//
-// A survivor of a pending lazy sweep does not carry FlagMature yet — its
-// promotion happens when its range is swept — but the minor trace will
-// already treat it as a boundary, so a store into it must be remembered
-// now; PendingPromotion covers that window.
 func (c *Generational) WriteBarrier(parent vmheap.Ref) {
 	if parent == vmheap.Nil {
 		return
 	}
 	h := c.heap.Header(parent)
-	if h&vmheap.FlagRemember != 0 {
-		return
-	}
-	if h&vmheap.FlagMature == 0 && !c.heap.PendingPromotion(parent) {
+	if h&vmheap.FlagRemember != 0 || h&vmheap.FlagMature == 0 {
 		return
 	}
 	c.heap.SetFlags(parent, vmheap.FlagRemember)
@@ -119,8 +111,6 @@ func (c *Generational) collectMinor() error {
 	c.prep() // the minor sweep reclaims unpinned nursery objects too
 	c.tele.CycleBegin()
 	start := time.Now()
-	// Finish any lazily pending sweep before tracing (stale mark bits).
-	c.heap.CompleteSweep()
 	c.tracer.Reset()
 	c.tracer.TraceMinor(c.roots, c.remembered)
 

@@ -33,10 +33,6 @@ var servingCollectors = map[string]func(*core.Config){
 	"concurrent": func(cfg *core.Config) {
 		cfg.ConcurrentGC = true
 	},
-	// lazysweep: stop-the-world mark with demand-driven sweeping (DESIGN §8).
-	"lazysweep": func(cfg *core.Config) {
-		cfg.LazySweep = true
-	},
 }
 
 // ServingCollectorNames returns the known collector-config names.

@@ -301,8 +301,8 @@ func TestStalenessSideTabDifferential(t *testing.T) {
 		{"serial", func() core.Config {
 			return core.Config{HeapWords: 1 << 14, Mode: core.Infrastructure}
 		}},
-		{"lazysweep", func() core.Config {
-			return core.Config{HeapWords: 1 << 14, Mode: core.Infrastructure, LazySweep: true}
+		{"generational", func() core.Config {
+			return core.Config{HeapWords: 1 << 14, Mode: core.Infrastructure, Collector: core.Generational}
 		}},
 		{"concurrent", func() core.Config {
 			return core.Config{

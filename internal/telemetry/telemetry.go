@@ -48,11 +48,8 @@ const (
 	PhaseOwnership
 	// PhaseMinorMark is a generational minor (nursery) trace.
 	PhaseMinorMark
-	// PhaseSweep is one sweep pass (eager, or the lazy census/arm).
+	// PhaseSweep is one sweep pass over the whole heap.
 	PhaseSweep
-	// PhaseLazySegment is one deferred segment sweep performed on
-	// allocation demand under the lazy sweep mode.
-	PhaseLazySegment
 	// PhaseIncRoots is the snapshot pause that starts an incremental cycle.
 	PhaseIncRoots
 	// PhaseIncSlice is one bounded incremental mark slice.
@@ -71,7 +68,7 @@ const (
 // phaseNames are the wire and metric names; indexes match the constants.
 var phaseNames = [numPhases]string{
 	"mark", "ownership", "minor_mark",
-	"sweep", "lazy_segment", "inc_roots", "inc_slice", "inc_barrier", "inc_finish",
+	"sweep", "inc_roots", "inc_slice", "inc_barrier", "inc_finish",
 	"assist",
 }
 

@@ -118,9 +118,8 @@ func (t *Tracer) SetChecks(c Checks) { t.checks = c }
 func (t *Tracer) SetTelemetry(rec *telemetry.Recorder) { t.tele = rec }
 
 // mark sets c's mark bit and counts the first visit; hd is c's header as
-// the caller loaded it. The size accumulation gives the collector exact live
-// totals at mark termination (VisitedWords), which lets a lazy sweep skip
-// its stats census.
+// the caller loaded it. The size accumulation gives the collector the marked
+// words of each cycle (VisitedWords, which feeds gc.Stats.MarkedWords).
 func (t *Tracer) mark(c vmheap.Ref, hd uint64) {
 	t.heap.SetFlags(c, vmheap.FlagMark)
 	t.countVisit(hd)

@@ -62,7 +62,7 @@ func (h *Heap) Alloc(kind Kind, classID uint32, fieldWords uint32) (Ref, error) 
 		return Nil, fmt.Errorf("vmheap: object of %d words exceeds maximum %d", size, MaxObjectWords)
 	}
 
-	addr := h.carveDemand(size)
+	addr := h.carve(size)
 	if addr == Nil {
 		return Nil, ErrHeapExhausted
 	}
@@ -110,18 +110,6 @@ func ObjectWords(kind Kind, fieldWords uint32) uint32 {
 	return size
 }
 
-// carveDemand is carve plus lazy mode's demand sweeping: the free lists
-// only describe already-swept parse ranges, so on a miss the next range is
-// reclaimed (ascending, so coalescing matches the eager sweep) and the
-// carve retried. Nil is only returned once every range has been reclaimed.
-func (h *Heap) carveDemand(size uint32) Ref {
-	addr := h.carve(size)
-	for addr == Nil && h.sweepSegment(true) {
-		addr = h.carve(size)
-	}
-	return addr
-}
-
 // carve finds a free chunk of at least size words, removes it from its free
 // list, splits off any remainder back onto the free lists, and returns its
 // address. It returns Nil if no chunk is large enough.
@@ -161,10 +149,9 @@ func (h *Heap) popBin(b int, addr Ref) {
 // unlinkChunk removes the free chunk of the given size at addr from its
 // free list. The chunk must be listed: the only caller is buffer-tail
 // coalescing, and any free-flagged chunk adjacent to a carved buffer is a
-// post-sweep subdivision sitting on the lists (stale pre-sweep flags exist
-// only in unswept lazy ranges, which buffers never border). The walk is
-// usually O(1): the merge target is almost always the carve's own split
-// remainder, still at the head of its bin.
+// post-sweep subdivision sitting on the lists. The walk is usually O(1): the
+// merge target is almost always the carve's own split remainder, still at
+// the head of its bin.
 func (h *Heap) unlinkChunk(addr Ref, size uint32) {
 	b := binFor(size)
 	head := h.largeBin

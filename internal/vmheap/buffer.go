@@ -77,7 +77,7 @@ func (h *Heap) CarveBuffer(b *AllocBuffer, minWords, prefWords uint32) bool {
 		want = floor
 	}
 	for {
-		if addr := h.carveDemand(want); addr != Nil {
+		if addr := h.carve(want); addr != Nil {
 			// The carved chunk can exceed the request when the remainder
 			// was too small to split off; the buffer absorbs it.
 			size := headerSize(h.words[addr])
@@ -140,15 +140,11 @@ func (b *AllocBuffer) Alloc(kind Kind, classID uint32, fieldWords uint32) (Ref, 
 //
 // The tail is coalesced with the chunk that follows the buffer when that
 // chunk is free — typically the carve's own split remainder — preserving
-// the no-adjacent-free-chunks invariant the direct allocator maintains.
-// The merge never erases a recorded parse-range boundary: buffers are
-// carved from post-sweep free space, so the chunk at the buffer's end can
-// only be a post-sweep subdivision, and sweeps record only the coalesced
-// chunk starts that exist when they run. No backward merge is needed: the
-// word before the tail is one of this buffer's own objects (CarveBuffer is
-// always followed by at least one bump allocation before any retire the
-// runtime issues, and free chunks are never created in front of a carved
-// run while sweeping is excluded).
+// the no-adjacent-free-chunks invariant the direct allocator maintains. No
+// backward merge is needed: the word before the tail is one of this
+// buffer's own objects (CarveBuffer is always followed by at least one bump
+// allocation before any retire the runtime issues, and free chunks are
+// never created in front of a carved run while sweeping is excluded).
 func (b *AllocBuffer) Retire() {
 	h := b.h
 	if h == nil {

@@ -3,10 +3,8 @@ package vmheap
 import "fmt"
 
 // DebugChecks enables free-list integrity verification after every sweep
-// pass (eager, and lazy completion), and has a completed lazy sweep check the
-// totals it reclaimed against the ones it reported. Off by default — the
-// check walks every free list, which would distort the pause measurements
-// the sweep modes exist to improve. Tests flip it through the runtime's
+// pass. Off by default — the check walks every free list, which would
+// distort pause measurements. Tests flip it through the runtime's
 // debug toggle (core.SetDebugChecks); it is a plain bool because the heap
 // is externally serialized.
 var DebugChecks bool
@@ -21,9 +19,7 @@ var DebugChecks bool
 //     bins hold exactly their size class; the large list holds only
 //     sizes beyond the exact bins).
 //
-// It returns all violations found (nil for healthy lists). Unlike Verify it
-// does not complete a pending lazy sweep — it is called from inside sweep
-// passes — so under a pending sweep it covers the chunks installed so far.
+// It returns all violations found (nil for healthy lists).
 func (h *Heap) CheckFreeLists() []error {
 	var errs []error
 	check := func(bin int, head Ref) {

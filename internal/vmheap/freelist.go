@@ -11,9 +11,6 @@ type FreeChunk struct {
 // deterministic order — the exact bins in ascending size order, then the
 // large list, each in list order — without materializing a slice. It stops
 // early if fn returns false and reports whether the walk ran to completion.
-// While a lazy sweep is pending the walk covers only chunks from
-// already-swept ranges; callers wanting the settled state go through
-// FreeChunks, which completes the sweep first.
 func (h *Heap) EachFreeChunk(fn func(FreeChunk) bool) bool {
 	walk := func(head Ref) bool {
 		for r := head; r != Nil; r = Ref(h.words[uint32(r)+freeNextSlot]) {
@@ -42,10 +39,8 @@ func (h *Heap) FreeChunkCount() int {
 // FreeChunks returns every free-list chunk in the EachFreeChunk order. Two
 // heaps that went through identical allocation and collection histories
 // return identical slices, which the differential tests use to compare
-// eager and (completed) lazy collections. A pending lazy sweep
-// is completed first so the observation is exact.
+// collector modes.
 func (h *Heap) FreeChunks() []FreeChunk {
-	h.CompleteSweep()
 	out := make([]FreeChunk, 0, h.FreeChunkCount())
 	h.EachFreeChunk(func(c FreeChunk) bool {
 		out = append(out, c)

@@ -53,32 +53,18 @@ type Heap struct {
 	allocCount uint64 // total successful allocations over the heap lifetime
 	allocWords uint64 // total words ever allocated
 
-	// Sweep segmentation (segment.go). segBounds is the parse-range table
-	// recorded by the last sweep: segBounds[i] is the first chunk header at
-	// or above the nominal base i*segWords, and the final entry is the
-	// arena end. segScratch double-buffers the rebuild. lazySweep selects
-	// the mode (SetLazySweep); lazy holds the deferred state of a pending
-	// lazy sweep.
-	segWords   uint32
-	segBounds  []Ref
-	segScratch []Ref
-	lazySweep  bool
-	lazy       lazyState
-	sweepStats SweepModeStats
-
-	// tele, when non-nil, receives sweep-phase spans, deferred-segment
-	// spans, and buffer carve/retire events (core wires it from
-	// Config.Telemetry). Nil — the default, and the published
-	// configuration — costs one predictable branch per emit point.
+	// tele, when non-nil, receives sweep-phase spans and buffer
+	// carve/retire events (core wires it from Config.Telemetry). Nil — the
+	// default, and the published configuration — costs one predictable
+	// branch per emit point.
 	tele *telemetry.Recorder
 
-	// sweepEpoch counts Sweep passes (full, minor, or the lazy census),
-	// atomically so the runtime's lock-free bump-allocation path can stamp
-	// each allocation with the epoch it was born in. An allocation whose
-	// stamp still equals the current epoch cannot have been reclaimed —
-	// fresh objects are carved from post-sweep free space, which no pending
-	// deferred segment covers — so the stamp certifies a Ref as pinnable at
-	// the next collection start (core's hidden-register roots).
+	// sweepEpoch counts Sweep passes (full or minor), atomically so the
+	// runtime's lock-free bump-allocation path can stamp each allocation
+	// with the epoch it was born in. An allocation whose stamp still equals
+	// the current epoch cannot have been reclaimed, so the stamp certifies a
+	// Ref as pinnable at the next collection start (core's hidden-register
+	// roots).
 	sweepEpoch atomic.Uint64
 }
 
@@ -102,13 +88,11 @@ func New(capWords int) *Heap {
 	h.resetFreeLists()
 	h.installChunk(heapBase, cap-heapBase)
 	h.freeWords = h.CapacityWords()
-	h.initSegments()
 	return h
 }
 
 // SetTelemetry attaches a telemetry recorder; the heap then emits sweep
-// spans, deferred-segment spans, and buffer carve/retire events into it.
-// nil detaches (the default).
+// spans and buffer carve/retire events into it. nil detaches (the default).
 func (h *Heap) SetTelemetry(rec *telemetry.Recorder) { h.tele = rec }
 
 // end is the arena's exclusive upper bound: one past the last word.
@@ -211,18 +195,9 @@ func (h *Heap) SetSlotRef(i uint32, v Ref) { h.words[i] = uint64(v) }
 
 // IsObject reports whether r refers to an allocated object (as opposed to
 // null or a free chunk). It assumes r is either Nil or a Ref previously
-// returned by Alloc whose object may since have been swept. While a lazy
-// sweep is pending, objects in not-yet-swept ranges are judged by the
-// census verdict (the mark bit) so the answer matches what the completed
-// sweep will leave behind.
+// returned by Alloc whose object may since have been swept.
 func (h *Heap) IsObject(r Ref) bool {
-	if r == Nil || h.words[r]&FlagFree != 0 {
-		return false
-	}
-	if h.lazy.pending && r >= h.segBounds[h.lazy.next] {
-		return h.lazy.walk.opts.keeps(h.words[r])
-	}
-	return true
+	return r != Nil && h.words[r]&FlagFree == 0
 }
 
 // Bounds check helper used by debugging tools.
@@ -231,12 +206,9 @@ func (h *Heap) valid(r Ref) bool {
 }
 
 // Iterate walks every allocated object in address order and calls fn with
-// its Ref and header. Free chunks are skipped. fn must not allocate. A
-// pending lazy sweep is completed first so the walk sees only objects that
-// survive it.
+// its Ref and header. Free chunks are skipped. fn must not allocate.
 func (h *Heap) Iterate(fn func(r Ref, header uint64)) {
 	h.AssertNoBuffers("Iterate")
-	h.CompleteSweep()
 	end := h.end()
 	for addr := uint32(heapBase); addr < end; {
 		hd := h.words[addr]

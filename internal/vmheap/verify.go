@@ -34,9 +34,7 @@ type RefFieldsOf interface {
 // reference check (for heaps whose class registry is unavailable).
 //
 // Verify is the runtime's equivalent of a JVM's heap verifier: expensive
-// (two full passes), intended for tests and debugging tools. A pending lazy
-// sweep is completed first: the invariants above describe a settled heap
-// (a half-swept one legitimately carries stale marks and uncoalesced runs).
+// (two full passes), intended for tests and debugging tools.
 func (h *Heap) Verify(layout RefFieldsOf) []error {
 	h.AssertNoBuffers("Verify")
 	var errs []error
@@ -46,7 +44,6 @@ func (h *Heap) Verify(layout RefFieldsOf) []error {
 
 	// Pass 1: parse the arena, collecting object starts and checking the
 	// accounting and free-list coverage.
-	h.CompleteSweep()
 	starts := make(map[Ref]bool)
 	if !h.verifyParse(starts, fail) {
 		return errs // cannot continue parsing
