@@ -25,9 +25,12 @@ bench:
 # collection, the single-mutator lock-elided regime vs the locked one, the
 # staleness side table vs its map model, and the ArrayList over the range accessors vs a
 # Go-slice model in the solo, shared, generational and open-cycle regimes
-# (TestListModel), beside the range accessors' own contract and barrier tests.
+# (TestListModel), beside the range accessors' own contract and barrier tests
+# (GatherData's in every regime), and minidb's Find against a model of its
+# live keys on stop-the-world, concurrent and 2-worker server runtimes
+# (TestFindModel).
 difftest:
-	go test -race -run 'Differential|TestOracle|TestAllocBuffer|TestTelemetry|TestSoloContract|TestListModel|TestRangeAccessors|TestArrCopyRefs' ./internal/...
+	go test -race -run 'Differential|TestOracle|TestAllocBuffer|TestTelemetry|TestSoloContract|TestListModel|TestRangeAccessors|TestArrCopyRefs|TestGatherData|TestFindModel' ./internal/...
 
 # Short coverage-guided fuzz runs: stop-the-world against scheduler-driven
 # incremental cycles, the direct/buffered allocation equivalence, the

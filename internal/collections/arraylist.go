@@ -5,11 +5,10 @@ import "repro/internal/core"
 // initialListCap is the backing-array capacity of a fresh ArrayList.
 const initialListCap = 8
 
-// listBlock is how many elements a scan (ListEach, ListIndexOf) reads from
-// the backing array per core.ArrReadRefs call: one lock hold and one bounds
-// check per block instead of per element, in a buffer small enough to live on
-// the scanning goroutine's stack.
-const listBlock = 64
+// ListBlock is the buffer length ListEach and ListIndexOf scan with: one
+// core.ArrReadRefs call, so one lock hold and one bounds check, per
+// ListBlock elements instead of per element.
+const ListBlock = 64
 
 // NewList allocates an empty ArrayList on th.
 func (k *Kit) NewList(th *core.Thread) core.Ref {
@@ -91,41 +90,55 @@ func (k *Kit) ListClear(list core.Ref) {
 
 // ListIndexOf returns the index of the first element equal to val, or -1.
 func (k *Kit) ListIndexOf(list core.Ref, val core.Ref) int {
-	rt := k.rt
-	size := int(rt.GetInt(list, k.listSize))
-	data := rt.GetRef(list, k.listData)
-	var buf [listBlock]core.Ref
-	for from := 0; from < size; from += listBlock {
-		n := rt.ArrReadRefs(data, from, buf[:min(listBlock, size-from)])
+	at := -1
+	var buf [ListBlock]core.Ref
+	k.ListEachBlock(list, buf[:], func(from, n int) bool {
 		for j, e := range buf[:n] {
 			if e == val {
-				return from + j
+				at = from + j
+				return false
 			}
 		}
-	}
-	return -1
+		return true
+	})
+	return at
 }
 
-// ListEach calls fn for each element in order.
+// ListEach calls fn for each element in order, under ListEachBlock's
+// contract.
+func (k *Kit) ListEach(list core.Ref, fn func(i int, val core.Ref)) {
+	var buf [ListBlock]core.Ref
+	k.ListEachBlock(list, buf[:], func(from, n int) bool {
+		for j, e := range buf[:n] {
+			fn(from+j, e)
+		}
+		return true
+	})
+}
+
+// ListEachBlock reads the list's elements in order into buf, len(buf) at a
+// time, and calls fn(from, n) after each read: buf[:n] then holds elements
+// [from, from+n). It stops when fn returns false. buf must not be empty; the
+// caller owns it, so a caller's closure that reads it keeps it on the stack.
 //
 // fn must not structurally modify the list it is iterating — no ListAdd,
-// ListRemoveAt or ListClear on it — and ListEach does not detect it if fn
-// does: the element count and backing array are read once, before the first
-// call. Elements are read listBlock at a time, each block before its first
-// callback runs, so a ListSet by fn on an element further along the same
-// block is not seen by this iteration. fn may allocate, collect and modify
-// other lists freely: a buffered element is an unrooted Go local, as every
-// ArrGetRef result is, but it is also still an element of the list, and
-// objects do not move.
-func (k *Kit) ListEach(list core.Ref, fn func(i int, val core.Ref)) {
+// ListRemoveAt or ListClear on it — and ListEachBlock does not detect it if
+// fn does: the element count and backing array are read once, before the
+// first call. Each block is read before fn sees it, so a ListSet by fn on an
+// element further along the same block is not seen by this iteration. fn may
+// allocate, collect and modify other lists freely: a buffered element is an
+// unrooted Go local, as every ArrGetRef result is, but it is also still an
+// element of the list, and objects do not move.
+func (k *Kit) ListEachBlock(list core.Ref, buf []core.Ref, fn func(from, n int) bool) {
+	if len(buf) == 0 {
+		panic("collections: ListEachBlock with an empty buffer")
+	}
 	rt := k.rt
 	size := int(rt.GetInt(list, k.listSize))
 	data := rt.GetRef(list, k.listData)
-	var buf [listBlock]core.Ref
-	for from := 0; from < size; from += listBlock {
-		n := rt.ArrReadRefs(data, from, buf[:min(listBlock, size-from)])
-		for j, e := range buf[:n] {
-			fn(from+j, e)
+	for from := 0; from < size; from += len(buf) {
+		if n := rt.ArrReadRefs(data, from, buf[:min(len(buf), size-from)]); !fn(from, n) {
+			return
 		}
 	}
 }

@@ -8,19 +8,19 @@ import (
 )
 
 // TestListModel runs one seeded random ListAdd / ListRemoveAt / ListSet /
-// ListEach / ListIndexOf script against a Go-slice model in the four regimes
-// the range accessors behave differently in: one mutator on a stop-the-world
-// heap (no lock, no barrier), a shared runtime (rt.mu per call), the
-// generational collector (remembered-set barrier; a minor or major collection
-// every few ops) and an incremental one whose cycle is held open across ops —
-// reopened by StartGC as soon as GCStep completes it — so that shifts run the
-// snapshot barrier on a backing array the marker has not reached and growth
-// copies land in an array allocated black. The list is the only path to its
-// elements, so a word moved to the wrong place, or not at all, shows as
-// different contents or a dangling reference. (What a shift without its
-// barrier loses is the element shifted out, which no list holds any more:
-// internal/core's FuzzIncrementalBarrier and TestArrCopyRefsBarriers check
-// that against the stop-the-world verdicts.)
+// ListEach / ListEachBlock / ListIndexOf script against a Go-slice model in
+// the four regimes the range accessors behave differently in: one mutator on
+// a stop-the-world heap (no lock, no barrier), a shared runtime (rt.mu per
+// call), the generational collector (remembered-set barrier; a minor or
+// major collection every few ops) and an incremental one whose cycle is held
+// open across ops — reopened by StartGC as soon as GCStep completes it — so
+// that shifts run the snapshot barrier on a backing array the marker has not
+// reached and growth copies land in an array allocated black. The list is
+// the only path to its elements, so a word moved to the wrong place, or not
+// at all, shows as different contents or a dangling reference. (What a shift
+// without its barrier loses is the element shifted out, which no list holds
+// any more: internal/core's FuzzIncrementalBarrier and TestArrCopyRefsBarriers
+// check that against the stop-the-world verdicts.)
 //
 // After every op the list equals the model, and VerifyHeap is empty whenever
 // no cycle is open (the verifier rejects the mark bits of a cycle in flight,
@@ -138,6 +138,29 @@ func runListModel(t *testing.T, rt *core.Runtime, seed int64, collect func(*core
 		if calls != len(model) {
 			t.Fatalf("seed %d op %d: ListEach made %d calls, want %d", seed, op, calls, len(model))
 		}
+		// Early stop, with a buffer of any length: the blocks run in order
+		// up to the one holding element stop, and no further.
+		if len(model) > 0 {
+			buf := make([]core.Ref, 1+op%(ListBlock+8))
+			stop, seen := op*37%len(model), 0
+			kit.ListEachBlock(list, buf, func(from, n int) bool {
+				if from != seen || n != min(len(buf), len(model)-from) {
+					t.Fatalf("seed %d op %d: block [%d, +%d) after %d elements (len %d, buffer %d)",
+						seed, op, from, n, seen, len(model), len(buf))
+				}
+				for j, e := range buf[:n] {
+					if got := rt.GetInt(e, vOff); got != model[from+j] {
+						t.Fatalf("seed %d op %d: block element %d = %d, want %d", seed, op, from+j, got, model[from+j])
+					}
+				}
+				seen += n
+				return seen <= stop
+			})
+			if want := min(len(model), (stop/len(buf)+1)*len(buf)); seen != want {
+				t.Fatalf("seed %d op %d: stopping at element %d read %d elements, want %d (buffer %d)",
+					seed, op, stop, seen, want, len(buf))
+			}
+		}
 		if !rt.GCActive() {
 			if errs := rt.VerifyHeap(); len(errs) != 0 {
 				t.Fatalf("seed %d op %d: heap corrupt: %v", seed, op, errs[0])
@@ -147,7 +170,7 @@ func runListModel(t *testing.T, rt *core.Runtime, seed int64, collect func(*core
 	if kit.ListIndexOf(list, list) != -1 {
 		t.Errorf("seed %d: ListIndexOf found an object the list does not hold", seed)
 	}
-	if len(model) <= 2*listBlock {
+	if len(model) <= 2*ListBlock {
 		t.Errorf("seed %d: the list ended at %d elements, want more than two scan blocks", seed, len(model))
 	}
 	gc := rt.Stats().GC

@@ -160,10 +160,11 @@ func (rt *Runtime) ArrSetData(arr Ref, i int, v uint64) {
 	rt.heap.SetArrayWord(arr, uint32(i), v)
 }
 
-// Range accessors: a block of reference elements moved or read under one
-// lock hold, one bounds check per range and one barrier per destination
-// array, where the per-element accessors pay all three per element (what
-// System.arraycopy is to a Java loop of array stores).
+// Range accessors: a block of reference elements moved or read, or one data
+// field read from a block of objects, under one lock hold, one bounds check
+// per range and one barrier per destination array, where the per-element
+// accessors pay all three per element (what System.arraycopy is to a Java
+// loop of array stores).
 
 // ArrCopyRefs moves n elements from index si of the reference array src to
 // index di of the reference array dst, as memmove does: src and dst may be
@@ -208,6 +209,25 @@ func (rt *Runtime) ArrReadRefs(arr Ref, from int, buf []Ref) int {
 		buf[j] = Ref(rt.heap.ArrayWord(arr, uint32(from+j)))
 	}
 	return n
+}
+
+// GatherData reads the data field at word offset off of each object in objs
+// into out[i] — GetData over a block of objects under one lock hold — and
+// panics with GetData's FieldError at the first object that is not an
+// instance with that field; out must be at least as long as objs. A read
+// runs no barrier, and an empty objs reads nothing.
+func (rt *Runtime) GatherData(objs []Ref, off uint16, out []uint64) {
+	if m := rt.mutators.Load(); m == manyMutators {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+	} else if m != oneMutator {
+		defer rt.lockMu()()
+	}
+	out = out[:len(objs)]
+	for i, obj := range objs {
+		rt.checkField(obj, off)
+		out[i] = rt.heap.Word(obj, uint32(off))
+	}
 }
 
 // checkRefRange panics unless arr is a reference array (FieldError: a Nil,

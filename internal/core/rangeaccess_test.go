@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/vmheap"
 )
@@ -158,6 +159,131 @@ func TestRangeAccessors(t *testing.T) {
 		refused("ArrReadRefs data array", true, func() { rt.ArrReadRefs(data, 0, buf) })
 		refused("ArrReadRefs Nil", true, func() { rt.ArrReadRefs(Nil, 0, buf) })
 	})
+}
+
+// TestGatherData is GatherData's contract in every locking regime and under
+// the concurrent collector: it reads what GetData reads, object by object, and
+// writes nothing past len(objs); an empty block reads nothing; a bad object
+// panics with the FieldError GetData raises for it — the first bad one — and
+// leaves no lock held; and a read inside an open cycle runs no barrier.
+func TestGatherData(t *testing.T) {
+	eachRegime(t, testGatherData)
+	t.Run("concurrent", func(t *testing.T) {
+		rt := New(Config{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true})
+		testGatherData(t, rt)
+		if err := rt.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func testGatherData(t *testing.T, rt *Runtime) {
+	node := rt.DefineClass("GNode", RefField("next"), DataField("a"), DataField("b"))
+	a, b := node.MustFieldIndex("a"), node.MustFieldIndex("b")
+	th := rt.MainThread()
+	const n = 10
+	f := th.PushFrame(n + 1)
+	objs := make([]Ref, n)
+	for i := range objs {
+		f.SetLocal(i, th.New(node))
+		objs[i] = f.Local(i)
+		rt.SetData(objs[i], a, uint64(3*i+1))
+		rt.SetData(objs[i], b, ^uint64(i))
+	}
+	f.SetLocal(n, th.NewRefArray(2))
+	arr := f.Local(n)
+
+	const untouched = 0xdead
+	out := make([]uint64, n+2)
+	fill := func() {
+		for i := range out {
+			out[i] = untouched
+		}
+	}
+	gather := func(off uint16) {
+		t.Helper()
+		fill()
+		rt.GatherData(objs, off, out)
+		for i, obj := range objs {
+			if want := rt.GetData(obj, off); out[i] != want {
+				t.Errorf("offset %d: out[%d] = %#x, GetData reads %#x", off, i, out[i], want)
+			}
+		}
+		if out[n] != untouched || out[n+1] != untouched {
+			t.Errorf("offset %d: wrote past len(objs): %#x", off, out[n:])
+		}
+	}
+	gather(a)
+	gather(b)
+
+	fill()
+	rt.GatherData(nil, a, out)
+	rt.GatherData(objs[:0], a, nil)
+	if out[0] != untouched {
+		t.Errorf("an empty block wrote out[0] = %#x", out[0])
+	}
+
+	// getDataPanic is what GetData raises on obj at off.
+	getDataPanic := func(obj Ref, off uint16) (r any) {
+		defer func() { r = recover() }()
+		rt.GetData(obj, off)
+		return nil
+	}
+	for _, c := range []struct {
+		name string
+		objs []Ref
+		off  uint16
+		bad  Ref
+	}{
+		{name: "Nil", objs: []Ref{objs[0], Nil, arr}, off: a, bad: Nil},
+		{name: "array", objs: []Ref{objs[0], objs[1], arr, Nil}, off: a, bad: arr},
+		{name: "offset 0", objs: objs, off: 0, bad: objs[0]},
+		{name: "past the fields", objs: objs, off: uint16(node.FieldWords) + 1, bad: objs[0]},
+	} {
+		want := getDataPanic(c.bad, c.off)
+		if _, ok := want.(*FieldError); !ok {
+			t.Fatalf("%s: GetData raised %v, want a FieldError", c.name, want)
+		}
+		func() {
+			defer func() {
+				if r := recover(); !reflect.DeepEqual(r, want) {
+					t.Errorf("%s: GatherData raised %v, want %v", c.name, r, want)
+				}
+			}()
+			rt.GatherData(c.objs, c.off, out)
+		}()
+		// Not assertUnlocked: the concurrent collector's goroutine takes
+		// rt.mu too, so a held lock is only a leak if it is never released.
+		released := make(chan struct{})
+		go func() {
+			rt.mu.Lock()
+			rt.mu.Unlock()
+			close(released)
+		}()
+		select {
+		case <-released:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: rt.mu is still held", c.name)
+		}
+	}
+
+	if rt.pacer == nil {
+		return
+	}
+	if err := rt.StartGC(); err != nil {
+		t.Fatal(err)
+	}
+	if !rt.GCActive() {
+		t.Fatal("no cycle open after StartGC")
+	}
+	scans := rt.Stats().GC.BarrierScans
+	gather(a)
+	if got := rt.Stats().GC.BarrierScans; got != scans {
+		t.Errorf("GatherData in an open cycle ran the barrier: %d scans, was %d", got, scans)
+	}
+	if err := rt.FinishGC(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestArrCopyRefsSnapshotBarrier: an n-element move inside an open cycle

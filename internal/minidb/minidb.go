@@ -203,17 +203,34 @@ func (d *Database) RemoveOn(th *core.Thread) {
 	}
 }
 
-// Find performs the original's linear key scan, setting `current`.
+// Find performs the original's linear key scan, setting `current` to the
+// entry with the key. It reads the keys a list block at a time, one
+// GatherData call per block, and stops at the hit: keys are unique, so that
+// is the entry the per-element scan found.
+//
+// The buffered block's Refs are Go locals the collector does not see. That is
+// safe because every caller that shares the database with another mutator
+// (Server) runs Find under its database lock, so no remover runs during the
+// scan: each buffered entry stays an element of the list, and so reachable,
+// across any collection cycle that opens or completes meanwhile.
 func (d *Database) Find(key int64) bool {
 	rt := d.rt
 	dbObj := d.db.Get()
-	entries := rt.GetRef(dbObj, d.dEntries)
 	found := false
-	d.kit.ListEach(entries, func(_ int, e core.Ref) {
-		if !found && rt.GetInt(e, d.eKey) == key {
-			rt.SetRef(dbObj, d.dCurrent, e)
-			found = true
+	var (
+		block [collections.ListBlock]core.Ref
+		keys  [collections.ListBlock]uint64
+	)
+	d.kit.ListEachBlock(rt.GetRef(dbObj, d.dEntries), block[:], func(_, n int) bool {
+		rt.GatherData(block[:n], d.eKey, keys[:])
+		for j, k := range keys[:n] {
+			if int64(k) == key {
+				rt.SetRef(dbObj, d.dCurrent, block[j])
+				found = true
+				return false
+			}
 		}
+		return true
 	})
 	return found
 }
