@@ -19,12 +19,12 @@ bench:
 
 # Differential tests under the race detector, in one run over internal/:
 # stop-the-world vs incremental cycles, hand-stepped and scheduler-driven
-# (plus the shadow-model oracle), direct vs buffered allocation across every
-# collector mode, telemetry on vs off (recording must be pure observation —
+# (plus the shadow-model oracle), direct vs buffered allocation on
+# stop-the-world and incremental runtimes, telemetry on vs off (recording must be pure observation —
 # byte-identical heaps), stop-the-world vs background-pacer concurrent
 # collection, the single-mutator lock-elided regime vs the locked one, the
 # staleness side table vs its map model, and the ArrayList over the range accessors vs a
-# Go-slice model in the solo, shared, generational and open-cycle regimes
+# Go-slice model in the solo, shared and open-cycle regimes
 # (TestListModel), beside the range accessors' own contract and barrier tests
 # (GatherData's in every regime), and minidb's Find against a model of its
 # live keys on stop-the-world, concurrent and 2-worker server runtimes
@@ -38,8 +38,7 @@ difftest:
 # their map models (go test takes one -fuzz
 # pattern per invocation, so the targets run sequentially). The alphabets of
 # FuzzIncrementalBarrier and FuzzConcurrentPacer include ArrCopyRefs range
-# moves within and between reference arrays; the latter also draws the
-# collector (mark-sweep or generational) from its input.
+# moves within and between reference arrays.
 fuzz:
 	go test -run '^$$' -fuzz FuzzIncrementalBarrier -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzAllocBuffer -fuzztime 30s ./internal/core

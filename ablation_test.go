@@ -6,10 +6,7 @@ package repro
 //     Base loop;
 //  2. the paper's owner-first ownership phase vs the naive algorithm that
 //     re-traces each owner's region separately after the ordinary mark;
-//  3. sorted ownee arrays with binary search vs a hash set;
-//  4. generational collection: minor-vs-full cost, and the detection
-//     latency the paper warns about (assertions only checked at full
-//     collections).
+//  3. sorted ownee arrays with binary search vs a hash set.
 
 import (
 	"math/rand"
@@ -258,101 +255,6 @@ func BenchmarkAblationOwnership(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationGenerational compares per-collection cost of the
-// generational collector's minor collections against full collections on a
-// nursery-churn workload.
-func BenchmarkAblationGenerational(b *testing.B) {
-	build := func() (*core.Runtime, *core.Thread, *core.Class) {
-		rt := core.New(core.Config{
-			HeapWords:     1 << 18,
-			Collector:     core.Generational,
-			Mode:          core.Infrastructure,
-			GenMajorEvery: 1 << 30,
-			GenMinorFloor: -1,
-		})
-		node := rt.DefineClass("Node", core.RefField("next"), core.DataField("v"))
-		th := rt.MainThread()
-		// A mature live set.
-		g := rt.AddGlobal("live")
-		next := node.MustFieldIndex("next")
-		for i := 0; i < 5000; i++ {
-			n := th.New(node)
-			rt.SetRef(n, next, g.Get())
-			g.Set(n)
-		}
-		rt.GC() // promote
-		return rt, th, node
-	}
-
-	b.Run("minor", func(b *testing.B) {
-		rt, th, node := build()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			for j := 0; j < 2000; j++ {
-				th.New(node) // nursery garbage
-			}
-			b.StartTimer()
-			if err := rt.Collect(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("full", func(b *testing.B) {
-		rt, th, node := build()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			for j := 0; j < 2000; j++ {
-				th.New(node)
-			}
-			b.StartTimer()
-			if err := rt.GC(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// TestGenerationalDetectionLatency quantifies the paper's generational
-// caveat as a measurement: how many collections pass before an assert-dead
-// violation is noticed, as a function of the major-collection period.
-func TestGenerationalDetectionLatency(t *testing.T) {
-	for _, majorEvery := range []int{1, 4, 16} {
-		rt := core.New(core.Config{
-			HeapWords:     1 << 16,
-			Collector:     core.Generational,
-			Mode:          core.Infrastructure,
-			GenMajorEvery: majorEvery,
-			GenMinorFloor: -1,
-		})
-		node := rt.DefineClass("Node", core.DataField("v"))
-		th := rt.MainThread()
-		obj := th.New(node)
-		rt.AddGlobal("pin").Set(obj)
-		if err := rt.AssertDead(obj); err != nil {
-			t.Fatal(err)
-		}
-
-		gcs := 0
-		for len(rt.Violations()) == 0 {
-			if err := rt.Collect(); err != nil {
-				t.Fatal(err)
-			}
-			gcs++
-			if gcs > 100 {
-				t.Fatalf("majorEvery=%d: violation never detected", majorEvery)
-			}
-		}
-		// Detection waits for the first full collection: majorEvery
-		// minors plus the major itself.
-		if want := majorEvery + 1; gcs != want {
-			t.Errorf("majorEvery=%d: detected after %d collections, want %d",
-				majorEvery, gcs, want)
-		}
-	}
 }
 
 // BenchmarkBaselineDetectors compares the per-cycle cost of the paper's

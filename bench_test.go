@@ -26,7 +26,6 @@ func benchSubject(b *testing.B, s harness.Subject) {
 	rt := core.New(core.Config{
 		HeapWords: s.HeapWords,
 		Mode:      s.Mode,
-		Collector: s.Collector,
 	})
 	iterate := s.Build(rt)
 	// Warm to steady state (the paper discards early iterations).
@@ -67,7 +66,6 @@ func workloadSubjectFor(f workloads.Factory, mode core.Mode) harness.Subject {
 		Name:      w.Name(),
 		HeapWords: w.HeapWords(),
 		Mode:      mode,
-		Collector: core.MarkSweep,
 		Build: func(rt *core.Runtime) func() {
 			inst := f()
 			th := rt.MainThread()

@@ -9,11 +9,9 @@ import (
 
 // TestListModel runs one seeded random ListAdd / ListRemoveAt / ListSet /
 // ListEach / ListEachBlock / ListIndexOf script against a Go-slice model in
-// the four regimes the range accessors behave differently in: one mutator on
-// a stop-the-world heap (no lock, no barrier), a shared runtime (rt.mu per
-// call), the generational collector (remembered-set barrier; a minor or
-// major collection every few ops) and an incremental one whose cycle is held
-// open across ops — reopened by StartGC as soon as GCStep completes it — so
+// the three regimes the range accessors behave differently in: one mutator
+// on a stop-the-world heap (no lock, no barrier), a shared runtime (rt.mu per
+// call) and an incremental one whose cycle is held open across ops — reopened by StartGC as soon as GCStep completes it — so
 // that shifts run the snapshot barrier on a backing array the marker has not
 // reached and growth copies land in an array allocated black. The list is
 // the only path to its elements, so a word moved to the wrong place, or not
@@ -34,7 +32,6 @@ func TestListModel(t *testing.T) {
 	}{
 		{name: "solo", collect: (*core.Runtime).GC},
 		{name: "shared", shared: true, collect: (*core.Runtime).GC},
-		{name: "generational", cfg: core.Config{Collector: core.Generational}, collect: (*core.Runtime).Collect},
 		{name: "incremental", cfg: core.Config{IncrementalBudget: 4}},
 	} {
 		t.Run(regime.name, func(t *testing.T) {

@@ -33,11 +33,10 @@ type sweepWorld struct {
 }
 
 // buildSweepWorld is the script's world on a small Infrastructure heap.
-func buildSweepWorld(collector CollectorKind) *sweepWorld {
+func buildSweepWorld() *sweepWorld {
 	return newSweepWorld(New(Config{
 		HeapWords: 1 << 13,
 		Mode:      Infrastructure,
-		Collector: collector,
 	}))
 }
 
@@ -154,11 +153,10 @@ func compareSweepWorlds(t *testing.T, label string, base, other *sweepWorld) {
 
 // buildAllocWorld is buildSweepWorld plus an allocation-buffer size and an
 // incremental mark budget.
-func buildAllocWorld(collector CollectorKind, bufWords int, incBudget int) *sweepWorld {
+func buildAllocWorld(bufWords int, incBudget int) *sweepWorld {
 	return newSweepWorld(New(Config{
 		HeapWords:         1 << 13,
 		Mode:              Infrastructure,
-		Collector:         collector,
 		IncrementalBudget: incBudget,
 		AllocBuffers:      bufWords,
 	}))
@@ -215,57 +213,47 @@ func compareAllocWorlds(t *testing.T, label string, direct, buffered *sweepWorld
 }
 
 // TestAllocBufferDifferential runs identical scripts against a direct and a
-// buffered world under both stop-the-world collectors. All five assertion
+// buffered world on a stop-the-world runtime. All five assertion
 // kinds are in the op mix, so the batched bookkeeping (alloc counters, region
 // recording) is exercised on every path.
 func TestAllocBufferDifferential(t *testing.T) {
 	SetDebugChecks(true)
 	defer SetDebugChecks(false)
 
-	for _, collector := range []CollectorKind{MarkSweep, Generational} {
-		t.Run(fmt.Sprintf("%s/eager", collector), func(t *testing.T) {
-			for seed := int64(1); seed <= 3; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				direct := buildAllocWorld(collector, 0, 0)
-				buffered := buildAllocWorld(collector, 256, 0)
+	t.Run("marksweep/eager", func(t *testing.T) {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			direct := buildAllocWorld(0, 0)
+			buffered := buildAllocWorld(256, 0)
 
-				for round := 0; round < 6; round++ {
-					for step := 0; step < 80; step++ {
-						code, i, k := byte(rng.Intn(9)), byte(rng.Intn(256)), byte(rng.Intn(256))
-						direct.apply(code, i, k)
-						buffered.apply(code, i, k)
-					}
-					if collector == Generational && round%2 == 1 {
-						if err := direct.rt.Collect(); err != nil {
-							t.Fatalf("seed %d round %d: Collect (direct): %v", seed, round, err)
-						}
-						if err := buffered.rt.Collect(); err != nil {
-							t.Fatalf("seed %d round %d: Collect (buffered): %v", seed, round, err)
-						}
-					}
-					if err := direct.rt.GC(); err != nil {
-						t.Fatalf("seed %d round %d: GC (direct): %v", seed, round, err)
-					}
-					if err := buffered.rt.GC(); err != nil {
-						t.Fatalf("seed %d round %d: GC (buffered): %v", seed, round, err)
-					}
-					compareAllocWorlds(t, fmt.Sprintf("seed %d round %d", seed, round), direct, buffered)
+			for round := 0; round < 6; round++ {
+				for step := 0; step < 80; step++ {
+					code, i, k := byte(rng.Intn(9)), byte(rng.Intn(256)), byte(rng.Intn(256))
+					direct.apply(code, i, k)
+					buffered.apply(code, i, k)
 				}
-
-				if errs := buffered.rt.VerifyHeap(); len(errs) > 0 {
-					t.Fatalf("seed %d: buffered heap corrupt: %v", seed, errs[0])
+				if err := direct.rt.GC(); err != nil {
+					t.Fatalf("seed %d round %d: GC (direct): %v", seed, round, err)
 				}
-				// The comparison is vacuous unless the fast path actually
-				// served allocations.
-				if n := buffered.rt.Stats().Heap.BufferAllocs; n == 0 {
-					t.Fatalf("seed %d: buffered world never used the bump fast path", seed)
+				if err := buffered.rt.GC(); err != nil {
+					t.Fatalf("seed %d round %d: GC (buffered): %v", seed, round, err)
 				}
-				if n := direct.rt.Stats().Heap.BufferCarves; n != 0 {
-					t.Fatalf("seed %d: direct world carved %d buffers", seed, n)
-				}
+				compareAllocWorlds(t, fmt.Sprintf("seed %d round %d", seed, round), direct, buffered)
 			}
-		})
-	}
+
+			if errs := buffered.rt.VerifyHeap(); len(errs) > 0 {
+				t.Fatalf("seed %d: buffered heap corrupt: %v", seed, errs[0])
+			}
+			// The comparison is vacuous unless the fast path actually
+			// served allocations.
+			if n := buffered.rt.Stats().Heap.BufferAllocs; n == 0 {
+				t.Fatalf("seed %d: buffered world never used the bump fast path", seed)
+			}
+			if n := direct.rt.Stats().Heap.BufferCarves; n != 0 {
+				t.Fatalf("seed %d: direct world carved %d buffers", seed, n)
+			}
+		}
+	})
 }
 
 // TestAllocBufferIncrementalDifferential drives incremental cycles at fixed
@@ -278,8 +266,8 @@ func TestAllocBufferIncrementalDifferential(t *testing.T) {
 	defer SetDebugChecks(false)
 
 	rng := rand.New(rand.NewSource(5))
-	direct := buildAllocWorld(MarkSweep, 0, 8)
-	buffered := buildAllocWorld(MarkSweep, 256, 8)
+	direct := buildAllocWorld(0, 8)
+	buffered := buildAllocWorld(256, 8)
 	bornBlack := 0 // buffers carved inside an open cycle
 
 	for round := 0; round < 6; round++ {
@@ -337,8 +325,8 @@ func TestAllocBufferIncrementalDifferential(t *testing.T) {
 // comparing against a direct world after the same allocations and checking
 // the capacity invariant. The observation must not flush the buffer.
 func TestAllocBufferStatsFolding(t *testing.T) {
-	direct := buildAllocWorld(MarkSweep, 0, 0)
-	buffered := buildAllocWorld(MarkSweep, 256, 0)
+	direct := buildAllocWorld(0, 0)
+	buffered := buildAllocWorld(256, 0)
 
 	for i := 0; i < 40; i++ {
 		direct.apply(0, byte(i), 0)
@@ -370,8 +358,8 @@ func TestAllocBufferStatsFolding(t *testing.T) {
 // direct world) and never carves a buffer.
 func TestAllocBufferDisabledBehavior(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	implicit := buildSweepWorld(MarkSweep) // no AllocBuffers field at all
-	explicit := buildAllocWorld(MarkSweep, 0, 0)
+	implicit := buildSweepWorld() // no AllocBuffers field at all
+	explicit := buildAllocWorld(0, 0)
 
 	for round := 0; round < 3; round++ {
 		for step := 0; step < 80; step++ {

@@ -30,16 +30,36 @@ import (
 // the stop-the-world twin's collections keep off the worklist — and the
 // quiescent point also registers ownership pairs, so the final collections
 // run the owner scan over that heap in both worlds.
+//
+// The generational arm runs the same collector on a script reshaped by the
+// weak generational hypothesis (oldGenScript): two slots hold an old
+// generation that lives the whole script while the rest churn, so most
+// objects die young and the old ones keep taking stores of young references.
+// That script has no explicit collections, so the concurrent world's pacer
+// must run cycles of its own, and the arm fails if it runs none.
 func TestConcurrentDifferential(t *testing.T) {
-	for _, kind := range []CollectorKind{MarkSweep, Generational} {
+	for _, shape := range []string{"marksweep", "generational"} {
 		for _, leafy := range []bool{false, true} {
 			for seed := int64(1); seed <= 3; seed++ {
-				t.Run(fmt.Sprintf("%v_leafy%v_seed%d", kind, leafy, seed), func(t *testing.T) {
-					runConcurrentDifferential(t, kind, seed, leafy)
+				t.Run(fmt.Sprintf("%s_leafy%v_seed%d", shape, leafy, seed), func(t *testing.T) {
+					runConcurrentDifferential(t, seed, leafy, shape == "generational")
 				})
 			}
 		}
 	}
+}
+
+// oldGenSlots is how many low-numbered slots oldGenScript reserves for the
+// old generation.
+const oldGenSlots = 2
+
+// oldGenSlot returns the slot selector a redirected into the young slots
+// when it names an old-generation slot; slots counts the world's slots.
+func oldGenSlot(a byte, slots int) byte {
+	if int(a)%slots < oldGenSlots {
+		return a + oldGenSlots
+	}
+	return a
 }
 
 const diffSlots = 8
@@ -83,8 +103,8 @@ func newDiffWorldCfg(cfg Config) *diffWorld {
 	return w
 }
 
-func newDiffWorld(concurrent bool, kind CollectorKind) *diffWorld {
-	cfg := Config{HeapWords: 1 << 13, Mode: Infrastructure, Collector: kind}
+func newDiffWorld(concurrent bool) *diffWorld {
+	cfg := Config{HeapWords: 1 << 13, Mode: Infrastructure}
 	if concurrent {
 		cfg.ConcurrentGC = true
 		cfg.gcTrigger = 0.4
@@ -124,6 +144,26 @@ func (w *diffWorld) liveIDs(t *testing.T) []string {
 
 type diffOp struct{ code, a, b byte }
 
+// oldGenScript reshapes script so that its first ops allocate a node into
+// each old-generation slot and no later allocation or clear targets those
+// slots; wires still reach them in both directions. Its explicit collections
+// become young node allocations, so only allocation starts a collection —
+// cycles of the concurrent world's pacer and the twin's exhaustion ladder.
+func oldGenScript(script []diffOp) {
+	for i := range script {
+		op := &script[i]
+		switch {
+		case i < oldGenSlots:
+			*op = diffOp{code: 0, a: byte(i), b: op.b}
+		case op.code >= 96:
+			op.code = 0
+			fallthrough
+		case op.code < 60 || op.code >= 84: // allocation or clear
+			op.a = oldGenSlot(op.a, diffSlots)
+		}
+	}
+}
+
 func (w *diffWorld) apply(t *testing.T, op diffOp) {
 	t.Helper()
 	slot := int(op.a) % diffSlots
@@ -161,7 +201,7 @@ func (w *diffWorld) apply(t *testing.T, op diffOp) {
 	}
 }
 
-func runConcurrentDifferential(t *testing.T, kind CollectorKind, seed int64, leafy bool) {
+func runConcurrentDifferential(t *testing.T, seed int64, leafy, generational bool) {
 	rng := rand.New(rand.NewSource(seed))
 	script := make([]diffOp, 2000)
 	for i := range script {
@@ -170,14 +210,17 @@ func runConcurrentDifferential(t *testing.T, kind CollectorKind, seed int64, lea
 			op.code = 50 // a data array where the plain script allocates a node or ref array
 		}
 	}
+	if generational {
+		oldGenScript(script)
+	}
 	regChoice := make([]int, diffSlots)
 	for s := range regChoice {
 		regChoice[s] = rng.Intn(3)
 	}
 	limit := int64(rng.Intn(4))
 
-	stw := newDiffWorld(false, kind)
-	conc := newDiffWorld(true, kind)
+	stw := newDiffWorld(false)
+	conc := newDiffWorld(true)
 	for _, op := range script {
 		stw.apply(t, op)
 		conc.apply(t, op)
@@ -240,6 +283,9 @@ func runConcurrentDifferential(t *testing.T, kind CollectorKind, seed int64, lea
 		}
 	}
 	s := conc.rt.Stats().Pacer
+	if generational && s.Cycles == 0 {
+		t.Fatal("vacuous: the concurrent world ran no pacer cycle")
+	}
 	if s.MaxCycleGrowthWords > s.GrowthCapWords {
 		t.Fatalf("cycle growth %d exceeded cap %d", s.MaxCycleGrowthWords, s.GrowthCapWords)
 	}

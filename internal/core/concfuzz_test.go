@@ -11,28 +11,25 @@ import (
 // allocation bursts, wiring, range moves, explicit collections mid-flight,
 // stats polls — against a stop-the-world runtime and a concurrent runtime
 // whose pacer geometry (trigger fraction, assist slack, allocation-buffer
-// size) is also drawn from the input, as is the collector both run
-// (mark-sweep or generational), then requires identical observable state at
-// the final quiescent point: the same live objects by script id and the
+// size) is also drawn from the input, then requires identical observable
+// state at the final quiescent point: the same live objects by script id and the
 // same assertion verdicts, plus a clean heap and the growth-cap invariant.
 // The corpus explores trigger/assist/retire interleavings — a burst landing
 // mid-cycle, a buffer retired by an explicit GC between two assists — that
 // the deterministic state-transition tests cannot reach.
 func FuzzConcurrentPacer(f *testing.F) {
-	// data[0..2] select trigger/slack/buffer (and data[2]/3 the collector);
-	// 2 bytes per op follow.
+	// data[0..2] select trigger/slack/buffer; 2 bytes per op follow.
 	f.Add([]byte{0, 0, 0, 0, 0, 4, 9, 1, 2, 5, 0})
 	f.Add([]byte{1, 1, 1, 4, 15, 4, 15, 0, 1, 2, 3, 6, 0, 3, 1})
 	f.Add([]byte{2, 2, 2, 0, 0, 1, 5, 2, 1, 4, 11, 5, 0, 4, 7, 0, 2})
 	f.Add([]byte{3, 0, 2, 1, 3, 1, 5, 2, 4, 7, 0, 4, 12, 6, 0, 2, 2, 3, 0})
 	f.Add([]byte{0, 2, 1, 4, 15, 4, 15, 4, 15, 5, 0, 4, 15, 4, 15, 7, 0, 0, 3})
-	// Generational (data[2] = 3): an array (slot 0) is promoted by a full
-	// collection; a node (slot 2) goes into a young array (slot 1), whose
-	// elements are then copied into the mature one; both young slots are
-	// cleared and the collector's own policy runs a minor collection. The
-	// node's only reference is the copied one, so the move must have
-	// remembered the mature array (a node freed here leaves a dangling
-	// element for VerifyHeap, in both worlds).
+	// An array (slot 0) survives a full collection; a node (slot 2) goes
+	// into a newer array (slot 1), whose elements are then copied into the
+	// older one; both newer slots are cleared and a collection runs. The
+	// node's only reference is the copied one, so a copy that races an open
+	// cycle must have scanned the older array's snapshot first (a node
+	// freed here leaves a dangling element for VerifyHeap).
 	f.Add([]byte{0, 0, 3, 1, 8, 5, 0, 1, 9, 0, 2, 2, 17, 8, 8, 3, 1, 3, 2, 6, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -42,16 +39,14 @@ func FuzzConcurrentPacer(f *testing.F) {
 		triggers := []float64{0.3, 0.4, 0.5, 0.6}
 		slacks := []float64{0.25, 0.5, 1.0}
 		bufs := []int{0, 128, 256}
-		kinds := []CollectorKind{MarkSweep, Generational}
 		trigger := triggers[int(data[0])%len(triggers)]
 		slack := slacks[int(data[1])%len(slacks)]
 		buf := bufs[int(data[2])%len(bufs)]
-		kind := kinds[int(data[2])/len(bufs)%len(kinds)]
 		script := data[3:]
 		const maxOps = 250
 
 		build := func(concurrent bool) *diffWorld {
-			cfg := Config{HeapWords: 1 << 13, Mode: Infrastructure, Collector: kind}
+			cfg := Config{HeapWords: 1 << 13, Mode: Infrastructure}
 			if concurrent {
 				cfg.ConcurrentGC = true
 				cfg.gcTrigger = trigger
@@ -91,13 +86,9 @@ func FuzzConcurrentPacer(f *testing.F) {
 				for j := 0; j < 1+int(k)%12; j++ {
 					w.record(w.th.NewDataArray(8))
 				}
-			case 5: // explicit full collection
+			case 5, 6: // explicit full collection
 				if err := w.rt.GC(); err != nil {
 					t.Fatalf("GC: %v", err)
-				}
-			case 6: // one collection under the collector's own policy
-				if err := w.rt.Collect(); err != nil {
-					t.Fatalf("Collect: %v", err)
 				}
 			case 7: // stats/metrics poll (no heap effect; races the pacer)
 				_ = w.rt.Stats()

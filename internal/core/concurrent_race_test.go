@@ -17,20 +17,13 @@ import (
 // background slices, the mutators' assists and hidden-register pins, the
 // bump-path spinlocks, the telemetry recorder, and the flush-all buffer
 // retirement all interleave here with no script-level synchronization.
-func TestConcurrentPacerUnderRace(t *testing.T) { concurrentPacerStress(t, MarkSweep) }
-
-// TestConcurrentPacerUnderRaceGenerational is the same chase with the
-// generational collector: pacer-driven major cycles interleaved with
-// exhaustion-triggered minors and remembered-set maintenance.
-func TestConcurrentPacerUnderRaceGenerational(t *testing.T) { concurrentPacerStress(t, Generational) }
-
-func concurrentPacerStress(t *testing.T, kind CollectorKind) {
+func TestConcurrentPacerUnderRace(t *testing.T) {
 	const (
 		mutators = 4
 		iters    = 1200
 		locals   = 4
 	)
-	rt := New(Config{HeapWords: 1 << 14, Mode: Infrastructure, Collector: kind,
+	rt := New(Config{HeapWords: 1 << 14, Mode: Infrastructure,
 		ConcurrentGC: true, AllocBuffers: 256, Telemetry: &telemetry.Config{}})
 	node := rt.DefineClass("PNode", RefField("a"), RefField("b"))
 	aOff := node.MustFieldIndex("a")

@@ -31,7 +31,7 @@ func TestConcurrentConfigValidation(t *testing.T) {
 	valid := []Config{
 		{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true},
 		{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true, gcTrigger: 0.9, assistSlack: 2},
-		{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true, Collector: Generational, AllocBuffers: 128},
+		{HeapWords: 1 << 12, Mode: Infrastructure, ConcurrentGC: true, AllocBuffers: 128},
 		{HeapWords: 1 << 12, Mode: Infrastructure, IncrementalBudget: 4, gcTrigger: 0.9, assistSlack: 2},
 	}
 	for _, cfg := range valid {
@@ -414,7 +414,7 @@ func TestSchedulerDeterministic(t *testing.T) {
 			t.Fatalf("Close: %v", err)
 		}
 		s := rt.Stats()
-		s.GC.GCTime, s.GC.FullGCTime, s.GC.PauseTime, s.GC.MaxPause = 0, 0, 0, 0
+		s.GC.GCTime, s.GC.PauseTime, s.GC.MaxPause = 0, 0, 0
 		if s.Pacer.Cycles == 0 || s.Pacer.Assists == 0 || s.GC.BarrierScans == 0 {
 			t.Fatalf("vacuous: pacer %+v, %d barrier scans", s.Pacer, s.GC.BarrierScans)
 		}
@@ -499,23 +499,22 @@ func TestConcurrentGCBackground(t *testing.T) {
 // TestAssistGrowthCapInvariant is the property test behind the pacer's
 // central guarantee: with assists enabled, heap growth during any cycle
 // never exceeds trigger × slack × capacity (as floored by newPacer),
-// across pacer geometries, allocation modes, and both collectors — the
+// across pacer geometries and allocation modes — the
 // live-run counterpart of the hand-driven hard-cap test.
 func TestAssistGrowthCapInvariant(t *testing.T) {
 	cases := []struct {
 		name           string
 		trigger, slack float64
 		buf            int
-		collector      CollectorKind
 	}{
-		{"defaults-direct", 0, 0, 0, MarkSweep},
-		{"tight-slack-buffered", 0.5, 0.25, 256, MarkSweep},
-		{"low-trigger-wide-slack", 0.25, 1.0, 128, MarkSweep},
-		{"high-trigger-generational", 0.6, 0.5, 256, Generational},
+		{"defaults-direct", 0, 0, 0},
+		{"tight-slack-buffered", 0.5, 0.25, 256},
+		{"low-trigger-wide-slack", 0.25, 1.0, 128},
+		{"high-trigger-buffered", 0.6, 0.5, 256},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rt := New(Config{HeapWords: 1 << 13, Mode: Infrastructure, Collector: tc.collector,
+			rt := New(Config{HeapWords: 1 << 13, Mode: Infrastructure,
 				ConcurrentGC: true, gcTrigger: tc.trigger, assistSlack: tc.slack,
 				AllocBuffers: tc.buf})
 			th := rt.MainThread()

@@ -5,8 +5,8 @@
 // 2009).
 //
 // A Runtime owns a fixed-size managed heap, a class registry, global and
-// thread-stack roots, and one of two collectors (full-heap mark-sweep, as
-// in the paper, or a two-generation variant). Programs allocate objects via
+// thread-stack roots, and the paper's full-heap mark-sweep collector, run
+// stop-the-world or in incremental cycles. Programs allocate objects via
 // Thread.New and manipulate them through Runtime field accessors; all
 // object graphs live inside the managed heap, so the collector genuinely
 // traces them.
@@ -21,7 +21,7 @@
 //	rt.AssertOwnedBy(owner, obj)  // reachable only via its owner?
 //
 // Assertions are deferred: they are checked by the collector during the
-// next (full) collection, piggybacked on the trace. Violations carry the
+// next collection, piggybacked on the trace. Violations carry the
 // complete root-to-object heap path (see package report) and are routed to
 // the configured Handler.
 //

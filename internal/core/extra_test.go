@@ -117,6 +117,33 @@ func TestRegionsIndependentPerThread(t *testing.T) {
 	}
 }
 
+// TestCollectOnMarkSweepIsFull: every collection of the one collector is a
+// full-heap one — it checks the registered assertions and reclaims all
+// unreachable objects in a single stop-the-world cycle.
+func TestCollectOnMarkSweepIsFull(t *testing.T) {
+	rt := newRT(t, 1<<12)
+	node := rt.DefineClass("Node")
+	th := rt.MainThread()
+	obj := th.New(node)
+	rt.AddGlobal("g").Set(obj)
+	rt.AssertDead(obj)
+	th.New(node) // garbage from the start
+	if err := rt.GC(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rt.Violations()); n != 1 {
+		t.Errorf("GC did not check assertions: %d violations", n)
+	}
+	if n := len(rt.LiveSet()); n != 1 {
+		t.Errorf("GC left %d objects live, want 1", n)
+	}
+	st := rt.Stats().GC
+	if st.Collections != 1 || st.IncrementalCycles != 0 || st.FreedObjects != 1 {
+		t.Errorf("one full collection expected: collections=%d incremental=%d freed=%d",
+			st.Collections, st.IncrementalCycles, st.FreedObjects)
+	}
+}
+
 func TestViolationsReturnsCopy(t *testing.T) {
 	rt := newRT(t, 1<<12)
 	node := rt.DefineClass("Node")
@@ -132,40 +159,6 @@ func TestViolationsReturnsCopy(t *testing.T) {
 	vs[0] = nil // mutating the copy must not affect the runtime's record
 	if got := rt.Violations(); len(got) != 1 || got[0] == nil {
 		t.Error("Violations does not return an independent copy")
-	}
-}
-
-func TestCollectOnMarkSweepIsFull(t *testing.T) {
-	rt := newRT(t, 1<<12)
-	node := rt.DefineClass("Node")
-	obj := rt.MainThread().New(node)
-	rt.AddGlobal("g").Set(obj)
-	rt.AssertDead(obj)
-	if err := rt.Collect(); err != nil { // mark-sweep: policy collection is full
-		t.Fatal(err)
-	}
-	if n := len(rt.Violations()); n != 1 {
-		t.Errorf("Collect did not check assertions: %d violations", n)
-	}
-	st := rt.Stats()
-	if st.GC.FullCollections != st.GC.Collections {
-		t.Error("mark-sweep recorded a non-full collection")
-	}
-}
-
-func TestStringsUnderGenerational(t *testing.T) {
-	rt := New(Config{HeapWords: 1 << 14, Collector: Generational, Mode: Infrastructure})
-	th := rt.MainThread()
-	s := th.NewString("survives promotion")
-	rt.AddGlobal("s").Set(s)
-	if err := rt.Collect(); err != nil { // promote
-		t.Fatal(err)
-	}
-	if err := rt.GC(); err != nil {
-		t.Fatal(err)
-	}
-	if got := rt.StringAt(s); got != "survives promotion" {
-		t.Errorf("string damaged: %q", got)
 	}
 }
 

@@ -2,14 +2,12 @@ package core
 
 import "repro/internal/vmheap"
 
-// Field and array accessors. Reference stores go through whichever of the
-// collector's write barriers the runtime was built with (storeRef): the
-// generational barrier (remembered-set maintenance) and the
-// snapshot-at-beginning barrier (a no-op unless an incremental collection
-// cycle is active, in which case the first store into a not-yet-scanned
-// object scans its snapshot references before they can be overwritten). A
-// stop-the-world mark-sweep runtime has neither, and its reference store is a
-// check and a word store.
+// Field and array accessors. On a runtime with incremental collections
+// (rt.pacer != nil) reference stores go through the snapshot-at-beginning
+// barrier (storeRef): a no-op unless a cycle is active, in which case the
+// first store into a not-yet-scanned object scans its snapshot references
+// before they can be overwritten. On a stop-the-world runtime a reference
+// store is a check and a word store.
 //
 // Locking. Each accessor is one body: while the runtime has a single mutator
 // (Runtime.mutators) it runs with no lock; afterwards it runs under rt.mu —
@@ -22,25 +20,12 @@ import "repro/internal/vmheap"
 // managed runtime compiles field accesses to fixed offsets.
 
 // storeRef stores val into the checked reference slot of obj, behind the
-// barriers this runtime's collector needs.
+// snapshot barrier when the runtime has one.
 func (rt *Runtime) storeRef(obj Ref, slot uint32, val Ref) {
-	if !rt.plainStores {
-		rt.writeBarriers(obj)
-	}
-	rt.heap.SetSlotRef(slot, val)
-}
-
-// writeBarriers runs the collector's barriers ahead of reference stores into
-// obj. Both are object-granular — the first store into obj remembers it or
-// scans its snapshot slots, whichever slot it hits — so one call covers any
-// number of stores into obj made under the same lock hold.
-func (rt *Runtime) writeBarriers(obj Ref) {
-	if rt.generational {
-		rt.collector.WriteBarrier(obj)
-	}
 	if rt.pacer != nil {
 		rt.collector.SnapshotBarrier(obj)
 	}
+	rt.heap.SetSlotRef(slot, val)
 }
 
 // GetRef reads the reference field at word offset off of obj.
@@ -185,8 +170,11 @@ func (rt *Runtime) ArrCopyRefs(dst Ref, di int, src Ref, si int, n int) {
 		return
 	}
 	// src is only read, so its snapshot values stay in place for the marker;
-	// dst's are scanned here, once, before any is overwritten.
-	rt.writeBarriers(dst)
+	// dst's are scanned here, once, before any is overwritten: the barrier
+	// is object-granular, so one call covers every store into dst.
+	if rt.pacer != nil {
+		rt.collector.SnapshotBarrier(dst)
+	}
 	rt.heap.CopyArrayWords(dst, uint32(di), src, uint32(si), uint32(n))
 }
 

@@ -249,7 +249,7 @@ func FuzzIncrementalBarrier(f *testing.F) {
 		if a.Trace != b.Trace {
 			t.Fatalf("trace stats differ:\nstw: %+v\ninc: %+v", a.Trace, b.Trace)
 		}
-		if a.FullCollections != b.FullCollections || a.MarkedObjects != b.MarkedObjects ||
+		if a.Collections != b.Collections || a.MarkedObjects != b.MarkedObjects ||
 			a.FreedObjects != b.FreedObjects || a.FreedWords != b.FreedWords {
 			t.Fatalf("collection totals differ:\nstw: %+v\ninc: %+v", a, b)
 		}

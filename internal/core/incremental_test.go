@@ -266,7 +266,7 @@ func TestIncrementalAssertionMatrix(t *testing.T) {
 }
 
 // TestIncrementalStatsInvariants is the pause-accounting regression across
-// the two collector configurations: all collector work happens inside
+// stop-the-world and incremental collections: all collector work happens inside
 // stop-the-world pauses, so PauseTime must equal GCTime exactly, MaxPause
 // must never exceed PauseTime, and the incremental counters must be zero
 // exactly when incremental mode is off.
@@ -328,13 +328,13 @@ func TestIncrementalStatsInvariants(t *testing.T) {
 			if s.MaxPause > s.PauseTime || s.MaxPause <= 0 {
 				t.Errorf("MaxPause %v out of range (PauseTime %v)", s.MaxPause, s.PauseTime)
 			}
-			if s.FullCollections != 4 {
-				t.Errorf("FullCollections = %d, want 4", s.FullCollections)
+			if s.Collections != 4 {
+				t.Errorf("Collections = %d, want 4", s.Collections)
 			}
 			if cfg.budget > 0 {
-				if s.IncrementalCycles != s.FullCollections {
-					t.Errorf("IncrementalCycles = %d, want %d (every full collection ran incrementally)",
-						s.IncrementalCycles, s.FullCollections)
+				if s.IncrementalCycles != s.Collections {
+					t.Errorf("IncrementalCycles = %d, want %d (every collection ran incrementally)",
+						s.IncrementalCycles, s.Collections)
 				}
 				if s.MarkSlices < s.IncrementalCycles {
 					t.Errorf("MarkSlices = %d < cycles %d", s.MarkSlices, s.IncrementalCycles)
@@ -381,8 +381,8 @@ func TestIncrementalAPIOnStopTheWorld(t *testing.T) {
 	if rt.GCActive() {
 		t.Fatal("budget 0: StartGC left a cycle active")
 	}
-	if got := rt.Stats().GC.FullCollections; got != 1 {
-		t.Fatalf("budget 0: StartGC ran %d full collections, want 1", got)
+	if got := rt.Stats().GC.Collections; got != 1 {
+		t.Fatalf("budget 0: StartGC ran %d collections, want 1", got)
 	}
 	if done, err := rt.GCStep(); err != nil || !done {
 		t.Fatalf("budget 0: GCStep = (%v, %v), want (true, nil)", done, err)
@@ -390,7 +390,7 @@ func TestIncrementalAPIOnStopTheWorld(t *testing.T) {
 	if err := rt.FinishGC(); err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.Stats().GC.FullCollections; got != 1 {
+	if got := rt.Stats().GC.Collections; got != 1 {
 		t.Fatalf("budget 0: Step/Finish ran extra collections (total %d)", got)
 	}
 }

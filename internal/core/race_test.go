@@ -116,8 +116,8 @@ func concurrentMutatorsUnderGC(t *testing.T, bufWords int) {
 			if err := rt.GC(); err != nil {
 				t.Fatalf("GC: %v", err)
 			}
-			if err := rt.Collect(); err != nil {
-				t.Fatalf("Collect: %v", err)
+			if err := rt.GC(); err != nil {
+				t.Fatalf("GC: %v", err)
 			}
 		}
 	}

@@ -357,49 +357,3 @@ func TestArrCopyRefsSnapshotBarrier(t *testing.T) {
 			stwAfter, stwLater, incAfter, incLater, n, n-2)
 	}
 }
-
-// TestArrCopyRefsGenerationalBarrier: young objects whose only references
-// were copied into a mature array survive the next minor collection, because
-// the move remembered the array; an empty move remembers nothing.
-func TestArrCopyRefsGenerationalBarrier(t *testing.T) {
-	rt := New(Config{HeapWords: 1 << 12, Mode: Infrastructure, Collector: Generational})
-	node := rt.DefineClass("GNode", DataField("id"))
-	id := node.MustFieldIndex("id")
-	th := rt.MainThread()
-	f := th.PushFrame(2)
-	f.SetLocal(0, th.NewRefArray(4))
-	mature := f.Local(0)
-	if err := rt.GC(); err != nil { // promotes the array
-		t.Fatal(err)
-	}
-	f.SetLocal(1, th.NewRefArray(3))
-	young := f.Local(1)
-	for i := 0; i < 3; i++ {
-		rt.ArrSetRef(young, i, th.New(node))
-		rt.SetInt(rt.ArrGetRef(young, i), id, int64(10+i))
-	}
-	rt.ArrCopyRefs(mature, 1, young, 0, 0)
-	if rt.HeaderFlags(mature)&vmheap.FlagRemember != 0 {
-		t.Error("an empty move remembered its destination")
-	}
-	rt.ArrCopyRefs(mature, 1, young, 0, 3)
-	if rt.HeaderFlags(mature)&vmheap.FlagRemember == 0 {
-		t.Error("the move did not remember its mature destination")
-	}
-	f.SetLocal(1, Nil)
-	minors := rt.Stats().GC.MinorCollections
-	if err := rt.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	if rt.Stats().GC.MinorCollections != minors+1 {
-		t.Fatal("Collect ran no minor collection")
-	}
-	if errs := rt.VerifyHeap(); len(errs) != 0 {
-		t.Fatalf("heap corrupt after the minor collection: %v", errs[0])
-	}
-	for i := 0; i < 3; i++ {
-		if got := rt.GetInt(rt.ArrGetRef(mature, 1+i), id); got != int64(10+i) {
-			t.Errorf("element %d carries id %d, want %d", 1+i, got, 10+i)
-		}
-	}
-}

@@ -46,48 +46,17 @@ const (
 	Infrastructure = gc.Infrastructure
 )
 
-// CollectorKind selects the collection algorithm.
-type CollectorKind uint8
-
-const (
-	// MarkSweep is the paper's full-heap mark-sweep collector.
-	MarkSweep CollectorKind = iota
-	// Generational is a two-generation variant that checks assertions
-	// only at full-heap collections.
-	Generational
-)
-
-// String names the collector for reports.
-func (k CollectorKind) String() string {
-	switch k {
-	case MarkSweep:
-		return "marksweep"
-	case Generational:
-		return "generational"
-	}
-	return fmt.Sprintf("CollectorKind(%d)", uint8(k))
-}
-
 // Config configures a Runtime. The zero value is not usable: HeapWords is
 // required.
 type Config struct {
 	// HeapWords is the fixed heap capacity in 64-bit words. The paper
 	// sizes heaps at twice the minimum live size of each benchmark.
 	HeapWords int
-	// Collector selects the algorithm (default MarkSweep).
-	Collector CollectorKind
 	// Mode selects Base or Infrastructure (default Infrastructure).
 	Mode Mode
 	// Handler receives assertion violations. When nil, violations are
 	// only recorded (retrievable via Runtime.Violations).
 	Handler report.Handler
-	// GenMajorEvery overrides the generational collector's major-GC
-	// policy (number of minors between majors); 0 keeps the default.
-	GenMajorEvery int
-	// GenMinorFloor overrides the fraction of the heap a minor collection
-	// must free to avoid escalating to a major collection. 0 keeps the
-	// default; a negative value disables escalation.
-	GenMinorFloor float64
 	// IncrementalBudget > 0 enables incremental full collections behind a
 	// snapshot-at-beginning write barrier, so assertion checks observe the
 	// heap as it was when the cycle began. The runtime's cycle scheduler
@@ -159,7 +128,7 @@ type Runtime struct {
 	threads   *threads.Set
 	globals   *roots.Table
 	engine    *assertions.Engine // nil in Base mode
-	collector gc.Collector
+	collector *gc.MarkSweep
 	mode      Mode
 
 	rootSrc roots.Multi
@@ -174,13 +143,6 @@ type Runtime struct {
 	// buffers.
 	allocBufWords uint32
 	allThreads    []*Thread
-
-	// The reference-store barriers this collector can ever need, resolved at
-	// New: generational remembered set, snapshot-at-beginning (pacer != nil).
-	// plainStores is "neither": a reference store is a check and a word store
-	// (storeRef).
-	generational bool
-	plainStores  bool
 
 	// pacer is the cycle scheduler of a runtime with incremental full
 	// collections (Config.IncrementalBudget > 0; concurrent.go) and the sole
@@ -313,7 +275,6 @@ func New(cfg Config) *Runtime {
 	rt.unlockMu = rt.mu.Unlock
 	rt.heap = vmheap.New(cfg.HeapWords)
 	rt.rootSrc = roots.Multi{rt.globals, rt.threads, &rt.pinned}
-	src := rt.rootSrc
 
 	if cfg.Telemetry != nil {
 		rt.tele = telemetry.New(*cfg.Telemetry)
@@ -337,24 +298,8 @@ func New(cfg Config) *Runtime {
 		rt.engine = assertions.New(rt.heap, rt.reg, rt.threads, handler)
 	}
 
-	switch cfg.Collector {
-	case MarkSweep:
-		ms := gc.NewMarkSweep(rt.heap, rt.reg, src, cfg.Mode, rt.engine)
-		ms.IncrementalBudget = cfg.IncrementalBudget
-		rt.collector = ms
-	case Generational:
-		g := gc.NewGenerational(rt.heap, rt.reg, src, cfg.Mode, rt.engine)
-		g.IncrementalBudget = cfg.IncrementalBudget
-		if cfg.GenMajorEvery > 0 {
-			g.MajorEvery = cfg.GenMajorEvery
-		}
-		if cfg.GenMinorFloor != 0 {
-			g.MinorFloor = max(cfg.GenMinorFloor, 0)
-		}
-		rt.collector = g
-	default:
-		panic(fmt.Sprintf("core: unknown collector kind %d", cfg.Collector))
-	}
+	rt.collector = gc.NewMarkSweep(rt.heap, rt.reg, rt.rootSrc, cfg.Mode, rt.engine)
+	rt.collector.IncrementalBudget = cfg.IncrementalBudget
 	rt.heap.SetTelemetry(rt.tele)
 	rt.collector.SetTelemetry(rt.tele)
 	// Hidden-register pins become roots at every root scan, and pin stamps
@@ -362,8 +307,6 @@ func New(cfg Config) *Runtime {
 	// completion sweep (collectPins is a no-op until pins are active).
 	rt.collector.SetPrepareRoots(rt.collectPins)
 	rt.allocBufWords = uint32(cfg.AllocBuffers)
-	rt.generational = cfg.Collector == Generational
-	rt.plainStores = !rt.generational && cfg.IncrementalBudget == 0
 	rt.pinsOn = cfg.ConcurrentGC
 	if vmheap.DebugChecks {
 		rt.mutators.Store(oneMutatorChecked)
@@ -467,35 +410,20 @@ func (g *Global) Set(r Ref) {
 	g.g.Set(r)
 }
 
-// collectLocked is every explicit collection entry point: complete an open
-// cycle through the scheduler (its snapshot predates the call, so it cannot
-// stand in for the collection being asked for), retire every buffer — after
-// which no thread can add an unpinned allocation before the collector's
-// prepare-roots hook gathers the pins and scans — and run the collection.
-// Caller holds rt.mu.
-func (rt *Runtime) collectLocked(collect func() error) error {
+// GC forces a full-heap collection. It completes an open cycle through the
+// scheduler first (its snapshot predates the call, so it cannot stand in for
+// the collection being asked for) and retires every buffer — after which no
+// thread can add an unpinned allocation before the collector's prepare-roots
+// hook gathers the pins and scans. It returns a *report.HaltError if a
+// violation handler requested Halt.
+func (rt *Runtime) GC() error {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if err := rt.settleCycleLocked(); err != nil {
 		return err
 	}
 	rt.flushAllocBuffers()
-	return collect()
-}
-
-// GC forces a full-heap collection (the kind that checks assertions). It
-// returns a *report.HaltError if a violation handler requested Halt.
-func (rt *Runtime) GC() error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.collectLocked(rt.collector.CollectFull)
-}
-
-// Collect runs one collection under the collector's own policy (for the
-// generational collector this may be a minor collection, which checks no
-// assertions).
-func (rt *Runtime) Collect() error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.collectLocked(rt.collector.Collect)
+	return rt.collector.CollectFull()
 }
 
 // StartGC opens an incremental full collection by hand: the snapshot root

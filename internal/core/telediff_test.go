@@ -33,8 +33,7 @@ func buildTeleWorld(cfg Config, sink *bytes.Buffer) *sweepWorld {
 // legitimately differ across two runs of the same script; every discrete
 // counter must not.
 func stripTimes(s Snapshot) Snapshot {
-	s.GC.GCTime, s.GC.FullGCTime = 0, 0
-	s.GC.PauseTime, s.GC.MaxPause = 0, 0
+	s.GC.GCTime, s.GC.PauseTime, s.GC.MaxPause = 0, 0, 0
 	return s
 }
 
@@ -70,8 +69,6 @@ func TestTelemetryDifferential(t *testing.T) {
 		{"marksweep", Config{}},
 		{"marksweep/buffered", Config{AllocBuffers: 256}},
 		{"marksweep/incremental", Config{IncrementalBudget: 8}},
-		{"generational", Config{Collector: Generational}},
-		{"generational/buffered", Config{Collector: Generational, AllocBuffers: 256}},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {

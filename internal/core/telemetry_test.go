@@ -285,31 +285,3 @@ func TestTelemetryBarrierSpans(t *testing.T) {
 		t.Errorf("BarrierRefs = %d, want %d (a's field and arr's four elements)", got, want)
 	}
 }
-
-func TestTelemetryGenerationalMinor(t *testing.T) {
-	rt := New(Config{
-		HeapWords: 1 << 13,
-		Collector: Generational,
-		Mode:      Infrastructure,
-		Telemetry: &telemetry.Config{},
-	})
-	node := rt.DefineClass("Node")
-	th := rt.MainThread()
-	th.New(node)
-	if err := rt.Collect(); err != nil { // minor
-		t.Fatal(err)
-	}
-	m := rt.Metrics()
-	found := false
-	for _, p := range m.Phases {
-		if p.Phase == "minor_mark" && p.Count >= 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no minor_mark span after a minor collection")
-	}
-	if m.Cycles == 0 {
-		t.Error("minor collection did not begin a telemetry cycle")
-	}
-}

@@ -62,11 +62,11 @@ func TestMarkSweepBaseCollects(t *testing.T) {
 	w.alloc(t) // garbage
 	w.gl.Add("r").Set(live)
 
-	if err := c.Collect(); err != nil {
+	if err := c.CollectFull(); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
-	if st.Collections != 1 || st.FullCollections != 1 {
+	if st.Collections != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.FreedObjects != 1 {
@@ -81,16 +81,12 @@ func TestMarkSweepBaseCollects(t *testing.T) {
 	if st.LastLiveWords != uint64(w.h.LiveWords()) {
 		t.Error("LastLiveWords out of sync")
 	}
-	if c.Name() != "MarkSweep" {
-		t.Errorf("Name = %q", c.Name())
-	}
 }
 
 func TestMarkSweepModeEngineMismatch(t *testing.T) {
 	w := newWorld(t, Infrastructure)
 	assertPanics(t, func() { NewMarkSweep(w.h, w.reg, w.src(), Base, w.eng) })
 	assertPanics(t, func() { NewMarkSweep(w.h, w.reg, w.src(), Infrastructure, nil) })
-	assertPanics(t, func() { NewGenerational(w.h, w.reg, w.src(), Base, w.eng) })
 }
 
 func assertPanics(t *testing.T, fn func()) {
@@ -113,7 +109,7 @@ func TestMarkSweepHaltPropagates(t *testing.T) {
 	if err := w.eng.AssertDead(obj); err != nil {
 		t.Fatal(err)
 	}
-	err := c.Collect()
+	err := c.CollectFull()
 	var halt *report.HaltError
 	if !errors.As(err, &halt) {
 		t.Fatalf("err = %v", err)
@@ -131,7 +127,7 @@ func TestMarkSweepChecksAssertionsEachCycle(t *testing.T) {
 	w.gl.Add("r").Set(obj)
 	w.eng.AssertDead(obj)
 	for i := 0; i < 3; i++ {
-		if err := c.Collect(); err != nil {
+		if err := c.CollectFull(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,7 +149,7 @@ func TestMarkSweepOwnershipPhase(t *testing.T) {
 	w.gl.Add("owner").Set(owner)
 	w.eng.AssertOwnedBy(owner, ownee)
 
-	if err := c.Collect(); err != nil {
+	if err := c.CollectFull(); err != nil {
 		t.Fatal(err)
 	}
 	if len(w.rec.Violations) != 0 {
@@ -165,111 +161,6 @@ func TestMarkSweepOwnershipPhase(t *testing.T) {
 	// The owned bit must be cleared between cycles (recomputed each GC).
 	if w.h.Flags(ownee, vmheap.FlagOwned) != 0 {
 		t.Error("owned bit survived the sweep")
-	}
-}
-
-func TestGenerationalPolicyEscalation(t *testing.T) {
-	w := newWorld(t, Base)
-	c := NewGenerational(w.h, w.reg, w.src(), Base, nil)
-	c.MajorEvery = 2
-	c.MinorFloor = -1 // only the counter policy
-
-	// Build a rooted chain so survivors exist.
-	head := w.alloc(t)
-	w.gl.Add("r").Set(head)
-
-	for i := 0; i < 3; i++ {
-		if err := c.Collect(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Stats()
-	if st.MinorCollections != 2 || st.FullCollections != 1 {
-		t.Errorf("minor=%d full=%d, want 2/1", st.MinorCollections, st.FullCollections)
-	}
-}
-
-func TestGenerationalMinorFloorEscalation(t *testing.T) {
-	w := newWorld(t, Base)
-	c := NewGenerational(w.h, w.reg, w.src(), Base, nil)
-	c.MajorEvery = 1000
-	c.MinorFloor = 2.0 // impossible: every minor escalates
-
-	if err := c.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().FullCollections != 1 {
-		t.Error("floor policy did not escalate")
-	}
-}
-
-func TestGenerationalPromotion(t *testing.T) {
-	w := newWorld(t, Base)
-	c := NewGenerational(w.h, w.reg, w.src(), Base, nil)
-	obj := w.alloc(t)
-	w.gl.Add("r").Set(obj)
-	if err := c.CollectFull(); err != nil {
-		t.Fatal(err)
-	}
-	if w.h.Flags(obj, vmheap.FlagMature) == 0 {
-		t.Error("survivor not promoted")
-	}
-	if c.Name() != "Generational" {
-		t.Errorf("Name = %q", c.Name())
-	}
-}
-
-func TestGenerationalWriteBarrierDedupe(t *testing.T) {
-	w := newWorld(t, Base)
-	c := NewGenerational(w.h, w.reg, w.src(), Base, nil)
-	mature := w.alloc(t)
-	w.gl.Add("r").Set(mature)
-	c.CollectFull() // promote
-
-	c.WriteBarrier(mature)
-	c.WriteBarrier(mature) // second store: deduped by FlagRemember
-	if len(c.remembered) != 1 {
-		t.Errorf("remembered set = %d entries, want 1", len(c.remembered))
-	}
-	c.WriteBarrier(vmheap.Nil) // must not panic
-
-	young := w.alloc(t)
-	c.WriteBarrier(young) // immature parents are not remembered
-	if len(c.remembered) != 1 {
-		t.Error("immature object remembered")
-	}
-
-	// A minor collection clears the set and the flag.
-	if err := c.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.remembered) != 0 {
-		t.Error("remembered set not dropped")
-	}
-	if w.h.Flags(mature, vmheap.FlagRemember) != 0 {
-		t.Error("remember flag not cleared")
-	}
-}
-
-func TestGenerationalMinorKeepsBarrieredYoung(t *testing.T) {
-	w := newWorld(t, Base)
-	c := NewGenerational(w.h, w.reg, w.src(), Base, nil)
-	mature := w.alloc(t)
-	w.gl.Add("r").Set(mature)
-	c.CollectFull()
-
-	young := w.alloc(t)
-	c.WriteBarrier(mature)
-	w.h.SetRefAt(mature, w.next, young)
-
-	if err := c.Collect(); err != nil { // minor
-		t.Fatal(err)
-	}
-	if !w.h.IsObject(young) {
-		t.Error("barriered young object swept by minor GC")
-	}
-	if w.h.Flags(young, vmheap.FlagMature) == 0 {
-		t.Error("minor survivor not promoted")
 	}
 }
 
@@ -317,7 +208,7 @@ func TestArmedCollectionAllocatesNothing(t *testing.T) {
 		}
 	}
 	collect := func() {
-		if err := c.Collect(); err != nil {
+		if err := c.CollectFull(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,7 +242,7 @@ func TestDeadLeafReportedOnceWithPath(t *testing.T) {
 	if err := w.eng.AssertDead(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Collect(); err != nil {
+	if err := c.CollectFull(); err != nil {
 		t.Fatal(err)
 	}
 	if len(w.rec.Violations) != 1 {

@@ -74,9 +74,9 @@ func (r *randomWorld) liveSet() map[vmheap.Ref]bool {
 }
 
 // survivors runs one collection and returns the surviving node set.
-func (r *randomWorld) survivors(t *testing.T, c Collector) map[vmheap.Ref]bool {
+func (r *randomWorld) survivors(t *testing.T, c *MarkSweep) map[vmheap.Ref]bool {
 	t.Helper()
-	if err := c.Collect(); err != nil {
+	if err := c.CollectFull(); err != nil {
 		t.Fatal(err)
 	}
 	return r.liveSet()
@@ -153,55 +153,43 @@ func TestPropertyHeapVerifiesAfterCollection(t *testing.T) {
 	}
 }
 
-// TestFullCycleBothCollectorsBothRoutes: the two collectors run one cycle
-// type. The same random graph, with assert-dead, assert-unshared and
-// ownership assertions armed on it, is collected by MarkSweep and by
-// Generational, each through CollectFull and through StartFull, StepMark
-// until drained, FinishFull; all four runs must leave the same survivors, report
-// the same violations and count the same cycle, apart from IncrementalCycles
-// between the routes. Generational starts each run mid-policy — a remembered
-// set in use, minors counted — and must end it with every survivor mature,
-// the remembered set empty and the minor count reset: its completion sweep,
-// the one step the collectors do not share.
+// TestFullCycleBothCollectorsBothRoutes: the paper's two collector builds,
+// Base (no assertion infrastructure) and Infrastructure, run one cycle type.
+// The same random graph — in the Infrastructure build with assert-dead,
+// assert-unshared and ownership assertions armed on it — is collected through
+// CollectFull and through StartFull, StepMark until drained, FinishFull. Within
+// a build both routes must leave the same survivors, report the same
+// violations and count the same cycle, apart from IncrementalCycles; across
+// builds the survivors and counts must match too, since checking an assertion
+// never changes what is reachable.
 func TestFullCycleBothCollectorsBothRoutes(t *testing.T) {
 	type outcome struct {
 		live       map[vmheap.Ref]bool
 		violations []string
-		// Collections, FullCollections, MarkedObjects, FreedWords.
-		counts [4]uint64
+		// Collections, MarkedObjects, FreedWords.
+		counts [3]uint64
 	}
-	run := func(t *testing.T, seed int64, generational, stepped bool) outcome {
-		r := buildRandom(t, seed, Infrastructure, true)
+	run := func(t *testing.T, seed int64, mode Mode, stepped bool) outcome {
+		r := buildRandom(t, seed, mode, mode == Infrastructure)
 		w := r.w
-		for i, n := range r.nodes[:12] {
-			var err error
-			if i%2 == 0 {
-				err = w.eng.AssertDead(n)
-			} else {
-				err = w.eng.AssertUnshared(n)
-			}
-			if err != nil {
-				t.Fatal(err)
+		if mode == Infrastructure {
+			for i, n := range r.nodes[:12] {
+				var err error
+				if i%2 == 0 {
+					err = w.eng.AssertDead(n)
+				} else {
+					err = w.eng.AssertUnshared(n)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 
-		var c Collector
-		var cyc *fullCycle
-		var g *Generational
-		if generational {
-			g = NewGenerational(w.h, w.reg, w.src(), Infrastructure, w.eng)
-			c, cyc = g, &g.fullCycle
-			w.h.SetFlags(r.nodes[0], vmheap.FlagMature)
-			g.WriteBarrier(r.nodes[0])
-			g.minorsSinceMajor = 2
-		} else {
-			ms := r.markSweep(Infrastructure)
-			c, cyc = ms, &ms.fullCycle
-		}
-
+		c := r.markSweep(mode)
 		var err error
 		if stepped {
-			cyc.IncrementalBudget = 3
+			c.IncrementalBudget = 3
 			c.StartFull()
 			for !c.StepMark() {
 			}
@@ -223,43 +211,32 @@ func TestFullCycleBothCollectorsBothRoutes(t *testing.T) {
 		}
 		out := outcome{
 			live:   r.liveSet(),
-			counts: [4]uint64{s.Collections, s.FullCollections, s.MarkedObjects, s.FreedWords},
+			counts: [3]uint64{s.Collections, s.MarkedObjects, s.FreedWords},
 		}
 		for _, v := range w.rec.Violations {
 			out.violations = append(out.violations, v.Format())
 		}
 		sort.Strings(out.violations)
-		if generational {
-			for ref := range out.live {
-				if w.h.Flags(ref, vmheap.FlagMature) == 0 {
-					t.Errorf("survivor %d not promoted", ref)
-				}
-			}
-			if len(g.remembered) != 0 || w.h.Flags(r.nodes[0], vmheap.FlagRemember) != 0 {
-				t.Error("remembered set survived the major collection")
-			}
-			if g.minorsSinceMajor != 0 {
-				t.Errorf("minorsSinceMajor = %d, want 0", g.minorsSinceMajor)
-			}
-		}
 		return out
 	}
 
 	var violations int
 	for seed := int64(1); seed <= 10; seed++ {
-		want := run(t, seed, false, false)
+		want := run(t, seed, Infrastructure, false)
 		violations += len(want.violations)
-		for _, arm := range []struct {
-			name                  string
-			generational, stepped bool
-		}{
-			{"marksweep/stepped", false, true},
-			{"generational/stw", true, false},
-			{"generational/stepped", true, true},
-		} {
-			if got := run(t, seed, arm.generational, arm.stepped); !reflect.DeepEqual(want, got) {
-				t.Errorf("seed %d: %s differs from marksweep/stw:\nwant %+v\ngot  %+v", seed, arm.name, want, got)
-			}
+		if got := run(t, seed, Infrastructure, true); !reflect.DeepEqual(want, got) {
+			t.Errorf("seed %d: infrastructure/stepped differs from infrastructure/stw:\nwant %+v\ngot  %+v", seed, want, got)
+		}
+		base := run(t, seed, Base, false)
+		if len(base.violations) != 0 {
+			t.Errorf("seed %d: Base reported violations: %v", seed, base.violations)
+		}
+		if got := run(t, seed, Base, true); !reflect.DeepEqual(base, got) {
+			t.Errorf("seed %d: base/stepped differs from base/stw:\nwant %+v\ngot  %+v", seed, base, got)
+		}
+		if !reflect.DeepEqual(want.live, base.live) || want.counts != base.counts {
+			t.Errorf("seed %d: Base and Infrastructure disagree:\ninfrastructure %v %v\nbase           %v %v",
+				seed, want.counts, want.live, base.counts, base.live)
 		}
 	}
 	if violations == 0 {

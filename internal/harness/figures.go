@@ -26,7 +26,6 @@ func workloadSubject(f workloads.Factory, mode core.Mode) Subject {
 		Name:      w.Name(),
 		HeapWords: w.HeapWords(),
 		Mode:      mode,
-		Collector: core.MarkSweep,
 		Build: func(rt *core.Runtime) func() {
 			inst := f()
 			th := rt.MainThread()
@@ -66,7 +65,6 @@ func DBSubject(mode core.Mode, withAsserts bool) Subject {
 		Name:      "db",
 		HeapWords: 1 << 20,
 		Mode:      mode,
-		Collector: core.MarkSweep,
 		Label:     label,
 		Build: func(rt *core.Runtime) func() {
 			d := minidb.New(rt, minidb.Config{
@@ -91,7 +89,6 @@ func JBBSubject(mode core.Mode, withAsserts bool) Subject {
 		Name:      "pseudojbb",
 		HeapWords: 1 << 16,
 		Mode:      mode,
-		Collector: core.MarkSweep,
 		Label:     label,
 		Build: func(rt *core.Runtime) func() {
 			b := jbb.New(rt, jbb.Config{

@@ -40,9 +40,8 @@ type Subject struct {
 	// assertions if the configuration calls for them) and returns the
 	// iteration body.
 	Build func(rt *core.Runtime) func()
-	// Mode and Collector select the runtime configuration.
-	Mode      core.Mode
-	Collector core.CollectorKind
+	// Mode selects the runtime configuration.
+	Mode core.Mode
 	// Label overrides the configuration name in the output (used for
 	// "WithAssertions", which is Infrastructure mode plus assertions
 	// registered by Build).
@@ -76,7 +75,6 @@ func runTrial(s Subject, rc RunConfig) trial {
 	cfg := core.Config{
 		HeapWords: s.HeapWords,
 		Mode:      s.Mode,
-		Collector: s.Collector,
 	}
 	if rc.EventSink != nil {
 		cfg.Telemetry = &telemetry.Config{Sink: rc.EventSink}
@@ -100,8 +98,8 @@ func runTrial(s Subject, rc RunConfig) trial {
 		collections: st.GC.Collections,
 		violations:  len(rt.Violations()),
 	}
-	if st.GC.FullCollections > 0 {
-		out.owneesChecked = st.GC.Trace.OwneesChecked / st.GC.FullCollections
+	if st.GC.Collections > 0 {
+		out.owneesChecked = st.GC.Trace.OwneesChecked / st.GC.Collections
 	}
 	return out
 }

@@ -81,9 +81,8 @@ func (t *Table) EachRoot(fn func(slot *vmheap.Ref)) {
 	}
 }
 
-// Source is anything that can enumerate root slots: the global table, the
-// thread set, and any collector-internal sources (such as a generational
-// remembered set presented as roots).
+// Source is anything that can enumerate root slots: the global table and
+// the thread set.
 type Source interface {
 	EachRoot(fn func(slot *vmheap.Ref))
 }

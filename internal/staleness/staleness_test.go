@@ -287,7 +287,7 @@ func (m *mapTracker) Tracked() int { return len(m.last) }
 
 // TestStalenessSideTabDifferential runs one deterministic access script
 // against two trackers — dense side tables and the map model above —
-// over identically-driven runtimes across three collector modes and three
+// over identically-driven runtimes across two collector modes and three
 // seeds, and requires identical suspect lists (refs, classes, idle epochs,
 // order) and table sizes after every Advance. The script's heap never
 // reaches the scheduler's trigger, so the concurrent arm opens a cycle by
@@ -300,9 +300,6 @@ func TestStalenessSideTabDifferential(t *testing.T) {
 	}{
 		{"serial", func() core.Config {
 			return core.Config{HeapWords: 1 << 14, Mode: core.Infrastructure}
-		}},
-		{"generational", func() core.Config {
-			return core.Config{HeapWords: 1 << 14, Mode: core.Infrastructure, Collector: core.Generational}
 		}},
 		{"concurrent", func() core.Config {
 			return core.Config{

@@ -46,8 +46,6 @@ const (
 	PhaseMark Phase = iota
 	// PhaseOwnership is the owner-first pre-phase of assert-ownedby.
 	PhaseOwnership
-	// PhaseMinorMark is a generational minor (nursery) trace.
-	PhaseMinorMark
 	// PhaseSweep is one sweep pass over the whole heap.
 	PhaseSweep
 	// PhaseIncRoots is the snapshot pause that starts an incremental cycle.
@@ -67,8 +65,8 @@ const (
 
 // phaseNames are the wire and metric names; indexes match the constants.
 var phaseNames = [numPhases]string{
-	"mark", "ownership", "minor_mark",
-	"sweep", "inc_roots", "inc_slice", "inc_barrier", "inc_finish",
+	"mark", "ownership", "sweep",
+	"inc_roots", "inc_slice", "inc_barrier", "inc_finish",
 	"assist",
 }
 
@@ -84,7 +82,7 @@ func (p Phase) String() string {
 type EventKind uint8
 
 const (
-	// KindCycleBegin marks the start of a collection (full, minor, or
+	// KindCycleBegin marks the start of a collection (stop-the-world or
 	// incremental cycle).
 	KindCycleBegin EventKind = iota
 	// KindPhaseBegin and KindPhaseEnd bracket one phase; the end event
@@ -273,7 +271,7 @@ func (r *Recorder) End(p Phase, start time.Time) {
 }
 
 // Span emits a begin/end pair for a phase whose duration the caller
-// already measured (the collectors time their incremental intervals for
+// already measured (the collector times its incremental intervals for
 // pause accounting regardless of telemetry).
 func (r *Recorder) Span(p Phase, d time.Duration) {
 	if r == nil {

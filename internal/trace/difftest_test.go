@@ -54,7 +54,7 @@ const (
 	opStartRegion
 	opAllDead
 	opGC
-	opCollect
+	opCollect // a stop-the-world GC in both worlds
 	opAssertInstances
 	numOpCodes
 )
@@ -89,10 +89,9 @@ type diffWorld struct {
 
 // newDiffWorld builds a runtime whose forced collections are stop-the-world
 // (budget 0) or stepped in slices of budget objects.
-func newDiffWorld(collector core.CollectorKind, budget int) *diffWorld {
+func newDiffWorld(budget int) *diffWorld {
 	rt := core.New(core.Config{
 		HeapWords:         diffHeapWords,
-		Collector:         collector,
 		Mode:              core.Infrastructure,
 		IncrementalBudget: budget,
 	})
@@ -184,8 +183,8 @@ func (w *diffWorld) apply(t *testing.T, op diffOp) {
 	case opGC:
 		w.fullGC(t)
 	case opCollect:
-		if err := w.rt.Collect(); err != nil {
-			t.Fatalf("Collect: %v", err)
+		if err := w.rt.GC(); err != nil {
+			t.Fatalf("GC: %v", err)
 		}
 	case opAssertInstances:
 		if op.k%4 == 0 {
@@ -244,10 +243,10 @@ func compareWorlds(t *testing.T, at string, stw, stepped *diffWorld) {
 	}
 }
 
-func runDifferential(t *testing.T, collector core.CollectorKind, seed int64) {
+func runDifferential(t *testing.T, seed int64) {
 	script := makeScript(seed)
-	stw := newDiffWorld(collector, 0)
-	stepped := newDiffWorld(collector, incBudget)
+	stw := newDiffWorld(0)
+	stepped := newDiffWorld(incBudget)
 
 	for n, op := range script {
 		stw.apply(t, op)
@@ -282,16 +281,7 @@ func TestDifferentialMarkSweep(t *testing.T) {
 	for seed := int64(0); seed < diffSeeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runDifferential(t, core.MarkSweep, seed)
-		})
-	}
-}
-
-func TestDifferentialGenerational(t *testing.T) {
-	for seed := int64(0); seed < diffSeeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runDifferential(t, core.Generational, seed)
+			runDifferential(t, seed)
 		})
 	}
 }

@@ -132,11 +132,10 @@ type incWorld struct {
 	regionDepth int
 }
 
-func newIncWorld(collector core.CollectorKind, budget int) *incWorld {
+func newIncWorld(budget int) *incWorld {
 	w := &incWorld{ids: make(map[core.Ref]int)}
 	w.rt = core.New(core.Config{
 		HeapWords:         incHeapWords,
-		Collector:         collector,
 		Mode:              core.Infrastructure,
 		IncrementalBudget: budget,
 		// Violations must be rendered at report time, while the violating
@@ -158,12 +157,6 @@ func newIncWorld(collector core.CollectorKind, budget int) *incWorld {
 				v.Kind, v.Cycle, v.Class, objID, v.Count, v.Limit, v.Owner))
 			return report.Continue
 		}),
-		// The generational escalation policy keys off freed-word counts,
-		// whose timing differs between the worlds; pin the policy to
-		// explicit ops only. Scripts run no minor collections at all (see
-		// DESIGN.md §7 on the promotion-timing caveat).
-		GenMinorFloor: -1,
-		GenMajorEvery: 1 << 30,
 	})
 	rt := w.rt
 	w.th = rt.MainThread()
@@ -345,10 +338,10 @@ func compareIncWorlds(t *testing.T, at string, stw, inc *incWorld) {
 // no-ops, so each StartGC..FinishGC block is exactly one full cycle in each
 // world; in the incremental world the mutator ops inside the block race the
 // mark slices and the write barrier.
-func runIncDifferential(t *testing.T, collector core.CollectorKind, seed int64, leafy bool) (incStats core.Snapshot) {
+func runIncDifferential(t *testing.T, seed int64, leafy bool) (incStats core.Snapshot) {
 	script := makeIncScript(seed, leafy)
-	stw := newIncWorld(collector, 0)
-	inc := newIncWorld(collector, incBudget)
+	stw := newIncWorld(0)
+	inc := newIncWorld(incBudget)
 
 	for n, op := range script {
 		ra := stw.apply(t, op)
@@ -385,8 +378,7 @@ func runIncDifferential(t *testing.T, collector core.CollectorKind, seed int64, 
 	if sg.Trace != ig.Trace {
 		t.Fatalf("seed %d: trace counters differ:\nstw: %+v\ninc: %+v", seed, sg.Trace, ig.Trace)
 	}
-	if sg.Collections != ig.Collections || sg.FullCollections != ig.FullCollections ||
-		sg.MarkedObjects != ig.MarkedObjects ||
+	if sg.Collections != ig.Collections || sg.MarkedObjects != ig.MarkedObjects ||
 		sg.FreedObjects != ig.FreedObjects || sg.FreedWords != ig.FreedWords {
 		t.Fatalf("seed %d: collection totals differ:\nstw: %+v\ninc: %+v", seed, sg, ig)
 	}
@@ -396,12 +388,12 @@ func runIncDifferential(t *testing.T, collector core.CollectorKind, seed int64, 
 	return inc.rt.Stats()
 }
 
-func testIncDifferential(t *testing.T, collector core.CollectorKind, seeds int64, leafy bool) {
+func testIncDifferential(t *testing.T, seeds int64, leafy bool) {
 	var cycles, slices, barriers, ownees uint64
 	for seed := int64(0); seed < seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			s := runIncDifferential(t, collector, seed, leafy).GC
+			s := runIncDifferential(t, seed, leafy).GC
 			cycles += s.IncrementalCycles
 			slices += s.MarkSlices
 			barriers += s.BarrierScans
@@ -421,13 +413,9 @@ func testIncDifferential(t *testing.T, collector core.CollectorKind, seeds int64
 }
 
 func TestIncrementalDifferentialMarkSweep(t *testing.T) {
-	testIncDifferential(t, core.MarkSweep, 60, false)
-}
-
-func TestIncrementalDifferentialGenerational(t *testing.T) {
-	testIncDifferential(t, core.Generational, 40, false)
+	testIncDifferential(t, 60, false)
 }
 
 func TestIncrementalDifferentialLeafyOwnership(t *testing.T) {
-	testIncDifferential(t, core.MarkSweep, 40, true)
+	testIncDifferential(t, 40, true)
 }

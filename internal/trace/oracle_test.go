@@ -276,7 +276,7 @@ func (m *shadowModel) liveIDs() []string {
 func runOracle(t *testing.T, budget int, seed int64) core.Snapshot {
 	script := makeOracleScript(seed)
 	model := newShadowModel()
-	world := newIncWorld(core.MarkSweep, budget)
+	world := newIncWorld(budget)
 
 	for n, op := range script {
 		if out := world.apply(t, op); out != "" {

@@ -97,7 +97,7 @@ type Tracer struct {
 	barrierSrc vmheap.Ref
 
 	// tele, when non-nil, receives a span per marking pass (mark,
-	// ownership, minor_mark). Nil — the default — costs one branch per
+	// ownership). Nil — the default — costs one branch per
 	// pass, nothing per object.
 	tele *telemetry.Recorder
 }

@@ -197,7 +197,7 @@ func (h *Heap) ActiveBuffers() int { return h.activeBuffers }
 func (h *Heap) BufferStats() (carves, allocs uint64) { return h.bufCarves, h.bufAllocs }
 
 // AssertNoBuffers panics if any allocation buffer is outstanding. Sweeps,
-// heap walks, and the collectors call it at entry: a buffer's unwritten
+// heap walks, and the collector call it at entry: a buffer's unwritten
 // tail has no parseable header, so collecting or walking with a buffer
 // active would corrupt the heap. The runtime must retire all buffers
 // first.

@@ -46,8 +46,8 @@ const (
 	FlagUnshared uint64 = 1 << 2 // assert-unshared was called on this object
 	FlagOwned    uint64 = 1 << 3 // reached from its owner this cycle
 	FlagFree     uint64 = 1 << 4 // this is a free chunk, not an object
-	FlagMature   uint64 = 1 << 5 // survived a collection (generational)
-	FlagRemember uint64 = 1 << 6 // present in the remembered set
+	// Bits 5 and 6 are unassigned. The higher flags keep their bit
+	// numbers, so heap images stay byte-identical across versions.
 
 	// FlagScanned is only used during an incremental collection cycle: the
 	// object's reference slots have been processed (by a mark slice, the

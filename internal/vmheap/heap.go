@@ -59,7 +59,7 @@ type Heap struct {
 	// branch per emit point.
 	tele *telemetry.Recorder
 
-	// sweepEpoch counts Sweep passes (full or minor), atomically so the
+	// sweepEpoch counts Sweep passes, atomically so the
 	// runtime's lock-free bump-allocation path can stamp each allocation
 	// with the epoch it was born in. An allocation whose stamp still equals
 	// the current epoch cannot have been reclaimed, so the stamp certifies a

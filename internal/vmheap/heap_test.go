@@ -315,34 +315,16 @@ func TestSweepEmptyHeapSingleChunk(t *testing.T) {
 	}
 }
 
-func TestSweepClearAndSetFlags(t *testing.T) {
+func TestSweepClearFlags(t *testing.T) {
 	h := New(1024)
 	r, _ := h.Alloc(KindScalar, 1, 1)
-	h.SetFlags(r, FlagMark|FlagOwned)
-	h.Sweep(SweepOptions{ClearFlags: FlagOwned, SetFlags: FlagMature})
-	if h.Flags(r, FlagOwned) != 0 {
-		t.Error("FlagOwned survived sweep with ClearFlags")
+	h.SetFlags(r, FlagMark|FlagOwned|FlagUnshared)
+	h.Sweep(SweepOptions{ClearFlags: FlagOwned})
+	if h.Flags(r, FlagOwned|FlagMark) != 0 {
+		t.Error("FlagOwned or FlagMark survived sweep with ClearFlags")
 	}
-	if h.Flags(r, FlagMature) == 0 {
-		t.Error("FlagMature not set by sweep")
-	}
-}
-
-func TestSweepImmatureKeepsMature(t *testing.T) {
-	h := New(1024)
-	mature, _ := h.Alloc(KindScalar, 1, 1)
-	young, _ := h.Alloc(KindScalar, 1, 1)
-	h.SetFlags(mature, FlagMature)
-	// Neither object is marked; an immature sweep must keep the mature one.
-	st := h.Sweep(SweepOptions{Immature: true})
-	if st.LiveObjects != 1 {
-		t.Fatalf("LiveObjects = %d, want 1", st.LiveObjects)
-	}
-	if !h.IsObject(mature) {
-		t.Error("mature object was swept")
-	}
-	if h.IsObject(young) {
-		t.Error("young unmarked object survived immature sweep")
+	if h.Flags(r, FlagUnshared) == 0 {
+		t.Error("sweep cleared a flag outside ClearFlags")
 	}
 }
 
@@ -414,7 +396,7 @@ func TestHeaderEncoding(t *testing.T) {
 			t.Errorf("size roundtrip failed for %+v", c)
 		}
 		// Flags must not collide with any field.
-		hd |= FlagMark | FlagDead | FlagUnshared | FlagOwned | FlagMature | FlagRemember | FlagOwnee | FlagOwner
+		hd |= FlagMark | FlagDead | FlagUnshared | FlagOwned | FlagOwnee | FlagOwner
 		if headerKind(hd) != c.kind || headerClass(hd) != c.class || headerSize(hd) != c.size {
 			t.Errorf("flags corrupt header fields for %+v", c)
 		}

@@ -29,19 +29,6 @@ type SweepOptions struct {
 	// ClearFlags is a mask of flag bits to clear on surviving objects in
 	// addition to the mark bit (for example FlagOwned between cycles).
 	ClearFlags uint64
-	// SetFlags is a mask of flag bits to set on surviving objects (the
-	// generational collector promotes survivors with FlagMature).
-	SetFlags uint64
-	// Immature restricts the sweep to objects without FlagMature: mature
-	// objects are treated as live regardless of their mark bit. Used by
-	// the generational collector's minor collections.
-	Immature bool
-}
-
-// keeps reports whether a sweep under these options keeps the allocated
-// chunk whose header is hd.
-func (o *SweepOptions) keeps(hd uint64) bool {
-	return hd&FlagMark != 0 || (o.Immature && hd&FlagMature != 0)
 }
 
 // Sweep performs the sweep phase of a mark-sweep collection: it walks the
@@ -68,7 +55,7 @@ func (h *Heap) Sweep(opts SweepOptions) SweepStats {
 
 // reclaim is the sweep: the one walk that rewrites headers. Over the whole
 // arena it absorbs existing free chunks into the open run, keeps survivors
-// (OnLive, mark and ClearFlags cleared, SetFlags set), reclaims garbage
+// (OnLive, mark and ClearFlags cleared), reclaims garbage
 // (OnFree) into the open run, and installs each run a survivor or the arena
 // end closes.
 func (h *Heap) reclaim(opts SweepOptions) SweepStats {
@@ -90,11 +77,11 @@ func (h *Heap) reclaim(opts SweepOptions) SweepStats {
 			}
 			runLen += size
 
-		case opts.keeps(hd):
+		case hd&FlagMark != 0:
 			if opts.OnLive != nil {
 				opts.OnLive(Ref(addr), hd)
 			}
-			h.words[addr] = (hd &^ unmark) | opts.SetFlags
+			h.words[addr] = hd &^ unmark
 			st.LiveObjects++
 			st.LiveWords += uint64(size)
 			if runLen != 0 {

@@ -104,10 +104,9 @@ func TestFreeChunksMatchesIterator(t *testing.T) {
 	}
 }
 
-// eagerSweepDigest runs four eager mark/sweep cycles (the last one
-// minor-collection shaped) over the buildMixedHeap fixture and hashes, after
-// each sweep, everything the sweep produces: the hook call sequence, the
-// statistics, the arena image and the free lists.
+// eagerSweepDigest runs four eager mark/sweep cycles over the buildMixedHeap
+// fixture and hashes, after each sweep, everything the sweep produces: the
+// hook call sequence, the statistics, the arena image and the free lists.
 func eagerSweepDigest(t *testing.T, seed int64) uint64 {
 	t.Helper()
 	h, _ := buildMixedHeap(t, 1<<16, seed)
@@ -126,12 +125,6 @@ func eagerSweepDigest(t *testing.T, seed int64) uint64 {
 			OnFree: func(r Ref, hd uint64) { put(0, uint64(r), hd) },
 			OnLive: func(r Ref, hd uint64) { put(1, uint64(r), hd) },
 		}
-		if cycle == 1 {
-			opts.SetFlags = FlagMature
-		}
-		if cycle == 3 {
-			opts.Immature, opts.SetFlags = true, FlagMature
-		}
 		st := h.Sweep(opts)
 		put(st.LiveObjects, st.LiveWords, st.FreedObjects, st.FreedWords, st.FreeChunks)
 		put(h.words...)
@@ -144,18 +137,18 @@ func eagerSweepDigest(t *testing.T, seed int64) uint64 {
 }
 
 // TestEagerSweepGolden pins the sweep to the heap image, free lists,
-// statistics and hook order it produced while the heap still carried a
-// lazy sweep mode and its parse-range table: the digests were taken from
-// this function run at commit 483bf71, the last commit with that mode. A
-// pass here proves the deletion left every sweep output byte-identical.
+// statistics and hook order it produces. The digests were taken from this
+// function run at commit 0ef5df8, the last commit whose sweep could also set
+// flags on survivors and keep unmarked objects by a header bit; a pass here
+// proves the sweep without those options left every output byte-identical.
 func TestEagerSweepGolden(t *testing.T) {
 	for _, tc := range []struct {
 		seed int64
 		want uint64
 	}{
-		{7, 0xf0cb8060face1ad4},
-		{42, 0x28d92167409c6454},
-		{99, 0x3ad16f61b059f58a},
+		{7, 0x1f087bdff825a69d},
+		{42, 0x11e2c605004ef7fe},
+		{99, 0x71503121f19da169},
 	} {
 		if got := eagerSweepDigest(t, tc.seed); got != tc.want {
 			t.Errorf("seed %d: digest %#x, want %#x", tc.seed, got, tc.want)
