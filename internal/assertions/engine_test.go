@@ -227,7 +227,7 @@ func TestPreSweepPurgesDyingOwnee(t *testing.T) {
 	e.e.AssertOwnedBy(owner, ownee)
 	// Owner survives, ownee dies.
 	e.h.SetFlags(owner, vmheap.FlagMark)
-	e.e.PreSweep(func(r vmheap.Ref) bool { return e.h.Flags(r, vmheap.FlagMark) != 0 })
+	e.e.PreSweep()
 	if e.e.NumOwnees() != 0 {
 		t.Error("dying ownee not purged")
 	}
@@ -244,7 +244,7 @@ func TestPreSweepPurgesDeadOwner(t *testing.T) {
 	// Ownee survives, owner dies: the pair is dropped and the stale
 	// ownee bit cleared.
 	e.h.SetFlags(ownee, vmheap.FlagMark)
-	e.e.PreSweep(func(r vmheap.Ref) bool { return e.h.Flags(r, vmheap.FlagMark) != 0 })
+	e.e.PreSweep()
 	if e.e.NumOwnees() != 0 {
 		t.Error("orphan pair not dropped")
 	}
@@ -265,7 +265,7 @@ func TestPreSweepPurgesRegionQueues(t *testing.T) {
 	th.RecordRegionAlloc(dying)
 	th.RecordRegionAlloc(surviving)
 	e.h.SetFlags(surviving, vmheap.FlagMark)
-	e.e.PreSweep(func(r vmheap.Ref) bool { return e.h.Flags(r, vmheap.FlagMark) != 0 })
+	e.e.PreSweep()
 	q, err := th.EndRegion()
 	if err != nil {
 		t.Fatal(err)
