@@ -17,28 +17,25 @@ race:
 bench:
 	go test -bench . -benchmem ./...
 
-# Differential tests under the race detector, in one run over internal/:
-# stop-the-world vs incremental cycles, hand-stepped and scheduler-driven
-# (plus the shadow-model oracle), direct vs buffered allocation on
-# stop-the-world and incremental runtimes, telemetry on vs off (recording must be pure observation —
-# byte-identical heaps), stop-the-world vs background-pacer concurrent
-# collection, the single-mutator lock-elided regime vs the locked one, the
-# staleness side table vs its map model, and the ArrayList over the range accessors vs a
-# Go-slice model in the solo, shared and open-cycle regimes
-# (TestListModel), beside the range accessors' own contract and barrier tests
-# (GatherData's in every regime), and minidb's Find against a model of its
-# live keys on stop-the-world, concurrent and 2-worker server runtimes
-# (TestFindModel).
+# Differential tests under the race detector, in one run over internal/. The
+# mode differentials and oracles are config-pair arms over internal/heapscript
+# (DESIGN.md §15): GC against a stepped cycle, stop-the-world against
+# incremental and against the background pacer, direct against buffered
+# allocation, solo against shared, silent against recording telemetry, and
+# runtimes against the shadow model (TestOracle*), the core fuzzers' seed
+# corpora, and the comparer's own test (TestCompareSeesEveryField). Beside them: the staleness side table vs
+# its map model, the ArrayList over the range accessors vs a Go-slice model
+# (TestListModel), the range accessors' contract and barrier tests, and
+# minidb's Find against a model of its live keys (TestFindModel).
 difftest:
-	go test -race -run 'Differential|TestOracle|TestAllocBuffer|TestTelemetry|TestSoloContract|TestListModel|TestRangeAccessors|TestArrCopyRefs|TestGatherData|TestFindModel' ./internal/...
+	go test -race -run 'Differential|TestOracle|TestAllocBuffer|TestTelemetry|TestCompareSeesEveryField|FuzzIncrementalBarrier|FuzzAllocBuffer|FuzzConcurrentPacer|TestSoloContract|TestListModel|TestRangeAccessors|TestArrCopyRefs|TestGatherData|TestFindModel' ./internal/...
 
-# Short coverage-guided fuzz runs: stop-the-world against scheduler-driven
-# incremental cycles, the direct/buffered allocation equivalence, the
-# stop-the-world/concurrent-pacer equivalence, and the side tables against
-# their map models (go test takes one -fuzz
-# pattern per invocation, so the targets run sequentially). The alphabets of
-# FuzzIncrementalBarrier and FuzzConcurrentPacer include ArrCopyRefs range
-# moves within and between reference arrays.
+# Short coverage-guided fuzz runs (go test takes one -fuzz pattern per
+# invocation, so the targets run sequentially). The three core targets decode
+# their input with heapscript's op alphabet: stop-the-world against stepped
+# cycles, direct against buffered allocation, and stop-the-world against the
+# background pacer; the sidetab targets check the side tables against map
+# models.
 fuzz:
 	go test -run '^$$' -fuzz FuzzIncrementalBarrier -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzAllocBuffer -fuzztime 30s ./internal/core

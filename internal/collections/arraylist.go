@@ -64,13 +64,29 @@ func (k *Kit) ListAdd(th *core.Thread, list core.Ref, val core.Ref) {
 }
 
 // ListRemoveAt removes element i, shifting the tail left, and returns the
-// removed reference.
+// removed reference. The result is a Go variable, which no collection sees:
+// a caller that keeps the element while another mutator or the pacer may
+// collect uses ListRemoveAtInto.
 func (k *Kit) ListRemoveAt(list core.Ref, i int) core.Ref {
+	return k.listRemove(list, i, nil, 0)
+}
+
+// ListRemoveAtInto removes element i, storing it into f's local slot before
+// the shift unlinks it, so the element is reachable from the list or the
+// frame at every instant (DESIGN.md §11).
+func (k *Kit) ListRemoveAtInto(f *core.Frame, slot int, list core.Ref, i int) {
+	k.listRemove(list, i, f, slot)
+}
+
+func (k *Kit) listRemove(list core.Ref, i int, f *core.Frame, slot int) core.Ref {
 	k.checkListIndex(list, i)
 	rt := k.rt
 	size := int(rt.GetInt(list, k.listSize))
 	data := rt.GetRef(list, k.listData)
 	out := rt.ArrGetRef(data, i)
+	if f != nil {
+		f.SetLocal(slot, out)
+	}
 	rt.ArrCopyRefs(data, i, data, i+1, size-1-i)
 	rt.ArrSetRef(data, size-1, core.Nil)
 	rt.SetInt(list, k.listSize, int64(size-1))

@@ -111,6 +111,42 @@ func TestListRemoveAt(t *testing.T) {
 	}
 }
 
+// TestListRemoveAtIntoRootsBeforeUnlink is the Go-held Ref window on one
+// goroutine. Two threads make the allocation pin ring live; eight more
+// allocations push the list's elements out of it. An element removed by
+// ListRemoveAtInto survives a collection that runs before the caller next
+// touches it (through ListRemoveAt, whose result only a Go variable holds,
+// that collection frees it), and Frame.AssertDead registers it and drops
+// the frame's root, so the next collection finds it dead.
+func TestListRemoveAtIntoRootsBeforeUnlink(t *testing.T) {
+	w := newWorld(t, 1<<12)
+	w.rt.NewThread("second")
+	f := w.th.PushFrame(2)
+	f.SetLocal(0, w.kit.NewList(w.th))
+	for i := range 8 {
+		w.kit.ListAdd(w.th, f.Local(0), w.value(int64(i)))
+	}
+	for range 8 {
+		w.value(-1)
+	}
+	w.kit.ListRemoveAtInto(f, 1, f.Local(0), 0)
+	if err := w.rt.GC(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AssertDead(1); err != nil {
+		t.Fatalf("Frame.AssertDead on the removed element: %v", err)
+	}
+	if err := w.rt.GC(); err != nil {
+		t.Fatal(err)
+	}
+	if f.Local(1) != core.Nil || len(w.rt.Violations()) != 0 {
+		t.Fatalf("slot %d after Frame.AssertDead, %d violations: want nil and none", f.Local(1), len(w.rt.Violations()))
+	}
+	if n := w.kit.ListLen(f.Local(0)); n != 7 || w.valueOf(w.kit.ListGet(f.Local(0), 0)) != 1 {
+		t.Fatalf("list of %d starting at %d after removing element 0 of 8", n, w.valueOf(w.kit.ListGet(f.Local(0), 0)))
+	}
+}
+
 func TestListSetIndexOfClearEach(t *testing.T) {
 	w := newWorld(t, 1<<14)
 	g := w.rt.AddGlobal("list")

@@ -23,6 +23,23 @@ var ErrAssertionsDisabled = errors.New("core: assertions require Infrastructure 
 func (rt *Runtime) AssertDead(obj Ref) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	return rt.assertDeadLocked(obj)
+}
+
+// AssertDead asserts the object in local slot i dead and clears the slot,
+// under one hold of the runtime lock: no collection sees the frame rooting
+// an object it must report unreachable (DESIGN.md §11).
+func (f *Frame) AssertDead(i int) error {
+	f.rt.mu.Lock()
+	defer f.rt.mu.Unlock()
+	if err := f.rt.assertDeadLocked(f.f.Local(i)); err != nil {
+		return err
+	}
+	f.f.SetLocal(i, Nil)
+	return nil
+}
+
+func (rt *Runtime) assertDeadLocked(obj Ref) error {
 	if rt.engine == nil {
 		return ErrAssertionsDisabled
 	}

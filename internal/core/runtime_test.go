@@ -258,6 +258,12 @@ func TestAssertDeadSatisfied(t *testing.T) {
 	if err := rt.AssertDead(obj); err != nil {
 		t.Fatal(err)
 	}
+	// Frame.AssertDead registers a local's object and drops the root.
+	f := th.PushFrame(1)
+	f.SetLocal(0, th.New(node))
+	if err := f.AssertDead(0); err != nil || f.Local(0) != Nil {
+		t.Fatalf("Frame.AssertDead: %v, slot %d after", err, f.Local(0))
+	}
 	if err := rt.GC(); err != nil {
 		t.Fatal(err)
 	}
@@ -391,6 +397,9 @@ func TestAssertDeadOnBadRef(t *testing.T) {
 	rt := newRT(t, 1<<12)
 	if err := rt.AssertDead(Nil); err == nil {
 		t.Error("AssertDead(Nil) did not error")
+	}
+	if err := rt.MainThread().PushFrame(1).AssertDead(0); err == nil {
+		t.Error("Frame.AssertDead on a nil slot did not error")
 	}
 }
 

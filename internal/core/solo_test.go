@@ -1,210 +1,15 @@
 package core
 
 import (
-	"fmt"
-	"math/rand"
-	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// Tests for the single-mutator lock elision (Runtime.mutators): the elided
-// and the locked paths must be observationally the same program, the flip
-// between them must be safe to make mid-run, and the contract the elision
-// relies on must be checkable.
-
-// soloArm is one configuration of the differential, and whether its script
-// is reshaped by oldGenStep. The reshaped script's two long-lived slots
-// gather ownership pairs over the whole script, so only its arms compare
-// the solo and shared worlds on the ownership pre-phase's improper-ownee
-// paths (a repeated warning, an improper ownee its own owner marked first)
-// and on phase 1b's report of an ownee no owner reached.
-type soloArm struct {
-	cfg          Config
-	generational bool
-}
-
-// soloConfigs is the differential's matrix: plain/generational script ×
-// stop-the-world/incremental × direct/buffered. The heap is small enough that
-// allocation triggers collections of its own between the forced ones.
-func soloConfigs() map[string]soloArm {
-	out := make(map[string]soloArm)
-	for _, shape := range []string{"marksweep", "generational"} {
-		for _, budget := range []int{0, 32} {
-			for _, buf := range []int{0, 64} {
-				cfg := Config{
-					HeapWords: 1 << 10, Mode: Infrastructure,
-					IncrementalBudget: budget, AllocBuffers: buf,
-				}
-				out[fmt.Sprintf("%s/inc%d/buf%d", shape, budget, buf)] = soloArm{cfg, shape == "generational"}
-			}
-		}
-	}
-	return out
-}
-
-// oldGenStep reshapes the n-th drawn op of a seed's script the way
-// oldGenScript reshapes a concurrent-differential script: the first ops
-// allocate a node into each old-generation slot, and later allocations and
-// clears go to the young slots, so the old objects live the whole script.
-func oldGenStep(n int, code, i byte) (byte, byte) {
-	if n < oldGenSlots {
-		return 0, byte(n)
-	}
-	if code < 10 {
-		switch code % 9 {
-		case 0, 1, 2, 4: // allocation or clear
-			i = oldGenSlot(i, sweepSlots)
-		}
-	}
-	return code, i
-}
-
-// buildSoloWorld builds the script's world on cfg; shared worlds call
-// NewThread before anything else, which is all it takes to leave the
-// single-mutator regime.
-func buildSoloWorld(cfg Config, shared bool) *sweepWorld {
-	rt := New(cfg)
-	if shared {
-		rt.NewThread("unused")
-	}
-	return newSweepWorld(rt)
-}
-
-// soloStep applies one script op, then — the one deliberate difference between
-// the regimes — drops the hidden-register pins a shared runtime keeps
-// (Runtime.pinsActive). Pins root a thread's last few allocations against
-// another goroutine's collection; the script publishes every allocation into
-// a frame slot at once, so here they could only retain what the solo world
-// frees and turn assert-dead verdicts into root-path false positives.
-func (w *sweepWorld) soloStep(code, i, k byte) {
-	switch {
-	case code == 10: // data store and load through a fresh data array
-		arr := w.th.NewDataArray(1 + int(k)%4)
-		w.rt.ArrSetData(arr, 0, uint64(k))
-		if w.rt.ArrGetData(arr, 0) != uint64(k) {
-			panic("data array round trip")
-		}
-	case code == 11: // a managed string in a nested frame
-		f := w.th.PushFrame(1)
-		f.SetLocal(0, w.th.NewString(strings.Repeat("x", int(k)%20)))
-		if w.rt.StringLen(f.Local(0)) != int(k)%20 {
-			panic("string round trip")
-		}
-		w.th.PopFrame()
-	case code == 12 && k < 32: // a full collection mid-script
-		if err := w.rt.GC(); err != nil {
-			panic(err)
-		}
-	case code == 12 && k < 64: // open an incremental cycle for the ops that follow to write into
-		if err := w.rt.StartGC(); err != nil {
-			panic(err)
-		}
-	default:
-		w.apply(code%9, i, k)
-	}
-	w.th.pins = [threadPinSlots]allocPin{}
-}
-
-// TestSoloSharedDifferential runs one seeded mutator script — allocation,
-// reference, data and array stores, frames, strings, regions, every
-// assertion kind, forced, incremental and allocation-triggered
-// collections — on a solo runtime and on one where NewThread was called
-// first. Same script, same collection points, so everything must match to
-// the address: live sets, violations with their paths, heap and collector
-// accounting, and a clean VerifyHeap.
-func TestSoloSharedDifferential(t *testing.T) {
-	for name, arm := range soloConfigs() {
-		cfg := arm.cfg
-		t.Run(name, func(t *testing.T) {
-			triggered := false
-			for seed := int64(1); seed <= 2; seed++ {
-				rng := rand.New(rand.NewSource(seed))
-				solo, shared := buildSoloWorld(cfg, false), buildSoloWorld(cfg, true)
-				if !solo.rt.solo() || shared.rt.solo() {
-					t.Fatal("worlds are not in the regimes the test compares")
-				}
-				worlds := []*sweepWorld{solo, shared}
-				for round := 0; round < 4; round++ {
-					before := solo.rt.Stats().GC.Collections
-					for step := 0; step < 1000; step++ {
-						code, i, k := byte(rng.Intn(13)), byte(rng.Intn(256)), byte(rng.Intn(256))
-						if arm.generational {
-							code, i = oldGenStep(round*1000+step, code, i)
-						}
-						for _, w := range worlds {
-							w.soloStep(code, i, k)
-						}
-						// Occupancy after every op: a collection that ran at a
-						// different point, or freed something else, shows here
-						// at once rather than after the next forced collection
-						// has evened it out.
-						if a, b := solo.rt.heap.LiveWords(), shared.rt.heap.LiveWords(); a != b {
-							t.Fatalf("seed %d round %d step %d (op %d): %d live words solo, %d shared", seed, round, step, code, a, b)
-						}
-					}
-					if solo.rt.Stats().GC.Collections > before {
-						triggered = true
-					}
-					for _, w := range worlds {
-						var err error
-						switch {
-						case cfg.IncrementalBudget > 0 && round%2 == 0:
-							if err = w.rt.StartGC(); err == nil {
-								_, err = w.rt.GCStep()
-							}
-							if err == nil {
-								err = w.rt.FinishGC()
-							}
-						}
-						if err == nil {
-							err = w.rt.GC()
-						}
-						if err != nil {
-							t.Fatalf("seed %d round %d: collection: %v", seed, round, err)
-						}
-					}
-					label := fmt.Sprintf("seed %d round %d", seed, round)
-					if a, b := solo.rt.LiveSet(), shared.rt.LiveSet(); !reflect.DeepEqual(a, b) {
-						t.Fatalf("%s: live sets differ (%d vs %d objects)", label, len(a), len(b))
-					}
-					if a, b := renderViolations(solo.rt), renderViolations(shared.rt); !reflect.DeepEqual(a, b) {
-						t.Fatalf("%s: violations differ:\n  solo:   %v\n  shared: %v", label, a, b)
-					}
-					ss, hs := solo.rt.Stats(), shared.rt.Stats()
-					if ss.Heap != hs.Heap {
-						t.Fatalf("%s: heap accounting differs:\n  solo:   %+v\n  shared: %+v", label, ss.Heap, hs.Heap)
-					}
-					// Marked counts are left out: an incremental cycle that the
-					// allocation itself triggers finds the new object in the
-					// shared world's pin ring and counts it as a root visit.
-					if ss.GC.Collections != hs.GC.Collections || ss.GC.FreedWords != hs.GC.FreedWords ||
-						ss.GC.FreedObjects != hs.GC.FreedObjects {
-						t.Fatalf("%s: collector accounting differs: %d/%d collections, %d/%d freed words, %d/%d freed objects",
-							label, ss.GC.Collections, hs.GC.Collections, ss.GC.FreedWords, hs.GC.FreedWords,
-							ss.GC.FreedObjects, hs.GC.FreedObjects)
-					}
-					if ss.Asserts != hs.Asserts {
-						t.Fatalf("%s: assertion accounting differs:\n  solo:   %+v\n  shared: %+v", label, ss.Asserts, hs.Asserts)
-					}
-					if a, b := solo.th.Allocs(), shared.th.Allocs(); a != b {
-						t.Fatalf("%s: thread alloc counts differ: %d vs %d", label, a, b)
-					}
-				}
-				for _, w := range worlds {
-					if errs := w.rt.VerifyHeap(); len(errs) > 0 {
-						t.Fatalf("seed %d: heap corrupt (solo=%v): %v", seed, w.rt.solo(), errs[0])
-					}
-				}
-			}
-			if !triggered {
-				t.Error("no allocation-triggered collection ran: the heap is too large for the script")
-			}
-		})
-	}
-}
+// Tests for the single-mutator lock elision (Runtime.mutators): the flip
+// between the regimes must be safe to make mid-run, and the contract the
+// elision relies on must be checkable. That the elided and the locked paths
+// are one program is TestSoloSharedDifferential (differential_test.go).
 
 // TestSoloFlipMidScript makes the flip itself: a mutator runs solo, calls
 // NewThread part-way, hands the Thread to a second goroutine, and both keep

@@ -153,8 +153,8 @@ func TestPropertyHeapVerifiesAfterCollection(t *testing.T) {
 	}
 }
 
-// TestFullCycleBothCollectorsBothRoutes: the paper's two collector builds,
-// Base (no assertion infrastructure) and Infrastructure, run one cycle type.
+// TestFullCycleBaseAndInfrastructureBothRoutes: the paper's two collector builds,
+// Base (no assertion infrastructure) and Infrastructure, through both routes.
 // The same random graph — in the Infrastructure build with assert-dead,
 // assert-unshared and ownership assertions armed on it — is collected through
 // CollectFull and through StartFull, StepMark until drained, FinishFull. Within
@@ -162,7 +162,7 @@ func TestPropertyHeapVerifiesAfterCollection(t *testing.T) {
 // violations and count the same cycle, apart from IncrementalCycles; across
 // builds the survivors and counts must match too, since checking an assertion
 // never changes what is reachable.
-func TestFullCycleBothCollectorsBothRoutes(t *testing.T) {
+func TestFullCycleBaseAndInfrastructureBothRoutes(t *testing.T) {
 	type outcome struct {
 		live       map[vmheap.Ref]bool
 		violations []string

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/collections"
 	"repro/internal/core"
@@ -107,6 +108,14 @@ func TestFindModel(t *testing.T) {
 			find:   func(key int64) bool { return do(OpFind, key).Found },
 			quiet:  srv.withDB,
 		}, func(int) {})
+		// The churn goroutine may not have run yet: stop it only once it
+		// has expired a session and the pacer has completed a cycle.
+		for deadline := time.Now().Add(30 * time.Second); srv.Stats().Expired == 0 || rt.Stats().Pacer.Cycles == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("after 30 s the churn had expired no session or the pacer had completed no cycle")
+				break
+			}
+		}
 		close(stop)
 		churn.Wait()
 		if st := srv.Stats(); st.Failed != 0 || st.Expired == 0 {

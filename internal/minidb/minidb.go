@@ -185,8 +185,7 @@ func (d *Database) RemoveOn(th *core.Thread) {
 	}
 	f := th.PushFrame(1)
 	defer th.PopFrame()
-	removed := d.kit.ListRemoveAt(entries, d.rand(n))
-	f.SetLocal(0, removed)
+	d.kit.ListRemoveAtInto(f, 0, entries, d.rand(n))
 
 	if d.cfg.LeakCache {
 		d.kit.ListAdd(th, d.cache.Get(), f.Local(0))
@@ -196,7 +195,7 @@ func (d *Database) RemoveOn(th *core.Thread) {
 	// destroyed should be unreachable".
 	rt.SetRef(d.db.Get(), d.dCurrent, core.Nil)
 	if d.cfg.AssertDeadOnRemove {
-		if err := rt.AssertDead(f.Local(0)); err != nil {
+		if err := f.AssertDead(0); err != nil {
 			panic(err)
 		}
 		d.DeadAsserts++

@@ -312,8 +312,7 @@ func (s *Server) session(w *worker) error {
 
 	kit.ListAdd(th, w.sessions.Get(), f.Local(0))
 	for kit.ListLen(w.sessions.Get()) > s.cfg.SessionCap {
-		expired := kit.ListRemoveAt(w.sessions.Get(), 0)
-		f.SetLocal(1, expired)
+		kit.ListRemoveAtInto(f, 1, w.sessions.Get(), 0)
 		s.expired.Add(1)
 		if s.cfg.DB.LeakCache {
 			// The defect: the "expired" session is retained in the shared
@@ -325,7 +324,7 @@ func (s *Server) session(w *worker) error {
 			// The check: an expired session should be unreachable by the
 			// next collection. With LeakCache above, it is not — and the
 			// collector reports the retention path.
-			if err := rt.AssertDead(f.Local(1)); err != nil {
+			if err := f.AssertDead(1); err != nil {
 				return err
 			}
 		}
