@@ -23,10 +23,10 @@ bench:
 # incremental and against the background pacer, direct against buffered
 # allocation, solo against shared, silent against recording telemetry, and
 # runtimes against the shadow model (TestOracle*), the core fuzzers' seed
-# corpora, and the comparer's own test (TestCompareSeesEveryField). Beside them: the staleness side table vs
-# its map model, the ArrayList over the range accessors vs a Go-slice model
-# (TestListModel), the range accessors' contract and barrier tests, and
-# minidb's Find against a model of its live keys (TestFindModel).
+# corpora, and the comparer's own test (TestCompareSeesEveryField). Beside them:
+# the ArrayList over the range accessors vs a Go-slice model (TestListModel),
+# the range accessors' contract and barrier tests, and minidb's Find against a
+# model of its live keys (TestFindModel).
 difftest:
 	go test -race -run 'Differential|TestOracle|TestAllocBuffer|TestTelemetry|TestCompareSeesEveryField|FuzzIncrementalBarrier|FuzzAllocBuffer|FuzzConcurrentPacer|TestSoloContract|TestListModel|TestRangeAccessors|TestArrCopyRefs|TestGatherData|TestFindModel' ./internal/...
 
@@ -34,13 +34,12 @@ difftest:
 # invocation, so the targets run sequentially). The three core targets decode
 # their input with heapscript's op alphabet: stop-the-world against stepped
 # cycles, direct against buffered allocation, and stop-the-world against the
-# background pacer; the sidetab targets check the side tables against map
-# models.
+# background pacer; the sidetab target checks the ownee index against a map
+# model.
 fuzz:
 	go test -run '^$$' -fuzz FuzzIncrementalBarrier -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzAllocBuffer -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzConcurrentPacer -fuzztime 30s ./internal/core
-	go test -run '^$$' -fuzz FuzzSideTab -fuzztime 30s ./internal/sidetab
 	go test -run '^$$' -fuzz FuzzOwneeIndex -fuzztime 30s ./internal/sidetab
 
 # Regenerate the paper's figures into results/ (the text tables, and the raw

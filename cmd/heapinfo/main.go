@@ -134,15 +134,15 @@ func histogram(rt *core.Runtime) {
 		words uint64
 	}
 	byClass := map[string]*row{}
-	rt.EachObject(func(class string, sizeWords uint32) {
-		r := byClass[class]
+	for _, o := range rt.LiveSet() {
+		r := byClass[o.Class]
 		if r == nil {
-			r = &row{class: class}
-			byClass[class] = r
+			r = &row{class: o.Class}
+			byClass[o.Class] = r
 		}
 		r.count++
-		r.words += uint64(sizeWords)
-	})
+		r.words += uint64(o.Words)
+	}
 
 	rows := make([]*row, 0, len(byClass))
 	for _, r := range byClass {

@@ -13,6 +13,9 @@ type LiveObject struct {
 }
 
 // LiveSet returns every allocated object in ascending address order.
+// Censuses, snapshots and the leak-detector baselines read it rather than
+// walking the heap themselves. Unreachable objects linger until the next
+// collection, so tools wanting the live heap run GC first.
 func (rt *Runtime) LiveSet() []LiveObject {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -52,12 +55,3 @@ func (rt *Runtime) FreeChunks() []vmheap.FreeChunk {
 // every sweep self-checks. A runtime created while it is on also checks the
 // single-mutator contract (Runtime.mutators) until NewThread runs.
 func SetDebugChecks(on bool) { vmheap.DebugChecks = on }
-
-// CheckFreeLists runs the free-list integrity checks once, returning all
-// violations found (nil for healthy lists) regardless of the SetDebugChecks
-// toggle.
-func (rt *Runtime) CheckFreeLists() []error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.heap.CheckFreeLists()
-}

@@ -105,23 +105,6 @@ func (rt *Runtime) KindOf(r Ref) int {
 	return int(rt.heap.KindOf(r))
 }
 
-// Objects walks every allocated object, reporting its Ref. Like
-// EachObject, this is a tool-grade full heap walk.
-func (rt *Runtime) Objects(fn func(r Ref)) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.flushAllocBuffers()
-	rt.heap.Iterate(func(r Ref, _ uint64) { fn(r) })
-}
-
-// SizeOf returns the total size in words (header included) of the object
-// at r.
-func (rt *Runtime) SizeOf(r Ref) int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return int(rt.heap.SizeWords(r))
-}
-
 // OutEdges returns the non-nil references held by obj's fields (scalar
 // objects) or elements (reference arrays). Intended for tools (heap
 // visualization, censuses), not hot paths.
@@ -150,7 +133,7 @@ func (rt *Runtime) OutEdges(obj Ref) []Ref {
 }
 
 // VerifyHeap runs the full heap-integrity verifier (structure, free-list
-// accounting, reference validity) and returns any violations found. It
+// bins and accounting, reference validity) and returns any violations found. It
 // must be called between collections, not during one. Expensive; intended
 // for tests and debugging tools.
 func (rt *Runtime) VerifyHeap() []error {
@@ -158,19 +141,6 @@ func (rt *Runtime) VerifyHeap() []error {
 	defer rt.mu.Unlock()
 	rt.flushAllocBuffers()
 	return rt.heap.Verify(rt.reg)
-}
-
-// EachObject walks every allocated object, reporting its class name and
-// size in words. Unreachable objects linger until the next collection, so
-// tools wanting a live census run GC first. Intended for tools, not hot
-// paths.
-func (rt *Runtime) EachObject(fn func(class string, sizeWords uint32)) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.flushAllocBuffers()
-	rt.heap.Iterate(func(r Ref, _ uint64) {
-		fn(rt.reg.Name(rt.heap.ClassID(r)), rt.heap.SizeWords(r))
-	})
 }
 
 // AllocatedInstanceCount walks the heap and counts the allocated instances

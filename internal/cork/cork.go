@@ -67,24 +67,18 @@ func New(cfg Config) *Detector {
 // Observe takes a census of the runtime's heap. Call it right after each
 // full collection, so only live objects are counted.
 func (d *Detector) Observe(rt *core.Runtime) {
-	// Snapshot the object list first: the runtime's accessors each take
-	// its lock, so they cannot be called from inside the locked walk.
-	var refs []core.Ref
-	rt.Objects(func(r core.Ref) { refs = append(refs, r) })
-
 	volumes := map[string]uint64{}
 	pf := map[string]map[string]bool{}
-	for _, r := range refs {
-		class := rt.ClassOf(r).Name
-		volumes[class] += uint64(rt.SizeOf(r))
-		for _, c := range rt.OutEdges(r) {
+	for _, o := range rt.LiveSet() {
+		volumes[o.Class] += uint64(o.Words)
+		for _, c := range rt.OutEdges(o.Ref) {
 			target := rt.ClassOf(c).Name
 			m := pf[target]
 			if m == nil {
 				m = map[string]bool{}
 				pf[target] = m
 			}
-			m[class] = true
+			m[o.Class] = true
 		}
 	}
 	d.observations++

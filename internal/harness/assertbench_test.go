@@ -129,7 +129,9 @@ func newStalenessWorld(b *testing.B) (*core.Runtime, []core.Ref) {
 		b.Fatal(err)
 	}
 	var refs []core.Ref
-	rt.Objects(func(r core.Ref) { refs = append(refs, r) })
+	for _, o := range rt.LiveSet() {
+		refs = append(refs, o.Ref)
+	}
 	return rt, refs
 }
 

@@ -18,6 +18,7 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/vmheap"
 )
 
 // magic and version identify the snapshot format.
@@ -111,12 +112,12 @@ func Write(w io.Writer, rt *core.Runtime) error {
 	}
 
 	// Objects.
-	var refs []core.Ref
-	rt.Objects(func(r core.Ref) { refs = append(refs, r) })
-	if err := put(uint64(len(refs))); err != nil {
+	live := rt.LiveSet()
+	if err := put(uint64(len(live))); err != nil {
 		return err
 	}
-	for _, r := range refs {
+	for _, o := range live {
+		r := o.Ref
 		c := rt.ClassOf(r)
 		kind := uint8(rt.KindOf(r))
 		if err := put(uint32(r)); err != nil {
@@ -154,7 +155,8 @@ func Write(w io.Writer, rt *core.Runtime) error {
 }
 
 // Read reconstructs a snapshot into a fresh Infrastructure-mode runtime
-// with the given heap capacity.
+// with the given heap capacity. A snapshot is untrusted input: Read returns
+// an error, not a panic, when it is malformed or does not fit the heap.
 func Read(r io.Reader, heapWords int) (*core.Runtime, error) {
 	br := bufio.NewReader(r)
 	get := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
@@ -185,14 +187,18 @@ func Read(r io.Reader, heapWords int) (*core.Runtime, error) {
 	}
 
 	rt := core.New(core.Config{HeapWords: heapWords, Mode: core.Infrastructure})
+	capWords := rt.Stats().Heap.CapacityWords
 
-	// Classes. IDs 0 and 1 are the built-ins present in every runtime.
+	// Classes. IDs 0 and 1 are the array pseudo-classes present in every
+	// runtime. Counts from the snapshot size no allocation: the slices grow
+	// as records are actually read.
 	var numClasses uint32
 	if err := get(&numClasses); err != nil {
 		return nil, err
 	}
-	classes := make([]*core.Class, numClasses)
 	builtin := rt.Classes()
+	var classes []*core.Class
+	names := map[string]bool{}
 	for i := uint32(0); i < numClasses; i++ {
 		name, err := getStr()
 		if err != nil {
@@ -202,9 +208,25 @@ func Read(r io.Reader, heapWords int) (*core.Runtime, error) {
 		if err := get(&superID); err != nil {
 			return nil, err
 		}
+		var super *core.Class
+		if superID != 0 && i >= 2 {
+			if superID-1 < 2 || superID-1 >= i {
+				return nil, fmt.Errorf("heapdump: class %q: super id %d names no earlier class", name, superID)
+			}
+			super = classes[superID-1]
+		}
 		var numFields uint16
 		if err := get(&numFields); err != nil {
 			return nil, err
+		}
+		taken := map[string]bool{}
+		if super != nil {
+			for _, f := range super.Fields {
+				taken[f.Name] = true
+			}
+		}
+		if len(taken)+int(numFields) > 1<<16-1 { // field offsets are uint16
+			return nil, fmt.Errorf("heapdump: class %q: %d fields", name, len(taken)+int(numFields))
 		}
 		fields := make([]core.Field, numFields)
 		for f := range fields {
@@ -216,28 +238,35 @@ func Read(r io.Reader, heapWords int) (*core.Runtime, error) {
 			if err := get(&kind); err != nil {
 				return nil, err
 			}
+			if taken[fname] {
+				return nil, fmt.Errorf("heapdump: class %q: duplicate field %q", name, fname)
+			}
+			taken[fname] = true
 			if kind == 0 {
 				fields[f] = core.RefField(fname)
 			} else {
 				fields[f] = core.DataField(fname)
 			}
 		}
-		if i < uint32(len(builtin)) && i < 2 {
-			classes[i] = builtin[i] // array pseudo-classes
+		if i < 2 {
+			classes = append(classes, builtin[i])
+			names[builtin[i].Name] = true
 			continue
 		}
-		var super *core.Class
-		if superID != 0 {
-			super = classes[superID-1]
+		if names[name] {
+			return nil, fmt.Errorf("heapdump: class %q defined twice", name)
 		}
+		names[name] = true
+		var c *core.Class
 		if super != nil {
-			classes[i] = rt.DefineSubclass(name, super, fields...)
+			c = rt.DefineSubclass(name, super, fields...)
 		} else {
-			classes[i] = rt.DefineClass(name, fields...)
+			c = rt.DefineClass(name, fields...)
 		}
-		if classes[i].ID != i {
-			return nil, fmt.Errorf("heapdump: class id drift: %d != %d", classes[i].ID, i)
+		if c.ID != i {
+			return nil, fmt.Errorf("heapdump: class id drift: %d != %d", c.ID, i)
 		}
+		classes = append(classes, c)
 	}
 
 	// Globals (values patched after objects are rebuilt).
@@ -249,8 +278,9 @@ func Read(r io.Reader, heapWords int) (*core.Runtime, error) {
 		g   *core.Global
 		ref core.Ref
 	}
-	pendGlobals := make([]pendingGlobal, numGlobals)
-	for i := range pendGlobals {
+	var pendGlobals []pendingGlobal
+	globalNames := map[string]bool{}
+	for i := uint32(0); i < numGlobals; i++ {
 		name, err := getStr()
 		if err != nil {
 			return nil, err
@@ -259,14 +289,31 @@ func Read(r io.Reader, heapWords int) (*core.Runtime, error) {
 		if err := get(&ref); err != nil {
 			return nil, err
 		}
-		pendGlobals[i] = pendingGlobal{rt.AddGlobal(name), core.Ref(ref)}
+		if globalNames[name] {
+			return nil, fmt.Errorf("heapdump: global %q defined twice", name)
+		}
+		globalNames[name] = true
+		pendGlobals = append(pendGlobals, pendingGlobal{rt.AddGlobal(name), core.Ref(ref)})
 	}
 
-	// Objects: two passes. Allocate everything building the remap table
-	// (pinning each new object in a global scratch root so interleaved
-	// collections cannot reclaim them), then patch reference slots.
+	// Objects: two passes. Read every record, checking that the whole set
+	// fits the heap, then allocate everything building the remap table
+	// (pinning each new object in a scratch array so interleaved collections
+	// cannot reclaim them), then patch reference slots.
 	var numObjects uint64
 	if err := get(&numObjects); err != nil {
+		return nil, err
+	}
+	// size checks an object of n payload words before anything is sized by
+	// n, and returns the words it takes in the heap.
+	size := func(kind uint8, n uint64) (uint64, error) {
+		if n > capWords {
+			return 0, fmt.Errorf("heapdump: object of %d words exceeds the %d-word heap", n, capWords)
+		}
+		return uint64(vmheap.ObjectWords(vmheap.Kind(kind), uint32(n))), nil
+	}
+	need, err := size(kindRefArray, numObjects) // the pin array
+	if err != nil {
 		return nil, err
 	}
 	type object struct {
@@ -291,24 +338,40 @@ func Read(r io.Reader, heapWords int) (*core.Runtime, error) {
 		if err := get(&count); err != nil {
 			return nil, err
 		}
-		if classID >= numClasses {
+		if classID >= uint32(len(classes)) {
 			return nil, fmt.Errorf("heapdump: object class %d out of range", classID)
 		}
-		words := make([]uint64, count)
-		for w := range words {
-			if err := get(&words[w]); err != nil {
+		if kind > kindDataArr {
+			return nil, fmt.Errorf("heapdump: unknown kind %d", kind)
+		}
+		words, err := size(kind, uint64(count))
+		if err != nil {
+			return nil, err
+		}
+		if c := classes[classID]; kind == kindScalar && classID < 2 {
+			return nil, fmt.Errorf("heapdump: scalar object of array class %s", c.Name)
+		} else if kind == kindScalar && count != c.FieldWords {
+			return nil, fmt.Errorf("heapdump: %s object of %d words, class has %d", c.Name, count, c.FieldWords)
+		}
+		need += words
+		payload := make([]uint64, count)
+		for w := range payload {
+			if err := get(&payload[w]); err != nil {
 				return nil, err
 			}
 		}
-		objects[i] = object{core.Ref(oldRef), classes[classID], kind, words}
+		objects[i] = object{core.Ref(oldRef), classes[classID], kind, payload}
+	}
+	if need > capWords {
+		return nil, fmt.Errorf("heapdump: snapshot needs %d words, the heap holds %d", need, capWords)
 	}
 
 	th := rt.MainThread()
-	// Pin every rebuilt object through one scratch array so allocation
-	// pressure cannot reclaim earlier ones mid-load.
-	pin := rt.AddGlobal("heapdump.pin")
+	// Pin every rebuilt object through one scratch array, held in a frame,
+	// so allocation pressure cannot reclaim earlier ones mid-load.
+	frame := th.PushFrame(1)
 	pinArr := th.NewRefArray(int(numObjects))
-	pin.Set(pinArr)
+	frame.SetLocal(0, pinArr)
 
 	// Old-ref → new-ref remapping. Valid refs are always even (2-word
 	// alignment).
@@ -325,8 +388,6 @@ func Read(r io.Reader, heapWords int) (*core.Runtime, error) {
 			newRef = th.NewRefArray(len(o.words))
 		case kindDataArr:
 			newRef = th.NewDataArray(len(o.words))
-		default:
-			return nil, fmt.Errorf("heapdump: unknown kind %d", o.kind)
 		}
 		rt.ArrSetRef(pinArr, i, newRef)
 		remap[o.oldRef] = newRef
@@ -394,8 +455,8 @@ func Read(r io.Reader, heapWords int) (*core.Runtime, error) {
 
 	// Drop the scratch pin and collect: the restored globals now root the
 	// graph, and the pin array must not appear in censuses of the loaded
-	// heap. (The empty "heapdump.pin" global itself remains registered.)
-	pin.Set(core.Nil)
+	// heap.
+	th.PopFrame()
 	if err := rt.GC(); err != nil {
 		return nil, err
 	}

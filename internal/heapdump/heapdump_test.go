@@ -2,7 +2,8 @@ package heapdump
 
 import (
 	"bytes"
-	"strings"
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -84,6 +85,15 @@ func TestRoundtripSimpleGraph(t *testing.T) {
 	if errs := rt2.VerifyHeap(); len(errs) != 0 {
 		t.Fatalf("verify: %v", errs[0])
 	}
+	// A loaded runtime saves and loads again.
+	buf.Reset()
+	if err := Write(&buf, rt2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(&buf, 1<<13); err != nil {
+		t.Fatalf("reload: %v", err)
+	}
+
 	// And collectable: after dropping globals, everything dies.
 	rt2.EachGlobal(func(name string, r core.Ref) {})
 	if err := rt2.GC(); err != nil {
@@ -99,7 +109,9 @@ func TestRoundtripJBBHeap(t *testing.T) {
 
 	census := func(r *core.Runtime) map[string]int {
 		out := map[string]int{}
-		r.EachObject(func(class string, _ uint32) { out[class]++ })
+		for _, o := range r.LiveSet() {
+			out[o.Class]++
+		}
 		return out
 	}
 	want := census(rt)
@@ -158,11 +170,114 @@ func TestSubclassesSurviveRoundtrip(t *testing.T) {
 	}
 }
 
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("not a snapshot"), 1<<12); err == nil {
-		t.Error("garbage accepted")
+// wire is a hand-built snapshot: the two built-in class records, then
+// classes, globals (all Nil) and objects as given. Every class field is a
+// data field, and object i gets ref 2(i+1). numObjects, when nonzero,
+// replaces the object count on the wire.
+type wire struct {
+	classes    []wireClass
+	globals    []string
+	objects    []wireObject
+	numObjects uint64
+}
+
+type wireClass struct {
+	name   string
+	super  uint32 // class id + 1; 0 for none
+	fields []string
+}
+
+type wireObject struct {
+	class uint32
+	kind  uint8
+	words int
+}
+
+func (w wire) bytes() []byte {
+	var b bytes.Buffer
+	put := func(v any) { binary.Write(&b, binary.LittleEndian, v) }
+	str := func(s string) { put(uint16(len(s))); b.WriteString(s) }
+	put(magic)
+	put(version)
+	classes := append([]wireClass{{name: "Object[]"}, {name: "data[]"}}, w.classes...)
+	put(uint32(len(classes)))
+	for _, c := range classes {
+		str(c.name)
+		put(c.super)
+		put(uint16(len(c.fields)))
+		for _, f := range c.fields {
+			str(f)
+			put(uint8(1))
+		}
 	}
-	if _, err := Read(bytes.NewReader(nil), 1<<12); err == nil {
-		t.Error("empty input accepted")
+	put(uint32(len(w.globals)))
+	for _, g := range w.globals {
+		str(g)
+		put(uint32(0))
+	}
+	n := w.numObjects
+	if n == 0 {
+		n = uint64(len(w.objects))
+	}
+	put(n)
+	for i, o := range w.objects {
+		put(uint32(2 * (i + 1)))
+		put(o.class)
+		put(o.kind)
+		put(uint32(o.words))
+		b.Write(make([]byte, 8*o.words))
+	}
+	return b.Bytes()
+}
+
+func TestReadRejectsGarbage(t *testing.T) {
+	point := wireClass{name: "Point", fields: []string{"x", "y"}}
+	wide := func(name string, super uint32, prefix string) wireClass {
+		c := wireClass{name: name, super: super}
+		for i := 0; i < 40000; i++ {
+			c.fields = append(c.fields, fmt.Sprint(prefix, i))
+		}
+		return c
+	}
+	manyArrays := make([]wireObject, 8)
+	for i := range manyArrays {
+		manyArrays[i] = wireObject{class: 1, kind: kindDataArr, words: 1000}
+	}
+	rows := []struct {
+		name string
+		in   []byte
+	}{
+		{"not-a-snapshot", []byte("not a snapshot")},
+		{"empty", nil},
+		{"super-out-of-range", wire{classes: []wireClass{point, {name: "P3", super: 99}}}.bytes()},
+		{"super-is-self", wire{classes: []wireClass{{name: "A", super: 3}}}.bytes()},
+		{"super-is-array", wire{classes: []wireClass{{name: "A", super: 1}}}.bytes()},
+		{"class-name-repeats", wire{classes: []wireClass{point, point}}.bytes()},
+		{"class-name-is-builtin", wire{classes: []wireClass{{name: "data[]"}}}.bytes()},
+		{"field-repeats", wire{classes: []wireClass{{name: "A", fields: []string{"x", "x"}}}}.bytes()},
+		{"field-repeats-super", wire{classes: []wireClass{point, {name: "P3", super: 3, fields: []string{"x"}}}}.bytes()},
+		{"field-offsets-overflow", wire{classes: []wireClass{wide("A", 0, "a"), wide("B", 3, "b")}}.bytes()},
+		{"global-repeats", wire{globals: []string{"g", "g"}}.bytes()},
+		{"scalar-too-long", wire{classes: []wireClass{point}, objects: []wireObject{{class: 2, kind: kindScalar, words: 3}}}.bytes()},
+		{"scalar-too-short", wire{classes: []wireClass{point}, objects: []wireObject{{class: 2, kind: kindScalar, words: 1}}}.bytes()},
+		{"scalar-of-array-class", wire{objects: []wireObject{{class: 0, kind: kindScalar}}}.bytes()},
+		{"object-count-beyond-heap", wire{numObjects: 1 << 62}.bytes()},
+		{"array-beyond-heap", wire{objects: []wireObject{{class: 1, kind: kindDataArr, words: 5000}}}.bytes()},
+		{"objects-beyond-heap", wire{objects: manyArrays}.bytes()},
+	}
+	ok := wire{
+		classes: []wireClass{point, {name: "P3", super: 3, fields: []string{"z"}}},
+		globals: []string{"g"},
+		objects: []wireObject{{class: 3, kind: kindScalar, words: 3}, {class: 1, kind: kindDataArr, words: 1000}},
+	}
+	if _, err := Read(bytes.NewReader(ok.bytes()), 1<<12); err != nil {
+		t.Fatalf("well-formed snapshot rejected: %v", err)
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if _, err := Read(bytes.NewReader(row.in), 1<<12); err == nil {
+				t.Error("accepted")
+			}
+		})
 	}
 }

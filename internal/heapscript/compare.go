@@ -18,7 +18,7 @@ const (
 	// owner, and every rejected ownership registration.
 	Verdicts Level = 1 << iota
 	// Live: the allocated objects by script id, class and size. Observing
-	// them flushes allocation buffers and runs VerifyHeap and CheckFreeLists.
+	// them flushes allocation buffers and runs VerifyHeap.
 	Live
 	// Exact (with Live): addresses — of live objects, of violating objects
 	// and path elements — and the free list.
@@ -58,7 +58,7 @@ type obj struct {
 
 // observe reads what l needs of w, and fails on a broken invariant: heap
 // accounting (live plus free words make the capacity), the pacer's growth
-// cap, and — when l reads the live set — VerifyHeap and CheckFreeLists.
+// cap, and — when l reads the live set — VerifyHeap.
 func (w *World) observe(l Level) obs {
 	o := obs{Verdicts: w.verdicts, Rejects: w.rejects, Stats: w.RT.Stats(), Allocs: w.Th.Allocs()}
 	if h := o.Stats.Heap; h.LiveWords+h.FreeWords != h.CapacityWords {
@@ -80,7 +80,7 @@ func (w *World) observe(l Level) obs {
 	if l&Exact != 0 {
 		o.Free = w.RT.FreeChunks()
 	}
-	if errs := append(w.RT.VerifyHeap(), w.RT.CheckFreeLists()...); len(errs) > 0 {
+	if errs := w.RT.VerifyHeap(); len(errs) > 0 {
 		w.t.Fatalf("op %d: heap corrupt: %v", w.ops, errs[0])
 	}
 	return o

@@ -247,9 +247,6 @@ func (b *Benchmark) customer(wi, ci int) core.Ref {
 	return b.rt.ArrGetRef(b.rt.GetRef(wh, b.whCustomers), ci)
 }
 
-// Company returns the current company object.
-func (b *Benchmark) CompanyRef() core.Ref { return b.company.Get() }
-
 // Runtime returns the underlying runtime (tests and the harness inspect
 // violations and stats through it).
 func (b *Benchmark) Runtime() *core.Runtime { return b.rt }

@@ -1,3 +1,8 @@
+// Package sidetab holds Index, the hash table keyed by Ref that the
+// assertion engine and the tracer use for ownership: owner objects to their
+// slot, ownees to their owner's slot, with a per-pass stamp on each entry.
+// It is sized by the number of entries rather than by the arena, because a
+// small fraction of objects carry that state for a long time.
 package sidetab
 
 import (

@@ -13,18 +13,14 @@
 // data (false positives), which the contrast tests demonstrate against the
 // assertion-based diagnosis of the same heap.
 //
-// Touch is the profiler's hot path — it runs on every recorded access —
-// so the last-access table is a dense arena-indexed side table
-// (internal/sidetab): an array store per Touch instead of a map write,
-// and an Advance that reuses one scratch table instead of rebuilding a
-// live map per collection (zero steady-state allocation).
+// The last-access table is a plain map: the tracker exists to show what
+// the heuristic reports, not to be a fast profiler.
 package staleness
 
 import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/sidetab"
 )
 
 // Tracker tracks last-access epochs per live object.
@@ -34,68 +30,43 @@ type Tracker struct {
 	Threshold uint64
 
 	epoch uint64
-
-	// tab[r] = last-access epoch + 1 (the +1 bias keeps epoch 0
-	// representable; 0 means untracked). Stamps are uint32, so the tracker
-	// supports 2^32-2 Advances — epochs beyond that would alias. scratch is
-	// the per-Advance live set, cleared by epoch bump.
-	tab     *sidetab.Epoch32
-	scratch *sidetab.Bits
-
-	// advRT caches the runtime the stamp closure is bound to, so
-	// steady-state Advances reuse one closure and allocate nothing.
-	advRT   *core.Runtime
-	stampFn func(core.Ref)
-	pruneFn func(uint32, uint32) bool
+	// last[r] is the epoch of r's most recent access, or of its first
+	// sighting by Advance for an object never touched.
+	last map[core.Ref]uint64
 }
 
-// New creates a tracker backed by dense side tables.
+// New creates a tracker.
 func New(threshold uint64) *Tracker {
 	if threshold == 0 {
 		threshold = 3
 	}
-	return &Tracker{
-		Threshold: threshold,
-		tab:       sidetab.NewEpoch32(),
-		scratch:   sidetab.NewBits(),
-	}
+	return &Tracker{Threshold: threshold, last: map[core.Ref]uint64{}}
 }
 
 // Touch records an access to r — call it wherever the application reads or
 // writes the object (SWAT samples these; we record them all).
 func (t *Tracker) Touch(r core.Ref) {
-	if r == core.Nil {
-		return
+	if r != core.Nil {
+		t.last[r] = t.epoch
 	}
-	t.tab.Set(uint32(r), uint32(t.epoch)+1)
 }
 
 // Advance ages the tracker by one collection: call it right after a full
 // GC. Reclaimed objects leave the table (their refs may be recycled);
 // never-seen live objects enter it with the current epoch as their
-// baseline. It does one heap walk into a reusable scratch table and prunes
-// against it — after the first call for a runtime it allocates nothing (the
-// steady-state assertion in its test pins this).
+// baseline.
 func (t *Tracker) Advance(rt *core.Runtime) {
 	t.epoch++
-	t.scratch.Clear()
-	if t.advRT != rt || t.stampFn == nil {
-		t.advRT = rt
-		t.stampFn = func(r core.Ref) {
-			t.scratch.Set(uint32(r))
-			if _, ok := t.tab.Get(uint32(r)); !ok {
-				t.tab.Set(uint32(r), uint32(t.epoch)+1)
-			}
+	live := rt.LiveSet()
+	next := make(map[core.Ref]uint64, len(live))
+	for _, o := range live {
+		last, ok := t.last[o.Ref]
+		if !ok {
+			last = t.epoch
 		}
-		t.pruneFn = func(key, _ uint32) bool {
-			if !t.scratch.Get(key) {
-				t.tab.Delete(key)
-			}
-			return true
-		}
+		next[o.Ref] = last
 	}
-	rt.Objects(t.stampFn)
-	t.tab.Range(t.pruneFn)
+	t.last = next
 }
 
 // StaleObject is one suspect.
@@ -110,13 +81,11 @@ type StaleObject struct {
 // perfectly live data lands here too.
 func (t *Tracker) Stale(rt *core.Runtime) []StaleObject {
 	var out []StaleObject
-	t.tab.Range(func(key, v uint32) bool {
-		if idle := t.epoch - (uint64(v) - 1); idle >= t.Threshold {
-			r := core.Ref(key)
+	for r, last := range t.last {
+		if idle := t.epoch - last; idle >= t.Threshold {
 			out = append(out, StaleObject{Ref: r, Class: rt.ClassOf(r).Name, IdleEpochs: idle})
 		}
-		return true
-	})
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].IdleEpochs != out[j].IdleEpochs {
 			return out[i].IdleEpochs > out[j].IdleEpochs
@@ -127,4 +96,4 @@ func (t *Tracker) Stale(rt *core.Runtime) []StaleObject {
 }
 
 // Tracked returns the current table size (tools and tests).
-func (t *Tracker) Tracked() int { return t.tab.Len() }
+func (t *Tracker) Tracked() int { return len(t.last) }

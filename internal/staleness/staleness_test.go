@@ -1,41 +1,72 @@
 package staleness
 
 import (
-	"fmt"
-	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/report"
 )
 
+// worldConfigs are the runtimes every cacheWorld test runs over:
+// stop-the-world, and the background pacer with allocation buffers. The
+// world's heap never reaches the pacer's trigger, so the concurrent world
+// opens a cycle by hand after each Advance; touches, drops and the next GC
+// then run with a cycle open, which that GC completes before collecting.
+var worldConfigs = []struct {
+	name string
+	cfg  core.Config
+}{
+	{"stw", core.Config{HeapWords: 1 << 14, Mode: core.Infrastructure}},
+	{"concurrent", core.Config{
+		HeapWords: 1 << 14, Mode: core.Infrastructure,
+		ConcurrentGC: true, AllocBuffers: 128,
+	}},
+}
+
+// forEachWorld runs fn as one subtest per worldConfigs entry, and closes
+// the world's runtime after it.
+func forEachWorld(t *testing.T, fn func(t *testing.T, w *cacheWorld)) {
+	for _, wc := range worldConfigs {
+		t.Run(wc.name, func(t *testing.T) {
+			w := newCacheWorld(t, wc.cfg)
+			fn(t, w)
+			if w.concurrent && w.rt.Stats().Pacer.Cycles == 0 {
+				t.Error("concurrent world completed no cycle")
+			}
+			if err := w.rt.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+		})
+	}
+}
+
 // cacheWorld models the access-pattern taxonomy the paper's comparison
 // rests on: hot entries (touched every round), cold-but-needed entries
 // (touched rarely but genuinely required), and leaked entries (removed
 // from the working set but still pinned by a stray reference).
 type cacheWorld struct {
-	rt    *core.Runtime
-	entry *core.Class
-	hot   []core.Ref
-	cold  []core.Ref
-	leak  []core.Ref
+	rt         *core.Runtime
+	concurrent bool
+	entry      *core.Class
+	arr        core.Ref
+	hot        []core.Ref
+	cold       []core.Ref
+	leak       []core.Ref
 }
 
-func newCacheWorld(t *testing.T) *cacheWorld {
+func newCacheWorld(t *testing.T, cfg core.Config) *cacheWorld {
 	t.Helper()
-	rt := core.New(core.Config{HeapWords: 1 << 14, Mode: core.Infrastructure})
-	w := &cacheWorld{rt: rt, entry: rt.DefineClass("Entry", core.DataField("v"))}
+	rt := core.New(cfg)
+	w := &cacheWorld{rt: rt, concurrent: cfg.ConcurrentGC, entry: rt.DefineClass("Entry", core.DataField("v"))}
 	th := rt.MainThread()
 
-	arr := th.NewRefArray(30)
-	rt.AddGlobal("world").Set(arr)
+	w.arr = th.NewRefArray(30)
+	rt.AddGlobal("world").Set(w.arr)
 	slot := 0
 	add := func(dst *[]core.Ref, n int) {
 		for i := 0; i < n; i++ {
 			e := th.New(w.entry)
-			rt.ArrSetRef(arr, slot, e)
+			rt.ArrSetRef(w.arr, slot, e)
 			slot++
 			*dst = append(*dst, e)
 		}
@@ -46,79 +77,88 @@ func newCacheWorld(t *testing.T) *cacheWorld {
 	return w
 }
 
-func TestStalenessFlagsLeaksAndColdData(t *testing.T) {
-	w := newCacheWorld(t)
-	tr := New(3)
-
-	for round := 0; round < 5; round++ {
-		for _, e := range w.hot {
-			tr.Touch(e)
-		}
-		// cold entries are touched once, early.
-		if round == 0 {
-			for _, e := range w.cold {
-				tr.Touch(e)
-			}
-		}
-		// leaked entries: never touched after creation.
-		if err := w.rt.GC(); err != nil {
+// collect runs a full collection and ages tr by it, then, on a concurrent
+// world, opens the next cycle.
+func (w *cacheWorld) collect(t *testing.T, tr *Tracker) {
+	t.Helper()
+	if err := w.rt.GC(); err != nil {
+		t.Fatal(err)
+	}
+	tr.Advance(w.rt)
+	if w.concurrent {
+		if err := w.rt.StartGC(); err != nil {
 			t.Fatal(err)
 		}
-		tr.Advance(w.rt)
-	}
-
-	stale := tr.Stale(w.rt)
-	flagged := map[core.Ref]bool{}
-	for _, s := range stale {
-		flagged[s.Ref] = true
-		if s.Class != "Entry" && s.Class != "Object[]" {
-			t.Errorf("unexpected class %q", s.Class)
-		}
-	}
-	for _, e := range w.leak {
-		if !flagged[e] {
-			t.Errorf("leaked entry %d not flagged", e)
-		}
-	}
-	for _, e := range w.hot {
-		if flagged[e] {
-			t.Errorf("hot entry %d flagged", e)
-		}
-	}
-	// The heuristic's signature weakness: cold-but-needed data is
-	// indistinguishable from a leak.
-	coldFlagged := 0
-	for _, e := range w.cold {
-		if flagged[e] {
-			coldFlagged++
-		}
-	}
-	if coldFlagged == 0 {
-		t.Error("expected false positives on cold data — the heuristic's documented behavior")
 	}
 }
 
+func TestStalenessFlagsLeaksAndColdData(t *testing.T) {
+	forEachWorld(t, func(t *testing.T, w *cacheWorld) {
+		tr := New(3)
+		for round := 0; round < 5; round++ {
+			for _, e := range w.hot {
+				tr.Touch(e)
+			}
+			// cold entries are touched once, early.
+			if round == 0 {
+				for _, e := range w.cold {
+					tr.Touch(e)
+				}
+			}
+			// leaked entries: never touched after creation.
+			w.collect(t, tr)
+		}
+
+		flagged := map[core.Ref]bool{}
+		for _, s := range tr.Stale(w.rt) {
+			flagged[s.Ref] = true
+			if s.Class != "Entry" && s.Class != "Object[]" {
+				t.Errorf("unexpected class %q", s.Class)
+			}
+		}
+		for _, e := range w.leak {
+			if !flagged[e] {
+				t.Errorf("leaked entry %d not flagged", e)
+			}
+		}
+		for _, e := range w.hot {
+			if flagged[e] {
+				t.Errorf("hot entry %d flagged", e)
+			}
+		}
+		// The heuristic's signature weakness: cold-but-needed data is
+		// indistinguishable from a leak.
+		coldFlagged := 0
+		for _, e := range w.cold {
+			if flagged[e] {
+				coldFlagged++
+			}
+		}
+		if coldFlagged == 0 {
+			t.Error("expected false positives on cold data — the heuristic's documented behavior")
+		}
+	})
+}
+
 func TestAdvanceDropsReclaimed(t *testing.T) {
-	rt := core.New(core.Config{HeapWords: 1 << 12, Mode: core.Infrastructure})
-	entry := rt.DefineClass("Entry")
-	th := rt.MainThread()
-	g := rt.AddGlobal("g")
-	e := th.New(entry)
-	g.Set(e)
-	tr := New(1)
-	tr.Touch(e)
-	tr.Advance(rt)
-	if tr.Tracked() == 0 {
-		t.Fatal("live object not tracked")
-	}
-	g.Set(core.Nil)
-	if err := rt.GC(); err != nil {
-		t.Fatal(err)
-	}
-	tr.Advance(rt)
-	if tr.Tracked() != 0 {
-		t.Errorf("reclaimed object still tracked: %d", tr.Tracked())
-	}
+	forEachWorld(t, func(t *testing.T, w *cacheWorld) {
+		tr := New(1)
+		tr.Touch(w.hot[0])
+		w.collect(t, tr)
+		// The array and its 30 entries.
+		if got := tr.Tracked(); got != 31 {
+			t.Fatalf("tracked %d live objects, want 31", got)
+		}
+		// Drop the hot entries: the concurrent runtime's pin ring still
+		// roots the last few allocations (DESIGN.md §11).
+		for i := range w.hot {
+			w.rt.ArrSetRef(w.arr, i, core.Nil)
+		}
+		w.collect(t, tr)
+		if got, want := tr.Tracked(), 31-len(w.hot); got != want {
+			t.Errorf("tracked %d objects after dropping %d of 31, want %d", got, len(w.hot), want)
+		}
+	})
 }
 
 func TestTouchNilIsNoop(t *testing.T) {
@@ -201,233 +241,5 @@ func TestContrastWithOwnershipAssertions(t *testing.T) {
 		if !unowned[entries[i]] {
 			t.Errorf("leaked entry %d not flagged by ownership", i)
 		}
-	}
-}
-
-// TestAdvanceSteadyStateAllocs pins the side-table conversion's allocation
-// contract: after the first Advance binds the tracker's closures to a
-// runtime and materializes its scratch chunks, further Advances allocate
-// nothing — the old implementation rebuilt a map[Ref]bool of every live
-// object per collection.
-func TestAdvanceSteadyStateAllocs(t *testing.T) {
-	w := newCacheWorld(t)
-	tr := New(3)
-	for _, e := range w.hot {
-		tr.Touch(e)
-	}
-	// Warm up: bind closures, materialize chunks, settle the heap.
-	for i := 0; i < 3; i++ {
-		if err := w.rt.GC(); err != nil {
-			t.Fatal(err)
-		}
-		tr.Advance(w.rt)
-	}
-	allocs := testing.AllocsPerRun(20, func() { tr.Advance(w.rt) })
-	if allocs != 0 {
-		t.Fatalf("steady-state Advance allocates %.1f objects per run, want 0", allocs)
-	}
-}
-
-// tracker is what the differential drives: the Tracker, and the map model
-// it is checked against.
-type tracker interface {
-	Touch(core.Ref)
-	Advance(*core.Runtime)
-	Stale(*core.Runtime) []StaleObject
-	Tracked() int
-}
-
-// mapTracker is the reference model of the Tracker: last[r] is the epoch of
-// r's most recent access, or of its first sighting by Advance for an object
-// never touched.
-type mapTracker struct {
-	threshold, epoch uint64
-	last             map[core.Ref]uint64
-}
-
-func (m *mapTracker) Touch(r core.Ref) {
-	if r != core.Nil {
-		m.last[r] = m.epoch
-	}
-}
-
-func (m *mapTracker) Advance(rt *core.Runtime) {
-	m.epoch++
-	live := map[core.Ref]bool{}
-	rt.Objects(func(r core.Ref) { live[r] = true })
-	for r := range m.last {
-		if !live[r] {
-			delete(m.last, r)
-		}
-	}
-	for r := range live {
-		if _, ok := m.last[r]; !ok {
-			m.last[r] = m.epoch
-		}
-	}
-}
-
-func (m *mapTracker) Stale(rt *core.Runtime) []StaleObject {
-	var out []StaleObject
-	for r, last := range m.last {
-		if idle := m.epoch - last; idle >= m.threshold {
-			out = append(out, StaleObject{Ref: r, Class: rt.ClassOf(r).Name, IdleEpochs: idle})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].IdleEpochs != out[j].IdleEpochs {
-			return out[i].IdleEpochs > out[j].IdleEpochs
-		}
-		return out[i].Ref < out[j].Ref
-	})
-	return out
-}
-
-func (m *mapTracker) Tracked() int { return len(m.last) }
-
-// TestStalenessSideTabDifferential runs one deterministic access script
-// against two trackers — dense side tables and the map model above —
-// over identically-driven runtimes across two collector modes and three
-// seeds, and requires identical suspect lists (refs, classes, idle epochs,
-// order) and table sizes after every Advance. The script's heap never
-// reaches the scheduler's trigger, so the concurrent arm opens a cycle by
-// hand after every comparison: the script then runs with a cycle open that
-// the pacer goroutine and assists advance and the next GC completes.
-func TestStalenessSideTabDifferential(t *testing.T) {
-	modes := []struct {
-		name string
-		cfg  func() core.Config
-	}{
-		{"serial", func() core.Config {
-			return core.Config{HeapWords: 1 << 14, Mode: core.Infrastructure}
-		}},
-		{"concurrent", func() core.Config {
-			return core.Config{
-				HeapWords: 1 << 14, Mode: core.Infrastructure,
-				ConcurrentGC: true, AllocBuffers: 128,
-			}
-		}},
-	}
-	for _, mode := range modes {
-		for seed := int64(1); seed <= 3; seed++ {
-			mode, seed := mode, seed
-			t.Run(fmt.Sprintf("%s_seed%d", mode.name, seed), func(t *testing.T) {
-				runStalenessDifferential(t, mode.cfg, seed)
-			})
-		}
-	}
-}
-
-// stalenessWorld is one runtime plus a tracker, driven by the script in
-// runStalenessDifferential. Both worlds make identical allocation and
-// mutation sequences, so refs correspond one to one.
-type stalenessWorld struct {
-	rt    *core.Runtime
-	th    *core.Thread
-	entry *core.Class
-	arr   core.Ref
-	objs  []core.Ref
-	tr    tracker
-}
-
-func newStalenessWorld(t *testing.T, cfg core.Config, tr tracker) *stalenessWorld {
-	t.Helper()
-	rt := core.New(cfg)
-	w := &stalenessWorld{rt: rt, th: rt.MainThread(), tr: tr}
-	w.entry = rt.DefineClass("Entry", core.DataField("v"))
-	w.arr = w.th.NewRefArray(64)
-	rt.AddGlobal("world").Set(w.arr)
-	return w
-}
-
-func runStalenessDifferential(t *testing.T, cfg func() core.Config, seed int64) {
-	dense := newStalenessWorld(t, cfg(), New(2))
-	ref := newStalenessWorld(t, cfg(), &mapTracker{threshold: 2, last: map[core.Ref]uint64{}})
-	worlds := []*stalenessWorld{dense, ref}
-	concurrent := cfg().ConcurrentGC
-
-	rng := rand.New(rand.NewSource(seed))
-	for step := 0; step < 400; step++ {
-		op, slot := rng.Intn(100), rng.Intn(64)
-		for _, w := range worlds {
-			switch {
-			case op < 35: // allocate into a slot
-				e := w.th.New(w.entry)
-				w.rt.ArrSetRef(w.arr, slot, e)
-				w.objs = append(w.objs, e)
-			case op < 55: // touch a slot's object
-				if r := w.rt.ArrGetRef(w.arr, slot); r != core.Nil {
-					w.tr.Touch(r)
-				}
-			case op < 70: // drop a slot
-				w.rt.ArrSetRef(w.arr, slot, core.Nil)
-			case op < 90: // no-op mutator churn
-				w.th.NewDataArray(1 + op%8)
-			default: // collect + advance
-				if err := w.rt.GC(); err != nil {
-					t.Fatalf("GC: %v", err)
-				}
-				w.tr.Advance(w.rt)
-			}
-		}
-		if op >= 90 {
-			compareStaleness(t, step, dense, ref)
-			if concurrent {
-				for _, w := range worlds {
-					if err := w.rt.StartGC(); err != nil {
-						t.Fatalf("StartGC: %v", err)
-					}
-				}
-			}
-		}
-	}
-	if concurrent {
-		for _, w := range worlds {
-			if p := w.rt.Stats().Pacer; p.Cycles == 0 {
-				t.Fatalf("concurrent world completed no pacer cycle: %+v", p)
-			}
-		}
-	}
-	// Final settle: both worlds quiesce, advance past threshold, compare.
-	for _, w := range worlds {
-		if err := w.rt.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		for i := 0; i < 3; i++ {
-			if err := w.rt.GC(); err != nil {
-				t.Fatalf("GC: %v", err)
-			}
-			w.tr.Advance(w.rt)
-		}
-	}
-	compareStaleness(t, -1, dense, ref)
-}
-
-// compareStaleness requires the two worlds' suspect lists to agree by
-// script identity (slice index of the allocation), class, and idle count —
-// refs differ between runtimes only if allocation order diverged, which is
-// itself a failure.
-func compareStaleness(t *testing.T, step int, dense, ref *stalenessWorld) {
-	t.Helper()
-	if got, want := dense.tr.Tracked(), ref.tr.Tracked(); got != want {
-		t.Fatalf("step %d: Tracked: dense %d, map %d", step, got, want)
-	}
-	render := func(w *stalenessWorld) []string {
-		id := make(map[core.Ref]int, len(w.objs))
-		for i, r := range w.objs {
-			id[r] = i
-		}
-		var out []string
-		for _, s := range w.tr.Stale(w.rt) {
-			n, ok := id[s.Ref]
-			if !ok {
-				n = -1
-			}
-			out = append(out, fmt.Sprintf("%d:%s:%d", n, s.Class, s.IdleEpochs))
-		}
-		return out
-	}
-	if got, want := render(dense), render(ref); !reflect.DeepEqual(got, want) {
-		t.Fatalf("step %d: suspect lists differ\ndense: %v\nmap:   %v", step, got, want)
 	}
 }

@@ -157,26 +157,15 @@ func ReadEvents(r io.Reader) ([]FileEvent, error) {
 	return out, nil
 }
 
-// PhaseTally is one phase's aggregate in a Summary. Quantiles here are
-// exact (computed offline from every recorded duration), unlike the
-// factor-of-two histogram bounds in live Metrics.
-type PhaseTally struct {
-	Phase      string
-	Count      uint64
-	TotalNanos uint64
-	MaxNanos   uint64
-	P50Nanos   uint64
-	P95Nanos   uint64
-	P99Nanos   uint64
-}
-
 // Summary is an offline aggregation of an event stream, as printed by
-// cmd/gcmon.
+// cmd/gcmon. Its rows are PhaseSummary values like the live Metrics, but
+// their quantiles are exact (computed offline from every recorded
+// duration), not the live histograms' factor-of-two bounds.
 type Summary struct {
 	Events     uint64
 	Cycles     uint64
-	Phases     []PhaseTally // phase_end tallies, in first-seen order
-	Pause      PhaseTally
+	Phases     []PhaseSummary // phase_end tallies, in first-seen order
+	Pause      PhaseSummary
 	Carves     uint64
 	CarveWords uint64
 	Retires    uint64
@@ -189,8 +178,8 @@ type Summary struct {
 	// Requests are request-span tallies per op (first-seen order), plus an
 	// aggregate over every op — the serving workload's latency view, with
 	// the same exact offline quantiles as the phase rows.
-	Requests   []PhaseTally
-	AllRequest PhaseTally
+	Requests   []PhaseSummary
+	AllRequest PhaseSummary
 
 	// OpenPhases counts phase_begin events with no matching phase_end, per
 	// phase name — the signature of a producer that died (or was rotated
@@ -231,9 +220,9 @@ func exactQuantile(durs []uint64, q float64) uint64 {
 	return durs[rank-1]
 }
 
-func (t *tally) finish(name string) PhaseTally {
+func (t *tally) finish(name string) PhaseSummary {
 	sort.Slice(t.durs, func(i, j int) bool { return t.durs[i] < t.durs[j] })
-	return PhaseTally{
+	return PhaseSummary{
 		Phase:      name,
 		Count:      uint64(len(t.durs)),
 		TotalNanos: t.total,
@@ -347,33 +336,31 @@ func fmtNanos(ns uint64) string {
 func (s Summary) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "events: %d   cycles: %d\n", s.Events, s.Cycles)
-	if len(s.Phases) > 0 || s.Pause.Count > 0 {
+	row := func(name string, p PhaseSummary) {
+		fmt.Fprintf(&b, "%-14s %8d %10s %10s %10s %10s %10s\n",
+			name, p.Count, fmtNanos(p.TotalNanos),
+			fmtNanos(p.P50Nanos), fmtNanos(p.P95Nanos), fmtNanos(p.P99Nanos), fmtNanos(p.MaxNanos))
+	}
+	header := func(first string) {
 		fmt.Fprintf(&b, "%-14s %8s %10s %10s %10s %10s %10s\n",
-			"phase", "count", "total", "p50", "p95", "p99", "max")
+			first, "count", "total", "p50", "p95", "p99", "max")
+	}
+	if len(s.Phases) > 0 || s.Pause.Count > 0 {
+		header("phase")
 		for _, p := range s.Phases {
-			fmt.Fprintf(&b, "%-14s %8d %10s %10s %10s %10s %10s\n",
-				p.Phase, p.Count, fmtNanos(p.TotalNanos),
-				fmtNanos(p.P50Nanos), fmtNanos(p.P95Nanos), fmtNanos(p.P99Nanos), fmtNanos(p.MaxNanos))
+			row(p.Phase, p)
 		}
-		if p := s.Pause; p.Count > 0 {
-			fmt.Fprintf(&b, "%-14s %8d %10s %10s %10s %10s %10s\n",
-				"pause", p.Count, fmtNanos(p.TotalNanos),
-				fmtNanos(p.P50Nanos), fmtNanos(p.P95Nanos), fmtNanos(p.P99Nanos), fmtNanos(p.MaxNanos))
+		if s.Pause.Count > 0 {
+			row("pause", s.Pause)
 		}
 	}
 	if len(s.Requests) > 0 {
-		fmt.Fprintf(&b, "%-14s %8s %10s %10s %10s %10s %10s\n",
-			"request", "count", "total", "p50", "p95", "p99", "max")
+		header("request")
 		for _, p := range s.Requests {
-			fmt.Fprintf(&b, "%-14s %8d %10s %10s %10s %10s %10s\n",
-				p.Phase, p.Count, fmtNanos(p.TotalNanos),
-				fmtNanos(p.P50Nanos), fmtNanos(p.P95Nanos), fmtNanos(p.P99Nanos), fmtNanos(p.MaxNanos))
+			row(p.Phase, p)
 		}
 		if len(s.Requests) > 1 {
-			p := s.AllRequest
-			fmt.Fprintf(&b, "%-14s %8d %10s %10s %10s %10s %10s\n",
-				"all", p.Count, fmtNanos(p.TotalNanos),
-				fmtNanos(p.P50Nanos), fmtNanos(p.P95Nanos), fmtNanos(p.P99Nanos), fmtNanos(p.MaxNanos))
+			row("all", s.AllRequest)
 		}
 	}
 	if s.Carves > 0 || s.Retires > 0 {

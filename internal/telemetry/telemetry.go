@@ -26,13 +26,11 @@
 //     under it.
 //
 // Exports: Metrics() returns a point-in-time snapshot; WritePrometheus
-// renders it in Prometheus text exposition format; PublishExpvar registers
-// it as an expvar variable; the NDJSON stream is consumed by cmd/gcmon and
-// ReadEvents.
+// renders it in Prometheus text exposition format; the NDJSON stream is
+// consumed by cmd/gcmon and ReadEvents.
 package telemetry
 
 import (
-	"expvar"
 	"io"
 	"sync"
 	"time"
@@ -583,16 +581,4 @@ func (r *Recorder) Metrics() Metrics {
 		}
 	}
 	return m
-}
-
-// PublishExpvar registers the recorder's Metrics under name in the
-// process-wide expvar registry, so any HTTP server exposing /debug/vars
-// serves them. A no-op when the name is already taken (expvar.Publish
-// panics on duplicates, and tests create many runtimes) or on a nil
-// recorder.
-func (r *Recorder) PublishExpvar(name string) {
-	if r == nil || expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Metrics() }))
 }

@@ -23,7 +23,6 @@ func TestNilRecorderIsDisabled(t *testing.T) {
 	r.Violation(0, "assert-dead")
 	r.CountWriteError()
 	r.CountWriteErrorHook()(errors.New("boom"))
-	r.PublishExpvar("nil-recorder")
 	if got := r.Metrics(); got.Events != 0 {
 		t.Errorf("nil Metrics = %+v, want zero", got)
 	}
@@ -205,14 +204,6 @@ func TestReadEventsRejectsMalformedLine(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("err = %v, want line-2 parse error", err)
 	}
-}
-
-func TestPublishExpvar(t *testing.T) {
-	r := New(Config{RingSize: 8})
-	r.PublishExpvar("gcassert-test-recorder")
-	// Re-publishing (same or another recorder) must not panic.
-	r.PublishExpvar("gcassert-test-recorder")
-	New(Config{}).PublishExpvar("gcassert-test-recorder")
 }
 
 func TestEmitDoesNotAllocate(t *testing.T) {

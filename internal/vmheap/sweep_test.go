@@ -57,12 +57,25 @@ func liveRefs(h *Heap) []Ref {
 	return out
 }
 
+// TestCheckFreeListsDetectsCorruption plants one free-list corruption at a
+// time and requires both CheckFreeLists and Verify to report it.
 func TestCheckFreeListsDetectsCorruption(t *testing.T) {
 	h, refs := buildMixedHeap(t, 1<<14, 29)
 	markEvery(h, refs, 2, 0)
 	h.Sweep(SweepOptions{})
-	if errs := h.CheckFreeLists(); len(errs) > 0 {
+	if errs := h.Verify(nil); len(errs) > 0 {
 		t.Fatalf("healthy heap reported %v", errs[0])
+	}
+	detected := func(what string) {
+		t.Helper()
+		errs := h.CheckFreeLists()
+		if len(errs) == 0 {
+			t.Errorf("%s not detected", what)
+			return
+		}
+		if !containsErr(h.Verify(nil), errs[0].Error()) {
+			t.Errorf("Verify missed %s (%v)", what, errs[0])
+		}
 	}
 
 	// Find a listed chunk and strip its free flag.
@@ -71,23 +84,31 @@ func TestCheckFreeListsDetectsCorruption(t *testing.T) {
 	if victim == Nil {
 		t.Fatal("no free chunks to corrupt")
 	}
-	saved := h.words[victim]
+	saved, savedNext := h.words[victim], h.words[victim+freeNextSlot]
 	h.words[victim] &^= FlagFree
-	if errs := h.CheckFreeLists(); len(errs) == 0 {
-		t.Error("missing FlagFree not detected")
-	}
+	detected("missing FlagFree")
 	h.words[victim] = saved
+
+	// Link the chunk to itself.
+	h.words[victim+freeNextSlot] = uint64(victim)
+	detected("free list cycle")
+	h.words[victim+freeNextSlot] = savedNext
+
+	// Flip the occupancy bit of the victim's bin.
+	bin := binFor(headerSize(saved))
+	if bin < 0 {
+		t.Fatalf("victim of %d words is not in an exact bin", headerSize(saved))
+	}
+	h.binOcc ^= 1 << uint(bin)
+	detected("wrong occupancy bit")
+	h.binOcc ^= 1 << uint(bin)
 
 	// File a chunk in the wrong bin: push a minimum chunk onto the large
 	// list by hand.
 	h.words[victim+freeNextSlot] = uint64(h.largeBin)
 	h.words[victim] = makeHeader(KindScalar, 0, minChunkWords) | FlagFree
-	savedLarge := h.largeBin
 	h.largeBin = victim
-	if errs := h.CheckFreeLists(); len(errs) == 0 {
-		t.Error("wrong-bin chunk not detected")
-	}
-	h.largeBin = savedLarge
+	detected("wrong-bin chunk")
 }
 
 func TestFreeChunksMatchesIterator(t *testing.T) {

@@ -27,7 +27,9 @@ type RefFieldsOf interface {
 //   - free-list accounting matches the free words found by the walk;
 //   - every reference field of every object is Nil or points at the
 //     header of an allocated object;
-//   - no object carries the mark bit outside a collection.
+//   - no object carries the mark bit outside a collection;
+//   - every free-list bin is well formed (CheckFreeLists): no cycle, no
+//     mis-binned chunk, no wrong occupancy bit.
 //
 // It returns all violations found (nil for a healthy heap). The layout
 // argument supplies reference offsets per class; pass nil to skip the
@@ -37,7 +39,10 @@ type RefFieldsOf interface {
 // (two full passes), intended for tests and debugging tools.
 func (h *Heap) Verify(layout RefFieldsOf) []error {
 	h.AssertNoBuffers("Verify")
-	var errs []error
+	// The bins first: a list that fails them (a cycle, above all) cannot be
+	// walked for the coverage check in pass 1.
+	errs := h.CheckFreeLists()
+	listsOK := len(errs) == 0
 	fail := func(addr Ref, format string, args ...any) {
 		errs = append(errs, &VerifyError{Addr: addr, Msg: fmt.Sprintf(format, args...)})
 	}
@@ -45,7 +50,7 @@ func (h *Heap) Verify(layout RefFieldsOf) []error {
 	// Pass 1: parse the arena, collecting object starts and checking the
 	// accounting and free-list coverage.
 	starts := make(map[Ref]bool)
-	if !h.verifyParse(starts, fail) {
+	if !h.verifyParse(starts, listsOK, fail) {
 		return errs // cannot continue parsing
 	}
 
@@ -91,9 +96,9 @@ func (h *Heap) Verify(layout RefFieldsOf) []error {
 }
 
 // verifyParse is Verify's pass 1: it parses the arena, adds object starts to
-// starts, and checks the accounting and free-list coverage. It returns false
-// when the parse cannot continue.
-func (h *Heap) verifyParse(starts map[Ref]bool, fail func(Ref, string, ...any)) bool {
+// starts, and checks the accounting and, when listsOK, free-list coverage. It
+// returns false when the parse cannot continue.
+func (h *Heap) verifyParse(starts map[Ref]bool, listsOK bool, fail func(Ref, string, ...any)) bool {
 	var freeWalk, liveWalk uint64
 	var liveObjs uint64
 	addr := uint32(heapBase)
@@ -143,6 +148,9 @@ func (h *Heap) verifyParse(starts map[Ref]bool, fail func(Ref, string, ...any)) 
 	}
 
 	// Free lists must cover exactly the free chunks found by the walk.
+	if !listsOK {
+		return true
+	}
 	var freeList uint64
 	h.EachFreeChunk(func(c FreeChunk) bool {
 		if h.words[c.Ref]&FlagFree == 0 {
