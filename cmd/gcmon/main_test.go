@@ -1,6 +1,7 @@
 package main
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -109,12 +110,8 @@ func TestSummaryReproducesPhaseCounts(t *testing.T) {
 			t.Errorf("gcmon phase %s count %d != recorder %d", p.Phase, byName[p.Phase], p.Count)
 		}
 	}
-	var fileViolations uint64
-	for _, n := range sum.Violations {
-		fileViolations += n
-	}
-	if fileViolations != m.Violations {
-		t.Errorf("gcmon violations %d != recorder %d", fileViolations, m.Violations)
+	if !maps.Equal(sum.Violations, m.Violations) {
+		t.Errorf("gcmon violations %v != recorder %v", sum.Violations, m.Violations)
 	}
 
 	// The one-shot path prints the same table Summarize formats.

@@ -414,7 +414,7 @@ func TestSchedulerDeterministic(t *testing.T) {
 			t.Fatalf("Close: %v", err)
 		}
 		s := rt.Stats()
-		s.GC.GCTime, s.GC.PauseTime, s.GC.MaxPause = 0, 0, 0
+		s.GC.GCTime, s.GC.MaxPause = 0, 0
 		if s.Pacer.Cycles == 0 || s.Pacer.Assists == 0 || s.GC.BarrierScans == 0 {
 			t.Fatalf("vacuous: pacer %+v, %d barrier scans", s.Pacer, s.GC.BarrierScans)
 		}

@@ -278,9 +278,6 @@ func New(cfg Config) *Runtime {
 
 	if cfg.Telemetry != nil {
 		rt.tele = telemetry.New(*cfg.Telemetry)
-		// Violation log writers report failed writes into the telemetry
-		// counters instead of dropping them on the floor.
-		wireWriteErrors(cfg.Handler, rt.tele)
 	}
 
 	if cfg.Mode == Infrastructure {

@@ -78,7 +78,7 @@ func TestStatsMetricsRaceUnderIncrementalBuffered(t *testing.T) {
 	go func() {
 		defer close(obsDone)
 		var prevSt Snapshot
-		var prevM telemetry.Metrics
+		var prevM telemetry.Summary
 		for {
 			st := rt.Stats()
 			m := rt.Metrics()
@@ -97,10 +97,14 @@ func TestStatsMetricsRaceUnderIncrementalBuffered(t *testing.T) {
 				"Pause.Count": {prevM.Pause.Count, m.Pause.Count},
 				"Carves":      {prevM.Carves, m.Carves},
 				"Retires":     {prevM.Retires, m.Retires},
-				"Violations":  {prevM.Violations, m.Violations},
 			} {
 				if pair[1] < pair[0] {
 					t.Errorf("telemetry %s went backwards: %d -> %d", name, pair[0], pair[1])
+				}
+			}
+			for kind, n := range prevM.Violations {
+				if m.Violations[kind] < n {
+					t.Errorf("telemetry %s violations went backwards: %d -> %d", kind, n, m.Violations[kind])
 				}
 			}
 			prevSt, prevM = st, m

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"math/bits"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/vmheap"
@@ -58,17 +61,8 @@ func TestTelemetryFullCollectionFlow(t *testing.T) {
 	if m.Pause.Count != cycles {
 		t.Errorf("Pause.Count = %d, want %d", m.Pause.Count, cycles)
 	}
-	if m.Violations != cycles {
-		t.Errorf("Violations = %d, want %d (one assert-dead hit per cycle)", m.Violations, cycles)
-	}
-	var deadHits uint64
-	for _, vc := range m.ViolationsByKind {
-		if vc.Kind == "assert-dead" {
-			deadHits = vc.Count
-		}
-	}
-	if deadHits != cycles {
-		t.Errorf("ViolationsByKind[assert-dead] = %d, want %d", deadHits, cycles)
+	if len(m.Violations) != 1 || m.Violations["assert-dead"] != cycles {
+		t.Errorf("Violations = %v, want assert-dead=%d (one hit per cycle)", m.Violations, cycles)
 	}
 	// Every cycle runs exactly one serial infrastructure mark and one sweep.
 	var mark, sweep *telemetry.PhaseSummary
@@ -283,5 +277,73 @@ func TestTelemetryBarrierSpans(t *testing.T) {
 	check("after the cycle", 2)
 	if got, want := rt.Stats().GC.BarrierRefs, uint64(1+4); got != want {
 		t.Errorf("BarrierRefs = %d, want %d (a's field and arr's four elements)", got, want)
+	}
+}
+
+// TestLiveMetricsEqualOfflineSummary drives every event kind through one
+// runtime with a sink — a stop-the-world collection with an assert-dead
+// violation, scheduled incremental cycles with triggers, assists and
+// slices, buffer carves and retires, request spans, and a phase left
+// running — and requires the live Metrics to equal Summarize over the
+// stream: every count, total and max, the row names and their order, the
+// violation map and the open phases. Each live quantile is the upper edge
+// of the log2 bucket that holds the offline one, clamped to the row's max.
+func TestLiveMetricsEqualOfflineSummary(t *testing.T) {
+	var sink bytes.Buffer
+	rt := New(Config{
+		HeapWords:         1 << 13,
+		Mode:              Infrastructure,
+		IncrementalBudget: 8,
+		AllocBuffers:      vmheap.MinBufferWords,
+		Telemetry:         &telemetry.Config{Sink: &sink},
+	})
+	node := rt.DefineClass("Node")
+	th := rt.MainThread()
+	dead := th.New(node)
+	if err := rt.AssertDead(dead); err != nil {
+		t.Fatal(err)
+	}
+	rt.AddGlobal("leak").Set(dead)
+	if err := rt.GC(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		th.NewDataArray(8)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tele := rt.Telemetry()
+	find, add := tele.RequestOp("find"), tele.RequestOp("add")
+	for i := 1; i <= 40; i++ {
+		tele.Request(find, time.Duration(i*i)*time.Microsecond)
+		tele.Request(add, time.Duration(i)*time.Millisecond)
+	}
+	tele.Begin(telemetry.PhaseSweep)
+
+	live := rt.Metrics()
+	events, err := telemetry.ReadEvents(&sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := telemetry.Summarize(events)
+	if want.Triggers == 0 || want.Assists == 0 || want.Carves == 0 || want.Retires == 0 ||
+		len(want.Violations) == 0 || len(want.Requests) != 2 || want.OpenPhases["sweep"] != 1 {
+		t.Fatalf("the script no longer reaches every event kind: %+v", want)
+	}
+	edges := func(p *telemetry.PhaseSummary) {
+		edge := func(v uint64) uint64 { return min(uint64(1)<<bits.Len64(v)-1, p.MaxNanos) }
+		p.P50Nanos, p.P95Nanos, p.P99Nanos = edge(p.P50Nanos), edge(p.P95Nanos), edge(p.P99Nanos)
+	}
+	for _, rows := range [][]telemetry.PhaseSummary{want.Phases, want.Requests} {
+		for i := range rows {
+			edges(&rows[i])
+		}
+	}
+	edges(&want.Pause)
+	edges(&want.AllRequest)
+	want.Dropped, want.SideTabChunkBytes = live.Dropped, live.SideTabChunkBytes
+	if !reflect.DeepEqual(live, want) {
+		t.Errorf("live metrics differ from the offline summary\nlive:    %+v\noffline: %+v", live, want)
 	}
 }

@@ -126,7 +126,6 @@ func (c *MarkSweep) foldFull(ts trace.Stats, sw vmheap.SweepStats) {
 	s.MarkedObjects += ts.Visited
 	s.FreedObjects += sw.FreedObjects
 	s.FreedWords += sw.FreedWords
-	s.LastLiveWords = sw.LiveWords
 	s.addTrace(ts)
 }
 

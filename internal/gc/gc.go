@@ -50,10 +50,6 @@ type Stats struct {
 	// counters live here: dead hits, ownees checked, ...).
 	Trace trace.Stats
 
-	// LastLiveWords is the live heap size after the most recent
-	// collection (used by the harness for heap-sizing calibration).
-	LastLiveWords uint64
-
 	// Side-structure footprint: bytes the assertion engine holds beside
 	// the heap (its ownership indexes, internal/sidetab). Snapshotted from
 	// the engine when the runtime builds a stats snapshot; zero in Base
@@ -66,16 +62,14 @@ type Stats struct {
 	BarrierScans      uint64 // objects snapshot-scanned by the write barrier
 	BarrierRefs       uint64 // reference slots processed by barrier scans
 
-	// Pause accounting. Every stop-the-world interval — a whole
-	// stop-the-world collection; a cycle start, mark slice,
-	// barrier scan, or completion for incremental mode — adds to PauseTime
-	// and may raise MaxPause. All collector work happens inside pauses
-	// (incremental, not concurrent), so PauseTime always equals GCTime;
-	// the incremental win shows up in MaxPause, which is bounded by the
-	// largest single interval rather than the full cycle. Distributions per
-	// pause and per phase are telemetry's (Recorder.Pause, Recorder.End).
-	PauseTime time.Duration
-	MaxPause  time.Duration
+	// MaxPause is the longest single stop-the-world interval: a whole
+	// stop-the-world collection; a cycle start, mark slice, barrier scan,
+	// or completion for incremental mode. All collector work happens inside
+	// pauses (incremental, not concurrent), so their sum is GCTime; the
+	// incremental win shows up in MaxPause, which is bounded by the largest
+	// single interval rather than the full cycle. Distributions per pause
+	// and per phase are telemetry's (Recorder.Pause, Recorder.End).
+	MaxPause time.Duration
 }
 
 // addPause attributes one stop-the-world interval — a whole collection, or
@@ -83,7 +77,6 @@ type Stats struct {
 // accounting.
 func (s *Stats) addPause(d time.Duration) {
 	s.GCTime += d
-	s.PauseTime += d
 	if d > s.MaxPause {
 		s.MaxPause = d
 	}

@@ -127,7 +127,7 @@ func compare(l Level, a, b obs) error {
 	ah, bh := a.Stats.Heap, b.Stats.Heap
 	ag, bg := a.Stats.GC, b.Stats.GC
 	clockless := func(s core.Snapshot) core.Snapshot {
-		s.GC.GCTime, s.GC.PauseTime, s.GC.MaxPause = 0, 0, 0
+		s.GC.GCTime, s.GC.MaxPause = 0, 0
 		return s
 	}
 	counts := func(o obs) []any {

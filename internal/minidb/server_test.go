@@ -76,8 +76,8 @@ func TestServerServesConcurrently(t *testing.T) {
 		t.Errorf("db len = %d, want %d (adds %d removes %d)", srv.Database().Len(), want, adds, removes)
 	}
 	m := rt.Metrics()
-	if m.RequestCount != clients*perClient {
-		t.Errorf("telemetry recorded %d request spans, want %d", m.RequestCount, clients*perClient)
+	if m.AllRequest.Count != clients*perClient {
+		t.Errorf("telemetry recorded %d request spans, want %d", m.AllRequest.Count, clients*perClient)
 	}
 	byOp := map[string]uint64{}
 	for _, r := range m.Requests {

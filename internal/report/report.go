@@ -176,23 +176,17 @@ func (f HandlerFunc) HandleViolation(v *Violation) Action { return f(v) }
 // Logger logs every violation to an io.Writer and continues — the paper's
 // default policy.
 type Logger struct {
-	W io.Writer
-	// OnWriteError, if non-nil, receives the error of every failed write.
-	// The runtime wires this to the telemetry recorder when telemetry is
-	// enabled, so a full disk silently dropping violations is visible in
-	// the counters.
-	OnWriteError func(error)
-
+	W    io.Writer
 	errs atomic.Uint64
 }
 
 // HandleViolation writes the formatted violation and returns Continue.
 // Logging stays best-effort — a violation handler must never take the
-// collector down — but failed writes are counted (WriteErrors) and
-// reported through OnWriteError rather than silently discarded.
+// collector down — but failed writes are counted (WriteErrors) rather
+// than silently discarded.
 func (l *Logger) HandleViolation(v *Violation) Action {
 	if _, err := fmt.Fprintln(l.W, v.Format()); err != nil {
-		l.countErr(err)
+		l.errs.Add(1)
 	}
 	return Continue
 }
@@ -200,23 +194,12 @@ func (l *Logger) HandleViolation(v *Violation) Action {
 // WriteErrors returns the number of violation writes that failed.
 func (l *Logger) WriteErrors() uint64 { return l.errs.Load() }
 
-func (l *Logger) countErr(err error) {
-	l.errs.Add(1)
-	if l.OnWriteError != nil {
-		l.OnWriteError(err)
-	}
-}
-
 // JSONLogger writes one JSON object per violation — structured logging for
 // the deployed setting the paper targets ("low enough for use in a
 // deployed setting"), where warnings feed a log pipeline rather than a
 // terminal.
 type JSONLogger struct {
-	W io.Writer
-	// OnWriteError, if non-nil, receives the error of every failed encode
-	// (see Logger.OnWriteError).
-	OnWriteError func(error)
-
+	W    io.Writer
 	errs atomic.Uint64
 }
 
@@ -252,9 +235,6 @@ func (l *JSONLogger) HandleViolation(v *Violation) Action {
 		// Logging stays best-effort, as with Logger, but the failure is
 		// counted instead of vanishing.
 		l.errs.Add(1)
-		if l.OnWriteError != nil {
-			l.OnWriteError(err)
-		}
 	}
 	return Continue
 }

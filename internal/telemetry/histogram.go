@@ -29,25 +29,18 @@ func (h *Histogram) Observe(v uint64) {
 }
 
 // Quantile returns an upper bound for the q-quantile (0 < q <= 1): the
-// upper edge of the first bucket whose cumulative count reaches q*Count,
+// upper edge of the bucket holding the value of nearest rank (rank),
 // clamped to the exact Max. Returns 0 on an empty histogram.
 func (h *Histogram) Quantile(q float64) uint64 {
 	if h.Count == 0 {
 		return 0
 	}
-	rank := uint64(q * float64(h.Count))
-	if rank < 1 {
-		rank = 1
-	}
+	r := rank(q, h.Count)
 	var cum uint64
 	for i, n := range h.Buckets {
 		cum += n
-		if cum >= rank {
-			upper := uint64(1)<<uint(i) - 1 // largest value with bit length i
-			if upper > h.Max {
-				upper = h.Max
-			}
-			return upper
+		if cum >= r {
+			return min(uint64(1)<<uint(i)-1, h.Max) // largest value with bit length i
 		}
 	}
 	return h.Max

@@ -6,8 +6,7 @@ import (
 	"strings"
 )
 
-// Prometheus text exposition format (version 0.0.4) for a Metrics
-// snapshot. The snapshot is taken once and rendered outside the recorder
+// Prometheus text exposition format (version 0.0.4) for a live Summary. The snapshot is taken once and rendered outside the recorder
 // lock, so a slow scrape cannot stall the collector.
 
 // promWriter accumulates the first error so every Fprintf needn't be
@@ -52,9 +51,9 @@ func (p *promWriter) labelledSeries(prefix, key, label string, s PhaseSummary) {
 	p.printf("%s_p99_nanos%s %d\n", prefix, lbl, s.P99Nanos)
 }
 
-// WritePrometheus renders the snapshot in Prometheus text format. Metric
+// WritePrometheus renders the summary in Prometheus text format. Metric
 // names are prefixed gcassert_.
-func (m Metrics) WritePrometheus(w io.Writer) error {
+func (m Summary) WritePrometheus(w io.Writer) error {
 	p := &promWriter{w: w}
 
 	p.printf("# HELP gcassert_telemetry_events_total Telemetry events emitted.\n")
@@ -93,29 +92,28 @@ func (m Metrics) WritePrometheus(w io.Writer) error {
 	p.printf("gcassert_gc_assists_total %d\n", m.Assists)
 	p.printf("gcassert_gc_assist_slices_total %d\n", m.AssistSlices)
 
-	if m.RequestCount > 0 {
+	if m.AllRequest.Count > 0 {
 		p.printf("# HELP gcassert_request_count Served requests by op.\n")
 		p.printf("# TYPE gcassert_request_count counter\n")
 		for _, rq := range m.Requests {
 			p.labelledSeries("gcassert_request", "op", rq.Phase, rq)
 		}
-		p.printf("gcassert_requests_total %d\n", m.RequestCount)
+		p.printf("gcassert_requests_total %d\n", m.AllRequest.Count)
 	}
 
 	p.printf("# HELP gcassert_violations_total Assertion violations delivered.\n")
 	p.printf("# TYPE gcassert_violations_total counter\n")
-	p.printf("gcassert_violations_total %d\n", m.Violations)
-	for _, v := range m.ViolationsByKind {
-		p.printf("gcassert_violations_by_kind_total{kind=%q} %d\n", escapeLabel(v.Kind), v.Count)
+	p.printf("gcassert_violations_total %d\n", m.violationTotal())
+	for _, k := range sortedKeys(m.Violations) {
+		p.printf("gcassert_violations_by_kind_total{kind=%q} %d\n", escapeLabel(k), m.Violations[k])
 	}
 
 	p.printf("# HELP gcassert_sidetab_chunk_bytes Bytes the assertion engine holds beside the heap.\n")
 	p.printf("# TYPE gcassert_sidetab_chunk_bytes gauge\n")
 	p.printf("gcassert_sidetab_chunk_bytes %d\n", m.SideTabChunkBytes)
 
-	p.printf("# HELP gcassert_report_write_errors_total Violation/event log writes that failed.\n")
-	p.printf("# TYPE gcassert_report_write_errors_total counter\n")
-	p.printf("gcassert_report_write_errors_total %d\n", m.ReportWriteErrors)
+	p.printf("# HELP gcassert_sink_write_errors_total Event stream writes that failed.\n")
+	p.printf("# TYPE gcassert_sink_write_errors_total counter\n")
 	p.printf("gcassert_sink_write_errors_total %d\n", m.SinkErrors)
 	return p.err
 }

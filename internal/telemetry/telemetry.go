@@ -1,7 +1,7 @@
 // Package telemetry is the runtime's observability subsystem: a
 // fixed-size, allocation-free event stream the collector, tracer, sweeper
-// and allocator emit into, with per-phase latency histograms and monotonic
-// counters on top.
+// and allocator emit into, and one aggregation of that stream behind every
+// view of it.
 //
 // The paper's pitch is that assertion checking piggybacks on collection at
 // a few percent overhead; this package is how a deployment *observes* that
@@ -15,17 +15,23 @@
 //     branch per emit point — every method is nil-safe — so the published
 //     figures are byte-identical with telemetry off.
 //
+//   - One aggregation. Every emitted event is named as the FileEvent the
+//     NDJSON stream carries and folded into the recorder's live Summary by
+//     the same function Summarize runs over a decoded stream, so the live
+//     view (Metrics, /metrics) and the offline one (gcmon) agree by
+//     construction. The live fold keeps log2 histograms, the offline one
+//     every duration; both read quantiles by one nearest-rank rule.
+//
 //   - Bounded memory. The ring holds the last RingSize events; older ones
 //     are overwritten (counted in Dropped). Histograms are fixed arrays of
 //     log2 buckets.
 //
 //   - One lock. Emit points already run under the runtime lock or inside
 //     stop-the-world pauses; the recorder's own mutex exists only so
-//     Metrics() and the buffer-stats fold can snapshot concurrently with a
-//     mutator-side carve/retire. It is a leaf lock: nothing is acquired
-//     under it.
+//     Metrics() can snapshot concurrently with a mutator-side carve/retire
+//     or request. It is a leaf lock: nothing is acquired under it.
 //
-// Exports: Metrics() returns a point-in-time snapshot; WritePrometheus
+// Exports: Metrics() returns a point-in-time Summary; WritePrometheus
 // renders it in Prometheus text exposition format; the NDJSON stream is
 // consumed by cmd/gcmon and ReadEvents.
 package telemetry
@@ -143,7 +149,7 @@ type Config struct {
 	// DefaultRingSize.
 	RingSize int
 	// Sink, when non-nil, receives every event as one NDJSON line. Write
-	// errors are counted (Metrics.SinkErrors), never propagated: telemetry
+	// errors are counted (Summary.SinkErrors), never propagated: telemetry
 	// must not take the mutator down with it.
 	Sink io.Writer
 }
@@ -162,43 +168,15 @@ type Recorder struct {
 
 	cycle uint64 // current collection cycle (CycleBegin increments)
 
-	hists  [numPhases]Histogram
-	pauses Histogram
+	// Request op names, interned up front (RequestOp) so the per-request
+	// emit is a slice index, not a map lookup. A code is an index.
+	reqNames []string
 
-	carves     uint64
-	carveWords uint64
-	retires    uint64
-	usedWords  uint64
-	tailWords  uint64
-	violations uint64
+	live fold // every event so far, aggregated as Summarize would
 
-	triggers     uint64
-	assists      uint64
-	assistSlices uint64
-
-	violationKinds [256]uint64
-	// violationNames interns the report.Kind code → name mapping so the
-	// NDJSON stream carries readable assertion names without this package
-	// importing the report package (telemetry is a leaf).
-	violationNames [256]string
-
-	// Request-span state: op names are interned up front (RequestOp), so
-	// the per-request emit is one histogram fold and one ring write with no
-	// map lookup. reqHists[i] pairs with reqNames[i].
-	reqNames [MaxRequestOps]string
-	reqHists [MaxRequestOps]Histogram
-	reqOps   int
-	requests uint64
-
-	writeErrs uint64 // report-writer failures (CountWriteError)
-	sinkErrs  uint64
-
-	// Side-structure footprint gauge, refreshed by the runtime at snapshot
-	// time: bytes the assertion engine holds beside the heap.
-	sideTabBytes uint64
-
-	sink    io.Writer
-	scratch []byte // reusable NDJSON line buffer
+	sinkErrs uint64
+	sink     io.Writer
+	scratch  []byte // reusable NDJSON line buffer
 }
 
 // New creates a recorder. The returned recorder is ready to emit; attach
@@ -209,25 +187,75 @@ func New(cfg Config) *Recorder {
 		size = DefaultRingSize
 	}
 	return &Recorder{
-		start:   time.Now(),
-		ring:    make([]Event, size),
-		sink:    cfg.Sink,
-		scratch: make([]byte, 0, 160),
+		start:    time.Now(),
+		ring:     make([]Event, size),
+		reqNames: make([]string, 0, MaxRequestOps),
+		live:     newFold(false),
+		sink:     cfg.Sink,
+		scratch:  make([]byte, 0, 160),
 	}
 }
 
-// emit appends one event to the ring (and the sink). Caller holds r.mu.
-func (r *Recorder) emit(e Event) {
+// emit stamps e with the next sequence number, the clock and the current
+// cycle, writes it to the ring and the sink, and folds it into the live
+// Summary. label is a violation's kind name. An event naming an
+// unregistered request op is dropped. Caller holds r.mu.
+func (r *Recorder) emit(e Event, label string) {
+	fe := FileEvent{Ev: e.Kind.String(), Cycle: r.cycle}
+	switch e.Kind {
+	case KindPhaseBegin:
+		fe.Phase = e.Phase.String()
+	case KindPhaseEnd:
+		fe.Phase, fe.DurNanos = e.Phase.String(), e.Value
+	case KindPause:
+		fe.DurNanos = e.Value
+	case KindCarve:
+		fe.Words = e.Value
+	case KindRetire:
+		fe.Words, fe.Tail = e.Value, e.Value2
+	case KindViolation:
+		fe.Kind = named(label)
+	case KindTrigger:
+		fe.Used, fe.Trigger = e.Value, e.Value2
+	case KindAssist:
+		fe.DurNanos, fe.Slices = e.Value, e.Value2
+	case KindRequest:
+		if e.Value2 >= uint64(len(r.reqNames)) {
+			return
+		}
+		fe.Op, fe.DurNanos = named(r.reqNames[e.Value2]), e.Value
+	}
 	r.seq++
-	e.Seq = r.seq
-	e.AtNanos = int64(time.Since(r.start))
+	e.Seq, e.Cycle, e.AtNanos = r.seq, r.cycle, int64(time.Since(r.start))
+	fe.Seq, fe.Nanos = e.Seq, e.AtNanos
 	r.ring[(r.seq-1)%uint64(len(r.ring))] = e
+	r.live.add(&fe)
 	if r.sink != nil {
-		r.scratch = r.appendEventJSON(r.scratch[:0], &e)
+		r.scratch = appendEventJSON(r.scratch[:0], e.Kind, &fe)
 		if _, err := r.sink.Write(r.scratch); err != nil {
 			r.sinkErrs++
 		}
 	}
+}
+
+// named stands "unknown" in for an empty violation or op name, so every
+// such line names one.
+func named(s string) string {
+	if s == "" {
+		return "unknown"
+	}
+	return s
+}
+
+// record emits one event under the recorder lock; a no-op on a nil
+// recorder.
+func (r *Recorder) record(e Event, label string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.emit(e, label)
+	r.mu.Unlock()
 }
 
 // CycleBegin records the start of one collection; subsequent events carry
@@ -238,7 +266,7 @@ func (r *Recorder) CycleBegin() {
 	}
 	r.mu.Lock()
 	r.cycle++
-	r.emit(Event{Kind: KindCycleBegin, Cycle: r.cycle})
+	r.emit(Event{Kind: KindCycleBegin}, "")
 	r.mu.Unlock()
 }
 
@@ -249,116 +277,59 @@ func (r *Recorder) Begin(p Phase) time.Time {
 	if r == nil {
 		return time.Time{}
 	}
-	r.mu.Lock()
-	r.emit(Event{Kind: KindPhaseBegin, Phase: p, Cycle: r.cycle})
-	r.mu.Unlock()
+	r.record(Event{Kind: KindPhaseBegin, Phase: p}, "")
 	return time.Now()
 }
 
-// End emits the phase-end event matching a Begin and feeds the phase
-// histogram.
+// End emits the phase-end event matching a Begin. On a nil recorder it
+// does not touch the clock.
 func (r *Recorder) End(p Phase, start time.Time) {
 	if r == nil {
 		return
 	}
-	d := time.Since(start)
-	r.mu.Lock()
-	r.hists[p].Observe(uint64(d))
-	r.emit(Event{Kind: KindPhaseEnd, Phase: p, Cycle: r.cycle, Value: uint64(d)})
-	r.mu.Unlock()
+	r.record(Event{Kind: KindPhaseEnd, Phase: p, Value: uint64(time.Since(start))}, "")
 }
 
 // Span emits a begin/end pair for a phase whose duration the caller
 // already measured (the collector times its incremental intervals for
 // pause accounting regardless of telemetry).
 func (r *Recorder) Span(p Phase, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.emit(Event{Kind: KindPhaseBegin, Phase: p, Cycle: r.cycle})
-	r.hists[p].Observe(uint64(d))
-	r.emit(Event{Kind: KindPhaseEnd, Phase: p, Cycle: r.cycle, Value: uint64(d)})
-	r.mu.Unlock()
+	r.record(Event{Kind: KindPhaseBegin, Phase: p}, "")
+	r.record(Event{Kind: KindPhaseEnd, Phase: p, Value: uint64(d)}, "")
 }
 
 // Pause records one stop-the-world interval.
 func (r *Recorder) Pause(d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.pauses.Observe(uint64(d))
-	r.emit(Event{Kind: KindPause, Cycle: r.cycle, Value: uint64(d)})
-	r.mu.Unlock()
+	r.record(Event{Kind: KindPause, Value: uint64(d)}, "")
 }
 
 // Carve records one allocation-buffer carve of `words` words.
 func (r *Recorder) Carve(words uint64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.carves++
-	r.carveWords += words
-	r.emit(Event{Kind: KindCarve, Cycle: r.cycle, Value: words})
-	r.mu.Unlock()
+	r.record(Event{Kind: KindCarve, Value: words}, "")
 }
 
 // Retire records one buffer retirement: used words kept as objects, tail
 // words returned to the free lists.
 func (r *Recorder) Retire(used, tail uint64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.retires++
-	r.usedWords += used
-	r.tailWords += tail
-	r.emit(Event{Kind: KindRetire, Cycle: r.cycle, Value: used, Value2: tail})
-	r.mu.Unlock()
+	r.record(Event{Kind: KindRetire, Value: used, Value2: tail}, "")
 }
 
 // Trigger records one concurrent-pacer cycle trigger: the heap had
 // usedWords allocated when the triggerWords threshold tripped.
 func (r *Recorder) Trigger(usedWords, triggerWords uint64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.triggers++
-	r.emit(Event{Kind: KindTrigger, Cycle: r.cycle, Value: usedWords, Value2: triggerWords})
-	r.mu.Unlock()
+	r.record(Event{Kind: KindTrigger, Value: usedWords, Value2: triggerWords}, "")
 }
 
-// Assist records one mutator assist of d covering `slices` mark slices,
-// feeding the assist-phase histogram.
+// Assist records one mutator assist of d covering `slices` mark slices.
 func (r *Recorder) Assist(d time.Duration, slices uint64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.assists++
-	r.assistSlices += slices
-	r.hists[PhaseAssist].Observe(uint64(d))
-	r.emit(Event{Kind: KindAssist, Cycle: r.cycle, Value: uint64(d), Value2: slices})
-	r.mu.Unlock()
+	r.record(Event{Kind: KindAssist, Value: uint64(d), Value2: slices}, "")
 }
 
 // Violation records one assertion violation. code is the report.Kind
-// value; name its String() (stored once per code for the NDJSON stream).
+// value (kept in the ring event); name its String(), which the stream and
+// the per-kind counts carry.
 func (r *Recorder) Violation(code uint8, name string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.violations++
-	r.violationKinds[code]++
-	if r.violationNames[code] == "" {
-		r.violationNames[code] = name
-	}
-	r.emit(Event{Kind: KindViolation, Cycle: r.cycle, Value: uint64(code)})
-	r.mu.Unlock()
+	r.record(Event{Kind: KindViolation, Value: uint64(code)}, name)
 }
 
 // MaxRequestOps is the number of distinct request op names a recorder can
@@ -379,64 +350,24 @@ func (r *Recorder) RequestOp(name string) int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := 0; i < r.reqOps; i++ {
-		if r.reqNames[i] == name {
+	for i, n := range r.reqNames {
+		if n == name {
 			return i
 		}
 	}
-	if r.reqOps >= MaxRequestOps {
+	if len(r.reqNames) >= MaxRequestOps {
 		return -1
 	}
-	r.reqNames[r.reqOps] = name
-	r.reqOps++
-	return r.reqOps - 1
+	r.reqNames = append(r.reqNames, name)
+	return len(r.reqNames) - 1
 }
 
 // Request records one served request of duration d under an op code from
-// RequestOp, feeding the per-op histogram and the event stream. A negative
-// or unregistered code is ignored.
+// RequestOp. A negative or unregistered code is ignored.
 func (r *Recorder) Request(op int, d time.Duration) {
-	if r == nil || op < 0 {
-		return
+	if op >= 0 {
+		r.record(Event{Kind: KindRequest, Value: uint64(d), Value2: uint64(op)}, "")
 	}
-	r.mu.Lock()
-	if op < r.reqOps {
-		r.requests++
-		r.reqHists[op].Observe(uint64(d))
-		r.emit(Event{Kind: KindRequest, Cycle: r.cycle, Value: uint64(d), Value2: uint64(op)})
-	}
-	r.mu.Unlock()
-}
-
-// SideTab sets the side-structure footprint gauge: the bytes the assertion
-// engine currently holds beside the heap. A gauge, not a ring event — the
-// footprint changes when an index grows, far below the event cadence, so
-// the runtime refreshes it when a snapshot is taken.
-func (r *Recorder) SideTab(chunkBytes uint64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.sideTabBytes = chunkBytes
-	r.mu.Unlock()
-}
-
-// CountWriteError counts one failed violation/event log write (the report
-// package's writers call this through their OnWriteError hook), so a full
-// disk that is silently dropping violations shows up in the counters.
-func (r *Recorder) CountWriteError() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.writeErrs++
-	r.mu.Unlock()
-}
-
-// CountWriteErrorHook adapts CountWriteError to the report writers'
-// OnWriteError signature. Safe on a nil recorder.
-func (r *Recorder) CountWriteErrorHook() func(error) {
-	return func(error) { r.CountWriteError() }
 }
 
 // Events returns the retained events, oldest first. Intended for tests and
@@ -460,125 +391,19 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// PhaseSummary is the per-phase slice of a Metrics snapshot. Quantiles
-// come from log2-bucketed histograms, so they are upper bounds accurate to
-// a factor of two; Max and TotalNanos are exact.
-type PhaseSummary struct {
-	Phase      string `json:"phase"`
-	Count      uint64 `json:"count"`
-	TotalNanos uint64 `json:"total_ns"`
-	MaxNanos   uint64 `json:"max_ns"`
-	P50Nanos   uint64 `json:"p50_ns"`
-	P95Nanos   uint64 `json:"p95_ns"`
-	P99Nanos   uint64 `json:"p99_ns"`
-}
-
-// summarize renders one histogram as a PhaseSummary.
-func summarize(name string, h *Histogram) PhaseSummary {
-	return PhaseSummary{
-		Phase:      name,
-		Count:      h.Count,
-		TotalNanos: h.Sum,
-		MaxNanos:   h.Max,
-		P50Nanos:   h.Quantile(0.50),
-		P95Nanos:   h.Quantile(0.95),
-		P99Nanos:   h.Quantile(0.99),
-	}
-}
-
-// ViolationCount is one assertion kind's violation total.
-type ViolationCount struct {
-	Kind  string `json:"kind"`
-	Count uint64 `json:"count"`
-}
-
-// Metrics is a point-in-time snapshot of every telemetry counter and
-// histogram. All counters are monotonic over a recorder's lifetime.
-type Metrics struct {
-	Events  uint64 `json:"events"`
-	Dropped uint64 `json:"dropped"` // events overwritten in the ring
-	Cycles  uint64 `json:"cycles"`
-
-	Phases []PhaseSummary `json:"phases,omitempty"` // only phases that ran
-	Pause  PhaseSummary   `json:"pause"`
-
-	Carves     uint64 `json:"buffer_carves"`
-	CarveWords uint64 `json:"buffer_carve_words"`
-	Retires    uint64 `json:"buffer_retires"`
-	UsedWords  uint64 `json:"buffer_used_words"`
-	TailWords  uint64 `json:"buffer_tail_words"`
-
-	// Concurrent-pacer counters: cycle triggers, mutator assists, and the
-	// mark slices those assists performed. All zero unless ConcurrentGC ran.
-	Triggers     uint64 `json:"gc_triggers"`
-	Assists      uint64 `json:"gc_assists"`
-	AssistSlices uint64 `json:"gc_assist_slices"`
-
-	Violations       uint64           `json:"violations"`
-	ViolationsByKind []ViolationCount `json:"violations_by_kind,omitempty"`
-
-	// Request-span summaries, one per registered op that served at least
-	// one request, in registration order. Quantiles are histogram bounds
-	// like every other PhaseSummary; the offline gcmon summary over the
-	// NDJSON stream is the exact-quantile view.
-	Requests     []PhaseSummary `json:"requests,omitempty"`
-	RequestCount uint64         `json:"request_count"`
-
-	// Side-structure footprint: bytes the assertion engine holds beside
-	// the heap (a gauge). Zero without ownership assertions.
-	SideTabChunkBytes uint64 `json:"sidetab_chunk_bytes"`
-
-	ReportWriteErrors uint64 `json:"report_write_errors"`
-	SinkErrors        uint64 `json:"sink_errors"`
-}
-
-// Metrics snapshots the recorder. Safe on a nil recorder (zero snapshot)
-// and concurrently with emitters.
-func (r *Recorder) Metrics() Metrics {
+// Metrics returns the live Summary: the fold of every event emitted so
+// far, plus the two facts only the recorder has, Dropped and SinkErrors.
+// Safe on a nil recorder (zero Summary) and concurrently with emitters.
+func (r *Recorder) Metrics() Summary {
 	if r == nil {
-		return Metrics{}
+		return Summary{}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m := Metrics{
-		Events:            r.seq,
-		Cycles:            r.cycle,
-		Pause:             summarize("pause", &r.pauses),
-		Carves:            r.carves,
-		CarveWords:        r.carveWords,
-		Retires:           r.retires,
-		UsedWords:         r.usedWords,
-		TailWords:         r.tailWords,
-		Triggers:          r.triggers,
-		Assists:           r.assists,
-		AssistSlices:      r.assistSlices,
-		Violations:        r.violations,
-		RequestCount:      r.requests,
-		SideTabChunkBytes: r.sideTabBytes,
-		ReportWriteErrors: r.writeErrs,
-		SinkErrors:        r.sinkErrs,
-	}
+	s := r.live.summary()
+	s.SinkErrors = r.sinkErrs
 	if size := uint64(len(r.ring)); r.seq > size {
-		m.Dropped = r.seq - size
+		s.Dropped = r.seq - size
 	}
-	for p := Phase(0); p < numPhases; p++ {
-		if r.hists[p].Count > 0 {
-			m.Phases = append(m.Phases, summarize(p.String(), &r.hists[p]))
-		}
-	}
-	for i := 0; i < r.reqOps; i++ {
-		if r.reqHists[i].Count > 0 {
-			m.Requests = append(m.Requests, summarize(r.reqNames[i], &r.reqHists[i]))
-		}
-	}
-	for code, n := range r.violationKinds {
-		if n > 0 {
-			name := r.violationNames[code]
-			if name == "" {
-				name = "unknown"
-			}
-			m.ViolationsByKind = append(m.ViolationsByKind, ViolationCount{Kind: name, Count: n})
-		}
-	}
-	return m
+	return s
 }

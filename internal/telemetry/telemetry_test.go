@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"errors"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -21,8 +22,6 @@ func TestNilRecorderIsDisabled(t *testing.T) {
 	r.Carve(64)
 	r.Retire(32, 32)
 	r.Violation(0, "assert-dead")
-	r.CountWriteError()
-	r.CountWriteErrorHook()(errors.New("boom"))
 	if got := r.Metrics(); got.Events != 0 {
 		t.Errorf("nil Metrics = %+v, want zero", got)
 	}
@@ -55,11 +54,8 @@ func TestRecorderCountersAndEvents(t *testing.T) {
 	if m.Retires != 1 || m.UsedWords != 1000 || m.TailWords != 24 {
 		t.Errorf("Retires = %d used %d tail %d, want 1/1000/24", m.Retires, m.UsedWords, m.TailWords)
 	}
-	if m.Violations != 2 {
-		t.Errorf("Violations = %d, want 2", m.Violations)
-	}
-	if len(m.ViolationsByKind) != 1 || m.ViolationsByKind[0].Kind != "assert-dead" || m.ViolationsByKind[0].Count != 2 {
-		t.Errorf("ViolationsByKind = %+v", m.ViolationsByKind)
+	if len(m.Violations) != 1 || m.Violations["assert-dead"] != 2 {
+		t.Errorf("Violations = %v, want assert-dead=2", m.Violations)
 	}
 	if m.Pause.Count != 1 || m.Pause.TotalNanos != uint64(2*time.Millisecond) {
 		t.Errorf("Pause = %+v", m.Pause)
@@ -157,7 +153,7 @@ func TestWritePrometheus(t *testing.T) {
 	r.CycleBegin()
 	r.Span(PhaseMark, time.Millisecond)
 	r.Pause(time.Millisecond)
-	r.CountWriteError()
+	r.Violation(0, "assert-dead")
 	var out bytes.Buffer
 	if err := r.Metrics().WritePrometheus(&out); err != nil {
 		t.Fatal(err)
@@ -167,14 +163,15 @@ func TestWritePrometheus(t *testing.T) {
 		"gcassert_gc_cycles_total 1",
 		`gcassert_phase_count{phase="mark"} 1`,
 		"gcassert_pause_count 1",
-		"gcassert_report_write_errors_total 1",
-		"gcassert_telemetry_events_total 4",
+		"gcassert_violations_total 1",
+		`gcassert_violations_by_kind_total{kind="assert-dead"} 1`,
+		"gcassert_telemetry_events_total 5",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("prometheus output lacks %q:\n%s", want, text)
 		}
 	}
-	if err := (Metrics{}).WritePrometheus(&failWriter{}); err == nil {
+	if err := (Summary{}).WritePrometheus(&failWriter{}); err == nil {
 		t.Error("WritePrometheus on a failing writer returned nil error")
 	}
 }
@@ -208,6 +205,7 @@ func TestReadEventsRejectsMalformedLine(t *testing.T) {
 
 func TestEmitDoesNotAllocate(t *testing.T) {
 	r := New(Config{RingSize: 64, Sink: &bytes.Buffer{}})
+	op := r.RequestOp("find")
 	avg := testing.AllocsPerRun(200, func() {
 		r.CycleBegin()
 		r.Span(PhaseMark, time.Microsecond)
@@ -215,6 +213,9 @@ func TestEmitDoesNotAllocate(t *testing.T) {
 		r.Carve(128)
 		r.Retire(100, 28)
 		r.Violation(1, "assert-alldead")
+		r.Trigger(100, 64)
+		r.Assist(time.Microsecond, 2)
+		r.Request(op, time.Microsecond)
 	})
 	// bytes.Buffer growth may allocate occasionally; the emit path itself
 	// must not allocate per event.
@@ -244,8 +245,8 @@ func TestRequestSpans(t *testing.T) {
 	r.Request(200, time.Millisecond) // out of range: ignored
 
 	m := r.Metrics()
-	if m.RequestCount != 3 {
-		t.Errorf("RequestCount = %d, want 3", m.RequestCount)
+	if m.AllRequest.Count != 3 {
+		t.Errorf("AllRequest.Count = %d, want 3", m.AllRequest.Count)
 	}
 	if len(m.Requests) != 2 || m.Requests[0].Phase != "find" || m.Requests[0].Count != 2 ||
 		m.Requests[1].Phase != "add" || m.Requests[1].Count != 1 {
@@ -292,8 +293,8 @@ func TestRequestOpTableFull(t *testing.T) {
 		t.Errorf("overflow registration = %d, want -1", code)
 	}
 	r.Request(-1, time.Millisecond)
-	if m := r.Metrics(); m.RequestCount != 0 {
-		t.Errorf("overflow request recorded: %d", m.RequestCount)
+	if m := r.Metrics(); m.AllRequest.Count != 0 {
+		t.Errorf("overflow request recorded: %d", m.AllRequest.Count)
 	}
 	var nilRec *Recorder
 	if code := nilRec.RequestOp("x"); code != -1 {
@@ -355,5 +356,53 @@ func TestSummarizeSurfacesOpenPhases(t *testing.T) {
 	}
 	if strings.Contains(balanced.Format(), "open phases") {
 		t.Error("balanced Format() carries open-phases warning")
+	}
+}
+
+// TestNDJSONWireFormat pins the line of every event kind, byte for byte
+// with "ns" masked, to the lines the encoder wrote at c7fa10c. The
+// violation and op names need escaping. cmd/gcmon, the serving sweep and
+// bench/traced.go all parse this format.
+func TestNDJSONWireFormat(t *testing.T) {
+	var sink bytes.Buffer
+	r := New(Config{Sink: &sink})
+	op, unnamed := r.RequestOp("fi\"nd\t\x01"), r.RequestOp("")
+	ns := regexp.MustCompile(`"ns":\d+`)
+	for _, tc := range []struct {
+		kind string
+		emit func()
+		want string
+	}{
+		{"cycle_begin", r.CycleBegin,
+			`{"seq":1,"ns":0,"ev":"cycle_begin","cycle":1}`},
+		{"phase_begin, phase_end", func() { r.Span(PhaseOwnership, 1234) },
+			`{"seq":2,"ns":0,"ev":"phase_begin","phase":"ownership","cycle":1}` + "\n" +
+				`{"seq":3,"ns":0,"ev":"phase_end","phase":"ownership","cycle":1,"dur_ns":1234}`},
+		{"pause", func() { r.Pause(90 * time.Microsecond) },
+			`{"seq":4,"ns":0,"ev":"pause","cycle":1,"dur_ns":90000}`},
+		{"carve", func() { r.Carve(1024) },
+			`{"seq":5,"ns":0,"ev":"carve","cycle":1,"words":1024}`},
+		{"retire", func() { r.Retire(960, 64) },
+			`{"seq":6,"ns":0,"ev":"retire","cycle":1,"words":960,"tail":64}`},
+		{"violation", func() { r.Violation(3, "assert-\"owned\\by\"\n") },
+			`{"seq":7,"ns":0,"ev":"violation","cycle":1,"kind":"assert-\"owned\\by\"\n"}`},
+		{"unnamed violation", func() { r.Violation(4, "") },
+			`{"seq":8,"ns":0,"ev":"violation","cycle":1,"kind":"unknown"}`},
+		{"trigger", func() { r.Trigger(5000, 4096) },
+			`{"seq":9,"ns":0,"ev":"trigger","cycle":1,"used":5000,"trigger":4096}`},
+		{"assist", func() { r.Assist(3*time.Microsecond, 2) },
+			`{"seq":10,"ns":0,"ev":"assist","cycle":1,"dur_ns":3000,"slices":2}`},
+		{"request", func() { r.Request(op, 41500*time.Nanosecond) },
+			`{"seq":11,"ns":0,"ev":"request","cycle":1,"op":"fi\"nd\t\u0001","dur_ns":41500}`},
+		{"request of zero duration", func() { r.Request(op, 0) },
+			`{"seq":12,"ns":0,"ev":"request","cycle":1,"op":"fi\"nd\t\u0001","dur_ns":0}`},
+		{"unnamed request op", func() { r.Request(unnamed, time.Microsecond) },
+			`{"seq":13,"ns":0,"ev":"request","cycle":1,"op":"unknown","dur_ns":1000}`},
+	} {
+		from := sink.Len()
+		tc.emit()
+		if got := ns.ReplaceAllString(string(sink.Bytes()[from:]), `"ns":0`); got != tc.want+"\n" {
+			t.Errorf("%s:\n got %s\nwant %s", tc.kind, got, tc.want)
+		}
 	}
 }
