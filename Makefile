@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench difftest fuzz figures casestudies verify
+.PHONY: all build test race bench difftest torture fuzz figures casestudies verify
 
 all: build test
 
@@ -21,7 +21,9 @@ bench:
 # mode differentials and oracles are config-pair arms over internal/heapscript
 # (DESIGN.md §15): GC against a stepped cycle, stop-the-world against
 # incremental and against the background pacer, direct against buffered
-# allocation, solo against shared, silent against recording telemetry, and
+# allocation, a single-mutator runtime against a shared one (whose roots are
+# the same globals and frame slots, to the address), silent against recording
+# telemetry, and
 # runtimes against the shadow model (TestOracle*), the core fuzzers' seed
 # corpora, and the comparer's own test (TestCompareSeesEveryField). Beside them:
 # the ArrayList over the range accessors vs a Go-slice model (TestListModel),
@@ -29,6 +31,15 @@ bench:
 # model of its live keys (TestFindModel).
 difftest:
 	go test -race -run 'Differential|TestOracle|TestAllocBuffer|TestTelemetry|TestCompareSeesEveryField|FuzzIncrementalBarrier|FuzzAllocBuffer|FuzzConcurrentPacer|TestSoloContract|TestListModel|TestRangeAccessors|TestArrCopyRefs|TestGatherData|TestFindModel' ./internal/...
+
+# The GC-torture build (DESIGN.md §11): every allocation, and on a shared
+# runtime every accessor, frame, global and string call, runs a side trace
+# from the roots, and any use of an object that trace did not reach panics. It
+# fails wherever a Ref is held only in Go across a point where a collection
+# could free its object. -short shrinks the tests too large for a trace per
+# call.
+torture:
+	go test -tags gctorture -short ./internal/core ./internal/collections ./internal/minidb ./internal/jbb ./internal/lusearch ./internal/workloads ./internal/staleness
 
 # Short coverage-guided fuzz runs (go test takes one -fuzz pattern per
 # invocation, so the targets run sequentially). The three core targets decode

@@ -40,8 +40,10 @@ func main() {
 	orderID := order.MustFieldIndex("id")
 
 	// The work queue (a managed B-tree keyed by order id) and a customer.
-	queue := kit.NewTree(th)
+	f := th.PushFrame(1)
+	queue := kit.NewTree(f, 0)
 	rt.AddGlobal("queue").Set(queue)
+	th.PopFrame()
 	cust := th.New(customer)
 	rt.AddGlobal("customer").Set(cust)
 

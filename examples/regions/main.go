@@ -74,8 +74,10 @@ func main() {
 		core.DataField("id"), core.RefField("buf"))
 	s.sID = s.session.MustFieldIndex("id")
 	s.sBuf = s.session.MustFieldIndex("buf")
-	s.audit = kit.NewList(s.th)
+	f := s.th.PushFrame(1)
+	s.audit = kit.NewList(f, 0)
 	rt.AddGlobal("audit").Set(s.audit)
+	s.th.PopFrame()
 
 	fmt.Println("serving 5 connections with the leaky handler...")
 	for id := int64(0); id < 5; id++ {

@@ -288,7 +288,3 @@ func (r *Registry) CheckLimits() []OverLimit {
 	}
 	return over
 }
-
-// InstanceCount returns the running count for a class (primarily for tests
-// and tools; counts are reset by CheckLimits at the end of each GC).
-func (r *Registry) InstanceCount(c *Class) int64 { return c.instanceCount }

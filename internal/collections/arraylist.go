@@ -10,14 +10,14 @@ const initialListCap = 8
 // ListBlock elements instead of per element.
 const ListBlock = 64
 
-// NewList allocates an empty ArrayList on th.
-func (k *Kit) NewList(th *core.Thread) core.Ref {
-	f := th.PushFrame(1)
-	defer th.PopFrame()
-	list := th.New(k.listClass)
-	f.SetLocal(0, list)
-	data := th.NewRefArray(initialListCap)
-	k.rt.SetRef(list, k.listData, data)
+// NewList allocates an empty ArrayList into local slot i of f, on f's
+// thread, and returns it.
+func (k *Kit) NewList(f *core.Frame, i int) core.Ref {
+	th := f.Thread()
+	list := f.New(i, k.listClass)
+	tmp := th.PushFrame(1)
+	k.rt.SetRef(list, k.listData, tmp.NewRefArray(0, initialListCap))
+	th.PopFrame()
 	return list
 }
 
@@ -46,18 +46,17 @@ func (k *Kit) ListAdd(th *core.Thread, list core.Ref, val core.Ref) {
 	size := int(rt.GetInt(list, k.listSize))
 	data := rt.GetRef(list, k.listData)
 	if size == rt.ArrLen(data) {
-		// Grow: the new array is unreachable until stored, and val may
-		// be unreachable too, so pin both (and the list) while we
-		// allocate.
-		f := th.PushFrame(2)
+		// Grow: val may be unreachable but for the caller's Go variable, so
+		// root it (and the list) while the bigger array is allocated into
+		// a root of its own, until val is stored.
+		f := th.PushFrame(3)
+		defer th.PopFrame()
 		f.SetLocal(0, list)
 		f.SetLocal(1, val)
-		bigger := th.NewRefArray(size * 2)
-		data = rt.GetRef(list, k.listData) // re-read: GC cannot move, but be explicit
+		bigger := f.NewRefArray(2, size*2)
 		rt.ArrCopyRefs(bigger, 0, data, 0, size)
 		rt.SetRef(list, k.listData, bigger)
 		data = bigger
-		th.PopFrame()
 	}
 	rt.ArrSetRef(data, size, val)
 	rt.SetInt(list, k.listSize, int64(size+1))

@@ -12,9 +12,10 @@ const (
 	btreeMaxKids = 2 * btreeT
 )
 
-// NewTree allocates an empty longBTree on th.
-func (k *Kit) NewTree(th *core.Thread) core.Ref {
-	return th.New(k.treeClass)
+// NewTree allocates an empty longBTree into local slot i of f, on f's
+// thread, and returns it.
+func (k *Kit) NewTree(f *core.Frame, i int) core.Ref {
+	return f.New(i, k.treeClass)
 }
 
 // TreeLen returns the number of keys in the tree.
@@ -22,23 +23,24 @@ func (k *Kit) TreeLen(tree core.Ref) int {
 	return int(k.rt.GetInt(tree, k.treeSize))
 }
 
-// newNode allocates a node with its key and value arrays (and a children
-// array when internal). The caller must hold a frame; the node is pinned in
-// slot `slot` of f across the internal allocations.
-func (k *Kit) newNode(th *core.Thread, f *core.Frame, slot int, leaf bool) core.Ref {
+// newNode allocates a node into slot `slot` of TreePut's frame f, then its
+// key and value arrays (and a children array when internal) into f's slot 4.
+// Each array is rooted there only until the node holds it, so every later
+// allocation meets the roots it would without the scratch slot.
+func (k *Kit) newNode(f *core.Frame, slot int, leaf bool) core.Ref {
 	rt := k.rt
-	n := th.New(k.nodeClass)
-	f.SetLocal(slot, n)
+	n := f.New(slot, k.nodeClass)
 	if leaf {
 		rt.SetInt(n, k.nodeLeaf, 1)
 	}
-	keys := th.NewDataArray(btreeMaxKeys)
-	rt.SetRef(n, k.nodeKeys, keys)
-	vals := th.NewRefArray(btreeMaxKeys)
-	rt.SetRef(n, k.nodeVals, vals)
+	link := func(off uint16, arr core.Ref) {
+		rt.SetRef(n, off, arr)
+		f.SetLocal(4, core.Nil)
+	}
+	link(k.nodeKeys, f.NewDataArray(4, btreeMaxKeys))
+	link(k.nodeVals, f.NewRefArray(4, btreeMaxKeys))
 	if !leaf {
-		kids := th.NewRefArray(btreeMaxKids)
-		rt.SetRef(n, k.nodeChildren, kids)
+		link(k.nodeChildren, f.NewRefArray(4, btreeMaxKids))
 	}
 	return n
 }
@@ -90,28 +92,28 @@ func (k *Kit) TreeGet(tree core.Ref, key int64) (core.Ref, bool) {
 // allocation context for node splits.
 func (k *Kit) TreePut(th *core.Thread, tree core.Ref, key int64, val core.Ref) {
 	rt := k.rt
-	f := th.PushFrame(4)
+	f := th.PushFrame(5)
 	defer th.PopFrame()
 	f.SetLocal(0, tree)
 	f.SetLocal(1, val)
 
 	root := rt.GetRef(tree, k.treeRoot)
 	if root == core.Nil {
-		root = k.newNode(th, f, 2, true)
+		root = k.newNode(f, 2, true)
 		rt.SetRef(tree, k.treeRoot, root)
 	}
 	if k.nN(root) == btreeMaxKeys {
 		// Grow the tree: new internal root adopting the old one.
 		f.SetLocal(2, root)
-		newRoot := k.newNode(th, f, 3, false)
+		newRoot := k.newNode(f, 3, false)
 		k.nSetChild(newRoot, 0, f.Local(2))
 		rt.SetRef(tree, k.treeRoot, newRoot)
 		// splitChild re-reads its x from slot 2 across allocations.
 		f.SetLocal(2, newRoot)
-		k.splitChild(th, f, newRoot, 0)
+		k.splitChild(f, newRoot, 0)
 		root = newRoot
 	}
-	if k.insertNonFull(th, f, root, key) {
+	if k.insertNonFull(f, root, key) {
 		rt.SetInt(tree, k.treeSize, rt.GetInt(tree, k.treeSize)+1)
 	}
 	// insertNonFull placed the key; store the value by a final search so
@@ -143,7 +145,7 @@ func (k *Kit) treeSetExisting(tree core.Ref, key int64, val core.Ref) {
 // insertNonFull descends to a leaf inserting key (with a Nil value slot),
 // splitting full children on the way down. It reports whether the key was
 // newly inserted (false: already present).
-func (k *Kit) insertNonFull(th *core.Thread, f *core.Frame, x core.Ref, key int64) bool {
+func (k *Kit) insertNonFull(f *core.Frame, x core.Ref, key int64) bool {
 	for {
 		n := k.nN(x)
 		// Replace if present in this node.
@@ -168,7 +170,7 @@ func (k *Kit) insertNonFull(th *core.Thread, f *core.Frame, x core.Ref, key int6
 		if k.nN(child) == btreeMaxKeys {
 			// Pin x across the allocation inside splitChild.
 			f.SetLocal(2, x)
-			k.splitChild(th, f, x, i)
+			k.splitChild(f, x, i)
 			x = f.Local(2)
 			// The median moved up into x at position i.
 			if key == k.nKey(x, i) {
@@ -186,9 +188,9 @@ func (k *Kit) insertNonFull(th *core.Thread, f *core.Frame, x core.Ref, key int6
 // splitChild splits the full child at index i of x (x must be non-full).
 // x must be pinned by the caller in f slot 2; the new sibling is built in
 // f slot 3.
-func (k *Kit) splitChild(th *core.Thread, f *core.Frame, x core.Ref, i int) {
+func (k *Kit) splitChild(f *core.Frame, x core.Ref, i int) {
 	y := k.nChild(x, i)
-	z := k.newNode(th, f, 3, k.nLeaf(y))
+	z := k.newNode(f, 3, k.nLeaf(y))
 	x = f.Local(2) // re-read after allocation (non-moving, but keep the idiom)
 	y = k.nChild(x, i)
 

@@ -40,14 +40,23 @@ func (w *world) value(v int64) core.Ref {
 
 func (w *world) valueOf(r core.Ref) int64 { return w.rt.GetInt(r, w.vOff) }
 
+// global allocates a container with newIn into a fresh global root and
+// returns it.
+func (w *world) global(name string, newIn func(f *core.Frame, i int) core.Ref) core.Ref {
+	f := w.th.PushFrame(1)
+	defer w.th.PopFrame()
+	newIn(f, 0)
+	g := w.rt.AddGlobal(name)
+	g.Set(f.Local(0))
+	return g.Get()
+}
+
 // ---------------------------------------------------------------------------
 // ArrayList
 
 func TestListBasics(t *testing.T) {
 	w := newWorld(t, 1<<14)
-	g := w.rt.AddGlobal("list")
-	list := w.kit.NewList(w.th)
-	g.Set(list)
+	list := w.global("list", w.kit.NewList)
 
 	if w.kit.ListLen(list) != 0 {
 		t.Fatal("fresh list not empty")
@@ -69,9 +78,7 @@ func TestListGrowthSurvivesGC(t *testing.T) {
 	// A small heap forces collections during growth; the list must stay
 	// intact because ListAdd pins its temporaries.
 	w := newWorld(t, 4096)
-	g := w.rt.AddGlobal("list")
-	list := w.kit.NewList(w.th)
-	g.Set(list)
+	list := w.global("list", w.kit.NewList)
 	for i := int64(0); i < 200; i++ {
 		w.kit.ListAdd(w.th, list, w.value(i))
 		for j := 0; j < 10; j++ { // churn garbage to provoke GCs
@@ -90,9 +97,7 @@ func TestListGrowthSurvivesGC(t *testing.T) {
 
 func TestListRemoveAt(t *testing.T) {
 	w := newWorld(t, 1<<14)
-	g := w.rt.AddGlobal("list")
-	list := w.kit.NewList(w.th)
-	g.Set(list)
+	list := w.global("list", w.kit.NewList)
 	for i := int64(0); i < 5; i++ {
 		w.kit.ListAdd(w.th, list, w.value(i))
 	}
@@ -112,22 +117,17 @@ func TestListRemoveAt(t *testing.T) {
 }
 
 // TestListRemoveAtIntoRootsBeforeUnlink is the Go-held Ref window on one
-// goroutine. Two threads make the allocation pin ring live; eight more
-// allocations push the list's elements out of it. An element removed by
-// ListRemoveAtInto survives a collection that runs before the caller next
-// touches it (through ListRemoveAt, whose result only a Go variable holds,
-// that collection frees it), and Frame.AssertDead registers it and drops
-// the frame's root, so the next collection finds it dead.
+// goroutine. An element removed by ListRemoveAtInto survives a collection
+// that runs before the caller next touches it (through ListRemoveAt, whose
+// result only a Go variable holds, that collection frees it), and
+// Frame.AssertDead registers it and drops the frame's root, so the next
+// collection finds it dead.
 func TestListRemoveAtIntoRootsBeforeUnlink(t *testing.T) {
 	w := newWorld(t, 1<<12)
-	w.rt.NewThread("second")
 	f := w.th.PushFrame(2)
-	f.SetLocal(0, w.kit.NewList(w.th))
+	w.kit.NewList(f, 0)
 	for i := range 8 {
 		w.kit.ListAdd(w.th, f.Local(0), w.value(int64(i)))
-	}
-	for range 8 {
-		w.value(-1)
 	}
 	w.kit.ListRemoveAtInto(f, 1, f.Local(0), 0)
 	if err := w.rt.GC(); err != nil {
@@ -149,11 +149,10 @@ func TestListRemoveAtIntoRootsBeforeUnlink(t *testing.T) {
 
 func TestListSetIndexOfClearEach(t *testing.T) {
 	w := newWorld(t, 1<<14)
-	g := w.rt.AddGlobal("list")
-	list := w.kit.NewList(w.th)
-	g.Set(list)
-	a, b := w.value(1), w.value(2)
+	list := w.global("list", w.kit.NewList)
+	a := w.value(1)
 	w.kit.ListAdd(w.th, list, a)
+	b := w.value(2)
 	w.kit.ListAdd(w.th, list, b)
 
 	if got := w.kit.ListIndexOf(list, b); got != 1 {
@@ -179,9 +178,7 @@ func TestListSetIndexOfClearEach(t *testing.T) {
 
 func TestListClearReleasesElements(t *testing.T) {
 	w := newWorld(t, 1<<14)
-	g := w.rt.AddGlobal("list")
-	list := w.kit.NewList(w.th)
-	g.Set(list)
+	list := w.global("list", w.kit.NewList)
 	for i := int64(0); i < 10; i++ {
 		w.kit.ListAdd(w.th, list, w.value(i))
 	}
@@ -197,9 +194,7 @@ func TestListClearReleasesElements(t *testing.T) {
 
 func TestListBoundsPanics(t *testing.T) {
 	w := newWorld(t, 1<<14)
-	g := w.rt.AddGlobal("list")
-	list := w.kit.NewList(w.th)
-	g.Set(list)
+	list := w.global("list", w.kit.NewList)
 	defer func() {
 		if _, ok := recover().(*core.IndexError); !ok {
 			t.Error("no IndexError")
@@ -213,9 +208,7 @@ func TestListBoundsPanics(t *testing.T) {
 
 func TestMapBasics(t *testing.T) {
 	w := newWorld(t, 1<<15)
-	g := w.rt.AddGlobal("map")
-	m := w.kit.NewMap(w.th)
-	g.Set(m)
+	m := w.global("map", w.kit.NewMap)
 
 	if _, ok := w.kit.MapGet(m, 7); ok {
 		t.Error("empty map returned a value")
@@ -244,9 +237,7 @@ func TestMapBasics(t *testing.T) {
 
 func TestMapRemoveAndTombstones(t *testing.T) {
 	w := newWorld(t, 1<<15)
-	g := w.rt.AddGlobal("map")
-	m := w.kit.NewMap(w.th)
-	g.Set(m)
+	m := w.global("map", w.kit.NewMap)
 
 	for i := int64(0); i < 50; i++ {
 		w.kit.MapPut(w.th, m, i, w.value(i))
@@ -278,9 +269,7 @@ func TestMapRemoveAndTombstones(t *testing.T) {
 
 func TestMapZeroKey(t *testing.T) {
 	w := newWorld(t, 1<<14)
-	g := w.rt.AddGlobal("map")
-	m := w.kit.NewMap(w.th)
-	g.Set(m)
+	m := w.global("map", w.kit.NewMap)
 	w.kit.MapPut(w.th, m, 0, w.value(42))
 	if v, ok := w.kit.MapGet(m, 0); !ok || w.valueOf(v) != 42 {
 		t.Error("key 0 broken")
@@ -289,9 +278,7 @@ func TestMapZeroKey(t *testing.T) {
 
 func TestMapRejectsNegativeKey(t *testing.T) {
 	w := newWorld(t, 1<<14)
-	g := w.rt.AddGlobal("map")
-	m := w.kit.NewMap(w.th)
-	g.Set(m)
+	m := w.global("map", w.kit.NewMap)
 	defer func() {
 		if recover() == nil {
 			t.Error("negative key accepted")
@@ -302,9 +289,7 @@ func TestMapRejectsNegativeKey(t *testing.T) {
 
 func TestMapEach(t *testing.T) {
 	w := newWorld(t, 1<<14)
-	g := w.rt.AddGlobal("map")
-	m := w.kit.NewMap(w.th)
-	g.Set(m)
+	m := w.global("map", w.kit.NewMap)
 	for i := int64(0); i < 20; i++ {
 		w.kit.MapPut(w.th, m, i, w.value(i))
 	}
@@ -326,9 +311,7 @@ func TestPropertyMapMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		w := newWorld(t, 1<<14)
-		g := w.rt.AddGlobal("map")
-		m := w.kit.NewMap(w.th)
-		g.Set(m)
+		m := w.global("map", w.kit.NewMap)
 		oracle := map[int64]int64{}
 
 		for step := 0; step < 500; step++ {
@@ -368,9 +351,7 @@ func TestPropertyMapMatchesOracle(t *testing.T) {
 
 func TestTreeBasics(t *testing.T) {
 	w := newWorld(t, 1<<16)
-	g := w.rt.AddGlobal("tree")
-	tree := w.kit.NewTree(w.th)
-	g.Set(tree)
+	tree := w.global("tree", w.kit.NewTree)
 
 	if _, ok := w.kit.TreeGet(tree, 1); ok {
 		t.Error("empty tree returned a value")
@@ -406,9 +387,7 @@ func TestTreeBasics(t *testing.T) {
 
 func TestTreeReplace(t *testing.T) {
 	w := newWorld(t, 1<<14)
-	g := w.rt.AddGlobal("tree")
-	tree := w.kit.NewTree(w.th)
-	g.Set(tree)
+	tree := w.global("tree", w.kit.NewTree)
 	w.kit.TreePut(w.th, tree, 5, w.value(1))
 	w.kit.TreePut(w.th, tree, 5, w.value(2))
 	if w.kit.TreeLen(tree) != 1 {
@@ -421,9 +400,7 @@ func TestTreeReplace(t *testing.T) {
 
 func TestTreeRemove(t *testing.T) {
 	w := newWorld(t, 1<<16)
-	g := w.rt.AddGlobal("tree")
-	tree := w.kit.NewTree(w.th)
-	g.Set(tree)
+	tree := w.global("tree", w.kit.NewTree)
 
 	const n = 300
 	for i := int64(0); i < n; i++ {
@@ -452,9 +429,7 @@ func TestTreeRemove(t *testing.T) {
 
 func TestTreeRemoveAll(t *testing.T) {
 	w := newWorld(t, 1<<16)
-	g := w.rt.AddGlobal("tree")
-	tree := w.kit.NewTree(w.th)
-	g.Set(tree)
+	tree := w.global("tree", w.kit.NewTree)
 	const n = 200
 	for i := int64(0); i < n; i++ {
 		w.kit.TreePut(w.th, tree, i, w.value(i))
@@ -482,9 +457,7 @@ func TestPropertyTreeMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		w := newWorld(t, 1<<14)
-		g := w.rt.AddGlobal("tree")
-		tree := w.kit.NewTree(w.th)
-		g.Set(tree)
+		tree := w.global("tree", w.kit.NewTree)
 		oracle := map[int64]int64{}
 
 		for step := 0; step < 600; step++ {

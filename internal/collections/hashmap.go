@@ -15,17 +15,16 @@ const (
 	maxLoadDen    = 10
 )
 
-// NewMap allocates an empty HashMap on th.
-func (k *Kit) NewMap(th *core.Thread) core.Ref {
-	f := th.PushFrame(2)
-	defer th.PopFrame()
-	m := th.New(k.mapClass)
-	f.SetLocal(0, m)
-	keys := th.NewDataArray(initialMapCap)
-	// keys is unreachable until stored; store before the next allocation.
-	k.rt.SetRef(m, k.mapKeys, keys)
-	vals := th.NewRefArray(initialMapCap)
-	k.rt.SetRef(m, k.mapVals, vals)
+// NewMap allocates an empty HashMap into local slot i of f, on f's thread,
+// and returns it.
+func (k *Kit) NewMap(f *core.Frame, i int) core.Ref {
+	th := f.Thread()
+	m := f.New(i, k.mapClass)
+	tmp := th.PushFrame(1)
+	k.rt.SetRef(m, k.mapKeys, tmp.NewDataArray(0, initialMapCap))
+	tmp.SetLocal(0, core.Nil) // the map holds the keys: root only what allocates next
+	k.rt.SetRef(m, k.mapVals, tmp.NewRefArray(0, initialMapCap))
+	th.PopFrame()
 	return m
 }
 
@@ -161,10 +160,8 @@ func (k *Kit) rehash(th *core.Thread, m core.Ref, pendingVal core.Ref) {
 	for live := int(rt.GetInt(m, k.mapSize)); (live+1)*maxLoadDen > newCap*maxLoadNum; {
 		newCap *= 2
 	}
-	newKeys := th.NewDataArray(newCap)
-	f.SetLocal(2, newKeys)
-	newVals := th.NewRefArray(newCap)
-	f.SetLocal(3, newVals)
+	newKeys := f.NewDataArray(2, newCap)
+	newVals := f.NewRefArray(3, newCap)
 
 	oldKeys := rt.GetRef(m, k.mapKeys)
 	oldVals := rt.GetRef(m, k.mapVals)

@@ -8,10 +8,13 @@
 // internal arrays and nodes like any other data — which is the point: the
 // workloads exercise the collector on realistic container-shaped heaps.
 //
-// Discipline: any reference a container operation holds across an
-// allocation must be rooted (the allocation may trigger a collection).
-// Operations therefore pin temporaries in a scratch frame on the calling
-// thread, the way a managed runtime uses handles.
+// Discipline: an operation holds no Ref in Go that a collection could free
+// (DESIGN.md §11). A fresh object goes straight into a frame slot through the
+// core.Frame allocators: a constructor's into the caller's slot, growth and
+// node construction into a scratch frame on the calling thread. Any other
+// reference an operation holds across an allocation is rooted in that frame
+// too, or reachable from a rooted container, the way a managed runtime uses
+// handles.
 package collections
 
 import "repro/internal/core"

@@ -58,14 +58,14 @@ func runListModel(t *testing.T, rt *core.Runtime, seed int64, collect func(*core
 	val := rt.DefineClass("Value", core.DataField("v"))
 	vOff := val.MustFieldIndex("v")
 	f := th.PushFrame(2)
-	f.SetLocal(0, kit.NewList(th))
+	kit.NewList(f, 0)
 	list := f.Local(0)
 	// fresh allocates a Value carrying the next id, rooted in local 1 until
 	// the list holds it.
 	next := int64(0)
 	fresh := func() core.Ref {
 		next++
-		f.SetLocal(1, th.New(val))
+		f.New(1, val)
 		rt.SetInt(f.Local(1), vOff, next)
 		return f.Local(1)
 	}
@@ -83,8 +83,9 @@ func runListModel(t *testing.T, rt *core.Runtime, seed int64, collect func(*core
 			model = append(model, next)
 		case k < 7: // remove: the head (the longest shift), the tail (none) or anywhere
 			i := []int{0, len(model) - 1, rng.Intn(len(model))}[rng.Intn(3)]
-			if got := rt.GetInt(kit.ListRemoveAt(list, i), vOff); got != model[i] {
-				t.Fatalf("seed %d op %d: ListRemoveAt(%d) returned %d, want %d", seed, op, i, got, model[i])
+			kit.ListRemoveAtInto(f, 1, list, i)
+			if got := rt.GetInt(f.Local(1), vOff); got != model[i] {
+				t.Fatalf("seed %d op %d: ListRemoveAtInto(%d) stored %d, want %d", seed, op, i, got, model[i])
 			}
 			model = append(model[:i], model[i+1:]...)
 		case k < 8: // set: a fresh element, or a duplicate of another position

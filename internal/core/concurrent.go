@@ -40,28 +40,11 @@ import (
 //     trigger and marks in IncrementalBudget-sized slices, taking and
 //     releasing rt.mu around each so a mutator only ever waits out one
 //     slice, never a cycle. It also makes the runtime shared from the start
-//     (rt.share) and the pin ring live (pinsOn); nothing else differs.
+//     (rt.share); nothing else differs.
 //
 // A HaltError from a cycle that completed inside an assist or on the
 // goroutine has no caller to return to; it is stashed in pending and the
 // next allocation slow path or explicit entry point returns it.
-//
-// Allocation-publication soundness. A concurrent cycle can begin between
-// an allocation returning and the mutator publishing the new Ref into a
-// frame local or object field; the snapshot root scan would miss it and
-// the sweep would reclaim it while a Go variable still holds it. Each
-// thread therefore keeps a small ring of its most recent allocations — a
-// hidden register file — stamped with the heap's sweep epoch, and
-// collectPins turns the stamps into extra roots before every root scan. A
-// stamp equal to the current epoch proves no sweep has run since the
-// allocation, so the Ref is certainly still an object; once pinned, an
-// entry stays pinned (each cycle's trace keeps it alive for the next) until
-// a newer allocation overwrites its slot. The flotsam this retains is
-// bounded at threadPinSlots objects per thread and is dropped by Close.
-// Mutators may hold at most threadPinSlots unpublished allocations across
-// a later allocation on the same thread; published objects are covered by
-// the ordinary roots the moment they are stored.
-
 const (
 	// defaultGCTrigger: a cycle starts when used words exceed this
 	// fraction of heap capacity.
@@ -85,69 +68,7 @@ const (
 	// may absorb a remainder smaller than the minimum chunk, so the
 	// pre-allocation bound must leave room for that rounding.
 	carveSlackWords = 16
-	// threadPinSlots is the hidden-register ring size per thread.
-	threadPinSlots = 4
 )
-
-// allocPin is one hidden-register slot: a recently allocated Ref, the
-// sweep epoch it was allocated in, and whether a cycle has pinned it.
-type allocPin struct {
-	ref    Ref
-	epoch  uint64
-	pinned bool
-}
-
-// pinnedRoots is the root source holding the pins collectPins gathered;
-// it is the third member of the runtime's root Multi and is empty unless
-// pins are active.
-type pinnedRoots struct {
-	refs []vmheap.Ref
-}
-
-// EachRoot implements roots.Source.
-func (p *pinnedRoots) EachRoot(fn func(slot *vmheap.Ref)) {
-	for i := range p.refs {
-		fn(&p.refs[i])
-	}
-}
-
-// collectPins rebuilds the pinned-root set from every thread's recent
-// allocations. Must run before any root-scanning collection start while
-// pins are active (Runtime.pinsActive: the pacer's background goroutine,
-// or any runtime with two or more mutator threads — in both, a collection
-// can run to completion inside another goroutine's allocate-to-publish
-// window); a no-op otherwise. Caller holds rt.mu.
-func (rt *Runtime) collectPins() {
-	if !rt.pinsActive() {
-		return
-	}
-	rt.pinned.refs = rt.pinned.refs[:0]
-	for _, t := range rt.allThreads {
-		t.lockBuf()
-		for i := range t.pins {
-			s := &t.pins[i]
-			if s.ref == Nil {
-				continue
-			}
-			// Fresh stamp: no sweep since the allocation, so the Ref is
-			// provably still an object. Already pinned: the previous
-			// cycle's trace kept it alive through every sweep since.
-			if s.pinned || s.epoch == rt.heap.SweepEpoch() {
-				s.pinned = true
-				rt.pinned.refs = append(rt.pinned.refs, s.ref)
-			}
-		}
-		t.unlockBuf()
-	}
-}
-
-// notePin records r in this thread's hidden-register ring, stamped with
-// the heap's sweep epoch. Caller holds bufMu (bump path) or rt.mu (slow
-// path); collectPins reads under both.
-func (t *Thread) notePin(r Ref) {
-	t.pins[t.pinPos] = allocPin{ref: r, epoch: t.rt.heap.SweepEpoch()}
-	t.pinPos = (t.pinPos + 1) % threadPinSlots
-}
 
 // PacerStats counts cycle-scheduler activity (Snapshot.Pacer). All zero
 // unless Config.IncrementalBudget > 0.
@@ -306,11 +227,10 @@ func (p *gcPacer) triggerLocked() bool {
 }
 
 // openLocked opens a cycle (a no-op if one is open) and starts its growth
-// ledger. Buffers are retired strictly before the collector's prepare-roots
-// hook gathers the pins: retiring every buffer closes the bump path (the next
-// allocation needs rt.mu), so no thread can slip a new unpinned allocation in
-// between the pin read and the root scan. The reverse order has exactly that
-// window. Caller holds rt.mu.
+// ledger. Buffers are retired before the snapshot root scan: retiring every
+// buffer closes the bump path (the next allocation needs rt.mu), so every
+// frame slot a bump allocation wrote is visible to the scan. Caller holds
+// rt.mu.
 func (p *gcPacer) openLocked() {
 	if p.active {
 		return
@@ -454,10 +374,10 @@ func (rt *Runtime) settleCycleLocked() error {
 // Close stops the scheduler: the background goroutine exits, any open cycle
 // is completed and its result returned (including a HaltError stashed from
 // an earlier cycle), and no further cycle is triggered. Mutator threads must
-// have quiesced: Close drops the hidden-register pins, after which the
-// runtime behaves exactly like its stop-the-world equivalent — explicit GC
-// calls, stats, and assertion checks all remain usable. Safe to call more
-// than once; a no-op returning nil on a stop-the-world runtime.
+// have quiesced; the runtime then behaves exactly like its stop-the-world
+// equivalent — explicit GC calls, stats, and assertion checks all remain
+// usable. Safe to call more than once; a no-op returning nil on a
+// stop-the-world runtime.
 func (rt *Runtime) Close() error {
 	p := rt.pacer
 	if p == nil {
@@ -476,11 +396,5 @@ func (rt *Runtime) Close() error {
 
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	for _, t := range rt.allThreads {
-		t.lockBuf()
-		t.pins = [threadPinSlots]allocPin{}
-		t.unlockBuf()
-	}
-	rt.pinned.refs = rt.pinned.refs[:0]
 	return rt.settleCycleLocked()
 }

@@ -14,8 +14,8 @@ import (
 // full background collection cycles while the main goroutine polls Stats
 // and Metrics and forces occasional explicit collections. It exists for
 // the race detector (make race / the CI -race job): the pacer goroutine's
-// background slices, the mutators' assists and hidden-register pins, the
-// bump-path spinlocks, the telemetry recorder, and the flush-all buffer
+// background slices, the mutators' assists and their allocations straight
+// into frame slots, the bump-path spinlocks, the telemetry recorder, and the flush-all buffer
 // retirement all interleave here with no script-level synchronization.
 func TestConcurrentPacerUnderRace(t *testing.T) {
 	const (
@@ -47,7 +47,7 @@ func TestConcurrentPacerUnderRace(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				switch rng.Intn(6) {
 				case 0, 1:
-					fr.SetLocal(rng.Intn(locals), th.New(node))
+					fr.New(rng.Intn(locals), node)
 				case 2:
 					// Wire through the accessor matching the object's kind:
 					// locals hold both PNodes and ref arrays, and a field
@@ -86,7 +86,7 @@ func TestConcurrentPacerUnderRace(t *testing.T) {
 						_ = th.NewDataArray(16)
 					}
 				case 5:
-					fr.SetLocal(rng.Intn(locals), th.NewRefArray(1+rng.Intn(8)))
+					fr.NewRefArray(rng.Intn(locals), 1+rng.Intn(8))
 				}
 				// Keep the reachable component bounded so allocation never
 				// outruns the fixed heap.

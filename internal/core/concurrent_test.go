@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -58,7 +57,7 @@ func TestCloseIdempotent(t *testing.T) {
 	// The runtime stays fully usable after Close, as documented.
 	th := rt.MainThread()
 	fr := th.PushFrame(1)
-	fr.SetLocal(0, th.NewDataArray(8))
+	fr.NewDataArray(0, 8)
 	if err := rt.GC(); err != nil {
 		t.Fatalf("GC after Close: %v", err)
 	}
@@ -110,18 +109,19 @@ func TestPacerSizing(t *testing.T) {
 // TestIncrementalOnlyStartsNoGoroutine: IncrementalBudget alone gets the
 // scheduler without its goroutine, and the runtime stays in the lock-free
 // single-mutator regime until NewThread — ConcurrentGC is what adds the
-// goroutine, the shared regime and the pin ring.
+// goroutine and the shared regime. startBackground is the only go statement
+// in the package's non-test code, so a pacer without its channels, before and
+// after the cycles and Close, is a runtime that started no goroutine.
 func TestIncrementalOnlyStartsNoGoroutine(t *testing.T) {
-	before := runtime.NumGoroutine()
 	rt := New(Config{HeapWords: 1 << 12, Mode: Infrastructure, IncrementalBudget: 8})
-	if rt.pacer == nil || rt.pacer.quit != nil {
-		t.Fatalf("pacer = %+v, want a scheduler with no background channels", rt.pacer)
+	noGoroutine := func(when string) {
+		if p := rt.pacer; p == nil || p.quit != nil || p.wake != nil || p.done != nil {
+			t.Fatalf("%s: pacer = %+v, want a scheduler with no background channels", when, p)
+		}
 	}
-	if got := runtime.NumGoroutine(); got != before {
-		t.Fatalf("New started %d goroutine(s)", got-before)
-	}
-	if !rt.solo() || rt.pinsActive() {
-		t.Fatalf("solo = %v, pinsActive = %v; want the single-mutator regime with pins off", rt.solo(), rt.pinsActive())
+	noGoroutine("after New")
+	if !rt.solo() {
+		t.Fatal("a scheduler without its goroutine left the single-mutator regime")
 	}
 	th := rt.MainThread()
 	for i := 0; i < 2000; i++ { // enough churn to run scheduled cycles
@@ -136,9 +136,7 @@ func TestIncrementalOnlyStartsNoGoroutine(t *testing.T) {
 	if err := rt.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if got := runtime.NumGoroutine(); got != before {
-		t.Fatalf("goroutines %d -> %d across New/Close", before, got)
-	}
+	noGoroutine("after Close")
 	rt.NewThread("second")
 	if rt.solo() {
 		t.Fatal("NewThread did not leave the single-mutator regime")
@@ -394,9 +392,9 @@ func TestSchedulerDeterministic(t *testing.T) {
 				rt.SetRef(n, aOff, fr.Local(rng.Intn(slots))) // chains keep cycles open across allocations
 				fr.SetLocal(rng.Intn(slots), n)
 			case 4, 5:
-				fr.SetLocal(rng.Intn(slots), th.NewRefArray(1+rng.Intn(16)))
+				fr.NewRefArray(rng.Intn(slots), 1+rng.Intn(16))
 			case 6:
-				fr.SetLocal(rng.Intn(slots), th.NewDataArray(1+rng.Intn(32)))
+				fr.NewDataArray(rng.Intn(slots), 1+rng.Intn(32))
 			case 7:
 				src, dst := fr.Local(rng.Intn(slots)), fr.Local(rng.Intn(slots))
 				if src != Nil && rt.ClassOf(src) == node {
@@ -455,7 +453,7 @@ func TestConcurrentGCBackground(t *testing.T) {
 			t.Fatalf("pacer completed no cycles; stats: %+v", rt.Stats().Pacer)
 		}
 		// Publish, then drop: pure garbage churn.
-		fr.SetLocal(0, th.NewRefArray(32))
+		fr.NewRefArray(0, 32)
 		fr.SetLocal(0, Nil)
 	}
 	if err := rt.Close(); err != nil {
@@ -476,8 +474,7 @@ func TestConcurrentGCBackground(t *testing.T) {
 	}
 
 	// The quiesced runtime behaves like its synchronous twin.
-	keep := th.New(node)
-	fr.SetLocal(0, keep)
+	keep := fr.New(0, node)
 	if err := rt.AssertDead(keep); err != nil {
 		t.Fatalf("AssertDead: %v", err)
 	}
@@ -525,11 +522,11 @@ func TestAssistGrowthCapInvariant(t *testing.T) {
 			for i := 0; i < 6000; i++ {
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3:
-					fr.SetLocal(rng.Intn(4), th.New(node))
+					fr.New(rng.Intn(4), node)
 				case 4, 5:
-					fr.SetLocal(rng.Intn(4), th.NewRefArray(1+rng.Intn(16)))
+					fr.NewRefArray(rng.Intn(4), 1+rng.Intn(16))
 				case 6:
-					fr.SetLocal(rng.Intn(4), th.NewDataArray(1+rng.Intn(32)))
+					fr.NewDataArray(rng.Intn(4), 1+rng.Intn(32))
 				case 7:
 					src, dst := fr.Local(rng.Intn(4)), fr.Local(rng.Intn(4))
 					if src != Nil && rt.ClassOf(src) == node {

@@ -93,10 +93,9 @@ func cycleRounds(seed int64, n int) []hs.Op {
 
 // TestSoloSharedDifferential: the single-mutator regime against one where
 // NewThread ran first, to the address after every forced collection and in
-// heap and buffer counts after every op. The one deliberate difference is
-// dropped after each op: the allocation pins a shared runtime keeps for
-// another goroutine's collection, which would only retain what the solo
-// world frees. Collections mid-round keep the heap from filling, so each
+// heap and buffer counts after every op. The roots of both are the program's
+// references and nothing else, so the regimes retain exactly the same
+// objects. Collections mid-round keep the heap from filling, so each
 // seed's 4000 ops go on with 2000 more without them, where allocation
 // triggers collections of its own.
 func TestSoloSharedDifferential(t *testing.T) {
@@ -104,8 +103,7 @@ func TestSoloSharedDifferential(t *testing.T) {
 		for _, buf := range []int{0, 64} {
 			t.Run(fmt.Sprintf("marksweep/inc%d/buf%d", budget, buf), func(t *testing.T) {
 				p := hs.Pair{A: cfg(1<<10, budget, buf), B: cfg(1<<10, budget, buf), Shared: true,
-					Level: exact | hs.Counts | hs.Buffers, EachOp: hs.Counts | hs.Buffers,
-					After: func(w *hs.World) { core.ClearPins(w.Th) }}
+					Level: exact | hs.Counts | hs.Buffers, EachOp: hs.Counts | hs.Buffers}
 				triggered := 0
 				for seed := int64(1); seed <= 2; seed++ {
 					ops := append(hs.Random(seed, 4000, soloCodes), hs.Random(-seed, 2000, soloMix)...)

@@ -11,6 +11,3 @@ func SetGeometry(cfg *Config, trigger, slack float64) {
 
 // Solo reports whether rt is in the single-mutator regime.
 func Solo(rt *Runtime) bool { return rt.solo() }
-
-// ClearPins drops t's allocation pins (Runtime.pinsActive).
-func ClearPins(t *Thread) { t.pins = [threadPinSlots]allocPin{} }

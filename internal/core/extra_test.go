@@ -14,12 +14,14 @@ func TestSubclassFieldsTraced(t *testing.T) {
 	customer := sub.MustFieldIndex("customer")
 	th := rt.MainThread()
 
-	o := th.New(sub)
-	a := th.New(base)
-	b := th.New(base)
-	rt.SetRef(o, tag, a)
-	rt.SetRef(o, customer, b)
+	f := th.PushFrame(1)
+	o := f.New(0, sub)
 	rt.AddGlobal("g").Set(o)
+	a := f.New(0, base)
+	rt.SetRef(o, tag, a)
+	b := f.New(0, base)
+	rt.SetRef(o, customer, b)
+	th.PopFrame()
 
 	if err := rt.GC(); err != nil {
 		t.Fatal(err)
@@ -89,7 +91,8 @@ func TestRegionsIndependentPerThread(t *testing.T) {
 	}
 	// B allocates a long-lived object while A's region is open.
 	escape := rt.AddGlobal("escape")
-	escape.Set(b.New(node))
+	fb := b.PushFrame(1)
+	escape.Set(fb.New(0, node))
 	if err := a.AssertAllDead(); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +107,8 @@ func TestRegionsIndependentPerThread(t *testing.T) {
 	if err := b.StartRegion(); err != nil {
 		t.Fatal(err)
 	}
-	escape.Set(b.New(node))
+	escape.Set(fb.New(0, node))
+	fb.SetLocal(0, Nil)
 	if err := b.AssertAllDead(); err != nil {
 		t.Fatal(err)
 	}

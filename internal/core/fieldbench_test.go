@@ -24,10 +24,10 @@ func BenchmarkFieldAccess(b *testing.B) {
 			next, v := node.MustFieldIndex("next"), node.MustFieldIndex("v")
 			th := rt.MainThread()
 			f := th.PushFrame(4)
-			f.SetLocal(0, th.New(node))
-			f.SetLocal(1, th.New(node))
-			f.SetLocal(2, th.NewRefArray(1024))
-			f.SetLocal(3, th.NewRefArray(64))
+			f.New(0, node)
+			f.New(1, node)
+			f.NewRefArray(2, 1024)
+			f.NewRefArray(3, 64)
 			x, y, arr := f.Local(0), f.Local(1), f.Local(2)
 			rt.SetRef(x, next, y)
 			for i := 0; i < 1024; i++ {

@@ -94,6 +94,9 @@ func (rt *Runtime) ArrLen(arr Ref) int {
 	} else if m != oneMutator {
 		defer rt.lockMu()()
 	}
+	if torture {
+		rt.checkPoison(arr)
+	}
 	return int(rt.heap.ArrayLen(arr))
 }
 
@@ -223,6 +226,9 @@ func (rt *Runtime) GatherData(objs []Ref, off uint16, out []uint64) {
 // header) and elements [i, i+n) lie inside it (IndexError, reporting the
 // bound that does not: i, else the range's end).
 func (rt *Runtime) checkRefRange(arr Ref, i, n int) {
+	if torture {
+		rt.checkPoison(arr)
+	}
 	if rt.heap.KindOf(arr) != vmheap.KindRefArray {
 		panic(&FieldError{Obj: arr})
 	}
@@ -238,6 +244,9 @@ func (rt *Runtime) checkRefRange(arr Ref, i, n int) {
 // checkIndex panics with an IndexError on out-of-bounds array access — the
 // managed runtime's bounds check.
 func (rt *Runtime) checkIndex(arr Ref, i int) {
+	if torture {
+		rt.checkPoison(arr)
+	}
 	if n := int(rt.heap.ArrayLen(arr)); i < 0 || i >= n {
 		panic(&IndexError{Index: i, Len: n})
 	}
@@ -250,6 +259,9 @@ func (rt *Runtime) checkIndex(arr Ref, i int) {
 // an array's length word, corrupting the heap in a way that only surfaces
 // collections later.
 func (rt *Runtime) checkField(obj Ref, off uint16) {
+	if torture {
+		rt.checkPoison(obj)
+	}
 	hd := rt.heap.Header(obj)
 	if vmheap.DecodeKind(hd) != vmheap.KindScalar || off == 0 ||
 		uint32(off) > rt.reg.ByID(vmheap.DecodeClassID(hd)).FieldWords {

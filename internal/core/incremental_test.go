@@ -18,10 +18,13 @@ import (
 // allocation-triggered cycle path.
 
 // incFix is one runtime under a chosen schedule, with a small class and a
-// few global roots to build scenarios in.
+// few global roots to build scenarios in. Nodes are allocated into the
+// scratch frame fr (newNode) and stored where the scenario keeps them before
+// drop clears it.
 type incFix struct {
 	rt         *Runtime
 	th         *Thread
+	fr         *Frame
 	node       *Class
 	aOff, bOff uint16
 	g          []*Global
@@ -41,7 +44,18 @@ func newIncFixOn(cfg Config) *incFix {
 	for i := 0; i < 4; i++ {
 		f.g = append(f.g, rt.AddGlobal(fmt.Sprintf("g%d", i)))
 	}
+	f.fr = f.th.PushFrame(4)
 	return f
+}
+
+// newNode allocates a node into scratch slot i.
+func (f *incFix) newNode(i int) Ref { return f.fr.New(i, f.node) }
+
+// drop clears the scratch frame.
+func (f *incFix) drop() {
+	for i := range 4 {
+		f.fr.SetLocal(i, Nil)
+	}
 }
 
 // renderKinds reduces the recorded violations to sorted "kind count/limit"
@@ -74,8 +88,9 @@ func TestIncrementalAssertionMatrix(t *testing.T) {
 		{
 			name: "assert-dead",
 			setup: func(f *incFix) func() {
-				o := f.th.New(f.node)
+				o := f.newNode(0)
 				f.g[0].Set(o)
+				f.drop()
 				if err := f.rt.AssertDead(o); err != nil {
 					t.Fatal(err)
 				}
@@ -89,8 +104,8 @@ func TestIncrementalAssertionMatrix(t *testing.T) {
 				if err := f.th.StartRegion(); err != nil {
 					t.Fatal(err)
 				}
-				o := f.th.New(f.node)
-				f.g[0].Set(o)
+				f.g[0].Set(f.newNode(0))
+				f.drop()
 				if err := f.th.AssertAllDead(); err != nil {
 					t.Fatal(err)
 				}
@@ -105,8 +120,9 @@ func TestIncrementalAssertionMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := 0; i < 3; i++ {
-					f.g[i].Set(f.th.New(f.node))
+					f.g[i].Set(f.newNode(0))
 				}
+				f.drop()
 				return func() { f.g[2].Set(Nil) }
 			},
 			want: []string{"assert-instances 3/1"},
@@ -114,12 +130,12 @@ func TestIncrementalAssertionMatrix(t *testing.T) {
 		{
 			name: "assert-unshared",
 			setup: func(f *incFix) func() {
-				child := f.th.New(f.node)
-				p1, p2 := f.th.New(f.node), f.th.New(f.node)
+				child, p1, p2 := f.newNode(0), f.newNode(1), f.newNode(2)
 				f.g[0].Set(p1)
 				f.g[1].Set(p2)
 				f.rt.SetRef(p1, f.aOff, child)
 				f.rt.SetRef(p2, f.aOff, child)
+				f.drop()
 				if err := f.rt.AssertUnshared(child); err != nil {
 					t.Fatal(err)
 				}
@@ -133,9 +149,10 @@ func TestIncrementalAssertionMatrix(t *testing.T) {
 		{
 			name: "assert-ownedby-unowned",
 			setup: func(f *incFix) func() {
-				owner, ownee := f.th.New(f.node), f.th.New(f.node)
+				owner, ownee := f.newNode(0), f.newNode(1)
 				f.g[0].Set(owner)
 				f.g[1].Set(ownee) // reachable, but not through owner
+				f.drop()
 				if err := f.rt.AssertOwnedBy(owner, ownee); err != nil {
 					t.Fatal(err)
 				}
@@ -146,12 +163,13 @@ func TestIncrementalAssertionMatrix(t *testing.T) {
 		{
 			name: "assert-ownedby-improper",
 			setup: func(f *incFix) func() {
-				ownerA, ownerB := f.th.New(f.node), f.th.New(f.node)
-				e, e2 := f.th.New(f.node), f.th.New(f.node)
+				ownerA, ownerB := f.newNode(0), f.newNode(1)
+				e, e2 := f.newNode(2), f.newNode(3)
 				f.g[0].Set(ownerA)
 				f.g[1].Set(ownerB)
 				f.rt.SetRef(ownerB, f.aOff, e2)
 				f.rt.SetRef(ownerB, f.bOff, e) // B's subtree reaches A's ownee
+				f.drop()
 				if err := f.rt.AssertOwnedBy(ownerA, e); err != nil {
 					t.Fatal(err)
 				}
@@ -410,18 +428,20 @@ func TestRegistrationForcesCompletion(t *testing.T) {
 		cfg.HeapWords = 1 << 13
 		f := newIncFixOn(cfg)
 		rt := f.rt
-		dead, x, shared := f.th.New(f.node), f.th.New(f.node), f.th.New(f.node)
+		dead, x, shared := f.newNode(0), f.newNode(1), f.newNode(2)
 		f.g[1].Set(dead)
 		f.g[2].Set(x)
 		rt.SetRef(dead, f.aOff, shared)
 		rt.SetRef(x, f.aOff, shared)
+		f.drop()
 		if err := rt.AssertDead(dead); err != nil {
 			t.Fatal(err)
 		}
 		grow := func() {
-			n := f.th.New(f.node)
+			n := f.newNode(0)
 			rt.SetRef(n, f.aOff, f.g[0].Get())
 			f.g[0].Set(n)
+			f.drop()
 		}
 		if grows < 0 {
 			for grows = 0; !rt.GCActive() && rt.Stats().GC.IncrementalCycles == 0; grows++ {
@@ -475,7 +495,8 @@ func TestRegistrationForcesCompletion(t *testing.T) {
 			if err := f.th.StartRegion(); err != nil {
 				return err
 			}
-			f.g[3].Set(f.th.New(f.node))
+			f.g[3].Set(f.newNode(0))
+			f.drop()
 			return f.th.AssertAllDead()
 		}},
 	}

@@ -33,19 +33,25 @@ func newOwnershipWorld(t *testing.T) *ownershipWorld {
 	return w
 }
 
+// holder allocates an instance of c into g, with a reference array of n
+// elements in its field off, and returns both.
+func (w *ownershipWorld) holder(g *Global, c *Class, off uint16, n int) (obj, arr Ref) {
+	f := w.th.PushFrame(1)
+	defer w.th.PopFrame()
+	obj = f.New(0, c)
+	g.Set(obj)
+	arr = f.NewRefArray(0, n)
+	w.rt.SetRef(obj, off, arr)
+	return obj, arr
+}
+
 func TestAssertOwnedByHolds(t *testing.T) {
 	w := newOwnershipWorld(t)
 	rt, th := w.rt, w.th
 
-	cont := th.New(w.container)
-	arr := th.NewRefArray(8)
-	rt.SetRef(cont, w.contArr, arr)
-	rt.AddGlobal("container").Set(cont)
+	cont, arr := w.holder(rt.AddGlobal("container"), w.container, w.contArr, 8)
 
-	cache := th.New(w.cache)
-	carr := th.NewRefArray(8)
-	rt.SetRef(cache, w.cacheArr, carr)
-	rt.AddGlobal("cache").Set(cache)
+	_, carr := w.holder(rt.AddGlobal("cache"), w.cache, w.cacheArr, 8)
 
 	for i := 0; i < 8; i++ {
 		e := th.New(w.elem)
@@ -72,15 +78,9 @@ func TestAssertOwnedByDetectsLeakViaCache(t *testing.T) {
 	w := newOwnershipWorld(t)
 	rt, th := w.rt, w.th
 
-	cont := th.New(w.container)
-	arr := th.NewRefArray(4)
-	rt.SetRef(cont, w.contArr, arr)
-	rt.AddGlobal("container").Set(cont)
+	cont, arr := w.holder(rt.AddGlobal("container"), w.container, w.contArr, 4)
 
-	cache := th.New(w.cache)
-	carr := th.NewRefArray(4)
-	rt.SetRef(cache, w.cacheArr, carr)
-	rt.AddGlobal("cache").Set(cache)
+	_, carr := w.holder(rt.AddGlobal("cache"), w.cache, w.cacheArr, 4)
 
 	e := th.New(w.elem)
 	rt.ArrSetRef(arr, 0, e)
@@ -121,10 +121,7 @@ func TestAssertOwnedByOwneeDiesCleanly(t *testing.T) {
 	w := newOwnershipWorld(t)
 	rt, th := w.rt, w.th
 
-	cont := th.New(w.container)
-	arr := th.NewRefArray(1)
-	rt.SetRef(cont, w.contArr, arr)
-	rt.AddGlobal("container").Set(cont)
+	cont, arr := w.holder(rt.AddGlobal("container"), w.container, w.contArr, 1)
 
 	e := th.New(w.elem)
 	rt.ArrSetRef(arr, 0, e)
@@ -151,11 +148,8 @@ func TestAssertOwnedByOwnerDies(t *testing.T) {
 	w := newOwnershipWorld(t)
 	rt, th := w.rt, w.th
 
-	cont := th.New(w.container)
-	arr := th.NewRefArray(1)
-	rt.SetRef(cont, w.contArr, arr)
 	g := rt.AddGlobal("container")
-	g.Set(cont)
+	cont, arr := w.holder(g, w.container, w.contArr, 1)
 
 	e := th.New(w.elem)
 	rt.ArrSetRef(arr, 0, e)
@@ -184,13 +178,10 @@ func TestAssertOwnedByOwnerDies(t *testing.T) {
 func TestAssertOwnedByStructuralErrors(t *testing.T) {
 	w := newOwnershipWorld(t)
 	rt, th := w.rt, w.th
-	a := th.New(w.elem)
-	b := th.New(w.elem)
-	c := th.New(w.elem)
 	f := th.PushFrame(3)
-	f.SetLocal(0, a)
-	f.SetLocal(1, b)
-	f.SetLocal(2, c)
+	a := f.New(0, w.elem)
+	b := f.New(1, w.elem)
+	c := f.New(2, w.elem)
 
 	if err := rt.AssertOwnedBy(a, a); err == nil {
 		t.Error("self-ownership accepted")
@@ -223,10 +214,7 @@ func TestAssertOwnedByManyOwners(t *testing.T) {
 	const owners = 5
 	const perOwner = 10
 	for i := 0; i < owners; i++ {
-		cont := th.New(w.container)
-		arr := th.NewRefArray(perOwner)
-		rt.SetRef(cont, w.contArr, arr)
-		rt.AddGlobal(string(rune('a' + i))).Set(cont)
+		cont, arr := w.holder(rt.AddGlobal(string(rune('a'+i))), w.container, w.contArr, perOwner)
 		for j := 0; j < perOwner; j++ {
 			e := th.New(w.elem)
 			rt.ArrSetRef(arr, j, e)
@@ -256,15 +244,9 @@ func TestAssertOwnedByImproperOverlap(t *testing.T) {
 	w := newOwnershipWorld(t)
 	rt, th := w.rt, w.th
 
-	aCont := th.New(w.container)
-	aArr := th.NewRefArray(1)
-	rt.SetRef(aCont, w.contArr, aArr)
-	rt.AddGlobal("a").Set(aCont)
+	_, aArr := w.holder(rt.AddGlobal("a"), w.container, w.contArr, 1)
 
-	bCont := th.New(w.container)
-	bArr := th.NewRefArray(1)
-	rt.SetRef(bCont, w.contArr, bArr)
-	rt.AddGlobal("b").Set(bCont)
+	bCont, bArr := w.holder(rt.AddGlobal("b"), w.container, w.contArr, 1)
 
 	e := th.New(w.elem)
 	rt.ArrSetRef(bArr, 0, e)
@@ -303,15 +285,9 @@ func TestAssertOwnedByImproperOverlapFirstScan(t *testing.T) {
 	w := newOwnershipWorld(t)
 	rt, th := w.rt, w.th
 
-	aCont := th.New(w.container) // will overlap; registered first
-	aArr := th.NewRefArray(2)
-	rt.SetRef(aCont, w.contArr, aArr)
-	rt.AddGlobal("a").Set(aCont)
+	aCont, aArr := w.holder(rt.AddGlobal("a"), w.container, w.contArr, 2) // will overlap; registered first
 
-	bCont := th.New(w.container)
-	bArr := th.NewRefArray(2)
-	rt.SetRef(bCont, w.contArr, bArr)
-	rt.AddGlobal("b").Set(bCont)
+	bCont, bArr := w.holder(rt.AddGlobal("b"), w.container, w.contArr, 2)
 
 	// Register a pair for A first so A occupies owner slot 0.
 	aElem := th.New(w.elem)

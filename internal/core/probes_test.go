@@ -8,11 +8,13 @@ func TestProbeReachable(t *testing.T) {
 	next := node.MustFieldIndex("next")
 	th := rt.MainThread()
 
-	a := th.New(node)
-	b := th.New(node)
-	c := th.New(node) // unrooted
-	rt.SetRef(a, next, b)
+	f := th.PushFrame(1)
+	a := f.New(0, node)
 	rt.AddGlobal("g").Set(a)
+	b := f.New(0, node)
+	rt.SetRef(a, next, b)
+	th.PopFrame()
+	c := th.New(node) // unrooted
 
 	ok, path := rt.ProbeReachable(b)
 	if !ok {

@@ -51,7 +51,7 @@ func concurrentMutatorsUnderGC(t *testing.T, bufWords int) {
 			for i := 0; i < iters; i++ {
 				switch rng.Intn(5) {
 				case 0, 1:
-					fr.SetLocal(rng.Intn(locals), th.New(node))
+					fr.New(rng.Intn(locals), node)
 				case 2:
 					src := fr.Local(rng.Intn(locals))
 					dst := fr.Local(rng.Intn(locals))
@@ -79,9 +79,10 @@ func concurrentMutatorsUnderGC(t *testing.T, bufWords int) {
 				case 4:
 					if err := th.StartRegion(); err == nil {
 						for j := 0; j < 3; j++ {
-							r := th.New(node)
 							if j == 0 && rng.Intn(8) == 0 {
-								fr.SetLocal(rng.Intn(locals), r)
+								fr.New(rng.Intn(locals), node)
+							} else {
+								th.New(node)
 							}
 						}
 						if err := th.AssertAllDead(); err != nil {

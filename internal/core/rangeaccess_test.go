@@ -21,13 +21,13 @@ func TestRangeAccessors(t *testing.T) {
 		f := th.PushFrame(4 + size)
 		var e [size + 1]Ref
 		for i := 1; i <= size; i++ {
-			f.SetLocal(3+i, th.New(node))
+			f.New(3+i, node)
 			e[i] = f.Local(3 + i)
 		}
-		f.SetLocal(0, th.NewRefArray(size))
-		f.SetLocal(1, th.NewRefArray(size))
-		f.SetLocal(2, th.NewDataArray(size))
-		f.SetLocal(3, th.New(node))
+		f.NewRefArray(0, size)
+		f.NewRefArray(1, size)
+		f.NewDataArray(2, size)
+		f.New(3, node)
 		a, b, data, scalar := f.Local(0), f.Local(1), f.Local(2), f.Local(3)
 		elems := func(arr Ref) []int {
 			out := make([]int, size)
@@ -185,12 +185,12 @@ func testGatherData(t *testing.T, rt *Runtime) {
 	f := th.PushFrame(n + 1)
 	objs := make([]Ref, n)
 	for i := range objs {
-		f.SetLocal(i, th.New(node))
+		f.New(i, node)
 		objs[i] = f.Local(i)
 		rt.SetData(objs[i], a, uint64(3*i+1))
 		rt.SetData(objs[i], b, ^uint64(i))
 	}
-	f.SetLocal(n, th.NewRefArray(2))
+	f.NewRefArray(n, 2)
 	arr := f.Local(n)
 
 	const untouched = 0xdead
@@ -301,10 +301,10 @@ func TestArrCopyRefsSnapshotBarrier(t *testing.T) {
 		node := rt.DefineClass("SNode", DataField("id"))
 		th := rt.MainThread()
 		f := th.PushFrame(2)
-		f.SetLocal(0, th.NewRefArray(n))
+		f.NewRefArray(0, n)
 		arr := f.Local(0)
 		for i := 0; i < n; i++ {
-			f.SetLocal(1, th.New(node))
+			f.New(1, node)
 			rt.ArrSetRef(arr, i, f.Local(1))
 		}
 		f.SetLocal(1, Nil)

@@ -71,8 +71,8 @@ type Config struct {
 	// ConcurrentGC adds a background goroutine to that scheduler: it polls
 	// the trigger and marks in slices between the mutators' operations, so
 	// assists are only what a mutator that outruns it pays. The runtime then
-	// counts as shared from the start (no lock elision) and keeps the
-	// allocation pin ring live. An IncrementalBudget of 0 defaults to 512.
+	// counts as shared from the start (no lock elision). An
+	// IncrementalBudget of 0 defaults to 512.
 	// The runtime owns a goroutine while this is set — call Runtime.Close
 	// (after mutators quiesce) to stop it and surface any HaltError a cycle
 	// completed with no caller. Off by default: all published figures use
@@ -120,7 +120,8 @@ type Config struct {
 type Runtime struct {
 	mu sync.Mutex
 
-	// unlockMu is rt.mu.Unlock, bound once so lockMu allocates no closure.
+	// unlockMu is rt.mu.Unlock (in the gctorture build, a torture point and
+	// then the unlock), bound once so lockMu allocates no closure.
 	unlockMu func()
 
 	heap      *vmheap.Heap
@@ -147,23 +148,10 @@ type Runtime struct {
 	// pacer is the cycle scheduler of a runtime with incremental full
 	// collections (Config.IncrementalBudget > 0; concurrent.go) and the sole
 	// owner of "a cycle is open"; nil on a stop-the-world runtime — the field
-	// is immutable after New, so the nil check needs no lock. pinned holds the
-	// hidden-register roots collectPins gathers before each root scan.
-	// pinsOn (immutable after New) statically activates the pin ring when
-	// the pacer has its background goroutine (Config.ConcurrentGC): the
-	// goroutine can complete a cycle at any moment, including between a
-	// mutator's allocation and the store publishing it. Every other
-	// collection is driven by some mutator goroutine, so on a single-thread
-	// runtime the ring stays off and reclamation stays precise (an explicit
-	// GC between an allocation and its publishing store discards the
-	// allocation — the documented root-it-first contract). The moment a
-	// second mutator thread exists the same window opens without any pacer —
-	// one goroutine can drive GC/GCStep to completion inside another's
-	// allocate-to-publish window — so the ring is also live once mutators
-	// leaves oneMutator (see pinsActive).
-	pacer  *gcPacer
-	pinned pinnedRoots
-	pinsOn bool
+	// is immutable after New, so the nil check needs no lock.
+	pacer *gcPacer
+
+	torture tortureState // poison tables of the gctorture build (torture.go)
 
 	// mutators is the one predicate behind every lock elision: oneMutator
 	// from New until NewThread first runs (never, under ConcurrentGC — the
@@ -200,20 +188,15 @@ const (
 	manyMutators                    // every path locks rt.mu
 )
 
-// share leaves the single-mutator regime for good.
-func (rt *Runtime) share() { rt.mutators.Store(manyMutators) }
+// share leaves the single-mutator regime for good. sharedRegime is
+// manyMutators, except in the gctorture build (torture.go).
+func (rt *Runtime) share() { rt.mutators.Store(sharedRegime) }
 
 // errSoloContract is the panic value of the single-mutator contract check.
 const errSoloContract = "core: concurrent use of a single-mutator runtime (a second goroutine must be given a Thread from NewThread first)"
 
 // solo reports whether the elided paths may skip their locks.
 func (rt *Runtime) solo() bool { return rt.mutators.Load() == oneMutator }
-
-// pinsActive reports whether allocations must be noted in the pin ring:
-// statically (pinsOn — the pacer goroutine) or dynamically, once a second
-// mutator thread exists and any goroutine can complete a collection while
-// another holds a just-allocated, not-yet-published Ref.
-func (rt *Runtime) pinsActive() bool { return rt.pinsOn || rt.mutators.Load() == manyMutators }
 
 // rootSource returns the aggregated root set (globals plus thread stacks).
 func (rt *Runtime) rootSource() roots.Source { return rt.rootSrc }
@@ -272,9 +255,9 @@ func New(cfg Config) *Runtime {
 		mode:     cfg.Mode,
 		recorder: &report.Recorder{},
 	}
-	rt.unlockMu = rt.mu.Unlock
+	rt.unlockMu = rt.unlocker()
 	rt.heap = vmheap.New(cfg.HeapWords)
-	rt.rootSrc = roots.Multi{rt.globals, rt.threads, &rt.pinned}
+	rt.rootSrc = roots.Multi{rt.globals, rt.threads}
 
 	if cfg.Telemetry != nil {
 		rt.tele = telemetry.New(*cfg.Telemetry)
@@ -299,12 +282,7 @@ func New(cfg Config) *Runtime {
 	rt.collector.IncrementalBudget = cfg.IncrementalBudget
 	rt.heap.SetTelemetry(rt.tele)
 	rt.collector.SetTelemetry(rt.tele)
-	// Hidden-register pins become roots at every root scan, and pin stamps
-	// taken during an incremental cycle are re-certified before its
-	// completion sweep (collectPins is a no-op until pins are active).
-	rt.collector.SetPrepareRoots(rt.collectPins)
 	rt.allocBufWords = uint32(cfg.AllocBuffers)
-	rt.pinsOn = cfg.ConcurrentGC
 	if vmheap.DebugChecks {
 		rt.mutators.Store(oneMutatorChecked)
 	}
@@ -356,6 +334,9 @@ func (rt *Runtime) DefineSubclass(name string, super *Class, fields ...Field) *C
 func (rt *Runtime) ClassOf(r Ref) *Class {
 	if !rt.solo() {
 		defer rt.lockMu()()
+	}
+	if torture {
+		rt.checkPoison(r)
 	}
 	return rt.reg.ByID(rt.heap.ClassID(r))
 }
@@ -409,10 +390,9 @@ func (g *Global) Set(r Ref) {
 
 // GC forces a full-heap collection. It completes an open cycle through the
 // scheduler first (its snapshot predates the call, so it cannot stand in for
-// the collection being asked for) and retires every buffer — after which no
-// thread can add an unpinned allocation before the collector's prepare-roots
-// hook gathers the pins and scans. It returns a *report.HaltError if a
-// violation handler requested Halt.
+// the collection being asked for) and retires every buffer, so every frame
+// slot a bump allocation wrote is visible to the root scan. It returns a
+// *report.HaltError if a violation handler requested Halt.
 func (rt *Runtime) GC() error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

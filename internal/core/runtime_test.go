@@ -23,9 +23,9 @@ func TestAllocAndFieldRoundtrip(t *testing.T) {
 	next := node.MustFieldIndex("next")
 	val := node.MustFieldIndex("val")
 
-	th := rt.MainThread()
-	a := th.New(node)
-	b := th.New(node)
+	f := rt.MainThread().PushFrame(2)
+	a := f.New(0, node)
+	b := f.New(1, node)
 	rt.SetRef(a, next, b)
 	rt.SetInt(a, val, -42)
 
@@ -47,10 +47,12 @@ func TestGCKeepsRootedCollectsGarbage(t *testing.T) {
 	th := rt.MainThread()
 
 	g := rt.AddGlobal("head")
-	a := th.New(node)
-	b := th.New(node)
-	rt.SetRef(a, next, b)
+	f := th.PushFrame(1)
+	a := f.New(0, node)
 	g.Set(a)
+	b := f.New(0, node)
+	rt.SetRef(a, next, b)
+	th.PopFrame()
 	th.New(node) // garbage
 
 	if err := rt.GC(); err != nil {
@@ -131,8 +133,7 @@ func TestOutOfMemoryPanic(t *testing.T) {
 
 // TestOutOfMemoryCollectsOnce: on a stop-the-world runtime an allocation
 // no collection can satisfy fails after exactly one collection. With no
-// owner vacated, a second would trace the same roots and pins and free
-// nothing.
+// owner vacated, a second would trace the same roots and free nothing.
 func TestOutOfMemoryCollectsOnce(t *testing.T) {
 	rt := newRT(t, 1<<12)
 	node := rt.DefineClass("Node", RefField("next"))
@@ -260,7 +261,7 @@ func TestAssertDeadSatisfied(t *testing.T) {
 	}
 	// Frame.AssertDead registers a local's object and drops the root.
 	f := th.PushFrame(1)
-	f.SetLocal(0, th.New(node))
+	f.New(0, node)
 	if err := f.AssertDead(0); err != nil || f.Local(0) != Nil {
 		t.Fatalf("Frame.AssertDead: %v, slot %d after", err, f.Local(0))
 	}
@@ -279,12 +280,14 @@ func TestAssertDeadViolatedWithPath(t *testing.T) {
 	order := rt.DefineClass("Order")
 	th := rt.MainThread()
 
-	c := th.New(company)
-	w := th.New(warehouse)
-	o := th.New(order)
-	rt.SetRef(c, company.MustFieldIndex("warehouse"), w)
-	rt.SetRef(w, warehouse.MustFieldIndex("order"), o)
+	f := th.PushFrame(1)
+	c := f.New(0, company)
 	rt.AddGlobal("company").Set(c)
+	w := f.New(0, warehouse)
+	rt.SetRef(c, company.MustFieldIndex("warehouse"), w)
+	o := f.New(0, order)
+	rt.SetRef(w, warehouse.MustFieldIndex("order"), o)
+	th.PopFrame()
 
 	if err := rt.AssertDead(o); err != nil {
 		t.Fatal(err)
@@ -349,10 +352,12 @@ func TestAssertDeadForceReclaims(t *testing.T) {
 	next := node.MustFieldIndex("next")
 	th := rt.MainThread()
 
-	holder := th.New(node)
-	victim := th.New(node)
-	rt.SetRef(holder, next, victim)
+	f := th.PushFrame(1)
+	holder := f.New(0, node)
 	rt.AddGlobal("g").Set(holder)
+	victim := f.New(0, node)
+	rt.SetRef(holder, next, victim)
+	th.PopFrame()
 
 	rt.AssertDead(victim)
 	if err := rt.GC(); err != nil {
@@ -512,10 +517,12 @@ func TestAssertUnshared(t *testing.T) {
 	right := node.MustFieldIndex("right")
 	th := rt.MainThread()
 
-	root := th.New(node)
-	child := th.New(node)
-	rt.SetRef(root, left, child)
+	f := th.PushFrame(1)
+	root := f.New(0, node)
 	rt.AddGlobal("tree").Set(root)
+	child := f.New(0, node)
+	rt.SetRef(root, left, child)
+	th.PopFrame()
 	rt.AssertUnshared(child)
 
 	rt.GC()
@@ -584,7 +591,7 @@ func TestStringRoundtrip(t *testing.T) {
 // the high bit set.
 func TestNewStringPayloadWords(t *testing.T) {
 	eachRegime(t, func(t *testing.T, rt *Runtime) {
-		th := rt.MainThread()
+		f := rt.MainThread().PushFrame(1)
 		for n := 0; n <= 17; n++ {
 			b := make([]byte, n)
 			want := make([]uint64, 1+(n+7)/8)
@@ -593,7 +600,7 @@ func TestNewStringPayloadWords(t *testing.T) {
 				b[i] = byte(0xf1 + 7*i)
 				want[1+i/8] |= uint64(b[i]) << (8 * uint(i%8))
 			}
-			r := th.NewString(string(b))
+			r := f.NewString(0, string(b))
 			if got := rt.ArrLen(r); got != len(want) {
 				t.Fatalf("length %d: %d payload words, want %d", n, got, len(want))
 			}
@@ -624,9 +631,9 @@ func TestStringsSurviveGC(t *testing.T) {
 // IndexError in every locking regime and leaves no lock held.
 func TestArrayBoundsCheck(t *testing.T) {
 	eachRegime(t, func(t *testing.T, rt *Runtime) {
-		th := rt.MainThread()
-		arr := th.NewRefArray(3)
-		data := th.NewDataArray(3)
+		f := rt.MainThread().PushFrame(2)
+		arr := f.NewRefArray(0, 3)
+		data := f.NewDataArray(1, 3)
 		for name, f := range map[string]func(){
 			"ArrGetRef":  func() { rt.ArrGetRef(arr, 3) },
 			"ArrSetRef":  func() { rt.ArrSetRef(arr, -1, arr) },
@@ -655,9 +662,9 @@ func TestFieldBoundsCheck(t *testing.T) {
 	eachRegime(t, func(t *testing.T, rt *Runtime) {
 		node := rt.DefineClass("FNode", RefField("a"), DataField("d"))
 		aOff := node.MustFieldIndex("a")
-		th := rt.MainThread()
-		obj := th.New(node)
-		arr := th.NewRefArray(3)
+		fr := rt.MainThread().PushFrame(2)
+		obj := fr.New(0, node)
+		arr := fr.NewRefArray(1, 3)
 
 		wantPanic := func(name string, f func()) {
 			t.Helper()

@@ -32,7 +32,7 @@ func TestSoloFlipMidScript(t *testing.T) {
 		// push prepends a node carrying val to the global list.
 		push := func(th *Thread, val int64) {
 			f := th.PushFrame(1)
-			f.SetLocal(0, th.New(node))
+			f.New(0, node)
 			rt.SetInt(f.Local(0), v, val)
 			rt.SetRef(f.Local(0), next, head.Get())
 			head.Set(f.Local(0))
@@ -148,7 +148,7 @@ func TestSoloContract(t *testing.T) {
 		next := node.MustFieldIndex("next")
 		th := rt.MainThread()
 		fr := th.PushFrame(1)
-		fr.SetLocal(0, th.New(node))
+		fr.New(0, node)
 
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
@@ -190,47 +190,5 @@ func TestSoloContract(t *testing.T) {
 	rt.NewThread("declared")
 	if caught := run(rt, 100*time.Millisecond); caught != nil {
 		t.Fatalf("after NewThread the same program panicked: %v", caught)
-	}
-}
-
-// TestPopFrameClearsPinsOnlyWhenActive: the pin ring of a solo runtime is
-// never written, so PopFrame leaves it alone; a ring filled after the flip
-// is still cleared when the thread's last frame goes.
-func TestPopFrameClearsPinsOnlyWhenActive(t *testing.T) {
-	rt := newRT(t, 1<<12)
-	node := rt.DefineClass("PNode", RefField("next"))
-	th := rt.MainThread()
-	filled := func() (n int) {
-		for _, p := range th.pins {
-			if p.ref != Nil {
-				n++
-			}
-		}
-		return
-	}
-
-	th.PushFrame(1)
-	th.New(node)
-	if filled() != 0 {
-		t.Fatal("a solo runtime noted an allocation in the pin ring")
-	}
-	th.PopFrame()
-
-	rt.NewThread("second")
-	th.PushFrame(1)
-	th.PushFrame(1)
-	for i := 0; i < threadPinSlots+1; i++ {
-		th.New(node)
-	}
-	if filled() != threadPinSlots {
-		t.Fatalf("%d pins after the flip, want %d", filled(), threadPinSlots)
-	}
-	th.PopFrame()
-	if filled() != threadPinSlots {
-		t.Fatal("pins dropped while a frame remains")
-	}
-	th.PopFrame()
-	if filled() != 0 {
-		t.Fatalf("%d pins survive the thread's last frame", filled())
 	}
 }

@@ -6,14 +6,28 @@ package core
 // realistic variable-length payload objects that the collector must parse
 // and sweep.
 
+import (
+	"repro/internal/classes"
+	"repro/internal/vmheap"
+)
+
 // NewString allocates a managed copy of s on this thread.
 func (t *Thread) NewString(s string) Ref {
-	words := 1 + (len(s)+7)/8
-	arr := t.NewDataArray(words)
-	rt := t.rt
-	if !rt.solo() {
-		defer rt.lockMu()()
-	}
+	return t.mustAlloc(vmheap.KindDataArray, classes.DataArrayClassID, stringWords(s), nil, s)
+}
+
+// NewString allocates a managed copy of s into local slot i (Frame.New): the
+// payload is written before the slot is stored, in the same critical section.
+func (f *Frame) NewString(i int, s string) Ref {
+	return f.t.mustAlloc(vmheap.KindDataArray, classes.DataArrayClassID, stringWords(s), f.f.Slot(i), s)
+}
+
+// stringWords is the data-array length that holds s.
+func stringWords(s string) uint32 { return uint32(1 + (len(s)+7)/8) }
+
+// writeString fills the fresh data array arr with s. Caller holds the
+// allocation's critical section (publish).
+func (rt *Runtime) writeString(arr Ref, s string) {
 	rt.heap.SetArrayWord(arr, 0, uint64(len(s)))
 	// Eight bytes are packed in a local and stored once per payload word.
 	for w := uint32(1); len(s) > 0; w++ {
@@ -25,13 +39,15 @@ func (t *Thread) NewString(s string) Ref {
 		}
 		rt.heap.SetArrayWord(arr, w, word)
 	}
-	return arr
 }
 
 // StringAt decodes the managed string at r.
 func (rt *Runtime) StringAt(r Ref) string {
 	if !rt.solo() {
 		defer rt.lockMu()()
+	}
+	if torture {
+		rt.checkPoison(r)
 	}
 	n := int(rt.heap.ArrayWord(r, 0))
 	b := make([]byte, n)
@@ -48,6 +64,9 @@ func (rt *Runtime) StringAt(r Ref) string {
 func (rt *Runtime) StringLen(r Ref) int {
 	if !rt.solo() {
 		defer rt.lockMu()()
+	}
+	if torture {
+		rt.checkPoison(r)
 	}
 	return int(rt.heap.ArrayWord(r, 0))
 }

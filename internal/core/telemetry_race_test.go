@@ -56,7 +56,7 @@ func TestStatsMetricsRaceUnderIncrementalBuffered(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				switch rng.Intn(3) {
 				case 0, 1:
-					fr.SetLocal(rng.Intn(locals), th.New(node))
+					fr.New(rng.Intn(locals), node)
 				case 2:
 					src := fr.Local(rng.Intn(locals))
 					if src != Nil {

@@ -236,9 +236,9 @@ func TestTelemetryBarrierSpans(t *testing.T) {
 	next := node.MustFieldIndex("next")
 	th := rt.MainThread()
 	f := th.PushFrame(3)
-	f.SetLocal(0, th.New(node))
-	f.SetLocal(1, th.New(node))
-	f.SetLocal(2, th.NewRefArray(4))
+	f.New(0, node)
+	f.New(1, node)
+	f.NewRefArray(2, 4)
 	a, b, arr := f.Local(0), f.Local(1), f.Local(2)
 	spans := func() uint64 {
 		for _, p := range rt.Metrics().Phases {

@@ -43,15 +43,6 @@ type Thread struct {
 	buf        vmheap.AllocBuffer
 	bufMu      atomic.Int32
 	regionFrom uint32
-
-	// Hidden-register pins (concurrent.go): the thread's most recent
-	// allocations, stamped with the sweep epoch they were born in, so a
-	// concurrently starting cycle can root them before the mutator has
-	// published them. Written under bufMu (bump path) or rt.mu (slow
-	// path); collectPins reads under both. Unused until pins are active
-	// (Runtime.pinsActive).
-	pins   [threadPinSlots]allocPin
-	pinPos uint8
 }
 
 // lockBuf claims the buffer spinlock. Hold times are a handful of
@@ -87,6 +78,7 @@ func (e *OutOfMemoryError) Error() string {
 // Frame is an activation record whose local slots are GC roots.
 type Frame struct {
 	rt *Runtime
+	t  *Thread
 	f  *threads.Frame
 }
 
@@ -95,7 +87,7 @@ func (t *Thread) PushFrame(n int) *Frame {
 	if !t.rt.solo() {
 		defer t.rt.lockMu()()
 	}
-	return &Frame{rt: t.rt, f: t.th.PushFrame(n)}
+	return &Frame{rt: t.rt, t: t, f: t.th.PushFrame(n)}
 }
 
 // PopFrame pops the thread's current frame.
@@ -104,21 +96,10 @@ func (t *Thread) PopFrame() {
 		defer t.rt.lockMu()()
 	}
 	t.th.PopFrame()
-	if t.th.Depth() == 0 && t.rt.pinsActive() {
-		// The thread's last frame is gone: no caller remains to receive a
-		// Ref held in a Go variable, so the hidden-register pins covering
-		// this thread's recent unpublished allocations are dead. Dropping
-		// them here keeps pin retention from leaking past a thread's
-		// working life (a quiescent thread's ring would otherwise hold its
-		// last allocations live forever). While pins are inactive nothing
-		// has ever written the ring.
-		t.lockBuf()
-		for i := range t.pins {
-			t.pins[i] = allocPin{}
-		}
-		t.unlockBuf()
-	}
 }
+
+// Thread returns the thread whose stack holds the frame.
+func (f *Frame) Thread() *Thread { return f.t }
 
 // Local returns the reference in slot i.
 func (f *Frame) Local(i int) Ref {
@@ -140,31 +121,54 @@ func (f *Frame) SetLocal(i int, r Ref) {
 // It panics with *OutOfMemoryError when the heap cannot satisfy the request
 // even after a full collection, and with *report.HaltError if a collection
 // run on its behalf hit a Halt-requesting violation.
+//
+// The Ref it returns is a Go value, which no collection sees. On a runtime
+// where another goroutine can collect (after NewThread, or under
+// ConcurrentGC) the object may be reclaimed before the caller stores it, so
+// code there allocates with Frame.New instead. The same holds for
+// NewRefArray, NewDataArray and NewString.
 func (t *Thread) New(c *Class) Ref {
-	r, err := t.TryNew(c)
-	if err != nil {
-		panic(err)
-	}
-	return r
+	return t.mustAlloc(vmheap.KindScalar, c.ID, c.FieldWords, nil, "")
 }
 
 // TryNew is New returning errors instead of panicking.
 func (t *Thread) TryNew(c *Class) (Ref, error) {
-	return t.alloc(vmheap.KindScalar, c.ID, c.FieldWords)
+	return t.alloc(vmheap.KindScalar, c.ID, c.FieldWords, nil, "")
 }
 
 // NewRefArray allocates an array of n references (all Nil).
 func (t *Thread) NewRefArray(n int) Ref {
-	r, err := t.alloc(vmheap.KindRefArray, classes.RefArrayClassID, uint32(n))
-	if err != nil {
-		panic(err)
-	}
-	return r
+	return t.mustAlloc(vmheap.KindRefArray, classes.RefArrayClassID, uint32(n), nil, "")
 }
 
 // NewDataArray allocates an array of n raw data words (all zero).
 func (t *Thread) NewDataArray(n int) Ref {
-	r, err := t.alloc(vmheap.KindDataArray, classes.DataArrayClassID, uint32(n))
+	return t.mustAlloc(vmheap.KindDataArray, classes.DataArrayClassID, uint32(n), nil, "")
+}
+
+// New allocates an instance of c on the frame's thread and stores it into
+// local slot i inside the critical section that allocates it (the bump
+// path's spinlock, or rt.mu), so no collection by another goroutine falls
+// between the allocation and its rooting (DESIGN.md §11). It returns the Ref
+// as well, and panics as Thread.New does. NewRefArray, NewDataArray and
+// NewString are the same for the other kinds of object.
+func (f *Frame) New(i int, c *Class) Ref {
+	return f.t.mustAlloc(vmheap.KindScalar, c.ID, c.FieldWords, f.f.Slot(i), "")
+}
+
+// NewRefArray allocates an array of n references into local slot i.
+func (f *Frame) NewRefArray(i, n int) Ref {
+	return f.t.mustAlloc(vmheap.KindRefArray, classes.RefArrayClassID, uint32(n), f.f.Slot(i), "")
+}
+
+// NewDataArray allocates an array of n data words into local slot i.
+func (f *Frame) NewDataArray(i, n int) Ref {
+	return f.t.mustAlloc(vmheap.KindDataArray, classes.DataArrayClassID, uint32(n), f.f.Slot(i), "")
+}
+
+// mustAlloc is alloc panicking with its error.
+func (t *Thread) mustAlloc(kind vmheap.Kind, classID uint32, n uint32, dst *Ref, s string) Ref {
+	r, err := t.alloc(kind, classID, n, dst, s)
 	if err != nil {
 		panic(err)
 	}
@@ -179,27 +183,52 @@ func (t *Thread) NewDataArray(n int) Ref {
 // second mutator the bump needs no lock at all: the spinlock's CAS+store pair
 // costs more than half of a direct free-list allocation on a contemporary
 // core, so eliding it while provably single-mutator (Runtime.mutators) is
-// what makes the fast path fast.
-func (t *Thread) alloc(kind vmheap.Kind, classID uint32, n uint32) (Ref, error) {
+// what makes the fast path fast. Every path ends in publish, inside its
+// critical section: dst, when not nil, is the frame slot the object goes
+// into, and a non-empty s is the payload of a string.
+func (t *Thread) alloc(kind vmheap.Kind, classID uint32, n uint32, dst *Ref, s string) (Ref, error) {
 	rt := t.rt
+	if torture {
+		rt.torturePointUnlocked()
+	}
 	if rt.allocBufWords > 0 {
 		if rt.solo() {
 			if r, ok := t.buf.Alloc(kind, classID, n); ok {
+				rt.publish(r, dst, s)
 				return r, nil
 			}
 		} else {
 			t.lockBuf()
 			r, ok := t.buf.Alloc(kind, classID, n)
-			if ok && rt.pinsActive() {
-				t.notePin(r)
+			if ok {
+				rt.publish(r, dst, s)
 			}
 			t.unlockBuf()
 			if ok {
+				if torture {
+					rt.torturePointUnlocked() // the slow path's is lockMu's
+				}
 				return r, nil
 			}
 		}
 	}
-	return t.allocSlow(kind, classID, n)
+	return t.allocSlow(kind, classID, n, dst, s)
+}
+
+// publish finishes a fresh object inside the critical section that allocated
+// it: a string's payload is written, then the Ref goes into the frame slot
+// dst when the caller gave one. A root scan therefore finds the object rooted
+// and whole, or not allocated at all.
+func (rt *Runtime) publish(r Ref, dst *Ref, s string) {
+	if torture {
+		rt.tortureBorn(r)
+	}
+	if s != "" {
+		rt.writeString(r, s)
+	}
+	if dst != nil {
+		*dst = r
+	}
 }
 
 // allocSlow is allocation off the bump path, and the scheduler's hook point:
@@ -207,7 +236,7 @@ func (t *Thread) alloc(kind vmheap.Kind, classID uint32, n uint32) (Ref, error) 
 // refill declines) allocate from the free lists, collecting on exhaustion;
 // record the object in any active region bracket on this thread. Unless solo
 // it runs under rt.mu.
-func (t *Thread) allocSlow(kind vmheap.Kind, classID uint32, n uint32) (Ref, error) {
+func (t *Thread) allocSlow(kind vmheap.Kind, classID uint32, n uint32, dst *Ref, s string) (Ref, error) {
 	rt := t.rt
 	if !rt.solo() {
 		defer rt.lockMu()()
@@ -229,6 +258,7 @@ func (t *Thread) allocSlow(kind vmheap.Kind, classID uint32, n uint32) (Ref, err
 
 	if rt.allocBufWords > 0 {
 		if r, ok := t.refillAlloc(kind, classID, n); ok {
+			rt.publish(r, dst, s)
 			return r, nil
 		}
 		// Fall through to the direct path: object larger than a buffer, an
@@ -254,12 +284,10 @@ func (t *Thread) allocSlow(kind vmheap.Kind, classID uint32, n uint32) (Ref, err
 		t.th.RecordRegionAlloc(r)
 	}
 	t.th.CountAlloc()
-	if rt.pinsActive() {
-		t.notePin(r)
-	}
 	if rt.pacer != nil {
 		rt.collector.DidAllocate(r) // born black if a cycle is open
 	}
+	rt.publish(r, dst, s)
 	return r, nil
 }
 
@@ -287,7 +315,7 @@ func (t *Thread) allocExhausted(kind vmheap.Kind, classID uint32, n uint32) (Ref
 	// only a collection that vacated a dying owner: the owner's region
 	// survives that collection on the ownership pre-phase's marks, and the
 	// next one frees it. Otherwise a second would trace the same roots and
-	// pins and free nothing.
+	// free nothing.
 	for err == vmheap.ErrHeapExhausted {
 		if cerr := rt.collector.CollectFull(); cerr != nil {
 			return Nil, cerr
@@ -345,11 +373,6 @@ func (t *Thread) refillAlloc(kind vmheap.Kind, classID uint32, n uint32) (Ref, b
 	r, ok := t.buf.Alloc(kind, classID, n)
 	if !ok {
 		panic("core: fresh allocation buffer cannot satisfy its triggering allocation")
-	}
-	if rt.pinsActive() {
-		t.lockBuf()
-		t.notePin(r)
-		t.unlockBuf()
 	}
 	return r, ok
 }

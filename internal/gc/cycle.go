@@ -43,10 +43,6 @@ type MarkSweep struct {
 	// carries out the transitions.
 	active bool
 
-	// prepareRoots, when non-nil, runs before every whole-heap root scan and
-	// completion sweep (see SetPrepareRoots).
-	prepareRoots func()
-
 	// tele, when non-nil, receives cycle/pause events (the tracer and heap
 	// carry their own references for the phase spans).
 	tele *telemetry.Recorder
@@ -69,22 +65,6 @@ func (c *MarkSweep) Stats() *Stats { return &c.stats }
 func (c *MarkSweep) SetTelemetry(rec *telemetry.Recorder) {
 	c.tele = rec
 	c.tracer.SetTelemetry(rec)
-}
-
-// SetPrepareRoots installs a callback the collector invokes immediately
-// before every whole-heap root scan and before every completion sweep, under
-// the same lock as the scan or sweep itself. The runtime uses it to gather
-// hidden-register pins: the pre-scan call makes just-allocated,
-// not-yet-published objects roots, and the pre-sweep call re-certifies pins
-// taken during an incremental cycle before the sweep advances the heap's
-// epoch and invalidates their stamps. Nil (the default) disables the hook.
-func (c *MarkSweep) SetPrepareRoots(fn func()) { c.prepareRoots = fn }
-
-// prep runs the prepareRoots hook if one is installed.
-func (c *MarkSweep) prep() {
-	if c.prepareRoots != nil {
-		c.prepareRoots()
-	}
 }
 
 // IncrementalActive reports an open incremental cycle.
@@ -148,7 +128,6 @@ func (c *MarkSweep) CollectFull() error {
 		panic("gc: CollectFull with an incremental cycle in flight")
 	}
 	c.heap.AssertNoBuffers("full collection")
-	c.prep() // root scan and sweep share this pause; one gather covers both
 	c.tele.CycleBegin()
 	start := time.Now()
 	t := c.tracer
@@ -179,11 +158,6 @@ func (c *MarkSweep) StartFull() {
 	// The cycle ends in a full-heap sweep and the snapshot trace reads
 	// headers arena-wide; allocation buffers must all have been retired.
 	c.heap.AssertNoBuffers("incremental cycle start")
-	// Gather hidden-register pins into the root set before the snapshot
-	// scan; with every buffer retired, no thread can slip an unpinned
-	// allocation in before the scan (allocation now needs the runtime lock
-	// this pause holds).
-	c.prep()
 	c.tele.CycleBegin()
 	begin := time.Now()
 	t := c.tracer
@@ -234,12 +208,6 @@ func (c *MarkSweep) FinishFull() error {
 	begin := time.Now()
 	t := c.tracer
 	t.IncrementalSlice(math.MaxInt)
-
-	// Re-certify pins before the sweep advances the epoch: objects allocated
-	// during this cycle are black (allocate-black) and will survive, but
-	// their pin stamps date from the pre-sweep epoch — without this refresh
-	// the NEXT cycle would not protect the ones still unpublished.
-	c.prep()
 
 	clear := c.preSweep()
 	sw := c.heap.Sweep(vmheap.SweepOptions{ClearFlags: clear | vmheap.FlagScanned})

@@ -166,8 +166,7 @@ type Pair struct {
 	// EachOp, if set, is compared after every op too. It must not include
 	// Live: that observation flushes allocation buffers.
 	EachOp          Level
-	Globals, Locals int            // slots; no globals and 8 locals when both are zero
-	After           func(w *World) // runs on each world after every op
+	Globals, Locals int // slots; no globals and 8 locals when both are zero
 }
 
 // Tally counts events inside ops for vacuity guards; Run keeps it only when
@@ -221,9 +220,6 @@ func Run(t testing.TB, p Pair, script []Op) (a, b *World, tally Tally) {
 		}
 		for _, w := range worlds {
 			w.apply(op)
-			if p.After != nil {
-				p.After(w)
-			}
 		}
 		if p.EachOp != 0 {
 			after := b.RT.Stats()

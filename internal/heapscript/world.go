@@ -11,12 +11,14 @@ import (
 )
 
 // World is one runtime driven by a script. Its slots are global roots
-// followed by frame locals; every allocation gets the next script id, and
-// every violation is captured at report time — while its object is still
-// allocated, since an ownership pre-phase can report an object the same cycle
-// sweeps — as a verdict naming objects by id and paths by class. The handler
-// reads the ids map the mutator writes, so a runtime whose pacer goroutine
-// collects must register nothing until it is closed.
+// followed by frame locals. An op allocates the object it keeps into a scratch
+// local and moves it into its slot from there (fresh), so the world holds no
+// fresh Ref in Go where another goroutine could collect. Every allocation gets
+// the next script id, and every violation is captured at report time — while
+// its object is still allocated, since an ownership pre-phase can report an
+// object the same cycle sweeps — as a verdict naming objects by id and paths
+// by class. The handler reads the ids map the mutator writes, so a runtime
+// whose pacer goroutine collects must register nothing until it is closed.
 type World struct {
 	t               testing.TB
 	RT              *core.Runtime
@@ -26,6 +28,7 @@ type World struct {
 	globals   []*core.Global
 	fr        *core.Frame
 	slots     int
+	scratch   int       // the local past the slots that allocations root into
 	fields    [2]uint16 // Node's a and b, which Leaf inherits
 	bigFields [4]uint16 // Big's r0..r3
 	ids       map[core.Ref]int
@@ -72,7 +75,8 @@ func newWorld(t testing.TB, cfg core.Config, globals, locals int) *World {
 	for n := range globals {
 		w.globals = append(w.globals, rt.AddGlobal(fmt.Sprintf("g%d", n)))
 	}
-	w.fr = w.Th.PushFrame(locals)
+	w.scratch = locals
+	w.fr = w.Th.PushFrame(locals + 1)
 	return w
 }
 
@@ -91,6 +95,13 @@ func (w *World) set(i int, r core.Ref) {
 		w.fr.SetLocal(i-len(w.globals), r)
 	}
 	w.model.root(i, w.id(r))
+}
+
+// fresh moves the object an allocation just rooted in the scratch local
+// into slot i, naming it as alloc does.
+func (w *World) fresh(i int, r core.Ref, class string, refs, words int) {
+	w.set(i, w.alloc(r, class, refs, words))
+	w.fr.SetLocal(w.scratch, core.Nil)
 }
 
 func (w *World) id(r core.Ref) int {
@@ -129,22 +140,22 @@ func (w *World) apply(op Op) {
 	i, j := int(op.I)%w.slots, int(op.J)%w.slots
 	switch op.Code {
 	case AllocNode:
-		w.set(i, w.alloc(th.New(w.node), "Node", 2, 3))
+		w.fresh(i, w.fr.New(w.scratch, w.node), "Node", 2, 3)
 	case AllocLeaf:
-		w.set(i, w.alloc(th.New(w.leaf), "Leaf", 2, 3))
+		w.fresh(i, w.fr.New(w.scratch, w.leaf), "Leaf", 2, 3)
 	case AllocBig:
-		w.set(i, w.alloc(th.New(w.big), "Big", 4, 5))
+		w.fresh(i, w.fr.New(w.scratch, w.big), "Big", 4, 5)
 	case AllocRefs:
-		w.set(i, w.alloc(th.NewRefArray(1+k%6), "Object[]", 1+k%6, 3+k%6))
+		w.fresh(i, w.fr.NewRefArray(w.scratch, 1+k%6), "Object[]", 1+k%6, 3+k%6)
 	case AllocData:
-		w.set(i, w.alloc(th.NewDataArray(1+k%16), "data[]", 0, 3+k%16))
+		w.fresh(i, w.fr.NewDataArray(w.scratch, 1+k%16), "data[]", 0, 3+k%16)
 		rt.ArrSetData(w.get(i), 0, uint64(k))
 		if got := rt.ArrGetData(w.get(i), 0); got != uint64(k) {
 			w.t.Fatalf("op %d: data word reads %d, want %d", w.ops, got, k)
 		}
 	case AllocString:
 		f := th.PushFrame(1)
-		f.SetLocal(0, w.alloc(th.NewString(strings.Repeat("x", k%20)), "data[]", 0, 3+(k%20+7)/8))
+		w.alloc(f.NewString(0, strings.Repeat("x", k%20)), "data[]", 0, 3+(k%20+7)/8)
 		if got := rt.StringLen(f.Local(0)); got != k%20 {
 			w.t.Fatalf("op %d: string length %d, want %d", w.ops, got, k%20)
 		}

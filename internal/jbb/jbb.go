@@ -201,8 +201,8 @@ func (b *Benchmark) buildCompany() core.Ref {
 		for di := 0; di < b.cfg.Districts; di++ {
 			d := th.New(b.District)
 			f.SetLocal(2, d)
-			table := b.kit.NewTree(th)
-			rt.SetRef(f.Local(2), b.diTable, table)
+			rt.SetRef(f.Local(2), b.diTable, b.kit.NewTree(f, 3))
+			f.SetLocal(3, core.Nil) // the district holds the tree now
 			rt.SetInt(f.Local(2), b.diID, int64(di))
 			districts = rt.GetRef(f.Local(1), b.whDistricts)
 			rt.ArrSetRef(districts, di, f.Local(2))

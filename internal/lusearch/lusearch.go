@@ -86,7 +86,9 @@ func New(rt *core.Runtime, cfg Config) *Engine {
 	e.shared = rt.AddGlobal("lusearch.sharedSearcher")
 
 	th := rt.MainThread()
-	e.index.Set(e.kit.NewMap(th))
+	f := th.PushFrame(1)
+	defer th.PopFrame()
+	e.index.Set(e.kit.NewMap(f, 0))
 	e.buildIndex(th)
 
 	if e.cfg.AssertSingleSearcher {
@@ -95,7 +97,7 @@ func New(rt *core.Runtime, cfg Config) *Engine {
 		}
 	}
 	if e.cfg.SharedSearcher {
-		e.shared.Set(e.newSearcher(th))
+		e.shared.Set(e.newSearcher(f, 0))
 	}
 	return e
 }
@@ -119,9 +121,9 @@ func (e *Engine) buildIndex(th *core.Thread) {
 			term := int64(next(e.terms))
 			list, ok := e.kit.MapGet(idx, term)
 			if !ok {
-				list = e.kit.NewList(th)
-				e.kit.MapPut(th, idx, term, list)
-				list, _ = e.kit.MapGet(idx, term)
+				f := th.PushFrame(1)
+				e.kit.MapPut(th, idx, term, e.kit.NewList(f, 0))
+				th.PopFrame()
 			}
 			f := th.PushFrame(1)
 			p := th.New(e.posting)
@@ -135,9 +137,9 @@ func (e *Engine) buildIndex(th *core.Thread) {
 	}
 }
 
-// newSearcher opens an IndexSearcher over the index.
-func (e *Engine) newSearcher(th *core.Thread) core.Ref {
-	s := th.New(e.IndexSearcher)
+// newSearcher opens an IndexSearcher over the index into local slot i of f.
+func (e *Engine) newSearcher(f *core.Frame, i int) core.Ref {
+	s := f.New(i, e.IndexSearcher)
 	e.rt.SetRef(s, e.isIndex, e.index.Get())
 	return s
 }
@@ -192,7 +194,7 @@ func (e *Engine) Run(queriesPerThread int, midRun func()) {
 				f.SetLocal(0, e.shared.Get())
 			} else {
 				// The benchmark's behavior: one searcher per thread.
-				f.SetLocal(0, e.newSearcher(th))
+				e.newSearcher(f, 0)
 			}
 			ready <- struct{}{}
 			<-release

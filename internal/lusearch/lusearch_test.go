@@ -7,17 +7,30 @@ import (
 	"repro/internal/report"
 )
 
+// newEngine builds an engine on a fresh runtime. Under -short (make torture)
+// the corpus is a tenth of its default size.
 func newEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
+	if testing.Short() && cfg.Documents == 0 {
+		cfg.Documents = 200
+	}
 	rt := core.New(core.Config{HeapWords: 1 << 19, Mode: core.Infrastructure})
 	return New(rt, cfg)
+}
+
+// queries is n queries per thread, or 2 under -short.
+func queries(n int) int {
+	if testing.Short() {
+		return 2
+	}
+	return n
 }
 
 func TestPerThreadSearchersViolation(t *testing.T) {
 	// The paper's finding: "for most of the benchmark's execution, 32
 	// instances of IndexSearcher are live, one for each thread".
 	e := newEngine(t, Config{Threads: 32, AssertSingleSearcher: true})
-	e.Run(50, func() {
+	e.Run(queries(50), func() {
 		if err := e.Runtime().GC(); err != nil {
 			t.Error(err)
 		}
@@ -41,7 +54,7 @@ func TestSharedSearcherFix(t *testing.T) {
 	// The recommended repair: "using only one instance of IndexSearcher
 	// and sharing it among the threads".
 	e := newEngine(t, Config{Threads: 32, SharedSearcher: true, AssertSingleSearcher: true})
-	e.Run(50, func() {
+	e.Run(queries(50), func() {
 		if err := e.Runtime().GC(); err != nil {
 			t.Error(err)
 		}
@@ -75,7 +88,7 @@ func collectResults(t *testing.T, cfg Config) map[int64]int64 {
 	if cfg.SharedSearcher {
 		f.SetLocal(0, e.shared.Get())
 	} else {
-		f.SetLocal(0, e.newSearcher(th))
+		e.newSearcher(f, 0)
 	}
 	out := map[int64]int64{}
 	for term := int64(0); term < int64(e.terms); term++ {
@@ -87,7 +100,7 @@ func collectResults(t *testing.T, cfg Config) map[int64]int64 {
 func TestSearchersCollectedAfterRun(t *testing.T) {
 	// Once the threads pop their frames, the per-thread searchers die.
 	e := newEngine(t, Config{Threads: 8})
-	e.Run(10, nil)
+	e.Run(queries(10), nil)
 	rt := e.Runtime()
 	if err := rt.GC(); err != nil {
 		t.Fatal(err)
@@ -101,7 +114,7 @@ func TestConcurrentSearchSafety(t *testing.T) {
 	// Heavier concurrent run with GC pressure: must not corrupt or race
 	// (run under -race in CI).
 	e := newEngine(t, Config{Threads: 16})
-	e.Run(200, func() { e.Runtime().GC() })
+	e.Run(queries(200), func() { e.Runtime().GC() })
 	if e.Runtime().Stats().Heap.LiveWords == 0 {
 		t.Error("index vanished")
 	}

@@ -101,12 +101,10 @@ func New(rt *core.Runtime, cfg Config) *Database {
 
 	th := d.th
 	f := th.PushFrame(2)
-	dbObj := th.New(d.DatabaseObj)
-	f.SetLocal(0, dbObj)
-	entries := d.kit.NewList(th)
-	rt.SetRef(f.Local(0), d.dEntries, entries)
-	d.db.Set(f.Local(0))
-	d.cache.Set(d.kit.NewList(th))
+	dbObj := f.New(0, d.DatabaseObj)
+	rt.SetRef(dbObj, d.dEntries, d.kit.NewList(f, 1))
+	d.db.Set(dbObj)
+	d.cache.Set(d.kit.NewList(f, 1))
 	th.PopFrame()
 
 	for i := 0; i < d.cfg.Entries; i++ {
@@ -147,22 +145,18 @@ func (d *Database) AddOn(th *core.Thread) {
 	f := th.PushFrame(2)
 	defer th.PopFrame()
 
-	e := th.New(d.Entry)
-	f.SetLocal(0, e)
-	items := th.NewRefArray(d.cfg.ItemsPerEntry)
-	rt.SetRef(f.Local(0), d.eItems, items)
+	e := f.New(0, d.Entry)
+	items := f.NewRefArray(1, d.cfg.ItemsPerEntry)
+	rt.SetRef(e, d.eItems, items)
 	for i := 0; i < d.cfg.ItemsPerEntry; i++ {
-		s := th.NewString(itemText(d.nextKey, i))
-		f.SetLocal(1, s)
-		items = rt.GetRef(f.Local(0), d.eItems)
-		rt.ArrSetRef(items, i, f.Local(1))
+		rt.ArrSetRef(items, i, f.NewString(1, itemText(d.nextKey, i)))
 	}
-	rt.SetInt(f.Local(0), d.eKey, d.nextKey)
+	rt.SetInt(e, d.eKey, d.nextKey)
 	d.nextKey++
 
-	d.kit.ListAdd(th, rt.GetRef(d.db.Get(), d.dEntries), f.Local(0))
+	d.kit.ListAdd(th, rt.GetRef(d.db.Get(), d.dEntries), e)
 	if d.cfg.AssertOwnership {
-		if err := rt.AssertOwnedBy(d.db.Get(), f.Local(0)); err != nil {
+		if err := rt.AssertOwnedBy(d.db.Get(), e); err != nil {
 			panic(err)
 		}
 		d.OwnedByAsserts++
@@ -262,8 +256,7 @@ func (d *Database) SortOn(th *core.Thread) core.Ref {
 	n := d.kit.ListLen(entries)
 	f := th.PushFrame(1)
 	defer th.PopFrame()
-	scratch := th.NewRefArray(n)
-	f.SetLocal(0, scratch)
+	scratch := f.NewRefArray(0, n)
 	d.kit.ListEach(entries, func(i int, e core.Ref) {
 		rt.ArrSetRef(scratch, i, e)
 	})

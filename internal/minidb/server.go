@@ -64,17 +64,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// OpByName resolves an endpoint name to its Op; ok is false for unknown
-// names.
-func OpByName(name string) (Op, bool) {
-	for i, n := range opNames {
-		if n == name {
-			return Op(i), true
-		}
-	}
-	return 0, false
-}
-
 // ServerConfig shapes a Server.
 type ServerConfig struct {
 	// DB configures the shared database (entry count, assertion arms, the
@@ -190,7 +179,10 @@ func NewServer(rt *core.Runtime, cfg ServerConfig) *Server {
 	s.sItems = s.sessClass.MustFieldIndex("items")
 	s.sID = s.sessClass.MustFieldIndex("id")
 	s.sessCache = rt.AddGlobal("minidb.sessioncache")
-	s.sessCache.Set(s.db.kit.NewList(rt.MainThread()))
+	main := rt.MainThread()
+	f := main.PushFrame(1)
+	defer main.PopFrame()
+	s.sessCache.Set(s.db.kit.NewList(f, 0))
 
 	rec := rt.Telemetry()
 	for op := Op(0); op < NumOps; op++ {
@@ -205,7 +197,7 @@ func NewServer(rt *core.Runtime, cfg ServerConfig) *Server {
 			th:       rt.NewThread(fmt.Sprintf("minidbd-worker-%d", i)),
 			sessions: rt.AddGlobal(fmt.Sprintf("minidb.sessions.%d", i)),
 		}
-		w.sessions.Set(s.db.kit.NewList(rt.MainThread()))
+		w.sessions.Set(s.db.kit.NewList(f, 0))
 		s.workers = append(s.workers, w)
 		s.wg.Add(1)
 		go s.run(w)
@@ -297,20 +289,16 @@ func (s *Server) session(w *worker) error {
 	f := th.PushFrame(2)
 	defer th.PopFrame()
 
-	sess := th.New(s.sessClass)
-	f.SetLocal(0, sess)
-	items := th.NewRefArray(s.cfg.SessionItems)
-	rt.SetRef(f.Local(0), s.sItems, items)
+	sess := f.New(0, s.sessClass)
+	items := f.NewRefArray(1, s.cfg.SessionItems)
+	rt.SetRef(sess, s.sItems, items)
 	for i := 0; i < s.cfg.SessionItems; i++ {
-		str := th.NewString(itemText(w.nextID, i))
-		f.SetLocal(1, str)
-		items = rt.GetRef(f.Local(0), s.sItems)
-		rt.ArrSetRef(items, i, f.Local(1))
+		rt.ArrSetRef(items, i, f.NewString(1, itemText(w.nextID, i)))
 	}
-	rt.SetInt(f.Local(0), s.sID, w.nextID)
+	rt.SetInt(sess, s.sID, w.nextID)
 	w.nextID++
 
-	kit.ListAdd(th, w.sessions.Get(), f.Local(0))
+	kit.ListAdd(th, w.sessions.Get(), sess)
 	for kit.ListLen(w.sessions.Get()) > s.cfg.SessionCap {
 		kit.ListRemoveAtInto(f, 1, w.sessions.Get(), 0)
 		s.expired.Add(1)

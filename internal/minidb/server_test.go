@@ -245,8 +245,13 @@ func TestServerReportsRangeCheck(t *testing.T) {
 	rt, srv := testServer(t, ServerConfig{Workers: 1, DB: Config{Entries: 20}}, core.Config{})
 	entries := rt.GetRef(srv.db.db.Get(), srv.db.dEntries)
 	dataOff := rt.ClassOf(entries).MustFieldIndex("data")
+	// The full array stays rooted in the frame while it is swapped out.
+	main := rt.MainThread()
+	f := main.PushFrame(2)
+	defer main.PopFrame()
 	full := rt.GetRef(entries, dataOff)
-	short := rt.MainThread().NewRefArray(19)
+	f.SetLocal(0, full)
+	short := f.NewRefArray(1, 19)
 	rt.ArrCopyRefs(short, 0, full, 0, 19)
 	rt.SetRef(entries, dataOff, short)
 	// Removing the last entry shifts nothing: skip such a draw.

@@ -58,14 +58,18 @@ func newCacheWorld(t *testing.T, cfg core.Config) *cacheWorld {
 	t.Helper()
 	rt := core.New(cfg)
 	w := &cacheWorld{rt: rt, concurrent: cfg.ConcurrentGC, entry: rt.DefineClass("Entry", core.DataField("v"))}
+	// The pacer goroutine can collect between any two calls, so every
+	// object is allocated straight into a frame slot.
 	th := rt.MainThread()
+	f := th.PushFrame(1)
+	defer th.PopFrame()
 
-	w.arr = th.NewRefArray(30)
+	w.arr = f.NewRefArray(0, 30)
 	rt.AddGlobal("world").Set(w.arr)
 	slot := 0
 	add := func(dst *[]core.Ref, n int) {
 		for i := 0; i < n; i++ {
-			e := th.New(w.entry)
+			e := f.New(0, w.entry)
 			rt.ArrSetRef(w.arr, slot, e)
 			slot++
 			*dst = append(*dst, e)
@@ -149,8 +153,6 @@ func TestAdvanceDropsReclaimed(t *testing.T) {
 		if got := tr.Tracked(); got != 31 {
 			t.Fatalf("tracked %d live objects, want 31", got)
 		}
-		// Drop the hot entries: the concurrent runtime's pin ring still
-		// roots the last few allocations (DESIGN.md §11).
 		for i := range w.hot {
 			w.rt.ArrSetRef(w.arr, i, core.Nil)
 		}

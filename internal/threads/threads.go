@@ -28,6 +28,10 @@ func (f *Frame) Local(i int) vmheap.Ref { return f.locals[i] }
 // SetLocal stores a reference in slot i.
 func (f *Frame) SetLocal(i int, r vmheap.Ref) { f.locals[i] = r }
 
+// Slot returns the address of slot i, for a store made inside another
+// critical section than SetLocal's (an allocation that roots its object).
+func (f *Frame) Slot(i int) *vmheap.Ref { return &f.locals[i] }
+
 // NumLocals returns the slot count of the frame.
 func (f *Frame) NumLocals() int { return len(f.locals) }
 

@@ -55,10 +55,6 @@ func (t *Tracer) BeginIncremental() { t.incScan = true }
 // EndIncremental leaves incremental mode (the cycle completed).
 func (t *Tracer) EndIncremental() { t.incScan = false }
 
-// MarkDone reports whether the incremental mark phase has drained the
-// worklist.
-func (t *Tracer) MarkDone() bool { return len(t.stack) == 0 }
-
 // IncrementalSlice pops and scans up to budget objects, returning true when
 // the worklist is empty (marking complete). Close markers and objects the
 // write barrier already scanned are discarded without consuming budget.

@@ -3,7 +3,6 @@ package vmheap
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/telemetry"
 )
@@ -58,19 +57,7 @@ type Heap struct {
 	// default, and the published configuration — costs one predictable
 	// branch per emit point.
 	tele *telemetry.Recorder
-
-	// sweepEpoch counts Sweep passes, atomically so the
-	// runtime's lock-free bump-allocation path can stamp each allocation
-	// with the epoch it was born in. An allocation whose stamp still equals
-	// the current epoch cannot have been reclaimed, so the stamp certifies a
-	// Ref as pinnable at the next collection start (core's hidden-register
-	// roots).
-	sweepEpoch atomic.Uint64
 }
-
-// SweepEpoch returns the number of sweep passes ever started. Safe to read
-// without the runtime lock.
-func (h *Heap) SweepEpoch() uint64 { return h.sweepEpoch.Load() }
 
 // numExactBins is the number of exact-size free-list bins. Bin i serves
 // chunks of (i+1)*2 words, so exact bins cover sizes 2..64 words.

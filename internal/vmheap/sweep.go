@@ -39,9 +39,6 @@ type SweepOptions struct {
 // Sweep assumes a trace has just run: surviving objects have FlagMark set.
 func (h *Heap) Sweep(opts SweepOptions) SweepStats {
 	h.AssertNoBuffers("Sweep")
-	// Bumped before any reclamation so an allocation stamped with the old
-	// epoch is never mistaken for one this pass provably left alive.
-	h.sweepEpoch.Add(1)
 	start := h.tele.Begin(telemetry.PhaseSweep)
 	h.resetFreeLists()
 	st := h.reclaim(opts)

@@ -46,7 +46,7 @@ func (w *dbWL) Setup(rt *core.Runtime, th *core.Thread) {
 	w.eKey = w.entry.MustFieldIndex("key")
 
 	w.database = rt.AddGlobal("db.database")
-	w.database.Set(w.kit.NewList(th))
+	setNew(th, w.database, w.kit.NewList)
 	for i := 0; i < dbEntries; i++ {
 		w.addEntry(rt, th)
 	}

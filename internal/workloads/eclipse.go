@@ -45,8 +45,7 @@ func (w *eclipse) Setup(rt *core.Runtime, th *core.Thread) {
 	w.sKind = w.symbol.MustFieldIndex("kind")
 
 	w.workspace = rt.AddGlobal("eclipse.workspace")
-	ws := w.kit.NewMap(th)
-	w.workspace.Set(ws)
+	setNew(th, w.workspace, w.kit.NewMap)
 	for i := 0; i < eclipseFiles; i++ {
 		w.indexFile(rt, th, w.nextFile)
 		w.nextFile++
@@ -58,8 +57,7 @@ func (w *eclipse) Setup(rt *core.Runtime, th *core.Thread) {
 func (w *eclipse) indexFile(rt *core.Runtime, th *core.Thread, file int64) {
 	f := th.PushFrame(2)
 	defer th.PopFrame()
-	list := w.kit.NewList(th)
-	f.SetLocal(0, list)
+	w.kit.NewList(f, 0)
 	for s := 0; s < eclipseSymsPerFile; s++ {
 		name := th.NewString(sentence(w.r, 2))
 		f.SetLocal(1, name)

@@ -46,7 +46,7 @@ func (w *hsqldb) Setup(rt *core.Runtime, th *core.Thread) {
 	w.rScore = w.row.MustFieldIndex("score")
 
 	w.table = rt.AddGlobal("hsqldb.table")
-	w.table.Set(w.kit.NewTree(th))
+	setNew(th, w.table, w.kit.NewTree)
 	for i := 0; i < hsqldbRows; i++ {
 		w.insertRow(rt, th)
 	}

@@ -54,7 +54,7 @@ func (w *javac) Setup(rt *core.Runtime, th *core.Thread) {
 	w.nSym = w.node.MustFieldIndex("sym")
 
 	w.symtab = rt.AddGlobal("javac.symtab")
-	w.symtab.Set(w.kit.NewMap(th))
+	setNew(th, w.symtab, w.kit.NewMap)
 }
 
 // declare interns a symbol, evicting old ones past the cap.

@@ -52,7 +52,7 @@ func (w *jess) Setup(rt *core.Runtime, th *core.Thread) {
 	w.tNext = w.token.MustFieldIndex("next")
 
 	w.wm = rt.AddGlobal("jess.wm")
-	w.wm.Set(w.kit.NewList(th))
+	setNew(th, w.wm, w.kit.NewList)
 }
 
 func (w *jess) Iterate(rt *core.Runtime, th *core.Thread) {

@@ -46,7 +46,7 @@ func (w *luindex) Setup(rt *core.Runtime, th *core.Thread) {
 
 	// term id -> ArrayList of postings.
 	w.index = rt.AddGlobal("luindex.index")
-	w.index.Set(w.kit.NewMap(th))
+	setNew(th, w.index, w.kit.NewMap)
 }
 
 func (w *luindex) Iterate(rt *core.Runtime, th *core.Thread) {
@@ -65,9 +65,9 @@ func (w *luindex) Iterate(rt *core.Runtime, th *core.Thread) {
 		for term, freq := range freqs {
 			list, ok := w.kit.MapGet(idx, term)
 			if !ok {
-				list = w.kit.NewList(th)
-				w.kit.MapPut(th, idx, term, list)
-				list, _ = w.kit.MapGet(idx, term)
+				f := th.PushFrame(1)
+				w.kit.MapPut(th, idx, term, w.kit.NewList(f, 0))
+				th.PopFrame()
 			}
 			f := th.PushFrame(1)
 			p := th.New(w.posting)

@@ -47,7 +47,7 @@ func (w *lusearchWL) Setup(rt *core.Runtime, th *core.Thread) {
 
 	w.terms = int64(len(words) * 6)
 	w.index = rt.AddGlobal("lusearch.index")
-	w.index.Set(w.kit.NewMap(th))
+	setNew(th, w.index, w.kit.NewMap)
 	idx := w.index.Get()
 
 	// Build the fixed index: each doc contributes a handful of terms.
@@ -56,8 +56,9 @@ func (w *lusearchWL) Setup(rt *core.Runtime, th *core.Thread) {
 			term := int64(w.r.Int63n(w.terms))
 			list, ok := w.kit.MapGet(idx, term)
 			if !ok {
-				list = w.kit.NewList(th)
-				w.kit.MapPut(th, idx, term, list)
+				f := th.PushFrame(1)
+				w.kit.MapPut(th, idx, term, w.kit.NewList(f, 0))
+				th.PopFrame()
 			}
 			f := th.PushFrame(1)
 			h := th.New(w.hit)
@@ -90,8 +91,7 @@ func (w *lusearchWL) Iterate(rt *core.Runtime, th *core.Thread) {
 		})
 
 		f := th.PushFrame(2)
-		results := w.kit.NewList(th)
-		f.SetLocal(0, results)
+		w.kit.NewList(f, 0)
 		w.kit.ListEach(l1, func(_ int, h core.Ref) {
 			if docs2[rt.GetInt(h, w.hDoc)] {
 				// Materialize a fresh scored hit for the result set.

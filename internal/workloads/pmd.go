@@ -55,7 +55,7 @@ func (w *pmd) Setup(rt *core.Runtime, th *core.Thread) {
 	w.fRule = w.finding.MustFieldIndex("rule")
 
 	w.report = rt.AddGlobal("pmd.report")
-	w.report.Set(w.kit.NewList(th))
+	setNew(th, w.report, w.kit.NewList)
 }
 
 func (w *pmd) buildAST(rt *core.Runtime, th *core.Thread, depth int) core.Ref {

@@ -49,9 +49,7 @@ func (w *pseudojbbWL) Setup(rt *core.Runtime, th *core.Thread) {
 	w.warehouses.Set(districts)
 	for d := 0; d < pjbbDistricts; d++ {
 		f := th.PushFrame(1)
-		tree := w.kit.NewTree(th)
-		f.SetLocal(0, tree)
-		rt.ArrSetRef(districts, d, f.Local(0))
+		rt.ArrSetRef(districts, d, w.kit.NewTree(f, 0))
 		th.PopFrame()
 	}
 	// Warm the order tables to their steady-state size.

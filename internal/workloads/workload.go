@@ -38,6 +38,14 @@ type Workload interface {
 	Iterate(rt *core.Runtime, th *core.Thread)
 }
 
+// setNew allocates a container with newIn into the global g, rooted in a
+// frame of th until it is stored.
+func setNew(th *core.Thread, g *core.Global, newIn func(f *core.Frame, i int) core.Ref) {
+	f := th.PushFrame(1)
+	g.Set(newIn(f, 0))
+	th.PopFrame()
+}
+
 // Factory creates a fresh workload instance (workloads are stateful and
 // bound to one runtime after Setup).
 type Factory func() Workload

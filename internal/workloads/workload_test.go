@@ -44,10 +44,14 @@ func TestFactoriesReturnFreshInstances(t *testing.T) {
 	}
 }
 
-// runWorkload executes setup plus a few iterations in the given mode and
-// returns the runtime for inspection.
+// runWorkload executes setup plus a few iterations in the given mode (one
+// under -short, as make torture runs) and returns the runtime for
+// inspection.
 func runWorkload(t *testing.T, f Factory, mode core.Mode, iters int) *core.Runtime {
 	t.Helper()
+	if testing.Short() {
+		iters = 1
+	}
 	w := f()
 	rt := core.New(core.Config{HeapWords: w.HeapWords(), Mode: mode})
 	th := rt.MainThread()
@@ -94,6 +98,9 @@ func TestWorkloadsProvokeGC(t *testing.T) {
 	// Across several iterations every workload's allocation volume must
 	// exceed its heap, so automatic collections run — otherwise Figures
 	// 2/3 would measure nothing.
+	if testing.Short() {
+		t.Skip("allocates past every workload's heap")
+	}
 	for _, f := range Suite() {
 		f := f
 		t.Run(f().Name(), func(t *testing.T) {
