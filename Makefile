@@ -27,10 +27,11 @@ bench:
 # runtimes against the shadow model (TestOracle*), the core fuzzers' seed
 # corpora, and the comparer's own test (TestCompareSeesEveryField). Beside them:
 # the ArrayList over the range accessors vs a Go-slice model (TestListModel),
-# the range accessors' contract and barrier tests, and minidb's Find against a
-# model of its live keys (TestFindModel).
+# the B-tree vs a sorted Go model (TestTreeModel), the range accessors'
+# contract and barrier tests (reference and data arrays), and minidb's Find
+# against a model of its live keys (TestFindModel).
 difftest:
-	go test -race -run 'Differential|TestOracle|TestAllocBuffer|TestTelemetry|TestCompareSeesEveryField|FuzzIncrementalBarrier|FuzzAllocBuffer|FuzzConcurrentPacer|TestSoloContract|TestListModel|TestRangeAccessors|TestArrCopyRefs|TestGatherData|TestFindModel' ./internal/...
+	go test -race -run 'Differential|TestOracle|TestAllocBuffer|TestTelemetry|TestCompareSeesEveryField|FuzzIncrementalBarrier|FuzzAllocBuffer|FuzzConcurrentPacer|TestSoloContract|TestListModel|TestTreeModel|TestRangeAccessors|TestArrCopyRefs|TestGatherData|TestFindModel' ./internal/...
 
 # The GC-torture build (DESIGN.md §11): every allocation, and on a shared
 # runtime every accessor, frame, global and string call, runs a side trace

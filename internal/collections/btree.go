@@ -45,39 +45,67 @@ func (k *Kit) newNode(f *core.Frame, slot int, leaf bool) core.Ref {
 	return n
 }
 
-// Node accessors.
+// Node accessors. Single keys, values and children go through the
+// per-element accessors; a node's key search reads all its keys with one
+// ArrReadData, and every shift moves its range with one ArrCopyData (keys) or
+// ArrCopyRefs (values, children).
 
-func (k *Kit) nN(n core.Ref) int       { return int(k.rt.GetInt(n, k.nodeN)) }
-func (k *Kit) nSetN(n core.Ref, v int) { k.rt.SetInt(n, k.nodeN, int64(v)) }
-func (k *Kit) nLeaf(n core.Ref) bool   { return k.rt.GetInt(n, k.nodeLeaf) != 0 }
+func (k *Kit) nN(n core.Ref) int         { return int(k.rt.GetInt(n, k.nodeN)) }
+func (k *Kit) nSetN(n core.Ref, v int)   { k.rt.SetInt(n, k.nodeN, int64(v)) }
+func (k *Kit) nLeaf(n core.Ref) bool     { return k.rt.GetInt(n, k.nodeLeaf) != 0 }
+func (k *Kit) nKeys(n core.Ref) core.Ref { return k.rt.GetRef(n, k.nodeKeys) }
+func (k *Kit) nVals(n core.Ref) core.Ref { return k.rt.GetRef(n, k.nodeVals) }
+func (k *Kit) nKids(n core.Ref) core.Ref { return k.rt.GetRef(n, k.nodeChildren) }
 func (k *Kit) nKey(n core.Ref, i int) int64 {
-	return int64(k.rt.ArrGetData(k.rt.GetRef(n, k.nodeKeys), i))
+	return int64(k.rt.ArrGetData(k.nKeys(n), i))
 }
 func (k *Kit) nSetKey(n core.Ref, i int, key int64) {
-	k.rt.ArrSetData(k.rt.GetRef(n, k.nodeKeys), i, uint64(key))
+	k.rt.ArrSetData(k.nKeys(n), i, uint64(key))
 }
 func (k *Kit) nVal(n core.Ref, i int) core.Ref {
-	return k.rt.ArrGetRef(k.rt.GetRef(n, k.nodeVals), i)
+	return k.rt.ArrGetRef(k.nVals(n), i)
 }
 func (k *Kit) nSetVal(n core.Ref, i int, v core.Ref) {
-	k.rt.ArrSetRef(k.rt.GetRef(n, k.nodeVals), i, v)
+	k.rt.ArrSetRef(k.nVals(n), i, v)
 }
 func (k *Kit) nChild(n core.Ref, i int) core.Ref {
-	return k.rt.ArrGetRef(k.rt.GetRef(n, k.nodeChildren), i)
+	return k.rt.ArrGetRef(k.nKids(n), i)
 }
 func (k *Kit) nSetChild(n core.Ref, i int, c core.Ref) {
-	k.rt.ArrSetRef(k.rt.GetRef(n, k.nodeChildren), i, c)
+	k.rt.ArrSetRef(k.nKids(n), i, c)
+}
+
+// search returns node x's key count n and the index i of the first of its
+// keys not below key, and whether that key equals key. Keys are data, so the
+// stack buffer holds no reference (DESIGN.md §11).
+func (k *Kit) search(x core.Ref, key int64) (i, n int, found bool) {
+	var buf [btreeMaxKeys]uint64
+	n = k.nN(x)
+	k.rt.ArrReadData(k.nKeys(x), 0, buf[:n])
+	for i < n && key > int64(buf[i]) {
+		i++
+	}
+	return i, n, i < n && key == int64(buf[i])
+}
+
+// moveEntries moves n keys and values from index si of node src to index di
+// of node dst; src and dst may be one node and the ranges may overlap.
+func (k *Kit) moveEntries(dst core.Ref, di int, src core.Ref, si, n int) {
+	k.rt.ArrCopyData(k.nKeys(dst), di, k.nKeys(src), si, n)
+	k.rt.ArrCopyRefs(k.nVals(dst), di, k.nVals(src), si, n)
+}
+
+// moveKids moves n children the same way.
+func (k *Kit) moveKids(dst core.Ref, di int, src core.Ref, si, n int) {
+	k.rt.ArrCopyRefs(k.nKids(dst), di, k.nKids(src), si, n)
 }
 
 // TreeGet returns the value for key and whether it is present.
 func (k *Kit) TreeGet(tree core.Ref, key int64) (core.Ref, bool) {
 	x := k.rt.GetRef(tree, k.treeRoot)
 	for x != core.Nil {
-		i, n := 0, k.nN(x)
-		for i < n && key > k.nKey(x, i) {
-			i++
-		}
-		if i < n && key == k.nKey(x, i) {
+		i, _, found := k.search(x, key)
+		if found {
 			return k.nVal(x, i), true
 		}
 		if k.nLeaf(x) {
@@ -86,6 +114,21 @@ func (k *Kit) TreeGet(tree core.Ref, key int64) (core.Ref, bool) {
 		x = k.nChild(x, i)
 	}
 	return core.Nil, false
+}
+
+// TreeFirst returns the smallest key and its value, and false when the tree
+// is empty. It follows the leftmost children down to a leaf, so it visits one
+// node per level. The value is a Go-held reference, like TreeGet's.
+func (k *Kit) TreeFirst(tree core.Ref) (key int64, val core.Ref, ok bool) {
+	x := k.rt.GetRef(tree, k.treeRoot)
+	if x == core.Nil {
+		return 0, core.Nil, false
+	}
+	// TreeRemove drops an emptied root, so every node here holds a key.
+	for !k.nLeaf(x) {
+		x = k.nChild(x, 0)
+	}
+	return k.nKey(x, 0), k.nVal(x, 0), true
 }
 
 // TreePut inserts or replaces the mapping for key. th supplies the
@@ -116,53 +159,23 @@ func (k *Kit) TreePut(th *core.Thread, tree core.Ref, key int64, val core.Ref) {
 	if k.insertNonFull(f, root, key) {
 		rt.SetInt(tree, k.treeSize, rt.GetInt(tree, k.treeSize)+1)
 	}
-	// insertNonFull placed the key; store the value by a final search so
-	// the value reference never needs to travel through the split logic.
-	tree = f.Local(0)
-	k.treeSetExisting(tree, key, f.Local(1))
 }
 
-// treeSetExisting overwrites the value of an existing key.
-func (k *Kit) treeSetExisting(tree core.Ref, key int64, val core.Ref) {
-	x := k.rt.GetRef(tree, k.treeRoot)
-	for x != core.Nil {
-		i, n := 0, k.nN(x)
-		for i < n && key > k.nKey(x, i) {
-			i++
-		}
-		if i < n && key == k.nKey(x, i) {
-			k.nSetVal(x, i, val)
-			return
-		}
-		if k.nLeaf(x) {
-			break
-		}
-		x = k.nChild(x, i)
-	}
-	panic("collections: TreePut lost its key")
-}
-
-// insertNonFull descends to a leaf inserting key (with a Nil value slot),
-// splitting full children on the way down. It reports whether the key was
-// newly inserted (false: already present).
+// insertNonFull descends to a leaf inserting key, splitting full children on
+// the way down, and stores the value rooted in f's slot 1 wherever it places
+// or finds the key. It reports whether the key was newly inserted (false:
+// already present, its value replaced).
 func (k *Kit) insertNonFull(f *core.Frame, x core.Ref, key int64) bool {
 	for {
-		n := k.nN(x)
-		// Replace if present in this node.
-		i := 0
-		for i < n && key > k.nKey(x, i) {
-			i++
-		}
-		if i < n && key == k.nKey(x, i) {
+		i, n, found := k.search(x, key)
+		if found {
+			k.nSetVal(x, i, f.Local(1))
 			return false
 		}
 		if k.nLeaf(x) {
-			for j := n; j > i; j-- {
-				k.nSetKey(x, j, k.nKey(x, j-1))
-				k.nSetVal(x, j, k.nVal(x, j-1))
-			}
+			k.moveEntries(x, i+1, x, i, n-i)
 			k.nSetKey(x, i, key)
-			k.nSetVal(x, i, core.Nil)
+			k.nSetVal(x, i, f.Local(1))
 			k.nSetN(x, n+1)
 			return true
 		}
@@ -173,10 +186,10 @@ func (k *Kit) insertNonFull(f *core.Frame, x core.Ref, key int64) bool {
 			k.splitChild(f, x, i)
 			x = f.Local(2)
 			// The median moved up into x at position i.
-			if key == k.nKey(x, i) {
+			if median := k.nKey(x, i); key == median {
+				k.nSetVal(x, i, f.Local(1))
 				return false
-			}
-			if key > k.nKey(x, i) {
+			} else if key > median {
 				i++
 			}
 			child = k.nChild(x, i)
@@ -194,16 +207,15 @@ func (k *Kit) splitChild(f *core.Frame, x core.Ref, i int) {
 	x = f.Local(2) // re-read after allocation (non-moving, but keep the idiom)
 	y = k.nChild(x, i)
 
-	// Move the top T-1 keys/values of y into z.
-	for j := 0; j < btreeT-1; j++ {
-		k.nSetKey(z, j, k.nKey(y, j+btreeT))
-		k.nSetVal(z, j, k.nVal(y, j+btreeT))
-		k.nSetVal(y, j+btreeT, core.Nil)
+	// Move the top T-1 keys/values (and T children) of y into z.
+	k.moveEntries(z, 0, y, btreeT, btreeT-1)
+	for j := btreeT; j < btreeMaxKeys; j++ {
+		k.nSetVal(y, j, core.Nil)
 	}
 	if !k.nLeaf(y) {
-		for j := 0; j < btreeT; j++ {
-			k.nSetChild(z, j, k.nChild(y, j+btreeT))
-			k.nSetChild(y, j+btreeT, core.Nil)
+		k.moveKids(z, 0, y, btreeT, btreeT)
+		for j := btreeT; j < btreeMaxKids; j++ {
+			k.nSetChild(y, j, core.Nil)
 		}
 	}
 	k.nSetN(z, btreeT-1)
@@ -211,14 +223,9 @@ func (k *Kit) splitChild(f *core.Frame, x core.Ref, i int) {
 
 	// Shift x's children and keys right and adopt the median.
 	n := k.nN(x)
-	for j := n; j > i; j-- {
-		k.nSetChild(x, j+1, k.nChild(x, j))
-	}
+	k.moveKids(x, i+2, x, i+1, n-i)
 	k.nSetChild(x, i+1, z)
-	for j := n - 1; j >= i; j-- {
-		k.nSetKey(x, j+1, k.nKey(x, j))
-		k.nSetVal(x, j+1, k.nVal(x, j))
-	}
+	k.moveEntries(x, i+1, x, i, n-i)
 	k.nSetKey(x, i, k.nKey(y, btreeT-1))
 	k.nSetVal(x, i, k.nVal(y, btreeT-1))
 	k.nSetVal(y, btreeT-1, core.Nil)
@@ -273,19 +280,12 @@ func (k *Kit) TreeRemove(tree core.Ref, key int64) bool {
 // deleteFrom implements CLRS B-tree deletion; x has at least btreeT keys
 // unless it is the root.
 func (k *Kit) deleteFrom(x core.Ref, key int64) bool {
-	n := k.nN(x)
-	i := 0
-	for i < n && key > k.nKey(x, i) {
-		i++
-	}
+	i, n, found := k.search(x, key)
 
-	if i < n && key == k.nKey(x, i) {
+	if found {
 		if k.nLeaf(x) {
 			// Case 1: present in a leaf.
-			for j := i; j < n-1; j++ {
-				k.nSetKey(x, j, k.nKey(x, j+1))
-				k.nSetVal(x, j, k.nVal(x, j+1))
-			}
+			k.moveEntries(x, i, x, i+1, n-1-i)
 			k.nSetVal(x, n-1, core.Nil)
 			k.nSetN(x, n-1)
 			return true
@@ -348,14 +348,9 @@ func (k *Kit) fixChild(x core.Ref, i int) int {
 		left := k.nChild(x, i-1)
 		ln := k.nN(left)
 		cn := k.nN(child)
-		for j := cn; j > 0; j-- {
-			k.nSetKey(child, j, k.nKey(child, j-1))
-			k.nSetVal(child, j, k.nVal(child, j-1))
-		}
+		k.moveEntries(child, 1, child, 0, cn)
 		if !k.nLeaf(child) {
-			for j := cn + 1; j > 0; j-- {
-				k.nSetChild(child, j, k.nChild(child, j-1))
-			}
+			k.moveKids(child, 1, child, 0, cn+1)
 			k.nSetChild(child, 0, k.nChild(left, ln))
 			k.nSetChild(left, ln, core.Nil)
 		}
@@ -377,17 +372,12 @@ func (k *Kit) fixChild(x core.Ref, i int) int {
 		k.nSetVal(child, cn, k.nVal(x, i))
 		if !k.nLeaf(child) {
 			k.nSetChild(child, cn+1, k.nChild(right, 0))
-			for j := 0; j < rn; j++ {
-				k.nSetChild(right, j, k.nChild(right, j+1))
-			}
+			k.moveKids(right, 0, right, 1, rn)
 			k.nSetChild(right, rn, core.Nil)
 		}
 		k.nSetKey(x, i, k.nKey(right, 0))
 		k.nSetVal(x, i, k.nVal(right, 0))
-		for j := 0; j < rn-1; j++ {
-			k.nSetKey(right, j, k.nKey(right, j+1))
-			k.nSetVal(right, j, k.nVal(right, j+1))
-		}
+		k.moveEntries(right, 0, right, 1, rn-1)
 		k.nSetVal(right, rn-1, core.Nil)
 		k.nSetN(right, rn-1)
 		k.nSetN(child, cn+1)
@@ -409,26 +399,16 @@ func (k *Kit) mergeChildren(x core.Ref, i int) {
 
 	k.nSetKey(left, ln, k.nKey(x, i))
 	k.nSetVal(left, ln, k.nVal(x, i))
-	for j := 0; j < rn; j++ {
-		k.nSetKey(left, ln+1+j, k.nKey(right, j))
-		k.nSetVal(left, ln+1+j, k.nVal(right, j))
-	}
+	k.moveEntries(left, ln+1, right, 0, rn)
 	if !k.nLeaf(left) {
-		for j := 0; j <= rn; j++ {
-			k.nSetChild(left, ln+1+j, k.nChild(right, j))
-		}
+		k.moveKids(left, ln+1, right, 0, rn+1)
 	}
 	k.nSetN(left, ln+1+rn)
 
 	// Remove the separator and the right child from x.
 	n := k.nN(x)
-	for j := i; j < n-1; j++ {
-		k.nSetKey(x, j, k.nKey(x, j+1))
-		k.nSetVal(x, j, k.nVal(x, j+1))
-	}
-	for j := i + 1; j < n; j++ {
-		k.nSetChild(x, j, k.nChild(x, j+1))
-	}
+	k.moveEntries(x, i, x, i+1, n-1-i)
+	k.moveKids(x, i+1, x, i+2, n-1-i)
 	k.nSetChild(x, n, core.Nil)
 	k.nSetVal(x, n-1, core.Nil)
 	k.nSetN(x, n-1)

@@ -449,58 +449,3 @@ func TestTreeRemoveAll(t *testing.T) {
 		t.Error("tree unusable after emptying")
 	}
 }
-
-// Property: the managed B-tree behaves exactly like a Go map under random
-// operations, across both sequential and random key patterns, with a small
-// heap forcing collections mid-operation.
-func TestPropertyTreeMatchesOracle(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		w := newWorld(t, 1<<14)
-		tree := w.global("tree", w.kit.NewTree)
-		oracle := map[int64]int64{}
-
-		for step := 0; step < 600; step++ {
-			key := int64(rng.Intn(200))
-			switch rng.Intn(4) {
-			case 0, 1:
-				v := rng.Int63n(1 << 32)
-				w.kit.TreePut(w.th, tree, key, w.value(v))
-				oracle[key] = v
-			case 2:
-				got, ok := w.kit.TreeGet(tree, key)
-				want, wok := oracle[key]
-				if ok != wok {
-					return false
-				}
-				if ok && w.valueOf(got) != want {
-					return false
-				}
-			case 3:
-				got := w.kit.TreeRemove(tree, key)
-				_, want := oracle[key]
-				if got != want {
-					return false
-				}
-				delete(oracle, key)
-			}
-		}
-		if w.kit.TreeLen(tree) != len(oracle) {
-			return false
-		}
-		// Full scan equivalence.
-		seen := 0
-		okAll := true
-		w.kit.TreeEach(tree, func(key int64, v core.Ref) {
-			want, ok := oracle[key]
-			if !ok || w.valueOf(v) != want {
-				okAll = false
-			}
-			seen++
-		})
-		return okAll && seen == len(oracle)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Error(err)
-	}
-}

@@ -15,6 +15,14 @@
 // reference an operation holds across an allocation is rooted in that frame
 // too, or reachable from a rooted container, the way a managed runtime uses
 // handles.
+//
+// Array work goes through core's range accessors where it spans more than one
+// element (DESIGN.md §14): the ArrayList's shifts, growth copy and block
+// scans, and the B-tree's node searches (one ArrReadData of a node's keys)
+// and key, value and child shifts (one ArrCopyData or ArrCopyRefs each).
+// TreeFirst reaches the smallest key down the left spine, one node per level,
+// and TreePut stores its value in the descent that places the key. The
+// HashMap and TreeEach still work element by element.
 package collections
 
 import "repro/internal/core"

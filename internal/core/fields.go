@@ -148,11 +148,11 @@ func (rt *Runtime) ArrSetData(arr Ref, i int, v uint64) {
 	rt.heap.SetArrayWord(arr, uint32(i), v)
 }
 
-// Range accessors: a block of reference elements moved or read, or one data
+// Range accessors: a block of array elements moved or read, or one data
 // field read from a block of objects, under one lock hold, one bounds check
-// per range and one barrier per destination array, where the per-element
-// accessors pay all three per element (what System.arraycopy is to a Java
-// loop of array stores).
+// per range and one barrier per destination reference array, where the
+// per-element accessors pay all three per element (what System.arraycopy is
+// to a Java loop of array stores).
 
 // ArrCopyRefs moves n elements from index si of the reference array src to
 // index di of the reference array dst, as memmove does: src and dst may be
@@ -167,8 +167,8 @@ func (rt *Runtime) ArrCopyRefs(dst Ref, di int, src Ref, si int, n int) {
 	} else if m != oneMutator {
 		defer rt.lockMu()()
 	}
-	rt.checkRefRange(dst, di, n)
-	rt.checkRefRange(src, si, n)
+	rt.checkRange(vmheap.KindRefArray, dst, di, n)
+	rt.checkRange(vmheap.KindRefArray, src, si, n)
 	if n == 0 {
 		return
 	}
@@ -194,10 +194,46 @@ func (rt *Runtime) ArrReadRefs(arr Ref, from int, buf []Ref) int {
 	} else if m != oneMutator {
 		defer rt.lockMu()()
 	}
-	rt.checkRefRange(arr, from, 0)
+	rt.checkRange(vmheap.KindRefArray, arr, from, 0)
 	n := min(len(buf), int(rt.heap.ArrayLen(arr))-from)
 	for j := range buf[:n] {
 		buf[j] = Ref(rt.heap.ArrayWord(arr, uint32(from+j)))
+	}
+	return n
+}
+
+// ArrCopyData is ArrCopyRefs for data arrays: it moves n words from index si
+// of src to index di of dst, memmove-style, and panics before the first word
+// moves with a FieldError unless both operands are data arrays and with an
+// IndexError when n is negative or either range runs past its array's end.
+// Data words hold no references, so no barrier runs.
+func (rt *Runtime) ArrCopyData(dst Ref, di int, src Ref, si int, n int) {
+	if m := rt.mutators.Load(); m == manyMutators {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+	} else if m != oneMutator {
+		defer rt.lockMu()()
+	}
+	rt.checkRange(vmheap.KindDataArray, dst, di, n)
+	rt.checkRange(vmheap.KindDataArray, src, si, n)
+	rt.heap.CopyArrayWords(dst, uint32(di), src, uint32(si), uint32(n))
+}
+
+// ArrReadData is ArrReadRefs for data arrays: it copies words of arr, from
+// index from on, into buf and returns how many it copied, len(buf) or the
+// rest of the array, whichever is shorter. It panics with a FieldError unless
+// arr is a data array and with an IndexError unless 0 <= from <= ArrLen(arr).
+func (rt *Runtime) ArrReadData(arr Ref, from int, buf []uint64) int {
+	if m := rt.mutators.Load(); m == manyMutators {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+	} else if m != oneMutator {
+		defer rt.lockMu()()
+	}
+	rt.checkRange(vmheap.KindDataArray, arr, from, 0)
+	n := min(len(buf), int(rt.heap.ArrayLen(arr))-from)
+	for j := range buf[:n] {
+		buf[j] = rt.heap.ArrayWord(arr, uint32(from+j))
 	}
 	return n
 }
@@ -221,15 +257,15 @@ func (rt *Runtime) GatherData(objs []Ref, off uint16, out []uint64) {
 	}
 }
 
-// checkRefRange panics unless arr is a reference array (FieldError: a Nil,
-// scalar or data-array operand — word 0 of the arena reads as a scalar
+// checkRange panics unless arr is an array of the given kind (FieldError: a
+// Nil, scalar or other-kind operand — word 0 of the arena reads as a scalar
 // header) and elements [i, i+n) lie inside it (IndexError, reporting the
 // bound that does not: i, else the range's end).
-func (rt *Runtime) checkRefRange(arr Ref, i, n int) {
+func (rt *Runtime) checkRange(kind vmheap.Kind, arr Ref, i, n int) {
 	if torture {
 		rt.checkPoison(arr)
 	}
-	if rt.heap.KindOf(arr) != vmheap.KindRefArray {
+	if rt.heap.KindOf(arr) != kind {
 		panic(&FieldError{Obj: arr})
 	}
 	size := int(rt.heap.ArrayLen(arr))
@@ -281,7 +317,8 @@ func (e *IndexError) Error() string {
 
 // FieldError is the panic value for a field access on a non-instance object
 // or at an offset outside the instance's fields, and for a range access
-// (ArrCopyRefs, ArrReadRefs; Off is 0) on anything but a reference array.
+// (ArrCopyRefs, ArrReadRefs, ArrCopyData, ArrReadData; Off is 0) on anything
+// but an array of the accessor's kind.
 type FieldError struct {
 	Obj Ref
 	Off uint16

@@ -161,6 +161,172 @@ func TestRangeAccessors(t *testing.T) {
 	})
 }
 
+// TestRangeAccessorsData is TestRangeAccessors for the data-array twins,
+// ArrCopyData and ArrReadData, in every locking regime: the same moves, the
+// same refusals before the first word is written and with no lock left held,
+// a reference array now among the operands of the wrong kind; and a move
+// inside an open cycle runs no barrier.
+func TestRangeAccessorsData(t *testing.T) {
+	eachRegime(t, func(t *testing.T, rt *Runtime) {
+		node := rt.DefineClass("DNode", DataField("id"))
+		th := rt.MainThread()
+		const size = 6
+		f := th.PushFrame(4)
+		f.NewDataArray(0, size)
+		f.NewDataArray(1, size)
+		f.NewRefArray(2, size)
+		f.New(3, node)
+		a, b, refs, scalar := f.Local(0), f.Local(1), f.Local(2), f.Local(3)
+		words := func(arr Ref) []uint64 {
+			out := make([]uint64, size)
+			for i := range out {
+				out[i] = rt.ArrGetData(arr, i)
+			}
+			return out
+		}
+		intact := []uint64{1, 2, 3, 4, 5, 6} // a as reset leaves it
+		reset := func() {
+			for i := 0; i < size; i++ {
+				rt.ArrSetData(a, i, uint64(i+1))
+				rt.ArrSetData(b, i, 0)
+			}
+		}
+
+		for _, c := range []struct {
+			name    string
+			dst     Ref
+			di      int
+			src     Ref
+			si, n   int
+			wantDst []uint64
+		}{
+			{name: "between arrays", dst: b, di: 1, src: a, si: 2, n: 3, wantDst: []uint64{0, 3, 4, 5, 0, 0}},
+			{name: "whole array", dst: b, src: a, n: size, wantDst: []uint64{1, 2, 3, 4, 5, 6}},
+			{name: "shift left (a B-tree delete)", dst: a, di: 1, src: a, si: 2, n: 4, wantDst: []uint64{1, 3, 4, 5, 6, 6}},
+			{name: "shift right (a B-tree insert)", dst: a, di: 2, src: a, si: 1, n: 4, wantDst: []uint64{1, 2, 2, 3, 4, 5}},
+			{name: "onto itself", dst: a, di: 1, src: a, si: 1, n: 5, wantDst: []uint64{1, 2, 3, 4, 5, 6}},
+			{name: "empty at the ends", dst: b, di: size, src: a, si: size, n: 0, wantDst: []uint64{0, 0, 0, 0, 0, 0}},
+			{name: "empty, shifting", dst: a, di: 1, src: a, si: 0, n: 0, wantDst: []uint64{1, 2, 3, 4, 5, 6}},
+		} {
+			reset()
+			rt.ArrCopyData(c.dst, c.di, c.src, c.si, c.n)
+			if got := words(c.dst); !reflect.DeepEqual(got, c.wantDst) {
+				t.Errorf("%s: dst = %v, want %v", c.name, got, c.wantDst)
+			}
+			if c.dst != a {
+				if got := words(a); !reflect.DeepEqual(got, intact) {
+					t.Errorf("%s: src changed to %v", c.name, got)
+				}
+			}
+		}
+
+		// Every refusal leaves both data arrays as reset built them and the
+		// reference array empty.
+		refused := func(name string, wantField bool, call func()) {
+			t.Helper()
+			reset()
+			func() {
+				defer func() {
+					t.Helper()
+					switch r := recover().(type) {
+					case *FieldError:
+						if !wantField {
+							t.Errorf("%s: FieldError, want IndexError", name)
+						}
+					case *IndexError:
+						if wantField {
+							t.Errorf("%s: IndexError, want FieldError", name)
+						}
+					default:
+						t.Errorf("%s: recovered %v, want a declared panic", name, r)
+					}
+				}()
+				call()
+			}()
+			assertUnlocked(t, rt)
+			if got := words(a); !reflect.DeepEqual(got, intact) {
+				t.Errorf("%s: a = %v after the refused call", name, got)
+			}
+			if got := words(b); !reflect.DeepEqual(got, make([]uint64, size)) {
+				t.Errorf("%s: b = %v after the refused call", name, got)
+			}
+			if got := rt.ArrGetRef(refs, 0); got != Nil {
+				t.Errorf("%s: the reference array was written", name)
+			}
+		}
+		for _, c := range []struct {
+			name      string
+			dst       Ref
+			di        int
+			src       Ref
+			si, n     int
+			wantField bool
+		}{
+			{name: "negative n", dst: b, src: a, n: -1},
+			{name: "negative di", dst: b, di: -1, src: a, n: 1},
+			{name: "negative si", dst: b, src: a, si: -1, n: 1},
+			{name: "past dst's end", dst: b, di: 4, src: a, n: 3},
+			{name: "past src's end", dst: b, src: a, si: 4, n: 3},
+			{name: "di past the end, n 0", dst: b, di: size + 1, src: a},
+			{name: "si past the end, n 0", dst: b, src: a, si: size + 1},
+			{name: "n overflows int", dst: b, di: 1, src: a, si: 1, n: int(^uint(0) >> 1)},
+			{name: "scalar dst", dst: scalar, src: a, n: 1, wantField: true},
+			{name: "scalar src", dst: b, src: scalar, n: 1, wantField: true},
+			{name: "reference-array dst", dst: refs, src: a, n: 1, wantField: true},
+			{name: "reference-array src", dst: b, src: refs, n: 1, wantField: true},
+			{name: "Nil dst", dst: Nil, src: a, n: 1, wantField: true},
+			{name: "Nil src", dst: b, src: Nil, n: 1, wantField: true},
+			{name: "Nil src, n 0", dst: b, src: Nil, wantField: true},
+		} {
+			refused("ArrCopyData "+c.name, c.wantField, func() {
+				rt.ArrCopyData(c.dst, c.di, c.src, c.si, c.n)
+			})
+		}
+
+		reset()
+		buf := make([]uint64, size+2)
+		for _, c := range []struct {
+			from, room int
+			want       []uint64
+		}{
+			{from: 0, room: size + 2, want: intact},
+			{from: 2, room: 3, want: intact[2:5]},
+			{from: 4, room: size, want: intact[4:]},
+			{from: size, room: 2, want: []uint64{}},
+			{from: 1, room: 0, want: []uint64{}},
+		} {
+			n := rt.ArrReadData(a, c.from, buf[:c.room])
+			if got := buf[:n]; !reflect.DeepEqual(got, c.want) {
+				t.Errorf("ArrReadData(from %d, room %d) = %v, want %v", c.from, c.room, got, c.want)
+			}
+		}
+		refused("ArrReadData negative from", false, func() { rt.ArrReadData(a, -1, buf) })
+		refused("ArrReadData from past the end", false, func() { rt.ArrReadData(a, size+1, buf) })
+		refused("ArrReadData scalar", true, func() { rt.ArrReadData(scalar, 0, buf) })
+		refused("ArrReadData reference array", true, func() { rt.ArrReadData(refs, 0, buf) })
+		refused("ArrReadData Nil", true, func() { rt.ArrReadData(Nil, 0, buf) })
+
+		if rt.pacer == nil {
+			return
+		}
+		if err := rt.StartGC(); err != nil {
+			t.Fatal(err)
+		}
+		if !rt.GCActive() {
+			t.Fatal("no cycle open after StartGC")
+		}
+		scans := rt.Stats().GC.BarrierScans
+		rt.ArrCopyData(a, 0, a, 1, size-1)
+		rt.ArrReadData(a, 0, buf)
+		if got := rt.Stats().GC.BarrierScans; got != scans {
+			t.Errorf("data moves in an open cycle ran the barrier: %d scans, was %d", got, scans)
+		}
+		if err := rt.FinishGC(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestGatherData is GatherData's contract in every locking regime and under
 // the concurrent collector: it reads what GetData reads, object by object, and
 // writes nothing past len(objs); an empty block reads nothing; a bad object

@@ -239,3 +239,49 @@ func pathContains(v *report.Violation, class string) bool {
 	}
 	return false
 }
+
+// TestCountedWorkPinned pins the heap work of a fixed run: the jbb_batch
+// configuration (4 warehouses, defects repaired, assert-ownedby and
+// assert-instances on, a 131072-word stop-the-world heap), the standard
+// transaction mix, a full drain and a final collection. The order tables'
+// speed may change; what they allocate, what the collector frees and what
+// the ownership check visits may not, so every figure here is exact.
+func TestCountedWorkPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the pinned figures need the full run, too slow for a side trace per allocation")
+	}
+	rt := core.New(core.Config{HeapWords: 131072, Mode: core.Infrastructure})
+	b := New(rt, Config{
+		Warehouses:             4,
+		ClearLastOrder:         true,
+		ClearOldCompany:        true,
+		AssertOwnedByOnAdd:     true,
+		AssertCompanySingleton: true,
+	})
+	b.RunTransactions(20000)
+	delivered := b.OrdersDelivered
+	b.DrainOrders()
+	if err := rt.GC(); err != nil {
+		t.Fatal(err)
+	}
+	st := rt.Stats()
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"orders created", uint64(b.OrdersCreated), 20000},
+		{"orders delivered by the mix", uint64(delivered), 18839},
+		{"orders delivered after the drain", uint64(b.OrdersDelivered), 20000},
+		{"allocations", st.Heap.TotalAllocs, 209343},
+		{"collections", st.GC.Collections, 15},
+		{"words freed", st.GC.FreedWords, 1241086},
+		{"ownees checked", st.GC.Trace.OwneesChecked, 13415},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	if vs := rt.Violations(); len(vs) != 0 {
+		t.Errorf("%d violations on the repaired benchmark, first:\n%s", len(vs), vs[0].Format())
+	}
+}

@@ -80,16 +80,10 @@ func (b *Benchmark) DeliveryTransaction(batch int) {
 
 	for n := 0; n < batch; n++ {
 		// Oldest order = smallest key.
-		var oldest int64 = -1
-		b.kit.TreeEach(table, func(key int64, _ core.Ref) {
-			if oldest < 0 {
-				oldest = key
-			}
-		})
-		if oldest < 0 {
+		oldest, order, ok := b.kit.TreeFirst(table)
+		if !ok {
 			return // table empty
 		}
-		order, _ := b.kit.TreeGet(table, oldest)
 		f := th.PushFrame(1)
 		f.SetLocal(0, order)
 
@@ -141,16 +135,10 @@ func (b *Benchmark) DrainOrders() {
 			d := rt.ArrGetRef(districts, di)
 			table := rt.GetRef(d, b.diTable)
 			for {
-				var oldest int64 = -1
-				b.kit.TreeEach(table, func(key int64, _ core.Ref) {
-					if oldest < 0 {
-						oldest = key
-					}
-				})
-				if oldest < 0 {
+				oldest, order, ok := b.kit.TreeFirst(table)
+				if !ok {
 					break
 				}
-				order, _ := b.kit.TreeGet(table, oldest)
 				f := b.th.PushFrame(1)
 				f.SetLocal(0, order)
 				if !b.cfg.LeakOrderTable {
