@@ -17,15 +17,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/cork"
 	"repro/internal/jbb"
-	"repro/internal/roots"
 	"repro/internal/staleness"
 	"repro/internal/trace"
 	"repro/internal/vmheap"
 )
 
 // buildGraphHeap constructs a random object graph: n nodes with two ref
-// fields wired to random targets, rooted at a handful of globals.
-func buildGraphHeap(n int) (*vmheap.Heap, *classes.Registry, *roots.Table) {
+// fields wired to random targets, rooted at a handful of global slots.
+func buildGraphHeap(n int) (*vmheap.Heap, *classes.Registry, [][]vmheap.Ref) {
 	reg := classes.NewRegistry()
 	node := reg.MustDefine("Node",
 		nil,
@@ -34,7 +33,7 @@ func buildGraphHeap(n int) (*vmheap.Heap, *classes.Registry, *roots.Table) {
 		classes.Field{Name: "v", Kind: classes.DataKind},
 	)
 	h := vmheap.New(n*8 + 1024)
-	gl := roots.NewTable()
+	gl := make([]vmheap.Ref, 8)
 	rng := rand.New(rand.NewSource(42))
 
 	refs := make([]vmheap.Ref, n)
@@ -53,10 +52,10 @@ func buildGraphHeap(n int) (*vmheap.Heap, *classes.Registry, *roots.Table) {
 			h.SetRefAt(r, bOff, refs[rng.Intn(n)])
 		}
 	}
-	for i := 0; i < 8; i++ {
-		gl.Add(string(rune('a' + i))).Set(refs[rng.Intn(n)])
+	for i := range gl {
+		gl[i] = refs[rng.Intn(n)]
 	}
-	return h, reg, gl
+	return h, reg, [][]vmheap.Ref{gl}
 }
 
 // BenchmarkAblationPathTracking compares the Base trace loop against the

@@ -213,8 +213,8 @@ func (e *Engine) CheckInstanceLimits() {
 // Nothing clears a mark bit before the sweep that follows this function.
 // DebugChecks verifies the implication per entry.
 func (e *Engine) PreSweep() {
-	for _, t := range e.threads.All() {
-		t.PurgeRegionQueues(e.marked)
+	if e.purgeRegions != nil {
+		e.purgeRegions(e.keep)
 	}
 
 	e.dying = e.dying[:0]

@@ -18,7 +18,6 @@ import (
 	"repro/internal/classes"
 	"repro/internal/report"
 	"repro/internal/sidetab"
-	"repro/internal/threads"
 	"repro/internal/trace"
 	"repro/internal/vmheap"
 )
@@ -43,8 +42,14 @@ type Stats struct {
 type Engine struct {
 	heap    *vmheap.Heap
 	reg     *classes.Registry
-	threads *threads.Set
 	handler report.Handler
+
+	// purgeRegions is the runtime's hook over its threads' open region
+	// queues: PreSweep hands it keep, so the queues drop the objects the
+	// sweep is about to free. keep is e.marked bound once. nil when nothing
+	// can open a region.
+	purgeRegions func(keep func(vmheap.Ref) bool)
+	keep         func(vmheap.Ref) bool
 
 	// Per-collection state (cycle.go), reset by BeginCycle: the cycle's
 	// sequence number, report deduplication sized by what was reported, and
@@ -82,17 +87,18 @@ type Engine struct {
 	stats Stats
 }
 
-// New creates an engine bound to the given heap, registry, thread set and
-// violation handler.
-func New(h *vmheap.Heap, reg *classes.Registry, ts *threads.Set, handler report.Handler) *Engine {
+// New creates an engine bound to the given heap, registry, region-queue purge
+// hook (may be nil) and violation handler.
+func New(h *vmheap.Heap, reg *classes.Registry, purgeRegions func(keep func(vmheap.Ref) bool), handler report.Handler) *Engine {
 	e := &Engine{
-		heap:     h,
-		reg:      reg,
-		threads:  ts,
-		handler:  handler,
-		ownerIdx: sidetab.NewIndex(),
-		ownees:   sidetab.NewIndex(),
+		heap:         h,
+		reg:          reg,
+		handler:      handler,
+		purgeRegions: purgeRegions,
+		ownerIdx:     sidetab.NewIndex(),
+		ownees:       sidetab.NewIndex(),
 	}
+	e.keep = e.marked
 	e.checks = trace.Checks{Dead: e.onDead, Shared: e.onShared, Unowned: e.onUnowned}
 	e.phase.Ownees = e.ownees
 	e.phase.Improper = e.onImproper
@@ -163,22 +169,16 @@ func (e *Engine) AssertInstances(c *classes.Class, limit int64, includeSubclasse
 	return nil
 }
 
-// StartRegion implements start-region() on the given thread.
-func (e *Engine) StartRegion(t *threads.Thread) {
-	t.StartRegion()
-	e.stats.RegionsStarted++
-}
+// StartRegion counts a start-region(); the thread that opened it keeps the
+// region's queue.
+func (e *Engine) StartRegion() { e.stats.RegionsStarted++ }
 
-// AssertAllDead implements assert-alldead(): every object allocated in the
-// innermost region bracket is asserted dead (the paper implements it by
-// "calling assert-dead on each object in the queue"). Objects recorded in
+// AssertAllDead implements assert-alldead() on a closed region's queue: every
+// object allocated in the bracket is asserted dead (the paper implements it
+// by "calling assert-dead on each object in the queue"). Objects recorded in
 // the queue that died during an intervening GC were purged by the collector
 // and are correctly absent.
-func (e *Engine) AssertAllDead(t *threads.Thread) error {
-	queue, err := t.EndRegion()
-	if err != nil {
-		return err
-	}
+func (e *Engine) AssertAllDead(queue []vmheap.Ref) {
 	e.stats.RegionsEnded++
 	for _, r := range queue {
 		if !e.heap.IsObject(r) {
@@ -189,7 +189,6 @@ func (e *Engine) AssertAllDead(t *threads.Thread) error {
 		e.heap.SetFlags(r, vmheap.FlagDead|vmheap.FlagRegion)
 		e.stats.DeadAsserts++
 	}
-	return nil
 }
 
 // AssertOwnedBy implements assert-ownedby(p, q): the ownee q must remain

@@ -1,11 +1,11 @@
 package assertions
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/classes"
 	"repro/internal/report"
-	"repro/internal/threads"
 	"repro/internal/trace"
 	"repro/internal/vmheap"
 )
@@ -14,9 +14,11 @@ import (
 type env struct {
 	h   *vmheap.Heap
 	reg *classes.Registry
-	ts  *threads.Set
 	rec *report.Recorder
-	e   *Engine
+	// queue stands for a thread's open region queue: the engine's purge
+	// hook filters it.
+	queue []vmheap.Ref
+	e     *Engine
 
 	node *classes.Class
 	next uint32
@@ -27,14 +29,18 @@ func newEnv(t testing.TB) *env {
 	e := &env{
 		h:   vmheap.New(1 << 14),
 		reg: classes.NewRegistry(),
-		ts:  threads.NewSet(),
 		rec: &report.Recorder{},
 	}
 	e.node = e.reg.MustDefine("Node", nil,
 		classes.Field{Name: "next", Kind: classes.RefKind})
 	e.next = uint32(e.node.MustFieldIndex("next"))
-	e.e = New(e.h, e.reg, e.ts, e.rec)
+	e.e = New(e.h, e.reg, e.purge, e.rec)
 	return e
+}
+
+// purge is the region-queue hook a runtime gives the engine.
+func (e *env) purge(keep func(vmheap.Ref) bool) {
+	e.queue = slices.DeleteFunc(e.queue, func(r vmheap.Ref) bool { return !keep(r) })
 }
 
 func (e *env) alloc(t testing.TB) vmheap.Ref {
@@ -202,13 +208,9 @@ func TestOnDeadActionCachedPerObject(t *testing.T) {
 
 func TestRegionViolationKind(t *testing.T) {
 	e := newEnv(t)
-	th := e.ts.New("main")
-	e.e.StartRegion(th)
+	e.e.StartRegion()
 	obj := e.alloc(t)
-	th.RecordRegionAlloc(obj)
-	if err := e.e.AssertAllDead(th); err != nil {
-		t.Fatal(err)
-	}
+	e.e.AssertAllDead([]vmheap.Ref{obj})
 	if e.h.Flags(obj, vmheap.FlagDead) == 0 {
 		t.Error("region object not marked dead")
 	}
@@ -258,20 +260,14 @@ func TestPreSweepPurgesDeadOwner(t *testing.T) {
 
 func TestPreSweepPurgesRegionQueues(t *testing.T) {
 	e := newEnv(t)
-	th := e.ts.New("main")
-	e.e.StartRegion(th)
+	e.e.StartRegion()
 	dying := e.alloc(t)
 	surviving := e.alloc(t)
-	th.RecordRegionAlloc(dying)
-	th.RecordRegionAlloc(surviving)
+	e.queue = []vmheap.Ref{dying, surviving}
 	e.h.SetFlags(surviving, vmheap.FlagMark)
 	e.e.PreSweep()
-	q, err := th.EndRegion()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(q) != 1 || q[0] != surviving {
-		t.Errorf("queue after purge = %v", q)
+	if len(e.queue) != 1 || e.queue[0] != surviving {
+		t.Errorf("queue after purge = %v", e.queue)
 	}
 }
 

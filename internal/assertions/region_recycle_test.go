@@ -17,16 +17,12 @@ import (
 // sweep needs to cooperate.
 func TestRecycledRefDoesNotInheritRegionStanding(t *testing.T) {
 	e := newEnv(t)
-	th := e.ts.New("main")
 
 	// Region bracket around one allocation; assert-alldead gives the object
 	// region standing and the dead bit.
-	e.e.StartRegion(th)
+	e.e.StartRegion()
 	old := e.alloc(t)
-	th.RecordRegionAlloc(old)
-	if err := e.e.AssertAllDead(th); err != nil {
-		t.Fatal(err)
-	}
+	e.e.AssertAllDead([]vmheap.Ref{old})
 
 	// The object is unreachable; a bare sweep — no PreSweep, no hook —
 	// reclaims it.
@@ -60,24 +56,17 @@ func TestRecycledRefDoesNotInheritRegionStanding(t *testing.T) {
 // must also drop any region standing recorded under that Ref.
 func TestAssertAllDeadSkipPathPurgesStaleEntry(t *testing.T) {
 	e := newEnv(t)
-	th := e.ts.New("main")
 
 	// First bracket: give obj region standing.
-	e.e.StartRegion(th)
+	e.e.StartRegion()
 	obj := e.alloc(t)
-	th.RecordRegionAlloc(obj)
-	if err := e.e.AssertAllDead(th); err != nil {
-		t.Fatal(err)
-	}
+	e.e.AssertAllDead([]vmheap.Ref{obj})
 
 	// Second bracket records the same Ref, but by the time assert-alldead
 	// runs the object has been reclaimed.
-	e.e.StartRegion(th)
-	th.RecordRegionAlloc(obj)
+	e.e.StartRegion()
 	e.h.Sweep(vmheap.SweepOptions{})
-	if err := e.e.AssertAllDead(th); err != nil {
-		t.Fatal(err)
-	}
+	e.e.AssertAllDead([]vmheap.Ref{obj})
 
 	fresh := e.alloc(t)
 	if fresh != obj {

@@ -12,7 +12,7 @@ const ListBlock = 64
 
 // NewList allocates an empty ArrayList into local slot i of f, on f's
 // thread, and returns it.
-func (k *Kit) NewList(f *core.Frame, i int) core.Ref {
+func (k *Kit) NewList(f core.Frame, i int) core.Ref {
 	th := f.Thread()
 	list := f.New(i, k.listClass)
 	tmp := th.PushFrame(1)
@@ -67,23 +67,23 @@ func (k *Kit) ListAdd(th *core.Thread, list core.Ref, val core.Ref) {
 // a caller that keeps the element while another mutator or the pacer may
 // collect uses ListRemoveAtInto.
 func (k *Kit) ListRemoveAt(list core.Ref, i int) core.Ref {
-	return k.listRemove(list, i, nil, 0)
+	return k.listRemove(list, i, core.Frame{}, 0)
 }
 
 // ListRemoveAtInto removes element i, storing it into f's local slot before
 // the shift unlinks it, so the element is reachable from the list or the
 // frame at every instant (DESIGN.md §11).
-func (k *Kit) ListRemoveAtInto(f *core.Frame, slot int, list core.Ref, i int) {
+func (k *Kit) ListRemoveAtInto(f core.Frame, slot int, list core.Ref, i int) {
 	k.listRemove(list, i, f, slot)
 }
 
-func (k *Kit) listRemove(list core.Ref, i int, f *core.Frame, slot int) core.Ref {
+func (k *Kit) listRemove(list core.Ref, i int, f core.Frame, slot int) core.Ref {
 	k.checkListIndex(list, i)
 	rt := k.rt
 	size := int(rt.GetInt(list, k.listSize))
 	data := rt.GetRef(list, k.listData)
 	out := rt.ArrGetRef(data, i)
-	if f != nil {
+	if f != (core.Frame{}) {
 		f.SetLocal(slot, out)
 	}
 	rt.ArrCopyRefs(data, i, data, i+1, size-1-i)

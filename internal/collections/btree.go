@@ -14,7 +14,7 @@ const (
 
 // NewTree allocates an empty longBTree into local slot i of f, on f's
 // thread, and returns it.
-func (k *Kit) NewTree(f *core.Frame, i int) core.Ref {
+func (k *Kit) NewTree(f core.Frame, i int) core.Ref {
 	return f.New(i, k.treeClass)
 }
 
@@ -27,7 +27,7 @@ func (k *Kit) TreeLen(tree core.Ref) int {
 // key and value arrays (and a children array when internal) into f's slot 4.
 // Each array is rooted there only until the node holds it, so every later
 // allocation meets the roots it would without the scratch slot.
-func (k *Kit) newNode(f *core.Frame, slot int, leaf bool) core.Ref {
+func (k *Kit) newNode(f core.Frame, slot int, leaf bool) core.Ref {
 	rt := k.rt
 	n := f.New(slot, k.nodeClass)
 	if leaf {
@@ -165,7 +165,7 @@ func (k *Kit) TreePut(th *core.Thread, tree core.Ref, key int64, val core.Ref) {
 // the way down, and stores the value rooted in f's slot 1 wherever it places
 // or finds the key. It reports whether the key was newly inserted (false:
 // already present, its value replaced).
-func (k *Kit) insertNonFull(f *core.Frame, x core.Ref, key int64) bool {
+func (k *Kit) insertNonFull(f core.Frame, x core.Ref, key int64) bool {
 	for {
 		i, n, found := k.search(x, key)
 		if found {
@@ -201,7 +201,7 @@ func (k *Kit) insertNonFull(f *core.Frame, x core.Ref, key int64) bool {
 // splitChild splits the full child at index i of x (x must be non-full).
 // x must be pinned by the caller in f slot 2; the new sibling is built in
 // f slot 3.
-func (k *Kit) splitChild(f *core.Frame, x core.Ref, i int) {
+func (k *Kit) splitChild(f core.Frame, x core.Ref, i int) {
 	y := k.nChild(x, i)
 	z := k.newNode(f, 3, k.nLeaf(y))
 	x = f.Local(2) // re-read after allocation (non-moving, but keep the idiom)

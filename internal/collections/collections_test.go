@@ -42,7 +42,7 @@ func (w *world) valueOf(r core.Ref) int64 { return w.rt.GetInt(r, w.vOff) }
 
 // global allocates a container with newIn into a fresh global root and
 // returns it.
-func (w *world) global(name string, newIn func(f *core.Frame, i int) core.Ref) core.Ref {
+func (w *world) global(name string, newIn func(f core.Frame, i int) core.Ref) core.Ref {
 	f := w.th.PushFrame(1)
 	defer w.th.PopFrame()
 	newIn(f, 0)

@@ -17,7 +17,7 @@ const (
 
 // NewMap allocates an empty HashMap into local slot i of f, on f's thread,
 // and returns it.
-func (k *Kit) NewMap(f *core.Frame, i int) core.Ref {
+func (k *Kit) NewMap(f core.Frame, i int) core.Ref {
 	th := f.Thread()
 	m := f.New(i, k.mapClass)
 	tmp := th.PushFrame(1)

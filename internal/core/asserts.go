@@ -1,6 +1,9 @@
 package core
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // ErrAssertionsDisabled is returned by every assertion entry point when the
 // runtime is in Base mode (the unmodified collector has no assertion
@@ -29,13 +32,15 @@ func (rt *Runtime) AssertDead(obj Ref) error {
 // AssertDead asserts the object in local slot i dead and clears the slot,
 // under one hold of the runtime lock: no collection sees the frame rooting
 // an object it must report unreachable (DESIGN.md §11).
-func (f *Frame) AssertDead(i int) error {
-	f.rt.mu.Lock()
-	defer f.rt.mu.Unlock()
-	if err := f.rt.assertDeadLocked(f.f.Local(i)); err != nil {
+func (f Frame) AssertDead(i int) error {
+	rt := f.t.rt
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	slot := f.at(i)
+	if err := rt.assertDeadLocked(*slot); err != nil {
 		return err
 	}
-	f.f.SetLocal(i, Nil)
+	*slot = Nil
 	return nil
 }
 
@@ -121,7 +126,8 @@ func (t *Thread) StartRegion() error {
 	// bracket (if any); record them there before the new bracket opens,
 	// then restart the batch for the new bracket.
 	t.flushRegionRecords()
-	t.rt.engine.StartRegion(t.th)
+	t.regions = append(t.regions, nil)
+	t.rt.engine.StartRegion()
 	if t.buf.Active() {
 		t.regionFrom = t.buf.Pos()
 	}
@@ -143,5 +149,12 @@ func (t *Thread) AssertAllDead() error {
 	// Buffered mode: the closing bracket's batched allocations must be in
 	// its queue before it is sealed.
 	t.flushRegionRecords()
-	return t.rt.engine.AssertAllDead(t.th)
+	n := len(t.regions)
+	if n == 0 {
+		return fmt.Errorf("core: assert-alldead on %s without start-region", t.name)
+	}
+	queue := t.regions[n-1]
+	t.regions = t.regions[:n-1]
+	t.rt.engine.AssertAllDead(queue)
+	return nil
 }

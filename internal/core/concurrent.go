@@ -29,7 +29,7 @@ import (
 //     slack × capacity, defaultAssistSlack) the assist completes the
 //     cycle instead, so mid-cycle heap growth is bounded by construction:
 //     the check and the allocation happen under one rt.mu hold, making the
-//     bound exact even with many mutator threads.
+//     bound exact however many mutator threads run.
 //
 //   - Forced transitions: StartGC, GCStep and FinishGC open, advance and
 //     complete a cycle by hand, and every operation that needs the heap

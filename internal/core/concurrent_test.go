@@ -152,7 +152,7 @@ type pacerFix struct {
 	rt      *Runtime
 	p       *gcPacer
 	th      *Thread
-	fr      *Frame
+	fr      Frame
 	node    *Class
 	nextOff uint16
 }

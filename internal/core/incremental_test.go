@@ -24,7 +24,7 @@ import (
 type incFix struct {
 	rt         *Runtime
 	th         *Thread
-	fr         *Frame
+	fr         Frame
 	node       *Class
 	aOff, bOff uint16
 	g          []*Global

@@ -48,7 +48,7 @@ func (rt *Runtime) ProbeReachable(obj Ref) (bool, []PathStep) {
 			return report.Continue
 		},
 	})
-	tr.TraceInfra(rt.rootSource())
+	tr.TraceInfra(rt.rootSpans())
 	rt.heap.ClearMarks(0)
 	if !hadDead {
 		rt.heap.ClearFlags(obj, vmheap.FlagDead)
@@ -89,7 +89,7 @@ func (rt *Runtime) ProbeInstanceCount(c *Class) int {
 	rt.flushAllocBuffers()
 
 	tr := trace.New(rt.heap, rt.reg)
-	tr.TraceBase(rt.rootSource())
+	tr.TraceBase(rt.rootSpans())
 	n := 0
 	rt.heap.Iterate(func(r Ref, hd uint64) {
 		if hd&vmheap.FlagMark != 0 && rt.heap.ClassID(r) == c.ID {

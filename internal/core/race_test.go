@@ -11,8 +11,8 @@ import (
 // goroutines — allocating, storing, asserting, and opening region brackets —
 // while the main goroutine forces collections. Its purpose is to give the
 // race detector (make race / the CI -race job) real concurrency to chew on:
-// multi-goroutine use of threads.Set and roots.Table through the runtime
-// lock, with violations reported while mutators run.
+// multi-goroutine use of the thread list, the slot stacks and the globals
+// through the runtime lock, with violations reported while mutators run.
 func TestConcurrentMutatorsUnderGC(t *testing.T) { concurrentMutatorsUnderGC(t, 0) }
 
 // TestConcurrentMutatorsUnderGCBuffered is the same chase with per-thread

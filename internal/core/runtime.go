@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -9,9 +10,7 @@ import (
 	"repro/internal/classes"
 	"repro/internal/gc"
 	"repro/internal/report"
-	"repro/internal/roots"
 	"repro/internal/telemetry"
-	"repro/internal/threads"
 	"repro/internal/vmheap"
 )
 
@@ -126,24 +125,25 @@ type Runtime struct {
 
 	heap      *vmheap.Heap
 	reg       *classes.Registry
-	threads   *threads.Set
-	globals   *roots.Table
 	engine    *assertions.Engine // nil in Base mode
 	collector *gc.MarkSweep
 	mode      Mode
 
-	rootSrc roots.Multi
+	// The roots (DESIGN.md §11): the globals, named by globalNames, and the
+	// slot stack of every thread, in creation order. spans is rootSpans'
+	// reused result.
+	globals     []Ref
+	globalNames []string
+	threads     []*Thread
+	spans       [][]Ref
 
 	recorder *report.Recorder
 	tele     *telemetry.Recorder // nil unless Config.Telemetry was set
 	main     *Thread
 
-	// Allocation-buffer mode (Config.AllocBuffers). allocBufWords is the
-	// per-thread buffer size in words (0 = direct allocation); allThreads
-	// lists every Thread so flushAllocBuffers can retire all outstanding
-	// buffers.
+	// allocBufWords is the per-thread allocation-buffer size in words
+	// (Config.AllocBuffers; 0 = direct allocation).
 	allocBufWords uint32
-	allThreads    []*Thread
 
 	// pacer is the cycle scheduler of a runtime with incremental full
 	// collections (Config.IncrementalBudget > 0; concurrent.go) and the sole
@@ -198,8 +198,35 @@ const errSoloContract = "core: concurrent use of a single-mutator runtime (a sec
 // solo reports whether the elided paths may skip their locks.
 func (rt *Runtime) solo() bool { return rt.mutators.Load() == oneMutator }
 
-// rootSource returns the aggregated root set (globals plus thread stacks).
-func (rt *Runtime) rootSource() roots.Source { return rt.rootSrc }
+// rootSpans returns the root set as slot spans: the globals, then each
+// thread's live stack slots[:top]. The collector reads them and, for a Force
+// action, nulls an entry in place. The result is reused by the next call.
+// Caller holds rt.mu (or is solo).
+func (rt *Runtime) rootSpans() [][]Ref {
+	spans := append(rt.spans[:0], rt.globals)
+	for _, t := range rt.threads {
+		spans = append(spans, t.slots[:t.top])
+	}
+	rt.spans = spans
+	return spans
+}
+
+// purgeRegionQueues drops from every open region queue the objects keep
+// rejects: the assertion engine's post-sweep hook, so no queue holds a Ref the
+// sweep frees (and a later allocation may reuse).
+func (rt *Runtime) purgeRegionQueues(keep func(Ref) bool) {
+	for _, t := range rt.threads {
+		for i, q := range t.regions {
+			kept := q[:0]
+			for _, r := range q {
+				if keep(r) {
+					kept = append(kept, r)
+				}
+			}
+			t.regions[i] = kept
+		}
+	}
+}
 
 // lockMu is the lock prologue of the paths the single-mutator regime elides —
 // a site reads `if !rt.solo() { defer rt.lockMu()() }`: a plain Lock once
@@ -250,14 +277,11 @@ func New(cfg Config) *Runtime {
 	}
 	rt := &Runtime{
 		reg:      classes.NewRegistry(),
-		threads:  threads.NewSet(),
-		globals:  roots.NewTable(),
 		mode:     cfg.Mode,
 		recorder: &report.Recorder{},
 	}
 	rt.unlockMu = rt.unlocker()
 	rt.heap = vmheap.New(cfg.HeapWords)
-	rt.rootSrc = roots.Multi{rt.globals, rt.threads}
 
 	if cfg.Telemetry != nil {
 		rt.tele = telemetry.New(*cfg.Telemetry)
@@ -275,10 +299,10 @@ func New(cfg Config) *Runtime {
 		if len(handlers) == 1 {
 			handler = rt.recorder
 		}
-		rt.engine = assertions.New(rt.heap, rt.reg, rt.threads, handler)
+		rt.engine = assertions.New(rt.heap, rt.reg, rt.purgeRegionQueues, handler)
 	}
 
-	rt.collector = gc.NewMarkSweep(rt.heap, rt.reg, rt.rootSrc, cfg.Mode, rt.engine)
+	rt.collector = gc.NewMarkSweep(rt.heap, rt.reg, rt.rootSpans, cfg.Mode, rt.engine)
 	rt.collector.IncrementalBudget = cfg.IncrementalBudget
 	rt.heap.SetTelemetry(rt.tele)
 	rt.collector.SetTelemetry(rt.tele)
@@ -287,8 +311,7 @@ func New(cfg Config) *Runtime {
 		rt.mutators.Store(oneMutatorChecked)
 	}
 
-	rt.main = &Thread{rt: rt, th: rt.threads.New("main")}
-	rt.allThreads = append(rt.allThreads, rt.main)
+	rt.main = rt.newThread("main")
 
 	if cfg.IncrementalBudget > 0 {
 		rt.pacer = newPacer(rt, cfg.gcTrigger, cfg.assistSlack)
@@ -310,7 +333,7 @@ func (rt *Runtime) flushAllocBuffers() {
 	if rt.allocBufWords == 0 {
 		return
 	}
-	for _, t := range rt.allThreads {
+	for _, t := range rt.threads {
 		t.flushBuffer()
 	}
 }
@@ -354,22 +377,36 @@ func (rt *Runtime) MainThread() *Thread { return rt.main }
 func (rt *Runtime) NewThread(name string) *Thread {
 	defer rt.lockMu()()
 	rt.share()
-	t := &Thread{rt: rt, th: rt.threads.New(name)}
-	rt.allThreads = append(rt.allThreads, t)
+	return rt.newThread(name)
+}
+
+// newThread makes a thread, whose stack rootSpans then scans; the caller
+// holds rt.mu (or is New).
+func (rt *Runtime) newThread(name string) *Thread {
+	t := &Thread{rt: rt, name: name}
+	rt.threads = append(rt.threads, t)
 	return t
 }
 
-// Global is a named static root.
+// Global is a named static root, the analog of a static field: an index into
+// the runtime's global table.
 type Global struct {
 	rt *Runtime
-	g  *roots.Global
+	i  int
 }
 
-// AddGlobal creates a named global root slot.
+// AddGlobal creates a named global root slot, holding Nil. It panics on a
+// duplicate name; globals are made during setup, where a duplicate is a
+// programming error.
 func (rt *Runtime) AddGlobal(name string) *Global {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return &Global{rt: rt, g: rt.globals.Add(name)}
+	if slices.Contains(rt.globalNames, name) {
+		panic(fmt.Sprintf("core: global %q already exists", name))
+	}
+	rt.globals = append(rt.globals, Nil)
+	rt.globalNames = append(rt.globalNames, name)
+	return &Global{rt: rt, i: len(rt.globals) - 1}
 }
 
 // Get returns the reference held by the global.
@@ -377,7 +414,7 @@ func (g *Global) Get() Ref {
 	if !g.rt.solo() {
 		defer g.rt.lockMu()()
 	}
-	return g.g.Get()
+	return g.rt.globals[g.i]
 }
 
 // Set stores a reference into the global.
@@ -385,7 +422,7 @@ func (g *Global) Set(r Ref) {
 	if !g.rt.solo() {
 		defer g.rt.lockMu()()
 	}
-	g.g.Set(r)
+	g.rt.globals[g.i] = r
 }
 
 // GC forces a full-heap collection. It completes an open cycle through the

@@ -754,7 +754,7 @@ func mutatorModel() func(seed int64) bool {
 
 // slotAliased reports whether the ref in slot i also appears in another
 // slot (shadow bookkeeping helper).
-func slotAliased(f *Frame, i, slots int) bool {
+func slotAliased(f Frame, i, slots int) bool {
 	r := f.Local(i)
 	for j := 0; j < slots; j++ {
 		if j != i && f.Local(j) == r {

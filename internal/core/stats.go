@@ -53,7 +53,7 @@ func (rt *Runtime) Stats() Snapshot {
 	// the snapshot is exact without forcing a retirement (Stats must not
 	// mutate the heap). The buffer spinlock excludes each owner's bump
 	// path, which runs outside rt.mu.
-	for _, t := range rt.allThreads {
+	for _, t := range rt.threads {
 		t.lockBuf()
 		if t.buf.Active() {
 			used := t.buf.UsedWords()
@@ -94,7 +94,9 @@ func (rt *Runtime) Classes() []*Class {
 func (rt *Runtime) EachGlobal(fn func(name string, r Ref)) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.globals.Each(fn)
+	for i, name := range rt.globalNames {
+		fn(name, rt.globals[i])
+	}
 }
 
 // KindOf reports the layout kind of the object at r: 0 scalar, 1 reference

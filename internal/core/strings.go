@@ -18,8 +18,8 @@ func (t *Thread) NewString(s string) Ref {
 
 // NewString allocates a managed copy of s into local slot i (Frame.New): the
 // payload is written before the slot is stored, in the same critical section.
-func (f *Frame) NewString(i int, s string) Ref {
-	return f.t.mustAlloc(vmheap.KindDataArray, classes.DataArrayClassID, stringWords(s), f.f.Slot(i), s)
+func (f Frame) NewString(i int, s string) Ref {
+	return f.t.mustAlloc(vmheap.KindDataArray, classes.DataArrayClassID, stringWords(s), f.at(i), s)
 }
 
 // stringWords is the data-array length that holds s.

@@ -6,19 +6,39 @@ import (
 	"sync/atomic"
 
 	"repro/internal/classes"
-	"repro/internal/threads"
 	"repro/internal/vmheap"
 )
 
-// Thread is a mutator thread: its frame locals are GC roots, and it carries
-// the per-thread region state of start-region / assert-alldead. Thread
-// methods may be called from any goroutine; a goroutine-per-Thread
-// structure mirrors a managed language's threads. A single Thread is
-// owned by one goroutine at a time, as in a managed language; Runtime
-// methods and other Threads may run concurrently with it.
+// Thread is a mutator thread: its stack of frame slots is part of the root
+// set, and it carries the per-thread region state of start-region /
+// assert-alldead. Thread methods may be called from any goroutine; a
+// goroutine-per-Thread structure mirrors the threads of a managed language. A
+// single Thread is owned by one goroutine at a time, as in a managed
+// language; Runtime methods and other Threads may run concurrently with it.
 type Thread struct {
-	rt *Runtime
-	th *threads.Thread
+	rt   *Runtime
+	name string
+
+	// The slot stack, one contiguous region as in a JVM thread (DESIGN.md
+	// §11). slots[:top] are the local slots of every pushed frame, bottom
+	// frame first, and are exactly this thread's roots: nothing above top is
+	// scanned, so a popped frame roots nothing. frames[d] is the base and the
+	// push stamp of the frame at depth d for d < depth; frames never shrinks,
+	// and a pop zeroes its depth's stamp. pushes numbers the pushes, so a
+	// stamp names one push. Only the owning goroutine changes the stack, under
+	// rt.mu unless solo; the root scan reads slots and top under rt.mu.
+	slots  []Ref
+	top    int
+	frames []frameMark
+	depth  int
+	pushes uint64
+
+	// regions are the open start-region brackets, innermost last, each the
+	// queue of objects this thread allocated inside it. The paper keeps one
+	// flag per thread; nested brackets generalize it (the innermost one
+	// receives allocations). allocs counts allocations not batched in buf.
+	regions [][]Ref
+	allocs  uint64
 
 	// Allocation-buffer mode (Config.AllocBuffers): buf is this thread's
 	// bump buffer, and regionFrom is the buffer position of the first
@@ -45,6 +65,12 @@ type Thread struct {
 	regionFrom uint32
 }
 
+// frameMark is one pushed frame's entry in Thread.frames.
+type frameMark struct {
+	base  int
+	stamp uint64 // the push that made the frame; 0 once it is popped
+}
+
 // lockBuf claims the buffer spinlock. Hold times are a handful of
 // nanoseconds (one bump or one fold), so spinning beats parking; Gosched
 // keeps a single-core scheduler from livelocking when the holder is
@@ -58,7 +84,7 @@ func (t *Thread) lockBuf() {
 func (t *Thread) unlockBuf() { t.bufMu.Store(0) }
 
 // Name returns the thread name.
-func (t *Thread) Name() string { return t.th.Name() }
+func (t *Thread) Name() string { return t.name }
 
 // OutOfMemoryError is the panic value raised when an allocation cannot be
 // satisfied even after a full collection — the analog of a JVM
@@ -75,46 +101,87 @@ func (e *OutOfMemoryError) Error() string {
 		e.RequestWords, e.LiveWords, e.HeapWords)
 }
 
-// Frame is an activation record whose local slots are GC roots.
+// Frame is a handle on one activation record: n local slots at base on its
+// thread's slot stack. It is a value, so a push costs no Go allocation. The
+// handle is valid from its PushFrame until the matching PopFrame; every
+// method compares its stamp with the one its depth holds now, so a handle used
+// after its frame was popped — or after another frame was pushed at its depth
+// — panics in every build instead of reaching the other frame's slots.
 type Frame struct {
-	rt *Runtime
-	t  *Thread
-	f  *threads.Frame
+	t              *Thread
+	depth, base, n int32
+	stamp          uint64
 }
 
-// PushFrame pushes a frame with n local root slots.
-func (t *Thread) PushFrame(n int) *Frame {
+// errStaleFrame is the panic value of a Frame used after its PopFrame.
+const errStaleFrame = "core: use of a popped frame (its depth was popped, or pushed again since the frame was made)"
+
+// PushFrame pushes a frame with n local root slots, all Nil: a slot reused
+// from a popped frame does not keep that frame's object alive.
+func (t *Thread) PushFrame(n int) Frame {
 	if !t.rt.solo() {
 		defer t.rt.lockMu()()
 	}
-	return &Frame{rt: t.rt, t: t, f: t.th.PushFrame(n)}
+	base, top := t.top, t.top+n
+	if top > len(t.slots) {
+		t.slots = append(t.slots, make([]Ref, top-len(t.slots))...)
+	}
+	clear(t.slots[base:top])
+	t.top = top
+	if t.depth == len(t.frames) {
+		t.frames = append(t.frames, frameMark{})
+	}
+	t.pushes++
+	t.frames[t.depth] = frameMark{base: base, stamp: t.pushes}
+	f := Frame{t: t, depth: int32(t.depth), base: int32(base), n: int32(n), stamp: t.pushes}
+	t.depth++
+	return f
 }
 
-// PopFrame pops the thread's current frame.
+// PopFrame pops the thread's current frame. It panics if the thread has no
+// frames; unbalanced push/pop is a programming error in the mutator.
 func (t *Thread) PopFrame() {
 	if !t.rt.solo() {
 		defer t.rt.lockMu()()
 	}
-	t.th.PopFrame()
+	if t.depth == 0 {
+		panic(fmt.Sprintf("core: PopFrame on %s with empty stack", t.name))
+	}
+	t.depth--
+	m := &t.frames[t.depth]
+	t.top = m.base
+	m.stamp = 0
+}
+
+// at returns the address of local slot i, after the stamp check: it panics
+// if f is stale or i is out of range.
+func (f Frame) at(i int) *Ref {
+	if f.t.frames[f.depth].stamp != f.stamp {
+		panic(errStaleFrame)
+	}
+	if uint(i) >= uint(f.n) {
+		panic(fmt.Sprintf("core: frame slot %d out of range [0:%d]", i, f.n))
+	}
+	return &f.t.slots[int(f.base)+i]
 }
 
 // Thread returns the thread whose stack holds the frame.
-func (f *Frame) Thread() *Thread { return f.t }
+func (f Frame) Thread() *Thread { return f.t }
 
 // Local returns the reference in slot i.
-func (f *Frame) Local(i int) Ref {
-	if !f.rt.solo() {
-		defer f.rt.lockMu()()
+func (f Frame) Local(i int) Ref {
+	if !f.t.rt.solo() {
+		defer f.t.rt.lockMu()()
 	}
-	return f.f.Local(i)
+	return *f.at(i)
 }
 
 // SetLocal stores a reference in slot i.
-func (f *Frame) SetLocal(i int, r Ref) {
-	if !f.rt.solo() {
-		defer f.rt.lockMu()()
+func (f Frame) SetLocal(i int, r Ref) {
+	if !f.t.rt.solo() {
+		defer f.t.rt.lockMu()()
 	}
-	f.f.SetLocal(i, r)
+	*f.at(i) = r
 }
 
 // New allocates an instance of c, running garbage collections as needed.
@@ -152,18 +219,18 @@ func (t *Thread) NewDataArray(n int) Ref {
 // between the allocation and its rooting (DESIGN.md §11). It returns the Ref
 // as well, and panics as Thread.New does. NewRefArray, NewDataArray and
 // NewString are the same for the other kinds of object.
-func (f *Frame) New(i int, c *Class) Ref {
-	return f.t.mustAlloc(vmheap.KindScalar, c.ID, c.FieldWords, f.f.Slot(i), "")
+func (f Frame) New(i int, c *Class) Ref {
+	return f.t.mustAlloc(vmheap.KindScalar, c.ID, c.FieldWords, f.at(i), "")
 }
 
 // NewRefArray allocates an array of n references into local slot i.
-func (f *Frame) NewRefArray(i, n int) Ref {
-	return f.t.mustAlloc(vmheap.KindRefArray, classes.RefArrayClassID, uint32(n), f.f.Slot(i), "")
+func (f Frame) NewRefArray(i, n int) Ref {
+	return f.t.mustAlloc(vmheap.KindRefArray, classes.RefArrayClassID, uint32(n), f.at(i), "")
 }
 
 // NewDataArray allocates an array of n data words into local slot i.
-func (f *Frame) NewDataArray(i, n int) Ref {
-	return f.t.mustAlloc(vmheap.KindDataArray, classes.DataArrayClassID, uint32(n), f.f.Slot(i), "")
+func (f Frame) NewDataArray(i, n int) Ref {
+	return f.t.mustAlloc(vmheap.KindDataArray, classes.DataArrayClassID, uint32(n), f.at(i), "")
 }
 
 // mustAlloc is alloc panicking with its error.
@@ -280,10 +347,10 @@ func (t *Thread) allocSlow(kind vmheap.Kind, classID uint32, n uint32, dst *Ref,
 	// The paper: "Every allocation checks the flag to determine if it
 	// occurred within a region, and if it is, the allocated object is
 	// added to the queue."
-	if t.th.InRegion() {
-		t.th.RecordRegionAlloc(r)
+	if len(t.regions) > 0 {
+		t.recordRegion(r)
 	}
-	t.th.CountAlloc()
+	t.allocs++
 	if rt.pacer != nil {
 		rt.collector.DidAllocate(r) // born black if a cycle is open
 	}
@@ -367,7 +434,7 @@ func (t *Thread) refillAlloc(kind vmheap.Kind, classID uint32, n uint32) (Ref, b
 		// flags can never go stale across cycles.
 		t.buf.SetAllocFlags(vmheap.FlagMark | vmheap.FlagScanned)
 	}
-	if t.th.InRegion() {
+	if len(t.regions) > 0 {
 		t.regionFrom = t.buf.Pos()
 	}
 	r, ok := t.buf.Alloc(kind, classID, n)
@@ -390,7 +457,7 @@ func (t *Thread) flushBuffer() {
 		return
 	}
 	t.flushRegionRecords()
-	t.th.AddAllocs(t.buf.PendingObjects())
+	t.allocs += t.buf.PendingObjects()
 	t.buf.Retire()
 }
 
@@ -400,10 +467,16 @@ func (t *Thread) flushBuffer() {
 // into the enclosing bracket before the new one opens; AssertAllDead
 // records before the bracket closes). Caller holds rt.mu (or is solo).
 func (t *Thread) flushRegionRecords() {
-	if t.buf.Active() && t.th.InRegion() {
-		t.buf.EachObjectFrom(t.regionFrom, t.th.RecordRegionAlloc)
+	if t.buf.Active() && len(t.regions) > 0 {
+		t.buf.EachObjectFrom(t.regionFrom, t.recordRegion)
 		t.regionFrom = t.buf.Pos()
 	}
+}
+
+// recordRegion queues a newly allocated object on the innermost open region.
+func (t *Thread) recordRegion(r Ref) {
+	q := &t.regions[len(t.regions)-1]
+	*q = append(*q, r)
 }
 
 // Allocs returns the number of allocations this thread performed,
@@ -413,5 +486,5 @@ func (t *Thread) Allocs() uint64 {
 	defer t.rt.mu.Unlock()
 	t.lockBuf()
 	defer t.unlockBuf()
-	return t.th.Allocs() + t.buf.PendingObjects()
+	return t.allocs + t.buf.PendingObjects()
 }

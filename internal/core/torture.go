@@ -68,12 +68,16 @@ func (rt *Runtime) torturePoint() {
 		n := (h.CapacityWords()+2)/2 + 1
 		ts.seen, ts.born = make([]uint32, n), make([]uint32, n)
 	}
-	for _, t := range rt.allThreads {
+	for _, t := range rt.threads {
 		t.lockBuf()
 		defer t.unlockBuf()
 	}
 	ts.epoch++
-	rt.rootSrc.EachRoot(func(slot *Ref) { ts.reach(h, *slot) })
+	for _, span := range rt.rootSpans() {
+		for _, r := range span {
+			ts.reach(h, r)
+		}
+	}
 	for len(ts.stack) > 0 {
 		r := ts.stack[len(ts.stack)-1]
 		ts.stack = ts.stack[:len(ts.stack)-1]

@@ -7,7 +7,6 @@ import (
 	"repro/internal/assertions"
 	"repro/internal/classes"
 	"repro/internal/report"
-	"repro/internal/roots"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/vmheap"
@@ -28,9 +27,13 @@ type MarkSweep struct {
 	heap   *vmheap.Heap
 	tracer *trace.Tracer
 	engine *assertions.Engine // nil in Base mode
-	roots  roots.Source
 	mode   Mode
-	stats  Stats
+
+	// roots returns the root set as slot spans, asked for at every root scan
+	// (the runtime's globals, then each thread's stack); the Force action
+	// nulls a span entry in place.
+	roots func() [][]vmheap.Ref
+	stats Stats
 
 	// IncrementalBudget is the mark-slice size, in objects, of an incremental
 	// full collection (StartFull / StepMark / FinishFull). 0 (the default)
@@ -48,13 +51,13 @@ type MarkSweep struct {
 	tele *telemetry.Recorder
 }
 
-// NewMarkSweep creates the collector. engine must be nil exactly when mode
-// is Base.
-func NewMarkSweep(h *vmheap.Heap, reg *classes.Registry, src roots.Source, mode Mode, engine *assertions.Engine) *MarkSweep {
+// NewMarkSweep creates the collector over the root spans roots returns.
+// engine must be nil exactly when mode is Base.
+func NewMarkSweep(h *vmheap.Heap, reg *classes.Registry, roots func() [][]vmheap.Ref, mode Mode, engine *assertions.Engine) *MarkSweep {
 	if (mode == Base) != (engine == nil) {
 		panic("gc: engine presence must match mode")
 	}
-	return &MarkSweep{heap: h, tracer: trace.New(h, reg), engine: engine, roots: src, mode: mode}
+	return &MarkSweep{heap: h, tracer: trace.New(h, reg), engine: engine, roots: roots, mode: mode}
 }
 
 // Stats returns the collector's running totals.
@@ -134,9 +137,9 @@ func (c *MarkSweep) CollectFull() error {
 	t.Reset()
 	if c.mode == Infrastructure {
 		c.armChecks()
-		t.TraceInfra(c.roots)
+		t.TraceInfra(c.roots())
 	} else {
-		t.TraceBase(c.roots)
+		t.TraceBase(c.roots())
 	}
 	clear := c.preSweep()
 	sw := c.heap.Sweep(vmheap.SweepOptions{ClearFlags: clear})
@@ -166,7 +169,7 @@ func (c *MarkSweep) StartFull() {
 	if c.mode == Infrastructure {
 		c.armChecks()
 	}
-	t.StartIncremental(c.roots)
+	t.StartIncremental(c.roots())
 	c.active = true
 	c.endSlice(telemetry.PhaseIncRoots, begin)
 }

@@ -7,8 +7,6 @@ import (
 	"repro/internal/assertions"
 	"repro/internal/classes"
 	"repro/internal/report"
-	"repro/internal/roots"
-	"repro/internal/threads"
 	"repro/internal/trace"
 	"repro/internal/vmheap"
 )
@@ -17,8 +15,8 @@ import (
 type world struct {
 	h    *vmheap.Heap
 	reg  *classes.Registry
-	ts   *threads.Set
-	gl   *roots.Table
+	gl   []vmheap.Ref   // global root slots
+	span [][]vmheap.Ref // roots' reused result
 	rec  *report.Recorder
 	eng  *assertions.Engine
 	node *classes.Class
@@ -30,20 +28,26 @@ func newWorld(t testing.TB, mode Mode) *world {
 	w := &world{
 		h:   vmheap.New(1 << 13),
 		reg: classes.NewRegistry(),
-		ts:  threads.NewSet(),
-		gl:  roots.NewTable(),
 		rec: &report.Recorder{},
 	}
 	w.node = w.reg.MustDefine("Node", nil,
 		classes.Field{Name: "next", Kind: classes.RefKind})
 	w.next = uint32(w.node.MustFieldIndex("next"))
 	if mode == Infrastructure {
-		w.eng = assertions.New(w.h, w.reg, w.ts, w.rec)
+		w.eng = assertions.New(w.h, w.reg, nil, w.rec)
 	}
 	return w
 }
 
-func (w *world) src() roots.Source { return roots.Multi{w.gl, w.ts} }
+// root adds a global root slot holding r.
+func (w *world) root(r vmheap.Ref) { w.gl = append(w.gl, r) }
+
+// roots is the collector's root callback: the global slots as one span,
+// without allocating once the span list exists.
+func (w *world) roots() [][]vmheap.Ref {
+	w.span = append(w.span[:0], w.gl)
+	return w.span
+}
 
 func (w *world) alloc(t testing.TB) vmheap.Ref {
 	t.Helper()
@@ -56,11 +60,11 @@ func (w *world) alloc(t testing.TB) vmheap.Ref {
 
 func TestMarkSweepBaseCollects(t *testing.T) {
 	w := newWorld(t, Base)
-	c := NewMarkSweep(w.h, w.reg, w.src(), Base, nil)
+	c := NewMarkSweep(w.h, w.reg, w.roots, Base, nil)
 
 	live := w.alloc(t)
 	w.alloc(t) // garbage
-	w.gl.Add("r").Set(live)
+	w.root(live)
 
 	if err := c.CollectFull(); err != nil {
 		t.Fatal(err)
@@ -82,8 +86,8 @@ func TestMarkSweepBaseCollects(t *testing.T) {
 
 func TestMarkSweepModeEngineMismatch(t *testing.T) {
 	w := newWorld(t, Infrastructure)
-	assertPanics(t, func() { NewMarkSweep(w.h, w.reg, w.src(), Base, w.eng) })
-	assertPanics(t, func() { NewMarkSweep(w.h, w.reg, w.src(), Infrastructure, nil) })
+	assertPanics(t, func() { NewMarkSweep(w.h, w.reg, w.roots, Base, w.eng) })
+	assertPanics(t, func() { NewMarkSweep(w.h, w.reg, w.roots, Infrastructure, nil) })
 }
 
 func assertPanics(t *testing.T, fn func()) {
@@ -99,10 +103,10 @@ func assertPanics(t *testing.T, fn func()) {
 func TestMarkSweepHaltPropagates(t *testing.T) {
 	w := newWorld(t, Infrastructure)
 	w.rec.Respond = func(*report.Violation) report.Action { return report.Halt }
-	c := NewMarkSweep(w.h, w.reg, w.src(), Infrastructure, w.eng)
+	c := NewMarkSweep(w.h, w.reg, w.roots, Infrastructure, w.eng)
 
 	obj := w.alloc(t)
-	w.gl.Add("r").Set(obj)
+	w.root(obj)
 	if err := w.eng.AssertDead(obj); err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +123,9 @@ func TestMarkSweepHaltPropagates(t *testing.T) {
 
 func TestMarkSweepChecksAssertionsEachCycle(t *testing.T) {
 	w := newWorld(t, Infrastructure)
-	c := NewMarkSweep(w.h, w.reg, w.src(), Infrastructure, w.eng)
+	c := NewMarkSweep(w.h, w.reg, w.roots, Infrastructure, w.eng)
 	obj := w.alloc(t)
-	w.gl.Add("r").Set(obj)
+	w.root(obj)
 	w.eng.AssertDead(obj)
 	for i := 0; i < 3; i++ {
 		if err := c.CollectFull(); err != nil {
@@ -138,12 +142,12 @@ func TestMarkSweepChecksAssertionsEachCycle(t *testing.T) {
 
 func TestMarkSweepOwnershipPhase(t *testing.T) {
 	w := newWorld(t, Infrastructure)
-	c := NewMarkSweep(w.h, w.reg, w.src(), Infrastructure, w.eng)
+	c := NewMarkSweep(w.h, w.reg, w.roots, Infrastructure, w.eng)
 
 	owner := w.alloc(t)
 	ownee := w.alloc(t)
 	w.h.SetRefAt(owner, w.next, ownee)
-	w.gl.Add("owner").Set(owner)
+	w.root(owner)
 	w.eng.AssertOwnedBy(owner, ownee)
 
 	if err := c.CollectFull(); err != nil {
@@ -191,12 +195,12 @@ func traceStatsForTest(v, r, d, s, o, f uint64) (ts trace.Stats) {
 func TestArmedCollectionAllocatesNothing(t *testing.T) {
 	const ownees = 1000
 	w := newWorld(t, Infrastructure)
-	c := NewMarkSweep(w.h, w.reg, w.src(), Infrastructure, w.eng)
+	c := NewMarkSweep(w.h, w.reg, w.roots, Infrastructure, w.eng)
 	owner, err := w.h.Alloc(vmheap.KindRefArray, classes.RefArrayClassID, ownees)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.gl.Add("owner").Set(owner)
+	w.root(owner)
 	for i := uint32(0); i < ownees; i++ {
 		e := w.alloc(t)
 		w.h.SetArrayWord(owner, i, uint64(e))
@@ -226,7 +230,7 @@ func TestArmedCollectionAllocatesNothing(t *testing.T) {
 // the trace still counts both encounters.
 func TestDeadLeafReportedOnceWithPath(t *testing.T) {
 	w := newWorld(t, Infrastructure)
-	c := NewMarkSweep(w.h, w.reg, w.src(), Infrastructure, w.eng)
+	c := NewMarkSweep(w.h, w.reg, w.roots, Infrastructure, w.eng)
 	a, b := w.alloc(t), w.alloc(t)
 	s, err := w.h.Alloc(vmheap.KindDataArray, classes.DataArrayClassID, 3)
 	if err != nil {
@@ -234,8 +238,8 @@ func TestDeadLeafReportedOnceWithPath(t *testing.T) {
 	}
 	w.h.SetRefAt(a, w.next, s)
 	w.h.SetRefAt(b, w.next, s)
-	w.gl.Add("a").Set(a)
-	w.gl.Add("b").Set(b)
+	w.root(a)
+	w.root(b)
 	if err := w.eng.AssertDead(s); err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func buildRandom(t *testing.T, seed int64, mode Mode, withOwnership bool) *rando
 		}
 	}
 	for i := 0; i < 4; i++ {
-		w.gl.Add(string(rune('a' + i))).Set(nodes[rng.Intn(n)])
+		w.root(nodes[rng.Intn(n)])
 	}
 
 	if withOwnership {
@@ -43,27 +43,26 @@ func buildRandom(t *testing.T, seed int64, mode Mode, withOwnership bool) *rando
 		// so pick owners among directly rooted nodes and ownees among
 		// their direct successors.
 		seen := map[vmheap.Ref]bool{}
-		w.gl.EachRoot(func(slot *vmheap.Ref) {
-			owner := *slot
+		for _, owner := range w.gl {
 			if seen[owner] {
-				return
+				continue
 			}
 			seen[owner] = true
 			ownee := w.h.RefAt(owner, w.next)
 			if ownee == vmheap.Nil || seen[ownee] {
-				return
+				continue
 			}
 			if err := w.eng.AssertOwnedBy(owner, ownee); err == nil {
 				seen[ownee] = true
 			}
-		})
+		}
 	}
 	return &randomWorld{w: w, nodes: nodes}
 }
 
 // markSweep puts a MarkSweep collector over the world.
 func (r *randomWorld) markSweep(mode Mode) *MarkSweep {
-	return NewMarkSweep(r.w.h, r.w.reg, r.w.src(), mode, r.w.eng)
+	return NewMarkSweep(r.w.h, r.w.reg, r.w.roots, mode, r.w.eng)
 }
 
 // liveSet returns the objects in the heap.

@@ -26,7 +26,7 @@ type World struct {
 	node, leaf, big *core.Class
 
 	globals   []*core.Global
-	fr        *core.Frame
+	fr        core.Frame
 	slots     int
 	scratch   int       // the local past the slots that allocations root into
 	fields    [2]uint16 // Node's a and b, which Leaf inherits

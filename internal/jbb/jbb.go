@@ -98,7 +98,7 @@ type Benchmark struct {
 	company *core.Global
 	// oldCompany models the main loop's local variable that drags the
 	// previous Company (defect 3): frame slot 0 of a dedicated frame.
-	mainFrame *core.Frame
+	mainFrame core.Frame
 
 	nextOrderID int64
 	rng         uint64

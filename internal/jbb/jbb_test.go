@@ -10,6 +10,9 @@ import (
 
 const testHeap = 1 << 19
 
+// tortureBuild is set in the gctorture build (torture_test.go).
+var tortureBuild bool
+
 func newBench(t *testing.T, cfg Config) *Benchmark {
 	t.Helper()
 	rt := core.New(core.Config{HeapWords: testHeap, Mode: core.Infrastructure})
@@ -244,8 +247,10 @@ func pathContains(v *report.Violation, class string) bool {
 // configuration (4 warehouses, defects repaired, assert-ownedby and
 // assert-instances on, a 131072-word stop-the-world heap), the standard
 // transaction mix, a full drain and a final collection. The order tables'
-// speed may change; what they allocate, what the collector frees and what
-// the ownership check visits may not, so every figure here is exact.
+// speed may change; what they allocate, what the collector marks, scans and
+// frees and what the ownership check visits may not, so every figure here is
+// exact. The marked words and scanned refs move if a popped frame's slot is
+// still scanned or a live slot is skipped.
 func TestCountedWorkPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the pinned figures need the full run, too slow for a side trace per allocation")
@@ -275,6 +280,8 @@ func TestCountedWorkPinned(t *testing.T) {
 		{"allocations", st.Heap.TotalAllocs, 209343},
 		{"collections", st.GC.Collections, 15},
 		{"words freed", st.GC.FreedWords, 1241086},
+		{"words marked", st.GC.MarkedWords, 698534},
+		{"refs scanned", st.GC.Trace.RefsScanned, 175517},
 		{"ownees checked", st.GC.Trace.OwneesChecked, 13415},
 	} {
 		if c.got != c.want {
@@ -283,5 +290,57 @@ func TestCountedWorkPinned(t *testing.T) {
 	}
 	if vs := rt.Violations(); len(vs) != 0 {
 		t.Errorf("%d violations on the repaired benchmark, first:\n%s", len(vs), vs[0].Format())
+	}
+}
+
+// newBatchBench builds the jbb_batch configuration of TestCountedWorkPinned.
+func newBatchBench() *Benchmark {
+	rt := core.New(core.Config{HeapWords: 131072, Mode: core.Infrastructure})
+	return New(rt, Config{
+		Warehouses:             4,
+		ClearLastOrder:         true,
+		ClearOldCompany:        true,
+		AssertOwnedByOnAdd:     true,
+		AssertCompanySingleton: true,
+	})
+}
+
+// runBatch runs one jbb_batch operation: 100 NewOrder, 100 Payment and 10
+// Delivery(12) transactions.
+func runBatch(b *Benchmark) {
+	for range 100 {
+		b.NewOrderTransaction()
+	}
+	for range 100 {
+		b.PaymentTransaction()
+	}
+	for range 10 {
+		b.DeliveryTransaction(12)
+	}
+}
+
+// BenchmarkBatch measures one jbb_batch operation per iteration, with its Go
+// allocations.
+func BenchmarkBatch(b *testing.B) {
+	bm := newBatchBench()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		runBatch(bm)
+	}
+}
+
+// TestBatchAllocatesNothing: once the slot stacks and the collector's
+// buffers have grown, a jbb_batch operation — transactions, frames and the
+// collections they trigger — makes no Go allocation.
+func TestBatchAllocatesNothing(t *testing.T) {
+	if tortureBuild {
+		t.Skip("the gctorture build's side trace allocates")
+	}
+	b := newBatchBench()
+	batch := func() { runBatch(b) }
+	batch()
+	if got := testing.AllocsPerRun(10, batch); got != 0 {
+		t.Errorf("a jbb_batch operation allocates %v times, want 0", got)
 	}
 }

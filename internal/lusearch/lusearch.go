@@ -138,7 +138,7 @@ func (e *Engine) buildIndex(th *core.Thread) {
 }
 
 // newSearcher opens an IndexSearcher over the index into local slot i of f.
-func (e *Engine) newSearcher(f *core.Frame, i int) core.Ref {
+func (e *Engine) newSearcher(f core.Frame, i int) core.Ref {
 	s := f.New(i, e.IndexSearcher)
 	e.rt.SetRef(s, e.isIndex, e.index.Get())
 	return s

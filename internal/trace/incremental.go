@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"repro/internal/roots"
-	"repro/internal/vmheap"
-)
+import "repro/internal/vmheap"
 
 // Incremental marking: the Infrastructure trace split into bounded slices
 // that interleave with mutator work, under a snapshot-at-beginning (SAB)
@@ -42,9 +39,9 @@ import (
 // maintenance for the cycle and scans the root set, seeding the worklist
 // without draining it. Any ownership pre-phase must run between
 // BeginIncremental and StartIncremental so its scans are tagged too.
-func (t *Tracer) StartIncremental(src roots.Source) {
+func (t *Tracer) StartIncremental(roots [][]vmheap.Ref) {
 	t.stack = t.stack[:0]
-	src.EachRoot(t.visitRoot)
+	t.scanRoots(roots)
 }
 
 // BeginIncremental switches the tracer into incremental mode: subsequent

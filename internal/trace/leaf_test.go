@@ -29,8 +29,8 @@ func (e *testEnv) twoHolders(t testing.TB) (a, b, s vmheap.Ref) {
 	a, b, s = e.alloc(t), e.alloc(t), e.leaf(t)
 	e.h.SetRefAt(a, e.next, s)
 	e.h.SetRefAt(b, e.next, s)
-	e.gl.Add("a").Set(a)
-	e.gl.Add("b").Set(b)
+	e.root(a)
+	e.root(b)
 	return a, b, s
 }
 
@@ -50,7 +50,7 @@ func TestLeafDeadHitPerSlotWithPath(t *testing.T) {
 			return report.Continue
 		},
 	})
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 
 	// One callout per incoming slot (the engine reports the first and
 	// replays its action for the second), each with the holder's path.
@@ -75,7 +75,7 @@ func TestLeafForceNullsEverySlotAndIsSwept(t *testing.T) {
 	tr.SetChecks(Checks{
 		Dead: func(vmheap.Ref, func() []vmheap.Ref) report.Action { return report.Force },
 	})
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 
 	if e.h.RefAt(a, e.next) != vmheap.Nil || e.h.RefAt(b, e.next) != vmheap.Nil {
 		t.Error("Force left a slot pointing at the leaf")
@@ -100,7 +100,7 @@ func TestLeafUnsharedFiresOnSecondEncounter(t *testing.T) {
 			paths = append(paths, path())
 		},
 	})
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 
 	if want := [][]vmheap.Ref{{a, s}}; !reflect.DeepEqual(paths, want) {
 		t.Errorf("shared paths = %v, want %v (the second path only)", paths, want)
@@ -115,11 +115,11 @@ func TestLeafClassCountsTowardInstanceLimit(t *testing.T) {
 	e.twoHolders(t)
 	extra := e.alloc(t)
 	e.h.SetRefAt(extra, e.next, e.leaf(t))
-	e.gl.Add("extra").Set(extra)
+	e.root(extra)
 	data := e.reg.ByID(classes.DataArrayClassID)
 	e.reg.SetInstanceLimit(data, 1, false)
 
-	e.tracer().TraceInfra(e.gl)
+	e.tracer().TraceInfra(e.roots())
 
 	over := e.reg.CheckLimits()
 	if len(over) != 1 || over[0].Class != data || over[0].Count != 2 {
@@ -136,7 +136,7 @@ func TestLeafBelowOwneeCheckedInOwnershipPhase(t *testing.T) {
 	e.h.SetRefAt(ownee, e.next, s)
 	e.h.SetRefAt(ownee, e.other, s)
 	e.h.SetFlags(s, vmheap.FlagDead)
-	e.gl.Add("r").Set(owner)
+	e.root(owner)
 	fx := newOwnership(e.h, []vmheap.Ref{owner}, map[vmheap.Ref]int{ownee: 0})
 
 	var paths [][]vmheap.Ref
@@ -148,7 +148,7 @@ func TestLeafBelowOwneeCheckedInOwnershipPhase(t *testing.T) {
 		},
 	})
 	tr.RunOwnershipPhase(fx.phase)
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 
 	if want := [][]vmheap.Ref{{ownee, s}, {ownee, s}}; !reflect.DeepEqual(paths, want) {
 		t.Errorf("paths = %v, want %v", paths, want)
@@ -163,7 +163,7 @@ func TestLeafBaseLoopCountsButDoesNotScan(t *testing.T) {
 	e := newEnv(t, 4096)
 	a, _, s := e.twoHolders(t)
 	tr := e.tracer()
-	tr.TraceBase(e.gl)
+	tr.TraceBase(e.roots())
 	if e.h.Flags(s, vmheap.FlagMark) == 0 {
 		t.Error("leaf not marked")
 	}

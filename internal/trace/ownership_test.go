@@ -45,7 +45,7 @@ func TestOwnershipMarksOwnedOwnee(t *testing.T) {
 	ownee := e.alloc(t)
 	e.h.SetRefAt(owner, e.next, mid)
 	e.h.SetRefAt(mid, e.next, ownee)
-	e.gl.Add("r").Set(owner)
+	e.root(owner)
 
 	oo := map[vmheap.Ref]int{ownee: 0}
 	fx := newOwnership(e.h, []vmheap.Ref{owner}, oo)
@@ -66,7 +66,7 @@ func TestOwnershipMarksOwnedOwnee(t *testing.T) {
 	// The root phase must see no unowned ownee.
 	var unowned int
 	tr.SetChecks(Checks{Unowned: func(vmheap.Ref, func() []vmheap.Ref) { unowned++ }})
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 	if unowned != 0 {
 		t.Errorf("unowned violations = %d, want 0", unowned)
 	}
@@ -79,8 +79,8 @@ func TestOwnershipDetectsEscapedOwnee(t *testing.T) {
 	outsider := e.alloc(t)
 	ownee := e.alloc(t)
 	e.h.SetRefAt(outsider, e.next, ownee) // only path: outsider -> ownee
-	e.gl.Add("owner").Set(owner)
-	e.gl.Add("out").Set(outsider)
+	e.root(owner)
+	e.root(outsider)
 
 	oo := map[vmheap.Ref]int{ownee: 0}
 	fx := newOwnership(e.h, []vmheap.Ref{owner}, oo)
@@ -97,7 +97,7 @@ func TestOwnershipDetectsEscapedOwnee(t *testing.T) {
 			gotPath = path()
 		},
 	})
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 	if len(gotPath) != 2 || gotPath[0] != outsider || gotPath[1] != ownee {
 		t.Errorf("path = %v, want [%d %d]", gotPath, outsider, ownee)
 	}
@@ -112,7 +112,7 @@ func TestOwnershipOwneeSubtreeTraced(t *testing.T) {
 	leaf := e.alloc(t)
 	e.h.SetRefAt(owner, e.next, ownee)
 	e.h.SetRefAt(ownee, e.next, leaf)
-	e.gl.Add("r").Set(owner)
+	e.root(owner)
 
 	oo := map[vmheap.Ref]int{ownee: 0}
 	fx := newOwnership(e.h, []vmheap.Ref{owner}, oo)
@@ -143,7 +143,7 @@ func TestOwnershipBackEdgeDoesNotMarkOwner(t *testing.T) {
 	}
 	// With no roots at all, a sweep reclaims the owner but keeps the
 	// ownee until the next GC — the paper's documented extra-cycle cost.
-	tr.TraceInfra(e.gl) // no roots registered
+	tr.TraceInfra(e.roots()) // no roots registered
 	st := e.h.Sweep(vmheap.SweepOptions{})
 	if st.FreedObjects != 1 {
 		t.Errorf("FreedObjects = %d, want 1 (just the owner)", st.FreedObjects)
@@ -161,8 +161,8 @@ func TestOwnershipImproperOverlap(t *testing.T) {
 	owneeB := e.alloc(t)
 	e.h.SetRefAt(ownerA, e.next, owneeB)
 	e.h.SetRefAt(ownerB, e.next, owneeB)
-	e.gl.Add("a").Set(ownerA)
-	e.gl.Add("b").Set(ownerB)
+	e.root(ownerA)
+	e.root(ownerB)
 
 	oo := map[vmheap.Ref]int{owneeB: 1}
 	fx := newOwnership(e.h, []vmheap.Ref{ownerA, ownerB}, oo)
@@ -219,7 +219,7 @@ func TestOwnershipDeadCheckDuringPhase(t *testing.T) {
 	victim := e.alloc(t)
 	e.h.SetRefAt(owner, e.next, victim)
 	e.h.SetFlags(victim, vmheap.FlagDead)
-	e.gl.Add("r").Set(owner)
+	e.root(owner)
 
 	var hits int
 	tr := e.tracer()
@@ -253,8 +253,8 @@ func TestOwnershipCrossRegionViaOwneeSubtree(t *testing.T) {
 	e.h.SetRefAt(owneeA, e.next, shared)
 	e.h.SetRefAt(shared, e.next, owneeB)
 	e.h.SetRefAt(ownerB, e.next, owneeB)
-	e.gl.Add("a").Set(ownerA)
-	e.gl.Add("b").Set(ownerB)
+	e.root(ownerA)
+	e.root(ownerB)
 
 	oo := map[vmheap.Ref]int{owneeA: 0, owneeB: 1}
 	fx := newOwnership(e.h, []vmheap.Ref{ownerA, ownerB}, oo)
@@ -263,7 +263,7 @@ func TestOwnershipCrossRegionViaOwneeSubtree(t *testing.T) {
 	var unowned int
 	tr.SetChecks(Checks{Unowned: func(vmheap.Ref, func() []vmheap.Ref) { unowned++ }})
 	tr.RunOwnershipPhase(fx.phase)
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 
 	if len(fx.improper) != 0 {
 		t.Errorf("cross-region reference via ownee subtree flagged improper: %v", fx.improper)
@@ -287,8 +287,8 @@ func TestOwnershipLeakedOwneeFoundInOwneeSubtree(t *testing.T) {
 	e.h.SetRefAt(ownerA, e.next, owneeA)
 	e.h.SetRefAt(owneeA, e.next, holder)
 	e.h.SetRefAt(holder, e.next, leaked) // only path to leaked
-	e.gl.Add("a").Set(ownerA)
-	e.gl.Add("b").Set(ownerB)
+	e.root(ownerA)
+	e.root(ownerB)
 
 	oo := map[vmheap.Ref]int{owneeA: 0, leaked: 1}
 	fx := newOwnership(e.h, []vmheap.Ref{ownerA, ownerB}, oo)
@@ -299,7 +299,7 @@ func TestOwnershipLeakedOwneeFoundInOwneeSubtree(t *testing.T) {
 		got = append(got, obj)
 	}})
 	tr.RunOwnershipPhase(fx.phase)
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 	if len(got) != 1 || got[0] != leaked {
 		t.Errorf("unowned = %v, want [%d]", got, leaked)
 	}
@@ -311,12 +311,12 @@ func TestOwnershipInstanceCountingInPhase(t *testing.T) {
 	owner := e.alloc(t)
 	inner := e.alloc(t)
 	e.h.SetRefAt(owner, e.next, inner)
-	e.gl.Add("r").Set(owner)
+	e.root(owner)
 
 	tr := e.tracer()
 	fx := newOwnership(e.h, []vmheap.Ref{owner}, map[vmheap.Ref]int{})
 	tr.RunOwnershipPhase(fx.phase)
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 	over := e.reg.CheckLimits()
 	// owner + inner are both live Nodes: count must be 2, not 1 — the
 	// phase-1-marked object must not escape counting.

@@ -22,7 +22,6 @@ package trace
 import (
 	"repro/internal/classes"
 	"repro/internal/report"
-	"repro/internal/roots"
 	"repro/internal/telemetry"
 	"repro/internal/vmheap"
 )
@@ -75,10 +74,6 @@ type Tracer struct {
 	// kept here so a collection reuses the previous one's storage.
 	owned, improper []vmheap.Ref
 
-	// visitRoot is t.encounter bound once, so handing it to a root source
-	// does not allocate a closure per collection.
-	visitRoot func(slot *vmheap.Ref)
-
 	checks Checks
 	stats  Stats
 	halt   *report.Violation // set when a handler requested Halt
@@ -104,9 +99,7 @@ type Tracer struct {
 
 // New creates a tracer for the given heap and class registry.
 func New(h *vmheap.Heap, reg *classes.Registry) *Tracer {
-	t := &Tracer{heap: h, reg: reg, stack: make([]uint32, 0, 1024)}
-	t.visitRoot = t.encounter
-	return t
+	return &Tracer{heap: h, reg: reg, stack: make([]uint32, 0, 1024)}
 }
 
 // SetChecks installs the assertion callouts for subsequent Infrastructure
@@ -210,19 +203,22 @@ func (t *Tracer) RequestHalt(v *report.Violation) {
 // ---------------------------------------------------------------------------
 // Base loop
 
-// TraceBase marks everything reachable from src with a plain depth-first
-// scan: the unmodified collector of the paper's Base configuration.
-func (t *Tracer) TraceBase(src roots.Source) {
+// TraceBase marks everything reachable from roots with a plain depth-first
+// scan: the unmodified collector of the paper's Base configuration. roots are
+// slot spans (the runtime's globals and thread stacks); Nil slots are skipped.
+func (t *Tracer) TraceBase(roots [][]vmheap.Ref) {
 	teleStart := t.tele.Begin(telemetry.PhaseMark)
 	defer t.tele.End(telemetry.PhaseMark, teleStart)
 	h := t.heap
 	stack := t.stack[:0]
 
-	src.EachRoot(func(slot *vmheap.Ref) {
-		if t.markBase(*slot) {
-			stack = append(stack, uint32(*slot))
+	for _, span := range roots {
+		for _, r := range span {
+			if t.markBase(r) {
+				stack = append(stack, uint32(r))
+			}
 		}
-	})
+	}
 
 	for len(stack) > 0 {
 		r := vmheap.Ref(stack[len(stack)-1])
@@ -270,18 +266,28 @@ func (t *Tracer) markBase(c vmheap.Ref) bool {
 // ---------------------------------------------------------------------------
 // Infrastructure loop
 
-// TraceInfra marks everything reachable from src using the paper's
+// TraceInfra marks everything reachable from roots using the paper's
 // path-tracking worklist and runs the piggybacked assertion checks on every
 // encountered reference. The ownership pre-phase, if any, must already have
 // run (marked objects are simply not re-traced).
-func (t *Tracer) TraceInfra(src roots.Source) {
+func (t *Tracer) TraceInfra(roots [][]vmheap.Ref) {
 	teleStart := t.tele.Begin(telemetry.PhaseMark)
 	defer t.tele.End(telemetry.PhaseMark, teleStart)
 	t.stack = t.stack[:0]
-
-	src.EachRoot(t.visitRoot)
-
+	t.scanRoots(roots)
 	t.drainInfra()
+}
+
+// scanRoots runs the per-encounter checks on every non-Nil root slot, in
+// span order, and nulls the slot in place when the Force action asks for it.
+func (t *Tracer) scanRoots(roots [][]vmheap.Ref) {
+	for _, span := range roots {
+		for i, c := range span {
+			if c != vmheap.Nil && t.check(c) {
+				span[i] = vmheap.Nil
+			}
+		}
+	}
 }
 
 // drainInfra runs the path-tracking DFS until the worklist is empty.
@@ -340,17 +346,6 @@ func (t *Tracer) encounterArraySlot(obj vmheap.Ref, i uint32) {
 	}
 	if t.check(c) {
 		t.heap.SetArrayWord(obj, i, 0)
-	}
-}
-
-// encounter processes a root slot.
-func (t *Tracer) encounter(slot *vmheap.Ref) {
-	c := *slot
-	if c == vmheap.Nil {
-		return
-	}
-	if t.check(c) {
-		*slot = vmheap.Nil
 	}
 }
 

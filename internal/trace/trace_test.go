@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/classes"
 	"repro/internal/report"
-	"repro/internal/roots"
 	"repro/internal/vmheap"
 )
 
@@ -17,8 +16,8 @@ type testEnv struct {
 	h    *vmheap.Heap
 	reg  *classes.Registry
 	node *classes.Class
-	gl   *roots.Table
-	next uint32 // field offsets
+	gl   []vmheap.Ref // global root slots, in one span
+	next uint32       // field offsets
 	other,
 	val uint32
 }
@@ -35,13 +34,18 @@ func newEnv(t testing.TB, heapWords int) *testEnv {
 		h:    vmheap.New(heapWords),
 		reg:  reg,
 		node: node,
-		gl:   roots.NewTable(),
 	}
 	e.next = uint32(node.MustFieldIndex("next"))
 	e.other = uint32(node.MustFieldIndex("other"))
 	e.val = uint32(node.MustFieldIndex("val"))
 	return e
 }
+
+// root adds a global root slot holding r.
+func (e *testEnv) root(r vmheap.Ref) { e.gl = append(e.gl, r) }
+
+// roots is the environment's root set: the global slots as one span.
+func (e *testEnv) roots() [][]vmheap.Ref { return [][]vmheap.Ref{e.gl} }
 
 func (e *testEnv) alloc(t testing.TB) vmheap.Ref {
 	t.Helper()
@@ -63,7 +67,7 @@ func (e *testEnv) chain(t testing.TB, name string, k int) []vmheap.Ref {
 			e.h.SetRefAt(nodes[i-1], e.next, nodes[i])
 		}
 	}
-	e.gl.Add(name).Set(nodes[0])
+	e.root(nodes[0])
 	return nodes
 }
 
@@ -75,7 +79,7 @@ func TestTraceBaseMarksReachableOnly(t *testing.T) {
 	dead := e.alloc(t) // unrooted
 
 	tr := e.tracer()
-	tr.TraceBase(e.gl)
+	tr.TraceBase(e.roots())
 	for _, r := range live {
 		if e.h.Flags(r, vmheap.FlagMark) == 0 {
 			t.Errorf("live node %d not marked", r)
@@ -97,7 +101,7 @@ func TestTraceBaseHandlesCycles(t *testing.T) {
 	e.h.SetRefAt(nodes[1], e.other, nodes[1]) // self loop
 
 	tr := e.tracer()
-	tr.TraceBase(e.gl)
+	tr.TraceBase(e.roots())
 	if tr.Stats().Visited != 3 {
 		t.Errorf("Visited = %d, want 3", tr.Stats().Visited)
 	}
@@ -112,10 +116,10 @@ func TestTraceBaseRefArrays(t *testing.T) {
 	a, b := e.alloc(t), e.alloc(t)
 	e.h.SetArrayWord(arr, 0, uint64(a))
 	e.h.SetArrayWord(arr, 3, uint64(b))
-	e.gl.Add("arr").Set(arr)
+	e.root(arr)
 
 	tr := e.tracer()
-	tr.TraceBase(e.gl)
+	tr.TraceBase(e.roots())
 	if tr.Stats().Visited != 3 {
 		t.Errorf("Visited = %d, want 3", tr.Stats().Visited)
 	}
@@ -145,7 +149,7 @@ func TestTraceInfraEquivalentMarking(t *testing.T) {
 				}
 			}
 			for i := 0; i < 5; i++ {
-				e.gl.Add(string(rune('a' + i))).Set(nodes[rng.Intn(n)])
+				e.root(nodes[rng.Intn(n)])
 			}
 			return e, nodes
 		}
@@ -156,8 +160,8 @@ func TestTraceInfraEquivalentMarking(t *testing.T) {
 		rng = rand.New(rand.NewSource(seed))
 		e2, n2 := build()
 
-		New(e1.h, e1.reg).TraceBase(e1.gl)
-		New(e2.h, e2.reg).TraceInfra(e2.gl)
+		New(e1.h, e1.reg).TraceBase(e1.roots())
+		New(e2.h, e2.reg).TraceInfra(e2.roots())
 		for i := range n1 {
 			m1 := e1.h.Flags(n1[i], vmheap.FlagMark) != 0
 			m2 := e2.h.Flags(n2[i], vmheap.FlagMark) != 0
@@ -188,7 +192,7 @@ func TestInfraDeadCheckPath(t *testing.T) {
 			return report.Continue
 		},
 	})
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 
 	if gotObj != victim {
 		t.Fatalf("dead check on %d, want %d", gotObj, victim)
@@ -212,7 +216,7 @@ func TestInfraDeadCheckAtRoot(t *testing.T) {
 	e := newEnv(t, 4096)
 	obj := e.alloc(t)
 	e.h.SetFlags(obj, vmheap.FlagDead)
-	e.gl.Add("r").Set(obj)
+	e.root(obj)
 
 	var gotPath []vmheap.Ref
 	tr := e.tracer()
@@ -222,7 +226,7 @@ func TestInfraDeadCheckAtRoot(t *testing.T) {
 			return report.Continue
 		},
 	})
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 	if len(gotPath) != 1 || gotPath[0] != obj {
 		t.Errorf("root path = %v, want [%d]", gotPath, obj)
 	}
@@ -238,7 +242,7 @@ func TestInfraForceNullsReference(t *testing.T) {
 	tr.SetChecks(Checks{
 		Dead: func(vmheap.Ref, func() []vmheap.Ref) report.Action { return report.Force },
 	})
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 
 	if e.h.RefAt(nodes[1], e.next) != vmheap.Nil {
 		t.Error("incoming reference not nulled by Force")
@@ -262,14 +266,14 @@ func TestInfraForceNullsAllIncomingRefs(t *testing.T) {
 	e.h.SetRefAt(a, e.next, victim)
 	e.h.SetRefAt(b, e.next, victim)
 	e.h.SetFlags(victim, vmheap.FlagDead)
-	e.gl.Add("a").Set(a)
-	e.gl.Add("b").Set(b)
+	e.root(a)
+	e.root(b)
 
 	tr := e.tracer()
 	tr.SetChecks(Checks{
 		Dead: func(vmheap.Ref, func() []vmheap.Ref) report.Action { return report.Force },
 	})
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 	if e.h.RefAt(a, e.next) != vmheap.Nil || e.h.RefAt(b, e.next) != vmheap.Nil {
 		t.Error("not all incoming refs nulled")
 	}
@@ -282,15 +286,14 @@ func TestInfraForceNullsRootSlot(t *testing.T) {
 	e := newEnv(t, 4096)
 	obj := e.alloc(t)
 	e.h.SetFlags(obj, vmheap.FlagDead)
-	g := e.gl.Add("r")
-	g.Set(obj)
+	e.root(obj)
 
 	tr := e.tracer()
 	tr.SetChecks(Checks{
 		Dead: func(vmheap.Ref, func() []vmheap.Ref) report.Action { return report.Force },
 	})
-	tr.TraceInfra(e.gl)
-	if g.Get() != vmheap.Nil {
+	tr.TraceInfra(e.roots())
+	if e.gl[0] != vmheap.Nil {
 		t.Error("root slot not nulled by Force")
 	}
 }
@@ -301,8 +304,8 @@ func TestInfraUnsharedSecondEncounter(t *testing.T) {
 	e.h.SetRefAt(parent1, e.next, shared)
 	e.h.SetRefAt(parent2, e.next, shared)
 	e.h.SetFlags(shared, vmheap.FlagUnshared)
-	e.gl.Add("p1").Set(parent1)
-	e.gl.Add("p2").Set(parent2)
+	e.root(parent1)
+	e.root(parent2)
 
 	var hits int
 	tr := e.tracer()
@@ -318,7 +321,7 @@ func TestInfraUnsharedSecondEncounter(t *testing.T) {
 			}
 		},
 	})
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 	if hits != 1 {
 		t.Errorf("shared hits = %d, want 1", hits)
 	}
@@ -331,7 +334,7 @@ func TestInfraUnsharedSingleParentNoViolation(t *testing.T) {
 	var hits int
 	tr := e.tracer()
 	tr.SetChecks(Checks{Shared: func(vmheap.Ref, func() []vmheap.Ref) { hits++ }})
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 	if hits != 0 {
 		t.Errorf("unshared object with one parent reported (%d hits)", hits)
 	}
@@ -344,7 +347,7 @@ func TestInfraInstanceCounting(t *testing.T) {
 	e.alloc(t) // unreachable: must not count
 
 	tr := e.tracer()
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 	over := e.reg.CheckLimits()
 	if len(over) != 1 {
 		t.Fatalf("violations = %d, want 1", len(over))
@@ -358,7 +361,7 @@ func TestInfraHaltRequest(t *testing.T) {
 	e := newEnv(t, 4096)
 	obj := e.alloc(t)
 	e.h.SetFlags(obj, vmheap.FlagDead)
-	e.gl.Add("r").Set(obj)
+	e.root(obj)
 
 	tr := e.tracer()
 	v := &report.Violation{Kind: report.DeadReachable}
@@ -368,7 +371,7 @@ func TestInfraHaltRequest(t *testing.T) {
 			return report.Continue
 		},
 	})
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 	if tr.Halted() != v {
 		t.Error("halt request not recorded")
 	}
@@ -424,7 +427,7 @@ func TestPropertyPathsAreValid(t *testing.T) {
 				e.h.SetRefAt(nodes[i], e.other, nodes[rng.Intn(n)])
 			}
 		}
-		e.gl.Add("r").Set(nodes[0])
+		e.root(nodes[0])
 		victim := nodes[rng.Intn(n)]
 		e.h.SetFlags(victim, vmheap.FlagDead)
 
@@ -440,7 +443,7 @@ func TestPropertyPathsAreValid(t *testing.T) {
 				return report.Continue
 			},
 		})
-		tr.TraceInfra(e.gl)
+		tr.TraceInfra(e.roots())
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -452,7 +455,7 @@ func TestStatsRefsScanned(t *testing.T) {
 	e := newEnv(t, 4096)
 	e.chain(t, "root", 3)
 	tr := e.tracer()
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 	// 1 root encounter + 3 nodes x 2 ref fields = 7.
 	if got := tr.Stats().RefsScanned; got != 7 {
 		t.Errorf("RefsScanned = %d, want 7", got)
@@ -470,7 +473,7 @@ func TestInfraArrayEncounters(t *testing.T) {
 	e.h.SetArrayWord(arr, 0, uint64(victim))
 	e.h.SetArrayWord(arr, 2, uint64(other))
 	e.h.SetFlags(victim, vmheap.FlagDead)
-	e.gl.Add("arr").Set(arr)
+	e.root(arr)
 
 	var gotPath []vmheap.Ref
 	tr := e.tracer()
@@ -480,7 +483,7 @@ func TestInfraArrayEncounters(t *testing.T) {
 			return report.Continue
 		},
 	})
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 	if len(gotPath) != 2 || gotPath[0] != arr || gotPath[1] != victim {
 		t.Errorf("array path = %v, want [%d %d]", gotPath, arr, victim)
 	}
@@ -498,13 +501,13 @@ func TestInfraForceNullsArraySlot(t *testing.T) {
 	victim := e.alloc(t)
 	e.h.SetArrayWord(arr, 1, uint64(victim))
 	e.h.SetFlags(victim, vmheap.FlagDead)
-	e.gl.Add("arr").Set(arr)
+	e.root(arr)
 
 	tr := e.tracer()
 	tr.SetChecks(Checks{
 		Dead: func(vmheap.Ref, func() []vmheap.Ref) report.Action { return report.Force },
 	})
-	tr.TraceInfra(e.gl)
+	tr.TraceInfra(e.roots())
 	if e.h.ArrayWord(arr, 1) != 0 {
 		t.Error("array slot not nulled by Force")
 	}

@@ -40,7 +40,7 @@ type Workload interface {
 
 // setNew allocates a container with newIn into the global g, rooted in a
 // frame of th until it is stored.
-func setNew(th *core.Thread, g *core.Global, newIn func(f *core.Frame, i int) core.Ref) {
+func setNew(th *core.Thread, g *core.Global, newIn func(f core.Frame, i int) core.Ref) {
 	f := th.PushFrame(1)
 	g.Set(newIn(f, 0))
 	th.PopFrame()
